@@ -6,9 +6,7 @@ One CSV row per instance; every emitted row is certified; the run fails
 
 from __future__ import annotations
 
-import os
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Optional
 
@@ -112,30 +110,19 @@ def _check_row(row: BenchRow):
             raise BoundViolation(f"{row.instance}: oracle above walls_2k1")
 
 
-def thread_count() -> int:
-    raw = os.environ.get("CITYGUARD_THREADS", "1")
-    try:
-        n = int(raw)
-    except ValueError:
-        n = 1
-    return os.cpu_count() or 1 if n == 0 else max(1, n)
-
-
 def run_bench(cities, with_oracle: bool = False):
     """cities: iterable of (name, City); returns rows sorted by instance id."""
-    items = list(cities)
-    n = thread_count()
-    if n > 1:
-        with ThreadPoolExecutor(max_workers=n) as pool:
-            rows = list(pool.map(lambda nc: bench_instance(nc[0], nc[1], with_oracle),
-                                 items))
-    else:
-        rows = [bench_instance(name, city, with_oracle) for name, city in items]
+    rows = [bench_instance(name, city, with_oracle) for name, city in cities]
     rows.sort(key=lambda r: r.instance)
     return rows
 
 
 def random_corpus(count: int, k_min: int, k_max: int, seed: int, grid: int = 64):
+    """count random cities, k cycling through k_min..k_max."""
+    if count < 0:
+        raise ValueError(f"count must be non-negative, got {count}")
+    if not 0 <= k_min <= k_max:
+        raise ValueError(f"need 0 <= k_min <= k_max, got k_min={k_min}, k_max={k_max}")
     out = []
     for i in range(count):
         k = k_min + (i % (k_max - k_min + 1))

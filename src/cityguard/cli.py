@@ -101,17 +101,26 @@ def _cmd_oracle(args) -> int:
     return EXIT_BOUND
 
 
+def _invalid_arguments(e: ValueError) -> int:
+    print(f"validation error: {e}", file=sys.stderr)
+    return EXIT_VALIDATION
+
+
 def _cmd_gen(args) -> int:
     from cityguard.instances import (
         GeneratorParams, gen_3k1_necessity, gen_random_city, gen_roof_necessity,
     )
-    if args.family == "random":
-        city = gen_random_city(GeneratorParams(k=args.k, seed=args.seed, grid=args.grid))
-    elif args.family == "roof-necessity":
-        city = gen_roof_necessity(args.k)
-    else:
-        scene = gen_3k1_necessity(args.k)
-        city = City(scene=scene, heights=tuple(1 for _ in range(scene.k)))
+    try:
+        if args.family == "random":
+            city = gen_random_city(GeneratorParams(k=args.k, seed=args.seed,
+                                                   grid=args.grid))
+        elif args.family == "roof-necessity":
+            city = gen_roof_necessity(args.k)
+        else:
+            scene = gen_3k1_necessity(args.k)
+            city = City(scene=scene, heights=tuple(1 for _ in range(scene.k)))
+    except ValueError as e:  # a k or grid out of range
+        return _invalid_arguments(e)
     save_city(city, args.out)
     print(f"{args.family} k={args.k} -> {args.out}")
     return EXIT_OK
@@ -134,7 +143,10 @@ def _cmd_bench(args) -> int:
             if name.endswith(".json"):
                 corpus.append((name[:-5], load_city(os.path.join(args.dir, name))))
     else:
-        corpus = random_corpus(args.count, args.k_min, args.k_max, args.seed, args.grid)
+        try:
+            corpus = random_corpus(args.count, args.k_min, args.k_max, args.seed, args.grid)
+        except ValueError as e:
+            return _invalid_arguments(e)
     try:
         rows = run_bench(corpus, with_oracle=args.oracle)
     except BoundViolation as e:

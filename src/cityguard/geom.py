@@ -4,7 +4,9 @@ Coordinates are Python ints or fractions.Fraction; mixing the two is fine
 and integer inputs stay integers through the fast predicate paths.  A
 region (PolygonSet) is a union of convex cells with pairwise disjoint
 interiors, which makes boolean operations, exact areas and emptiness
-tests straightforward: area(set) is simply the sum of cell areas.
+tests straightforward: area(set) is simply the sum of cell areas.  The
+booleans convert to homogeneous integer cells (HCell, below), cut there
+and convert back.
 
 The representation is regularized: cells are closed and zero-area pieces
 are dropped, so a PolygonSet always equals the closure of its interior.
@@ -58,12 +60,6 @@ class Point(NamedTuple):
 class Segment(NamedTuple):
     a: Point
     b: Point
-
-
-def make_segment(a: Point, b: Point) -> Segment:
-    if a == b:
-        raise ValueError(f"degenerate segment at {a}")
-    return Segment(a, b)
 
 
 def orient(a: Point, b: Point, c: Point) -> int:
@@ -166,99 +162,17 @@ def cell_bbox(cell: Cell):
     return (min(xs), min(ys), max(xs), max(ys))
 
 
-def _line_intersection(a: Point, b: Point, p: Point, q: Point) -> Point:
-    """Intersection of lines ab and pq (caller guarantees non-parallel)."""
-    d1x, d1y = b.x - a.x, b.y - a.y
-    d2x, d2y = q.x - p.x, q.y - p.y
-    den = d1x * d2y - d1y * d2x
-    t = Fraction((p.x - a.x) * d2y - (p.y - a.y) * d2x, den)
-    x = a.x + t * d1x
-    y = a.y + t * d1y
-    return Point(int(x) if isinstance(x, Fraction) and x.denominator == 1 else x,
-                 int(y) if isinstance(y, Fraction) and y.denominator == 1 else y)
-
-
-def clip_cell_halfplane(cell: Cell, a: Point, b: Point):
-    """Clip a convex cell to the closed half-plane left of the directed line a->b.
-
-    Returns a convex cell or None when the intersection has zero area.
-    """
-    ax, ay = a
-    dx, dy = b.x - ax, b.y - ay
-    sides = [dx * (p.y - ay) - dy * (p.x - ax) for p in cell]
-    neg = pos = False
-    for s in sides:
-        if s < 0:
-            neg = True
-        elif s > 0:
-            pos = True
-    if not neg:
-        return cell
-    if not pos:
-        return None
-    out = []
-    n = len(cell)
-    for i in range(n):
-        p, sp = cell[i], sides[i]
-        j = i + 1 if i + 1 < n else 0
-        q, sq = cell[j], sides[j]
-        if sp >= 0:
-            out.append(p)
-        if (sp > 0 and sq < 0) or (sp < 0 and sq > 0):
-            t = Fraction(sp, sp - sq)
-            x = p.x + t * (q.x - p.x)
-            y = p.y + t * (q.y - p.y)
-            out.append(Point(int(x) if x.denominator == 1 else x,
-                             int(y) if y.denominator == 1 else y))
-    return normalize_cell(out)
-
-
-def cell_intersection(c1: Cell, c2: Cell):
-    cur = c1
-    n = len(c2)
-    for i in range(n):
-        cur = clip_cell_halfplane(cur, c2[i], c2[(i + 1) % n])
-        if cur is None:
-            return None
-    return cur
-
-
-def cell_difference(c1: Cell, c2: Cell):
-    """c1 minus c2 as a list of interior-disjoint convex pieces."""
-    b1 = cell_bbox(c1)
-    b2 = cell_bbox(c2)
-    if b1[2] <= b2[0] or b2[2] <= b1[0] or b1[3] <= b2[1] or b2[3] <= b1[1]:
-        return [c1]
-    if all(cell_contains(c2, v) for v in c1):
-        return []  # convex containment: c1 vanishes without any clipping
-    pieces = []
-    rest = c1
-    n = len(c2)
-    for i in range(n):
-        a, b = c2[i], c2[(i + 1) % n]
-        outside = clip_cell_halfplane(rest, b, a)  # right of a->b
-        if outside is not None:
-            pieces.append(outside)
-        rest = clip_cell_halfplane(rest, a, b)
-        if rest is None:
-            break
-    return pieces
-
-
 class PolygonSet:
     """A (possibly empty, possibly multi-face) region: disjoint convex cells."""
 
-    __slots__ = ("cells", "_hcells")
+    __slots__ = ("cells",)
 
     def __init__(self, cells: Iterable[Cell] = ()):
         self.cells = tuple(c for c in cells if c is not None)
-        self._hcells = None
 
     def hcells(self):
-        """Cells in homogeneous integer form for the fast clipping path."""
-        if self._hcells is None:
-            self._hcells = tuple(h_cell(c) for c in self.cells)
-        return self._hcells
+        """The cells in homogeneous integer form, converted on each call."""
+        return tuple(h_cell(c) for c in self.cells)
 
     @staticmethod
     def empty() -> "PolygonSet":
@@ -281,12 +195,6 @@ class PolygonSet:
             (Point(x0, y0), Point(x1, y0), Point(x1, y1), Point(x0, y1)),
         ))
 
-    @staticmethod
-    def from_ring(points: Sequence[Point]) -> "PolygonSet":
-        """Build from a simple polygon ring (any orientation) by ear clipping."""
-        ring = _checked_simple_ring(points)
-        return PolygonSet(_ear_clip(ring))
-
     def is_empty(self) -> bool:
         return not self.cells
 
@@ -308,28 +216,18 @@ class PolygonSet:
         return PolygonSet(self.cells + extra.cells)
 
     def intersection(self, other: "PolygonSet") -> "PolygonSet":
+        others = other.hcells()
         out = []
-        for c1 in self.cells:
-            b1 = cell_bbox(c1)
-            for c2 in other.cells:
-                b2 = cell_bbox(c2)
-                if b1[2] <= b2[0] or b2[2] <= b1[0] or b1[3] <= b2[1] or b2[3] <= b1[1]:
-                    continue
-                inter = cell_intersection(c1, c2)
+        for c1 in self.hcells():
+            for c2 in others:
+                inter = h_intersection(c1, c2)
                 if inter is not None:
-                    out.append(inter)
+                    out.append(h_cell_to_cell(inter))
         return PolygonSet(out)
 
     def difference(self, other: "PolygonSet") -> "PolygonSet":
-        pieces = list(self.cells)
-        for c2 in other.cells:
-            if not pieces:
-                break
-            nxt = []
-            for c1 in pieces:
-                nxt.extend(cell_difference(c1, c2))
-            pieces = nxt
-        return PolygonSet(pieces)
+        pieces = h_subtract(list(self.hcells()), other.hcells())
+        return PolygonSet(h_cell_to_cell(c) for c in pieces)
 
     def rings(self):
         """Serializable form: one CCW ring per cell."""
@@ -337,94 +235,6 @@ class PolygonSet:
 
     def __repr__(self):
         return f"PolygonSet({len(self.cells)} cells, area={self.area()})"
-
-
-def polygon_boolean(a: PolygonSet, b: PolygonSet, op: str) -> PolygonSet:
-    if op == "UNION":
-        return a.union(b)
-    if op == "INTERSECTION":
-        return a.intersection(b)
-    if op == "DIFFERENCE":
-        return a.difference(b)
-    raise ValueError(f"unknown boolean op {op!r}")
-
-
-def _checked_simple_ring(points: Sequence[Point]):
-    pts = [Point(p[0], p[1]) for p in points]
-    if len(pts) >= 2 and pts[0] == pts[-1]:
-        pts = pts[:-1]
-    if len(pts) < 3:
-        raise MalformedPolygonError("ring needs at least 3 distinct vertices")
-    n = len(pts)
-    area2 = 0
-    for i in range(n):
-        a, b = pts[i], pts[(i + 1) % n]
-        if a == b:
-            raise MalformedPolygonError("repeated consecutive vertex")
-        area2 += a.x * b.y - b.x * a.y
-    if area2 == 0:
-        raise MalformedPolygonError("ring has zero area")
-    if area2 < 0:
-        pts.reverse()
-    for i in range(n):
-        a, b = pts[i], pts[(i + 1) % n]
-        for j in range(i + 1, n):
-            c, d = pts[j], pts[(j + 1) % n]
-            if j == i or (j + 1) % n == i or (i + 1) % n == j:
-                continue
-            if _segments_cross(a, b, c, d):
-                raise MalformedPolygonError(f"self-intersecting boundary near {a}-{b} / {c}-{d}")
-    return pts
-
-
-def _segments_cross(a, b, c, d) -> bool:
-    """True if closed segments ab and cd share any point (non-adjacent case)."""
-    o1 = orient(a, b, c)
-    o2 = orient(a, b, d)
-    o3 = orient(c, d, a)
-    o4 = orient(c, d, b)
-    if o1 != o2 and o3 != o4:
-        return True
-    def on(a, b, p):
-        return orient(a, b, p) == 0 and min(a.x, b.x) <= p.x <= max(a.x, b.x) \
-            and min(a.y, b.y) <= p.y <= max(a.y, b.y)
-    return on(a, b, c) or on(a, b, d) or on(c, d, a) or on(c, d, b)
-
-
-def _ear_clip(ring):
-    """Triangulate a simple CCW ring into disjoint triangles (exact)."""
-    pts = list(ring)
-    tris = []
-    guard = 0
-    while len(pts) > 3:
-        guard += 1
-        if guard > 10000:
-            raise MalformedPolygonError("ear clipping failed; ring is not simple")
-        n = len(pts)
-        clipped = False
-        for i in range(n):
-            a, b, c = pts[i - 1], pts[i], pts[(i + 1) % n]
-            if orient(a, b, c) != CCW:
-                continue
-            ear = (a, b, c)
-            ok = True
-            for p in pts:
-                if p in ear:
-                    continue
-                if cell_contains(ear, p):
-                    ok = False
-                    break
-            if ok:
-                tris.append(ear)
-                del pts[i]
-                clipped = True
-                break
-        if not clipped:
-            raise MalformedPolygonError("no ear found; ring is not simple")
-    last = normalize_cell(pts)
-    if last is not None:
-        tris.append(last)
-    return [t for t in tris if cell_area2(t) > 0]
 
 
 # ---------------------------------------------------------------------------
@@ -516,7 +326,9 @@ Hole = Union[AxisRect, ConvexQuad]
 
 
 # ---------------------------------------------------------------------------
-# Homogeneous integer cells: the exact fast path for residual computation.
+# Homogeneous integer cells: the one clipping kernel.  Every cut of a cell
+# (the PolygonSet booleans, the residual passes of the verifier and the
+# oracle's face arrangement) runs through _h_clip below.
 #
 # A point is (X, Y, W) with integer components and W > 0, representing
 # (X/W, Y/W).  Sides, orientations and clipping are pure big-integer
@@ -649,6 +461,19 @@ def _h_clip(pts, line):
     return _h_normalized(out)
 
 
+def h_intersection(c1: HCell, c2: HCell):
+    """c1 and c2 in common as an HCell, or None when that has no area."""
+    b1, b2 = c1.bbox, c2.bbox
+    if b1[2] <= b2[0] or b2[2] <= b1[0] or b1[3] <= b2[1] or b2[3] <= b1[1]:
+        return None
+    pts = c1.pts
+    for line in c2.lines:
+        pts = _h_clip(pts, line)
+        if pts is None:
+            return None
+    return c1 if pts is c1.pts else HCell(pts)
+
+
 def h_difference(c1: HCell, c2: HCell):
     """c1 minus c2 as a list of disjoint HCells (bbox prefilter included)."""
     b1, b2 = c1.bbox, c2.bbox
@@ -668,6 +493,23 @@ def h_difference(c1: HCell, c2: HCell):
         rest = _h_clip(rest, line)
         if rest is None:
             break
+    return pieces
+
+
+def h_subtract(pieces, cutters):
+    """Subtract every cutter from a list of disjoint HCells, exactly."""
+    for c2 in cutters:
+        if not pieces:
+            break
+        b2 = c2.bbox
+        nxt = []
+        for c1 in pieces:
+            b1 = c1.bbox
+            if b1[2] <= b2[0] or b2[2] <= b1[0] or b1[3] <= b2[1] or b2[3] <= b1[1]:
+                nxt.append(c1)
+            else:
+                nxt.extend(h_difference(c1, c2))
+        pieces = nxt
     return pieces
 
 

@@ -42,6 +42,8 @@ class GeneratorParams:
     def __post_init__(self):
         if self.family != RANDOM_AA and self.k < 1:
             raise ValueError("necessity families need k >= 1")
+        if self.k < 0:
+            raise ValueError(f"k must be non-negative, got {self.k}")
         if self.grid <= 0:
             raise ValueError("grid must be positive")
 

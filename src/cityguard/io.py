@@ -22,7 +22,7 @@ import json
 
 from cityguard.errors import SceneValidationError
 from cityguard.geom import AxisRect, rational, rational_str
-from cityguard.model import City, Guard, Scene, Solution, validate_scene
+from cityguard.model import City, Guard, Solution, validate_scene
 
 
 class FormatError(ValueError):
@@ -92,10 +92,6 @@ def load_city(path) -> City:
     return parse_city(doc)
 
 
-def load_scene(path) -> Scene:
-    return load_city(path).scene
-
-
 def city_doc(city: City) -> dict:
     buildings = []
     for i, h in enumerate(city.scene.holes):
@@ -110,10 +106,6 @@ def city_doc(city: City) -> dict:
             "buildings": buildings}
 
 
-def scene_doc(scene: Scene) -> dict:
-    return city_doc(City(scene=scene, heights=tuple(1 for _ in range(scene.k))))
-
-
 def canonical_json(doc) -> str:
     return json.dumps(doc, sort_keys=True, separators=(", ", ": "), indent=1) + "\n"
 
@@ -121,10 +113,6 @@ def canonical_json(doc) -> str:
 def save_city(city: City, path):
     with open(path, "w") as f:
         f.write(canonical_json(city_doc(city)))
-
-
-def save_scene(scene: Scene, path):
-    save_city(City(scene=scene, heights=tuple(1 for _ in range(scene.k))), path)
 
 
 def parse_solution(doc) -> Solution:

@@ -9,7 +9,7 @@ re-serialization of the scene.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence, Union
 
@@ -46,7 +46,6 @@ class Building:
 class Scene:
     bounds: AxisRect
     holes: tuple
-    _allow_boundary_contact: bool = field(default=False, compare=False)
 
     @property
     def k(self) -> int:
@@ -55,9 +54,6 @@ class Scene:
     @property
     def kind(self) -> str:
         return AXIS_ALIGNED if all(isinstance(h, AxisRect) for h in self.holes) else GENERAL
-
-    def hole_corners(self, i: int):
-        return self.holes[i].corners()
 
 
 @dataclass(frozen=True)
@@ -298,8 +294,7 @@ def rotate_scene_ccw(scene: Scene, times: int) -> Scene:
             holes.append(rot_rect(h))
         else:
             holes.append(make_convex_quad([rotate_point_ccw(c, t) for c in h.corners()]))
-    return Scene(bounds=rot_rect(scene.bounds), holes=tuple(holes),
-                 _allow_boundary_contact=scene._allow_boundary_contact)
+    return Scene(bounds=rot_rect(scene.bounds), holes=tuple(holes))
 
 
 def rotate_guard_ccw(g: Guard, scene: Scene, times: int) -> Guard:

@@ -15,7 +15,7 @@ from fractions import Fraction
 from itertools import combinations
 from typing import Optional
 
-from cityguard.geom import Point, cell_bbox, cell_difference, cell_intersection
+from cityguard.geom import Point, h_cell_to_cell, h_difference, h_intersection
 from cityguard.model import (
     City, E, Guard, N, S, Scene, Solution, W, hole_guard, p_corner_guard,
     wall_aligned_facings,
@@ -62,26 +62,27 @@ class OracleResult:
 
 def build_faces(scene: Scene, candidates, region=None):
     """Refine free space (or a given sub-region) by every candidate region;
-    returns (cell, mask) faces."""
+    returns (cell, mask) faces.  The faces are refined as HCells and
+    converted back to Point cells once, at the end."""
     base = free_space(scene) if region is None else region
-    faces = [(cell, frozenset()) for cell in base.cells]
+    faces = [(cell, frozenset()) for cell in base.hcells()]
     for ci, cand in enumerate(candidates):
-        region = visibility_region(scene, cand).region
-        rcells = [(c, cell_bbox(c)) for c in region.cells]
+        rcells = visibility_region(scene, cand).region.hcells()
         nxt = []
         for (cell, mask) in faces:
-            bb = cell_bbox(cell)
+            bb = cell.bbox
             rest = [cell]
             covered_pieces = []
-            for rc, rbb in rcells:
+            for rc in rcells:
+                rbb = rc.bbox
                 if bb[2] <= rbb[0] or rbb[2] <= bb[0] or bb[3] <= rbb[1] or rbb[3] <= bb[1]:
                     continue
                 new_rest = []
                 for piece in rest:
-                    inter = cell_intersection(piece, rc)
+                    inter = h_intersection(piece, rc)
                     if inter is not None:
                         covered_pieces.append(inter)
-                    new_rest.extend(cell_difference(piece, rc))
+                    new_rest.extend(h_difference(piece, rc))
                 rest = new_rest
                 if not rest:
                     break
@@ -89,7 +90,7 @@ def build_faces(scene: Scene, candidates, region=None):
             nxt.extend((p, bigger) for p in covered_pieces)
             nxt.extend((p, mask) for p in rest)
         faces = nxt
-    return faces
+    return [(h_cell_to_cell(cell), mask) for cell, mask in faces]
 
 
 def _centroid(cell) -> Point:

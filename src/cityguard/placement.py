@@ -35,12 +35,6 @@ class PartitionRegion:
     rects: tuple  # grid rectangles making up the region
 
 
-@dataclass(frozen=True)
-class SubCity:
-    scene: Scene
-    provenance: tuple
-
-
 # ---------------------------------------------------------------------------
 # Roof guarding (k guards, one per building)
 # ---------------------------------------------------------------------------
@@ -314,7 +308,7 @@ def _case2_guards(scene: Scene, rep: SharingReport, trace) -> list:
 
 def _subscene(bounds: AxisRect, scene: Scene, ids) -> tuple:
     holes = tuple(scene.holes[i] for i in ids)
-    return Scene(bounds=bounds, holes=holes, _allow_boundary_contact=True), list(ids)
+    return Scene(bounds=bounds, holes=holes), list(ids)
 
 
 def _remap(guards, id_map):
@@ -339,7 +333,7 @@ def _case3_guards(scene: Scene, rep: SharingReport, trace, depth) -> list:
     rscene = rotate_scene_ccw(scene, rot)
     rrep = staircase_sharing(rscene)
     entry = next(e for e in rrep.adjacent_internal
-                 if e[0] == (RS, FS) and _same_hole(scene, rscene, hid, e[1]))
+                 if e[0] == (RS, FS) and e[1] == hid)  # rotation keeps hole ids
     bj = entry[1]
     h = rscene.holes[bj]
     b = rscene.bounds
@@ -369,10 +363,6 @@ def _case3_guards(scene: Scene, rep: SharingReport, trace, depth) -> list:
         sub2, ids2 = _subscene(AxisRect(b.x0, b.y0, b.x1, h.y1), rscene, below)
         guards.extend(_remap(_guards_main_scene(sub2, trace, depth + 1), ids2))
     return unrotate_guards(guards, rscene, rot)
-
-
-def _same_hole(scene: Scene, rscene: Scene, hid: int, rhid: int) -> bool:
-    return hid == rhid  # rotation preserves hole indices
 
 
 def _guards_main_scene(scene: Scene, trace, depth=0) -> list:

@@ -13,7 +13,7 @@ from fractions import Fraction
 from typing import Optional
 
 from cityguard.geom import (
-    AxisRect, Point, PolygonSet, cell_area2, h_cell_to_cell, h_difference,
+    AxisRect, Point, PolygonSet, cell_area2, h_cell_to_cell, h_subtract,
 )
 from cityguard.model import City, Scene, Solution, roof_covered_by
 from cityguard.visibility import visibility_region
@@ -52,30 +52,13 @@ def _axis_free_cells(b: AxisRect, holes):
     return cells
 
 
-def _subtract_region(residual, region: PolygonSet):
-    """residual: list of HCells; subtracts the region exactly."""
-    for c2 in region.hcells():
-        if not residual:
-            return residual
-        b2 = c2.bbox
-        nxt = []
-        for c1 in residual:
-            b1 = c1.bbox
-            if b1[2] <= b2[0] or b2[2] <= b1[0] or b1[3] <= b2[1] or b2[3] <= b1[1]:
-                nxt.append(c1)
-            else:
-                nxt.extend(h_difference(c1, c2))
-        residual = nxt
-    return residual
-
-
 def covers(scene: Scene, guards) -> bool:
     """Fast path: does the guard set cover free space?  (No certificate kept.)"""
     residual = list(free_space(scene).hcells())
     for g in guards:
         if not residual:
             return True
-        residual = _subtract_region(residual, visibility_region(scene, g).region)
+        residual = h_subtract(residual, visibility_region(scene, g).region.hcells())
     return not residual
 
 
@@ -85,7 +68,7 @@ def certify(scene: Scene, guards) -> Certificate:
     for vr in regions:
         if not residual:
             break
-        residual = _subtract_region(residual, vr.region)
+        residual = h_subtract(residual, vr.region.hcells())
     residual_set = PolygonSet(tuple(h_cell_to_cell(c) for c in residual))
     covered = residual_set.is_empty()
     witness = None

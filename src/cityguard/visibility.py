@@ -11,8 +11,10 @@ Two independent routes to the same predicate:
   Within one open wedge between consecutive critical directions no edge
   endpoint occurs, edges never cross (holes are disjoint and inside P),
   so a single nearest edge blocks the whole wedge and the visible piece
-  is the triangle guard/ray1-hit/ray2-hit.  The union of wedge triangles
-  clipped to the guard's closed half-plane is the region.
+  is the triangle guard/ray1-hit/ray2-hit.  Both edge directions of the
+  guard's half-plane are critical, so every wedge lies wholly in front
+  of the guard or wholly behind it; the union of the triangles of the
+  wedges in front is the region.
 
 The region is regularized (a union of closed 2D cells).  Sight lines
 that are visible only along a 1D segment collinear with the guard's
@@ -159,9 +161,6 @@ def _visibility_region(scene: Scene, g: Guard) -> VisibilityRegion:
     else:
         keep_cone = _corner_cone(p_cell, g.anchor[1])
 
-    hp_a = pos
-    hp_b = Point(pos.x + fy, pos.y - fx)  # boundary line, front on its left
-
     # nearest blocker per wedge; consecutive wedges stopped by the same edge
     # merge into one triangle (the intermediate ray hits are collinear on it)
     blockers = []
@@ -169,6 +168,9 @@ def _visibility_region(scene: Scene, g: Guard) -> VisibilityRegion:
         d1 = sorted_dirs[i]
         d2 = sorted_dirs[(i + 1) % nd]
         m = (d1[0] + d2[0], d1[1] + d2[1])
+        if m[0] * fx + m[1] * fy < 0:
+            blockers.append(None)  # the wedge lies behind the guard
+            continue
         if skip_cone is not None and _strictly_in_cone(*skip_cone, m):
             blockers.append(None)
             continue
@@ -213,9 +215,7 @@ def _visibility_region(scene: Scene, g: Guard) -> VisibilityRegion:
             r2 = _ray_line_hit(pos, sorted_dirs[j], p, q)
             cell = normalize_cell((pos, r1, r2))
             if cell is not None:
-                clipped = _clip_halfplane(cell, hp_a, hp_b)
-                if clipped is not None:
-                    cells.append(clipped)
+                cells.append(cell)
         i = j
 
     return VisibilityRegion(guard=g, region=PolygonSet(cells))
@@ -229,8 +229,3 @@ def _ray_line_hit(pos: Point, d, p: Point, q: Point) -> Point:
     y = pos.y + t * d[1]
     return Point(int(x) if x.denominator == 1 else x,
                  int(y) if y.denominator == 1 else y)
-
-
-def _clip_halfplane(cell, a, b):
-    from cityguard.geom import clip_cell_halfplane
-    return clip_cell_halfplane(cell, a, b)

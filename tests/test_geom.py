@@ -4,11 +4,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cityguard.errors import MalformedPolygonError
 from cityguard.geom import (
     CCW, COLLINEAR, CW, AxisRect, Point, PolygonSet, Segment, half_plane_contains,
-    make_axis_rect, make_convex_quad, is_rectangle, orient, polygon_boolean,
-    primitive_direction, rational, rational_str, segment_blocked_by_rect,
+    make_axis_rect, make_convex_quad, is_rectangle, orient, primitive_direction,
+    rational, rational_str, segment_blocked_by_rect,
 )
 
 
@@ -97,47 +96,53 @@ class TestPolygonSet:
     def test_difference_area(self):
         a = PolygonSet.from_rect(0, 0, 10, 10)
         b = PolygonSet.from_rect(4, 4, 6, 6)
-        assert polygon_boolean(a, b, "DIFFERENCE").area() == 96
+        assert a.difference(b).area() == 96
 
     def test_union_identity(self):
         b = PolygonSet.from_rect(1, 1, 3, 3)
-        u = polygon_boolean(PolygonSet.empty(), b, "UNION")
+        u = PolygonSet.empty().union(b)
         assert u.area() == b.area() == 4
 
     def test_intersection(self):
         a = PolygonSet.from_rect(0, 0, 2, 2)
         b = PolygonSet.from_rect(1, 1, 3, 3)
-        r = polygon_boolean(a, b, "INTERSECTION")
+        r = a.intersection(b)
         assert r.area() == 1
         assert r.contains(P(1, 1)) and r.contains(P(2, 2))
         assert not r.contains(P(Fraction(1, 2), 1))
 
+    @staticmethod
+    def operand(x, y, w, h, diamond):
+        """An axis rectangle, or an integer square rotated by 45 degrees (its
+        edges cut another such square's at half-integer vertices)."""
+        if not diamond:
+            return PolygonSet.from_rect(x, y, x + w, y + h)
+        return PolygonSet.from_cells([[(x, y), (x + w, y + w), (x, y + 2 * w),
+                                       (x - w, y + w)]])
+
     @given(st.tuples(st.integers(0, 12), st.integers(0, 12), st.integers(1, 8),
-                     st.integers(1, 8)),
+                     st.integers(1, 8), st.booleans()),
            st.tuples(st.integers(0, 12), st.integers(0, 12), st.integers(1, 8),
-                     st.integers(1, 8)))
+                     st.integers(1, 8), st.booleans()))
     @settings(max_examples=150)
     def test_inclusion_exclusion(self, ra, rb):
-        a = PolygonSet.from_rect(ra[0], ra[1], ra[0] + ra[2], ra[1] + ra[3])
-        b = PolygonSet.from_rect(rb[0], rb[1], rb[0] + rb[2], rb[1] + rb[3])
+        a = self.operand(*ra)
+        b = self.operand(*rb)
         union = a.union(b)
         inter = a.intersection(b)
         assert union.area() + inter.area() == a.area() + b.area()
         assert a.difference(b).area() == a.area() - inter.area()
 
-    def test_malformed_ring_rejected(self):
-        with pytest.raises(MalformedPolygonError):
-            PolygonSet.from_ring([P(0, 0), P(2, 2), P(2, 0), P(0, 2)])  # bowtie
-        with pytest.raises(MalformedPolygonError):
-            PolygonSet.from_ring([P(0, 0), P(1, 1), P(2, 2)])  # flat
-
-    def test_simple_ring_triangulated(self):
-        # L-shaped hexagon, area 3
-        ring = [P(0, 0), P(2, 0), P(2, 1), P(1, 1), P(1, 2), P(0, 2)]
-        ps = PolygonSet.from_ring(ring)
-        assert ps.area() == 3
-        assert ps.contains(P(Fraction(1, 2), Fraction(3, 2)))
-        assert not ps.contains(P(Fraction(3, 2), Fraction(3, 2)))
+    def test_rotated_squares_meet_at_fraction_vertices(self):
+        a = self.operand(0, 0, 2, 2, True)
+        b = self.operand(1, 0, 2, 2, True)
+        inter = a.intersection(b)
+        assert inter.area() == Fraction(9, 2)
+        assert P(Fraction(1, 2), Fraction(7, 2)) in {p for c in inter.cells for p in c}
+        assert a.difference(b).area() == 8 - Fraction(9, 2)
+        assert a.union(b).area() == 16 - Fraction(9, 2)
+        assert inter.contains(P(Fraction(1, 2), Fraction(3, 2)))
+        assert not inter.contains(P(Fraction(-3, 2), 2))
 
 
 class TestRationals:

@@ -26,6 +26,10 @@ class TestGenRandom:
         assert gen_random(p) == gen_random(p)
         assert gen_random_city(p) == gen_random_city(p)
 
+    def test_negative_k_refused(self):
+        with pytest.raises(ValueError):
+            GeneratorParams(k=-1)
+
     def test_generation_failure(self):
         with pytest.raises(GenerationFailedError):
             gen_random(GeneratorParams(k=40, seed=0, grid=6))

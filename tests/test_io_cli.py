@@ -171,6 +171,20 @@ class TestCli:
         assert self.run("gen", "--family", "rot-3k1", "--k", "4",
                         "--out", str(scene)) == 2
 
+    @pytest.mark.parametrize("argv", [
+        ("bench", "--count", "3", "--k-min", "5", "--k-max", "4"),
+        ("bench", "--count", "4", "--k-min", "5", "--k-max", "2"),
+        ("gen", "--family", "random", "--k", "-1"),
+    ])
+    def test_bad_k_range_exits_2(self, tmp_path, argv):
+        out = tmp_path / "out"
+        result = subprocess.run([sys.executable, "-m", "cityguard.cli", *argv,
+                                 "--out", str(out)], capture_output=True, text=True)
+        assert result.returncode == 2
+        assert len(result.stderr.splitlines()) == 1
+        assert "Traceback" not in result.stderr
+        assert not out.exists()
+
     def test_console_script(self, tmp_path):
         result = subprocess.run([sys.executable, "-m", "cityguard.cli", "--help"],
                                 capture_output=True, text=True)
@@ -180,21 +194,23 @@ class TestCli:
 
 
 class TestBenchHarness:
-    def test_thread_env(self, monkeypatch):
-        from cityguard.bench import thread_count
-        monkeypatch.setenv("CITYGUARD_THREADS", "3")
-        assert thread_count() == 3
-        monkeypatch.setenv("CITYGUARD_THREADS", "0")
-        assert thread_count() >= 1
-
-    def test_parallel_matches_sequential(self, monkeypatch):
+    def test_run_bench_deterministic(self):
         from cityguard.bench import csv_lines, random_corpus, run_bench
         corpus = random_corpus(3, 1, 2, seed=11, grid=40)
-        rows_seq = run_bench(corpus)
-        monkeypatch.setenv("CITYGUARD_THREADS", "2")
-        rows_par = run_bench(corpus)
         strip = lambda rows: [",".join(l.split(",")[:-1]) for l in csv_lines(rows)]
-        assert strip(rows_seq) == strip(rows_par)
+        assert strip(run_bench(corpus)) == strip(run_bench(corpus))
+
+    @pytest.mark.parametrize("count,k_min,k_max", [(3, 5, 4), (4, 5, 2), (2, -3, -1),
+                                                   (-1, 1, 2)])
+    def test_random_corpus_refuses_bad_ranges(self, count, k_min, k_max):
+        from cityguard.bench import random_corpus
+        with pytest.raises(ValueError):
+            random_corpus(count, k_min, k_max, seed=0)
+
+    def test_random_corpus_k_cycles_through_range(self):
+        from cityguard.bench import random_corpus
+        corpus = random_corpus(4, 0, 1, seed=2, grid=30)
+        assert [city.scene.k for _, city in corpus] == [0, 1, 0, 1]
 
     def test_oracle_column_bounded(self):
         from cityguard.bench import random_corpus, run_bench

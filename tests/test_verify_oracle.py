@@ -1,7 +1,9 @@
 from fractions import Fraction
 
-from cityguard.geom import Point, make_axis_rect
-from cityguard.instances import GeneratorParams, gen_random, gen_roof_necessity
+from cityguard.geom import Point, PolygonSet, make_axis_rect
+from cityguard.instances import (
+    GeneratorParams, gen_3k1_necessity, gen_random, gen_roof_necessity,
+)
 from cityguard.model import City, E, S, Scene, W, hole_guard, validate_scene
 from cityguard.oracle import (
     INFEASIBLE_WITHIN, OPTIMAL, UNCOVERABLE, build_faces, candidate_set,
@@ -120,6 +122,14 @@ class TestOracle:
             for p in samples:
                 got = frozenset(i for i, r in enumerate(regions) if r.contains(p))
                 assert got == mask
+
+    def test_faces_tile_free_space(self):
+        scenes = [gen_random(GeneratorParams(k=k, seed=seed, grid=30))
+                  for k in (1, 2) for seed in (5, 6)]
+        scenes += [gen_3k1_necessity(1), gen_3k1_necessity(2)]
+        for sc in scenes:
+            faces = build_faces(sc, candidate_set(sc, include_p_corners=True))
+            assert PolygonSet(cell for cell, _ in faces).area() == free_space(sc).area()
 
 
 class TestRoofOracle:

@@ -118,6 +118,16 @@ class TestProperties:
                     for v in cell:
                         assert (v.x - pos.x) * fx + (v.y - pos.y) * fy >= 0
 
+    def test_region_vertices_in_front_of_guard(self):
+        for seed in (1, 2, 3):
+            sc = gen_random(GeneratorParams(k=3, seed=seed, grid=40))
+            for g in candidate_set(sc, include_p_corners=True):
+                pos = g.position(sc)
+                fx, fy = g.facing
+                for cell in visibility_region(sc, g).region.cells:
+                    for v in cell:
+                        assert (v.x - pos.x) * fx + (v.y - pos.y) * fy >= 0
+
     def test_star_shaped(self):
         rng = random.Random(5)
         sc = gen_random(GeneratorParams(k=3, seed=9, grid=40))
