@@ -13,7 +13,9 @@ from cityguard.errors import (
     CityGuardError, GenerationFailedError, PlacementIncompleteError,
     SceneValidationError,
 )
-from cityguard.io import FormatError, load_city, load_solution, save_city, save_solution
+from cityguard.io import (
+    FormatError, check_guard_anchors, load_city, load_solution, save_city, save_solution,
+)
 from cityguard.model import City
 
 EXIT_OK = 0
@@ -59,6 +61,7 @@ def _cmd_verify(args) -> int:
     from cityguard.verify import certify, certify_city
     city = load_city(args.scene)
     sol = load_solution(args.solution)
+    check_guard_anchors(sol, city.scene)
     if args.city:
         cert = certify_city(city, sol)
     else:
@@ -129,6 +132,8 @@ def _cmd_gen(args) -> int:
 def _cmd_render(args) -> int:
     city = load_city(args.scene)
     sol = load_solution(args.solution) if args.solution else None
+    if sol is not None:
+        check_guard_anchors(sol, city.scene)
     _write_svg(args.out, city.scene, sol, city if (sol and args.city) else None)
     print(f"rendered -> {args.out}")
     return EXIT_OK

@@ -92,6 +92,9 @@ def primitive_direction(dx: Rational, dy: Rational) -> tuple:
     """Reduce a nonzero direction to a canonical primitive integer vector."""
     if dx == 0 and dy == 0:
         raise ValueError("zero direction")
+    if isinstance(dx, int) and isinstance(dy, int):
+        g = gcd(dx, dy)
+        return (dx // g, dy // g)
     fx, fy = Fraction(dx), Fraction(dy)
     den = fx.denominator * fy.denominator // gcd(fx.denominator, fy.denominator)
     ix, iy = int(fx * den), int(fy * den)
@@ -220,7 +223,7 @@ class PolygonSet:
         out = []
         for c1 in self.hcells():
             for c2 in others:
-                inter = h_intersection(c1, c2)
+                inter = h_split(c1, c2)[0]
                 if inter is not None:
                     out.append(h_cell_to_cell(inter))
         return PolygonSet(out)
@@ -328,7 +331,12 @@ Hole = Union[AxisRect, ConvexQuad]
 # ---------------------------------------------------------------------------
 # Homogeneous integer cells: the one clipping kernel.  Every cut of a cell
 # (the PolygonSet booleans, the residual passes of the verifier and the
-# oracle's face arrangement) runs through _h_clip below.
+# oracle's face arrangement) runs through h_split below.  h_split first
+# asks _h_apart, an exact separating-axis test, whether the two cells'
+# interiors meet at all; pairs that do not are never cut.  Pairs that do
+# are cut by each edge line of the cutter once, with _h_split returning
+# both closed halves from one evaluation of the sides, so the intersection
+# and the pieces outside come out of the same pass.
 #
 # A point is (X, Y, W) with integer components and W > 0, representing
 # (X/W, Y/W).  Sides, orientations and clipping are pure big-integer
@@ -428,72 +436,76 @@ def _h_normalized(pts):
     return tuple(keep)
 
 
-def _h_clip(pts, line):
-    """Clip to the closed left side of the line; 'same' when unchanged,
-    None when the intersection has no area."""
+def _h_apart(c1: HCell, c2: HCell) -> bool:
+    """True iff the interiors of c1 and c2 are disjoint.
+
+    The float bboxes are only a prefilter (they are inflated, so a gap
+    between them is a real gap).  The decision is the separating-axis
+    test in integers: two convex cells have disjoint interiors iff some
+    edge line of one has the whole other cell on its closed right side."""
+    b1, b2 = c1.bbox, c2.bbox
+    if b1[2] <= b2[0] or b2[2] <= b1[0] or b1[3] <= b2[1] or b2[3] <= b1[1]:
+        return True
+    for cell, other in ((c2, c1.pts), (c1, c2.pts)):
+        for (A, B, C) in cell.lines:
+            for p in other:
+                if A * p[0] + B * p[1] + C * p[2] > 0:
+                    break
+            else:
+                return True
+    return False
+
+
+def _h_split(pts, line):
+    """Cut a convex cell by a directed line, evaluating each side once.
+
+    Returns (left, right), the closed halves on either side; a half is None
+    when it has no area, and is pts itself when the line misses the cell."""
     A, B, C = line
     sides = [A * p[0] + B * p[1] + C * p[2] for p in pts]
-    neg = pos = False
-    for s in sides:
-        if s < 0:
-            neg = True
-        elif s > 0:
-            pos = True
-    if not neg:
-        return pts
-    if not pos:
-        return None
-    out = []
+    if min(sides) >= 0:
+        return pts, None
+    if max(sides) <= 0:
+        return None, pts
+    left, right = [], []
     n = len(pts)
     for i in range(n):
         p, sp = pts[i], sides[i]
         j = i + 1 if i + 1 < n else 0
         q, sq = pts[j], sides[j]
         if sp >= 0:
-            out.append(p)
+            left.append(p)
+        if sp <= 0:
+            right.append(p)
         if (sp > 0 > sq) or (sp < 0 < sq):
             rx = sp * q[0] - sq * p[0]
             ry = sp * q[1] - sq * p[1]
             rw = sp * q[2] - sq * p[2]
             if rw < 0:
                 rx, ry, rw = -rx, -ry, -rw
-            out.append(_h_reduce((rx, ry, rw)))
-    return _h_normalized(out)
+            r = _h_reduce((rx, ry, rw))
+            left.append(r)
+            right.append(r)
+    return _h_normalized(left), _h_normalized(right)
 
 
-def h_intersection(c1: HCell, c2: HCell):
-    """c1 and c2 in common as an HCell, or None when that has no area."""
-    b1, b2 = c1.bbox, c2.bbox
-    if b1[2] <= b2[0] or b2[2] <= b1[0] or b1[3] <= b2[1] or b2[3] <= b1[1]:
-        return None
-    pts = c1.pts
-    for line in c2.lines:
-        pts = _h_clip(pts, line)
-        if pts is None:
-            return None
-    return c1 if pts is c1.pts else HCell(pts)
+def h_split(c1: HCell, c2: HCell):
+    """Cut c1 by c2: (c1 and c2 in common as an HCell, or None when that
+    has no area; c1 minus c2 as a list of disjoint HCells).
 
-
-def h_difference(c1: HCell, c2: HCell):
-    """c1 minus c2 as a list of disjoint HCells (bbox prefilter included)."""
-    b1, b2 = c1.bbox, c2.bbox
-    if b1[2] <= b2[0] or b2[2] <= b1[0] or b1[3] <= b2[1] or b2[3] <= b1[1]:
-        return [c1]
-    for (A, B, C) in c2.lines:
-        if any(A * p[0] + B * p[1] + C * p[2] < 0 for p in c1.pts):
-            break
-    else:
-        return []  # c1 entirely inside c2
-    pieces = []
+    Cells whose interiors do not meet are never cut.  Otherwise the
+    intersection has area, so the part of c1 left of each edge line of c2
+    is never empty: what falls right of a line is one outside piece, and
+    what is left after the last line is the intersection."""
+    if _h_apart(c1, c2):
+        return None, [c1]
+    outside = []
     rest = c1.pts
     for line in c2.lines:
-        outside = _h_clip(rest, (-line[0], -line[1], -line[2]))
-        if outside is not None:
-            pieces.append(c1 if outside is rest and rest is c1.pts else HCell(outside))
-        rest = _h_clip(rest, line)
-        if rest is None:
-            break
-    return pieces
+        rest, right = _h_split(rest, line)
+        if right is not None:
+            outside.append(HCell(right))
+    return (c1 if rest is c1.pts else HCell(rest)), outside
 
 
 def h_subtract(pieces, cutters):
@@ -501,14 +513,9 @@ def h_subtract(pieces, cutters):
     for c2 in cutters:
         if not pieces:
             break
-        b2 = c2.bbox
         nxt = []
         for c1 in pieces:
-            b1 = c1.bbox
-            if b1[2] <= b2[0] or b2[2] <= b1[0] or b1[3] <= b2[1] or b2[3] <= b1[1]:
-                nxt.append(c1)
-            else:
-                nxt.extend(h_difference(c1, c2))
+            nxt.extend(h_split(c1, c2)[1])
         pieces = nxt
     return pieces
 

@@ -32,6 +32,8 @@ class FormatError(ValueError):
 
 
 def _check_keys(obj, allowed, required, path):
+    if not isinstance(obj, dict):
+        raise FormatError("must be an object", path)
     extra = set(obj) - set(allowed)
     if extra:
         raise FormatError(f"unknown fields {sorted(extra)}", path)
@@ -54,7 +56,10 @@ def parse_city(doc) -> City:
         raise FormatError("bounds must be [x0, y0, x1, y1]", "$.bounds")
     raw = {"bounds": [_rat(v, "$.bounds") for v in bounds], "buildings": []}
     heights = []
-    for i, b in enumerate(doc.get("buildings", [])):
+    buildings = doc.get("buildings", [])
+    if not isinstance(buildings, list):
+        raise FormatError("buildings must be a list", "$.buildings")
+    for i, b in enumerate(buildings):
         path = f"$.buildings[{i}]"
         _check_keys(b, {"base", "quad", "height"}, {"height"}, path)
         if ("base" in b) == ("quad" in b):
@@ -115,26 +120,56 @@ def save_city(city: City, path):
         f.write(canonical_json(city_doc(city)))
 
 
+def _index(anchor, key, path, limit=None):
+    """A JSON integer index >= 0 (and < limit, when given)."""
+    value = anchor[key]
+    if isinstance(value, bool) or not isinstance(value, int) or value < 0:
+        raise FormatError("must be a non-negative integer", f"{path}.{key}")
+    if limit is not None and value >= limit:
+        raise FormatError(f"must be below {limit}", f"{path}.{key}")
+    return value
+
+
 def parse_solution(doc) -> Solution:
+    """Parse a solution document.  Building indices are only checked to be
+    non-negative here; check_guard_anchors checks them against a scene."""
     _check_keys(doc, {"algorithm", "guards"}, {"algorithm", "guards"}, "$")
+    if not isinstance(doc["guards"], list):
+        raise FormatError("guards must be a list", "$.guards")
     guards = []
     for i, g in enumerate(doc["guards"]):
         path = f"$.guards[{i}]"
         _check_keys(g, {"anchor", "facing"}, {"anchor", "facing"}, path)
         anchor = g["anchor"]
+        apath = path + ".anchor"
+        if not isinstance(anchor, dict):
+            raise FormatError("must be an object", apath)
         if "building" in anchor:
-            _check_keys(anchor, {"building", "corner"}, {"building", "corner"}, path)
-            a = ("hole", int(anchor["building"]), int(anchor["corner"]))
+            _check_keys(anchor, {"building", "corner"}, {"building", "corner"}, apath)
+            a = ("hole", _index(anchor, "building", apath),
+                 _index(anchor, "corner", apath, 4))
         elif "p_corner" in anchor:
-            _check_keys(anchor, {"p_corner"}, {"p_corner"}, path)
-            a = ("p", int(anchor["p_corner"]))
+            _check_keys(anchor, {"p_corner"}, {"p_corner"}, apath)
+            a = ("p", _index(anchor, "p_corner", apath, 4))
         else:
-            raise FormatError("anchor needs building/corner or p_corner", path)
+            raise FormatError("anchor needs building/corner or p_corner", apath)
         facing = g["facing"]
+        fpath = path + ".facing"
         if not (isinstance(facing, list) and len(facing) == 2):
-            raise FormatError("facing must be [dx, dy]", path)
-        guards.append(Guard(anchor=a, facing=(_rat(facing[0], path), _rat(facing[1], path))))
+            raise FormatError("facing must be [dx, dy]", fpath)
+        fx, fy = _rat(facing[0], fpath), _rat(facing[1], fpath)
+        if fx == 0 and fy == 0:
+            raise FormatError("facing must be a nonzero direction", fpath)
+        guards.append(Guard(anchor=a, facing=(fx, fy)))
     return Solution(algorithm=str(doc["algorithm"]), guards=tuple(guards))
+
+
+def check_guard_anchors(solution: Solution, scene):
+    """Refuse a guard anchored on a building the scene does not have."""
+    for g in solution.guards:
+        if g.anchor[0] == "hole" and g.anchor[1] >= scene.k:
+            raise FormatError(f"guard anchored on building {g.anchor[1]}, "
+                              f"but the scene has {scene.k} buildings")
 
 
 def load_solution(path) -> Solution:

@@ -15,7 +15,7 @@ from fractions import Fraction
 from itertools import combinations
 from typing import Optional
 
-from cityguard.geom import Point, h_cell_to_cell, h_difference, h_intersection
+from cityguard.geom import Point, h_cell_to_cell, h_split
 from cityguard.model import (
     City, E, Guard, N, S, Scene, Solution, W, hole_guard, p_corner_guard,
     wall_aligned_facings,
@@ -79,10 +79,10 @@ def build_faces(scene: Scene, candidates, region=None):
                     continue
                 new_rest = []
                 for piece in rest:
-                    inter = h_intersection(piece, rc)
+                    inter, outside = h_split(piece, rc)
                     if inter is not None:
                         covered_pieces.append(inter)
-                    new_rest.extend(h_difference(piece, rc))
+                    new_rest.extend(outside)
                 rest = new_rest
                 if not rest:
                     break

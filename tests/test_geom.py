@@ -1,12 +1,14 @@
 from fractions import Fraction
+from math import atan2
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cityguard.geom import (
-    CCW, COLLINEAR, CW, AxisRect, Point, PolygonSet, Segment, half_plane_contains,
-    make_axis_rect, make_convex_quad, is_rectangle, orient, primitive_direction,
+    CCW, COLLINEAR, CW, AxisRect, Point, PolygonSet, Segment, _h_apart, cell_area2,
+    h_cell, h_cell_to_cell, h_split, half_plane_contains, make_axis_rect,
+    make_convex_quad, is_rectangle, normalize_cell, orient, primitive_direction,
     rational, rational_str, segment_blocked_by_rect,
 )
 
@@ -162,6 +164,130 @@ class TestRationals:
     def test_primitive_direction(self):
         assert primitive_direction(4, -6) == (2, -3)
         assert primitive_direction(Fraction(1, 3), Fraction(1, 2)) == (2, 3)
+        # integer input (negatives, axis directions, large coprime pairs)
+        # gives what the Fraction route gives
+        for dx, dy, expected in [
+                (0, 5, (0, 1)), (0, -7, (0, -1)), (3, 0, (1, 0)), (-9, 0, (-1, 0)),
+                (-4, -6, (-2, -3)), (6, -4, (3, -2)),
+                (10**30, 10**30 + 1, (10**30, 10**30 + 1)),
+                (-(2**89 - 1), 2**61 - 1, (-(2**89 - 1), 2**61 - 1)),
+                (12 * (2**61 - 1), -12 * (2**31 - 1), (2**61 - 1, -(2**31 - 1)))]:
+            assert primitive_direction(dx, dy) == expected
+            assert primitive_direction(Fraction(dx), Fraction(dy)) == expected
+        assert primitive_direction(2, Fraction(-1, 3)) == (6, -1)
+        assert primitive_direction(Fraction(4, 6), 0) == (1, 0)
+        for zero in ((0, 0), (Fraction(0), 0), (0, Fraction(0))):
+            with pytest.raises(ValueError):
+                primitive_direction(*zero)
+
+    @given(st.integers(-10**6, 10**6), st.integers(-10**6, 10**6))
+    @settings(max_examples=300)
+    def test_primitive_direction_ints_match_fraction_route(self, dx, dy):
+        if dx == 0 and dy == 0:
+            return
+        d = primitive_direction(dx, dy)
+        assert d == primitive_direction(Fraction(dx), Fraction(dy))
+        assert all(isinstance(c, int) for c in d)
+
+
+def clip_area(subject, clip):
+    """Area of subject and clip in common (both convex and CCW): a plain
+    Sutherland-Hodgman clip over Fraction points, apart from the kernel."""
+    poly = [(Fraction(p[0]), Fraction(p[1])) for p in subject]
+    m = len(clip)
+    for i in range(m):
+        ax, ay = clip[i]
+        bx, by = clip[(i + 1) % m]
+        out = []
+        for j in range(len(poly)):
+            p, q = poly[j], poly[(j + 1) % len(poly)]
+            sp = (bx - ax) * (p[1] - ay) - (by - ay) * (p[0] - ax)
+            sq = (bx - ax) * (q[1] - ay) - (by - ay) * (q[0] - ax)
+            if sp >= 0:
+                out.append(p)
+            if sp * sq < 0:
+                t = sp / (sp - sq)
+                out.append((p[0] + t * (q[0] - p[0]), p[1] + t * (q[1] - p[1])))
+        poly = out
+        if not poly:
+            return 0
+    n = len(poly)
+    return sum(poly[i][0] * poly[(i + 1) % n][1] - poly[(i + 1) % n][0] * poly[i][1]
+               for i in range(n)) / 2
+
+
+def area(cell):
+    return Fraction(cell_area2(cell), 2)
+
+
+FAN_APEX = (6, 6)
+FAN_DIRS = sorted({primitive_direction(dx, dy) for dx in range(-3, 4)
+                   for dy in range(-3, 4) if (dx, dy) != (0, 0)},
+                  key=lambda d: atan2(d[1], d[0]))
+
+
+def fan_triangle(i, step, t1, t2):
+    """A thin triangle with its apex at FAN_APEX and its other two vertices
+    at rational distances along two nearby critical directions, the shape of
+    a visibility-region cell; such triangles share the apex and often a ray."""
+    d1 = FAN_DIRS[i % len(FAN_DIRS)]
+    d2 = FAN_DIRS[(i + step) % len(FAN_DIRS)]
+    ax, ay = FAN_APEX
+    return normalize_cell([Point(ax, ay),
+                           Point(ax + t1 * d1[0], ay + t1 * d1[1]),
+                           Point(ax + t2 * d2[0], ay + t2 * d2[1])])
+
+
+split_operands = st.one_of(
+    st.builds(lambda x, y, w, h: PolygonSet.from_rect(x, y, x + w, y + h).cells[0],
+              st.integers(0, 12), st.integers(0, 12), st.integers(1, 8), st.integers(1, 8)),
+    st.builds(lambda x, y, w: normalize_cell([Point(x, y), Point(x + w, y + w),
+                                              Point(x, y + 2 * w), Point(x - w, y + w)]),
+              st.integers(0, 12), st.integers(0, 12), st.integers(1, 6)),
+    st.builds(fan_triangle, st.integers(0, 100), st.integers(1, 4),
+              st.fractions(1, 8, max_denominator=7), st.fractions(1, 8, max_denominator=7)),
+)
+
+
+class TestSplit:
+    @given(split_operands, split_operands)
+    @settings(max_examples=400, deadline=None)
+    def test_split_matches_fraction_clipper(self, a, b):
+        assert a is not None and b is not None
+        c1, c2 = h_cell(a), h_cell(b)
+        inter, outside = h_split(c1, c2)
+        expected = clip_area(a, b)
+        assert _h_apart(c1, c2) == (expected == 0)
+        assert (inter is None) == (expected == 0)
+        if inter is None:
+            assert outside == [c1]  # a cell its cutter does not meet is never cut
+        pieces = [h_cell_to_cell(c) for c in outside]
+        if inter is not None:
+            inside = h_cell_to_cell(inter)
+            assert area(inside) == expected == clip_area(inside, b)
+            pieces.append(inside)
+        assert sum(area(p) for p in pieces) == area(a)
+        for p in pieces:
+            assert clip_area(p, a) == area(p)
+        for p in pieces[:len(outside)]:
+            assert clip_area(p, b) == 0
+        for i in range(len(pieces)):
+            for j in range(i + 1, len(pieces)):
+                assert clip_area(pieces[i], pieces[j]) == 0
+
+    def test_cell_beyond_its_own_edge_line_is_not_cut(self):
+        # the cutter's bbox overlaps the triangle, and only the triangle's
+        # hypotenuse separates them: no line of the cutter does
+        tri = h_cell((Point(0, 0), Point(4, 0), Point(0, 4)))
+        square = h_cell((Point(2, 2), Point(5, 2), Point(5, 5), Point(2, 5)))
+        assert _h_apart(tri, square)
+        inter, outside = h_split(tri, square)
+        assert inter is None and outside[0] is tri and len(outside) == 1
+
+    def test_cell_inside_cutter_is_one_piece(self):
+        small = h_cell((Point(1, 1), Point(2, 1), Point(2, 2), Point(1, 2)))
+        big = h_cell((Point(0, 0), Point(3, 0), Point(3, 3), Point(0, 3)))
+        assert h_split(small, big) == (small, [])
 
 
 class TestQuads:

@@ -8,7 +8,8 @@ from cityguard.cli import main
 from cityguard.errors import SceneValidationError
 from cityguard.instances import GeneratorParams, gen_random_city
 from cityguard.io import (
-    FormatError, load_city, load_solution, parse_city, save_city, save_solution,
+    FormatError, load_city, load_solution, parse_city, parse_solution, save_city,
+    save_solution,
 )
 from cityguard.model import W, hole_guard, p_corner_guard, validate_scene, Solution
 from cityguard.placement import guards_2k1
@@ -83,6 +84,38 @@ class TestFormats:
         path = tmp_path / "q.json"
         save_city(city, path)
         assert load_city(path) == city
+
+    @pytest.mark.parametrize("anchor, facing, path", [
+        ({"building": 0, "corner": 7}, [1, 0], "$.guards[0].anchor.corner"),
+        ({"building": 0, "corner": -1}, [1, 0], "$.guards[0].anchor.corner"),
+        ({"building": -1, "corner": 0}, [1, 0], "$.guards[0].anchor.building"),
+        ({"building": 1.5, "corner": 0}, [1, 0], "$.guards[0].anchor.building"),
+        ({"building": "0", "corner": 0}, [1, 0], "$.guards[0].anchor.building"),
+        ({"building": 0, "corner": True}, [1, 0], "$.guards[0].anchor.corner"),
+        ({"p_corner": 9}, [1, 0], "$.guards[0].anchor.p_corner"),
+        ({"p_corner": -2}, [1, 0], "$.guards[0].anchor.p_corner"),
+        ({"building": 0, "corner": 1}, [0, 0], "$.guards[0].facing"),
+        ({"building": 0, "corner": 1}, ["0/3", 0], "$.guards[0].facing"),
+    ])
+    def test_malformed_guard_rejected_with_path(self, anchor, facing, path):
+        doc = {"algorithm": "x", "guards": [{"anchor": anchor, "facing": facing}]}
+        with pytest.raises(FormatError) as e:
+            parse_solution(doc)
+        assert e.value.path == path
+
+    @pytest.mark.parametrize("parse, doc, path", [
+        (parse_solution, [1], "$"),
+        (parse_solution, {"algorithm": "x", "guards": 5}, "$.guards"),
+        (parse_solution, {"algorithm": "x", "guards": [3]}, "$.guards[0]"),
+        (parse_solution, {"algorithm": "x", "guards": [{"anchor": 3, "facing": [1, 0]}]},
+         "$.guards[0].anchor"),
+        (parse_city, {"bounds": [0, 0, 10, 10], "buildings": 5}, "$.buildings"),
+        (parse_city, {"bounds": [0, 0, 10, 10], "buildings": [7]}, "$.buildings[0]"),
+    ])
+    def test_non_object_rejected_with_path(self, parse, doc, path):
+        with pytest.raises(FormatError) as e:
+            parse(doc)
+        assert e.value.path == path
 
 
 class TestSvg:
@@ -184,6 +217,37 @@ class TestCli:
         assert len(result.stderr.splitlines()) == 1
         assert "Traceback" not in result.stderr
         assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["verify", "render"])
+    def test_guard_on_missing_building_exits_2(self, tmp_path, command):
+        scene = tmp_path / "s.json"
+        sol = tmp_path / "g.json"
+        out = tmp_path / "out.svg"
+        save_city(parse_city(city_a_doc()), scene)
+        sol.write_text(json.dumps({"algorithm": "x", "guards": [
+            {"anchor": {"building": 9, "corner": 0}, "facing": [1, 0]}]}))
+        argv = [command, "--scene", str(scene), "--solution", str(sol)]
+        if command == "render":
+            argv += ["--out", str(out)]
+        result = subprocess.run([sys.executable, "-m", "cityguard.cli", *argv],
+                                capture_output=True, text=True)
+        assert result.returncode == 2
+        assert len(result.stderr.splitlines()) == 1
+        assert "building 9" in result.stderr
+        assert not out.exists()
+
+    def test_malformed_guard_exits_2(self, tmp_path):
+        scene = tmp_path / "s.json"
+        sol = tmp_path / "g.json"
+        save_city(parse_city(city_a_doc()), scene)
+        sol.write_text(json.dumps({"algorithm": "x", "guards": [
+            {"anchor": {"building": 0, "corner": 7}, "facing": [1, 0]}]}))
+        result = subprocess.run([sys.executable, "-m", "cityguard.cli", "verify",
+                                 "--scene", str(scene), "--solution", str(sol)],
+                                capture_output=True, text=True)
+        assert result.returncode == 2
+        assert result.stderr.splitlines() == [
+            "validation error: $.guards[0].anchor.corner: must be below 4"]
 
     def test_console_script(self, tmp_path):
         result = subprocess.run([sys.executable, "-m", "cityguard.cli", "--help"],

@@ -1,10 +1,15 @@
 from fractions import Fraction
 
-from cityguard.geom import Point, PolygonSet, make_axis_rect
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from cityguard.geom import AxisRect, Point, PolygonSet, make_axis_rect
 from cityguard.instances import (
     GeneratorParams, gen_3k1_necessity, gen_random, gen_roof_necessity,
 )
-from cityguard.model import City, E, S, Scene, W, hole_guard, validate_scene
+from cityguard.model import (
+    City, E, S, Scene, W, hole_guard, rotate_guard_ccw, rotate_scene_ccw, validate_scene,
+)
 from cityguard.oracle import (
     INFEASIBLE_WITHIN, OPTIMAL, UNCOVERABLE, build_faces, candidate_set,
     exhaustive_min_cover, min_roof_guards, optimal_guard_count,
@@ -60,6 +65,39 @@ class TestCertify:
         cert = certify_city(city, walls_only)
         assert cert.roof_flags == (False,)
         assert not cert.covered
+
+
+def scaled_and_shifted(scene, s, dx, dy):
+    """The scene under p -> s*p + (dx, dy); corner indices, and so the
+    guards' anchors and facings, are unchanged."""
+    def image(r):
+        return AxisRect(s * r.x0 + dx, s * r.y0 + dy, s * r.x1 + dx, s * r.y1 + dy)
+    return Scene(bounds=image(scene.bounds), holes=tuple(image(h) for h in scene.holes))
+
+
+class TestCertifyMetamorphic:
+    @given(st.integers(1, 6), st.integers(0, 10**6), st.integers(0, 12),
+           st.integers(-50, 50), st.integers(-50, 50), st.integers(2, 5))
+    @settings(max_examples=20, deadline=None)
+    def test_symmetries_keep_verdict_and_area(self, k, seed, drop, dx, dy, s):
+        """Quarter turns and integer translations keep the verdict and the
+        residual area; scaling by s keeps the verdict and multiplies the
+        area by s^2.  Residual cell counts are not compared: the cells may
+        be cut differently."""
+        sc = gen_random(GeneratorParams(k=k, seed=seed, grid=200))
+        guards = list(guards_2k1(sc).guards)
+        for gs in (guards, guards[:drop % len(guards)] + guards[drop % len(guards) + 1:]):
+            base = certify(sc, gs)
+            area = base.residual.area()
+            images = [(rotate_scene_ccw(sc, t), [rotate_guard_ccw(g, sc, t) for g in gs], 1)
+                      for t in (1, 2, 3)]
+            images.append((scaled_and_shifted(sc, 1, dx, dy), gs, 1))
+            images.append((scaled_and_shifted(sc, s, 0, 0), gs, s))
+            for scene, image_guards, factor in images:
+                cert = certify(scene, image_guards)
+                assert cert.covered == base.covered
+                assert cert.residual.area() == area * factor ** 2
+        assert certify(sc, guards).covered
 
 
 class TestOracle:
