@@ -31,15 +31,18 @@ def _cmd_solve(args) -> int:
     )
     city = load_city(args.infile)
     scene = city.scene
-    if args.algo == "roof":
-        sol = roof_guarding(city)
-    elif args.algo == "walls-2k1":
-        sol = guards_2k1(scene)
-    elif args.algo == "walls-main":
-        sol = guards_main(scene)
-    else:
-        mode = BUILDINGS_ONLY if args.mode == "buildings-only" else ALLOW_P_CORNER
-        sol = city_guarding(city, mode)
+    try:
+        if args.algo == "roof":
+            sol = roof_guarding(city)
+        elif args.algo == "walls-2k1":
+            sol = guards_2k1(scene)
+        elif args.algo == "walls-main":
+            sol = guards_main(scene)
+        else:
+            mode = BUILDINGS_ONLY if args.mode == "buildings-only" else ALLOW_P_CORNER
+            sol = city_guarding(city, mode)
+    except ValueError as e:  # a scene outside the algorithm's domain
+        return _invalid_arguments(e)
     save_solution(sol, args.out)
     if args.svg:
         _write_svg(args.svg, scene, sol, city if args.algo == "city" else None)
@@ -86,6 +89,8 @@ def _cmd_oracle(args) -> int:
     from cityguard.oracle import (
         INFEASIBLE_WITHIN, OPTIMAL, candidate_set, optimal_guard_count,
     )
+    if args.max < 0:
+        return _invalid_arguments(f"--max must be >= 0, got {args.max}")
     city = load_city(args.scene)
     cands = candidate_set(city.scene, include_p_corners=args.include_p_corners)
     res = optimal_guard_count(city.scene, cands, args.max)
@@ -104,7 +109,8 @@ def _cmd_oracle(args) -> int:
     return EXIT_BOUND
 
 
-def _invalid_arguments(e: ValueError) -> int:
+def _invalid_arguments(e) -> int:
+    """Report a refused argument (a ValueError or a message) on one stderr line."""
     print(f"validation error: {e}", file=sys.stderr)
     return EXIT_VALIDATION
 

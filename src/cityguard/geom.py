@@ -344,6 +344,15 @@ Hole = Union[AxisRect, ConvexQuad]
 # An HCell carries its vertices, the directed edge lines (left side is
 # the interior) and a conservatively inflated float bounding box used
 # purely as a prefilter.
+#
+# Every HCell is strictly convex and CCW: at least 3 vertices, no
+# duplicate, no three consecutive collinear (_h_normalized(pts) == pts),
+# positive area.  Cells entering the kernel are normalized once (h_cell;
+# the visibility sweep keeps only strictly CCW triangles).  A cut keeps
+# the invariant without renormalizing: when a line has vertices strictly
+# on both sides, its crossing points lie strictly inside their edges, it
+# meets the boundary in exactly two points, and each half is a strictly
+# convex polygon with one vertex off the line.
 # ---------------------------------------------------------------------------
 
 _H_REDUCE_BITS = 256
@@ -383,6 +392,17 @@ def _h_line(a, b):
             a[0] * b[1] - b[0] * a[1])
 
 
+def _h_meet(l1, l2):
+    """The point where two non-parallel lines meet, reduced, with W > 0."""
+    x = l1[1] * l2[2] - l1[2] * l2[1]
+    y = l1[2] * l2[0] - l1[0] * l2[2]
+    w = l1[0] * l2[1] - l1[1] * l2[0]
+    if w < 0:
+        x, y, w = -x, -y, -w
+    g = gcd(x, y, w)
+    return (x // g, y // g, w // g)
+
+
 def _h_orient(a, b, c) -> int:
     d = (a[0] * (b[1] * c[2] - c[1] * b[2])
          - a[1] * (b[0] * c[2] - c[0] * b[2])
@@ -393,11 +413,15 @@ def _h_orient(a, b, c) -> int:
 class HCell:
     __slots__ = ("pts", "lines", "bbox")
 
-    def __init__(self, pts):
+    def __init__(self, pts, lines=None):
+        """lines[i], when given, is a line through pts[i] and pts[i + 1]
+        with the cell on its positive side, at any positive scale."""
         self.pts = pts
         n = len(pts)
-        self.lines = tuple(_h_line(pts[i], pts[i + 1 if i + 1 < n else 0])
-                           for i in range(n))
+        if lines is None:
+            lines = tuple(_h_line(pts[i], pts[i + 1 if i + 1 < n else 0])
+                          for i in range(n))
+        self.lines = lines
         xs = [p[0] / p[2] for p in pts]
         ys = [p[1] / p[2] for p in pts]
         pad_x = (max(map(abs, xs)) + 1.0) * 1e-12
@@ -407,7 +431,11 @@ class HCell:
 
 
 def h_cell(cell: Cell) -> HCell:
-    return HCell(tuple(h_point(p) for p in cell))
+    """A Point cell as an HCell, normalized to the kernel's invariant."""
+    pts = _h_normalized(tuple(h_point(p) for p in cell))
+    if pts is None:
+        raise ValueError("cell has no area")
+    return HCell(pts)
 
 
 def h_cell_to_cell(hc: HCell) -> Cell:
@@ -456,27 +484,39 @@ def _h_apart(c1: HCell, c2: HCell) -> bool:
     return False
 
 
-def _h_split(pts, line):
-    """Cut a convex cell by a directed line, evaluating each side once.
+def _h_split(cell, line):
+    """Cut a convex cell, given as (pts, lines), by a directed line,
+    evaluating each side once.
 
-    Returns (left, right), the closed halves on either side; a half is None
-    when it has no area, and is pts itself when the line misses the cell."""
+    Returns (left, right), the closed halves on either side as (pts, lines);
+    a half is None when it has no area, and is the cell itself when the line
+    misses the cell.  The halves of a strictly convex cell are strictly
+    convex as built (see the invariant above), so they are not
+    renormalized.  Each edge of a half keeps the line of the edge it lies
+    on, or the cut line, so edge lines are never recomputed from the
+    (larger) crossing points."""
+    pts, lines = cell
     A, B, C = line
     sides = [A * p[0] + B * p[1] + C * p[2] for p in pts]
     if min(sides) >= 0:
-        return pts, None
+        return cell, None
     if max(sides) <= 0:
-        return None, pts
-    left, right = [], []
+        return None, cell
+    flip = (-A, -B, -C)
+    left, left_lines, right, right_lines = [], [], [], []
     n = len(pts)
     for i in range(n):
-        p, sp = pts[i], sides[i]
+        p, sp, edge = pts[i], sides[i], lines[i]
         j = i + 1 if i + 1 < n else 0
         q, sq = pts[j], sides[j]
+        # the edge leaving p in a half runs along the cut line only when p
+        # is on the line and the next vertex is on the other side
         if sp >= 0:
             left.append(p)
+            left_lines.append(edge if sp > 0 or sq >= 0 else line)
         if sp <= 0:
             right.append(p)
+            right_lines.append(edge if sp < 0 or sq <= 0 else flip)
         if (sp > 0 > sq) or (sp < 0 < sq):
             rx = sp * q[0] - sq * p[0]
             ry = sp * q[1] - sq * p[1]
@@ -486,7 +526,10 @@ def _h_split(pts, line):
             r = _h_reduce((rx, ry, rw))
             left.append(r)
             right.append(r)
-    return _h_normalized(left), _h_normalized(right)
+            # the half being left continues along the cut line
+            left_lines.append(line if sp > 0 else edge)
+            right_lines.append(edge if sp > 0 else flip)
+    return (tuple(left), tuple(left_lines)), (tuple(right), tuple(right_lines))
 
 
 def h_split(c1: HCell, c2: HCell):
@@ -499,13 +542,20 @@ def h_split(c1: HCell, c2: HCell):
     what is left after the last line is the intersection."""
     if _h_apart(c1, c2):
         return None, [c1]
+    rest, outside = _h_cut(c1, c2)
+    return (c1 if rest[0] is c1.pts else HCell(*rest)), outside
+
+
+def _h_cut(c1: HCell, c2: HCell):
+    """Cut c1, which meets c2, by each edge line of c2: the (pts, lines) of
+    c1 and c2 in common, and c1 minus c2 as a list of HCells."""
     outside = []
-    rest = c1.pts
+    rest = (c1.pts, c1.lines)
     for line in c2.lines:
         rest, right = _h_split(rest, line)
         if right is not None:
-            outside.append(HCell(right))
-    return (c1 if rest is c1.pts else HCell(rest)), outside
+            outside.append(HCell(*right))
+    return rest, outside
 
 
 def h_subtract(pieces, cutters):
@@ -513,9 +563,15 @@ def h_subtract(pieces, cutters):
     for c2 in cutters:
         if not pieces:
             break
+        x0, y0, x1, y1 = c2.bbox
         nxt = []
         for c1 in pieces:
-            nxt.extend(h_split(c1, c2)[1])
+            b = c1.bbox
+            if (b[2] <= x0 or x1 <= b[0] or b[3] <= y0 or y1 <= b[1]
+                    or _h_apart(c1, c2)):  # its bbox prefilter, inline first
+                nxt.append(c1)
+            else:
+                nxt.extend(_h_cut(c1, c2)[1])
         pieces = nxt
     return pieces
 

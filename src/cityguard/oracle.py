@@ -67,7 +67,7 @@ def build_faces(scene: Scene, candidates, region=None):
     base = free_space(scene) if region is None else region
     faces = [(cell, frozenset()) for cell in base.hcells()]
     for ci, cand in enumerate(candidates):
-        rcells = visibility_region(scene, cand).region.hcells()
+        rcells = visibility_region(scene, cand).cells
         nxt = []
         for (cell, mask) in faces:
             bb = cell.bbox

@@ -58,7 +58,7 @@ def covers(scene: Scene, guards) -> bool:
     for g in guards:
         if not residual:
             return True
-        residual = h_subtract(residual, visibility_region(scene, g).region.hcells())
+        residual = h_subtract(residual, visibility_region(scene, g).cells)
     return not residual
 
 
@@ -68,7 +68,7 @@ def certify(scene: Scene, guards) -> Certificate:
     for vr in regions:
         if not residual:
             break
-        residual = h_subtract(residual, vr.region.hcells())
+        residual = h_subtract(residual, vr.cells)
     residual_set = PolygonSet(tuple(h_cell_to_cell(c) for c in residual))
     covered = residual_set.is_empty()
     witness = None

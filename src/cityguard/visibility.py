@@ -16,6 +16,11 @@ Two independent routes to the same predicate:
   of the guard or wholly behind it; the union of the triangles of the
   wedges in front is the region.
 
+The triangles are built as homogeneous integer cells (HCell, see
+geom.py): each ray hit is the reduced integer meet of the ray's line and
+the blocking edge's line, and a triangle is kept iff it turns strictly
+CCW, so the cells enter the clipping kernel as they are.
+
 The region is regularized (a union of closed 2D cells).  Sight lines
 that are visible only along a 1D segment collinear with the guard's
 half-plane boundary carry no area and are deliberately not represented;
@@ -25,12 +30,11 @@ coverage certificates compare areas, so this loses nothing.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
-from functools import cmp_to_key, lru_cache
+from functools import cmp_to_key
 
 from cityguard.geom import (
-    Point, PolygonSet, Segment, half_plane_contains, normalize_cell,
-    primitive_direction, segment_blocked_by_rect,
+    HCell, Point, PolygonSet, Segment, _h_line, _h_meet, _h_orient, h_cell_to_cell,
+    h_point, half_plane_contains, primitive_direction, segment_blocked_by_rect,
 )
 from cityguard.model import Guard, Scene
 
@@ -57,8 +61,15 @@ def sees(scene: Scene, g: Guard, p: Point) -> bool:
 
 @dataclass(frozen=True)
 class VisibilityRegion:
+    """A guard's region as disjoint HCells (triangles fanned at the guard)."""
+
     guard: Guard
-    region: PolygonSet
+    cells: tuple
+
+    @property
+    def region(self) -> PolygonSet:
+        """The region as Point cells, converted on each access."""
+        return PolygonSet(h_cell_to_cell(c) for c in self.cells)
 
 
 def _angular_cmp(d1, d2):
@@ -89,14 +100,31 @@ def _strictly_in_cone(e_next, e_prev, m):
             and m[0] * e_prev[1] - m[1] * e_prev[0] > 0)
 
 
+# (scene, {guard: region}) for the last scene asked about.  Scenes and
+# guards are immutable values, so regions are shared freely (placement
+# certifies, then the caller re-certifies); a different scene drops them,
+# which bounds the cache by one scene's regions.  The pair is replaced as
+# one value, so a region is never filed under another scene.
+_cache = (None, {})
+
+
 def visibility_region(scene: Scene, g: Guard) -> VisibilityRegion:
-    """Cached: scenes and guards are immutable values and regions are
-    shared freely (placement certifies, then the caller re-certifies)."""
-    return _visibility_region(scene, g)
+    """The region seen by g, cached for the last scene asked about.
+
+    An equal copy of that scene (a re-parsed or validated one) shares its
+    regions; any other scene replaces them."""
+    global _cache
+    cached_scene, regions = _cache
+    if scene is not cached_scene and scene != cached_scene:
+        regions = {}
+        _cache = (scene, regions)
+    vr = regions.get(g)
+    if vr is None:
+        vr = regions[g] = _sweep(scene, g)
+    return vr
 
 
-@lru_cache(maxsize=4096)
-def _visibility_region(scene: Scene, g: Guard) -> VisibilityRegion:
+def _sweep(scene: Scene, g: Guard) -> VisibilityRegion:
     pos = g.position(scene)
     fx, fy = g.facing
 
@@ -196,6 +224,7 @@ def _visibility_region(scene: Scene, g: Guard) -> VisibilityRegion:
     if start == nd:
         start = 0  # single blocker all around (cannot happen with a convex P)
 
+    hpos = h_point(pos)
     cells = []
     i = start
     seen = 0
@@ -210,22 +239,16 @@ def _visibility_region(scene: Scene, g: Guard) -> VisibilityRegion:
                 break
         seen += run
         if blk is not None:
-            p, q = blk
-            r1 = _ray_line_hit(pos, sorted_dirs[i], p, q)
-            r2 = _ray_line_hit(pos, sorted_dirs[j], p, q)
-            cell = normalize_cell((pos, r1, r2))
-            if cell is not None:
-                cells.append(cell)
+            # the lines of the rays and the edge (the triangle on their
+            # positive sides) are small; the hits are their meets
+            edge = _h_line(h_point(blk[0]), h_point(blk[1]))
+            ray1 = _h_line(hpos, sorted_dirs[i] + (0,))
+            ray2 = _h_line(hpos, sorted_dirs[j] + (0,))
+            r1 = _h_meet(ray1, edge)
+            r2 = _h_meet(ray2, edge)
+            if _h_orient(hpos, r1, r2) > 0:
+                back = (-ray2[0], -ray2[1], -ray2[2])
+                cells.append(HCell((hpos, r1, r2), (ray1, edge, back)))
         i = j
 
-    return VisibilityRegion(guard=g, region=PolygonSet(cells))
-
-
-def _ray_line_hit(pos: Point, d, p: Point, q: Point) -> Point:
-    ex, ey = q.x - p.x, q.y - p.y
-    den = d[0] * ey - d[1] * ex
-    t = Fraction((p.x - pos.x) * ey - (p.y - pos.y) * ex, den)
-    x = pos.x + t * d[0]
-    y = pos.y + t * d[1]
-    return Point(int(x) if x.denominator == 1 else x,
-                 int(y) if y.denominator == 1 else y)
+    return VisibilityRegion(guard=g, cells=tuple(cells))

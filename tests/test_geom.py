@@ -6,8 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cityguard.geom import (
-    CCW, COLLINEAR, CW, AxisRect, Point, PolygonSet, Segment, _h_apart, cell_area2,
-    h_cell, h_cell_to_cell, h_split, half_plane_contains, make_axis_rect,
+    CCW, COLLINEAR, CW, AxisRect, Point, PolygonSet, Segment, _h_apart, _h_normalized,
+    cell_area2, h_cell, h_cell_to_cell, h_split, half_plane_contains, make_axis_rect,
     make_convex_quad, is_rectangle, normalize_cell, orient, primitive_direction,
     rational, rational_str, segment_blocked_by_rect,
 )
@@ -249,6 +249,20 @@ split_operands = st.one_of(
 )
 
 
+def assert_edge_lines_fit(hc):
+    """lines[i] runs through pts[i] and pts[i + 1] and has every other
+    vertex strictly on its positive side (the cut halves inherit them)."""
+    n = len(hc.pts)
+    assert len(hc.lines) == n
+    for i, (A, B, C) in enumerate(hc.lines):
+        for j, (X, Y, W) in enumerate(hc.pts):
+            side = A * X + B * Y + C * W
+            if j == i or j == (i + 1) % n:
+                assert side == 0
+            else:
+                assert side > 0
+
+
 class TestSplit:
     @given(split_operands, split_operands)
     @settings(max_examples=400, deadline=None)
@@ -274,6 +288,30 @@ class TestSplit:
         for i in range(len(pieces)):
             for j in range(i + 1, len(pieces)):
                 assert clip_area(pieces[i], pieces[j]) == 0
+
+    @given(split_operands, split_operands, split_operands)
+    @settings(max_examples=300, deadline=None)
+    def test_pieces_keep_the_cell_invariant(self, a, b, c):
+        # pieces are not renormalized, so check them and the pieces of a
+        # second cut: strictly convex, no duplicate or collinear vertex
+        inter, outside = h_split(h_cell(a), h_cell(b))
+        pieces = outside + ([inter] if inter is not None else [])
+        cutter = h_cell(c)
+        for piece in list(pieces):
+            inter2, outside2 = h_split(piece, cutter)
+            pieces += outside2 + ([inter2] if inter2 is not None else [])
+        for piece in pieces:
+            assert _h_normalized(piece.pts) == piece.pts
+            assert area(h_cell_to_cell(piece)) > 0
+            assert_edge_lines_fit(piece)
+
+    def test_cells_enter_the_kernel_normalized(self):
+        ring = (Point(0, 0), Point(2, 0), Point(4, 0), Point(4, 4), Point(4, 4),
+                Point(0, 4))
+        assert h_cell_to_cell(h_cell(ring)) == (Point(0, 0), Point(4, 0), Point(4, 4),
+                                                Point(0, 4))
+        with pytest.raises(ValueError):
+            h_cell((Point(0, 0), Point(1, 1), Point(2, 2)))
 
     def test_cell_beyond_its_own_edge_line_is_not_cut(self):
         # the cutter's bbox overlaps the triangle, and only the triangle's

@@ -249,6 +249,33 @@ class TestCli:
         assert result.stderr.splitlines() == [
             "validation error: $.guards[0].anchor.corner: must be below 4"]
 
+    @pytest.mark.parametrize("family,k,algo", [
+        ("rot-3k1", "2", "walls-2k1"),
+        ("rot-3k1", "2", "walls-main"),
+        ("rot-3k1", "2", "city"),
+        ("random", "0", "walls-main"),
+        ("random", "0", "city"),
+    ])
+    def test_solve_outside_algorithm_domain_exits_2(self, tmp_path, capsys,
+                                                     family, k, algo):
+        scene = tmp_path / "s.json"
+        out = tmp_path / "g.json"
+        assert self.run("gen", "--family", family, "--k", k, "--out", str(scene)) == 0
+        capsys.readouterr()
+        assert self.run("solve", "--algo", algo, "--in", str(scene),
+                        "--out", str(out)) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("validation error: ")
+        assert not out.exists()
+
+    def test_oracle_negative_max_exits_2(self, tmp_path, capsys):
+        scene = tmp_path / "s.json"
+        save_city(parse_city(city_a_doc()), scene)
+        assert self.run("oracle", "--scene", str(scene), "--max", "-1") == 2
+        captured = capsys.readouterr()
+        assert captured.err.splitlines() == ["validation error: --max must be >= 0, got -1"]
+        assert "INFEASIBLE" not in captured.out
+
     def test_console_script(self, tmp_path):
         result = subprocess.run([sys.executable, "-m", "cityguard.cli", "--help"],
                                 capture_output=True, text=True)

@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 
 from hypothesis import given, settings
@@ -168,6 +169,29 @@ class TestOracle:
         for sc in scenes:
             faces = build_faces(sc, candidate_set(sc, include_p_corners=True))
             assert PolygonSet(cell for cell, _ in faces).area() == free_space(sc).area()
+
+
+class TestCertifyAgreesWithFaces:
+    """Differential: the residual pass (certify) and the face arrangement
+    (build_faces) cut the same regions by different routes; a guard subset
+    covers iff it meets every face's mask."""
+
+    def test_random_subsets(self):
+        rng = random.Random(13)
+        seen = set()
+        for k in (1, 2):
+            for seed in (1, 2, 3):
+                sc = gen_random(GeneratorParams(k=k, seed=seed, grid=40))
+                cands = candidate_set(sc)
+                masks = {mask for _, mask in build_faces(sc, cands)}
+                subsets = [set(), set(range(len(cands)))]
+                subsets += [set(rng.sample(range(len(cands)), rng.randint(1, len(cands))))
+                            for _ in range(25)]
+                for subset in subsets:
+                    covered = certify(sc, [cands[i] for i in sorted(subset)]).covered
+                    assert covered == all(m & subset for m in masks), (k, seed, subset)
+                    seen.add(covered)
+        assert seen == {True, False}
 
 
 class TestRoofOracle:

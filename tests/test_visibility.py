@@ -1,8 +1,11 @@
 import random
+import weakref
 from fractions import Fraction
 
-from cityguard.geom import Point, PolygonSet, make_axis_rect, orient
-from cityguard.instances import GeneratorParams, gen_random
+from cityguard.geom import (
+    Point, PolygonSet, _h_normalized, h_point, h_to_point, make_axis_rect, orient,
+)
+from cityguard.instances import GeneratorParams, gen_3k1_necessity, gen_random
 from cityguard.model import E, N, S, Scene, W, hole_guard, p_corner_guard, validate_scene
 from cityguard.oracle import candidate_set
 from cityguard.visibility import sees, visibility_region
@@ -147,3 +150,54 @@ class TestProperties:
         r1 = visibility_region(sc, g).region
         r2 = visibility_region(sc, g).region
         assert r1.rings() == r2.rings()
+
+
+class TestSweepCells:
+    def test_cells_are_reduced_ccw_triangles_of_seen_points(self):
+        # total region area over every candidate with P corners, computed by
+        # the sweep that built Fraction ray hits and normalized Point triangles
+        areas = [
+            (gen_random(GeneratorParams(k=3, seed=1, grid=40)),
+             Fraction(11303592112691, 334639305)),
+            (gen_random(GeneratorParams(k=3, seed=2, grid=40)),
+             Fraction(3639046111925207, 104640255720)),
+            (gen_3k1_necessity(2), Fraction(1092556157872, 337365)),
+        ]
+        for sc, total in areas:
+            got = 0
+            for g in candidate_set(sc, include_p_corners=True):
+                vr = visibility_region(sc, g)
+                pos = h_point(g.position(sc))
+                for hc in vr.cells:
+                    assert hc.pts[0] == pos and len(hc.pts) == 3
+                    assert _h_normalized(hc.pts) == hc.pts
+                    for i, (A, B, C) in enumerate(hc.lines):  # the sweep's lines
+                        sides = [A * X + B * Y + C * W for X, Y, W in hc.pts]
+                        assert sides[i] == sides[(i + 1) % 3] == 0 < sides[i - 1]
+                    for v in hc.pts:
+                        assert h_point(h_to_point(v)) == v  # reduced, W > 0
+                for cell in vr.region.cells:
+                    for v in cell:
+                        assert sees(sc, g, v)
+                got += vr.region.area()
+            assert got == total
+
+
+class TestRegionCache:
+    def test_equal_scene_shares_regions(self):
+        g = hole_guard(0, 1, E)
+        vr = visibility_region(city_a(), g)
+        assert visibility_region(city_a(), g) is vr
+
+    def test_new_scene_drops_the_old_regions(self):
+        scene_a = gen_random(GeneratorParams(k=3, seed=21, grid=40))
+        scene_b = gen_random(GeneratorParams(k=3, seed=22, grid=40))
+        guards_a = candidate_set(scene_a)[:3]
+        vr = visibility_region(scene_a, guards_a[0])
+        others = [visibility_region(scene_a, g) for g in guards_a[1:]]
+        for g in candidate_set(scene_b)[:3]:
+            visibility_region(scene_b, g)
+        ref = weakref.ref(vr)
+        del vr
+        assert ref() is None
+        assert visibility_region(scene_a, guards_a[1]) is not others[0]
