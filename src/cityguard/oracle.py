@@ -2,10 +2,12 @@
 
 The free space is refined into an exact arrangement of all candidate
 visibility regions; every face is covered by a fixed candidate subset,
-so minimum guard count is an exact set-cover instance solved by branch
-and bound with a greedy upper bound.  Lower bounds produced this way are
-lower bounds within the paper's own guard class (wall-aligned vertex
-guards), which is what the necessity theorems quantify over.
+so minimum guard count is an exact minimum hitting set of those subsets,
+found by a branch and bound on int bitmasks (`min_hitting_set`).  The
+roof minimum runs the same search on one candidate subset per roof.
+Lower bounds produced this way are lower bounds within the paper's own
+guard class (wall-aligned vertex guards), which is what the necessity
+theorems quantify over.
 """
 
 from __future__ import annotations
@@ -99,21 +101,23 @@ def _centroid(cell) -> Point:
                  sum(Fraction(p.y) for p in cell) / n)
 
 
+def _check_max_count(max_count: int) -> None:
+    if max_count < 0:
+        raise ValueError(f"max_count must be >= 0, got {max_count}")
+
+
+def _bits(mask) -> int:
+    return sum(1 << c for c in mask)
+
+
 def optimal_guard_count(scene: Scene, candidates, max_count: int) -> OracleResult:
+    _check_max_count(max_count)
     faces = build_faces(scene, candidates)
-    by_mask = {}
     for cell, mask in faces:
-        by_mask.setdefault(mask, []).append(cell)
-    if frozenset() in by_mask:
-        return OracleResult(status=UNCOVERABLE,
-                            witness_point=_centroid(by_mask[frozenset()][0]),
-                            faces=tuple(faces))
-    masks = sorted(by_mask, key=len)
-    minimal = []
-    for m in masks:
-        if not any(km <= m for km in minimal):
-            minimal.append(m)
-    best = _min_set_cover(minimal, len(candidates), max_count)
+        if not mask:
+            return OracleResult(status=UNCOVERABLE, witness_point=_centroid(cell),
+                                faces=tuple(faces))
+    best = min_hitting_set({_bits(mask) for _, mask in faces}, max_count)
     if best is None:
         return OracleResult(status=INFEASIBLE_WITHIN, count=None, faces=tuple(faces))
     sol = Solution(algorithm="oracle",
@@ -122,52 +126,82 @@ def optimal_guard_count(scene: Scene, candidates, max_count: int) -> OracleResul
                         faces=tuple(faces))
 
 
-def _min_set_cover(masks, n_candidates, max_count):
-    """Exact minimum hitting set of the masks; None if optimum > max_count."""
-    if not masks:
-        return frozenset()
-    cover_of = [frozenset(j for j, m in enumerate(masks) if c in m)
-                for c in range(n_candidates)]
-    all_faces = frozenset(range(len(masks)))
+def _members(bits: int):
+    while bits:
+        low = bits & -bits
+        yield low.bit_length() - 1
+        bits ^= low
 
-    # greedy upper bound
-    greedy, uncovered = [], set(all_faces)
-    while uncovered:
-        c = max(range(n_candidates), key=lambda c: len(cover_of[c] & uncovered))
-        if not cover_of[c] & uncovered:
-            break
-        greedy.append(c)
-        uncovered -= cover_of[c]
-    best = [set(greedy) if not uncovered else None]
-    limit = min(max_count, len(greedy) if not uncovered else max_count)
 
-    def dfs(chosen, uncovered):
+def min_hitting_set(masks, max_count: int):
+    """Exact minimum hitting set of `masks`, each an int bitmask of the
+    candidate indices that hit one face (or roof).
+
+    Returns the chosen candidate indices as a frozenset, or None if the
+    minimum exceeds `max_count` (or a mask is empty, so nothing hits it).
+    Faces whose mask contains another's and candidates whose faces are a
+    subset of another candidate's are dropped first (on equal faces the
+    lower index stays).  The branch and bound then branches on the
+    uncovered face with the fewest remaining candidates, trying them by
+    how many uncovered faces they hit; its lower bound is a greedy packing
+    of uncovered faces whose remaining candidate sets are pairwise
+    disjoint, since no candidate can hit two of them.
+    """
+    _check_max_count(max_count)
+    faces = []
+    for m in sorted(set(masks), key=lambda m: (m.bit_count(), m)):
+        if m == 0:
+            return None
+        if not any(f & m == f for f in faces):
+            faces.append(m)
+    cover = {}  # candidate -> bitmask of the faces it hits
+    for j, m in enumerate(faces):
+        for c in _members(m):
+            cover[c] = cover.get(c, 0) | (1 << j)
+    kept = 0
+    for c, fc in cover.items():
+        if not any(d != c and fc & fd == fc and (fd != fc or d < c)
+                   for d, fd in cover.items()):
+            kept |= 1 << c
+    hitters = [m & kept for m in faces]
+    best = None
+
+    def limit():
+        return max_count if best is None else len(best) - 1
+
+    def search(chosen, uncovered, allowed):
+        nonlocal best
         if not uncovered:
-            if best[0] is None or len(chosen) < len(best[0]):
-                best[0] = set(chosen)
+            best = list(chosen)
             return
-        bound = len(best[0]) - 1 if best[0] is not None else limit
-        if len(chosen) >= bound + 1:
+        remaining = sorted(((hitters[j] & allowed).bit_count(), hitters[j] & allowed)
+                           for j in _members(uncovered))
+        bound, used = 0, 0
+        for _, h in remaining:
+            if not h & used:
+                bound += 1
+                used |= h
+        if len(chosen) + bound > limit():
             return
-        # simple lower bound: one candidate covers at most max_cover faces
-        max_cover = max(len(cover_of[c] & uncovered) for c in range(n_candidates))
-        if max_cover == 0:
-            return
-        if len(chosen) + (len(uncovered) + max_cover - 1) // max_cover > bound + 1:
-            return
-        pivot = min(uncovered, key=lambda f: len(masks[f]))
-        cands = sorted(masks[pivot], key=lambda c: -len(cover_of[c] & uncovered))
-        for c in cands:
-            dfs(chosen + [c], uncovered - cover_of[c])
+        # a branch takes c and excludes the candidates tried before it
+        for c in sorted(_members(remaining[0][1]),
+                        key=lambda c: (-(cover[c] & uncovered).bit_count(), c)):
+            if len(chosen) + 1 > limit():
+                return
+            chosen.append(c)
+            search(chosen, uncovered & ~cover[c], allowed)
+            chosen.pop()
+            allowed &= ~(1 << c)
 
-    dfs([], all_faces)
-    if best[0] is None or len(best[0]) > max_count:
-        return None
-    return frozenset(best[0])
+    search([], (1 << len(faces)) - 1, kept)
+    return None if best is None else frozenset(best)
 
 
 def exhaustive_min_cover(scene: Scene, candidates, max_count: int, region=None):
-    """Independent check: try all subsets by increasing size (tests only)."""
+    """Independent check of the branch and bound: try all candidate
+    subsets by increasing size.  Returns None if the minimum exceeds
+    `max_count`."""
+    _check_max_count(max_count)
     faces = build_faces(scene, candidates, region=region)
     masks = {mask for _, mask in faces}
     if frozenset() in masks:
@@ -183,17 +217,7 @@ def exhaustive_min_cover(scene: Scene, candidates, max_count: int, region=None):
 def min_cover_of_region(scene: Scene, candidates, region, max_count: int):
     """Exact minimum number of candidates whose regions cover the region."""
     faces = build_faces(scene, candidates, region=region)
-    by_mask = {}
-    for cell, mask in faces:
-        by_mask.setdefault(mask, []).append(cell)
-    if frozenset() in by_mask:
-        return None
-    masks = sorted(by_mask, key=len)
-    minimal = []
-    for m in masks:
-        if not any(km <= m for km in minimal):
-            minimal.append(m)
-    best = _min_set_cover(minimal, len(candidates), max_count)
+    best = min_hitting_set({_bits(mask) for _, mask in faces}, max_count)
     return None if best is None else len(best)
 
 
@@ -287,13 +311,9 @@ def min_roof_guards(city: City, max_count: int):
     on the true minimum.  Returns None if optimum > max_count.
     """
     candidates = candidate_set(city.scene, include_p_corners=False)
-    cover = roof_cover_sets(city, candidates)
-    roofs = set(range(city.scene.k))
-    for size in range(0, max_count + 1):
-        for subset in combinations(range(len(candidates)), size):
-            got = set()
-            for ci in subset:
-                got |= cover[ci]
-            if got >= roofs:
-                return size
-    return None
+    roof_masks = [0] * city.scene.k
+    for c, roofs in enumerate(roof_cover_sets(city, candidates)):
+        for r in roofs:
+            roof_masks[r] |= 1 << c
+    best = min_hitting_set(roof_masks, max_count)
+    return None if best is None else len(best)

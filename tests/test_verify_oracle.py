@@ -1,6 +1,8 @@
 import random
 from fractions import Fraction
+from itertools import combinations
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -13,7 +15,8 @@ from cityguard.model import (
 )
 from cityguard.oracle import (
     INFEASIBLE_WITHIN, OPTIMAL, UNCOVERABLE, build_faces, candidate_set,
-    exhaustive_min_cover, min_roof_guards, optimal_guard_count,
+    exhaustive_min_cover, min_cover_of_region, min_hitting_set, min_roof_guards,
+    optimal_guard_count,
 )
 from cityguard.placement import guards_2k1, guards_main
 from cityguard.verify import certify, certify_city, free_space
@@ -170,6 +173,74 @@ class TestOracle:
             faces = build_faces(sc, candidate_set(sc, include_p_corners=True))
             assert PolygonSet(cell for cell, _ in faces).area() == free_space(sc).area()
 
+    def test_equal_scenes_give_the_same_witness(self):
+        sc = gen_random(GeneratorParams(k=2, seed=7, grid=40))
+        copy = Scene(bounds=sc.bounds, holes=tuple(sc.holes))
+        first = optimal_guard_count(sc, candidate_set(sc, include_p_corners=True), 5)
+        # another scene in between empties the one-scene region cache
+        optimal_guard_count(city_a(), candidate_set(city_a()), 4)
+        second = optimal_guard_count(copy, candidate_set(copy, include_p_corners=True), 5)
+        assert first.status == OPTIMAL
+        assert second.solution == first.solution
+
+    def test_negative_max_count_is_refused(self):
+        sc = city_a()
+        cands = candidate_set(sc)
+        with pytest.raises(ValueError):
+            optimal_guard_count(sc, cands, -1)
+        with pytest.raises(ValueError):
+            min_cover_of_region(sc, cands, free_space(sc), -1)
+        with pytest.raises(ValueError):
+            exhaustive_min_cover(sc, cands, -1)
+        with pytest.raises(ValueError):
+            min_roof_guards(gen_roof_necessity(2), -1)
+        with pytest.raises(ValueError):
+            min_hitting_set([], -1)
+
+
+def _brute_min_hitting_set(masks, n):
+    for size in range(n + 1):
+        for subset in combinations(range(n), size):
+            bits = sum(1 << c for c in subset)
+            if all(m & bits for m in masks):
+                return size
+    return None
+
+
+class TestMinHittingSet:
+    """Differential: the branch and bound against enumeration of every
+    candidate subset by increasing size."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.integers(1, 10).flatmap(lambda n: st.tuples(
+        st.just(n), st.lists(st.integers(0, (1 << n) - 1), max_size=12),
+        st.integers(0, n))))
+    def test_matches_enumeration(self, case):
+        n, masks, max_count = case
+        least = _brute_min_hitting_set(masks, n)
+        got = min_hitting_set(masks, max_count)
+        if least is None or least > max_count:
+            assert got is None
+            return
+        assert got is not None and len(got) == least
+        assert all(0 <= c < n for c in got)
+        bits = sum(1 << c for c in got)
+        assert all(m & bits for m in masks)
+        assert min_hitting_set(masks, max_count) == got
+
+    def test_fixed_cases(self):
+        assert min_hitting_set([], 0) == frozenset()
+        assert min_hitting_set([0b1, 0], 5) is None
+        assert min_hitting_set([0b1], 0) is None
+        assert min_hitting_set([0b1], 1) == frozenset({0})
+
+    def test_duplicated_and_dominated_candidates(self):
+        # 0 and 2 hit the same faces (the lower index stays); 1 hits a
+        # subset of the faces 3 hits
+        masks = [0b0101, 0b1010, 0b1000]
+        assert min_hitting_set(masks, 2) == frozenset({0, 3})
+        assert min_hitting_set(masks, 1) is None
+
 
 class TestCertifyAgreesWithFaces:
     """Differential: the residual pass (certify) and the face arrangement
@@ -196,7 +267,7 @@ class TestCertifyAgreesWithFaces:
 
 class TestRoofOracle:
     def test_roof_necessity_minimum(self):
-        for k in (2, 3):
+        for k in (2, 3, 4, 5):
             city = gen_roof_necessity(k)
             assert min_roof_guards(city, k - 1) is None
             assert min_roof_guards(city, k) == k
