@@ -236,7 +236,8 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (SceneValidationError, FormatError, GenerationFailedError) as e:
+    except (SceneValidationError, FormatError, GenerationFailedError,
+            OSError) as e:  # OSError: a missing or unreadable file or directory
         print(f"validation error: {e}", file=sys.stderr)
         return EXIT_VALIDATION
     except PlacementIncompleteError as e:

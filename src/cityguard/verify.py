@@ -4,6 +4,12 @@ A certificate is a proof object: free space minus the union of all guard
 visibility regions, computed exactly.  covered <=> the residual has zero
 area.  For cities the certificate additionally records a per-building
 roof flag (roof covered by a guard on that same building).
+
+Each (scene, guard tuple) runs one residual pass: certificates are
+memoised for the last scene asked about, so a placement, its caller and
+`certify_city` share one certificate.  An equal copy of that scene shares
+its certificates; any other scene drops them, which bounds the memo by
+one scene's certificates.
 """
 
 from __future__ import annotations
@@ -53,16 +59,38 @@ def _axis_free_cells(b: AxisRect, holes):
 
 
 def covers(scene: Scene, guards) -> bool:
-    """Fast path: does the guard set cover free space?  (No certificate kept.)"""
-    residual = list(free_space(scene).hcells())
-    for g in guards:
-        if not residual:
-            return True
-        residual = h_subtract(residual, visibility_region(scene, g).cells)
-    return not residual
+    """Does the guard set cover free space?  Reads the same memoised
+    certificate as `certify`."""
+    return _certificate(scene, guards).covered
 
 
 def certify(scene: Scene, guards) -> Certificate:
+    return _certificate(scene, guards)
+
+
+# (scene, {guard tuple: certificate}) for the last scene asked about,
+# kept like visibility._cache: the pair is replaced as one value, an equal
+# copy of the scene shares its certificates and any other scene drops them.
+# `covers` and `certify` both read it directly, so a call through one
+# public function is one call at the module boundary.
+_memo = (None, {})
+
+
+def _certificate(scene: Scene, guards) -> Certificate:
+    global _memo
+    memo_scene, certificates = _memo
+    if scene is not memo_scene and scene != memo_scene:
+        certificates = {}
+        _memo = (scene, certificates)
+    key = tuple(guards)
+    cert = certificates.get(key)
+    if cert is None:
+        cert = certificates[key] = _compute(scene, key)
+    return cert
+
+
+def _compute(scene: Scene, guards: tuple) -> Certificate:
+    """One residual pass: free space minus every guard's region."""
     regions = tuple(visibility_region(scene, g) for g in guards)
     residual = list(free_space(scene).hcells())
     for vr in regions:
@@ -83,6 +111,9 @@ def certify(scene: Scene, guards) -> Certificate:
 
 def certify_city(city: City, solution: Solution) -> Certificate:
     scene = city.scene
+    # The base certificate comes from the memo.  The roof flags are read
+    # from the city's buildings, which the memo's scene key does not hold,
+    # so they are computed on every call.
     base = certify(scene, solution.guards)
     flags = tuple(
         any(roof_covered_by(city.building(i), g, scene) for g in solution.guards)

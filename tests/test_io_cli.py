@@ -268,6 +268,28 @@ class TestCli:
         assert len(err) == 1 and err[0].startswith("validation error: ")
         assert not out.exists()
 
+    @pytest.mark.parametrize("case", ["verify-missing-solution", "bench-missing-dir",
+                                      "bench-out-missing-dir", "solve-out-missing-dir"])
+    def test_missing_file_or_directory_exits_2(self, tmp_path, capsys, case):
+        scene = tmp_path / "s.json"
+        save_city(parse_city(city_a_doc()), scene)
+        missing = tmp_path / "nonexistent"
+        argv = {
+            "verify-missing-solution": ["verify", "--scene", str(scene),
+                                        "--solution", str(missing / "g.json")],
+            "bench-missing-dir": ["bench", "--dir", str(missing)],
+            "bench-out-missing-dir": ["bench", "--count", "1", "--k-min", "1",
+                                      "--k-max", "1", "--grid", "30",
+                                      "--out", str(missing / "x.csv")],
+            "solve-out-missing-dir": ["solve", "--algo", "walls-2k1", "--in", str(scene),
+                                      "--out", str(missing / "s.json")],
+        }[case]
+        assert self.run(*argv) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("validation error: ")
+        assert "nonexistent" in err[0]
+        assert not missing.exists()
+
     def test_oracle_negative_max_exits_2(self, tmp_path, capsys):
         scene = tmp_path / "s.json"
         save_city(parse_city(city_a_doc()), scene)

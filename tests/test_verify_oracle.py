@@ -6,20 +6,25 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import cityguard.verify as verify
+from cityguard.bench import bench_instance, random_corpus
 from cityguard.geom import AxisRect, Point, PolygonSet, make_axis_rect
 from cityguard.instances import (
     GeneratorParams, gen_3k1_necessity, gen_random, gen_roof_necessity,
 )
 from cityguard.model import (
-    City, E, S, Scene, W, hole_guard, rotate_guard_ccw, rotate_scene_ccw, validate_scene,
+    City, E, S, Scene, Solution, W, hole_guard, roof_covered_by, rotate_guard_ccw,
+    rotate_scene_ccw, validate_scene,
 )
 from cityguard.oracle import (
     INFEASIBLE_WITHIN, OPTIMAL, UNCOVERABLE, build_faces, candidate_set,
     exhaustive_min_cover, min_cover_of_region, min_hitting_set, min_roof_guards,
     optimal_guard_count,
 )
-from cityguard.placement import guards_2k1, guards_main
-from cityguard.verify import certify, certify_city, free_space
+from cityguard.placement import (
+    ALLOW_P_CORNER, BUILDINGS_ONLY, city_guarding, guards_2k1, guards_main,
+)
+from cityguard.verify import certify, certify_city, covers, free_space
 
 
 def city_a():
@@ -69,6 +74,105 @@ class TestCertify:
         cert = certify_city(city, walls_only)
         assert cert.roof_flags == (False,)
         assert not cert.covered
+
+
+@pytest.fixture
+def computed(monkeypatch):
+    """Empty the certificate memo and record every residual pass it runs."""
+    monkeypatch.setattr(verify, "_memo", (None, {}))
+    passes = []
+    compute = verify._compute
+
+    def recording(scene, guards):
+        passes.append((scene, guards))
+        return compute(scene, guards)
+
+    monkeypatch.setattr(verify, "_compute", recording)
+    return passes
+
+
+def copy_of(scene):
+    return Scene(bounds=scene.bounds, holes=tuple(scene.holes))
+
+
+class TestCertificateMemo:
+    def test_bench_row_runs_each_guard_set_once(self, computed):
+        """A bench row certifies two guard sets (2k+1 and Cases 0-4) and,
+        without roof fixes, the city placements reuse them."""
+        (name, city), = random_corpus(1, 6, 6, seed=43, grid=1000)
+        row = bench_instance(name, city)
+        assert row.certified
+        keys = [(scene, tuple(guards)) for scene, guards in computed]
+        assert len(set(keys)) == len(keys)
+        fixes = sum(entry[0] == "roof-fix" for mode in (BUILDINGS_ONLY, ALLOW_P_CORNER)
+                    for entry in city_guarding(city, mode).trace)
+        assert fixes == 0
+        assert len(computed) == 2
+
+    def test_equal_copy_shares_the_certificate(self, computed):
+        sc = gen_random(GeneratorParams(k=4, seed=8, grid=200))
+        guards = guards_2k1(sc).guards
+        first = certify(sc, guards)
+        assert certify(copy_of(sc), guards) is first
+        assert covers(copy_of(sc), guards) is first.covered
+        assert len(computed) == 1
+
+    def test_other_scene_drops_the_memo(self, computed):
+        sc = gen_random(GeneratorParams(k=4, seed=9, grid=200))
+        short = guards_2k1(sc).guards[1:]
+        first = certify(sc, short)
+        other = gen_random(GeneratorParams(k=3, seed=10, grid=200))
+        certify(other, guards_2k1(other).guards)
+        again = certify(sc, short)
+        assert again is not first
+        assert computed.count((sc, short)) == 2
+        assert not again.covered
+        assert (again.covered, again.residual.area(), again.witness) == \
+            (first.covered, first.residual.area(), first.witness)
+
+    def test_covers_agrees_with_certify(self, monkeypatch):
+        rng = random.Random(5)
+        verdicts = set()
+        for seed in range(6):
+            sc = gen_random(GeneratorParams(k=1 + seed % 5, seed=seed, grid=200))
+            full = list(guards_2k1(sc).guards)
+            drop = rng.randrange(len(full))
+            for guards in (full, full[:drop] + full[drop + 1:]):
+                monkeypatch.setattr(verify, "_memo", (None, {}))
+                verdict = covers(sc, guards)
+                monkeypatch.setattr(verify, "_memo", (None, {}))
+                assert verdict == certify(sc, guards).covered
+                verdicts.add(verdict)
+        assert verdicts == {True, False}
+
+    def test_guard_order_keeps_verdict_and_area(self):
+        rng = random.Random(7)
+        for seed in range(4):
+            sc = gen_random(GeneratorParams(k=3 + seed, seed=seed, grid=200))
+            guards = list(guards_main(sc).guards)
+            for gs in (guards, guards[1:]):
+                shuffled = gs[:]
+                rng.shuffle(shuffled)
+                a, b = certify(sc, gs), certify(sc, shuffled[::-1])
+                assert (a.covered, a.residual.area()) == (b.covered, b.residual.area())
+
+    def test_certify_city_flags_follow_each_city(self, computed):
+        sc = city_a()
+        low, high = City(scene=sc, heights=(3,)), City(scene=sc, heights=(9,))
+        walls_only = Solution(algorithm="x", guards=(
+            hole_guard(0, 3, W), hole_guard(0, 2, E),
+            hole_guard(0, 0, S), hole_guard(0, 1, S)))
+        roofed = city_guarding(low, BUILDINGS_ONLY)
+        for city in (low, high, low):
+            for sol in (walls_only, roofed):
+                cert = certify_city(city, sol)
+                flags = tuple(any(roof_covered_by(b, g, sc) for g in sol.guards)
+                              for b in city.buildings())
+                assert cert.roof_flags == flags
+                assert cert.covered == (certify(sc, sol.guards).covered and all(flags))
+        assert certify_city(low, walls_only).roof_flags == (False,)
+        assert certify_city(high, roofed).roof_flags == (True,)
+        assert len({guards for _, guards in computed}) == len(computed)
 
 
 def scaled_and_shifted(scene, s, dx, dy):
