@@ -576,6 +576,35 @@ def h_subtract(pieces, cutters):
     return pieces
 
 
+def clip_segment_to_cell(a: Point, b: Point, cell: Cell):
+    """Cyrus-Beck clip of segment a->b to a closed convex CCW cell.
+
+    Returns the parameter range (t0, t1) of the clipped piece, exact
+    `Fraction`s with 0 <= t0 < t1 <= 1, or None if the segment meets the
+    cell in at most one point.  Such a point lies on the cell's boundary.
+    """
+    t0, t1 = Fraction(0), Fraction(1)
+    n = len(cell)
+    for i in range(n):
+        p, q = cell[i], cell[(i + 1) % n]
+        # inside is the left side of p->q
+        ex, ey = q.x - p.x, q.y - p.y
+        fa = ex * (a.y - p.y) - ey * (a.x - p.x)
+        fb = ex * (b.y - p.y) - ey * (b.x - p.x)
+        if fa < 0 and fb < 0:
+            return None
+        if fa >= 0 and fb >= 0:
+            continue
+        t = Fraction(fa, fa - fb)
+        if fa < 0:
+            t0 = max(t0, t)
+        else:
+            t1 = min(t1, t)
+        if t0 >= t1:
+            return None
+    return t0, t1
+
+
 def segment_blocked_by_rect(seg: Segment, hole: Hole) -> bool:
     """True iff the segment meets the hole's open interior.
 
@@ -584,28 +613,11 @@ def segment_blocked_by_rect(seg: Segment, hole: Hole) -> bool:
     tested for strict interiority, which is exact and handles runs along
     an edge.
     """
-    cell = hole.as_cell()
     a, b = seg.a, seg.b
-    t0, t1 = Fraction(0), Fraction(1)
-    n = len(cell)
-    for i in range(n):
-        p, q = cell[i], cell[(i + 1) % n]
-        # inside is the left side of p->q
-        fa = cross(p.x, p.y, q.x, q.y, a.x, a.y)
-        fb = cross(p.x, p.y, q.x, q.y, b.x, b.y)
-        if fa < 0 and fb < 0:
-            return False
-        if fa >= 0 and fb >= 0:
-            continue
-        t = Fraction(fa, fa - fb)
-        if fa < 0:
-            t0 = max(t0, t)
-        else:
-            t1 = min(t1, t)
-        if t0 > t1:
-            return False
-    if t0 > t1:
+    clip = clip_segment_to_cell(a, b, hole.as_cell())
+    if clip is None:
         return False
+    t0, t1 = clip
     tm = (t0 + t1) / 2
     mx = a.x + tm * (b.x - a.x)
     my = a.y + tm * (b.y - a.y)

@@ -24,24 +24,18 @@ from fractions import Fraction
 
 from cityguard.errors import GenerationFailedError
 from cityguard.geom import AxisRect, Point, make_axis_rect, make_convex_quad
-from cityguard.model import City, Scene, validate_scene, wall_aligned_facings
+from cityguard.model import (
+    City, Scene, require_general_position, validate_scene, wall_aligned_facings,
+)
 from cityguard.oracle import _segment_blocked_by_prism, roof_samples
-
-RANDOM_AA = "RANDOM_AA"
-ROOF_NECESSITY = "ROOF_NECESSITY"
-ROT_3K1 = "ROT_3K1"
-
 
 @dataclass(frozen=True)
 class GeneratorParams:
     k: int
     seed: int = 0
     grid: int = 1000
-    family: str = RANDOM_AA
 
     def __post_init__(self):
-        if self.family != RANDOM_AA and self.k < 1:
-            raise ValueError("necessity families need k >= 1")
         if self.k < 0:
             raise ValueError(f"k must be non-negative, got {self.k}")
         if self.grid <= 0:
@@ -50,8 +44,6 @@ class GeneratorParams:
 
 def gen_random(params: GeneratorParams) -> Scene:
     """k disjoint integer holes strictly inside P, in general position."""
-    if params.family != RANDOM_AA:
-        raise ValueError("gen_random expects the RANDOM_AA family")
     rng = random.Random(params.seed)
     g = params.grid
     holes = []
@@ -78,7 +70,9 @@ def gen_random(params: GeneratorParams) -> Scene:
         used_x.update((x0, x1))
         used_y.update((y0, y1))
     scene = Scene(bounds=make_axis_rect(0, 0, g, g), holes=tuple(holes))
-    return validate_scene(scene, require_general_position=True)
+    scene = validate_scene(scene)
+    require_general_position(scene)
+    return scene
 
 
 def _separated(a: AxisRect, b: AxisRect) -> bool:
@@ -114,8 +108,9 @@ def gen_roof_necessity(k: int) -> City:
     width = 10 * k + 11
     span = max(h.y1 for h in holes) + 7
     scene = Scene(bounds=make_axis_rect(0, -span, width, span), holes=tuple(holes))
-    city = City(scene=validate_scene(scene, require_general_position=True),
-                heights=tuple(heights))
+    scene = validate_scene(scene)
+    require_general_position(scene)
+    city = City(scene=scene, heights=tuple(heights))
     failures = check_roof_necessity(city)
     if failures:
         raise GenerationFailedError(f"roof necessity violated: {failures[0]}",
@@ -408,12 +403,3 @@ def _convex_hull(points):
     upper = half(pts[::-1])
     return lower[:-1] + upper[:-1]
 
-
-def generate(params: GeneratorParams):
-    if params.family == RANDOM_AA:
-        return gen_random(params)
-    if params.family == ROOF_NECESSITY:
-        return gen_roof_necessity(params.k)
-    if params.family == ROT_3K1:
-        return gen_3k1_necessity(params.k)
-    raise ValueError(f"unknown family {params.family!r}")

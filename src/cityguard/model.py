@@ -177,7 +177,7 @@ def check_general_position(scene: Scene):
     return bad
 
 
-def validate_scene(raw, require_general_position: bool = False) -> Scene:
+def validate_scene(raw) -> Scene:
     """Validate a raw scene description (dict or Scene) into a Scene.
 
     Raises SceneValidationError carrying every violation found.
@@ -197,12 +197,9 @@ def validate_scene(raw, require_general_position: bool = False) -> Scene:
         for j in range(i + 1, len(holes)):
             if not _holes_disjoint(holes[i], holes[j]):
                 violations.append(("OVERLAPPING_HOLES", (i, j)))
-    scene = Scene(bounds=bounds, holes=tuple(holes))
-    if require_general_position:
-        violations.extend(check_general_position(scene))
     if violations:
         raise SceneValidationError(violations)
-    return scene
+    return Scene(bounds=bounds, holes=tuple(holes))
 
 
 def _parse_raw(raw):
@@ -297,12 +294,8 @@ def rotate_scene_ccw(scene: Scene, times: int) -> Scene:
     return Scene(bounds=rot_rect(scene.bounds), holes=tuple(holes))
 
 
-def rotate_guard_ccw(g: Guard, scene: Scene, times: int) -> Guard:
-    """Re-anchor a guard after the scene is rotated by `times` quarter turns."""
-    t = times % 4
-    if t == 0:
-        return g
-    rotated = rotate_scene_ccw(scene, t)
+def _reanchor(g: Guard, scene: Scene, rotated: Scene, t: int) -> Guard:
+    """The guard g of `scene` on `rotated`, which is `scene` turned t times."""
     pos = rotate_point_ccw(g.position(scene), t)
     facing = rotate_point_ccw(Point(*g.facing), t)
     if g.anchor[0] == "hole":
@@ -313,7 +306,18 @@ def rotate_guard_ccw(g: Guard, scene: Scene, times: int) -> Guard:
     return Guard(anchor=("p", corners.index(pos)), facing=(facing.x, facing.y))
 
 
+def rotate_guard_ccw(g: Guard, scene: Scene, times: int) -> Guard:
+    """Re-anchor a guard after the scene is rotated by `times` quarter turns."""
+    t = times % 4
+    if t == 0:
+        return g
+    return _reanchor(g, scene, rotate_scene_ccw(scene, t), t)
+
+
 def unrotate_guards(guards: Sequence[Guard], rotated_scene: Scene, times: int):
     """Map guards placed in a rotated frame back to the original frame."""
     back = (-times) % 4
-    return [rotate_guard_ccw(g, rotated_scene, back) for g in guards]
+    if back == 0:
+        return list(guards)
+    scene = rotate_scene_ccw(rotated_scene, back)
+    return [_reanchor(g, rotated_scene, scene, back) for g in guards]

@@ -17,7 +17,7 @@ from fractions import Fraction
 from itertools import combinations
 from typing import Optional
 
-from cityguard.geom import Point, h_cell_to_cell, h_split
+from cityguard.geom import Point, clip_segment_to_cell, h_cell_to_cell, h_split
 from cityguard.model import (
     City, E, Guard, N, S, Scene, Solution, W, hole_guard, p_corner_guard,
     wall_aligned_facings,
@@ -228,26 +228,10 @@ def min_cover_of_region(scene: Scene, candidates, region, max_count: int):
 
 def _segment_blocked_by_prism(p1: Point, z1, p2: Point, z2, base, h) -> bool:
     """Does the open 3D segment pass through the prism's open interior?"""
-    cell = base.as_cell()
-    t0, t1 = Fraction(0), Fraction(1)
-    n = len(cell)
-    for i in range(n):
-        p, q = cell[i], cell[(i + 1) % n]
-        fa = (q.x - p.x) * (p1.y - p.y) - (q.y - p.y) * (p1.x - p.x)
-        fb = (q.x - p.x) * (p2.y - p.y) - (q.y - p.y) * (p2.x - p.x)
-        if fa < 0 and fb < 0:
-            return False
-        if fa >= 0 and fb >= 0:
-            continue
-        t = Fraction(fa, fa - fb)
-        if fa < 0:
-            t0 = max(t0, t)
-        else:
-            t1 = min(t1, t)
-        if t0 > t1:
-            return False
-    if t0 >= t1:
+    clip = clip_segment_to_cell(p1, p2, base.as_cell())
+    if clip is None:
         return False
+    t0, t1 = clip
     tm = (t0 + t1) / 2
     mid = Point(p1.x + tm * (p2.x - p1.x), p1.y + tm * (p2.y - p1.y))
     if not base.contains_open(mid):

@@ -222,6 +222,10 @@ def guards_2k1(scene: Scene) -> Solution:
 # Cases 0-4 (divide and conquer), all guards on hole vertices
 # ---------------------------------------------------------------------------
 
+# Each case rotates its scene so that the building it works on takes a fixed
+# role.  A quarter turn keeps hole ids and only permutes the staircase kinds
+# and extremal sides, so that building is read from the (sub)scene's one
+# SharingReport; the rotated frame is never analysed again.
 _C0_ROT = {("R", "B"): 0, ("B", "L"): 1, ("L", "T"): 2, ("T", "R"): 3}
 _MIN_STAIR_ROT = {RRS: 0, RFS: 1, RS: 2, FS: 3}
 _ADJ_PAIR_ROT = {(RS, FS): 0, (FS, RRS): 1, (RRS, RFS): 2, (RFS, RS): 3}
@@ -264,9 +268,7 @@ def _hole_vertex_partition_guards(scene: Scene, replace_with) -> list:
 def _case0_guards(scene: Scene, rep: SharingReport, trace) -> list:
     rot = _C0_ROT[rep.case0_pair]
     rscene = rotate_scene_ccw(scene, rot)
-    rrep = staircase_sharing(rscene)
-    star = rrep.extremal["R"]
-    assert star == rrep.extremal["B"]
+    star = rep.extremal[rep.case0_pair[0]]  # the R and B building of rscene
     trace.append(("case0", rep.case0_pair, star))
     guards = _hole_vertex_partition_guards(
         rscene, lambda: _se_replacement_guards(rscene, star))
@@ -288,10 +290,7 @@ def _case2_guards(scene: Scene, rep: SharingReport, trace) -> list:
     pair = rep.opposite_shared[0][0]
     rot = 0 if pair == (RS, RRS) else 1
     rscene = rotate_scene_ccw(scene, rot)
-    rrep = staircase_sharing(rscene)
-    shared = sorted(rrep.shared[(RS, RRS)])
-    assert shared, "case 2 dispatch without an (RS,RRS)-shared building"
-    bi = shared[0]
+    bi = rep.opposite_shared[0][1]  # shared by RS and RRS of rscene
     h = rscene.holes[bi]
     trace.append(("case2", bi))
     guards = [hole_guard(bi, 3, E), hole_guard(bi, 1, E),
@@ -328,13 +327,9 @@ def _case3_guards(scene: Scene, rep: SharingReport, trace, depth) -> list:
                   if a >= 3 and b >= 3]
     if not qualifiers:
         return _case1_guards(scene, rep, trace, label="case3-fallback")
-    _, hid, pair, alpha, beta = min(qualifiers)
+    _, bj, pair, alpha, beta = min(qualifiers)
     rot = _ADJ_PAIR_ROT[pair]
-    rscene = rotate_scene_ccw(scene, rot)
-    rrep = staircase_sharing(rscene)
-    entry = next(e for e in rrep.adjacent_internal
-                 if e[0] == (RS, FS) and e[1] == hid)  # rotation keeps hole ids
-    bj = entry[1]
+    rscene = rotate_scene_ccw(scene, rot)  # bj is shared by its RS and FS
     h = rscene.holes[bj]
     b = rscene.bounds
     above = [i for i, o in enumerate(rscene.holes) if o.y0 > h.y1]

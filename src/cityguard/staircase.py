@@ -13,6 +13,10 @@ Kind -> removed quadrant (corner of each hole, open):
   FS   top-right region,    SW quadrants of NE corners
   RRS  bottom-right region, NW quadrants of SE corners
   RFS  bottom-left region,  NE quadrants of SW corners
+
+A Staircase keeps only what the placements read: its stairs (the
+Pareto corners) and their buildings.  The region itself is computed on
+request by staircase_region, with exact polygon cuts.
 """
 
 from __future__ import annotations
@@ -42,11 +46,11 @@ _QUADRANT = {
 
 @dataclass(frozen=True)
 class Staircase:
+    """The stairs of one staircase kind; staircase_region computes the
+    region on request."""
     kind: str
-    chain: tuple                 # monotone orthogonal polyline, stair to stair
-    reflex_vertices: tuple       # ((Point, building id), ...) along the chain
+    reflex_vertices: tuple       # ((Point, building id), ...) in +x order
     buildings: frozenset
-    region: PolygonSet           # the staircase region itself
 
     @property
     def stairs(self) -> int:
@@ -83,65 +87,24 @@ def build_staircase(scene: Scene, kind: str) -> Staircase:
         raise ValueError("staircases are defined for axis-aligned scenes only")
     if check_general_position(scene):
         raise DegeneratePositionError("staircase construction needs general position")
-    b = scene.bounds
-    corner_idx, sx, sy = _QUADRANT[kind]
     pareto = _pareto(scene, kind)
+    return Staircase(kind=kind, reflex_vertices=tuple((a, i) for i, a in pareto),
+                     buildings=frozenset(i for i, _ in pareto))
 
+
+def staircase_region(scene: Scene, st: Staircase) -> PolygonSet:
+    """The staircase region: P minus the open quadrant of every stair."""
+    b = scene.bounds
+    _, sx, sy = _QUADRANT[st.kind]
     region = PolygonSet.from_rect(b.x0, b.y0, b.x1, b.y1)
-    for i, a in pareto:
+    for a, _ in st.reflex_vertices:
         qx0 = a.x if sx > 0 else b.x0
         qx1 = b.x1 if sx > 0 else a.x
         qy0 = a.y if sy > 0 else b.y0
         qy1 = b.y1 if sy > 0 else a.y
         if qx0 < qx1 and qy0 < qy1:
             region = region.difference(PolygonSet.from_rect(qx0, qy0, qx1, qy1))
-
-    chain = _chain_points(b, kind, [a for _, a in pareto])
-    reflex = tuple((a, i) for i, a in pareto)
-    return Staircase(kind=kind, chain=tuple(chain), reflex_vertices=reflex,
-                     buildings=frozenset(i for i, _ in pareto), region=region)
-
-
-def _chain_points(b: AxisRect, kind: str, apexes):
-    """The boundary chain through the apexes, traversed in +x direction.
-
-    Vertical pieces are hole edges with their extension, horizontal pieces
-    likewise; e.g. for RS the pieces are left edges extended South and top
-    edges extended East.
-    """
-    apexes = sorted(apexes, key=lambda p: p.x)
-    pts = []
-    if not apexes:
-        return pts
-    if kind == RS:       # bottom edge -> apexes (NW corners) -> right edge
-        pts.append(Point(apexes[0].x, b.y0))
-        for i, a in enumerate(apexes):
-            pts.append(a)
-            nxt = apexes[i + 1].x if i + 1 < len(apexes) else b.x1
-            pts.append(Point(nxt, a.y))
-    elif kind == FS:     # left edge -> apexes (NE corners) -> bottom edge
-        pts.append(Point(b.x0, apexes[0].y))
-        for i, a in enumerate(apexes):
-            pts.append(a)
-            if i + 1 < len(apexes):
-                pts.append(Point(a.x, apexes[i + 1].y))
-            else:
-                pts.append(Point(a.x, b.y0))
-    elif kind == RRS:    # left edge -> apexes (SE corners) -> top edge
-        pts.append(Point(b.x0, apexes[0].y))
-        for i, a in enumerate(apexes):
-            pts.append(a)
-            if i + 1 < len(apexes):
-                pts.append(Point(a.x, apexes[i + 1].y))
-            else:
-                pts.append(Point(a.x, b.y1))
-    else:                # RFS: top edge -> apexes (SW corners) -> right edge
-        pts.append(Point(apexes[0].x, b.y1))
-        for i, a in enumerate(apexes):
-            pts.append(a)
-            nxt = apexes[i + 1].x if i + 1 < len(apexes) else b.x1
-            pts.append(Point(nxt, a.y))
-    return pts
+    return region
 
 
 # kind -> (facing along the stairs, facing down the stairs, extreme-stair picker).

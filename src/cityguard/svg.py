@@ -37,7 +37,7 @@ def _poly(mapper, ring, fill, opacity="1", stroke="none"):
             f'stroke="{stroke}" stroke-width="1"/>')
 
 
-def render_svg(scene, solution=None, certificate=None, staircases=None) -> str:
+def render_svg(scene, solution=None, certificate=None) -> str:
     """Holes filled, guards as arrowed markers, visibility regions as
     translucent fills, residual highlighted."""
     m = _Mapper(scene.bounds)
@@ -50,15 +50,6 @@ def render_svg(scene, solution=None, certificate=None, staircases=None) -> str:
             color = PALETTE[i % len(PALETTE)]
             for ring in vr.region.rings():
                 parts.append(_poly(m, ring, color, opacity="0.12"))
-    if staircases:
-        for i, st in enumerate(staircases):
-            color = PALETTE[i % len(PALETTE)]
-            for ring in st.region.rings():
-                parts.append(_poly(m, ring, color, opacity="0.10"))
-            if len(st.chain) >= 2:
-                pts = " ".join(",".join(m.pt(p.x, p.y)) for p in st.chain)
-                parts.append(f'<polyline points="{pts}" fill="none" '
-                             f'stroke="{color}" stroke-width="3" stroke-dasharray="8,4"/>')
     for h in scene.holes:
         parts.append(_poly(m, [(c.x, c.y) for c in h.corners()], "#555555",
                            stroke="#000000"))

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from cityguard.geom import (
     CCW, COLLINEAR, CW, AxisRect, Point, PolygonSet, Segment, _h_apart, _h_normalized,
-    cell_area2, h_cell, h_cell_to_cell, h_split, half_plane_contains, make_axis_rect,
+    cell_area2, clip_segment_to_cell, h_cell, h_cell_to_cell, h_split, half_plane_contains, make_axis_rect,
     make_convex_quad, is_rectangle, normalize_cell, orient, primitive_direction,
     rational, rational_str, segment_blocked_by_rect,
 )
@@ -81,6 +81,23 @@ class TestSegmentBlocked:
         seg2 = Segment(P(ax * s, ay * s), P(bx * s, by * s))
         r2 = AxisRect(self.R.x0 * s, self.R.y0 * s, self.R.x1 * s, self.R.y1 * s)
         assert segment_blocked_by_rect(seg2, r2) == blocked
+
+    @given(st.integers(0, 10), st.integers(0, 10), st.integers(0, 10), st.integers(0, 10))
+    @settings(max_examples=200)
+    def test_clip_is_the_closed_cell_piece(self, ax, ay, bx, by):
+        a, b = P(ax, ay), P(bx, by)
+        clip = clip_segment_to_cell(a, b, self.R.as_cell())
+        r = self.R
+        hits = []
+        for i in range(101):
+            t = Fraction(i, 100)
+            x, y = ax + t * (bx - ax), ay + t * (by - ay)
+            inside = r.x0 <= x <= r.x1 and r.y0 <= y <= r.y1
+            if clip is None:
+                hits += [t] if inside else []
+            else:
+                assert inside == (clip[0] <= t <= clip[1])
+        assert len(hits) <= 1  # a miss may still touch the cell in one point
 
 
 class TestHalfPlane:

@@ -3,11 +3,11 @@ import pytest
 from cityguard.errors import GenerationFailedError
 from cityguard.geom import make_axis_rect, make_convex_quad
 from cityguard.instances import (
-    GeneratorParams, RANDOM_AA, ROOF_NECESSITY, ROT_3K1, check_3k1_properties,
-    check_roof_necessity, gen_3k1_necessity, gen_random, gen_random_city,
-    gen_roof_necessity, generate, hole_within_span, space_between,
+    GeneratorParams, check_3k1_properties, check_roof_necessity,
+    gen_3k1_necessity, gen_random, gen_random_city, gen_roof_necessity,
+    hole_within_span, space_between,
 )
-from cityguard.model import Scene, validate_scene
+from cityguard.model import Scene, require_general_position, validate_scene
 from cityguard.oracle import candidate_set, min_cover_of_region
 from cityguard.visibility import visibility_region
 
@@ -19,7 +19,8 @@ class TestGenRandom:
     def test_valid_and_general_position(self):
         sc = gen_random(GeneratorParams(k=5, seed=1, grid=1000))
         assert sc.k == 5
-        assert validate_scene(sc, require_general_position=True) == sc
+        assert validate_scene(sc) == sc
+        require_general_position(sc)
 
     def test_deterministic(self):
         p = GeneratorParams(k=6, seed=42, grid=200)
@@ -33,11 +34,6 @@ class TestGenRandom:
     def test_generation_failure(self):
         with pytest.raises(GenerationFailedError):
             gen_random(GeneratorParams(k=40, seed=0, grid=6))
-
-    def test_family_dispatch(self):
-        assert generate(GeneratorParams(k=2, seed=0, family=RANDOM_AA)).k == 2
-        assert generate(GeneratorParams(k=2, family=ROOF_NECESSITY)).scene.k == 2
-        assert generate(GeneratorParams(k=2, family=ROT_3K1)).k == 2
 
 
 class TestRoofNecessity:

@@ -6,7 +6,7 @@ from cityguard.model import (
     City, E, N, S, Scene, W, guard_facing_is_wall_aligned, hole_guard,
     p_corner_guard, project, roof_covered_by, rotate_guard_ccw, rotate_point_ccw,
     rotate_scene_ccw, validate_scene, check_general_position,
-    require_general_position,
+    require_general_position, unrotate_guards,
 )
 
 
@@ -58,8 +58,6 @@ class TestValidation:
         assert check_general_position(sc2) == [("DEGENERATE_POSITION", (0, 1))]
         with pytest.raises(DegeneratePositionError):
             require_general_position(sc2)
-        with pytest.raises(SceneValidationError):
-            validate_scene(sc2, require_general_position=True)
 
     def test_idempotent(self):
         sc = city_a()
@@ -144,3 +142,15 @@ class TestRotation:
                     assert rg.position(rsc) == rotate_point_ccw(g.position(sc), t)
                     back = rotate_guard_ccw(rg, rsc, -t)
                     assert back == g
+
+    def test_unrotate_guards_matches_each_guard(self):
+        sc = validate_scene({"bounds": [0, 0, 10, 6], "buildings": [
+            {"base": [1, 1, 3, 2], "height": 1}, {"base": [5, 3, 8, 5], "height": 1}]})
+        guards = [hole_guard(i, c, f) for i in range(2) for c in range(4)
+                  for f in (N, E)] + [p_corner_guard(c, W) for c in range(4)]
+        for t in range(4):
+            rsc = rotate_scene_ccw(sc, t)
+            rotated = [rotate_guard_ccw(g, sc, t) for g in guards]
+            assert unrotate_guards(rotated, rsc, t) == guards
+            assert unrotate_guards(rotated, rsc, t) == [
+                rotate_guard_ccw(g, rsc, -t) for g in rotated]

@@ -2,11 +2,14 @@ import pytest
 
 from cityguard.geom import PolygonSet, make_axis_rect
 from cityguard.instances import GeneratorParams, gen_random, gen_random_city
-from cityguard.model import City, Scene, W, hole_guard, p_corner_guard, validate_scene
+from cityguard.model import (
+    City, Scene, W, hole_guard, p_corner_guard, rotate_scene_ccw, validate_scene,
+)
 from cityguard.placement import (
     ALLOW_P_CORNER, BUILDINGS_ONLY, city_guarding, guards_2k1, guards_main,
     is_xy_monotone, partition_2k1, roof_guarding,
 )
+from cityguard.staircase import staircase_sharing
 from cityguard.verify import certify, certify_city, free_space
 
 
@@ -134,6 +137,27 @@ class TestGuardsMain:
                 assert sol.count <= 2 * k + k // 4 + 4
                 assert all(g.on_hole() for g in sol.guards)
                 assert certify(sc, sol.guards).covered
+
+    def test_each_dispatch_analyses_its_scene_once(self, monkeypatch):
+        import cityguard.placement as placement
+        analysed = []
+
+        def counting(scene):
+            analysed.append(scene)
+            return staircase_sharing(scene)
+
+        monkeypatch.setattr(placement, "staircase_sharing", counting)
+        case2 = validate_scene({"bounds": [0, 0, 100, 100],
+            "buildings": [{"base": b, "height": 1} for b in [
+                [2, 5, 4, 16], [5, 1, 8, 4], [10, 10, 20, 20],
+                [12, 30, 18, 55], [40, 12, 60, 17], [80, 40, 90, 50]]]})
+        scenes = [city_a(), city_b()] + [rotate_scene_ccw(case2, t) for t in range(4)]
+        scenes += [gen_random(GeneratorParams(k=k, seed=74, grid=1000)) for k in (5, 7)]
+        for sc in scenes:
+            analysed.clear()
+            sol = guards_main(sc)
+            assert analysed[0] == sc
+            assert len(analysed) == len(sol.trace)  # one case label per dispatch
 
     def test_k0_rejected(self):
         sc = Scene(bounds=make_axis_rect(0, 0, 10, 10), holes=())

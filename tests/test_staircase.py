@@ -2,9 +2,11 @@ import pytest
 
 from cityguard.errors import DegeneratePositionError, EmptyStaircaseError
 from cityguard.geom import PolygonSet, make_axis_rect
-from cityguard.model import Scene, validate_scene
+from cityguard.instances import GeneratorParams, gen_random
+from cityguard.model import Scene, rotate_scene_ccw, validate_scene
 from cityguard.staircase import (
-    KINDS, RRS, RS, build_staircase, staircase_guards, staircase_sharing,
+    FS, KINDS, RFS, RRS, RS, build_staircase, staircase_guards, staircase_region,
+    staircase_sharing,
 )
 from cityguard.visibility import visibility_region
 
@@ -22,13 +24,27 @@ def city_b():
         {"base": [55, 10, 90, 40], "height": 1}]})
 
 
+def _scene(bounds, bases):
+    return validate_scene({"bounds": bounds,
+                           "buildings": [{"base": b, "height": 1} for b in bases]})
+
+
+CASE2 = [[2, 5, 4, 16], [5, 1, 8, 4], [10, 10, 20, 20],
+         [12, 30, 18, 55], [40, 12, 60, 17], [80, 40, 90, 50]]
+# wide middle building: everything above it sits in its vertical span
+CASE3 = [[100, 500, 900, 520],
+         [200, 600, 220, 620], [400, 700, 420, 720], [600, 800, 620, 820],
+         [50, 200, 70, 220], [300, 100, 320, 120], [700, 300, 720, 320],
+         [850, 50, 880, 80], [920, 250, 950, 270]]
+
+
 class TestBuild:
     def test_k0_no_stairs(self):
         sc = Scene(bounds=make_axis_rect(0, 0, 10, 10), holes=())
         for kind in KINDS:
             st = build_staircase(sc, kind)
             assert st.stairs == 0 and st.buildings == frozenset()
-            assert st.region.area() == 100
+            assert staircase_region(sc, st).area() == 100
 
     def test_city_a_every_kind_one_stair(self):
         sc = city_a()
@@ -54,15 +70,7 @@ class TestBuild:
         holes = PolygonSet(tuple(h.as_cell() for h in sc.holes))
         for kind in KINDS:
             st = build_staircase(sc, kind)
-            assert st.region.intersection(holes).area() == 0
-
-    def test_chain_endpoints_on_bounds(self):
-        sc = city_b()
-        b = sc.bounds
-        for kind in KINDS:
-            chain = build_staircase(sc, kind).chain
-            for p in (chain[0], chain[-1]):
-                assert p.x in (b.x0, b.x1) or p.y in (b.y0, b.y1)
+            assert staircase_region(sc, st).intersection(holes).area() == 0
 
     def test_degenerate_rejected(self):
         sc = validate_scene({"bounds": [0, 0, 10, 10],
@@ -103,7 +111,7 @@ class TestGuards:
             covered = PolygonSet.empty()
             for g in staircase_guards(sc, st):
                 covered = covered.union(visibility_region(sc, g).region)
-            assert st.region.difference(covered).is_empty(), kind
+            assert staircase_region(sc, st).difference(covered).is_empty(), kind
 
     def test_empty_staircase_errors(self):
         sc = Scene(bounds=make_axis_rect(0, 0, 10, 10), holes=())
@@ -119,22 +127,13 @@ class TestSharing:
         assert set(rep.extremal.values()) == {0}
 
     def test_interior_shared_building_case3(self):
-        # wide middle building: everything above it sits in its vertical span
-        rep = staircase_sharing(validate_scene({"bounds": [0, 0, 1000, 1000],
-            "buildings": [{"base": b, "height": 1} for b in [
-                [100, 500, 900, 520],
-                [200, 600, 220, 620], [400, 700, 420, 720], [600, 800, 620, 820],
-                [50, 200, 70, 220], [300, 100, 320, 120], [700, 300, 720, 320],
-                [850, 50, 880, 80], [920, 250, 950, 270]]]}))
+        rep = staircase_sharing(_scene([0, 0, 1000, 1000], CASE3))
         assert rep.case == 3
         entries = {e[1]: (e[2], e[3]) for e in rep.adjacent_internal}
         assert entries[0] == (3, 5)  # alpha buildings above, beta below
 
     def test_case2_opposite_sharing(self):
-        rep = staircase_sharing(validate_scene({"bounds": [0, 0, 100, 100],
-            "buildings": [{"base": b, "height": 1} for b in [
-                [2, 5, 4, 16], [5, 1, 8, 4], [10, 10, 20, 20],
-                [12, 30, 18, 55], [40, 12, 60, 17], [80, 40, 90, 50]]]}))
+        rep = staircase_sharing(_scene([0, 0, 100, 100], CASE2))
         assert rep.case == 2
         assert rep.opposite_shared[0][1] == 2
 
@@ -145,3 +144,49 @@ class TestSharing:
         assert rep.extremal["T"] == 1
         assert rep.extremal["R"] in (1, 3)
         assert rep.extremal["B"] == 3
+
+
+# One counter-clockwise quarter turn: the staircase kind and the extremal
+# side that each one of the scene becomes in the turned scene.
+_TURN_KIND = {RS: RFS, FS: RS, RRS: FS, RFS: RRS}
+_TURN_SIDE = {"L": "B", "T": "L", "R": "T", "B": "R"}
+
+
+def _turned(table, key, t):
+    for _ in range(t):
+        key = table[key]
+    return key
+
+
+def _sharing_scenes():
+    scenes = [city_a(), city_b(), _scene([0, 0, 100, 100], CASE2),
+              _scene([0, 0, 1000, 1000], CASE3),
+              _scene([0, 0, 1000, 1000], CASE3 + [[925, 505, 945, 515]])]
+    scenes += [gen_random(GeneratorParams(k=k, seed=31 * k + s, grid=1000))
+               for k in range(1, 13) for s in range(3)]
+    scenes.append(gen_random(GeneratorParams(k=5, seed=74, grid=1000)))  # Case 4
+    return scenes
+
+
+class TestSharingUnderQuarterTurns:
+    """A quarter turn keeps hole ids and permutes the staircase kinds and
+    extremal sides; the placement dispatch reads the rotated frame's
+    buildings from the unrotated scene's report on this ground."""
+
+    @pytest.mark.parametrize("t", [1, 2, 3])
+    def test_report_is_permuted(self, t):
+        for sc in _sharing_scenes():
+            rep = staircase_sharing(sc)
+            rrep = staircase_sharing(rotate_scene_ccw(sc, t))
+            assert rrep.case == rep.case
+            for kind in KINDS:
+                assert (rrep.staircases[_turned(_TURN_KIND, kind, t)].buildings
+                        == rep.staircases[kind].buildings)
+            for side, hid in rep.extremal.items():
+                assert rrep.extremal[_turned(_TURN_SIDE, side, t)] == hid
+            turned = {(frozenset(_turned(_TURN_KIND, kind, t) for kind in e[0]),) + e[1:]
+                      for e in rep.adjacent_internal}
+            assert turned == {(frozenset(e[0]),) + e[1:] for e in rrep.adjacent_internal}
+
+    def test_scenes_cover_every_dispatch_case(self):
+        assert {staircase_sharing(sc).case for sc in _sharing_scenes()} == {0, 1, 2, 3, 4}
