@@ -25,7 +25,8 @@ from fractions import Fraction
 from cityguard.errors import GenerationFailedError
 from cityguard.geom import AxisRect, Point, make_axis_rect, make_convex_quad
 from cityguard.model import (
-    City, Scene, require_general_position, validate_scene, wall_aligned_facings,
+    City, Scene, _holes_disjoint, require_general_position, validate_scene,
+    wall_aligned_facings,
 )
 from cityguard.oracle import _segment_blocked_by_prism, roof_samples
 
@@ -40,6 +41,9 @@ class GeneratorParams:
             raise ValueError(f"k must be non-negative, got {self.k}")
         if self.grid <= 0:
             raise ValueError("grid must be positive")
+        if self.k >= 1 and self.grid < 3:
+            raise ValueError(f"grid {self.grid} holds no building: "
+                             f"k >= 1 needs grid >= 3")
 
 
 def gen_random(params: GeneratorParams) -> Scene:
@@ -64,7 +68,7 @@ def gen_random(params: GeneratorParams) -> Scene:
         if {x0, x1} & used_x or {y0, y1} & used_y:
             continue
         cand = AxisRect(x0, y0, x1, y1)
-        if any(not _separated(cand, other) for other in holes):
+        if any(not _holes_disjoint(cand, other) for other in holes):
             continue
         holes.append(cand)
         used_x.update((x0, x1))
@@ -73,10 +77,6 @@ def gen_random(params: GeneratorParams) -> Scene:
     scene = validate_scene(scene)
     require_general_position(scene)
     return scene
-
-
-def _separated(a: AxisRect, b: AxisRect) -> bool:
-    return a.x1 < b.x0 or b.x1 < a.x0 or a.y1 < b.y0 or b.y1 < a.y0
 
 
 def gen_random_city(params: GeneratorParams) -> City:

@@ -131,7 +131,11 @@ class Solution:
 
 
 def _holes_disjoint(a: Hole, b: Hole) -> bool:
-    """Closed-set disjointness of two convex holes (exact separating edge)."""
+    """Closed-set disjointness of two convex holes: touching is not
+    disjoint.  Two rectangles compare intervals; otherwise an exact
+    separating edge decides."""
+    if isinstance(a, AxisRect) and isinstance(b, AxisRect):
+        return a.x1 < b.x0 or b.x1 < a.x0 or a.y1 < b.y0 or b.y1 < a.y0
     ca, cb = a.as_cell(), b.as_cell()
     ba, bb = cell_bbox(ca), cell_bbox(cb)
     if ba[2] < bb[0] or bb[2] < ba[0] or ba[3] < bb[1] or bb[3] < ba[1]:

@@ -14,7 +14,7 @@ from cityguard.errors import PlacementIncompleteError
 from cityguard.geom import AxisRect, Point, PolygonSet
 from cityguard.model import (
     AXIS_ALIGNED, City, E, Guard, N, S, Scene, Solution, W,
-    hole_guard, p_corner_guard, project, require_general_position,
+    hole_guard, project, require_general_position,
     roof_covered_by, rotate_scene_ccw, unrotate_guards, validate_scene,
     wall_aligned_facings,
 )
@@ -30,9 +30,13 @@ ALLOW_P_CORNER = "ALLOW_P_CORNER"
 
 @dataclass(frozen=True)
 class PartitionRegion:
-    boundary: PolygonSet
     anchor_guard: Guard
     rects: tuple  # grid rectangles making up the region
+
+    @property
+    def boundary(self) -> PolygonSet:
+        """The region as one cell per grid rectangle, built on each access."""
+        return PolygonSet(tuple(r.as_cell() for r in self.rects))
 
 
 # ---------------------------------------------------------------------------
@@ -85,34 +89,30 @@ def _partition_walls(scene: Scene):
 
 
 def _orthogonal_partition(scene: Scene):
-    """Faces of the extension subdivision as lists of grid rectangles."""
+    """Faces of the extension subdivision as lists of grid rectangles.
+
+    Works on grid indices: hole cells are marked from each hole's index
+    range and every wall becomes the set of cell sides it blocks, so the
+    union-find over adjacent free cells costs O(k^2)."""
     b = scene.bounds
     holes = scene.holes
     v_walls, h_walls = _partition_walls(scene)
     xs = sorted({b.x0, b.x1} | {h.x0 for h in holes} | {h.x1 for h in holes})
     ys = sorted({b.y0, b.y1} | {h.y0 for h in holes} | {h.y1 for h in holes})
+    xi = {x: i for i, x in enumerate(xs)}
+    yi = {y: j for j, y in enumerate(ys)}
     nx, ny = len(xs) - 1, len(ys) - 1
 
-    def is_hole_cell(i, j):
-        for h in holes:
-            if h.x0 <= xs[i] and xs[i + 1] <= h.x1 and h.y0 <= ys[j] and ys[j + 1] <= h.y1:
-                return True
-        return False
-
-    free = [[not is_hole_cell(i, j) for j in range(ny)] for i in range(nx)]
-
-    v_at = {}
-    for (x, lo, hi) in v_walls:
-        v_at.setdefault(x, []).append((lo, hi))
-    h_at = {}
-    for (y, lo, hi) in h_walls:
-        h_at.setdefault(y, []).append((lo, hi))
-
-    def blocked_v(x, ylo, yhi):
-        return any(lo <= ylo and yhi <= hi for (lo, hi) in v_at.get(x, ()))
-
-    def blocked_h(y, xlo, xhi):
-        return any(lo <= xlo and xhi <= hi for (lo, hi) in h_at.get(y, ()))
+    # cell (i, j) is [xs[i], xs[i+1]] x [ys[j], ys[j+1]], flat index i * ny + j
+    free = [True] * (nx * ny)
+    for h in holes:
+        j0, j1 = yi[h.y0], yi[h.y1]
+        for i in range(xi[h.x0], xi[h.x1]):
+            free[i * ny + j0:i * ny + j1] = [False] * (j1 - j0)
+    # the vertical line xs[i] blocks the sides (i, j) for j in its y range;
+    # the horizontal line ys[j] blocks the sides (j, i) for i in its x range
+    v_blocked = {(xi[x], j) for (x, lo, hi) in v_walls for j in range(yi[lo], yi[hi])}
+    h_blocked = {(yi[y], i) for (y, lo, hi) in h_walls for i in range(xi[lo], xi[hi])}
 
     parent = list(range(nx * ny))
 
@@ -129,19 +129,20 @@ def _orthogonal_partition(scene: Scene):
 
     for i in range(nx):
         for j in range(ny):
-            if not free[i][j]:
+            c = i * ny + j
+            if not free[c]:
                 continue
-            if i + 1 < nx and free[i + 1][j] and not blocked_v(xs[i + 1], ys[j], ys[j + 1]):
-                union(i * ny + j, (i + 1) * ny + j)
-            if j + 1 < ny and free[i][j + 1] and not blocked_h(ys[j + 1], xs[i], xs[i + 1]):
-                union(i * ny + j, i * ny + j + 1)
+            if i + 1 < nx and free[c + ny] and (i + 1, j) not in v_blocked:
+                union(c, c + ny)
+            if j + 1 < ny and free[c + 1] and (j + 1, i) not in h_blocked:
+                union(c, c + 1)
 
     groups = {}
-    for i in range(nx):
-        for j in range(ny):
-            if free[i][j]:
-                groups.setdefault(find(i * ny + j), []).append(
-                    AxisRect(xs[i], ys[j], xs[i + 1], ys[j + 1]))
+    for c in range(nx * ny):
+        if free[c]:
+            i, j = divmod(c, ny)
+            groups.setdefault(find(c), []).append(
+                AxisRect(xs[i], ys[j], xs[i + 1], ys[j + 1]))
     return list(groups.values())
 
 
@@ -151,24 +152,19 @@ def _region_se_corner(rects) -> Point:
     return Point(x_right, y_min)
 
 
-def _anchor_at(scene: Scene, p: Point, facing) -> Guard:
-    for i, h in enumerate(scene.holes):
-        cs = h.corners()
-        if p in cs:
-            return hole_guard(i, cs.index(p), facing)
-    cs = scene.bounds.corners()
-    if p in cs:
-        return p_corner_guard(cs.index(p), facing)
-    raise PlacementIncompleteError(f"partition corner {p} is not a vertex")
-
-
 def _partition_regions(scene: Scene):
+    anchors = {}  # corner -> anchor; hole corners first, then P's corners
+    for i, h in enumerate(scene.holes):
+        for c, p in enumerate(h.corners()):
+            anchors.setdefault(p, ("hole", i, c))
+    for c, p in enumerate(scene.bounds.corners()):
+        anchors.setdefault(p, ("p", c))
     regions = []
     for rects in _orthogonal_partition(scene):
         se = _region_se_corner(rects)
-        guard = _anchor_at(scene, se, W)
-        cells = PolygonSet(tuple(r.as_cell() for r in rects))
-        regions.append(PartitionRegion(boundary=cells, anchor_guard=guard,
+        if se not in anchors:
+            raise PlacementIncompleteError(f"partition corner {se} is not a vertex")
+        regions.append(PartitionRegion(anchor_guard=Guard(anchor=anchors[se], facing=W),
                                        rects=tuple(sorted(rects))))
     regions.sort(key=lambda r: (r.anchor_guard.anchor, r.anchor_guard.facing))
     return regions

@@ -83,10 +83,19 @@ def _pareto(scene: Scene, kind: str):
 
 
 def build_staircase(scene: Scene, kind: str) -> Staircase:
-    if scene.kind != "AXIS_ALIGNED":
-        raise ValueError("staircases are defined for axis-aligned scenes only")
+    _require_axis_aligned(scene)
     if check_general_position(scene):
         raise DegeneratePositionError("staircase construction needs general position")
+    return _staircase(scene, kind)
+
+
+def _require_axis_aligned(scene: Scene):
+    if scene.kind != "AXIS_ALIGNED":
+        raise ValueError("staircases are defined for axis-aligned scenes only")
+
+
+def _staircase(scene: Scene, kind: str) -> Staircase:
+    """The staircase of an axis-aligned scene in general position, unchecked."""
     pareto = _pareto(scene, kind)
     return Staircase(kind=kind, reflex_vertices=tuple((a, i) for i, a in pareto),
                      buildings=frozenset(i for i, _ in pareto))
@@ -191,7 +200,8 @@ def staircase_sharing(scene: Scene) -> SharingReport:
         raise ValueError("sharing analysis needs k >= 1")
     if check_general_position(scene):
         raise DegeneratePositionError("sharing analysis needs general position")
-    stairs = {kind: build_staircase(scene, kind) for kind in KINDS}
+    _require_axis_aligned(scene)
+    stairs = {kind: _staircase(scene, kind) for kind in KINDS}
     ext = _extremal_ids(scene)
     shared = {}
     for pair in ADJACENT_PAIRS + OPPOSITE_PAIRS:

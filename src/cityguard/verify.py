@@ -113,10 +113,15 @@ def certify_city(city: City, solution: Solution) -> Certificate:
     scene = city.scene
     # The base certificate comes from the memo.  The roof flags are read
     # from the city's buildings, which the memo's scene key does not hold,
-    # so they are computed on every call.
+    # so they are computed on every call.  Only a guard on a building can
+    # cover its roof, so each roof is tested against its own guards.
     base = certify(scene, solution.guards)
+    own = {}
+    for g in solution.guards:
+        if g.on_hole():
+            own.setdefault(g.anchor[1], []).append(g)
     flags = tuple(
-        any(roof_covered_by(city.building(i), g, scene) for g in solution.guards)
+        any(roof_covered_by(city.building(i), g, scene) for g in own.get(i, ()))
         for i in range(scene.k)
     )
     return Certificate(covered=base.covered and all(flags),

@@ -31,6 +31,16 @@ class TestGenRandom:
         with pytest.raises(ValueError):
             GeneratorParams(k=-1)
 
+    @pytest.mark.parametrize("k,grid", [(1, 1), (1, 2), (3, 2)])
+    def test_grid_without_room_for_a_building_refused(self, k, grid):
+        with pytest.raises(ValueError, match=f"grid {grid} "):
+            GeneratorParams(k=k, grid=grid)
+
+    def test_smallest_grids(self):
+        assert gen_random(GeneratorParams(k=0, grid=1)).k == 0
+        assert gen_random(GeneratorParams(k=1, seed=4, grid=3)).holes == (
+            make_axis_rect(1, 1, 2, 2),)
+
     def test_generation_failure(self):
         with pytest.raises(GenerationFailedError):
             gen_random(GeneratorParams(k=40, seed=0, grid=6))

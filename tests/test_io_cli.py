@@ -218,6 +218,22 @@ class TestCli:
         assert "Traceback" not in result.stderr
         assert not out.exists()
 
+    @pytest.mark.parametrize("argv", [
+        ("gen", "--family", "random", "--k", "1", "--grid", "2"),
+        ("gen", "--family", "random", "--k", "4", "--grid", "1"),
+        ("bench", "--count", "2", "--grid", "1"),
+        ("bench", "--count", "1", "--grid", "2", "--k-min", "3", "--k-max", "3"),
+    ])
+    def test_grid_too_small_for_a_building_exits_2(self, tmp_path, argv):
+        out = tmp_path / "out"
+        result = subprocess.run([sys.executable, "-m", "cityguard.cli", *argv,
+                                 "--out", str(out)], capture_output=True, text=True)
+        assert result.returncode == 2
+        err = result.stderr.splitlines()
+        assert len(err) == 1 and err[0].startswith("validation error: grid ")
+        assert "randrange" not in result.stderr
+        assert not out.exists()
+
     @pytest.mark.parametrize("command", ["verify", "render"])
     def test_guard_on_missing_building_exits_2(self, tmp_path, command):
         scene = tmp_path / "s.json"

@@ -1,9 +1,11 @@
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from cityguard.errors import DegeneratePositionError, SceneValidationError
-from cityguard.geom import Point, make_axis_rect
+from cityguard.geom import AxisRect, Point, make_axis_rect, make_convex_quad
 from cityguard.model import (
-    City, E, N, S, Scene, W, guard_facing_is_wall_aligned, hole_guard,
+    City, E, N, S, Scene, W, _holes_disjoint, guard_facing_is_wall_aligned, hole_guard,
     p_corner_guard, project, roof_covered_by, rotate_guard_ccw, rotate_point_ccw,
     rotate_scene_ccw, validate_scene, check_general_position,
     require_general_position, unrotate_guards,
@@ -62,6 +64,40 @@ class TestValidation:
     def test_idempotent(self):
         sc = city_a()
         assert validate_scene(sc) == sc
+
+
+@st.composite
+def small_rects(draw):
+    x0, x1 = sorted(draw(st.lists(st.integers(0, 6), min_size=2, max_size=2, unique=True)))
+    y0, y1 = sorted(draw(st.lists(st.integers(0, 6), min_size=2, max_size=2, unique=True)))
+    return AxisRect(x0, y0, x1, y1)
+
+
+def _as_quad(r: AxisRect):
+    return make_convex_quad(r.corners())
+
+
+class TestHolesDisjoint:
+    """Two rectangles compare intervals; the separating-edge route that
+    general quads take must agree on the same rectangles as quads."""
+
+    @given(small_rects(), small_rects())
+    @example(AxisRect(0, 0, 2, 2), AxisRect(2, 0, 4, 2))  # shared edge
+    @example(AxisRect(0, 0, 2, 2), AxisRect(2, 2, 4, 4))  # shared corner
+    @example(AxisRect(0, 0, 6, 6), AxisRect(2, 2, 3, 3))  # containment
+    @example(AxisRect(0, 0, 3, 3), AxisRect(2, 1, 5, 2))  # overlap
+    @example(AxisRect(0, 0, 2, 2), AxisRect(3, 0, 5, 2))  # apart
+    def test_rect_branch_matches_separating_edges(self, a, b):
+        disjoint = _holes_disjoint(a, b)
+        assert disjoint == _holes_disjoint(b, a)
+        assert disjoint == _holes_disjoint(_as_quad(a), _as_quad(b))
+        assert disjoint == _holes_disjoint(a, _as_quad(b))
+
+    def test_closed_sets(self):
+        a = AxisRect(0, 0, 2, 2)
+        assert not _holes_disjoint(a, AxisRect(2, 0, 4, 2))
+        assert not _holes_disjoint(a, AxisRect(2, 2, 4, 4))
+        assert _holes_disjoint(a, AxisRect(3, 0, 5, 2))
 
 
 class TestProjection:

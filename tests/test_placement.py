@@ -1,13 +1,15 @@
+from fractions import Fraction
+
 import pytest
 
-from cityguard.geom import PolygonSet, make_axis_rect
+from cityguard.geom import Point, PolygonSet, make_axis_rect
 from cityguard.instances import GeneratorParams, gen_random, gen_random_city
 from cityguard.model import (
     City, Scene, W, hole_guard, p_corner_guard, rotate_scene_ccw, validate_scene,
 )
 from cityguard.placement import (
-    ALLOW_P_CORNER, BUILDINGS_ONLY, city_guarding, guards_2k1, guards_main,
-    is_xy_monotone, partition_2k1, roof_guarding,
+    ALLOW_P_CORNER, BUILDINGS_ONLY, _partition_walls, city_guarding, guards_2k1,
+    guards_main, is_xy_monotone, partition_2k1, roof_guarding,
 )
 from cityguard.staircase import staircase_sharing
 from cityguard.verify import certify, certify_city, free_space
@@ -24,6 +26,19 @@ def city_b():
         {"base": [60, 65, 85, 90], "height": 1},
         {"base": [15, 15, 40, 35], "height": 1},
         {"base": [55, 10, 90, 40], "height": 1}]})
+
+
+CASE2_BASES = [[2, 5, 4, 16], [5, 1, 8, 4], [10, 10, 20, 20],
+               [12, 30, 18, 55], [40, 12, 60, 17], [80, 40, 90, 50]]
+CASE3_BASES = [[100, 500, 900, 520],
+               [200, 600, 220, 620], [400, 700, 420, 720], [600, 800, 620, 820],
+               [50, 200, 70, 220], [300, 100, 320, 120], [700, 300, 720, 320],
+               [850, 50, 880, 80], [920, 250, 950, 270]]
+
+
+def _bases_scene(bounds, bases):
+    return validate_scene({"bounds": bounds,
+                           "buildings": [{"base": b, "height": 1} for b in bases]})
 
 
 class TestPartition:
@@ -58,6 +73,70 @@ class TestPartition:
         for r in partition_2k1(city_b()):
             region = visibility_region(city_b(), r.anchor_guard).region
             assert r.boundary.difference(region).is_empty()
+
+
+def _case_scenes():
+    """Scenes that dispatch to each of Cases 0-4."""
+    return [city_a(), city_b(), _bases_scene([0, 0, 100, 100], CASE2_BASES),
+            _bases_scene([0, 0, 1000, 1000], CASE3_BASES),
+            _bases_scene([0, 0, 1000, 1000], CASE3_BASES + [[925, 505, 945, 515]]),
+            gen_random(GeneratorParams(k=5, seed=155, grid=1000)),  # Case 1
+            gen_random(GeneratorParams(k=5, seed=74, grid=1000))]  # Case 4
+
+
+def _check_partition_definition(sc):
+    """The partition read off its definition: the grid of all hole lines
+    splits P into cells, and two free cells that share a side are in one
+    region iff no extension wall covers that side.  Each region's anchor
+    is its SE corner, facing W."""
+    b = sc.bounds
+    xs = sorted({b.x0, b.x1} | {h.x0 for h in sc.holes} | {h.x1 for h in sc.holes})
+    ys = sorted({b.y0, b.y1} | {h.y0 for h in sc.holes} | {h.y1 for h in sc.holes})
+    free = set()
+    for i in range(len(xs) - 1):
+        for j in range(len(ys) - 1):
+            mid = Point(Fraction(xs[i] + xs[i + 1], 2), Fraction(ys[j] + ys[j + 1], 2))
+            if not any(h.contains_open(mid) for h in sc.holes):
+                free.add((i, j))
+    region_of = {}
+    for n, r in enumerate(partition_2k1(sc)):
+        for rect in r.rects:
+            cell = (xs.index(rect.x0), ys.index(rect.y0))
+            assert (xs[cell[0] + 1], ys[cell[1] + 1]) == (rect.x1, rect.y1)
+            assert cell not in region_of
+            region_of[cell] = n
+        x_right = max(rect.x1 for rect in r.rects)
+        se = Point(x_right, min(rect.y0 for rect in r.rects if rect.x1 == x_right))
+        assert r.anchor_guard.position(sc) == se
+        assert r.anchor_guard.facing == W
+    assert set(region_of) == free
+    v_walls, h_walls = _partition_walls(sc)
+    for (i, j) in free:
+        if (i + 1, j) in free:
+            walled = any(x == xs[i + 1] and lo <= ys[j] and ys[j + 1] <= hi
+                         for (x, lo, hi) in v_walls)
+            assert (region_of[i, j] == region_of[i + 1, j]) != walled
+        if (i, j + 1) in free:
+            walled = any(y == ys[j + 1] and lo <= xs[i] and xs[i + 1] <= hi
+                         for (y, lo, hi) in h_walls)
+            assert (region_of[i, j] == region_of[i, j + 1]) != walled
+
+
+class TestPartitionDefinition:
+    @pytest.mark.parametrize("t", range(4))
+    def test_case_scenes(self, t):
+        for sc in _case_scenes():
+            _check_partition_definition(rotate_scene_ccw(sc, t))
+
+    def test_case_scenes_cover_every_dispatch_case(self):
+        assert {staircase_sharing(sc).case for sc in _case_scenes()} == {0, 1, 2, 3, 4}
+
+    @pytest.mark.parametrize("t", range(4))
+    def test_random_scenes(self, t):
+        for k in range(13):
+            for seed in (3, 8):
+                sc = gen_random(GeneratorParams(k=k, seed=100 * k + seed, grid=1000))
+                _check_partition_definition(rotate_scene_ccw(sc, t))
 
 
 class TestGuards2k1:
@@ -97,10 +176,7 @@ class TestGuardsMain:
         assert sol.trace[0][0] == "case0"
 
     def test_case2_four_on_shared(self):
-        sc = validate_scene({"bounds": [0, 0, 100, 100],
-            "buildings": [{"base": b, "height": 1} for b in [
-                [2, 5, 4, 16], [5, 1, 8, 4], [10, 10, 20, 20],
-                [12, 30, 18, 55], [40, 12, 60, 17], [80, 40, 90, 50]]]})
+        sc = _bases_scene([0, 0, 100, 100], CASE2_BASES)
         sol = guards_main(sc)
         assert sol.trace[0][0] == "case2"
         shared = sol.trace[0][1]
@@ -109,21 +185,13 @@ class TestGuardsMain:
         assert certify(sc, sol.guards).covered
 
     def test_case3_both_subcases(self):
-        base = [
-            [100, 500, 900, 520],
-            [200, 600, 220, 620], [400, 700, 420, 720], [600, 800, 620, 820],
-            [50, 200, 70, 220], [300, 100, 320, 120], [700, 300, 720, 320],
-            [850, 50, 880, 80], [920, 250, 950, 270]]
-        sc = validate_scene({"bounds": [0, 0, 1000, 1000],
-                             "buildings": [{"base": b, "height": 1} for b in base]})
+        sc = _bases_scene([0, 0, 1000, 1000], CASE3_BASES)
         sol = guards_main(sc)
         assert sol.trace[0][0] == "case3i"
         assert sol.count <= 2 * sc.k + sc.k // 4 + 4
         assert certify(sc, sol.guards).covered
 
-        sc2 = validate_scene({"bounds": [0, 0, 1000, 1000],
-                              "buildings": [{"base": b, "height": 1}
-                                            for b in base + [[925, 505, 945, 515]]]})
+        sc2 = _bases_scene([0, 0, 1000, 1000], CASE3_BASES + [[925, 505, 945, 515]])
         sol2 = guards_main(sc2)
         assert sol2.trace[0][0] == "case3ii"
         assert sol2.count <= 2 * sc2.k + sc2.k // 4 + 4
@@ -147,10 +215,7 @@ class TestGuardsMain:
             return staircase_sharing(scene)
 
         monkeypatch.setattr(placement, "staircase_sharing", counting)
-        case2 = validate_scene({"bounds": [0, 0, 100, 100],
-            "buildings": [{"base": b, "height": 1} for b in [
-                [2, 5, 4, 16], [5, 1, 8, 4], [10, 10, 20, 20],
-                [12, 30, 18, 55], [40, 12, 60, 17], [80, 40, 90, 50]]]})
+        case2 = _bases_scene([0, 0, 100, 100], CASE2_BASES)
         scenes = [city_a(), city_b()] + [rotate_scene_ccw(case2, t) for t in range(4)]
         scenes += [gen_random(GeneratorParams(k=k, seed=74, grid=1000)) for k in (5, 7)]
         for sc in scenes:
