@@ -3,10 +3,11 @@
 Coordinates are Python ints or fractions.Fraction; mixing the two is fine
 and integer inputs stay integers through the fast predicate paths.  A
 region (PolygonSet) is a union of convex cells with pairwise disjoint
-interiors, which makes boolean operations, exact areas and emptiness
-tests straightforward: area(set) is simply the sum of cell areas.  The
-booleans convert to homogeneous integer cells (HCell, below), cut there
-and convert back.
+interiors, which makes differences, exact areas and emptiness tests
+straightforward: area(set) is simply the sum of cell areas.  A
+PolygonSet holds its cells as homogeneous integer cells (HCell, below),
+the form the clipping kernel cuts; Point rings are made only where a
+region leaves the library, by its `cells` and `rings()`.
 
 The representation is regularized: cells are closed and zero-area pieces
 are dropped, so a PolygonSet always equals the closure of its interior.
@@ -16,7 +17,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd
-from typing import Iterable, NamedTuple, Sequence, Union
+from typing import Iterable, NamedTuple, Union
 
 from cityguard.errors import MalformedPolygonError
 
@@ -109,56 +110,6 @@ def primitive_direction(dx: Rational, dy: Rational) -> tuple:
 Cell = tuple  # tuple of Points, CCW, convex
 
 
-def cell_area2(cell: Cell):
-    """Twice the signed area (positive for CCW)."""
-    s = 0
-    n = len(cell)
-    for i in range(n):
-        a = cell[i]
-        b = cell[(i + 1) % n]
-        s += a.x * b.y - b.x * a.y
-    return s
-
-
-def normalize_cell(points: Sequence[Point]):
-    """Drop collinear/duplicate vertices; return a CCW convex cell or None if flat."""
-    pts = []
-    n = len(points)
-    for i in range(n):
-        p = points[i]
-        if pts and p == pts[-1]:
-            continue
-        pts.append(p)
-    while len(pts) > 1 and pts[0] == pts[-1]:
-        pts.pop()
-    if len(pts) < 3:
-        return None
-    out = []
-    m = len(pts)
-    for i in range(m):
-        prev = pts[i - 1]
-        cur = pts[i]
-        nxt = pts[(i + 1) % m]
-        if orient(prev, cur, nxt) != COLLINEAR:
-            out.append(cur)
-    if len(out) < 3:
-        return None
-    cell = tuple(out)
-    if cell_area2(cell) <= 0:
-        return None
-    return cell
-
-
-def cell_contains(cell: Cell, p: Point) -> bool:
-    n = len(cell)
-    for i in range(n):
-        a = cell[i]
-        b = cell[(i + 1) % n]
-        if cross(a.x, a.y, b.x, b.y, p.x, p.y) < 0:
-            return False
-    return True
-
-
 def cell_bbox(cell: Cell):
     xs = [p.x for p in cell]
     ys = [p.y for p in cell]
@@ -166,29 +117,26 @@ def cell_bbox(cell: Cell):
 
 
 class PolygonSet:
-    """A (possibly empty, possibly multi-face) region: disjoint convex cells."""
+    """A (possibly empty, possibly multi-face) region: disjoint convex cells,
+    held as HCells.  Point rings are made only on the way out, by `cells`
+    and `rings()`."""
 
-    __slots__ = ("cells",)
+    __slots__ = ("pieces",)
 
     def __init__(self, cells: Iterable[Cell] = ()):
-        self.cells = tuple(c for c in cells if c is not None)
+        """The region of the given CCW convex rings of Points (or pairs).
 
-    def hcells(self):
-        """The cells in homogeneous integer form, converted on each call."""
-        return tuple(h_cell(c) for c in self.cells)
-
-    @staticmethod
-    def empty() -> "PolygonSet":
-        return PolygonSet(())
+        Each ring is normalized into an HCell once; a ring with no area is
+        dropped, and one that is not strictly convex and CCW raises
+        MalformedPolygonError."""
+        self.pieces = tuple(hc for hc in map(_h_ring, cells) if hc is not None)
 
     @staticmethod
-    def from_cells(cells: Iterable[Sequence[Point]]) -> "PolygonSet":
-        out = []
-        for c in cells:
-            cc = normalize_cell([Point(p[0], p[1]) for p in c])
-            if cc is not None:
-                out.append(cc)
-        return PolygonSet(out)
+    def of_hcells(pieces: Iterable["HCell"]) -> "PolygonSet":
+        """Wrap disjoint HCells, such as kernel output, as they are."""
+        region = PolygonSet()
+        region.pieces = tuple(pieces)
+        return region
 
     @staticmethod
     def from_rect(x0, y0, x1, y1) -> "PolygonSet":
@@ -198,46 +146,32 @@ class PolygonSet:
             (Point(x0, y0), Point(x1, y0), Point(x1, y1), Point(x0, y1)),
         ))
 
+    @property
+    def cells(self):
+        """The cells as CCW tuples of Points, made on each access."""
+        return tuple(h_cell_to_cell(c) for c in self.pieces)
+
     def is_empty(self) -> bool:
-        return not self.cells
+        return not self.pieces
 
     def area(self) -> Fraction:
-        return sum((Fraction(cell_area2(c)) for c in self.cells), Fraction(0)) / 2
+        return Fraction(sum(h_area2(c) for c in self.pieces)) / 2
 
     def contains(self, p: Point) -> bool:
-        return any(cell_contains(c, p) for c in self.cells)
-
-    def bbox(self):
-        if not self.cells:
-            return None
-        boxes = [cell_bbox(c) for c in self.cells]
-        return (min(b[0] for b in boxes), min(b[1] for b in boxes),
-                max(b[2] for b in boxes), max(b[3] for b in boxes))
-
-    def union(self, other: "PolygonSet") -> "PolygonSet":
-        extra = other.difference(self)
-        return PolygonSet(self.cells + extra.cells)
-
-    def intersection(self, other: "PolygonSet") -> "PolygonSet":
-        others = other.hcells()
-        out = []
-        for c1 in self.hcells():
-            for c2 in others:
-                inter = h_split(c1, c2)[0]
-                if inter is not None:
-                    out.append(h_cell_to_cell(inter))
-        return PolygonSet(out)
+        """Closed test: p is on or left of every edge line of some cell."""
+        X, Y, W = h_point(p)
+        return any(all(A * X + B * Y + C * W >= 0 for (A, B, C) in c.lines)
+                   for c in self.pieces)
 
     def difference(self, other: "PolygonSet") -> "PolygonSet":
-        pieces = h_subtract(list(self.hcells()), other.hcells())
-        return PolygonSet(h_cell_to_cell(c) for c in pieces)
+        return PolygonSet.of_hcells(h_subtract(self.pieces, other.pieces))
 
     def rings(self):
         """Serializable form: one CCW ring per cell."""
         return [[(p.x, p.y) for p in c] for c in self.cells]
 
     def __repr__(self):
-        return f"PolygonSet({len(self.cells)} cells, area={self.area()})"
+        return f"PolygonSet({len(self.pieces)} cells, area={self.area()})"
 
 
 # ---------------------------------------------------------------------------
@@ -298,7 +232,11 @@ class ConvexQuad(NamedTuple):
         return True
 
     def contains_closed(self, p: Point) -> bool:
-        return cell_contains(self.v, p)
+        for i in range(4):
+            a, b = self.v[i], self.v[(i + 1) % 4]
+            if cross(a.x, a.y, b.x, b.y, p.x, p.y) < 0:
+                return False
+        return True
 
     def as_cell(self) -> Cell:
         return self.v
@@ -330,7 +268,7 @@ Hole = Union[AxisRect, ConvexQuad]
 
 # ---------------------------------------------------------------------------
 # Homogeneous integer cells: the one clipping kernel.  Every cut of a cell
-# (the PolygonSet booleans, the residual passes of the verifier and the
+# (PolygonSet.difference, the residual passes of the verifier and the
 # oracle's face arrangement) runs through h_split below.  h_split first
 # asks _h_apart, an exact separating-axis test, whether the two cells'
 # interiors meet at all; pairs that do not are never cut.  Pairs that do
@@ -347,8 +285,9 @@ Hole = Union[AxisRect, ConvexQuad]
 #
 # Every HCell is strictly convex and CCW: at least 3 vertices, no
 # duplicate, no three consecutive collinear (_h_normalized(pts) == pts),
-# positive area.  Cells entering the kernel are normalized once (h_cell;
-# the visibility sweep keeps only strictly CCW triangles).  A cut keeps
+# positive area.  Cells entering the kernel are normalized once (h_cell
+# and the PolygonSet constructor; the visibility sweep keeps only strictly
+# CCW triangles).  A cut keeps
 # the invariant without renormalizing: when a line has vertices strictly
 # on both sides, its crossing points lie strictly inside their edges, it
 # meets the boundary in exactly two points, and each half is a strictly
@@ -431,15 +370,56 @@ class HCell:
 
 
 def h_cell(cell: Cell) -> HCell:
-    """A Point cell as an HCell, normalized to the kernel's invariant."""
+    """A Point ring as an HCell, normalized to the kernel's invariant.
+    Raises MalformedPolygonError unless it is strictly convex and CCW with
+    positive area."""
+    hc = _h_ring(cell)
+    if hc is None:
+        raise MalformedPolygonError(f"ring {tuple(cell)} has no area")
+    return hc
+
+
+def _h_ring(cell: Cell):
+    """h_cell, but None for a ring with no area.  Once duplicate and
+    collinear vertices are dropped, every vertex off an edge must lie
+    strictly left of that edge's line: this refuses clockwise,
+    non-convex and self-overlapping rings."""
     pts = _h_normalized(tuple(h_point(p) for p in cell))
     if pts is None:
-        raise ValueError("cell has no area")
-    return HCell(pts)
+        return None
+    hc = HCell(pts)
+    n = len(pts)
+    for i, (A, B, C) in enumerate(hc.lines):
+        for j in range(i + 2, i + n):
+            X, Y, W = pts[j % n]
+            if A * X + B * Y + C * W <= 0:
+                raise MalformedPolygonError(
+                    f"ring {tuple(cell)} is not strictly convex and counter-clockwise")
+    return hc
 
 
 def h_cell_to_cell(hc: HCell) -> Cell:
+    """An HCell's vertices as Points, for PolygonSet's exits."""
     return tuple(h_to_point(p) for p in hc.pts)
+
+
+def h_area2(hc: HCell) -> Rational:
+    """Twice the area of an HCell, exactly."""
+    s = 0
+    a = hc.pts[-1]
+    for b in hc.pts:
+        t = a[0] * b[1] - b[0] * a[1]
+        w = a[2] * b[2]
+        s += t if w == 1 else Fraction(t, w)
+        a = b
+    return s
+
+
+def h_centroid(hc: HCell) -> Point:
+    """The mean of an HCell's vertices, as a Point of Fractions."""
+    n = len(hc.pts)
+    return Point(sum(Fraction(X, W) for X, _, W in hc.pts) / n,
+                 sum(Fraction(Y, W) for _, Y, W in hc.pts) / n)
 
 
 def _h_normalized(pts):

@@ -381,7 +381,7 @@ def space_between(scene: Scene, i: int):
     from cityguard.geom import PolygonSet
     pts = list(scene.holes[i].corners()) + list(scene.holes[i + 1].corners())
     hull = _convex_hull(pts)
-    region = PolygonSet.from_cells([[(p.x, p.y) for p in hull]])
+    region = PolygonSet((hull,))
     both = PolygonSet(tuple(h.as_cell() for h in (scene.holes[i], scene.holes[i + 1])))
     return region.difference(both)
 

@@ -17,7 +17,7 @@ from fractions import Fraction
 from itertools import combinations
 from typing import Optional
 
-from cityguard.geom import Point, clip_segment_to_cell, h_cell_to_cell, h_split
+from cityguard.geom import Point, clip_segment_to_cell, h_centroid, h_split
 from cityguard.model import (
     City, E, Guard, N, S, Scene, Solution, W, hole_guard, p_corner_guard,
     wall_aligned_facings,
@@ -59,15 +59,14 @@ class OracleResult:
     count: Optional[int] = None
     solution: Optional[Solution] = None
     witness_point: Optional[Point] = None
-    faces: Optional[tuple] = None  # (cell, frozenset of candidate indices)
+    faces: Optional[tuple] = None  # (HCell, frozenset of candidate indices)
 
 
 def build_faces(scene: Scene, candidates, region=None):
     """Refine free space (or a given sub-region) by every candidate region;
-    returns (cell, mask) faces.  The faces are refined as HCells and
-    converted back to Point cells once, at the end."""
+    returns (HCell, mask) faces."""
     base = free_space(scene) if region is None else region
-    faces = [(cell, frozenset()) for cell in base.hcells()]
+    faces = [(cell, frozenset()) for cell in base.pieces]
     for ci, cand in enumerate(candidates):
         rcells = visibility_region(scene, cand).cells
         nxt = []
@@ -92,13 +91,7 @@ def build_faces(scene: Scene, candidates, region=None):
             nxt.extend((p, bigger) for p in covered_pieces)
             nxt.extend((p, mask) for p in rest)
         faces = nxt
-    return [(h_cell_to_cell(cell), mask) for cell, mask in faces]
-
-
-def _centroid(cell) -> Point:
-    n = len(cell)
-    return Point(sum(Fraction(p.x) for p in cell) / n,
-                 sum(Fraction(p.y) for p in cell) / n)
+    return faces
 
 
 def _check_max_count(max_count: int) -> None:
@@ -115,7 +108,7 @@ def optimal_guard_count(scene: Scene, candidates, max_count: int) -> OracleResul
     faces = build_faces(scene, candidates)
     for cell, mask in faces:
         if not mask:
-            return OracleResult(status=UNCOVERABLE, witness_point=_centroid(cell),
+            return OracleResult(status=UNCOVERABLE, witness_point=h_centroid(cell),
                                 faces=tuple(faces))
     best = min_hitting_set({_bits(mask) for _, mask in faces}, max_count)
     if best is None:

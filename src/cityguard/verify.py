@@ -15,11 +15,10 @@ one scene's certificates.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Optional
 
 from cityguard.geom import (
-    AxisRect, Point, PolygonSet, cell_area2, h_cell_to_cell, h_subtract,
+    AxisRect, HCell, Point, PolygonSet, h_area2, h_centroid, h_point, h_subtract,
 )
 from cityguard.model import City, Scene, Solution, roof_covered_by
 from cityguard.visibility import visibility_region
@@ -40,12 +39,14 @@ def free_space(scene: Scene) -> PolygonSet:
     if scene.k == 0:
         return PolygonSet.from_rect(b.x0, b.y0, b.x1, b.y1)
     if scene.kind == "AXIS_ALIGNED":
-        return PolygonSet(_axis_free_cells(b, scene.holes))
+        return PolygonSet.of_hcells(_axis_free_cells(b, scene.holes))
     region = PolygonSet.from_rect(b.x0, b.y0, b.x1, b.y1)
     return region.difference(PolygonSet(tuple(h.as_cell() for h in scene.holes)))
 
 
 def _axis_free_cells(b: AxisRect, holes):
+    """One CCW rectangle HCell per free interval of each column between
+    consecutive x-lines."""
     xs = sorted({b.x0, b.x1} | {h.x0 for h in holes} | {h.x1 for h in holes})
     cells = []
     for xl, xr in zip(xs, xs[1:]):
@@ -53,7 +54,8 @@ def _axis_free_cells(b: AxisRect, holes):
         y = b.y0
         for (lo, hi) in blocked + [(b.y1, b.y1)]:
             if y < lo:
-                cells.append((Point(xl, y), Point(xr, y), Point(xr, lo), Point(xl, lo)))
+                ring = ((xl, y), (xr, y), (xr, lo), (xl, lo))
+                cells.append(HCell(tuple(map(h_point, ring))))
             y = max(y, hi)
     return cells
 
@@ -92,21 +94,15 @@ def _certificate(scene: Scene, guards) -> Certificate:
 def _compute(scene: Scene, guards: tuple) -> Certificate:
     """One residual pass: free space minus every guard's region."""
     regions = tuple(visibility_region(scene, g) for g in guards)
-    residual = list(free_space(scene).hcells())
+    residual = free_space(scene).pieces
     for vr in regions:
         if not residual:
             break
         residual = h_subtract(residual, vr.cells)
-    residual_set = PolygonSet(tuple(h_cell_to_cell(c) for c in residual))
-    covered = residual_set.is_empty()
-    witness = None
-    if not covered:
-        largest = max(residual_set.cells, key=cell_area2)
-        n = len(largest)
-        witness = Point(sum(Fraction(p.x) for p in largest) / n,
-                        sum(Fraction(p.y) for p in largest) / n)
-    return Certificate(covered=covered, residual=residual_set, witness=witness,
-                       per_guard_regions=regions)
+    # the witness is the vertex centroid of the largest cell, first on ties
+    witness = h_centroid(max(residual, key=h_area2)) if residual else None
+    return Certificate(covered=not residual, residual=PolygonSet.of_hcells(residual),
+                       witness=witness, per_guard_regions=regions)
 
 
 def certify_city(city: City, solution: Solution) -> Certificate:

@@ -33,8 +33,8 @@ from dataclasses import dataclass
 from functools import cmp_to_key
 
 from cityguard.geom import (
-    HCell, Point, PolygonSet, Segment, _h_line, _h_meet, _h_orient, h_cell_to_cell,
-    h_point, half_plane_contains, primitive_direction, segment_blocked_by_rect,
+    HCell, Point, PolygonSet, Segment, _h_line, _h_meet, _h_orient, h_point,
+    half_plane_contains, primitive_direction, segment_blocked_by_rect,
 )
 from cityguard.model import Guard, Scene
 
@@ -68,8 +68,8 @@ class VisibilityRegion:
 
     @property
     def region(self) -> PolygonSet:
-        """The region as Point cells, converted on each access."""
-        return PolygonSet(h_cell_to_cell(c) for c in self.cells)
+        """The region as a PolygonSet over the same HCells, not converted."""
+        return PolygonSet.of_hcells(self.cells)
 
 
 def _angular_cmp(d1, d2):

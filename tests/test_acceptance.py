@@ -10,7 +10,7 @@ from fractions import Fraction
 from functools import lru_cache
 
 from cityguard.errors import PlacementIncompleteError
-from cityguard.geom import Point, PolygonSet, orient
+from cityguard.geom import Point, orient
 from cityguard.instances import (
     GeneratorParams, check_3k1_properties, gen_3k1_necessity, gen_random,
     gen_roof_necessity,
@@ -102,13 +102,16 @@ def test_criterion_2_partition_count():
 
         # full geometric cross-check at small k
         if sc.k <= 2:
-            union = PolygonSet.empty()
-            for r in regions:
-                assert union.intersection(r.boundary).area() == 0
-                union = union.union(r.boundary)
+            parts = [r.boundary for r in regions]
+            for i, a in enumerate(parts):
+                for b in parts[i + 1:]:
+                    assert a.difference(b).area() == a.area(), "regions overlap"
             free = free_space(sc)
-            assert union.area() == free.area()
-            assert free.difference(union).is_empty()
+            assert sum(a.area() for a in parts) == free.area()
+            rest = free
+            for a in parts:
+                rest = rest.difference(a)
+            assert rest.is_empty()
     _report("2 (2k+1 partition)", True, f"{CORPUS_SIZE} scenes")
 
 

@@ -5,10 +5,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from cityguard.errors import MalformedPolygonError
 from cityguard.geom import (
     CCW, COLLINEAR, CW, AxisRect, Point, PolygonSet, Segment, _h_apart, _h_normalized,
-    cell_area2, clip_segment_to_cell, h_cell, h_cell_to_cell, h_split, half_plane_contains, make_axis_rect,
-    make_convex_quad, is_rectangle, normalize_cell, orient, primitive_direction,
+    clip_segment_to_cell, h_cell, h_split, half_plane_contains, make_axis_rect,
+    make_convex_quad, is_rectangle, orient, primitive_direction,
     rational, rational_str, segment_blocked_by_rect,
 )
 
@@ -118,17 +119,19 @@ class TestPolygonSet:
         assert a.difference(b).area() == 96
 
     def test_union_identity(self):
+        # subtracting nothing, or a disjoint region, keeps the whole area
         b = PolygonSet.from_rect(1, 1, 3, 3)
-        u = PolygonSet.empty().union(b)
-        assert u.area() == b.area() == 4
+        assert b.difference(PolygonSet()).area() == b.area() == 4
+        assert b.difference(PolygonSet.from_rect(3, 0, 5, 5)).area() == b.area()
 
     def test_intersection(self):
         a = PolygonSet.from_rect(0, 0, 2, 2)
         b = PolygonSet.from_rect(1, 1, 3, 3)
-        r = a.intersection(b)
-        assert r.area() == 1
-        assert r.contains(P(1, 1)) and r.contains(P(2, 2))
-        assert not r.contains(P(Fraction(1, 2), 1))
+        assert a.area() - a.difference(b).area() == 1
+        # contains is closed: the corners of the common square are in both
+        for p in (P(1, 1), P(2, 2)):
+            assert a.contains(p) and b.contains(p)
+        assert a.contains(P(Fraction(1, 2), 1)) and not b.contains(P(Fraction(1, 2), 1))
 
     @staticmethod
     def operand(x, y, w, h, diamond):
@@ -136,8 +139,7 @@ class TestPolygonSet:
         edges cut another such square's at half-integer vertices)."""
         if not diamond:
             return PolygonSet.from_rect(x, y, x + w, y + h)
-        return PolygonSet.from_cells([[(x, y), (x + w, y + w), (x, y + 2 * w),
-                                       (x - w, y + w)]])
+        return PolygonSet([[(x, y), (x + w, y + w), (x, y + 2 * w), (x - w, y + w)]])
 
     @given(st.tuples(st.integers(0, 12), st.integers(0, 12), st.integers(1, 8),
                      st.integers(1, 8), st.booleans()),
@@ -147,21 +149,38 @@ class TestPolygonSet:
     def test_inclusion_exclusion(self, ra, rb):
         a = self.operand(*ra)
         b = self.operand(*rb)
-        union = a.union(b)
-        inter = a.intersection(b)
-        assert union.area() + inter.area() == a.area() + b.area()
-        assert a.difference(b).area() == a.area() - inter.area()
+        common = a.area() - a.difference(b).area()
+        assert common == b.area() - b.difference(a).area()
+        assert common == clip_area(a.cells[0], b.cells[0])
 
     def test_rotated_squares_meet_at_fraction_vertices(self):
         a = self.operand(0, 0, 2, 2, True)
         b = self.operand(1, 0, 2, 2, True)
-        inter = a.intersection(b)
-        assert inter.area() == Fraction(9, 2)
-        assert P(Fraction(1, 2), Fraction(7, 2)) in {p for c in inter.cells for p in c}
-        assert a.difference(b).area() == 8 - Fraction(9, 2)
-        assert a.union(b).area() == 16 - Fraction(9, 2)
-        assert inter.contains(P(Fraction(1, 2), Fraction(3, 2)))
-        assert not inter.contains(P(Fraction(-3, 2), 2))
+        rest = a.difference(b)
+        assert rest.area() == 8 - Fraction(9, 2)
+        assert a.area() - rest.area() == Fraction(9, 2)
+        assert P(Fraction(1, 2), Fraction(7, 2)) in {p for c in rest.cells for p in c}
+        assert a.area() + b.difference(a).area() == 16 - Fraction(9, 2)
+        inside = P(Fraction(1, 2), Fraction(3, 2))
+        assert a.contains(inside) and b.contains(inside)
+        assert not rest.contains(inside)
+        assert a.contains(P(Fraction(-3, 2), 2)) and not b.contains(P(Fraction(-3, 2), 2))
+
+    @pytest.mark.parametrize("ring", [
+        (P(0, 0), P(0, 4), P(4, 4), P(4, 0)),  # clockwise square
+        (P(0, 0), P(4, 2), P(0, 4), P(1, 2)),  # dart: reflex at (1, 2)
+        (P(0, 0), P(2, 2), P(4, 4), P(1, 1)),  # flat
+    ], ids=["clockwise", "dart", "flat"])
+    def test_malformed_ring_is_refused(self, ring):
+        with pytest.raises(MalformedPolygonError):
+            h_cell(ring)
+        if cell_area2(ring) == 0:
+            # a ring with no area is dropped, so empty and zero area agree
+            region = PolygonSet((ring,))
+            assert region.is_empty() and region.area() == 0
+        else:
+            with pytest.raises(MalformedPolygonError):
+                PolygonSet((ring,))
 
 
 class TestRationals:
@@ -233,8 +252,20 @@ def clip_area(subject, clip):
                for i in range(n)) / 2
 
 
+def cell_area2(cell):
+    """Twice the signed area of a ring of Points (positive for CCW)."""
+    n = len(cell)
+    return sum(cell[i].x * cell[(i + 1) % n].y - cell[(i + 1) % n].x * cell[i].y
+               for i in range(n))
+
+
 def area(cell):
     return Fraction(cell_area2(cell), 2)
+
+
+def points(*hcells):
+    """HCells as Point cells, through the PolygonSet exit."""
+    return list(PolygonSet.of_hcells(hcells).cells)
 
 
 FAN_APEX = (6, 6)
@@ -250,16 +281,16 @@ def fan_triangle(i, step, t1, t2):
     d1 = FAN_DIRS[i % len(FAN_DIRS)]
     d2 = FAN_DIRS[(i + step) % len(FAN_DIRS)]
     ax, ay = FAN_APEX
-    return normalize_cell([Point(ax, ay),
-                           Point(ax + t1 * d1[0], ay + t1 * d1[1]),
-                           Point(ax + t2 * d2[0], ay + t2 * d2[1])])
+    return points(h_cell([Point(ax, ay),
+                          Point(ax + t1 * d1[0], ay + t1 * d1[1]),
+                          Point(ax + t2 * d2[0], ay + t2 * d2[1])]))[0]
 
 
 split_operands = st.one_of(
     st.builds(lambda x, y, w, h: PolygonSet.from_rect(x, y, x + w, y + h).cells[0],
               st.integers(0, 12), st.integers(0, 12), st.integers(1, 8), st.integers(1, 8)),
-    st.builds(lambda x, y, w: normalize_cell([Point(x, y), Point(x + w, y + w),
-                                              Point(x, y + 2 * w), Point(x - w, y + w)]),
+    st.builds(lambda x, y, w: points(h_cell([Point(x, y), Point(x + w, y + w),
+                                             Point(x, y + 2 * w), Point(x - w, y + w)]))[0],
               st.integers(0, 12), st.integers(0, 12), st.integers(1, 6)),
     st.builds(fan_triangle, st.integers(0, 100), st.integers(1, 4),
               st.fractions(1, 8, max_denominator=7), st.fractions(1, 8, max_denominator=7)),
@@ -284,7 +315,6 @@ class TestSplit:
     @given(split_operands, split_operands)
     @settings(max_examples=400, deadline=None)
     def test_split_matches_fraction_clipper(self, a, b):
-        assert a is not None and b is not None
         c1, c2 = h_cell(a), h_cell(b)
         inter, outside = h_split(c1, c2)
         expected = clip_area(a, b)
@@ -292,9 +322,9 @@ class TestSplit:
         assert (inter is None) == (expected == 0)
         if inter is None:
             assert outside == [c1]  # a cell its cutter does not meet is never cut
-        pieces = [h_cell_to_cell(c) for c in outside]
+        pieces = points(*outside)
         if inter is not None:
-            inside = h_cell_to_cell(inter)
+            inside = points(inter)[0]
             assert area(inside) == expected == clip_area(inside, b)
             pieces.append(inside)
         assert sum(area(p) for p in pieces) == area(a)
@@ -319,15 +349,16 @@ class TestSplit:
             pieces += outside2 + ([inter2] if inter2 is not None else [])
         for piece in pieces:
             assert _h_normalized(piece.pts) == piece.pts
-            assert area(h_cell_to_cell(piece)) > 0
+            assert area(points(piece)[0]) > 0
             assert_edge_lines_fit(piece)
 
     def test_cells_enter_the_kernel_normalized(self):
         ring = (Point(0, 0), Point(2, 0), Point(4, 0), Point(4, 4), Point(4, 4),
                 Point(0, 4))
-        assert h_cell_to_cell(h_cell(ring)) == (Point(0, 0), Point(4, 0), Point(4, 4),
-                                                Point(0, 4))
-        with pytest.raises(ValueError):
+        assert h_cell(ring).pts == ((0, 0, 1), (4, 0, 1), (4, 4, 1), (0, 4, 1))
+        assert PolygonSet((ring,)).cells == ((Point(0, 0), Point(4, 0), Point(4, 4),
+                                              Point(0, 4)),)
+        with pytest.raises(MalformedPolygonError):
             h_cell((Point(0, 0), Point(1, 1), Point(2, 2)))
 
     def test_cell_beyond_its_own_edge_line_is_not_cut(self):

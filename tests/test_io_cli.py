@@ -6,10 +6,10 @@ import pytest
 
 from cityguard.cli import main
 from cityguard.errors import SceneValidationError
-from cityguard.instances import GeneratorParams, gen_random_city
+from cityguard.instances import GeneratorParams, gen_random, gen_random_city
 from cityguard.io import (
-    FormatError, load_city, load_solution, parse_city, parse_solution, save_city,
-    save_solution,
+    FormatError, certificate_doc, load_city, load_solution, parse_city, parse_solution,
+    save_city, save_solution,
 )
 from cityguard.model import W, hole_guard, p_corner_guard, validate_scene, Solution
 from cityguard.placement import guards_2k1
@@ -118,6 +118,80 @@ class TestFormats:
         assert e.value.path == path
 
 
+# The certificate and the SVG of an uncovered k = 2 scene (grid 12, seed 8,
+# the 2k+1 set without its first guard), as they leave the library: they
+# pin the Point rings made from the kernel's cells, to the byte.
+PINNED_CERTIFICATE = (
+    '{"covered":false,"regions":[{"anchor":["hole",0,2],"facing":[-1,0],'
+    '"rings":[[[6,7],[6,12],[1,12]],[[6,7],[3,10],[3,8]],[[6,7],[3,8],[1,8]],'
+    '[[6,7],[0,"41/5"],[0,7]]]},{"anchor":["hole",1,0],"facing":[-1,0],'
+    '"rings":[[[1,8],[1,12],[0,12]],[[1,8],[0,12],[0,0]],[[1,8],[0,0],[1,'
+    '0]]]},{"anchor":["hole",1,2],"facing":[-1,0],"rings":[[[3,10],[3,12],[0,'
+    '12]],[[3,10],[0,12],[0,10]]]},{"anchor":["p",1],"facing":[-1,0],'
+    '"rings":[[[12,0],[12,12],["12/7",12]],[[12,0],[6,7],[6,6]],[[12,0],[6,'
+    '6],[4,6]],[[12,0],["4/3",8],[1,8]],[[12,0],[0,"96/11"],[0,0]]]}],'
+    '"residual":[[[3,"27/4"],[3,7],["8/3",7]],[[4,6],[4,7],[3,7],[3,'
+    '"27/4"]]],"residual_area":"2/3","witness":["7/2","107/16"]}')
+PINNED_SVG = (
+    '<svg xmlns="http://www.w3.org/2000/svg" viewBox="0 0 1000 1000">\n'
+    '<polygon points="0.000,1000.000 1000.000,1000.000 1000.000,0.000 0.000,0.000"'
+    ' fill="#ffffff" fill-opacity="1" stroke="#000000" stroke-width="1"/>\n'
+    '<polygon points="500.000,416.667 500.000,0.000 83.333,0.000"'
+    ' fill="#1f77b4" fill-opacity="0.12" stroke="none" stroke-width="1"/>\n'
+    '<polygon points="500.000,416.667 250.000,166.667 250.000,333.333"'
+    ' fill="#1f77b4" fill-opacity="0.12" stroke="none" stroke-width="1"/>\n'
+    '<polygon points="500.000,416.667 250.000,333.333 83.333,333.333"'
+    ' fill="#1f77b4" fill-opacity="0.12" stroke="none" stroke-width="1"/>\n'
+    '<polygon points="500.000,416.667 0.000,316.667 0.000,416.667"'
+    ' fill="#1f77b4" fill-opacity="0.12" stroke="none" stroke-width="1"/>\n'
+    '<polygon points="83.333,333.333 83.333,0.000 0.000,0.000"'
+    ' fill="#ff7f0e" fill-opacity="0.12" stroke="none" stroke-width="1"/>\n'
+    '<polygon points="83.333,333.333 0.000,0.000 0.000,1000.000"'
+    ' fill="#ff7f0e" fill-opacity="0.12" stroke="none" stroke-width="1"/>\n'
+    '<polygon points="83.333,333.333 0.000,1000.000 83.333,1000.000"'
+    ' fill="#ff7f0e" fill-opacity="0.12" stroke="none" stroke-width="1"/>\n'
+    '<polygon points="250.000,166.667 250.000,0.000 0.000,0.000"'
+    ' fill="#2ca02c" fill-opacity="0.12" stroke="none" stroke-width="1"/>\n'
+    '<polygon points="250.000,166.667 0.000,0.000 0.000,166.667"'
+    ' fill="#2ca02c" fill-opacity="0.12" stroke="none" stroke-width="1"/>\n'
+    '<polygon points="1000.000,1000.000 1000.000,0.000 142.857,0.000"'
+    ' fill="#d62728" fill-opacity="0.12" stroke="none" stroke-width="1"/>\n'
+    '<polygon points="1000.000,1000.000 500.000,416.667 500.000,500.000"'
+    ' fill="#d62728" fill-opacity="0.12" stroke="none" stroke-width="1"/>\n'
+    '<polygon points="1000.000,1000.000 500.000,500.000 333.333,500.000"'
+    ' fill="#d62728" fill-opacity="0.12" stroke="none" stroke-width="1"/>\n'
+    '<polygon points="1000.000,1000.000 111.111,333.333 83.333,333.333"'
+    ' fill="#d62728" fill-opacity="0.12" stroke="none" stroke-width="1"/>\n'
+    '<polygon points="1000.000,1000.000 0.000,272.727 0.000,1000.000"'
+    ' fill="#d62728" fill-opacity="0.12" stroke="none" stroke-width="1"/>\n'
+    '<polygon points="333.333,500.000 500.000,500.000 500.000,416.667 333.333,416.667"'
+    ' fill="#555555" fill-opacity="1" stroke="#000000" stroke-width="1"/>\n'
+    '<polygon points="83.333,333.333 250.000,333.333 250.000,166.667 83.333,166.667"'
+    ' fill="#555555" fill-opacity="1" stroke="#000000" stroke-width="1"/>\n'
+    '<polygon points="250.000,437.500 250.000,416.667 222.222,416.667"'
+    ' fill="#ff0000" fill-opacity="0.6" stroke="#aa0000" stroke-width="1"/>\n'
+    '<polygon points="333.333,500.000 333.333,416.667 250.000,416.667 250.000,437.500"'
+    ' fill="#ff0000" fill-opacity="0.6" stroke="#aa0000" stroke-width="1"/>\n'
+    '<circle cx="291.667" cy="442.708" r="6" fill="#ff0000"/>\n'
+    '<line x1="500.000" y1="416.667" x2="480.000" y2="416.667"'
+    ' stroke="#1f77b4" stroke-width="4"/>\n'
+    '<circle cx="500.000" cy="416.667" r="5"'
+    ' fill="#1f77b4" stroke="#000000" stroke-width="1"/>\n'
+    '<line x1="83.333" y1="333.333" x2="63.333" y2="333.333"'
+    ' stroke="#ff7f0e" stroke-width="4"/>\n'
+    '<circle cx="83.333" cy="333.333" r="5"'
+    ' fill="#ff7f0e" stroke="#000000" stroke-width="1"/>\n'
+    '<line x1="250.000" y1="166.667" x2="230.000" y2="166.667"'
+    ' stroke="#2ca02c" stroke-width="4"/>\n'
+    '<circle cx="250.000" cy="166.667" r="5"'
+    ' fill="#2ca02c" stroke="#000000" stroke-width="1"/>\n'
+    '<line x1="1000.000" y1="1000.000" x2="980.000" y2="1000.000"'
+    ' stroke="#d62728" stroke-width="4"/>\n'
+    '<circle cx="1000.000" cy="1000.000" r="5"'
+    ' fill="#d62728" stroke="#000000" stroke-width="1"/>\n'
+    '</svg>\n')
+
+
 class TestSvg:
     def test_structure_and_determinism(self):
         sc = validate_scene(city_a_doc())
@@ -135,6 +209,17 @@ class TestSvg:
         cert = certify(sc, [hole_guard(0, 1, (1, 0))])
         svg = render_svg(sc, None, cert)
         assert 'fill="#ff0000"' in svg
+
+    def test_exits_are_pinned(self):
+        sc = gen_random(GeneratorParams(k=2, seed=8, grid=12))
+        sol = guards_2k1(sc)
+        guards = sol.guards[1:]
+        cert = certify(sc, guards)
+        assert not cert.covered and len(cert.residual.cells) == 2
+        doc = json.dumps(certificate_doc(cert), sort_keys=True, separators=(",", ":"))
+        assert doc == PINNED_CERTIFICATE
+        svg = render_svg(sc, Solution(algorithm=sol.algorithm, guards=guards), cert)
+        assert svg == PINNED_SVG
 
 
 class TestCli:

@@ -258,7 +258,8 @@ class TestOracle:
         faces = build_faces(sc, cands)
         from cityguard.visibility import visibility_region
         regions = [visibility_region(sc, g).region for g in cands]
-        for cell, mask in faces[::5]:
+        for face, mask in faces[::5]:
+            cell = PolygonSet.of_hcells((face,)).cells[0]
             n = len(cell)
             cx = sum(Fraction(p.x) for p in cell) / n
             cy = sum(Fraction(p.y) for p in cell) / n
@@ -275,7 +276,8 @@ class TestOracle:
         scenes += [gen_3k1_necessity(1), gen_3k1_necessity(2)]
         for sc in scenes:
             faces = build_faces(sc, candidate_set(sc, include_p_corners=True))
-            assert PolygonSet(cell for cell, _ in faces).area() == free_space(sc).area()
+            tiles = PolygonSet.of_hcells(cell for cell, _ in faces)
+            assert tiles.area() == free_space(sc).area()
 
     def test_equal_scenes_give_the_same_witness(self):
         sc = gen_random(GeneratorParams(k=2, seed=7, grid=40))
