@@ -226,7 +226,7 @@ def build_parser() -> argparse.ArgumentParser:
     bp.add_argument("--k-max", type=int, default=8)
     bp.add_argument("--seed", type=int, default=0)
     bp.add_argument("--grid", type=int, default=64)
-    bp.add_argument("--oracle", action="store_true", help="add the oracle column (slow)")
+    bp.add_argument("--oracle", action="store_true", help="add the exact-minimum oracle column")
     bp.add_argument("--out", default="-")
     bp.set_defaults(func=_cmd_bench)
     return p

@@ -158,10 +158,8 @@ class PolygonSet:
         return Fraction(sum(h_area2(c) for c in self.pieces)) / 2
 
     def contains(self, p: Point) -> bool:
-        """Closed test: p is on or left of every edge line of some cell."""
-        X, Y, W = h_point(p)
-        return any(all(A * X + B * Y + C * W >= 0 for (A, B, C) in c.lines)
-                   for c in self.pieces)
+        """Closed test: p lies in some cell (see h_cells_contain)."""
+        return h_cells_contain(self.pieces, h_point(p))
 
     def difference(self, other: "PolygonSet") -> "PolygonSet":
         return PolygonSet.of_hcells(h_subtract(self.pieces, other.pieces))
@@ -413,6 +411,20 @@ def h_area2(hc: HCell) -> Rational:
         s += t if w == 1 else Fraction(t, w)
         a = b
     return s
+
+
+def h_cells_contain(cells, hp) -> bool:
+    """Closed test: the homogeneous point hp = (X, Y, W) is on or left of
+    every edge line of some cell.  The padded float bbox is only a
+    prefilter: a point outside it is outside the closed cell."""
+    X, Y, W = hp
+    x, y = X / W, Y / W
+    for c in cells:
+        x0, y0, x1, y1 = c.bbox
+        if (x0 <= x <= x1 and y0 <= y <= y1
+                and all(A * X + B * Y + C * W >= 0 for (A, B, C) in c.lines)):
+            return True
+    return False
 
 
 def h_centroid(hc: HCell) -> Point:

@@ -1,13 +1,36 @@
-"""Brute-force optimal oracle over the wall-aligned vertex-guard class.
+"""Exact optimal oracle over the wall-aligned vertex-guard class.
 
-The free space is refined into an exact arrangement of all candidate
-visibility regions; every face is covered by a fixed candidate subset,
-so minimum guard count is an exact minimum hitting set of those subsets,
-found by a branch and bound on int bitmasks (`min_hitting_set`).  The
-roof minimum runs the same search on one candidate subset per roof.
-Lower bounds produced this way are lower bounds within the paper's own
-guard class (wall-aligned vertex guards), which is what the necessity
-theorems quantify over.
+`optimal_guard_count` and `min_cover_of_region` certify and refine with
+lazily generated witnesses (the iterative scheme of Couto, de Rezende
+and de Souza, and of Tozoni, de Rezende and de Souza's "Algorithm 966").
+A witness is a point of the region to cover with an `int` bitmask of the
+candidates whose closed visibility region contains it.  The first
+witnesses are the centroids of the base cells.  Each round finds a
+minimum hitting set of the witness masks (`min_hitting_set`, a branch and
+bound), subtracts the chosen candidates' regions from the base exactly
+and stops when nothing is left; otherwise the centroid of every residual
+cell becomes a new witness.
+
+Why the answer is exact:
+
+* every cover contains each witness in some closed region, so the
+  search's minimum over the witnesses is a lower bound on the true
+  minimum, and a chosen set that the exact subtraction certifies is
+  therefore optimal;
+* a new witness is the centroid of a residual cell, so it lies in that
+  cell's interior and in no chosen closed region: each round rules out
+  the previous choice, and the loop ends;
+* a witness that no candidate sees proves the base uncoverable; when the
+  search finds no set within the bound, one subtraction of every
+  candidate's region tells UNCOVERABLE from INFEASIBLE_WITHIN.
+
+`build_faces` refines the base by every candidate region into an exact
+face arrangement; with `exhaustive_min_cover` it is the independent
+cross-check of the lazy oracle, used by the tests and the benchmark's
+checks.  The roof minimum runs the same search on one candidate subset
+per roof.  Lower bounds produced this way are lower bounds within the
+paper's own guard class (wall-aligned vertex guards), which is what the
+necessity theorems quantify over.
 """
 
 from __future__ import annotations
@@ -17,7 +40,10 @@ from fractions import Fraction
 from itertools import combinations
 from typing import Optional
 
-from cityguard.geom import Point, clip_segment_to_cell, h_centroid, h_split
+from cityguard.geom import (
+    Point, clip_segment_to_cell, h_area2, h_cells_contain, h_centroid, h_point,
+    h_split, h_subtract,
+)
 from cityguard.model import (
     City, E, Guard, N, S, Scene, Solution, W, hole_guard, p_corner_guard,
     wall_aligned_facings,
@@ -59,7 +85,10 @@ class OracleResult:
     count: Optional[int] = None
     solution: Optional[Solution] = None
     witness_point: Optional[Point] = None
-    faces: Optional[tuple] = None  # (HCell, frozenset of candidate indices)
+    # every witness the oracle generated, as (Point, int mask of the
+    # candidates whose closed region contains it); the name is kept for
+    # readers that count them
+    faces: Optional[tuple] = None
 
 
 def build_faces(scene: Scene, candidates, region=None):
@@ -99,24 +128,47 @@ def _check_max_count(max_count: int) -> None:
         raise ValueError(f"max_count must be >= 0, got {max_count}")
 
 
-def _bits(mask) -> int:
-    return sum(1 << c for c in mask)
-
-
 def optimal_guard_count(scene: Scene, candidates, max_count: int) -> OracleResult:
-    _check_max_count(max_count)
-    faces = build_faces(scene, candidates)
-    for cell, mask in faces:
-        if not mask:
-            return OracleResult(status=UNCOVERABLE, witness_point=h_centroid(cell),
-                                faces=tuple(faces))
-    best = min_hitting_set({_bits(mask) for _, mask in faces}, max_count)
-    if best is None:
-        return OracleResult(status=INFEASIBLE_WITHIN, count=None, faces=tuple(faces))
+    """Exact minimum number of candidates covering free space, found by
+    certify and refine (see the module docstring)."""
+    status, best, witness, witnesses = _certify_and_refine(
+        scene, candidates, free_space(scene).pieces, max_count)
+    if status != OPTIMAL:
+        return OracleResult(status=status, witness_point=witness, faces=witnesses)
     sol = Solution(algorithm="oracle",
                    guards=tuple(candidates[i] for i in sorted(best)))
     return OracleResult(status=OPTIMAL, count=len(best), solution=sol,
-                        faces=tuple(faces))
+                        faces=witnesses)
+
+
+def _certify_and_refine(scene: Scene, candidates, base, max_count: int):
+    """The lazy-witness loop over the base cells: (status, chosen candidate
+    indices or None, witness Point or None, witnesses as (Point, mask))."""
+    _check_max_count(max_count)
+    regions = [visibility_region(scene, c).cells for c in candidates]
+    witnesses = []
+    fresh = base
+    while True:
+        for cell in fresh:
+            p = h_centroid(cell)
+            hp = h_point(p)
+            mask = 0
+            for i, cells in enumerate(regions):
+                if h_cells_contain(cells, hp):
+                    mask |= 1 << i
+            witnesses.append((p, mask))
+            if not mask:
+                return UNCOVERABLE, None, p, tuple(witnesses)
+        best = min_hitting_set([m for _, m in witnesses], max_count)
+        if best is None:
+            rest = h_subtract(base, [c for cells in regions for c in cells])
+            if rest:
+                return (UNCOVERABLE, None, h_centroid(max(rest, key=h_area2)),
+                        tuple(witnesses))
+            return INFEASIBLE_WITHIN, None, None, tuple(witnesses)
+        fresh = h_subtract(base, [c for i in sorted(best) for c in regions[i]])
+        if not fresh:
+            return OPTIMAL, best, None, tuple(witnesses)
 
 
 def _members(bits: int):
@@ -208,10 +260,11 @@ def exhaustive_min_cover(scene: Scene, candidates, max_count: int, region=None):
 
 
 def min_cover_of_region(scene: Scene, candidates, region, max_count: int):
-    """Exact minimum number of candidates whose regions cover the region."""
-    faces = build_faces(scene, candidates, region=region)
-    best = min_hitting_set({_bits(mask) for _, mask in faces}, max_count)
-    return None if best is None else len(best)
+    """Exact minimum number of candidates whose regions cover the region,
+    by the same certify-and-refine loop; None above `max_count` or when
+    the candidates cannot cover it."""
+    status, best, _, _ = _certify_and_refine(scene, candidates, region.pieces, max_count)
+    return len(best) if status == OPTIMAL else None
 
 
 # ---------------------------------------------------------------------------

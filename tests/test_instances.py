@@ -8,8 +8,17 @@ from cityguard.instances import (
     hole_within_span, space_between,
 )
 from cityguard.model import Scene, require_general_position, validate_scene
-from cityguard.oracle import candidate_set, min_cover_of_region
+from cityguard.oracle import (
+    INFEASIBLE_WITHIN, OPTIMAL, candidate_set, min_cover_of_region, optimal_guard_count,
+)
+from cityguard.verify import certify
 from cityguard.visibility import visibility_region
+from counterexample_3k1 import MINIMUM, rot3k1_counterexample
+
+
+def rot3k1_scene(k):
+    """The family's member, or at k = 3 the fixed counterexample."""
+    return rot3k1_counterexample() if k == 3 else gen_3k1_necessity(k)
 
 
 class TestGenRandom:
@@ -72,7 +81,7 @@ class TestRoofNecessity:
 class Test3k1:
     @pytest.mark.parametrize("k", [1, 2, 3])
     def test_properties_pass(self, k):
-        sc = gen_3k1_necessity(k)
+        sc = rot3k1_scene(k)
         assert sc.kind == "GENERAL"
         report = check_3k1_properties(sc)
         assert all(ok for _, ok, _ in report)
@@ -81,6 +90,30 @@ class Test3k1:
         with pytest.raises(GenerationFailedError) as e:
             gen_3k1_necessity(4)
         assert e.value.failed_property == "property2"
+
+    def test_k3_refused_naming_its_minimum(self):
+        with pytest.raises(GenerationFailedError) as e:
+            gen_3k1_necessity(3)
+        assert e.value.failed_property == "minimum"
+        assert f"minimum is {MINIMUM}" in str(e.value)
+
+    def test_every_member_needs_3k_plus_1(self):
+        members = []
+        for k in range(1, 6):
+            try:
+                members.append(gen_3k1_necessity(k))
+            except GenerationFailedError:
+                pass
+        assert [sc.k for sc in members] == [1, 2]
+        for sc in members:
+            res = optimal_guard_count(sc, candidate_set(sc), 3 * sc.k)
+            assert res.status == INFEASIBLE_WITHIN, sc.k
+
+    def test_counterexample_has_a_certified_3k_cover(self):
+        sc = rot3k1_counterexample()
+        res = optimal_guard_count(sc, candidate_set(sc), 3 * sc.k + 1)
+        assert res.status == OPTIMAL and res.count == MINIMUM == 3 * sc.k
+        assert certify(sc, res.solution.guards).covered
 
     def test_deterministic(self):
         assert gen_3k1_necessity(2) == gen_3k1_necessity(2)
@@ -95,13 +128,13 @@ class Test3k1:
         assert not report["property2"]
 
     def test_span_nesting(self):
-        sc = gen_3k1_necessity(3)
+        sc = rot3k1_counterexample()
         for i in range(1, 3):
             for j in range(i):
                 assert hole_within_span(sc.holes[i], sc.holes[j])
 
     def test_gap_pockets(self):
-        sc = gen_3k1_necessity(3)
+        sc = rot3k1_counterexample()
         cands = candidate_set(sc)
         for i in (0, 1):
             gap = space_between(sc, i)

@@ -293,6 +293,7 @@ class TestCli:
         ("bench", "--count", "3", "--k-min", "5", "--k-max", "4"),
         ("bench", "--count", "4", "--k-min", "5", "--k-max", "2"),
         ("gen", "--family", "random", "--k", "-1"),
+        ("gen", "--family", "rot-3k1", "--k", "3"),
     ])
     def test_bad_k_range_exits_2(self, tmp_path, argv):
         out = tmp_path / "out"

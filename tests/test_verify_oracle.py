@@ -8,12 +8,12 @@ from hypothesis import strategies as st
 
 import cityguard.verify as verify
 from cityguard.bench import bench_instance, random_corpus
-from cityguard.geom import AxisRect, Point, PolygonSet, make_axis_rect
+from cityguard.geom import AxisRect, Point, PolygonSet, h_centroid, make_axis_rect
 from cityguard.instances import (
-    GeneratorParams, gen_3k1_necessity, gen_random, gen_roof_necessity,
+    GeneratorParams, gen_3k1_necessity, gen_random, gen_roof_necessity, space_between,
 )
 from cityguard.model import (
-    City, E, S, Scene, Solution, W, hole_guard, roof_covered_by, rotate_guard_ccw,
+    City, E, N, S, Scene, Solution, W, hole_guard, roof_covered_by, rotate_guard_ccw,
     rotate_scene_ccw, validate_scene,
 )
 from cityguard.oracle import (
@@ -25,6 +25,8 @@ from cityguard.placement import (
     ALLOW_P_CORNER, BUILDINGS_ONLY, city_guarding, guards_2k1, guards_main,
 )
 from cityguard.verify import certify, certify_city, covers, free_space
+from cityguard.visibility import visibility_region
+from counterexample_3k1 import rot3k1_counterexample
 
 
 def city_a():
@@ -256,7 +258,6 @@ class TestOracle:
         sc = gen_random(GeneratorParams(k=2, seed=4, grid=30))
         cands = candidate_set(sc)[:10]
         faces = build_faces(sc, cands)
-        from cityguard.visibility import visibility_region
         regions = [visibility_region(sc, g).region for g in cands]
         for face, mask in faces[::5]:
             cell = PolygonSet.of_hcells((face,)).cells[0]
@@ -302,6 +303,78 @@ class TestOracle:
             min_roof_guards(gen_roof_necessity(2), -1)
         with pytest.raises(ValueError):
             min_hitting_set([], -1)
+
+
+def _face_masks(scene, candidates, region=None):
+    return [sum(1 << c for c in mask) for _, mask in build_faces(scene, candidates, region)]
+
+
+def _face_answer(masks, max_count):
+    """The oracle's (status, count) computed from the face arrangement's
+    masks."""
+    if 0 in masks:
+        return UNCOVERABLE, None
+    best = min_hitting_set(masks, max_count)
+    return (INFEASIBLE_WITHIN, None) if best is None else (OPTIMAL, len(best))
+
+
+def _differential_scenes():
+    cases = [pytest.param(lambda k=k, seed=seed: gen_random(
+                              GeneratorParams(k=k, seed=seed, grid=200)),
+                          (1, k + 1, 2 * k + 1), id=f"random-k{k}-seed{seed}")
+             for k in range(1, 5) for seed in range(5)]
+    cases += [pytest.param(lambda k=k: gen_3k1_necessity(k), (3 * k, 3 * k + 1),
+                           id=f"rot3k1-k{k}") for k in (1, 2)]
+    cases.append(pytest.param(rot3k1_counterexample, (9, 10), id="rot3k1-k3"))
+    return cases
+
+
+class TestLazyOracleAgreesWithFaces:
+    """Differential: the certify-and-refine oracle against a minimum
+    hitting set over the full face arrangement, on 132 cases (random
+    k = 1..4 and the rotated family, with and without P corners)."""
+
+    @pytest.mark.parametrize("make,max_counts", _differential_scenes())
+    def test_status_and_count(self, make, max_counts):
+        sc = make()
+        for p_corners in (False, True):
+            cands = candidate_set(sc, include_p_corners=p_corners)
+            masks = _face_masks(sc, cands)
+            for max_count in max_counts:
+                res = optimal_guard_count(sc, cands, max_count)
+                assert (res.status, res.count) == _face_answer(masks, max_count), \
+                    (p_corners, max_count)
+                if res.status == OPTIMAL:
+                    assert certify(sc, res.solution.guards).covered
+
+    def test_gap_pockets_match_the_face_route(self):
+        sc = rot3k1_counterexample()
+        cands = candidate_set(sc)
+        for i in (0, 1):
+            gap = space_between(sc, i)
+            for pool in (cands, [g for g in cands if g.anchor[1] in (i, i + 1)]):
+                masks = _face_masks(sc, pool, gap)
+                for max_count in (1, 6):
+                    _, count = _face_answer(masks, max_count)
+                    assert min_cover_of_region(sc, pool, gap, max_count) == count
+
+    @pytest.mark.parametrize("max_count", [0, 1])
+    def test_pocket_unseen_by_every_candidate_is_uncoverable(self, max_count):
+        """Each free-space cell's centroid is seen, so the first search
+        fails only on the bound; the pocket SW of the building is seen by
+        none of these guards, which the pass over every candidate finds."""
+        sc = city_a()
+        guards = [hole_guard(0, 0, N), hole_guard(0, 0, E),
+                  hole_guard(0, 1, N), hole_guard(0, 2, N)]
+        for cell in free_space(sc).pieces:
+            p = h_centroid(cell)
+            assert any(visibility_region(sc, g).region.contains(p) for g in guards)
+        res = optimal_guard_count(sc, guards, max_count)
+        assert res.status == UNCOVERABLE
+        p = res.witness_point
+        assert free_space(sc).contains(p)
+        assert not any(visibility_region(sc, g).region.contains(p) for g in guards)
+        assert _face_answer(_face_masks(sc, guards), max_count)[0] == UNCOVERABLE
 
 
 def _brute_min_hitting_set(masks, n):
