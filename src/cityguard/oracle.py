@@ -41,11 +41,11 @@ from itertools import combinations
 from typing import Optional
 
 from cityguard.geom import (
-    Point, clip_segment_to_cell, h_area2, h_cells_contain, h_centroid, h_point,
+    Point, cell_bbox, clip_segment_to_cell, h_area2, h_cells_contain, h_centroid, h_point,
     h_split, h_subtract,
 )
 from cityguard.model import (
-    City, E, Guard, N, S, Scene, Solution, W, hole_guard, p_corner_guard,
+    City, E, N, S, Scene, Solution, W, hole_guard, p_corner_guard,
     wall_aligned_facings,
 )
 from cityguard.verify import free_space
@@ -304,41 +304,65 @@ def roof_samples(base):
     return pts
 
 
-def roof_visible_3d(city: City, g: Guard, target: Point, target_z) -> bool:
-    scene = city.scene
-    v = g.position(scene)
-    vz = city.heights[g.anchor[1]]
-    fx, fy = g.facing
-    if (target.x - v.x) * fx + (target.y - v.y) * fy < 0:
-        return False
-    if v == target:
-        return True
-    for i, h in enumerate(scene.holes):
-        if _segment_blocked_by_prism(v, vz, target, target_z, h, city.heights[i]):
-            return False
-    return True
-
-
 def roof_cover_sets(city: City, candidates):
-    """For each candidate guard, the set of roofs it fully covers (sampled)."""
-    samples = [(i, roof_samples(city.scene.holes[i]), city.heights[i])
-               for i in range(city.scene.k)]
+    """For each candidate guard, the set of roofs it fully covers (sampled).
+
+    A roof counts as covered when every one of its `roof_samples` is
+    visible: in the guard's closed half-plane, with no prism's open
+    interior on the open 3D sight segment.  Only building-corner guards
+    have a height; a guard on a bounding-rectangle corner raises
+    `ValueError`.
+
+    Two exact prefilters skip the prism tests that cannot block; neither
+    changes a verdict.  A prism no taller than the lower end of the sight
+    segment, `h <= min(vz, hz)`, cannot block, as z is linear along the
+    segment.  A segment whose endpoints both lie on the closed outer side
+    of one side of the prism's footprint bbox meets the footprint at most
+    on its boundary.  The half-plane is convex, so a roof is behind the
+    guard exactly when one of its 4 corners is.
+    """
+    scene, heights = city.scene, city.heights
+    prisms = [(base, h, cell_bbox(base.as_cell())) for base, h in zip(scene.holes, heights)]
+    roofs = [(i, base.corners(), roof_samples(base), heights[i])
+             for i, base in enumerate(scene.holes)]
     out = []
     for g in candidates:
+        if g.anchor[0] != "hole":
+            raise ValueError(f"roof guards stand on building corners, got anchor {g.anchor!r}")
+        v = g.position(scene)
+        vz = heights[g.anchor[1]]
+        fx, fy = g.facing
         covered = set()
-        for i, pts, hz in samples:
-            if all(roof_visible_3d(city, g, p, hz) for p in pts):
+        for i, corners, pts, hz in roofs:
+            if any((c.x - v.x) * fx + (c.y - v.y) * fy < 0 for c in corners):
+                continue
+            low = min(vz, hz)
+            tall = [prism for prism in prisms if prism[1] > low]
+            if all(p == v or _sample_visible(v, vz, p, hz, tall) for p in pts):
                 covered.add(i)
         out.append(frozenset(covered))
     return out
+
+
+def _sample_visible(v: Point, vz, p: Point, pz, prisms) -> bool:
+    """No prism of `prisms` blocks the sight segment (v, vz)-(p, pz)."""
+    for base, h, (x0, y0, x1, y1) in prisms:
+        if ((v.x <= x0 and p.x <= x0) or (v.x >= x1 and p.x >= x1)
+                or (v.y <= y0 and p.y <= y0) or (v.y >= y1 and p.y >= y1)):
+            continue
+        if _segment_blocked_by_prism(v, vz, p, pz, base, h):
+            return False
+    return True
 
 
 def min_roof_guards(city: City, max_count: int):
     """Exact minimum number of wall-aligned vertex guards covering all roofs.
 
     Coverage per roof is the sampled over-approximation (corners, edge
-    midpoints, centroid), so the returned minimum is a valid lower bound
-    on the true minimum.  Returns None if optimum > max_count.
+    midpoints, centroid) of `roof_cover_sets`, whose prefilters are exact,
+    so the returned minimum is a valid lower bound on the true minimum.
+    The candidates are the building-corner guards.  Returns None if
+    optimum > max_count.
     """
     candidates = candidate_set(city.scene, include_p_corners=False)
     roof_masks = [0] * city.scene.k

@@ -8,18 +8,20 @@ from hypothesis import strategies as st
 
 import cityguard.verify as verify
 from cityguard.bench import bench_instance, random_corpus
-from cityguard.geom import AxisRect, Point, PolygonSet, h_centroid, make_axis_rect
+from cityguard.geom import (
+    AxisRect, Point, PolygonSet, clip_segment_to_cell, h_centroid, make_axis_rect,
+)
 from cityguard.instances import (
     GeneratorParams, gen_3k1_necessity, gen_random, gen_roof_necessity, space_between,
 )
 from cityguard.model import (
-    City, E, N, S, Scene, Solution, W, hole_guard, roof_covered_by, rotate_guard_ccw,
-    rotate_scene_ccw, validate_scene,
+    City, E, N, S, Scene, Solution, W, hole_guard, p_corner_guard, roof_covered_by,
+    rotate_guard_ccw, rotate_scene_ccw, validate_scene,
 )
 from cityguard.oracle import (
     INFEASIBLE_WITHIN, OPTIMAL, UNCOVERABLE, build_faces, candidate_set,
     exhaustive_min_cover, min_cover_of_region, min_hitting_set, min_roof_guards,
-    optimal_guard_count,
+    optimal_guard_count, roof_cover_sets, roof_samples,
 )
 from cityguard.placement import (
     ALLOW_P_CORNER, BUILDINGS_ONLY, city_guarding, guards_2k1, guards_main,
@@ -450,3 +452,121 @@ class TestRoofOracle:
             city = gen_roof_necessity(k)
             assert min_roof_guards(city, k - 1) is None
             assert min_roof_guards(city, k) == k
+
+
+def _ref_blocked(a, za, b, zb, base, h):
+    """Unfiltered reference: does the open 3D segment (a, za)-(b, zb) meet the
+    prism's open interior?  The clipped run is interior iff its midpoint is
+    (the footprint is convex), and z is linear, so some z < h on the open run
+    iff it holds at one of the run's ends."""
+    clip = clip_segment_to_cell(a, b, base.as_cell())
+    if clip is None:
+        return False
+    t0, t1 = clip
+    tm = (t0 + t1) / 2
+    if not base.contains_open(Point(a.x + tm * (b.x - a.x), a.y + tm * (b.y - a.y))):
+        return False
+    return min(za + t0 * (zb - za), za + t1 * (zb - za)) < h
+
+
+def _ref_roof_cover_sets(city, candidates, ties):
+    """Every roof sample against every prism; counts in `ties` the blocking
+    tests whose prism is exactly as tall as the lower end of the segment."""
+    scene, heights = city.scene, city.heights
+    out = []
+    for g in candidates:
+        v, vz = g.position(scene), heights[g.anchor[1]]
+        fx, fy = g.facing
+        covered = set()
+        for j, roof in enumerate(scene.holes):
+            hz = heights[j]
+            seen = True
+            for p in roof_samples(roof):
+                if (p.x - v.x) * fx + (p.y - v.y) * fy < 0:
+                    seen = False
+                    break
+                if p == v:
+                    continue
+                for base, h in zip(scene.holes, heights):
+                    ties[0] += h == min(vz, hz)
+                    if _ref_blocked(v, vz, p, hz, base, h):
+                        seen = False
+                        break
+                if not seen:
+                    break
+            if seen:
+                covered.add(j)
+        out.append(frozenset(covered))
+    return out
+
+
+def _rotated_cities():
+    scenes = [gen_3k1_necessity(1), gen_3k1_necessity(2), rot3k1_counterexample()]
+    for sc in scenes:
+        k = sc.k
+        for heights in ((2,) * k, tuple(range(1, k + 1)), tuple(range(k, 0, -1))):
+            yield City(scene=sc, heights=heights)
+
+
+def _random_low_cities():
+    rng = random.Random(23)
+    for k in (2, 3, 4, 5, 6):
+        for seed in (0, 1):
+            sc = gen_random(GeneratorParams(k=k, seed=seed, grid=40))
+            yield City(scene=sc, heights=tuple(rng.randint(1, 3) for _ in range(k)))
+
+
+def _filter_edge_city(b_top, b_height):
+    """Guard building A (height 5, guard at its SE corner (4, 5)), a middle
+    building B = [10, 1, 12, b_top] and the roof C = [20, 5, 22, 7] at
+    height 3.  With b_top = 5 the sight lines to C's samples on y = 5 run
+    along B's top side and the others pass above it."""
+    sc = validate_scene({"bounds": [0, 0, 30, 10], "buildings": [
+        {"base": [2, 5, 4, 8], "height": 5},
+        {"base": [10, 1, 12, b_top], "height": b_height},
+        {"base": [20, 5, 22, 7], "height": 3}]})
+    return City(scene=sc, heights=(5, b_height, 3)), hole_guard(0, 1, E)
+
+
+class TestRoofCoverSets:
+    @pytest.mark.parametrize("corpus", ["random", "rotated"])
+    def test_matches_unfiltered_reference(self, corpus):
+        cities = list(_random_low_cities() if corpus == "random" else _rotated_cities())
+        ties, verdicts = [0], set()
+        for city in cities:
+            cands = candidate_set(city.scene)
+            got = roof_cover_sets(city, cands)
+            assert got == _ref_roof_cover_sets(city, cands, ties)
+            verdicts.update(bool(s) for s in got)
+        assert ties[0] > 0, "no prism exactly as tall as a segment's lower end"
+        assert verdicts == {True, False}
+
+    def test_prism_as_tall_as_lower_end_does_not_block(self):
+        # B's footprint spans every sight line from the guard to C's roof,
+        # which crosses it at heights between 4 and 5.
+        for b_height, blocked in ((3, False), (4, False), (5, True), (100, True)):
+            city, g = _filter_edge_city(9, b_height)
+            assert (2 in roof_cover_sets(city, [g])[0]) is not blocked, b_height
+        # A flat sight line at B's height.
+        city, g = _filter_edge_city(9, 3)
+        assert 2 in roof_cover_sets(City(scene=city.scene, heights=(3, 3, 3)), [g])[0]
+
+    @pytest.mark.parametrize("turns", [0, 1, 2, 3])
+    def test_segment_along_footprint_side_does_not_block(self, turns):
+        for b_top, covered in ((5, True), (6, False)):
+            city, g = _filter_edge_city(b_top, 100)
+            sc = rotate_scene_ccw(city.scene, turns)
+            g = rotate_guard_ccw(g, city.scene, turns)
+            got = roof_cover_sets(City(scene=sc, heights=city.heights), [g])[0]
+            assert (2 in got) is covered, (b_top, turns)
+
+    def test_guard_on_bounding_corner_is_refused(self):
+        city = gen_roof_necessity(3)
+        for corner in range(4):
+            with pytest.raises(ValueError, match="building corners"):
+                roof_cover_sets(city, [p_corner_guard(corner, E)])
+
+    def test_roof_behind_guard(self):
+        city, g = _filter_edge_city(9, 1)
+        assert roof_cover_sets(city, [g, hole_guard(0, 1, W)]) == [
+            frozenset({1, 2}), frozenset({0})]
