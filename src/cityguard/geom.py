@@ -11,6 +11,11 @@ region leaves the library, by its `cells` and `rings()`.
 
 The representation is regularized: cells are closed and zero-area pieces
 are dropped, so a PolygonSet always equals the closure of its interior.
+
+Sight segments against buildings have one exact test, `interior_run`:
+the run of a segment inside a hole's open interior.  The 2D blocking
+test `segment_blocked_by_rect` and the roof oracle's 3D prism test,
+which compares heights on that run, are built on it.
 """
 
 from __future__ import annotations
@@ -597,20 +602,21 @@ def clip_segment_to_cell(a: Point, b: Point, cell: Cell):
     return t0, t1
 
 
-def segment_blocked_by_rect(seg: Segment, hole: Hole) -> bool:
-    """True iff the segment meets the hole's open interior.
+def interior_run(a: Point, b: Point, hole: Hole):
+    """The parameter range (t0, t1) of the run of segment a->b through the
+    hole's open interior, or None if there is none.
 
-    Grazing contact with the boundary does not block: the segment is
-    clipped to the closed hole and the midpoint of the clipped piece is
-    tested for strict interiority, which is exact and handles runs along
-    an edge.
-    """
-    a, b = seg.a, seg.b
+    The segment is clipped to the closed hole; the hole is convex, so the
+    clipped run is interior iff its midpoint is, which handles grazing
+    contact and runs along an edge exactly."""
     clip = clip_segment_to_cell(a, b, hole.as_cell())
     if clip is None:
-        return False
-    t0, t1 = clip
-    tm = (t0 + t1) / 2
-    mx = a.x + tm * (b.x - a.x)
-    my = a.y + tm * (b.y - a.y)
-    return hole.contains_open(Point(mx, my))
+        return None
+    tm = (clip[0] + clip[1]) / 2
+    mid = Point(a.x + tm * (b.x - a.x), a.y + tm * (b.y - a.y))
+    return clip if hole.contains_open(mid) else None
+
+
+def segment_blocked_by_rect(seg: Segment, hole: Hole) -> bool:
+    """True iff the segment meets the hole's open interior (`interior_run`)."""
+    return interior_run(seg.a, seg.b, hole) is not None

@@ -5,8 +5,9 @@ gen_roof_necessity builds a row of buildings with strictly decreasing,
 strictly concave heights and strictly concave widening footprints: a
 straight 3D sight segment between roof points of two non-adjacent
 buildings is a chord of a concave profile, so the building in between
-blocks it.  check_roof_necessity verifies the blocking exactly at roof
-corners and edge midpoints.
+blocks it.  check_roof_necessity verifies the blocking exactly at the
+roof samples (corners, edge midpoints and centroid), with the roof
+oracle's filtered sample test.
 
 gen_3k1_necessity builds the rotated family for the 3k+1 lower bound:
 each hole presents a corner to the previous hole's flat wall, inside a
@@ -27,7 +28,8 @@ from cityguard.model import (
     City, Scene, _holes_disjoint, require_general_position, validate_scene,
     wall_aligned_facings,
 )
-from cityguard.oracle import _segment_blocked_by_prism, roof_samples
+from cityguard.oracle import _prisms, _sample_visible, roof_samples
+from cityguard.visibility import clear_sight
 
 @dataclass(frozen=True)
 class GeneratorParams:
@@ -120,32 +122,31 @@ def gen_roof_necessity(k: int) -> City:
 def check_roof_necessity(city: City):
     """Exact finite certificate of the two defining properties:
     1. strictly decreasing heights;
-    2. for i < j-1, no top vertex of B_i sees any roof sample of B_j
-       (3D segments against every prism, checked symmetrically)."""
+    2. for i < j-1, no top vertex of B_i sees any roof sample of B_j,
+       checked symmetrically with the roof oracle's filtered sample test
+       (`oracle._sample_visible`, exact height and footprint prefilters)."""
     failures = []
     k = city.scene.k
     hts = city.heights
     for i in range(k - 1):
         if not hts[i] > hts[i + 1]:
             failures.append(("property1", i))
+    prisms = _prisms(city)
     for i in range(k):
         for j in range(i + 2, k):
-            if _roofs_mutually_visible(city, i, j) or _roofs_mutually_visible(city, j, i):
+            if (_roofs_mutually_visible(city, i, j, prisms)
+                    or _roofs_mutually_visible(city, j, i, prisms)):
                 failures.append(("property2", (i, j)))
     return failures
 
 
-def _roofs_mutually_visible(city: City, i: int, j: int) -> bool:
-    scene = city.scene
-    for v in scene.holes[i].corners():
-        for p in roof_samples(scene.holes[j]):
-            blocked = any(
-                _segment_blocked_by_prism(v, city.heights[i], p, city.heights[j],
-                                          scene.holes[m], city.heights[m])
-                for m in range(scene.k))
-            if not blocked:
-                return True
-    return False
+def _roofs_mutually_visible(city: City, i: int, j: int, prisms) -> bool:
+    """Some top vertex of B_i sees some roof sample of B_j, by the roof
+    oracle's sample test and its exact prefilters."""
+    hi, hj = city.heights[i], city.heights[j]
+    return any(_sample_visible(v, hi, p, hj, prisms)
+               for v in city.scene.holes[i].corners()
+               for p in roof_samples(city.scene.holes[j]))
 
 
 # ---------------------------------------------------------------------------
@@ -277,17 +278,9 @@ def _edge_visible_intervals(scene: Scene, v: Point, edge, facing=None):
         if facing is not None:
             if (p.x - v.x) * facing[0] + (p.y - v.y) * facing[1] <= 0:
                 continue
-        if _point_visible_from(scene, v, p):
+        if clear_sight(scene, v, p):
             out.append((t0, t1))
     return out
-
-
-def _point_visible_from(scene: Scene, v: Point, p: Point) -> bool:
-    from cityguard.geom import Segment, segment_blocked_by_rect
-    if v == p:
-        return True
-    seg = Segment(v, p)
-    return not any(segment_blocked_by_rect(seg, h) for h in scene.holes)
 
 
 def _edge_visible(scene: Scene, v: Point, edge, facing=None) -> bool:

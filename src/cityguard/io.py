@@ -88,13 +88,22 @@ def parse_city(doc) -> City:
     return City(scene=scene, heights=tuple(heights))
 
 
+def _read_json(path):
+    """The JSON document of a UTF-8 file; a file that holds none raises
+    FormatError."""
+    try:
+        with open(path, encoding="utf-8") as f:
+            return json.load(f)
+    except json.JSONDecodeError as e:
+        raise FormatError(f"parse error at line {e.lineno}, column {e.colno}: {e.msg}")
+    except UnicodeDecodeError as e:
+        raise FormatError(f"not UTF-8 text: byte {e.start}: {e.reason}")
+    except RecursionError:
+        raise FormatError("parse error: the document is nested too deeply")
+
+
 def load_city(path) -> City:
-    with open(path) as f:
-        try:
-            doc = json.load(f)
-        except json.JSONDecodeError as e:
-            raise FormatError(f"parse error at line {e.lineno}, column {e.colno}: {e.msg}")
-    return parse_city(doc)
+    return parse_city(_read_json(path))
 
 
 def city_doc(city: City) -> dict:
@@ -173,12 +182,7 @@ def check_guard_anchors(solution: Solution, scene):
 
 
 def load_solution(path) -> Solution:
-    with open(path) as f:
-        try:
-            doc = json.load(f)
-        except json.JSONDecodeError as e:
-            raise FormatError(f"parse error at line {e.lineno}, column {e.colno}: {e.msg}")
-    return parse_solution(doc)
+    return parse_solution(_read_json(path))
 
 
 def solution_doc(sol: Solution) -> dict:

@@ -111,11 +111,8 @@ class Solution:
     trace: tuple = ()
 
     def __post_init__(self):
-        seen = []
-        for g in self.guards:
-            if g not in seen:
-                seen.append(g)
-        object.__setattr__(self, "guards", tuple(seen))
+        # drop repeated guards, keeping first occurrences in order
+        object.__setattr__(self, "guards", tuple(dict.fromkeys(self.guards)))
 
     @property
     def count(self) -> int:
@@ -236,13 +233,18 @@ def project(city: City) -> Scene:
 # ---------------------------------------------------------------------------
 
 
+def roof_in_front(corners, v: Point, facing) -> bool:
+    """The roof with these corners lies in the closed half-plane of a guard
+    at v with this facing; the half-plane is convex, so the corners decide."""
+    fx, fy = facing
+    return all((c.x - v.x) * fx + (c.y - v.y) * fy >= 0 for c in corners)
+
+
 def roof_covered_by(building: Building, g: Guard, scene: Scene) -> bool:
     """A guard on its own roof covers it iff the roof is in its closed half-plane."""
     if g.anchor[0] != "hole" or g.anchor[1] != building.id:
         return False
-    v = g.position(scene)
-    fx, fy = g.facing
-    return all((c.x - v.x) * fx + (c.y - v.y) * fy >= 0 for c in building.base.corners())
+    return roof_in_front(building.base.corners(), g.position(scene), g.facing)
 
 
 def wall_aligned_facings(hole: Hole):

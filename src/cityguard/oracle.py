@@ -41,11 +41,11 @@ from itertools import combinations
 from typing import Optional
 
 from cityguard.geom import (
-    Point, cell_bbox, clip_segment_to_cell, h_area2, h_cells_contain, h_centroid, h_point,
-    h_split, h_subtract,
+    Point, cell_bbox, h_area2, h_cells_contain, h_centroid, h_point, h_split, h_subtract,
+    interior_run,
 )
 from cityguard.model import (
-    City, E, N, S, Scene, Solution, W, hole_guard, p_corner_guard,
+    City, E, N, S, Scene, Solution, W, hole_guard, p_corner_guard, roof_in_front,
     wall_aligned_facings,
 )
 from cityguard.verify import free_space
@@ -274,22 +274,13 @@ def min_cover_of_region(scene: Scene, candidates, region, max_count: int):
 
 def _segment_blocked_by_prism(p1: Point, z1, p2: Point, z2, base, h) -> bool:
     """Does the open 3D segment pass through the prism's open interior?"""
-    clip = clip_segment_to_cell(p1, p2, base.as_cell())
-    if clip is None:
+    run = interior_run(p1, p2, base)
+    if run is None:
         return False
-    t0, t1 = clip
-    tm = (t0 + t1) / 2
-    mid = Point(p1.x + tm * (p2.x - p1.x), p1.y + tm * (p2.y - p1.y))
-    if not base.contains_open(mid):
-        return False  # the clipped run lies along the boundary
-    # xy strictly inside on the open interval (t0, t1); now need z < h there
-    if z1 == z2:
-        return z1 < h
-    if z2 > z1:
-        tz = Fraction(h - z1, z2 - z1)  # z < h for t < tz
-        return t0 < min(t1, tz)
-    tz = Fraction(h - z1, z2 - z1)      # z < h for t > tz
-    return max(t0, tz) < t1
+    t0, t1 = run
+    # xy is strictly inside on the open run and z is linear along it, so
+    # z < h somewhere on the run iff z < h at its lower end
+    return z1 + (t0 if z2 > z1 else t1) * (z2 - z1) < h
 
 
 def roof_samples(base):
@@ -308,21 +299,13 @@ def roof_cover_sets(city: City, candidates):
     """For each candidate guard, the set of roofs it fully covers (sampled).
 
     A roof counts as covered when every one of its `roof_samples` is
-    visible: in the guard's closed half-plane, with no prism's open
-    interior on the open 3D sight segment.  Only building-corner guards
-    have a height; a guard on a bounding-rectangle corner raises
-    `ValueError`.
-
-    Two exact prefilters skip the prism tests that cannot block; neither
-    changes a verdict.  A prism no taller than the lower end of the sight
-    segment, `h <= min(vz, hz)`, cannot block, as z is linear along the
-    segment.  A segment whose endpoints both lie on the closed outer side
-    of one side of the prism's footprint bbox meets the footprint at most
-    on its boundary.  The half-plane is convex, so a roof is behind the
-    guard exactly when one of its 4 corners is.
+    visible: the roof is in the guard's closed half-plane (`roof_in_front`)
+    and `_sample_visible` finds no prism's open interior on the open 3D
+    sight segment.  Only building-corner guards have a height; a guard on
+    a bounding-rectangle corner raises `ValueError`.
     """
     scene, heights = city.scene, city.heights
-    prisms = [(base, h, cell_bbox(base.as_cell())) for base, h in zip(scene.holes, heights)]
+    prisms = _prisms(city)
     roofs = [(i, base.corners(), roof_samples(base), heights[i])
              for i, base in enumerate(scene.holes)]
     out = []
@@ -331,23 +314,33 @@ def roof_cover_sets(city: City, candidates):
             raise ValueError(f"roof guards stand on building corners, got anchor {g.anchor!r}")
         v = g.position(scene)
         vz = heights[g.anchor[1]]
-        fx, fy = g.facing
         covered = set()
         for i, corners, pts, hz in roofs:
-            if any((c.x - v.x) * fx + (c.y - v.y) * fy < 0 for c in corners):
+            if not roof_in_front(corners, v, g.facing):
                 continue
-            low = min(vz, hz)
-            tall = [prism for prism in prisms if prism[1] > low]
-            if all(p == v or _sample_visible(v, vz, p, hz, tall) for p in pts):
+            if all(p == v or _sample_visible(v, vz, p, hz, prisms) for p in pts):
                 covered.add(i)
         out.append(frozenset(covered))
     return out
 
 
+def _prisms(city: City):
+    """Every building as (base, height, footprint bbox), for `_sample_visible`."""
+    return [(base, h, cell_bbox(base.as_cell()))
+            for base, h in zip(city.scene.holes, city.heights)]
+
+
 def _sample_visible(v: Point, vz, p: Point, pz, prisms) -> bool:
-    """No prism of `prisms` blocks the sight segment (v, vz)-(p, pz)."""
+    """No prism of `prisms` blocks the sight segment (v, vz)-(p, pz).
+
+    Two exact prefilters skip the prisms that cannot block; neither
+    changes a verdict.  A prism no taller than the lower end of the
+    segment cannot block, as z is linear along it.  A segment whose
+    endpoints both lie on the closed outer side of one side of a
+    footprint's bbox meets the footprint at most on its boundary."""
+    low = min(vz, pz)
     for base, h, (x0, y0, x1, y1) in prisms:
-        if ((v.x <= x0 and p.x <= x0) or (v.x >= x1 and p.x >= x1)
+        if (h <= low or (v.x <= x0 and p.x <= x0) or (v.x >= x1 and p.x >= x1)
                 or (v.y <= y0 and p.y <= y0) or (v.y >= y1 and p.y >= y1)):
             continue
         if _segment_blocked_by_prism(v, vz, p, pz, base, h):

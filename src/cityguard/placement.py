@@ -15,11 +15,11 @@ from cityguard.geom import AxisRect, Point, PolygonSet
 from cityguard.model import (
     AXIS_ALIGNED, City, E, Guard, N, S, Scene, Solution, W,
     hole_guard, project, require_general_position,
-    roof_covered_by, rotate_scene_ccw, unrotate_guards, validate_scene,
-    wall_aligned_facings,
+    roof_covered_by, roof_in_front, rotate_scene_ccw, unrotate_guards,
+    validate_scene, wall_aligned_facings,
 )
 from cityguard.staircase import (
-    FS, RFS, RRS, RS, SharingReport, build_staircase, staircase_guards,
+    FS, RFS, RRS, RS, SharingReport, _staircase, staircase_guards,
     staircase_sharing,
 )
 from cityguard.verify import certify, covers
@@ -275,7 +275,7 @@ def _case1_guards(scene: Scene, rep: SharingReport, trace, label="case1") -> lis
     min_kind = min((RRS, RS, FS, RFS), key=lambda k: (rep.staircases[k].stairs, k))
     rot = _MIN_STAIR_ROT[min_kind]
     rscene = rotate_scene_ccw(scene, rot)
-    st = build_staircase(rscene, RRS)
+    st = _staircase(rscene, RRS)  # rep's analysis checked the scene
     trace.append((label, min_kind, st.stairs))
     guards = _hole_vertex_partition_guards(
         rscene, lambda: staircase_guards(rscene, st))
@@ -401,12 +401,8 @@ def guards_main(scene: Scene) -> Solution:
 
 def _roof_front_facings(scene: Scene, g: Guard):
     hole = scene.holes[g.anchor[1]]
-    v = g.position(scene)
-    out = []
-    for f in wall_aligned_facings(hole):
-        if all((c.x - v.x) * f[0] + (c.y - v.y) * f[1] >= 0 for c in hole.corners()):
-            out.append(f)
-    return out
+    v, corners = g.position(scene), hole.corners()
+    return [f for f in wall_aligned_facings(hole) if roof_in_front(corners, v, f)]
 
 
 def _repair_roofs(city: City, guards: list, trace) -> list:

@@ -2,9 +2,9 @@
 
 Two independent routes to the same predicate:
 
-* sees(scene, g, p): direct point test (half-plane + per-hole segment
-  blocking).  This is the oracle the region computation is checked
-  against.
+* sees(scene, g, p): direct point test (half-plane + `clear_sight`, the
+  per-hole segment blocking test also used by the 3k+1 property checks).
+  This is the oracle the region computation is checked against.
 * visibility_region(scene, g): angular sweep.  Critical directions are
   the directions from the guard to every hole/boundary vertex (plus the
   axis directions, which cap every angular gap below 180 degrees).
@@ -40,23 +40,21 @@ from cityguard.model import Guard, Scene
 
 
 def sees(scene: Scene, g: Guard, p: Point) -> bool:
-    """True iff p is in the guard's closed half-plane and the open sight
-    segment stays out of every hole interior and inside the bounds."""
+    """True iff p is in the bounds and the guard's closed half-plane, and
+    the sight segment is clear (`clear_sight`)."""
     if not scene.bounds.contains_closed(p):
         return False
     for h in scene.holes:
         if h.contains_open(p):
             return False
     pos = g.position(scene)
-    if not half_plane_contains(pos, g.facing, p):
-        return False
-    if p == pos:
-        return True
-    seg = Segment(pos, p)
-    for h in scene.holes:
-        if segment_blocked_by_rect(seg, h):
-            return False
-    return True
+    return half_plane_contains(pos, g.facing, p) and clear_sight(scene, pos, p)
+
+
+def clear_sight(scene: Scene, a: Point, b: Point) -> bool:
+    """No hole's open interior meets the segment a-b (true when a == b)."""
+    seg = Segment(a, b)
+    return a == b or not any(segment_blocked_by_rect(seg, h) for h in scene.holes)
 
 
 @dataclass(frozen=True)

@@ -392,6 +392,18 @@ class TestCli:
         assert "nonexistent" in err[0]
         assert not missing.exists()
 
+    @pytest.mark.parametrize("content", [b"\xff\xfe{}", b"[" * 200_000],
+                             ids=["utf16-bom", "deep-nesting"])
+    def test_unreadable_json_exits_2(self, tmp_path, content):
+        bad = tmp_path / "bad.json"
+        bad.write_bytes(content)
+        result = subprocess.run([sys.executable, "-m", "cityguard.cli", "verify",
+                                 "--scene", str(bad), "--solution", str(bad)],
+                                capture_output=True, text=True)
+        assert result.returncode == 2
+        err = result.stderr.splitlines()
+        assert len(err) == 1 and err[0].startswith("validation error: ")
+
     def test_oracle_negative_max_exits_2(self, tmp_path, capsys):
         scene = tmp_path / "s.json"
         save_city(parse_city(city_a_doc()), scene)

@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 from cityguard.errors import DegeneratePositionError, SceneValidationError
 from cityguard.geom import AxisRect, Point, make_axis_rect, make_convex_quad
 from cityguard.model import (
-    City, E, N, S, Scene, W, _holes_disjoint, guard_facing_is_wall_aligned, hole_guard,
+    City, E, N, S, Scene, Solution, W, _holes_disjoint, guard_facing_is_wall_aligned, hole_guard,
     p_corner_guard, project, roof_covered_by, rotate_guard_ccw, rotate_point_ccw,
     rotate_scene_ccw, validate_scene, check_general_position,
     require_general_position, unrotate_guards,
@@ -141,6 +141,12 @@ class TestGuards:
     def test_facing_normalized(self):
         g = hole_guard(0, 0, (4, 0))
         assert g.facing == (1, 0)
+
+    def test_solution_drops_repeated_guards_in_order(self):
+        a, b, c = hole_guard(0, 0, N), hole_guard(0, 2, W), p_corner_guard(1, W)
+        sol = Solution(algorithm="x", guards=(b, a, hole_guard(0, 2, (-3, 0)), c, a, b))
+        assert sol.guards == (b, a, c)
+        assert sol.count == 3
 
     def test_positions(self):
         sc = city_a()

@@ -5,7 +5,8 @@ import pytest
 from cityguard.geom import Point, make_axis_rect
 from cityguard.instances import GeneratorParams, gen_random, gen_random_city
 from cityguard.model import (
-    City, Scene, W, hole_guard, p_corner_guard, rotate_scene_ccw, validate_scene,
+    City, Scene, W, hole_guard, p_corner_guard, roof_covered_by, rotate_scene_ccw,
+    validate_scene,
 )
 from cityguard.placement import (
     ALLOW_P_CORNER, BUILDINGS_ONLY, _partition_walls, city_guarding, guards_2k1,
@@ -280,6 +281,21 @@ class TestCityGuarding:
         assert certify_city(city, sol).covered
         with pytest.raises(ValueError):
             city_guarding(city, BUILDINGS_ONLY)
+
+    @pytest.mark.parametrize("t", range(4))
+    def test_case3ii_roof_repair(self, t):
+        # guards_main leaves building 0's roof (the long slab) uncovered in
+        # every quarter turn; city_guarding turns one of its guards
+        sc = rotate_scene_ccw(
+            _bases_scene([0, 0, 1000, 1000], CASE3_BASES + [[925, 505, 945, 515]]), t)
+        city = City(scene=sc, heights=tuple(range(1, sc.k + 1)))
+        base = guards_main(sc)
+        assert not any(roof_covered_by(city.building(0), g, sc) for g in base.guards)
+        sol = city_guarding(city, BUILDINGS_ONLY)
+        fixes = [e for e in sol.trace if e[0] == "roof-fix"]
+        assert [e[1] for e in fixes] == [0]
+        assert sol.count == base.count
+        assert certify_city(city, sol).covered
 
     def test_random_both_modes(self):
         for seed in (3, 14):
