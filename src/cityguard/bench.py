@@ -111,8 +111,15 @@ def _check_row(row: BenchRow):
 
 
 def run_bench(cities, with_oracle: bool = False):
-    """cities: iterable of (name, City); returns rows sorted by instance id."""
-    rows = [bench_instance(name, city, with_oracle) for name, city in cities]
+    """cities: iterable of (name, City); returns rows sorted by instance id.
+
+    A city outside the placements' domain raises ValueError naming it."""
+    rows = []
+    for name, city in cities:
+        try:
+            rows.append(bench_instance(name, city, with_oracle))
+        except ValueError as e:
+            raise ValueError(f"{name}: {e}") from e
     rows.sort(key=lambda r: r.instance)
     return rows
 

@@ -163,6 +163,8 @@ def _cmd_bench(args) -> int:
     except BoundViolation as e:
         print(f"bound violation: {e}", file=sys.stderr)
         return EXIT_BOUND
+    except ValueError as e:  # a scene outside the placements' domain
+        return _invalid_arguments(e)
     out = sys.stdout if args.out == "-" else open(args.out, "w")
     try:
         for line in csv_lines(rows):

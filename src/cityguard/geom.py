@@ -13,9 +13,9 @@ The representation is regularized: cells are closed and zero-area pieces
 are dropped, so a PolygonSet always equals the closure of its interior.
 
 Sight segments against buildings have one exact test, `interior_run`:
-the run of a segment inside a hole's open interior.  The 2D blocking
-test `segment_blocked_by_rect` and the roof oracle's 3D prism test,
-which compares heights on that run, are built on it.
+the run of a segment inside a hole's open interior.  A segment is blocked
+in 2D iff the run exists (`visibility.clear_sight`), and the roof
+oracle's 3D prism test compares heights on that run.
 """
 
 from __future__ import annotations
@@ -61,11 +61,6 @@ def rational_str(value: Rational) -> Union[int, str]:
 class Point(NamedTuple):
     x: Rational
     y: Rational
-
-
-class Segment(NamedTuple):
-    a: Point
-    b: Point
 
 
 def orient(a: Point, b: Point, c: Point) -> int:
@@ -231,13 +226,6 @@ class ConvexQuad(NamedTuple):
         for i in range(4):
             a, b = self.v[i], self.v[(i + 1) % 4]
             if cross(a.x, a.y, b.x, b.y, p.x, p.y) <= 0:
-                return False
-        return True
-
-    def contains_closed(self, p: Point) -> bool:
-        for i in range(4):
-            a, b = self.v[i], self.v[(i + 1) % 4]
-            if cross(a.x, a.y, b.x, b.y, p.x, p.y) < 0:
                 return False
         return True
 
@@ -615,8 +603,3 @@ def interior_run(a: Point, b: Point, hole: Hole):
     tm = (clip[0] + clip[1]) / 2
     mid = Point(a.x + tm * (b.x - a.x), a.y + tm * (b.y - a.y))
     return clip if hole.contains_open(mid) else None
-
-
-def segment_blocked_by_rect(seg: Segment, hole: Hole) -> bool:
-    """True iff the segment meets the hole's open interior (`interior_run`)."""
-    return interior_run(seg.a, seg.b, hole) is not None

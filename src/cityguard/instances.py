@@ -180,11 +180,11 @@ def gen_3k1_necessity(k: int) -> Scene:
             "hole passes properties 1-4, but the proven minimum is 9 = 3k "
             "wall-aligned vertex guards, not 3k+1", failed_property="minimum")
     r1 = 256
-    holes = [_ccw_quad([(0, -r1), (r1, 0), (0, r1), (-r1, 0)])]
+    holes = [make_convex_quad([(0, -r1), (r1, 0), (0, r1), (-r1, 0)])]
     if k >= 2:
         hi = -r1 // 2 - r1 // 32          # NE corner of the square: (-136, -136)
         lo = hi - 2 * (r1 * 3 // 8)
-        holes.append(_ccw_quad([(lo, lo), (hi, lo), (hi, hi), (lo, hi)]))
+        holes.append(make_convex_quad([(lo, lo), (hi, lo), (hi, hi), (lo, hi)]))
     xs = [p.x for h in holes for p in h.corners()]
     ys = [p.y for h in holes for p in h.corners()]
     m = r1 // 4
@@ -198,19 +198,6 @@ def gen_3k1_necessity(k: int) -> Scene:
         raise GenerationFailedError(f"3k+1 construction violates {bad}",
                                     failed_property=bad[0])
     return scene
-
-
-def _ccw_quad(pts):
-    return make_convex_quad(_ccw(list(pts)))
-
-
-def _ccw(pts):
-    area2 = 0
-    n = len(pts)
-    for i in range(n):
-        a, b = pts[i], pts[(i + 1) % n]
-        area2 += a[0] * b[1] - b[0] * a[1]
-    return pts if area2 > 0 else pts[::-1]
 
 
 # --- property checks -------------------------------------------------------

@@ -26,7 +26,6 @@ N = (0, 1)
 E = (1, 0)
 S = (0, -1)
 W = (-1, 0)
-AXIS_DIRECTIONS = {"N": N, "E": E, "S": S, "W": W}
 
 
 @dataclass(frozen=True)

@@ -242,12 +242,12 @@ def min_hitting_set(masks, max_count: int):
     return None if best is None else frozenset(best)
 
 
-def exhaustive_min_cover(scene: Scene, candidates, max_count: int, region=None):
+def exhaustive_min_cover(scene: Scene, candidates, max_count: int):
     """Independent check of the branch and bound: try all candidate
     subsets by increasing size.  Returns None if the minimum exceeds
     `max_count`."""
     _check_max_count(max_count)
-    faces = build_faces(scene, candidates, region=region)
+    faces = build_faces(scene, candidates)
     masks = {mask for _, mask in faces}
     if frozenset() in masks:
         return None

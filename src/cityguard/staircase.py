@@ -149,7 +149,6 @@ def staircase_guards(scene: Scene, st: Staircase):
 class SharingReport:
     extremal: dict              # "L"/"T"/"R"/"B" -> building id
     staircases: dict            # kind -> Staircase
-    shared: dict                # (kind, kind) -> frozenset of building ids
     case0_pair: Optional[tuple]          # coinciding extremal pair, if any
     opposite_shared: tuple               # ((pair, building id), ...)
     adjacent_internal: tuple             # ((pair, building id, alpha, beta), ...)
@@ -223,6 +222,5 @@ def staircase_sharing(scene: Scene) -> SharingReport:
         for hid in sorted(shared[pair])
         if hid not in extremal_set
     )
-    return SharingReport(extremal=ext, staircases=stairs, shared=shared,
-                         case0_pair=case0_pair, opposite_shared=opposite,
-                         adjacent_internal=adjacent)
+    return SharingReport(extremal=ext, staircases=stairs, case0_pair=case0_pair,
+                         opposite_shared=opposite, adjacent_internal=adjacent)

@@ -36,8 +36,6 @@ class Certificate:
 def free_space(scene: Scene) -> PolygonSet:
     """Bounds minus open hole interiors, as disjoint closed cells."""
     b = scene.bounds
-    if scene.k == 0:
-        return PolygonSet.from_rect(b.x0, b.y0, b.x1, b.y1)
     if scene.kind == "AXIS_ALIGNED":
         return PolygonSet.of_hcells(_axis_free_cells(b, scene.holes))
     region = PolygonSet.from_rect(b.x0, b.y0, b.x1, b.y1)

@@ -5,16 +5,22 @@ Two independent routes to the same predicate:
 * sees(scene, g, p): direct point test (half-plane + `clear_sight`, the
   per-hole segment blocking test also used by the 3k+1 property checks).
   This is the oracle the region computation is checked against.
-* visibility_region(scene, g): angular sweep.  Critical directions are
-  the directions from the guard to every hole/boundary vertex (plus the
-  axis directions, which cap every angular gap below 180 degrees).
-  Within one open wedge between consecutive critical directions no edge
-  endpoint occurs, edges never cross (holes are disjoint and inside P),
-  so a single nearest edge blocks the whole wedge and the visible piece
-  is the triangle guard/ray1-hit/ray2-hit.  Both edge directions of the
-  guard's half-plane are critical, so every wedge lies wholly in front
-  of the guard or wholly behind it; the union of the triangles of the
-  wedges in front is the region.
+* visibility_region(scene, g): angular sweep, one pass over P's boundary
+  and the holes alike.  Critical directions are the directions from the
+  guard to every corner of every polygon, P's included, and the two edge
+  directions of the guard's half-plane.  Within one open wedge between
+  consecutive critical directions no edge endpoint occurs and edges
+  never cross (holes are disjoint and inside P), so a single nearest
+  edge blocks the whole wedge and the visible piece is the triangle
+  guard/ray1-hit/ray2-hit.  Every wedge lies wholly in front of the guard
+  or wholly behind it, and wholly inside or outside the cone of the
+  guard's anchor corner; one cone test serves both anchor kinds, keeping
+  the wedges outside a hole corner's cone and inside a P corner's.
+  P's corners keep every wedge of a guard inside P below 180 degrees; at
+  a P corner the half-plane's edge directions leave at most one
+  180-degree wedge, whose middle direction, the zero vector, no edge
+  blocks and no cone holds.  The union of the kept triangles is the
+  region.
 
 The triangles are built as homogeneous integer cells (HCell, see
 geom.py): each ray hit is the reduced integer meet of the ray's line and
@@ -31,10 +37,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cmp_to_key
+from itertools import groupby
 
 from cityguard.geom import (
-    HCell, Point, PolygonSet, Segment, _h_line, _h_meet, _h_orient, h_point,
-    half_plane_contains, primitive_direction, segment_blocked_by_rect,
+    HCell, Point, PolygonSet, _h_line, _h_meet, _h_orient, h_point,
+    half_plane_contains, interior_run, primitive_direction,
 )
 from cityguard.model import Guard, Scene
 
@@ -53,8 +60,7 @@ def sees(scene: Scene, g: Guard, p: Point) -> bool:
 
 def clear_sight(scene: Scene, a: Point, b: Point) -> bool:
     """No hole's open interior meets the segment a-b (true when a == b)."""
-    seg = Segment(a, b)
-    return a == b or not any(segment_blocked_by_rect(seg, h) for h in scene.holes)
+    return a == b or all(interior_run(a, b, h) is None for h in scene.holes)
 
 
 @dataclass(frozen=True)
@@ -125,128 +131,76 @@ def visibility_region(scene: Scene, g: Guard) -> VisibilityRegion:
 def _sweep(scene: Scene, g: Guard) -> VisibilityRegion:
     pos = g.position(scene)
     fx, fy = g.facing
+    on_hole = g.on_hole()
 
-    obstacles = [h.corners() for h in scene.holes]
-    p_cell = scene.bounds.corners()
+    # P's boundary is the last polygon: its edges block like hole edges
+    polygons = [h.corners() for h in scene.holes] + [scene.bounds.corners()]
+    cone = _corner_cone(polygons[g.anchor[1] if on_hole else -1], g.anchor[-1])
+    ray = {c: primitive_direction(c.x - pos.x, c.y - pos.y)
+           for corners in polygons for c in corners if c != pos}
+    dirs = sorted(set(ray.values()) | {primitive_direction(fy, -fx),
+                                       primitive_direction(-fy, fx)},
+                  key=cmp_to_key(_angular_cmp))
+    nd = len(dirs)
+    dir_index = {d: i for i, d in enumerate(dirs)}
 
-    dirs = set()
-    for corners in obstacles:
-        for c in corners:
-            if c != pos:
-                dirs.add(primitive_direction(c.x - pos.x, c.y - pos.y))
-    for c in p_cell:
-        if c != pos:
-            dirs.add(primitive_direction(c.x - pos.x, c.y - pos.y))
-    dirs.update([(1, 0), (0, 1), (-1, 0), (0, -1)])
-    dirs.add(primitive_direction(fy, -fx))
-    dirs.add(primitive_direction(-fy, fx))
-    sorted_dirs = sorted(dirs, key=cmp_to_key(_angular_cmp))
-    nd = len(sorted_dirs)
-    dir_index = {d: i for i, d in enumerate(sorted_dirs)}
-
-    # Edges that can block: every hole edge plus the bounds, minus edges
-    # incident to the guard (sight leaves the anchor corner unobstructed).
-    edges = []
-    for corners in obstacles:
-        n = len(corners)
-        for i in range(n):
-            p, q = corners[i], corners[(i + 1) % n]
-            if p != pos and q != pos:
-                edges.append((p, q))
-    for i in range(4):
-        p, q = p_cell[i], p_cell[(i + 1) % 4]
-        if p != pos and q != pos:
-            edges.append((p, q))
-
-    # Assign each edge to the cyclic wedge-index range it spans.
+    # Each edge not incident to the guard (sight leaves the anchor corner
+    # unobstructed) goes to every wedge of the cyclic range it spans.
     wedge_edges = [[] for _ in range(nd)]
-    for (p, q) in edges:
-        ra = primitive_direction(p.x - pos.x, p.y - pos.y)
-        rb = primitive_direction(q.x - pos.x, q.y - pos.y)
-        c = ra[0] * rb[1] - ra[1] * rb[0]
-        if c == 0:
-            continue  # collinear with the guard: grazing, never blocks
-        if c < 0:
-            ra, rb = rb, ra
-            p, q = q, p
-        ia, ib = dir_index[ra], dir_index[rb]
-        ex, ey = q.x - p.x, q.y - p.y
-        relx, rely = p.x - pos.x, p.y - pos.y
-        t_num = relx * ey - rely * ex  # cross(p-pos, q-p), sign of den below
-        entry = (p, q, ex, ey, relx, rely, t_num)
-        i = ia
-        while i != ib:
-            wedge_edges[i].append(entry)
-            i = (i + 1) % nd
+    for corners in polygons:
+        for p, q in zip(corners, corners[1:] + corners[:1]):
+            if p == pos or q == pos:
+                continue
+            ra, rb = ray[p], ray[q]
+            c = ra[0] * rb[1] - ra[1] * rb[0]
+            if c == 0:
+                continue  # collinear with the guard: grazing, never blocks
+            if c < 0:
+                ra, rb, p, q = rb, ra, q, p
+            ex, ey = q.x - p.x, q.y - p.y
+            # the hit on a wedge's middle ray m is pos + m * t_num / cross(m, q - p)
+            entry = (p, q, ex, ey, (p.x - pos.x) * ey - (p.y - pos.y) * ex)
+            i, ib = dir_index[ra], dir_index[rb]
+            while i != ib:
+                wedge_edges[i].append(entry)
+                i = (i + 1) % nd
 
-    skip_cone = None
-    keep_cone = None
-    if g.anchor[0] == "hole":
-        corners = obstacles[g.anchor[1]]
-        skip_cone = _corner_cone(corners, g.anchor[2])
-    else:
-        keep_cone = _corner_cone(p_cell, g.anchor[1])
-
-    # nearest blocker per wedge; consecutive wedges stopped by the same edge
-    # merge into one triangle (the intermediate ray hits are collinear on it)
+    # The nearest blocker of each wedge in front of the guard and outside
+    # its anchor hole (inside P's corner cone, for a P-corner guard).
     blockers = []
-    for i in range(nd):
-        d1 = sorted_dirs[i]
-        d2 = sorted_dirs[(i + 1) % nd]
+    for i, d1 in enumerate(dirs):
+        d2 = dirs[(i + 1) % nd]
         m = (d1[0] + d2[0], d1[1] + d2[1])
-        if m[0] * fx + m[1] * fy < 0:
-            blockers.append(None)  # the wedge lies behind the guard
-            continue
-        if skip_cone is not None and _strictly_in_cone(*skip_cone, m):
-            blockers.append(None)
-            continue
-        if keep_cone is not None and not _strictly_in_cone(*keep_cone, m):
-            blockers.append(None)
-            continue
         best = None  # (t_num, t_den, p, q)
-        for (p, q, ex, ey, relx, rely, t_num) in wedge_edges[i]:
-            den = m[0] * ey - m[1] * ex
-            if den == 0:
-                continue
-            tn, td = (t_num, den) if den > 0 else (-t_num, -den)
-            if tn <= 0:
-                continue
-            if best is None or tn * best[1] < best[0] * td:
-                best = (tn, td, p, q)
-        blockers.append(None if best is None else (best[2], best[3]))
+        if m[0] * fx + m[1] * fy >= 0 and _strictly_in_cone(*cone, m) != on_hole:
+            for (p, q, ex, ey, t_num) in wedge_edges[i]:
+                den = m[0] * ey - m[1] * ex
+                if den == 0:
+                    continue
+                tn, td = (t_num, den) if den > 0 else (-t_num, -den)
+                if tn > 0 and (best is None or tn * best[1] < best[0] * td):
+                    best = (tn, td, p, q)
+        blockers.append(best and best[2:])
 
-    start = 0
-    while start < nd and blockers[start] is not None \
-            and blockers[start] == blockers[start - 1]:
-        start += 1
-    if start == nd:
-        start = 0  # single blocker all around (cannot happen with a convex P)
-
+    # Each maximal run of wedges stopped by one edge is one triangle (the
+    # intermediate ray hits are collinear on it); the runs are taken from
+    # the first change of blocker so that none wraps past the end.
+    start = next((i for i in range(nd) if blockers[i] != blockers[i - 1]), 0)
     hpos = h_point(pos)
     cells = []
-    i = start
-    seen = 0
-    while seen < nd:
-        blk = blockers[i]
-        j = i
-        run = 0
-        while run < nd and blockers[j] == blk:
-            j = (j + 1) % nd
-            run += 1
-            if blk is None:
-                break
-        seen += run
-        if blk is not None:
-            # the lines of the rays and the edge (the triangle on their
-            # positive sides) are small; the hits are their meets
-            edge = _h_line(h_point(blk[0]), h_point(blk[1]))
-            ray1 = _h_line(hpos, sorted_dirs[i] + (0,))
-            ray2 = _h_line(hpos, sorted_dirs[j] + (0,))
-            r1 = _h_meet(ray1, edge)
-            r2 = _h_meet(ray2, edge)
-            if _h_orient(hpos, r1, r2) > 0:
-                back = (-ray2[0], -ray2[1], -ray2[2])
-                cells.append(HCell((hpos, r1, r2), (ray1, edge, back)))
-        i = j
+    for blk, run in groupby(range(start, start + nd), key=lambda i: blockers[i % nd]):
+        run = list(run)
+        if blk is None:
+            continue
+        # the lines of the rays and the edge (the triangle on their
+        # positive sides) are small; the hits are their meets
+        edge = _h_line(h_point(blk[0]), h_point(blk[1]))
+        ray1 = _h_line(hpos, dirs[run[0] % nd] + (0,))
+        ray2 = _h_line(hpos, dirs[(run[-1] + 1) % nd] + (0,))
+        r1 = _h_meet(ray1, edge)
+        r2 = _h_meet(ray2, edge)
+        if _h_orient(hpos, r1, r2) > 0:
+            back = (-ray2[0], -ray2[1], -ray2[2])
+            cells.append(HCell((hpos, r1, r2), (ray1, edge, back)))
 
     return VisibilityRegion(guard=g, cells=tuple(cells))

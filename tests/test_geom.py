@@ -7,10 +7,10 @@ from hypothesis import strategies as st
 
 from cityguard.errors import MalformedPolygonError
 from cityguard.geom import (
-    CCW, COLLINEAR, CW, AxisRect, Point, PolygonSet, Segment, _h_apart, _h_normalized,
-    clip_segment_to_cell, h_cell, h_split, half_plane_contains, make_axis_rect,
+    CCW, COLLINEAR, CW, AxisRect, Point, PolygonSet, _h_apart, _h_normalized,
+    clip_segment_to_cell, h_cell, h_split, half_plane_contains, interior_run, make_axis_rect,
     make_convex_quad, is_rectangle, orient, primitive_direction,
-    rational, rational_str, segment_blocked_by_rect,
+    rational, rational_str,
 )
 
 
@@ -39,25 +39,25 @@ class TestSegmentBlocked:
     R = make_axis_rect(4, 4, 6, 6)
 
     def test_diagonal_through_center(self):
-        assert segment_blocked_by_rect(Segment(P(0, 0), P(10, 10)), self.R)
+        assert interior_run(P(0, 0), P(10, 10), self.R) is not None
 
     def test_run_along_boundary(self):
-        assert not segment_blocked_by_rect(Segment(P(0, 4), P(10, 4)), self.R)
+        assert interior_run(P(0, 4), P(10, 4), self.R) is None
 
     def test_near_miss(self):
         # exact rational check: the segment passes below-left of the corner
-        assert not segment_blocked_by_rect(Segment(P(0, 0), P(3, 9)), self.R)
+        assert interior_run(P(0, 0), P(3, 9), self.R) is None
 
     def test_corner_graze(self):
-        assert not segment_blocked_by_rect(Segment(P(2, 6), P(6, 2)), self.R)
+        assert interior_run(P(2, 6), P(6, 2), self.R) is None
 
     def test_endpoint_inside(self):
-        assert segment_blocked_by_rect(Segment(P(5, 5), P(20, 20)), self.R)
+        assert interior_run(P(5, 5), P(20, 20), self.R) is not None
 
     def test_quad_hole(self):
         q = make_convex_quad([(5, 0), (10, 5), (5, 10), (0, 5)])
-        assert segment_blocked_by_rect(Segment(P(0, 0), P(10, 10)), q)
-        assert not segment_blocked_by_rect(Segment(P(0, 10), P(10, 10)), q)
+        assert interior_run(P(0, 0), P(10, 10), q) is not None
+        assert interior_run(P(0, 10), P(10, 10), q) is None
 
     @given(st.integers(0, 20), st.integers(0, 20), st.integers(0, 20), st.integers(0, 20))
     @settings(max_examples=200)
@@ -65,8 +65,7 @@ class TestSegmentBlocked:
         # any strictly interior sample point implies blocked
         if (ax, ay) == (bx, by):
             return
-        seg = Segment(P(ax, ay), P(bx, by))
-        blocked = segment_blocked_by_rect(seg, self.R)
+        blocked = interior_run(P(ax, ay), P(bx, by), self.R) is not None
         hit = False
         for i in range(1, 1000):
             t = Fraction(i, 1000)
@@ -79,9 +78,8 @@ class TestSegmentBlocked:
             assert blocked
         # exactness: scaling all operands leaves the answer unchanged
         s = Fraction(7, 3)
-        seg2 = Segment(P(ax * s, ay * s), P(bx * s, by * s))
         r2 = AxisRect(self.R.x0 * s, self.R.y0 * s, self.R.x1 * s, self.R.y1 * s)
-        assert segment_blocked_by_rect(seg2, r2) == blocked
+        assert (interior_run(P(ax * s, ay * s), P(bx * s, by * s), r2) is not None) == blocked
 
     @given(st.integers(0, 10), st.integers(0, 10), st.integers(0, 10), st.integers(0, 10))
     @settings(max_examples=200)

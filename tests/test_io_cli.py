@@ -370,6 +370,16 @@ class TestCli:
         assert len(err) == 1 and err[0].startswith("validation error: ")
         assert not out.exists()
 
+    def test_bench_dir_outside_algorithm_domain_exits_2(self, tmp_path, capsys):
+        assert self.run("gen", "--family", "rot-3k1", "--k", "2",
+                        "--out", str(tmp_path / "rot.json")) == 0
+        capsys.readouterr()
+        assert self.run("bench", "--dir", str(tmp_path)) == 2
+        captured = capsys.readouterr()
+        err = captured.err.splitlines()
+        assert len(err) == 1 and err[0].startswith("validation error: rot: ")
+        assert captured.out == ""
+
     @pytest.mark.parametrize("case", ["verify-missing-solution", "bench-missing-dir",
                                       "bench-out-missing-dir", "solve-out-missing-dir"])
     def test_missing_file_or_directory_exits_2(self, tmp_path, capsys, case):

@@ -9,6 +9,7 @@ from cityguard.instances import GeneratorParams, gen_3k1_necessity, gen_random
 from cityguard.model import E, N, S, Scene, W, hole_guard, p_corner_guard, validate_scene
 from cityguard.oracle import candidate_set
 from cityguard.visibility import sees, visibility_region
+from counterexample_3k1 import rot3k1_counterexample
 
 
 def city_a():
@@ -18,16 +19,37 @@ def city_a():
 
 def on_whisker(scene, g, p):
     """Visible-but-zero-area points: on the half-plane boundary line or
-    collinear with the guard and a hole corner (grazing sight lines)."""
+    collinear with the guard and a hole corner other than p (grazing sight
+    lines)."""
     pos = g.position(scene)
     fx, fy = g.facing
     if (p.x - pos.x) * fx + (p.y - pos.y) * fy == 0:
         return True
     for h in scene.holes:
         for c in h.corners():
-            if c != pos and orient(pos, c, p) == 0:
+            if c not in (pos, p) and orient(pos, c, p) == 0:
                 return True
     return False
+
+
+def adversarial_points(scene, pos):
+    """Every hole and P vertex, every edge midpoint, the four points 1/64
+    off each hole corner diagonally, and a point just past each vertex on
+    the line from pos through it."""
+    polygons = [h.corners() for h in scene.holes] + [scene.bounds.corners()]
+    eps = Fraction(1, 64)
+    pts = []
+    for corners in polygons:
+        for a, b in zip(corners, corners[1:] + corners[:1]):
+            pts += [a, Point(Fraction(a.x + b.x, 2), Fraction(a.y + b.y, 2))]
+            if a != pos:
+                dx, dy = a.x - pos.x, a.y - pos.y
+                step = eps / max(abs(dx), abs(dy))
+                pts.append(Point(a.x + step * dx, a.y + step * dy))
+    for h in scene.holes:
+        for c in h.corners():
+            pts += [Point(c.x + sx * eps, c.y + sy * eps) for sx in (-1, 1) for sy in (-1, 1)]
+    return pts
 
 
 class TestSees:
@@ -89,6 +111,18 @@ class TestOracleAgreement:
                     inr, sv = vr.region.contains(p), sees(sc, g, p)
                     if inr != sv:
                         assert sv and not inr and on_whisker(sc, g, p)
+
+    def test_adversarial_points(self):
+        scenes = [gen_random(GeneratorParams(k=k, seed=k, grid=grid))
+                  for k in range(1, 7) for grid in (40, 200)]
+        scenes += [gen_3k1_necessity(1), gen_3k1_necessity(2), rot3k1_counterexample()]
+        for sc in scenes:
+            for g in candidate_set(sc, include_p_corners=True):
+                region = visibility_region(sc, g).region
+                for p in adversarial_points(sc, g.position(sc)):
+                    inr, sv = region.contains(p), sees(sc, g, p)
+                    if inr != sv:
+                        assert sv and not inr and on_whisker(sc, g, p), (g, p)
 
     def test_region_subset_of_visible(self):
         # every region vertex must itself be seen
