@@ -13,9 +13,10 @@ The representation is regularized: cells are closed and zero-area pieces
 are dropped, so a PolygonSet always equals the closure of its interior.
 
 Sight segments against buildings have one exact test, `interior_run`:
-the run of a segment inside a hole's open interior.  A segment is blocked
-in 2D iff the run exists (`visibility.clear_sight`), and the roof
-oracle's 3D prism test compares heights on that run.
+the run of a segment inside a hole's open interior, found by one pass
+over the hole's edge lines in the kernel's homogeneous integers.  A
+segment is blocked in 2D iff the run exists (`visibility.clear_sight`),
+and the roof oracle's 3D prism test compares heights on that run.
 """
 
 from __future__ import annotations
@@ -34,7 +35,10 @@ CW = -1
 
 
 def rational(value) -> Rational:
-    """Parse a rational literal: an int, a Fraction, or a string 'p/q' (q > 0)."""
+    """Parse a rational literal: an int, a Fraction, or a string 'p/q' (q > 0).
+    A bool is not a rational, though Python counts it as an int."""
+    if isinstance(value, bool):
+        raise TypeError(f"not a rational literal: {value!r}")
     if isinstance(value, (int, Fraction)):
         return value
     if isinstance(value, str):
@@ -561,45 +565,37 @@ def h_subtract(pieces, cutters):
     return pieces
 
 
-def clip_segment_to_cell(a: Point, b: Point, cell: Cell):
-    """Cyrus-Beck clip of segment a->b to a closed convex CCW cell.
-
-    Returns the parameter range (t0, t1) of the clipped piece, exact
-    `Fraction`s with 0 <= t0 < t1 <= 1, or None if the segment meets the
-    cell in at most one point.  Such a point lies on the cell's boundary.
-    """
-    t0, t1 = Fraction(0), Fraction(1)
-    n = len(cell)
-    for i in range(n):
-        p, q = cell[i], cell[(i + 1) % n]
-        # inside is the left side of p->q
-        ex, ey = q.x - p.x, q.y - p.y
-        fa = ex * (a.y - p.y) - ey * (a.x - p.x)
-        fb = ex * (b.y - p.y) - ey * (b.x - p.x)
-        if fa < 0 and fb < 0:
-            return None
-        if fa >= 0 and fb >= 0:
-            continue
-        t = Fraction(fa, fa - fb)
-        if fa < 0:
-            t0 = max(t0, t)
-        else:
-            t1 = min(t1, t)
-        if t0 >= t1:
-            return None
-    return t0, t1
-
-
 def interior_run(a: Point, b: Point, hole: Hole):
     """The parameter range (t0, t1) of the run of segment a->b through the
     hole's open interior, or None if there is none.
 
-    The segment is clipped to the closed hole; the hole is convex, so the
-    clipped run is interior iff its midpoint is, which handles grazing
-    contact and runs along an edge exactly."""
-    clip = clip_segment_to_cell(a, b, hole.as_cell())
-    if clip is None:
-        return None
-    tm = (clip[0] + clip[1]) / 2
-    mid = Point(a.x + tm * (b.x - a.x), a.y + tm * (b.y - a.y))
-    return clip if hole.contains_open(mid) else None
+    One Cyrus-Beck pass over the hole's edge lines, in homogeneous
+    integers: a point is in the open interior iff it is strictly left of
+    every edge line, so a line with both ends on or right of it leaves no
+    run, and the run is the part of the segment strictly left of them all.
+    Each end's side is scaled by the other end's W, so both sides share
+    one scale and a crossing lies at t = sa / (sa - sb).  The run's ends
+    are kept as integer ratios and made Fractions only on return; grazing
+    contact and runs along an edge leave no run."""
+    ax, ay, aw = h_point(a)
+    bx, by, bw = h_point(b)
+    n0, d0, n1, d1 = 0, 1, 1, 1  # the run so far: n0/d0 < t < n1/d1
+    corners = [h_point(c) for c in hole.corners()]
+    p = corners[-1]
+    for q in corners:
+        A, B, C = _h_line(p, q)
+        p = q
+        sa = (A * ax + B * ay + C * aw) * bw
+        sb = (A * bx + B * by + C * bw) * aw
+        if sa > 0:
+            if sb > 0:
+                continue
+            if sa * d1 < n1 * (sa - sb):  # leaves the left side earlier
+                n1, d1 = sa, sa - sb
+        elif sb <= 0:
+            return None
+        elif -sa * d0 > n0 * (sb - sa):  # enters the left side later
+            n0, d0 = -sa, sb - sa
+        if n0 * d1 >= n1 * d0:
+            return None
+    return Fraction(n0, d0), Fraction(n1, d1)

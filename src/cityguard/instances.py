@@ -230,16 +230,21 @@ def hole_within_span(inner, outer) -> bool:
     return any(_within_strip(inner, strip) for strip in _edge_strips(outer))
 
 
-def _edge_visible_intervals(scene: Scene, v: Point, edge, facing=None):
-    """Sub-intervals of the edge seen from v (2D, open-half-plane if facing).
+def _edge_visible(scene: Scene, v: Point, edge, facing=None) -> bool:
+    """Positive-length, positive-angle visibility of an edge from v (2D,
+    open half-plane if a facing is given).
 
-    Returns a list of (t0, t1) parameter intervals with positive length
-    whose points p satisfy: segment v-p crosses no hole interior, and
-    (p - v) . facing > 0 when a facing is given.
+    A v on the edge's line sees the edge edge-on, at zero angle.
+    Otherwise the lines from v through the hole corners and the facing's
+    boundary cut the edge into pieces that are each wholly visible or
+    not, and the first piece whose midpoint p has (p - v) . facing > 0
+    and a clear segment v-p (`clear_sight`) decides.
     """
     a, b = edge
-    cuts = {Fraction(0), Fraction(1)}
     ex, ey = b.x - a.x, b.y - a.y
+    if (v.x - a.x) * ey - (v.y - a.y) * ex == 0:
+        return False
+    cuts = {Fraction(0), Fraction(1)}
     for h in scene.holes:
         for w in h.corners():
             # intersection of edge with the line v->w
@@ -258,7 +263,6 @@ def _edge_visible_intervals(scene: Scene, v: Point, edge, facing=None):
             if 0 < t < 1:
                 cuts.add(t)
     ts = sorted(cuts)
-    out = []
     for t0, t1 in zip(ts, ts[1:]):
         tm = (t0 + t1) / 2
         p = Point(a.x + tm * ex, a.y + tm * ey)
@@ -266,22 +270,6 @@ def _edge_visible_intervals(scene: Scene, v: Point, edge, facing=None):
             if (p.x - v.x) * facing[0] + (p.y - v.y) * facing[1] <= 0:
                 continue
         if clear_sight(scene, v, p):
-            out.append((t0, t1))
-    return out
-
-
-def _edge_visible(scene: Scene, v: Point, edge, facing=None) -> bool:
-    """Positive-length, positive-angle visibility of an edge from v.
-
-    Intervals collinear with v are excluded: a camera at v sees them with
-    zero angular extent.
-    """
-    a, b = edge
-    for (t0, t1) in _edge_visible_intervals(scene, v, edge, facing):
-        p0 = Point(a.x + t0 * (b.x - a.x), a.y + t0 * (b.y - a.y))
-        p1 = Point(a.x + t1 * (b.x - a.x), a.y + t1 * (b.y - a.y))
-        cr = (p0.x - v.x) * (p1.y - v.y) - (p0.y - v.y) * (p1.x - v.x)
-        if cr != 0:
             return True
     return False
 

@@ -15,7 +15,7 @@ from typing import Sequence, Union
 
 from cityguard.errors import SceneValidationError, DegeneratePositionError
 from cityguard.geom import (
-    AxisRect, ConvexQuad, Point, Hole, cell_bbox, dot,
+    AxisRect, ConvexQuad, Point, Hole, cell_bbox,
     is_rectangle, make_axis_rect, make_convex_quad, primitive_direction,
 )
 
@@ -254,18 +254,6 @@ def wall_aligned_facings(hole: Hole):
     d0 = primitive_direction(cs[1].x - cs[0].x, cs[1].y - cs[0].y)
     d1 = primitive_direction(cs[2].x - cs[1].x, cs[2].y - cs[1].y)
     return (d0, (-d0[0], -d0[1]), d1, (-d1[0], -d1[1]))
-
-
-def guard_facing_is_wall_aligned(scene: Scene, g: Guard) -> bool:
-    if g.anchor[0] == "p":
-        return g.facing in (N, E, S, W)
-    hole = scene.holes[g.anchor[1]]
-    cs = hole.corners()
-    for i in range(4):
-        ex, ey = cs[(i + 1) % 4].x - cs[i].x, cs[(i + 1) % 4].y - cs[i].y
-        if dot(g.facing[0], g.facing[1], ex, ey) == 0:
-            return True
-    return False
 
 
 # ---------------------------------------------------------------------------

@@ -272,17 +272,6 @@ def min_cover_of_region(scene: Scene, candidates, region, max_count: int):
 # ---------------------------------------------------------------------------
 
 
-def _segment_blocked_by_prism(p1: Point, z1, p2: Point, z2, base, h) -> bool:
-    """Does the open 3D segment pass through the prism's open interior?"""
-    run = interior_run(p1, p2, base)
-    if run is None:
-        return False
-    t0, t1 = run
-    # xy is strictly inside on the open run and z is linear along it, so
-    # z < h somewhere on the run iff z < h at its lower end
-    return z1 + (t0 if z2 > z1 else t1) * (z2 - z1) < h
-
-
 def roof_samples(base):
     """Corners, edge midpoints and the centroid of a roof rectangle."""
     cs = base.corners()
@@ -337,13 +326,19 @@ def _sample_visible(v: Point, vz, p: Point, pz, prisms) -> bool:
     changes a verdict.  A prism no taller than the lower end of the
     segment cannot block, as z is linear along it.  A segment whose
     endpoints both lie on the closed outer side of one side of a
-    footprint's bbox meets the footprint at most on its boundary."""
+    footprint's bbox meets the footprint at most on its boundary.
+
+    A prism blocks iff the open segment enters its open interior: the
+    segment's xy run through the footprint's open interior (`interior_run`,
+    one integer pass) has a point below the roof.  z is linear along the
+    run, so that holds iff z < h at the run's lower end."""
     low = min(vz, pz)
     for base, h, (x0, y0, x1, y1) in prisms:
         if (h <= low or (v.x <= x0 and p.x <= x0) or (v.x >= x1 and p.x >= x1)
                 or (v.y <= y0 and p.y <= y0) or (v.y >= y1 and p.y >= y1)):
             continue
-        if _segment_blocked_by_prism(v, vz, p, pz, base, h):
+        run = interior_run(v, p, base)
+        if run is not None and vz + run[0 if pz > vz else 1] * (pz - vz) < h:
             return False
     return True
 

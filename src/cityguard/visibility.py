@@ -3,7 +3,8 @@
 Two independent routes to the same predicate:
 
 * sees(scene, g, p): direct point test (half-plane + `clear_sight`, the
-  per-hole segment blocking test also used by the 3k+1 property checks).
+  per-hole segment blocking test also used by the 3k+1 property checks,
+  one exact integer pass against each hole's open interior).
   This is the oracle the region computation is checked against.
 * visibility_region(scene, g): angular sweep, one pass over P's boundary
   and the holes alike.  Critical directions are the directions from the
@@ -48,12 +49,12 @@ from cityguard.model import Guard, Scene
 
 def sees(scene: Scene, g: Guard, p: Point) -> bool:
     """True iff p is in the bounds and the guard's closed half-plane, and
-    the sight segment is clear (`clear_sight`)."""
+    the sight segment is clear (`clear_sight`, one integer pass per hole).
+    A point strictly inside a hole needs no test of its own: the guard
+    stands outside every hole's open interior, so the segment to such a
+    point has a run inside that hole."""
     if not scene.bounds.contains_closed(p):
         return False
-    for h in scene.holes:
-        if h.contains_open(p):
-            return False
     pos = g.position(scene)
     return half_plane_contains(pos, g.facing, p) and clear_sight(scene, pos, p)
 

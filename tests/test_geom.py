@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from cityguard.errors import MalformedPolygonError
 from cityguard.geom import (
     CCW, COLLINEAR, CW, AxisRect, Point, PolygonSet, _h_apart, _h_normalized,
-    clip_segment_to_cell, h_cell, h_split, half_plane_contains, interior_run, make_axis_rect,
+    h_cell, h_split, half_plane_contains, interior_run, make_axis_rect,
     make_convex_quad, is_rectangle, orient, primitive_direction,
     rational, rational_str,
 )
@@ -16,6 +16,55 @@ from cityguard.geom import (
 
 def P(x, y):
     return Point(x, y)
+
+
+def closed_clip(a, b, cell):
+    """Reference Cyrus-Beck clip of segment a->b to a closed convex CCW cell,
+    in Fractions: the parameter range (t0, t1) of the clipped piece, or
+    None if the segment meets the cell in at most one point."""
+    t0, t1 = Fraction(0), Fraction(1)
+    n = len(cell)
+    for i in range(n):
+        p, q = cell[i], cell[(i + 1) % n]
+        # inside is the left side of p->q
+        ex, ey = q.x - p.x, q.y - p.y
+        fa = ex * (a.y - p.y) - ey * (a.x - p.x)
+        fb = ex * (b.y - p.y) - ey * (b.x - p.x)
+        if fa < 0 and fb < 0:
+            return None
+        if fa >= 0 and fb >= 0:
+            continue
+        t = Fraction(fa, fa - fb)
+        if fa < 0:
+            t0 = max(t0, t)
+        else:
+            t1 = min(t1, t)
+        if t0 >= t1:
+            return None
+    return t0, t1
+
+
+def ref_interior_run(a, b, hole):
+    """The closed clip, kept iff its midpoint is in the hole's open
+    interior (the hole is convex, so then the whole open clip is)."""
+    clip = closed_clip(a, b, hole.as_cell())
+    if clip is None:
+        return None
+    tm = (clip[0] + clip[1]) / 2
+    return clip if hole.contains_open(Point(a.x + tm * (b.x - a.x), a.y + tm * (b.y - a.y))) else None
+
+
+def scaled(hole, s):
+    """The hole with every coordinate multiplied by s > 0, of the same kind."""
+    if isinstance(hole, AxisRect):
+        return AxisRect(*(c * s for c in hole))
+    return make_convex_quad([(p.x * s, p.y * s) for p in hole.corners()])
+
+
+# integer, thirds and 64ths, over [0, 20]
+_coord = st.one_of(st.integers(0, 20),
+                   st.builds(Fraction, st.integers(0, 60), st.just(3)),
+                   st.builds(Fraction, st.integers(0, 1280), st.just(64)))
 
 
 class TestOrient:
@@ -37,6 +86,7 @@ class TestOrient:
 
 class TestSegmentBlocked:
     R = make_axis_rect(4, 4, 6, 6)
+    QUAD = make_convex_quad([(5, 0), (10, 5), (5, 10), (0, 5)])
 
     def test_diagonal_through_center(self):
         assert interior_run(P(0, 0), P(10, 10), self.R) is not None
@@ -55,37 +105,38 @@ class TestSegmentBlocked:
         assert interior_run(P(5, 5), P(20, 20), self.R) is not None
 
     def test_quad_hole(self):
-        q = make_convex_quad([(5, 0), (10, 5), (5, 10), (0, 5)])
-        assert interior_run(P(0, 0), P(10, 10), q) is not None
-        assert interior_run(P(0, 10), P(10, 10), q) is None
+        assert interior_run(P(0, 0), P(10, 10), self.QUAD) is not None
+        assert interior_run(P(0, 10), P(10, 10), self.QUAD) is None
 
-    @given(st.integers(0, 20), st.integers(0, 20), st.integers(0, 20), st.integers(0, 20))
-    @settings(max_examples=200)
-    def test_dense_sample_agreement(self, ax, ay, bx, by):
-        # any strictly interior sample point implies blocked
+    @given(_coord, _coord, _coord, _coord, st.booleans())
+    @settings(max_examples=300)
+    def test_dense_sample_agreement(self, ax, ay, bx, by, quad):
+        # integer and Fraction endpoints, against the rectangle or the quad
         if (ax, ay) == (bx, by):
             return
-        blocked = interior_run(P(ax, ay), P(bx, by), self.R) is not None
-        hit = False
+        hole = self.QUAD if quad else self.R
+        a, b = P(ax, ay), P(bx, by)
+        run = interior_run(a, b, hole)
+        assert run == ref_interior_run(a, b, hole)
+        # any strictly interior sample point implies blocked; the samples
+        # t = i/1000 are integer points once everything is scaled by
+        # 1000 * 192 (192 is a multiple of every coordinate's denominator)
+        big = scaled(hole, 1000 * 192)
+        A = [int(c * 192) for c in (ax, ay, bx, by)]
         for i in range(1, 1000):
-            t = Fraction(i, 1000)
-            x = ax + t * (bx - ax)
-            y = ay + t * (by - ay)
-            if self.R.contains_open(Point(x, y)):
-                hit = True
+            if big.contains_open(Point((1000 - i) * A[0] + i * A[2], (1000 - i) * A[1] + i * A[3])):
+                assert run is not None
                 break
-        if hit:
-            assert blocked
         # exactness: scaling all operands leaves the answer unchanged
         s = Fraction(7, 3)
-        r2 = AxisRect(self.R.x0 * s, self.R.y0 * s, self.R.x1 * s, self.R.y1 * s)
-        assert (interior_run(P(ax * s, ay * s), P(bx * s, by * s), r2) is not None) == blocked
+        assert interior_run(P(ax * s, ay * s), P(bx * s, by * s), scaled(hole, s)) == run
 
     @given(st.integers(0, 10), st.integers(0, 10), st.integers(0, 10), st.integers(0, 10))
     @settings(max_examples=200)
     def test_clip_is_the_closed_cell_piece(self, ax, ay, bx, by):
         a, b = P(ax, ay), P(bx, by)
-        clip = clip_segment_to_cell(a, b, self.R.as_cell())
+        clip = closed_clip(a, b, self.R.as_cell())
+        run = interior_run(a, b, self.R)
         r = self.R
         hits = []
         for i in range(101):
@@ -96,6 +147,10 @@ class TestSegmentBlocked:
                 hits += [t] if inside else []
             else:
                 assert inside == (clip[0] <= t <= clip[1])
+            # the run is the open piece: on the open segment, strictly
+            # inside exactly on (t0, t1)
+            if 0 < t < 1:
+                assert r.contains_open(Point(x, y)) == (run is not None and run[0] < t < run[1])
         assert len(hits) <= 1  # a miss may still touch the cell in one point
 
 

@@ -96,6 +96,7 @@ class TestFormats:
         ({"p_corner": -2}, [1, 0], "$.guards[0].anchor.p_corner"),
         ({"building": 0, "corner": 1}, [0, 0], "$.guards[0].facing"),
         ({"building": 0, "corner": 1}, ["0/3", 0], "$.guards[0].facing"),
+        ({"building": 0, "corner": 1}, [True, 0], "$.guards[0].facing"),
     ])
     def test_malformed_guard_rejected_with_path(self, anchor, facing, path):
         doc = {"algorithm": "x", "guards": [{"anchor": anchor, "facing": facing}]}
@@ -111,6 +112,11 @@ class TestFormats:
          "$.guards[0].anchor"),
         (parse_city, {"bounds": [0, 0, 10, 10], "buildings": 5}, "$.buildings"),
         (parse_city, {"bounds": [0, 0, 10, 10], "buildings": [7]}, "$.buildings[0]"),
+        # JSON booleans are not rationals, although Python counts them as ints
+        (parse_city, {"bounds": [True, 0, 10, 10]}, "$.bounds"),
+        (parse_city, {"bounds": [0, 0, 10, 10],
+                      "buildings": [{"base": [1, 1, 3, 3], "height": True}]},
+         "$.buildings[0].height"),
     ])
     def test_non_object_rejected_with_path(self, parse, doc, path):
         with pytest.raises(FormatError) as e:

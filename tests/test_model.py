@@ -5,10 +5,10 @@ from hypothesis import strategies as st
 from cityguard.errors import DegeneratePositionError, SceneValidationError
 from cityguard.geom import AxisRect, Point, make_axis_rect, make_convex_quad
 from cityguard.model import (
-    City, E, N, S, Scene, Solution, W, _holes_disjoint, guard_facing_is_wall_aligned, hole_guard,
+    City, E, N, S, Scene, Solution, W, _holes_disjoint, hole_guard,
     p_corner_guard, project, roof_covered_by, rotate_guard_ccw, rotate_point_ccw,
     rotate_scene_ccw, validate_scene, check_general_position,
-    require_general_position, unrotate_guards,
+    require_general_position, unrotate_guards, wall_aligned_facings,
 )
 
 
@@ -155,13 +155,13 @@ class TestGuards:
 
     def test_wall_alignment_check(self):
         sc = city_a()
-        assert guard_facing_is_wall_aligned(sc, hole_guard(0, 0, N))
-        assert not guard_facing_is_wall_aligned(sc, hole_guard(0, 0, (1, 1)))
+        assert hole_guard(0, 0, N).facing in wall_aligned_facings(sc.holes[0])
+        assert hole_guard(0, 0, (1, 1)).facing not in wall_aligned_facings(sc.holes[0])
         q = validate_scene({"bounds": [0, 0, 20, 20],
                             "buildings": [{"quad": [[10, 4], [14, 8], [10, 12], [6, 8]],
                                            "height": 1}]})
-        assert guard_facing_is_wall_aligned(q, hole_guard(0, 0, (1, 1)))
-        assert not guard_facing_is_wall_aligned(q, hole_guard(0, 0, E))
+        assert hole_guard(0, 0, (1, 1)).facing in wall_aligned_facings(q.holes[0])
+        assert hole_guard(0, 0, E).facing not in wall_aligned_facings(q.holes[0])
 
 
 class TestRotation:

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 import cityguard.verify as verify
 from cityguard.bench import bench_instance, random_corpus
 from cityguard.geom import (
-    AxisRect, Point, PolygonSet, clip_segment_to_cell, h_centroid, make_axis_rect,
+    AxisRect, Point, PolygonSet, h_centroid, make_axis_rect,
 )
 from cityguard.instances import (
     GeneratorParams, gen_3k1_necessity, gen_random, gen_roof_necessity, space_between,
@@ -29,6 +29,7 @@ from cityguard.placement import (
 from cityguard.verify import certify, certify_city, covers, free_space
 from cityguard.visibility import visibility_region
 from counterexample_3k1 import rot3k1_counterexample
+from test_geom import ref_interior_run
 
 
 def city_a():
@@ -456,17 +457,11 @@ class TestRoofOracle:
 
 def _ref_blocked(a, za, b, zb, base, h):
     """Unfiltered reference: does the open 3D segment (a, za)-(b, zb) meet the
-    prism's open interior?  The clipped run is interior iff its midpoint is
-    (the footprint is convex), and z is linear, so some z < h on the open run
-    iff it holds at one of the run's ends."""
-    clip = clip_segment_to_cell(a, b, base.as_cell())
-    if clip is None:
-        return False
-    t0, t1 = clip
-    tm = (t0 + t1) / 2
-    if not base.contains_open(Point(a.x + tm * (b.x - a.x), a.y + tm * (b.y - a.y))):
-        return False
-    return min(za + t0 * (zb - za), za + t1 * (zb - za)) < h
+    prism's open interior?  The footprint run is the reference closed clip
+    kept iff its midpoint is interior (the footprint is convex), and z is
+    linear, so some z < h on the open run iff it holds at one of its ends."""
+    run = ref_interior_run(a, b, base)
+    return run is not None and min(za + t * (zb - za) for t in run) < h
 
 
 def _ref_roof_cover_sets(city, candidates, ties):
