@@ -272,11 +272,14 @@ Hole = Union[AxisRect, ConvexQuad]
 # and the pieces outside come out of the same pass.
 #
 # A point is (X, Y, W) with integer components and W > 0, representing
-# (X/W, Y/W).  Sides, orientations and clipping are pure big-integer
-# arithmetic; gcd reduction happens only when coordinates grow large.
-# An HCell carries its vertices, the directed edge lines (left side is
-# the interior) and a conservatively inflated float bounding box used
-# purely as a prefilter.
+# (X/W, Y/W).  Sides, orientations and clipping are pure integer
+# arithmetic.  An HCell carries its vertices, the directed edge lines
+# (left side is the interior) and a conservatively inflated float bounding
+# box used purely as a prefilter.  A cut never makes a new line, and each
+# crossing point is the meet of the cut edge's line and the cut line, so
+# every vertex is the meet of two of the kernel's input lines: with M the
+# largest input line coefficient, |X|, |Y| and W stay within 2*M*M
+# however many cuts made the vertex.
 #
 # Every HCell is strictly convex and CCW: at least 3 vertices, no
 # duplicate, no three consecutive collinear (_h_normalized(pts) == pts),
@@ -288,9 +291,6 @@ Hole = Union[AxisRect, ConvexQuad]
 # meets the boundary in exactly two points, and each half is a strictly
 # convex polygon with one vertex off the line.
 # ---------------------------------------------------------------------------
-
-_H_REDUCE_BITS = 256
-
 
 def h_point(p: Point):
     x, y = p
@@ -308,15 +308,6 @@ def h_to_point(h) -> Point:
     fx, fy = Fraction(X, W), Fraction(Y, W)
     return Point(int(fx) if fx.denominator == 1 else fx,
                  int(fy) if fy.denominator == 1 else fy)
-
-
-def _h_reduce(h):
-    X, Y, W = h
-    if W.bit_length() > _H_REDUCE_BITS:
-        g = gcd(gcd(abs(X), abs(Y)), W)
-        if g > 1:
-            return (X // g, Y // g, W // g)
-    return h
 
 
 def _h_line(a, b):
@@ -482,8 +473,9 @@ def _h_split(cell, line):
     misses the cell.  The halves of a strictly convex cell are strictly
     convex as built (see the invariant above), so they are not
     renormalized.  Each edge of a half keeps the line of the edge it lies
-    on, or the cut line, so edge lines are never recomputed from the
-    (larger) crossing points."""
+    on, or the cut line, and each crossing point is the meet of those two
+    lines, so a half's vertices are meets of the kernel's input lines and
+    their integers stay bounded by them (see above)."""
     pts, lines = cell
     A, B, C = line
     sides = [A * p[0] + B * p[1] + C * p[2] for p in pts]
@@ -493,13 +485,10 @@ def _h_split(cell, line):
         return None, cell
     flip = (-A, -B, -C)
     left, left_lines, right, right_lines = [], [], [], []
-    n = len(pts)
-    for i in range(n):
-        p, sp, edge = pts[i], sides[i], lines[i]
-        j = i + 1 if i + 1 < n else 0
-        q, sq = pts[j], sides[j]
-        # the edge leaving p in a half runs along the cut line only when p
-        # is on the line and the next vertex is on the other side
+    for p, sp, sq, edge in zip(pts, sides, sides[1:] + sides[:1], lines):
+        # sq is the side of the next vertex; the edge leaving p in a half
+        # runs along the cut line only when p is on the line and the next
+        # vertex is on the other side
         if sp >= 0:
             left.append(p)
             left_lines.append(edge if sp > 0 or sq >= 0 else line)
@@ -507,12 +496,8 @@ def _h_split(cell, line):
             right.append(p)
             right_lines.append(edge if sp < 0 or sq <= 0 else flip)
         if (sp > 0 > sq) or (sp < 0 < sq):
-            rx = sp * q[0] - sq * p[0]
-            ry = sp * q[1] - sq * p[1]
-            rw = sp * q[2] - sq * p[2]
-            if rw < 0:
-                rx, ry, rw = -rx, -ry, -rw
-            r = _h_reduce((rx, ry, rw))
+            # the edge's ends lie strictly on opposite sides, so the lines meet
+            r = _h_meet(edge, line)
             left.append(r)
             right.append(r)
             # the half being left continues along the cut line

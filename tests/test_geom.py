@@ -5,13 +5,19 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from cityguard import geom
 from cityguard.errors import MalformedPolygonError
 from cityguard.geom import (
     CCW, COLLINEAR, CW, AxisRect, Point, PolygonSet, _h_apart, _h_normalized,
-    h_cell, h_split, half_plane_contains, interior_run, make_axis_rect,
-    make_convex_quad, is_rectangle, orient, primitive_direction,
+    _h_split, h_cell, h_split, h_subtract, half_plane_contains, interior_run,
+    make_axis_rect, make_convex_quad, is_rectangle, orient, primitive_direction,
     rational, rational_str,
 )
+from cityguard.instances import GeneratorParams, gen_random
+from cityguard.oracle import build_faces, candidate_set
+from cityguard.placement import guards_2k1
+from cityguard.verify import free_space
+from cityguard.visibility import visibility_region
 
 
 def P(x, y):
@@ -427,6 +433,157 @@ class TestSplit:
         small = h_cell((Point(1, 1), Point(2, 1), Point(2, 2), Point(1, 2)))
         big = h_cell((Point(0, 0), Point(3, 0), Point(3, 3), Point(0, 3)))
         assert h_split(small, big) == (small, [])
+
+
+def ref_h_split(cell, line):
+    """_h_split with the crossing formula it replaced: each crossing point
+    made from the vertices as sp*q - sq*p, whose integers compound with
+    every cut.  The same rational points, kept as a reference."""
+    pts, lines = cell
+    A, B, C = line
+    sides = [A * p[0] + B * p[1] + C * p[2] for p in pts]
+    if min(sides) >= 0:
+        return cell, None
+    if max(sides) <= 0:
+        return None, cell
+    flip = (-A, -B, -C)
+    left, left_lines, right, right_lines = [], [], [], []
+    n = len(pts)
+    for i in range(n):
+        p, sp, edge = pts[i], sides[i], lines[i]
+        q, sq = pts[(i + 1) % n], sides[(i + 1) % n]
+        if sp >= 0:
+            left.append(p)
+            left_lines.append(edge if sp > 0 or sq >= 0 else line)
+        if sp <= 0:
+            right.append(p)
+            right_lines.append(edge if sp < 0 or sq <= 0 else flip)
+        if (sp > 0 > sq) or (sp < 0 < sq):
+            r = tuple(sp * b - sq * a for a, b in zip(p, q))
+            if r[2] < 0:
+                r = tuple(-c for c in r)
+            left.append(r)
+            right.append(r)
+            left_lines.append(line if sp > 0 else edge)
+            right_lines.append(edge if sp > 0 else flip)
+    return (tuple(left), tuple(left_lines)), (tuple(right), tuple(right_lines))
+
+
+def same_half(got, want):
+    """Two halves as (pts, lines) hold the same rational points in the same
+    order, with the same edge lines."""
+    if got is None or want is None:
+        return got is want
+    if got[1] != want[1] or len(got[0]) != len(want[0]):
+        return False
+    return all(X * w == x * W and Y * w == y * W
+               for (X, Y, W), (x, y, w) in zip(got[0], want[0]))
+
+
+def near_collinear_cell(x, y, dx, dy, m, ex, ey):
+    """A triangle whose third vertex lies a small rational step (ex, ey)
+    off the line through the first two, ordered CCW; None if the step
+    lands on that line."""
+    a = Point(x, y)
+    b = Point(x + dx, y + dy)
+    c = Point(x + m * dx + ex, y + m * dy + ey)
+    turn = orient(a, b, c)
+    if turn == COLLINEAR:
+        return None
+    return (a, b, c) if turn == CCW else (a, c, b)
+
+
+kernel_operands = st.one_of(
+    split_operands,
+    st.builds(near_collinear_cell, st.integers(-20, 20), st.integers(-20, 20),
+              st.integers(1, 40), st.integers(-40, 40), st.integers(2, 9),
+              st.fractions(-1, 1, max_denominator=97),
+              st.fractions(-1, 1, max_denominator=97)).filter(bool),
+)
+
+
+def line_bound(cells):
+    """2*M*M, with M the largest |coefficient| of the cells' edge lines."""
+    m = max(abs(c) for cell in cells for line in cell.lines for c in line)
+    return 2 * m * m
+
+
+def assert_within(rings, bound):
+    for pts in rings:
+        for X, Y, W in pts:
+            assert abs(X) <= bound and abs(Y) <= bound and 0 < W <= bound
+
+
+@pytest.fixture
+def cut_vertices(monkeypatch):
+    """The vertex tuples of every half _h_split returns during the test."""
+    seen = []
+
+    def recording(cell, line):
+        halves = _h_split(cell, line)
+        seen.extend(h[0] for h in halves if h is not None)
+        return halves
+
+    monkeypatch.setattr(geom, "_h_split", recording)
+    return seen
+
+
+class TestCrossingPoints:
+    """Each crossing point is the meet of the cut edge's line and the cut
+    line, so every vertex the kernel makes is the meet of two input lines
+    and its integers stay within 2*M*M, M the largest input coefficient."""
+
+    @given(kernel_operands, st.lists(kernel_operands, min_size=1, max_size=4))
+    @settings(max_examples=300, deadline=None)
+    def test_split_matches_vertex_formula(self, a, cutters):
+        # both chains cut by the same lines, each its own halves
+        start = h_cell(a)
+        got = want = (start.pts, start.lines)
+        for line in (ln for c in cutters for ln in h_cell(c).lines):
+            got_left, got_right = _h_split(got, line)
+            want_left, want_right = ref_h_split(want, line)
+            assert same_half(got_left, want_left)
+            assert same_half(got_right, want_right)
+            if got_left is None:
+                break
+            got, want = got_left, want_left
+
+    @given(kernel_operands, st.lists(kernel_operands, min_size=1, max_size=5))
+    @settings(max_examples=200, deadline=None)
+    def test_split_chains_stay_bounded(self, a, cutters):
+        cells = [h_cell(c) for c in [a] + cutters]
+        bound = line_bound(cells)
+        pieces = [cells[0]]
+        for cutter in cells[1:]:
+            nxt = []
+            for piece in pieces:
+                inter, outside = h_split(piece, cutter)
+                nxt += outside + ([inter] if inter is not None else [])
+            pieces = nxt
+            assert_within((p.pts for p in pieces), bound)
+
+    @pytest.mark.parametrize("k, seed", [(16, 0), (22, 1), (28, 2)])
+    def test_residual_pass_stays_bounded(self, cut_vertices, k, seed):
+        sc = gen_random(GeneratorParams(k=k, seed=seed, grid=1000))
+        guards = guards_2k1(sc).guards
+        free = list(free_space(sc).pieces)
+        for gs in (guards, guards[:k] + guards[k + 1:]):  # covered, one short
+            regions = [c for g in gs for c in visibility_region(sc, g).cells]
+            residual = h_subtract(free, regions)
+            assert bool(residual) == (gs is not guards)
+            assert len(cut_vertices) > 1000
+            assert_within(cut_vertices + [c.pts for c in residual],
+                          line_bound(free + regions))
+            cut_vertices.clear()
+
+    def test_face_arrangement_stays_bounded(self, cut_vertices):
+        sc = gen_random(GeneratorParams(k=3, seed=5, grid=100))
+        cands = candidate_set(sc, include_p_corners=True)
+        faces = build_faces(sc, cands)
+        inputs = list(free_space(sc).pieces)
+        inputs += [c for g in cands for c in visibility_region(sc, g).cells]
+        assert len(cut_vertices) > 100
+        assert_within(cut_vertices + [f.pts for f, _ in faces], line_bound(inputs))
 
 
 class TestQuads:
