@@ -6,7 +6,7 @@ than floating-point approximations.
 """
 
 from cityguard.geom import Point, AxisRect, ConvexQuad, PolygonSet, orient
-from cityguard.model import Building, Scene, City, Guard, Solution, validate_scene, project
+from cityguard.model import Scene, City, Guard, Solution, validate_scene
 from cityguard.visibility import sees, visibility_region
 from cityguard.verify import certify, certify_city
 from cityguard.placement import roof_guarding, partition_2k1, guards_2k1, guards_main, city_guarding
@@ -14,7 +14,7 @@ from cityguard.oracle import candidate_set, optimal_guard_count
 
 __all__ = [
     "Point", "AxisRect", "ConvexQuad", "PolygonSet", "orient",
-    "Building", "Scene", "City", "Guard", "Solution", "validate_scene", "project",
+    "Scene", "City", "Guard", "Solution", "validate_scene",
     "sees", "visibility_region",
     "certify", "certify_city",
     "roof_guarding", "partition_2k1", "guards_2k1", "guards_main", "city_guarding",

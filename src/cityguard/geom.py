@@ -77,14 +77,6 @@ def orient(a: Point, b: Point, c: Point) -> int:
     return COLLINEAR
 
 
-def cross(ox, oy, ax, ay, bx, by):
-    return (ax - ox) * (by - oy) - (ay - oy) * (bx - ox)
-
-
-def dot(ux, uy, vx, vy):
-    return ux * vx + uy * vy
-
-
 def half_plane_contains(origin: Point, facing: tuple, p: Point) -> bool:
     """Closed half-plane test: (p - origin) . facing >= 0."""
     fx, fy = facing
@@ -227,11 +219,7 @@ class ConvexQuad(NamedTuple):
         return self.v
 
     def contains_open(self, p: Point) -> bool:
-        for i in range(4):
-            a, b = self.v[i], self.v[(i + 1) % 4]
-            if cross(a.x, a.y, b.x, b.y, p.x, p.y) <= 0:
-                return False
-        return True
+        return all(orient(self.v[i - 1], self.v[i], p) == CCW for i in range(4))
 
     def as_cell(self) -> Cell:
         return self.v
@@ -251,8 +239,8 @@ def is_rectangle(quad: ConvexQuad) -> bool:
     """Adjacent edges perpendicular and opposite edges of equal length."""
     v = quad.v
     e = [(v[(i + 1) % 4].x - v[i].x, v[(i + 1) % 4].y - v[i].y) for i in range(4)]
-    for i in range(4):
-        if dot(e[i][0], e[i][1], e[(i + 1) % 4][0], e[(i + 1) % 4][1]) != 0:
+    for (ax, ay), (bx, by) in zip(e, e[1:] + e[:1]):
+        if ax * bx + ay * by != 0:
             return False
     return (e[0][0] ** 2 + e[0][1] ** 2 == e[2][0] ** 2 + e[2][1] ** 2
             and e[1][0] ** 2 + e[1][1] ** 2 == e[3][0] ** 2 + e[3][1] ** 2)
@@ -561,7 +549,15 @@ def interior_run(a: Point, b: Point, hole: Hole):
     Each end's side is scaled by the other end's W, so both sides share
     one scale and a crossing lies at t = sa / (sa - sb).  The run's ends
     are kept as integer ratios and made Fractions only on return; grazing
-    contact and runs along an edge leave no run."""
+    contact and runs along an edge leave no run.
+
+    A segment with both ends on the closed outer side of one side of the
+    hole's corner bbox meets the hole at most on its boundary, so it is
+    rejected exactly before any integer is made."""
+    x0, y0, x1, y1 = hole if isinstance(hole, AxisRect) else cell_bbox(hole.v)
+    if ((a.x <= x0 and b.x <= x0) or (a.x >= x1 and b.x >= x1)
+            or (a.y <= y0 and b.y <= y0) or (a.y >= y1 and b.y >= y1)):
+        return None
     ax, ay, aw = h_point(a)
     bx, by, bw = h_point(b)
     n0, d0, n1, d1 = 0, 1, 1, 1  # the run so far: n0/d0 < t < n1/d1

@@ -7,7 +7,7 @@ straight 3D sight segment between roof points of two non-adjacent
 buildings is a chord of a concave profile, so the building in between
 blocks it.  check_roof_necessity verifies the blocking exactly at the
 roof samples (corners, edge midpoints and centroid), with the roof
-oracle's filtered sample test.
+oracle's sample test.
 
 gen_3k1_necessity builds the rotated family for the 3k+1 lower bound:
 each hole presents a corner to the previous hole's flat wall, inside a
@@ -28,7 +28,7 @@ from cityguard.model import (
     City, Scene, _holes_disjoint, require_general_position, validate_scene,
     wall_aligned_facings,
 )
-from cityguard.oracle import _prisms, _sample_visible, roof_samples
+from cityguard.oracle import _sample_visible, roof_samples
 from cityguard.visibility import clear_sight
 
 @dataclass(frozen=True)
@@ -123,15 +123,15 @@ def check_roof_necessity(city: City):
     """Exact finite certificate of the two defining properties:
     1. strictly decreasing heights;
     2. for i < j-1, no top vertex of B_i sees any roof sample of B_j,
-       checked symmetrically with the roof oracle's filtered sample test
-       (`oracle._sample_visible`, exact height and footprint prefilters)."""
+       checked symmetrically with the roof oracle's sample test
+       (`oracle._sample_visible`)."""
     failures = []
     k = city.scene.k
     hts = city.heights
     for i in range(k - 1):
         if not hts[i] > hts[i + 1]:
             failures.append(("property1", i))
-    prisms = _prisms(city)
+    prisms = list(zip(city.scene.holes, hts))
     for i in range(k):
         for j in range(i + 2, k):
             if (_roofs_mutually_visible(city, i, j, prisms)
@@ -142,7 +142,7 @@ def check_roof_necessity(city: City):
 
 def _roofs_mutually_visible(city: City, i: int, j: int, prisms) -> bool:
     """Some top vertex of B_i sees some roof sample of B_j, by the roof
-    oracle's sample test and its exact prefilters."""
+    oracle's sample test."""
     hi, hj = city.heights[i], city.heights[j]
     return any(_sample_visible(v, hi, p, hj, prisms)
                for v in city.scene.holes[i].corners()
@@ -336,33 +336,3 @@ def check_3k1_properties(scene: Scene):
                 p4_fail.append((i, v, f))
     report.append(("property4", not p4_fail, p4_fail))
     return report
-
-
-def space_between(scene: Scene, i: int):
-    """The pocket between consecutive holes i and i+1: the convex hull of
-    the two holes minus the holes themselves."""
-    from cityguard.geom import PolygonSet
-    pts = list(scene.holes[i].corners()) + list(scene.holes[i + 1].corners())
-    hull = _convex_hull(pts)
-    region = PolygonSet((hull,))
-    both = PolygonSet(tuple(h.as_cell() for h in (scene.holes[i], scene.holes[i + 1])))
-    return region.difference(both)
-
-
-def _convex_hull(points):
-    pts = sorted(set(points))
-    if len(pts) <= 2:
-        return pts
-    def half(seq):
-        out = []
-        for p in seq:
-            while len(out) >= 2 and \
-                    (out[-1].x - out[-2].x) * (p.y - out[-2].y) - \
-                    (out[-1].y - out[-2].y) * (p.x - out[-2].x) <= 0:
-                out.pop()
-            out.append(p)
-        return out
-    lower = half(pts)
-    upper = half(pts[::-1])
-    return lower[:-1] + upper[:-1]
-

@@ -20,9 +20,8 @@ from __future__ import annotations
 
 import json
 
-from cityguard.errors import SceneValidationError
-from cityguard.geom import AxisRect, rational, rational_str
-from cityguard.model import City, Guard, Solution, validate_scene
+from cityguard.geom import AxisRect, make_axis_rect, make_convex_quad, rational, rational_str
+from cityguard.model import City, Guard, Scene, Solution, validate_scene
 
 
 class FormatError(ValueError):
@@ -49,13 +48,21 @@ def _rat(value, path):
         raise FormatError(str(e), path)
 
 
+def _shape(make, args, path):
+    """make(*args), with its ValueError as a FormatError at path."""
+    try:
+        return make(*args)
+    except ValueError as e:
+        raise FormatError(str(e), path)
+
+
 def parse_city(doc) -> City:
     _check_keys(doc, {"bounds", "buildings"}, {"bounds"}, "$")
     bounds = doc["bounds"]
     if not (isinstance(bounds, list) and len(bounds) == 4):
         raise FormatError("bounds must be [x0, y0, x1, y1]", "$.bounds")
-    raw = {"bounds": [_rat(v, "$.bounds") for v in bounds], "buildings": []}
-    heights = []
+    rect = _shape(make_axis_rect, [_rat(v, "$.bounds") for v in bounds], "$.bounds")
+    holes, heights = [], []
     buildings = doc.get("buildings", [])
     if not isinstance(buildings, list):
         raise FormatError("buildings must be a list", "$.buildings")
@@ -69,22 +76,18 @@ def parse_city(doc) -> City:
             raise FormatError("height must be positive", path + ".height")
         heights.append(h)
         if "base" in b:
+            bpath = path + ".base"
             if not (isinstance(b["base"], list) and len(b["base"]) == 4):
-                raise FormatError("base must be [x0, y0, x1, y1]", path + ".base")
-            raw["buildings"].append({"base": [_rat(v, path) for v in b["base"]]})
+                raise FormatError("base must be [x0, y0, x1, y1]", bpath)
+            holes.append(_shape(make_axis_rect, [_rat(v, bpath) for v in b["base"]], bpath))
         else:
-            quad = b["quad"]
+            quad, qpath = b["quad"], path + ".quad"
             if not (isinstance(quad, list) and len(quad) == 4
                     and all(isinstance(p, list) and len(p) == 2 for p in quad)):
-                raise FormatError("quad must be [[x, y] * 4]", path + ".quad")
-            raw["buildings"].append(
-                {"quad": [[_rat(p[0], path), _rat(p[1], path)] for p in quad]})
-    try:
-        scene = validate_scene(raw)
-    except ValueError as e:
-        if isinstance(e, SceneValidationError):
-            raise
-        raise FormatError(str(e), "$")
+                raise FormatError("quad must be [[x, y] * 4]", qpath)
+            points = [[_rat(p[0], qpath), _rat(p[1], qpath)] for p in quad]
+            holes.append(_shape(make_convex_quad, [points], qpath))
+    scene = validate_scene(Scene(bounds=rect, holes=tuple(holes)))
     return City(scene=scene, heights=tuple(heights))
 
 

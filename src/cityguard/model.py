@@ -1,22 +1,22 @@
-"""Scene/City data model, validation, the 2.5D->2D reduction, guards.
+"""Scene/City data model, validation, guards and quarter turns.
 
 A Scene is the 2D universe every algorithm works on: an axis-aligned
 bounding rectangle with k pairwise-disjoint rectangular holes.  A City
-adds a positive height per building.  Guards record the corner identity
-of their anchor (not raw coordinates) so solutions survive
-re-serialization of the scene.
+adds a positive height per building; its `scene` is the 2.5D city's
+vertical projection, which is all the wall and ground placements read.
+Guards record the corner identity of their anchor (not raw coordinates)
+so solutions survive re-serialization of the scene.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
-from typing import Sequence, Union
+from typing import Sequence
 
 from cityguard.errors import SceneValidationError, DegeneratePositionError
 from cityguard.geom import (
     AxisRect, ConvexQuad, Point, Hole, cell_bbox,
-    is_rectangle, make_axis_rect, make_convex_quad, primitive_direction,
+    is_rectangle, make_convex_quad, primitive_direction,
 )
 
 AXIS_ALIGNED = "AXIS_ALIGNED"
@@ -26,19 +26,6 @@ N = (0, 1)
 E = (1, 0)
 S = (0, -1)
 W = (-1, 0)
-
-
-@dataclass(frozen=True)
-class Building:
-    base: Hole
-    height: Union[int, Fraction]
-    id: int
-
-    def __post_init__(self):
-        if self.height <= 0:
-            raise ValueError(f"building {self.id}: height must be positive")
-        if isinstance(self.base, ConvexQuad) and not is_rectangle(self.base):
-            raise ValueError(f"building {self.id}: base is not a rectangle")
 
 
 @dataclass(frozen=True)
@@ -63,12 +50,11 @@ class City:
     def __post_init__(self):
         if len(self.heights) != self.scene.k:
             raise ValueError("need exactly one height per building")
-
-    def building(self, i: int) -> Building:
-        return Building(base=self.scene.holes[i], height=self.heights[i], id=i)
-
-    def buildings(self):
-        return [self.building(i) for i in range(self.scene.k)]
+        for i, (base, height) in enumerate(zip(self.scene.holes, self.heights)):
+            if height <= 0:
+                raise ValueError(f"building {i}: height must be positive")
+            if isinstance(base, ConvexQuad) and not is_rectangle(base):
+                raise ValueError(f"building {i}: base is not a rectangle")
 
 
 # Anchors: ("hole", building_id, corner_idx) or ("p", corner_idx).
@@ -177,16 +163,16 @@ def check_general_position(scene: Scene):
     return bad
 
 
-def validate_scene(raw) -> Scene:
-    """Validate a raw scene description (dict or Scene) into a Scene.
+def validate_scene(scene: Scene) -> Scene:
+    """Check a Scene: its holes are rectangles strictly inside the bounds
+    and pairwise disjoint.  A scene document is parsed by io.parse_city.
 
     Raises SceneValidationError carrying every violation found.
     """
-    if isinstance(raw, Scene):
-        bounds, holes = raw.bounds, list(raw.holes)
-        violations = []
-    else:
-        bounds, holes, violations = _parse_raw(raw)
+    if not isinstance(scene, Scene):
+        raise TypeError(f"validate_scene takes a Scene, got {type(scene).__name__}")
+    bounds, holes = scene.bounds, scene.holes
+    violations = []
     for i, h in enumerate(holes):
         if isinstance(h, ConvexQuad) and not is_rectangle(h):
             violations.append(("NOT_A_RECTANGLE", (i,)))
@@ -202,29 +188,10 @@ def validate_scene(raw) -> Scene:
     return Scene(bounds=bounds, holes=tuple(holes))
 
 
-def _parse_raw(raw):
-    violations = []
-    bounds = make_axis_rect(*[v for v in raw["bounds"]])
-    holes = []
-    for i, b in enumerate(raw.get("buildings", raw.get("holes", []))):
-        if isinstance(b, dict) and "quad" in b:
-            holes.append(make_convex_quad(b["quad"]))
-        elif isinstance(b, dict):
-            holes.append(make_axis_rect(*b["base"]))
-        else:
-            holes.append(make_axis_rect(*b))
-    return bounds, holes, violations
-
-
 def require_general_position(scene: Scene):
     bad = check_general_position(scene)
     if bad:
         raise DegeneratePositionError(str(bad))
-
-
-def project(city: City) -> Scene:
-    """Vertical projection: drop the heights, keep the bases as holes."""
-    return city.scene
 
 
 # ---------------------------------------------------------------------------
@@ -239,11 +206,12 @@ def roof_in_front(corners, v: Point, facing) -> bool:
     return all((c.x - v.x) * fx + (c.y - v.y) * fy >= 0 for c in corners)
 
 
-def roof_covered_by(building: Building, g: Guard, scene: Scene) -> bool:
-    """A guard on its own roof covers it iff the roof is in its closed half-plane."""
-    if g.anchor[0] != "hole" or g.anchor[1] != building.id:
+def roof_covered_by(scene: Scene, i: int, g: Guard) -> bool:
+    """A guard on roof i covers it iff the roof is in its closed half-plane;
+    a guard anywhere else does not."""
+    if g.anchor[0] != "hole" or g.anchor[1] != i:
         return False
-    return roof_in_front(building.base.corners(), g.position(scene), g.facing)
+    return roof_in_front(scene.holes[i].corners(), g.position(scene), g.facing)
 
 
 def wall_aligned_facings(hole: Hole):
@@ -287,30 +255,21 @@ def rotate_scene_ccw(scene: Scene, times: int) -> Scene:
     return Scene(bounds=rot_rect(scene.bounds), holes=tuple(holes))
 
 
-def _reanchor(g: Guard, scene: Scene, rotated: Scene, t: int) -> Guard:
-    """The guard g of `scene` on `rotated`, which is `scene` turned t times."""
-    pos = rotate_point_ccw(g.position(scene), t)
-    facing = rotate_point_ccw(Point(*g.facing), t)
-    if g.anchor[0] == "hole":
-        corners = rotated.holes[g.anchor[1]].corners()
-        idx = corners.index(pos)
-        return Guard(anchor=("hole", g.anchor[1], idx), facing=(facing.x, facing.y))
-    corners = rotated.bounds.corners()
-    return Guard(anchor=("p", corners.index(pos)), facing=(facing.x, facing.y))
-
-
-def rotate_guard_ccw(g: Guard, scene: Scene, times: int) -> Guard:
-    """Re-anchor a guard after the scene is rotated by `times` quarter turns."""
+def rotate_guards(guards: Sequence[Guard], scene: Scene, times: int) -> list:
+    """The guards of `scene`, re-anchored on `scene` turned `times` quarter
+    turns CCW; a negative `times` maps guards of a turned frame back."""
     t = times % 4
     if t == 0:
-        return g
-    return _reanchor(g, scene, rotate_scene_ccw(scene, t), t)
-
-
-def unrotate_guards(guards: Sequence[Guard], rotated_scene: Scene, times: int):
-    """Map guards placed in a rotated frame back to the original frame."""
-    back = (-times) % 4
-    if back == 0:
         return list(guards)
-    scene = rotate_scene_ccw(rotated_scene, back)
-    return [_reanchor(g, rotated_scene, scene, back) for g in guards]
+    rotated = rotate_scene_ccw(scene, t)
+    out = []
+    for g in guards:
+        pos = rotate_point_ccw(g.position(scene), t)
+        facing = rotate_point_ccw(Point(*g.facing), t)
+        if g.anchor[0] == "hole":
+            b = g.anchor[1]
+            anchor = ("hole", b, rotated.holes[b].corners().index(pos))
+        else:
+            anchor = ("p", rotated.bounds.corners().index(pos))
+        out.append(Guard(anchor=anchor, facing=(facing.x, facing.y)))
+    return out

@@ -41,7 +41,7 @@ from itertools import combinations
 from typing import Optional
 
 from cityguard.geom import (
-    Point, cell_bbox, h_area2, h_cells_contain, h_centroid, h_point, h_split, h_subtract,
+    Point, h_area2, h_cells_contain, h_centroid, h_point, h_split, h_subtract,
     interior_run,
 )
 from cityguard.model import (
@@ -294,7 +294,7 @@ def roof_cover_sets(city: City, candidates):
     a bounding-rectangle corner raises `ValueError`.
     """
     scene, heights = city.scene, city.heights
-    prisms = _prisms(city)
+    prisms = list(zip(scene.holes, heights))
     roofs = [(i, base.corners(), roof_samples(base), heights[i])
              for i, base in enumerate(scene.holes)]
     out = []
@@ -313,29 +313,20 @@ def roof_cover_sets(city: City, candidates):
     return out
 
 
-def _prisms(city: City):
-    """Every building as (base, height, footprint bbox), for `_sample_visible`."""
-    return [(base, h, cell_bbox(base.as_cell()))
-            for base, h in zip(city.scene.holes, city.heights)]
-
-
 def _sample_visible(v: Point, vz, p: Point, pz, prisms) -> bool:
-    """No prism of `prisms` blocks the sight segment (v, vz)-(p, pz).
+    """No prism of `prisms`, (base, height) pairs, blocks the sight
+    segment (v, vz)-(p, pz).
 
-    Two exact prefilters skip the prisms that cannot block; neither
-    changes a verdict.  A prism no taller than the lower end of the
-    segment cannot block, as z is linear along it.  A segment whose
-    endpoints both lie on the closed outer side of one side of a
-    footprint's bbox meets the footprint at most on its boundary.
-
-    A prism blocks iff the open segment enters its open interior: the
+    A prism no taller than the lower end of the segment cannot block, as
+    z is linear along it; this exact prefilter skips it.  Otherwise the
+    prism blocks iff the open segment enters its open interior: the
     segment's xy run through the footprint's open interior (`interior_run`,
-    one integer pass) has a point below the roof.  z is linear along the
-    run, so that holds iff z < h at the run's lower end."""
+    one integer pass after its exact bbox reject) has a point below the
+    roof.  z is linear along the run, so that holds iff z < h at the run's
+    lower end."""
     low = min(vz, pz)
-    for base, h, (x0, y0, x1, y1) in prisms:
-        if (h <= low or (v.x <= x0 and p.x <= x0) or (v.x >= x1 and p.x >= x1)
-                or (v.y <= y0 and p.y <= y0) or (v.y >= y1 and p.y >= y1)):
+    for base, h in prisms:
+        if h <= low:
             continue
         run = interior_run(v, p, base)
         if run is not None and vz + run[0 if pz > vz else 1] * (pz - vz) < h:

@@ -11,15 +11,15 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from cityguard.errors import PlacementIncompleteError
-from cityguard.geom import AxisRect, Point, PolygonSet
+from cityguard.geom import AxisRect, Point
 from cityguard.model import (
     AXIS_ALIGNED, City, E, Guard, N, S, Scene, Solution, W,
-    hole_guard, project, require_general_position,
-    roof_covered_by, roof_in_front, rotate_scene_ccw, unrotate_guards,
+    hole_guard, require_general_position,
+    roof_covered_by, roof_in_front, rotate_guards, rotate_scene_ccw,
     validate_scene, wall_aligned_facings,
 )
 from cityguard.staircase import (
-    FS, RFS, RRS, RS, SharingReport, _staircase, staircase_guards,
+    FS, RFS, RRS, RS, SharingReport, staircase, staircase_guards,
     staircase_sharing,
 )
 from cityguard.verify import certify, covers
@@ -33,11 +33,6 @@ class PartitionRegion:
     anchor_guard: Guard
     rects: tuple  # grid rectangles making up the region
 
-    @property
-    def boundary(self) -> PolygonSet:
-        """The region as one cell per grid rectangle, built on each access."""
-        return PolygonSet(tuple(r.as_cell() for r in self.rects))
-
 
 # ---------------------------------------------------------------------------
 # Roof guarding (k guards, one per building)
@@ -45,7 +40,7 @@ class PartitionRegion:
 
 
 def roof_guarding(city: City) -> Solution:
-    scene = project(city)
+    scene = city.scene
     guards = []
     for i, h in enumerate(scene.holes):
         cs = h.corners()
@@ -53,7 +48,7 @@ def roof_guarding(city: City) -> Solution:
         guards.append(hole_guard(i, 0, facing))
     sol = Solution(algorithm="roof", guards=tuple(guards))
     for i in range(scene.k):
-        if not roof_covered_by(city.building(i), sol.guards[i], scene):
+        if not roof_covered_by(scene, i, sol.guards[i]):
             raise PlacementIncompleteError(f"roof {i} not covered by its own guard")
     return sol
 
@@ -183,22 +178,6 @@ def partition_2k1(scene: Scene):
     return regions
 
 
-def is_xy_monotone(region: PartitionRegion) -> bool:
-    """Every vertical and horizontal line meets the region in an interval."""
-    for axis in (0, 1):
-        spans = {}
-        for r in region.rects:
-            key = (r.x0, r.x1) if axis == 0 else (r.y0, r.y1)
-            val = (r.y0, r.y1) if axis == 0 else (r.x0, r.x1)
-            spans.setdefault(key, []).append(val)
-        for intervals in spans.values():
-            intervals.sort()
-            for (a, b), (c, d) in zip(intervals, intervals[1:]):
-                if c > b:
-                    return False
-    return True
-
-
 def guards_2k1(scene: Scene) -> Solution:
     """<= 2k+1 guards, each at a region's SE corner facing West; at most one
     guard sits on a corner of the bounding rectangle."""
@@ -268,18 +247,18 @@ def _case0_guards(scene: Scene, rep: SharingReport, trace) -> list:
     trace.append(("case0", rep.case0_pair, star))
     guards = _hole_vertex_partition_guards(
         rscene, lambda: _se_replacement_guards(rscene, star))
-    return unrotate_guards(guards, rscene, rot)
+    return rotate_guards(guards, rscene, -rot)
 
 
 def _case1_guards(scene: Scene, rep: SharingReport, trace, label="case1") -> list:
     min_kind = min((RRS, RS, FS, RFS), key=lambda k: (rep.staircases[k].stairs, k))
     rot = _MIN_STAIR_ROT[min_kind]
     rscene = rotate_scene_ccw(scene, rot)
-    st = _staircase(rscene, RRS)  # rep's analysis checked the scene
+    st = staircase(rscene, RRS)  # rep's analysis checked the scene
     trace.append((label, min_kind, st.stairs))
     guards = _hole_vertex_partition_guards(
         rscene, lambda: staircase_guards(rscene, st))
-    return unrotate_guards(guards, rscene, rot)
+    return rotate_guards(guards, rscene, -rot)
 
 
 def _case2_guards(scene: Scene, rep: SharingReport, trace) -> list:
@@ -298,7 +277,7 @@ def _case2_guards(scene: Scene, rep: SharingReport, trace) -> list:
         facing = E if in_city1 else W
         guards.append(hole_guard(i, 3, facing))  # NW corner
         guards.append(hole_guard(i, 1, facing))  # SE corner
-    return unrotate_guards(guards, rscene, rot)
+    return rotate_guards(guards, rscene, -rot)
 
 
 def _subscene(bounds: AxisRect, scene: Scene, ids) -> tuple:
@@ -353,7 +332,7 @@ def _case3_guards(scene: Scene, rep: SharingReport, trace, depth) -> list:
         below = [i for i in range(rscene.k) if i not in above]
         sub2, ids2 = _subscene(AxisRect(b.x0, b.y0, b.x1, h.y1), rscene, below)
         guards.extend(_remap(_guards_main_scene(sub2, trace, depth + 1), ids2))
-    return unrotate_guards(guards, rscene, rot)
+    return rotate_guards(guards, rscene, -rot)
 
 
 def _guards_main_scene(scene: Scene, trace, depth=0) -> list:
@@ -410,8 +389,7 @@ def _repair_roofs(city: City, guards: list, trace) -> list:
     keeping the free-space certificate intact and the count unchanged."""
     scene = city.scene
     for i in range(scene.k):
-        building = city.building(i)
-        if any(roof_covered_by(building, g, scene) for g in guards):
+        if any(roof_covered_by(scene, i, g) for g in guards):
             continue
         own = [(idx, g) for idx, g in enumerate(guards)
                if g.on_hole() and g.anchor[1] == i]
@@ -433,8 +411,7 @@ def _repair_roofs(city: City, guards: list, trace) -> list:
 
 
 def city_guarding(city: City, mode: str = BUILDINGS_ONLY) -> Solution:
-    scene = project(city)
-    scene = validate_scene(scene)
+    scene = validate_scene(city.scene)
     require_general_position(scene)
     if mode == BUILDINGS_ONLY:
         if scene.k == 0:

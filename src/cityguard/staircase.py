@@ -15,8 +15,9 @@ Kind -> removed quadrant (corner of each hole, open):
   RFS  bottom-left region,  NE quadrants of SW corners
 
 A Staircase keeps only what the placements read: its stairs (the
-Pareto corners) and their buildings.  The region itself is computed on
-request by staircase_region, with exact polygon cuts.
+Pareto corners) and their buildings, not the region.  `staircase`
+builds one without checks; `staircase_sharing` checks the scene once and
+builds all four.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 from cityguard.errors import DegeneratePositionError, EmptyStaircaseError
-from cityguard.geom import AxisRect, Point, PolygonSet
+from cityguard.geom import AxisRect, Point
 from cityguard.model import E, N, S, W, Scene, check_general_position, hole_guard
 
 RS, FS, RRS, RFS = "RS", "FS", "RRS", "RFS"
@@ -46,8 +47,7 @@ _QUADRANT = {
 
 @dataclass(frozen=True)
 class Staircase:
-    """The stairs of one staircase kind; staircase_region computes the
-    region on request."""
+    """The stairs of one staircase kind."""
     kind: str
     reflex_vertices: tuple       # ((Point, building id), ...) in +x order
     buildings: frozenset
@@ -82,38 +82,11 @@ def _pareto(scene: Scene, kind: str):
     return keep
 
 
-def build_staircase(scene: Scene, kind: str) -> Staircase:
-    _require_axis_aligned(scene)
-    if check_general_position(scene):
-        raise DegeneratePositionError("staircase construction needs general position")
-    return _staircase(scene, kind)
-
-
-def _require_axis_aligned(scene: Scene):
-    if scene.kind != "AXIS_ALIGNED":
-        raise ValueError("staircases are defined for axis-aligned scenes only")
-
-
-def _staircase(scene: Scene, kind: str) -> Staircase:
+def staircase(scene: Scene, kind: str) -> Staircase:
     """The staircase of an axis-aligned scene in general position, unchecked."""
     pareto = _pareto(scene, kind)
     return Staircase(kind=kind, reflex_vertices=tuple((a, i) for i, a in pareto),
                      buildings=frozenset(i for i, _ in pareto))
-
-
-def staircase_region(scene: Scene, st: Staircase) -> PolygonSet:
-    """The staircase region: P minus the open quadrant of every stair."""
-    b = scene.bounds
-    _, sx, sy = _QUADRANT[st.kind]
-    region = PolygonSet.from_rect(b.x0, b.y0, b.x1, b.y1)
-    for a, _ in st.reflex_vertices:
-        qx0 = a.x if sx > 0 else b.x0
-        qx1 = b.x1 if sx > 0 else a.x
-        qy0 = a.y if sy > 0 else b.y0
-        qy1 = b.y1 if sy > 0 else a.y
-        if qx0 < qx1 and qy0 < qy1:
-            region = region.difference(PolygonSet.from_rect(qx0, qy0, qx1, qy1))
-    return region
 
 
 # kind -> (facing along the stairs, facing down the stairs, extreme-stair picker).
@@ -199,8 +172,9 @@ def staircase_sharing(scene: Scene) -> SharingReport:
         raise ValueError("sharing analysis needs k >= 1")
     if check_general_position(scene):
         raise DegeneratePositionError("sharing analysis needs general position")
-    _require_axis_aligned(scene)
-    stairs = {kind: _staircase(scene, kind) for kind in KINDS}
+    if scene.kind != "AXIS_ALIGNED":
+        raise ValueError("staircases are defined for axis-aligned scenes only")
+    stairs = {kind: staircase(scene, kind) for kind in KINDS}
     ext = _extremal_ids(scene)
     shared = {}
     for pair in ADJACENT_PAIRS + OPPOSITE_PAIRS:

@@ -115,7 +115,7 @@ def certify_city(city: City, solution: Solution) -> Certificate:
         if g.on_hole():
             own.setdefault(g.anchor[1], []).append(g)
     flags = tuple(
-        any(roof_covered_by(city.building(i), g, scene) for g in own.get(i, ()))
+        any(roof_covered_by(scene, i, g) for g in own.get(i, ()))
         for i in range(scene.k)
     )
     return Certificate(covered=base.covered and all(flags),

@@ -1,0 +1,70 @@
+"""Test-only references: regions the placements and generators never
+build, computed here with exact polygon cuts so that the tests can check
+the library's placements, staircases and 3k+1 pockets against them."""
+
+from cityguard.geom import PolygonSet
+from cityguard.staircase import _QUADRANT
+
+
+def boundary(region) -> PolygonSet:
+    """A partition region as one cell per grid rectangle."""
+    return PolygonSet(tuple(r.as_cell() for r in region.rects))
+
+
+def is_xy_monotone(region) -> bool:
+    """Every vertical and horizontal line meets the region in an interval."""
+    for axis in (0, 1):
+        spans = {}
+        for r in region.rects:
+            key = (r.x0, r.x1) if axis == 0 else (r.y0, r.y1)
+            val = (r.y0, r.y1) if axis == 0 else (r.x0, r.x1)
+            spans.setdefault(key, []).append(val)
+        for intervals in spans.values():
+            intervals.sort()
+            for (a, b), (c, d) in zip(intervals, intervals[1:]):
+                if c > b:
+                    return False
+    return True
+
+
+def staircase_region(scene, st) -> PolygonSet:
+    """The staircase region: P minus the open quadrant of every stair."""
+    b = scene.bounds
+    _, sx, sy = _QUADRANT[st.kind]
+    region = PolygonSet.from_rect(b.x0, b.y0, b.x1, b.y1)
+    for a, _ in st.reflex_vertices:
+        qx0 = a.x if sx > 0 else b.x0
+        qx1 = b.x1 if sx > 0 else a.x
+        qy0 = a.y if sy > 0 else b.y0
+        qy1 = b.y1 if sy > 0 else a.y
+        if qx0 < qx1 and qy0 < qy1:
+            region = region.difference(PolygonSet.from_rect(qx0, qy0, qx1, qy1))
+    return region
+
+
+def space_between(scene, i: int) -> PolygonSet:
+    """The pocket between consecutive holes i and i+1: the convex hull of
+    the two holes minus the holes themselves."""
+    pts = list(scene.holes[i].corners()) + list(scene.holes[i + 1].corners())
+    region = PolygonSet((_convex_hull(pts),))
+    both = PolygonSet(tuple(h.as_cell() for h in (scene.holes[i], scene.holes[i + 1])))
+    return region.difference(both)
+
+
+def _convex_hull(points):
+    pts = sorted(set(points))
+    if len(pts) <= 2:
+        return pts
+
+    def half(seq):
+        out = []
+        for p in seq:
+            while len(out) >= 2 and \
+                    (out[-1].x - out[-2].x) * (p.y - out[-2].y) - \
+                    (out[-1].y - out[-2].y) * (p.x - out[-2].x) <= 0:
+                out.pop()
+            out.append(p)
+        return out
+    lower = half(pts)
+    upper = half(pts[::-1])
+    return lower[:-1] + upper[:-1]

@@ -15,18 +15,20 @@ from cityguard.instances import (
     GeneratorParams, check_3k1_properties, gen_3k1_necessity, gen_random,
     gen_roof_necessity,
 )
-from cityguard.model import City, Scene, validate_scene
+from cityguard.io import parse_city
+from cityguard.model import City, Scene
 from cityguard.oracle import (
     INFEASIBLE_WITHIN, OPTIMAL, candidate_set, exhaustive_min_cover,
     min_roof_guards, optimal_guard_count,
 )
 from cityguard.placement import (
     ALLOW_P_CORNER, BUILDINGS_ONLY, city_guarding, guards_2k1, guards_main,
-    is_xy_monotone, partition_2k1, roof_guarding,
+    partition_2k1, roof_guarding,
 )
 from cityguard.verify import certify, certify_city, free_space
 from cityguard.visibility import sees, visibility_region
 from counterexample_3k1 import rot3k1_counterexample
+from references import boundary, is_xy_monotone
 
 CORPUS_SIZE = 200
 K_RANGE = 21  # k in [0, 20]
@@ -103,7 +105,7 @@ def test_criterion_2_partition_count():
 
         # full geometric cross-check at small k
         if sc.k <= 2:
-            parts = [r.boundary for r in regions]
+            parts = [boundary(r) for r in regions]
             for i, a in enumerate(parts):
                 for b in parts[i + 1:]:
                     assert a.difference(b).area() == a.area(), "regions overlap"
@@ -133,10 +135,10 @@ def test_criterion_3_sufficiency_main():
         assert certify(sc, sol.guards).covered
 
     # constructed Case-2 instance: <= 2k+2 guards, exactly 4 on the shared building
-    sc2 = validate_scene({"bounds": [0, 0, 100, 100],
-                          "buildings": [{"base": b, "height": 1} for b in [
-                              [2, 5, 4, 16], [5, 1, 8, 4], [10, 10, 20, 20],
-                              [12, 30, 18, 55], [40, 12, 60, 17], [80, 40, 90, 50]]]})
+    sc2 = parse_city({"bounds": [0, 0, 100, 100],
+                      "buildings": [{"base": b, "height": 1} for b in [
+                          [2, 5, 4, 16], [5, 1, 8, 4], [10, 10, 20, 20],
+                          [12, 30, 18, 55], [40, 12, 60, 17], [80, 40, 90, 50]]]}).scene
     sol2 = guards_main(sc2)
     assert sol2.trace[0][0] == "case2"
     shared = sol2.trace[0][1]

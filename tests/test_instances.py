@@ -5,8 +5,9 @@ from cityguard.geom import make_axis_rect, make_convex_quad
 from cityguard.instances import (
     GeneratorParams, check_3k1_properties, check_roof_necessity,
     gen_3k1_necessity, gen_random, gen_random_city, gen_roof_necessity,
-    hole_within_span, space_between,
+    hole_within_span,
 )
+from cityguard.io import parse_city
 from cityguard.model import Scene, require_general_position, validate_scene
 from cityguard.oracle import (
     INFEASIBLE_WITHIN, OPTIMAL, candidate_set, min_cover_of_region, optimal_guard_count,
@@ -14,6 +15,7 @@ from cityguard.oracle import (
 from cityguard.verify import certify
 from cityguard.visibility import visibility_region
 from counterexample_3k1 import MINIMUM, rot3k1_counterexample
+from references import space_between
 
 
 def rot3k1_scene(k):
@@ -68,10 +70,10 @@ class TestRoofNecessity:
 
     def test_checker_catches_violations(self):
         # two distant same-height-ish buildings with nothing blocking
-        sc = validate_scene({"bounds": [0, 0, 100, 20], "buildings": [
+        sc = parse_city({"bounds": [0, 0, 100, 20], "buildings": [
             {"base": [10, 5, 12, 8], "height": 10},
             {"base": [40, 4, 42, 9], "height": 8},
-            {"base": [70, 3, 72, 10], "height": 6}]})
+            {"base": [70, 3, 72, 10], "height": 6}]}).scene
         from cityguard.model import City
         city = City(scene=sc, heights=(10, 8, 6))
         failures = check_roof_necessity(city)

@@ -11,7 +11,7 @@ from cityguard.io import (
     FormatError, certificate_doc, load_city, load_solution, parse_city, parse_solution,
     save_city, save_solution,
 )
-from cityguard.model import W, hole_guard, p_corner_guard, validate_scene, Solution
+from cityguard.model import W, hole_guard, p_corner_guard, Solution
 from cityguard.placement import guards_2k1
 from cityguard.svg import render_svg
 from cityguard.verify import certify
@@ -117,11 +117,34 @@ class TestFormats:
         (parse_city, {"bounds": [0, 0, 10, 10],
                       "buildings": [{"base": [1, 1, 3, 3], "height": True}]},
          "$.buildings[0].height"),
+        # a shape or a coordinate the constructors refuse names its own path
+        (parse_city, {"bounds": [0, 0, 10, 10],
+                      "buildings": [{"base": [6, 6, 4, 4], "height": 1}]},
+         "$.buildings[0].base"),
+        (parse_city, {"bounds": [0, 0, 10, 10], "buildings": [
+            {"base": [1, 1, 2, 2], "height": 1}, {"base": [4, 5, 6, 5], "height": 1}]},
+         "$.buildings[1].base"),
+        (parse_city, {"bounds": [0, 0, 10, 10],
+                      "buildings": [{"base": [1, "x", 3, 3], "height": 1}]},
+         "$.buildings[0].base"),
+        (parse_city, {"bounds": [0, 0, 10, 10],
+                      "buildings": [{"quad": [[2, 2], [6, 2], [3, 3], [2, 6]], "height": 1}]},
+         "$.buildings[0].quad"),
+        (parse_city, {"bounds": [0, 0, 10, 10],
+                      "buildings": [{"quad": [[2, 2], [2, 6], [6, 6], [6, 2]], "height": 1}]},
+         "$.buildings[0].quad"),
+        (parse_city, {"bounds": [0, 0, 10, 10],
+                      "buildings": [{"quad": [[1, 1], [3, "1/0"], [3, 3], [1, 3]], "height": 1}]},
+         "$.buildings[0].quad"),
+        (parse_city, {"bounds": [10, 0, 0, 10]}, "$.bounds"),
+        (parse_city, {"bounds": [0, 3, 10, 3],
+                      "buildings": [{"base": [1, 1, 2, 2], "height": 1}]}, "$.bounds"),
     ])
     def test_non_object_rejected_with_path(self, parse, doc, path):
         with pytest.raises(FormatError) as e:
             parse(doc)
         assert e.value.path == path
+        assert str(e.value).startswith(path + ": ")
 
 
 # The certificate and the SVG of an uncovered k = 2 scene (grid 12, seed 8,
@@ -200,7 +223,7 @@ PINNED_SVG = (
 
 class TestSvg:
     def test_structure_and_determinism(self):
-        sc = validate_scene(city_a_doc())
+        sc = parse_city(city_a_doc()).scene
         sol = guards_2k1(sc)
         cert = certify(sc, sol.guards)
         svg1 = render_svg(sc, sol, cert)
@@ -211,7 +234,7 @@ class TestSvg:
         assert "<svg" in svg1 and svg1.rstrip().endswith("</svg>")
 
     def test_residual_highlight(self):
-        sc = validate_scene(city_a_doc())
+        sc = parse_city(city_a_doc()).scene
         cert = certify(sc, [hole_guard(0, 1, (1, 0))])
         svg = render_svg(sc, None, cert)
         assert 'fill="#ff0000"' in svg

@@ -1,20 +1,23 @@
+from fractions import Fraction
+
 import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
 from cityguard.errors import DegeneratePositionError, SceneValidationError
 from cityguard.geom import AxisRect, Point, make_axis_rect, make_convex_quad
+from cityguard.io import parse_city
 from cityguard.model import (
     City, E, N, S, Scene, Solution, W, _holes_disjoint, hole_guard,
-    p_corner_guard, project, roof_covered_by, rotate_guard_ccw, rotate_point_ccw,
+    p_corner_guard, roof_covered_by, rotate_guards, rotate_point_ccw,
     rotate_scene_ccw, validate_scene, check_general_position,
-    require_general_position, unrotate_guards, wall_aligned_facings,
+    require_general_position, wall_aligned_facings,
 )
 
 
 def city_a():
-    return validate_scene({"bounds": [0, 0, 10, 10],
-                           "buildings": [{"base": [4, 4, 6, 6], "height": 3}]})
+    return parse_city({"bounds": [0, 0, 10, 10],
+                       "buildings": [{"base": [4, 4, 6, 6], "height": 3}]}).scene
 
 
 class TestValidation:
@@ -24,39 +27,39 @@ class TestValidation:
 
     def test_overlap(self):
         with pytest.raises(SceneValidationError) as e:
-            validate_scene({"bounds": [0, 0, 10, 10],
-                            "buildings": [{"base": [4, 4, 6, 6], "height": 1},
-                                          {"base": [5, 5, 7, 7], "height": 1}]})
+            parse_city({"bounds": [0, 0, 10, 10],
+                        "buildings": [{"base": [4, 4, 6, 6], "height": 1},
+                                      {"base": [5, 5, 7, 7], "height": 1}]})
         assert ("OVERLAPPING_HOLES", (0, 1)) in e.value.violations
 
     def test_touching_counts_as_overlap(self):
         with pytest.raises(SceneValidationError) as e:
-            validate_scene({"bounds": [0, 0, 10, 10],
-                            "buildings": [{"base": [1, 1, 3, 3], "height": 1},
-                                          {"base": [3, 1, 5, 3], "height": 1}]})
+            parse_city({"bounds": [0, 0, 10, 10],
+                        "buildings": [{"base": [1, 1, 3, 3], "height": 1},
+                                      {"base": [3, 1, 5, 3], "height": 1}]})
         assert any(v[0] == "OVERLAPPING_HOLES" for v in e.value.violations)
 
     def test_boundary_contact(self):
         with pytest.raises(SceneValidationError) as e:
-            validate_scene({"bounds": [0, 0, 10, 10],
-                            "buildings": [{"base": [0, 4, 2, 6], "height": 1}]})
+            parse_city({"bounds": [0, 0, 10, 10],
+                        "buildings": [{"base": [0, 4, 2, 6], "height": 1}]})
         assert ("HOLE_TOUCHES_BOUNDARY", (0,)) in e.value.violations
 
     def test_not_a_rectangle(self):
         with pytest.raises(SceneValidationError) as e:
-            validate_scene({"bounds": [0, 0, 10, 10],
-                            "buildings": [{"quad": [[2, 2], [6, 2], [7, 5], [3, 5]],
-                                           "height": 1}]})
+            parse_city({"bounds": [0, 0, 10, 10],
+                        "buildings": [{"quad": [[2, 2], [6, 2], [7, 5], [3, 5]],
+                                       "height": 1}]})
         assert ("NOT_A_RECTANGLE", (0,)) in e.value.violations
 
     def test_degenerate_position(self):
-        sc = validate_scene({"bounds": [0, 0, 10, 10],
-                             "buildings": [{"base": [1, 1, 3, 3], "height": 1},
-                                           {"base": [5, 5, 7, 7], "height": 1}]})
+        sc = parse_city({"bounds": [0, 0, 10, 10],
+                         "buildings": [{"base": [1, 1, 3, 3], "height": 1},
+                                       {"base": [5, 5, 7, 7], "height": 1}]}).scene
         assert check_general_position(sc) == []
-        sc2 = validate_scene({"bounds": [0, 0, 10, 10],
-                              "buildings": [{"base": [1, 1, 3, 3], "height": 1},
-                                            {"base": [3, 5, 7, 7], "height": 1}]})
+        sc2 = parse_city({"bounds": [0, 0, 10, 10],
+                          "buildings": [{"base": [1, 1, 3, 3], "height": 1},
+                                        {"base": [3, 5, 7, 7], "height": 1}]}).scene
         assert check_general_position(sc2) == [("DEGENERATE_POSITION", (0, 1))]
         with pytest.raises(DegeneratePositionError):
             require_general_position(sc2)
@@ -100,41 +103,40 @@ class TestHolesDisjoint:
         assert _holes_disjoint(a, AxisRect(3, 0, 5, 2))
 
 
-class TestProjection:
-    def test_projection_forgets_heights(self):
-        sc = city_a()
-        city = City(scene=sc, heights=(3,))
-        assert project(city) == sc
+class TestCity:
+    """A City refuses what no building can be, when it is built."""
 
-    def test_empty_city(self):
-        sc = Scene(bounds=make_axis_rect(0, 0, 5, 5), holes=())
-        assert project(City(scene=sc, heights=())).k == 0
+    @pytest.mark.parametrize("height", [-3, 0, Fraction(-1, 2)])
+    def test_height_must_be_positive(self, height):
+        with pytest.raises(ValueError, match="building 0: height must be positive"):
+            City(scene=city_a(), heights=(height,))
 
-    def test_ids_preserved(self):
-        sc = validate_scene({"bounds": [0, 0, 20, 20],
-                             "buildings": [{"base": [1, 1, 3, 3], "height": 1},
-                                           {"base": [5, 5, 7, 8], "height": 2}]})
-        city = City(scene=sc, heights=(1, 2))
-        assert project(city).holes[1] == sc.holes[1]
+    def test_base_must_be_a_rectangle(self):
+        slanted = make_convex_quad([(2, 2), (6, 2), (7, 5), (3, 5)])
+        sc = Scene(bounds=make_axis_rect(0, 0, 10, 10), holes=(slanted,))
+        with pytest.raises(ValueError, match="building 0: base is not a rectangle"):
+            City(scene=sc, heights=(1,))
+
+    def test_one_height_per_building(self):
+        with pytest.raises(ValueError, match="one height per building"):
+            City(scene=city_a(), heights=(1, 2))
+        assert City(scene=city_a(), heights=(Fraction(1, 3),)).heights == (Fraction(1, 3),)
 
 
 class TestRoofCoveredBy:
     def test_nw_facing_east(self):
         sc = city_a()
-        b = City(scene=sc, heights=(3,)).building(0)
-        assert roof_covered_by(b, hole_guard(0, 3, E), sc)
+        assert roof_covered_by(sc, 0, hole_guard(0, 3, E))
 
     def test_nw_facing_west(self):
         sc = city_a()
-        b = City(scene=sc, heights=(3,)).building(0)
-        assert not roof_covered_by(b, hole_guard(0, 3, W), sc)
+        assert not roof_covered_by(sc, 0, hole_guard(0, 3, W))
 
     def test_other_building(self):
-        sc = validate_scene({"bounds": [0, 0, 20, 20],
-                             "buildings": [{"base": [1, 1, 3, 3], "height": 1},
-                                           {"base": [5, 5, 7, 8], "height": 2}]})
-        b0 = City(scene=sc, heights=(1, 2)).building(0)
-        assert not roof_covered_by(b0, hole_guard(1, 3, E), sc)
+        sc = parse_city({"bounds": [0, 0, 20, 20],
+                         "buildings": [{"base": [1, 1, 3, 3], "height": 1},
+                                       {"base": [5, 5, 7, 8], "height": 2}]}).scene
+        assert not roof_covered_by(sc, 0, hole_guard(1, 3, E))
 
 
 class TestGuards:
@@ -157,17 +159,17 @@ class TestGuards:
         sc = city_a()
         assert hole_guard(0, 0, N).facing in wall_aligned_facings(sc.holes[0])
         assert hole_guard(0, 0, (1, 1)).facing not in wall_aligned_facings(sc.holes[0])
-        q = validate_scene({"bounds": [0, 0, 20, 20],
-                            "buildings": [{"quad": [[10, 4], [14, 8], [10, 12], [6, 8]],
-                                           "height": 1}]})
+        q = parse_city({"bounds": [0, 0, 20, 20],
+                        "buildings": [{"quad": [[10, 4], [14, 8], [10, 12], [6, 8]],
+                                       "height": 1}]}).scene
         assert hole_guard(0, 0, (1, 1)).facing in wall_aligned_facings(q.holes[0])
         assert hole_guard(0, 0, E).facing not in wall_aligned_facings(q.holes[0])
 
 
 class TestRotation:
     def test_scene_round_trip(self):
-        sc = validate_scene({"bounds": [0, 0, 10, 6],
-                             "buildings": [{"base": [1, 1, 3, 2], "height": 1}]})
+        sc = parse_city({"bounds": [0, 0, 10, 6],
+                         "buildings": [{"base": [1, 1, 3, 2], "height": 1}]}).scene
         r = rotate_scene_ccw(sc, 1)
         assert r.bounds == make_axis_rect(-6, 0, 0, 10)
         back = rotate_scene_ccw(r, 3)
@@ -179,20 +181,18 @@ class TestRotation:
             for facing in (N, E, S, W):
                 g = hole_guard(0, corner, facing)
                 for t in range(4):
-                    rg = rotate_guard_ccw(g, sc, t)
+                    [rg] = rotate_guards([g], sc, t)
                     rsc = rotate_scene_ccw(sc, t)
                     assert rg.position(rsc) == rotate_point_ccw(g.position(sc), t)
-                    back = rotate_guard_ccw(rg, rsc, -t)
-                    assert back == g
+                    assert rotate_guards([rg], rsc, -t) == [g]
 
     def test_unrotate_guards_matches_each_guard(self):
-        sc = validate_scene({"bounds": [0, 0, 10, 6], "buildings": [
-            {"base": [1, 1, 3, 2], "height": 1}, {"base": [5, 3, 8, 5], "height": 1}]})
+        sc = parse_city({"bounds": [0, 0, 10, 6], "buildings": [
+            {"base": [1, 1, 3, 2], "height": 1}, {"base": [5, 3, 8, 5], "height": 1}]}).scene
         guards = [hole_guard(i, c, f) for i in range(2) for c in range(4)
                   for f in (N, E)] + [p_corner_guard(c, W) for c in range(4)]
-        for t in range(4):
+        for t in range(-4, 8):
             rsc = rotate_scene_ccw(sc, t)
-            rotated = [rotate_guard_ccw(g, sc, t) for g in guards]
-            assert unrotate_guards(rotated, rsc, t) == guards
-            assert unrotate_guards(rotated, rsc, t) == [
-                rotate_guard_ccw(g, rsc, -t) for g in rotated]
+            rotated = rotate_guards(guards, sc, t)
+            assert rotated == [rotate_guards([g], sc, t)[0] for g in guards]
+            assert rotate_guards(rotated, rsc, -t) == guards

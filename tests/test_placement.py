@@ -4,29 +4,30 @@ import pytest
 
 from cityguard.geom import Point, make_axis_rect
 from cityguard.instances import GeneratorParams, gen_random, gen_random_city
+from cityguard.io import parse_city
 from cityguard.model import (
     City, Scene, W, hole_guard, p_corner_guard, roof_covered_by, rotate_scene_ccw,
-    validate_scene,
 )
 from cityguard.placement import (
     ALLOW_P_CORNER, BUILDINGS_ONLY, _partition_walls, city_guarding, guards_2k1,
-    guards_main, is_xy_monotone, partition_2k1, roof_guarding,
+    guards_main, partition_2k1, roof_guarding,
 )
 from cityguard.staircase import staircase_sharing
 from cityguard.verify import certify, certify_city, free_space
+from references import boundary, is_xy_monotone
 
 
 def city_a():
-    return validate_scene({"bounds": [0, 0, 10, 10],
-                           "buildings": [{"base": [4, 4, 6, 6], "height": 3}]})
+    return parse_city({"bounds": [0, 0, 10, 10],
+                       "buildings": [{"base": [4, 4, 6, 6], "height": 3}]}).scene
 
 
 def city_b():
-    return validate_scene({"bounds": [0, 0, 100, 100], "buildings": [
+    return parse_city({"bounds": [0, 0, 100, 100], "buildings": [
         {"base": [10, 60, 30, 80], "height": 1},
         {"base": [60, 65, 85, 90], "height": 1},
         {"base": [15, 15, 40, 35], "height": 1},
-        {"base": [55, 10, 90, 40], "height": 1}]})
+        {"base": [55, 10, 90, 40], "height": 1}]}).scene
 
 
 CASE2_BASES = [[2, 5, 4, 16], [5, 1, 8, 4], [10, 10, 20, 20],
@@ -38,8 +39,8 @@ CASE3_BASES = [[100, 500, 900, 520],
 
 
 def _bases_scene(bounds, bases):
-    return validate_scene({"bounds": bounds,
-                           "buildings": [{"base": b, "height": 1} for b in bases]})
+    return parse_city({"bounds": bounds,
+                       "buildings": [{"base": b, "height": 1} for b in bases]}).scene
 
 
 class TestPartition:
@@ -47,12 +48,12 @@ class TestPartition:
         sc = Scene(bounds=make_axis_rect(0, 0, 10, 10), holes=())
         regions = partition_2k1(sc)
         assert len(regions) == 1
-        assert regions[0].boundary.area() == 100
+        assert boundary(regions[0]).area() == 100
 
     def test_city_a_exact_regions(self):
         regions = partition_2k1(city_a())
         assert len(regions) == 3
-        areas = sorted(r.boundary.area() for r in regions)
+        areas = sorted(boundary(r).area() for r in regions)
         assert areas == [8, 24, 64]  # [0,4]x[4,6], [0,6]x[6,10], the L-shape
 
     def test_city_b_count(self):
@@ -61,18 +62,19 @@ class TestPartition:
     def test_disjoint_union_monotone(self):
         for sc in (city_a(), city_b(), gen_random(GeneratorParams(k=7, seed=5, grid=80))):
             regions = partition_2k1(sc)
-            total = sum(r.boundary.area() for r in regions)
+            total = sum(boundary(r).area() for r in regions)
             assert total == free_space(sc).area()
             for i, r in enumerate(regions):
                 for other in regions[i + 1:]:
-                    assert r.boundary.difference(other.boundary).area() == r.boundary.area()
+                    part = boundary(r)
+                    assert part.difference(boundary(other)).area() == part.area()
                 assert is_xy_monotone(r)
 
     def test_anchor_covers_own_region(self):
         from cityguard.visibility import visibility_region
         for r in partition_2k1(city_b()):
             region = visibility_region(city_b(), r.anchor_guard).region
-            assert r.boundary.difference(region).is_empty()
+            assert boundary(r).difference(region).is_empty()
 
 
 def _case_scenes():
@@ -247,16 +249,15 @@ class TestRoofGuarding:
         assert roof_guarding(city).count == 0
 
     def test_k3_and_quads(self):
-        sc = validate_scene({"bounds": [0, 0, 40, 40], "buildings": [
+        sc = parse_city({"bounds": [0, 0, 40, 40], "buildings": [
             {"base": [2, 2, 6, 6], "height": 9},
             {"quad": [[20, 10], [24, 14], [20, 18], [16, 14]], "height": 5},
-            {"base": [30, 30, 34, 33], "height": 2}]})
+            {"base": [30, 30, 34, 33], "height": 2}]}).scene
         city = City(scene=sc, heights=(9, 5, 2))
         sol = roof_guarding(city)
         assert sol.count == 3
-        from cityguard.model import roof_covered_by
         for i in range(3):
-            assert any(roof_covered_by(city.building(i), g, sc) for g in sol.guards)
+            assert any(roof_covered_by(sc, i, g) for g in sol.guards)
 
 
 class TestCityGuarding:
@@ -290,7 +291,7 @@ class TestCityGuarding:
             _bases_scene([0, 0, 1000, 1000], CASE3_BASES + [[925, 505, 945, 515]]), t)
         city = City(scene=sc, heights=tuple(range(1, sc.k + 1)))
         base = guards_main(sc)
-        assert not any(roof_covered_by(city.building(0), g, sc) for g in base.guards)
+        assert not any(roof_covered_by(sc, 0, g) for g in base.guards)
         sol = city_guarding(city, BUILDINGS_ONLY)
         fixes = [e for e in sol.trace if e[0] == "roof-fix"]
         assert [e[1] for e in fixes] == [0]

@@ -1,0 +1,69 @@
+"""src/ holds what a command reaches: every function, class and method
+defined in src/cityguard is named somewhere in src/.
+
+A definition that only the tests call belongs with the tests
+(tests/references.py).  Exempt are the package's public names
+(`cityguard.__all__`), dunders, and the few references that the tests
+and the benchmark share.
+"""
+
+import ast
+from pathlib import Path
+
+import cityguard
+
+SRC = Path(__file__).resolve().parents[1] / "src" / "cityguard"
+
+SHARED_REFERENCES = {
+    "h_cell", "PolygonSet.is_empty", "PolygonSet.contains", "build_faces",
+    "exhaustive_min_cover", "min_cover_of_region", "min_roof_guards",
+}
+
+
+def definitions(tree):
+    """(qualified name, name) of every function, class and method."""
+    def walk(node, prefix):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                qualname = prefix + child.name
+                yield qualname, child.name
+                yield from walk(child, qualname + ".")
+            else:
+                yield from walk(child, prefix)
+    return walk(tree, "")
+
+
+def names(tree):
+    """Every identifier the code reads: plain names and attributes."""
+    out = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            out.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            out.add(node.attr)
+    return out
+
+
+def trees():
+    return {p.stem: ast.parse(p.read_text(encoding="utf-8"))
+            for p in sorted(SRC.glob("*.py"))}
+
+
+def unreached():
+    modules = trees()
+    named = set().union(*map(names, modules.values()))
+    exempt = set(cityguard.__all__) | SHARED_REFERENCES
+    return [f"{module}.{qualname}"
+            for module, tree in modules.items()
+            for qualname, name in definitions(tree)
+            if name not in named and name not in exempt and qualname not in exempt
+            and not (name.startswith("__") and name.endswith("__"))]
+
+
+def test_scan_sees_the_package():
+    defined = {q for tree in trees().values() for q, _ in definitions(tree)}
+    assert {"Scene", "PolygonSet.difference", "min_hitting_set.search"} <= defined
+
+
+def test_every_definition_is_named_in_src():
+    assert unreached() == []

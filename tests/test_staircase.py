@@ -3,30 +3,31 @@ import pytest
 from cityguard.errors import DegeneratePositionError, EmptyStaircaseError
 from cityguard.geom import PolygonSet, make_axis_rect
 from cityguard.instances import GeneratorParams, gen_random
-from cityguard.model import Scene, rotate_scene_ccw, validate_scene
+from cityguard.io import parse_city
+from cityguard.model import Scene, rotate_scene_ccw
 from cityguard.staircase import (
-    FS, KINDS, RFS, RRS, RS, build_staircase, staircase_guards, staircase_region,
-    staircase_sharing,
+    FS, KINDS, RFS, RRS, RS, staircase, staircase_guards, staircase_sharing,
 )
 from cityguard.visibility import visibility_region
+from references import staircase_region
 
 
 def city_a():
-    return validate_scene({"bounds": [0, 0, 10, 10],
-                           "buildings": [{"base": [4, 4, 6, 6], "height": 3}]})
+    return parse_city({"bounds": [0, 0, 10, 10],
+                       "buildings": [{"base": [4, 4, 6, 6], "height": 3}]}).scene
 
 
 def city_b():
-    return validate_scene({"bounds": [0, 0, 100, 100], "buildings": [
+    return parse_city({"bounds": [0, 0, 100, 100], "buildings": [
         {"base": [10, 60, 30, 80], "height": 1},
         {"base": [60, 65, 85, 90], "height": 1},
         {"base": [15, 15, 40, 35], "height": 1},
-        {"base": [55, 10, 90, 40], "height": 1}]})
+        {"base": [55, 10, 90, 40], "height": 1}]}).scene
 
 
 def _scene(bounds, bases):
-    return validate_scene({"bounds": bounds,
-                           "buildings": [{"base": b, "height": 1} for b in bases]})
+    return parse_city({"bounds": bounds,
+                       "buildings": [{"base": b, "height": 1} for b in bases]}).scene
 
 
 CASE2 = [[2, 5, 4, 16], [5, 1, 8, 4], [10, 10, 20, 20],
@@ -42,25 +43,25 @@ class TestBuild:
     def test_k0_no_stairs(self):
         sc = Scene(bounds=make_axis_rect(0, 0, 10, 10), holes=())
         for kind in KINDS:
-            st = build_staircase(sc, kind)
+            st = staircase(sc, kind)
             assert st.stairs == 0 and st.buildings == frozenset()
             assert staircase_region(sc, st).area() == 100
 
     def test_city_a_every_kind_one_stair(self):
         sc = city_a()
         for kind in KINDS:
-            st = build_staircase(sc, kind)
+            st = staircase(sc, kind)
             assert st.stairs == 1
             assert st.buildings == frozenset({0})
 
     def test_city_b_rs_buildings(self):
-        st = build_staircase(city_b(), RS)
+        st = staircase(city_b(), RS)
         assert st.buildings == frozenset({0, 1})
 
     def test_reflex_vertices_are_hole_vertices(self):
         sc = city_b()
         for kind in KINDS:
-            st = build_staircase(sc, kind)
+            st = staircase(sc, kind)
             assert len(st.reflex_vertices) == len(st.buildings)
             for (pt, hid) in st.reflex_vertices:
                 assert pt in sc.holes[hid].corners()
@@ -69,36 +70,36 @@ class TestBuild:
         sc = city_b()
         holes = PolygonSet(tuple(h.as_cell() for h in sc.holes))
         for kind in KINDS:
-            st = build_staircase(sc, kind)
+            st = staircase(sc, kind)
             region = staircase_region(sc, st)
             assert region.difference(holes).area() == region.area()
 
     def test_degenerate_rejected(self):
-        sc = validate_scene({"bounds": [0, 0, 10, 10],
-                             "buildings": [{"base": [1, 1, 3, 3], "height": 1},
-                                           {"base": [3, 5, 7, 7], "height": 1}]})
+        sc = parse_city({"bounds": [0, 0, 10, 10],
+                         "buildings": [{"base": [1, 1, 3, 3], "height": 1},
+                                       {"base": [3, 5, 7, 7], "height": 1}]}).scene
         with pytest.raises(DegeneratePositionError):
-            build_staircase(sc, RS)
+            staircase_sharing(sc)
 
 
 class TestGuards:
     def test_city_a_rrs_two_guards(self):
         sc = city_a()
-        st = build_staircase(sc, RRS)
+        st = staircase(sc, RRS)
         assert len(staircase_guards(sc, st)) == 2
 
     def test_count_is_stairs_plus_one(self):
         sc = city_b()
         for kind in KINDS:
-            st = build_staircase(sc, kind)
+            st = staircase(sc, kind)
             assert len(staircase_guards(sc, st)) == st.stairs + 1
 
     def test_pattern_three_stairs(self):
-        sc = validate_scene({"bounds": [0, 0, 100, 100], "buildings": [
+        sc = parse_city({"bounds": [0, 0, 100, 100], "buildings": [
             {"base": [10, 5, 20, 15], "height": 1},
             {"base": [30, 22, 40, 32], "height": 1},
-            {"base": [50, 41, 60, 51], "height": 1}]})
-        st = build_staircase(sc, RRS)
+            {"base": [50, 41, 60, 51], "height": 1}]}).scene
+        st = staircase(sc, RRS)
         assert st.stairs == 3
         guards = staircase_guards(sc, st)
         assert len(guards) == 4
@@ -108,7 +109,7 @@ class TestGuards:
     def test_guards_cover_staircase_exactly(self):
         sc = city_b()
         for kind in KINDS:
-            st = build_staircase(sc, kind)
+            st = staircase(sc, kind)
             rest = staircase_region(sc, st)
             for g in staircase_guards(sc, st):
                 rest = rest.difference(visibility_region(sc, g).region)
@@ -116,7 +117,7 @@ class TestGuards:
 
     def test_empty_staircase_errors(self):
         sc = Scene(bounds=make_axis_rect(0, 0, 10, 10), holes=())
-        st = build_staircase(sc, RRS)
+        st = staircase(sc, RRS)
         with pytest.raises(EmptyStaircaseError):
             staircase_guards(sc, st)
 

@@ -12,11 +12,12 @@ from cityguard.geom import (
     AxisRect, Point, PolygonSet, h_centroid, make_axis_rect,
 )
 from cityguard.instances import (
-    GeneratorParams, gen_3k1_necessity, gen_random, gen_roof_necessity, space_between,
+    GeneratorParams, gen_3k1_necessity, gen_random, gen_roof_necessity,
 )
+from cityguard.io import parse_city
 from cityguard.model import (
     City, E, N, S, Scene, Solution, W, hole_guard, p_corner_guard, roof_covered_by,
-    rotate_guard_ccw, rotate_scene_ccw, validate_scene,
+    rotate_guards, rotate_scene_ccw,
 )
 from cityguard.oracle import (
     INFEASIBLE_WITHIN, OPTIMAL, UNCOVERABLE, build_faces, candidate_set,
@@ -29,12 +30,13 @@ from cityguard.placement import (
 from cityguard.verify import certify, certify_city, covers, free_space
 from cityguard.visibility import visibility_region
 from counterexample_3k1 import rot3k1_counterexample
+from references import space_between
 from test_geom import ref_interior_run
 
 
 def city_a():
-    return validate_scene({"bounds": [0, 0, 10, 10],
-                           "buildings": [{"base": [4, 4, 6, 6], "height": 3}]})
+    return parse_city({"bounds": [0, 0, 10, 10],
+                       "buildings": [{"base": [4, 4, 6, 6], "height": 3}]}).scene
 
 
 class TestCertify:
@@ -171,8 +173,8 @@ class TestCertificateMemo:
         for city in (low, high, low):
             for sol in (walls_only, roofed):
                 cert = certify_city(city, sol)
-                flags = tuple(any(roof_covered_by(b, g, sc) for g in sol.guards)
-                              for b in city.buildings())
+                flags = tuple(any(roof_covered_by(sc, i, g) for g in sol.guards)
+                              for i in range(sc.k))
                 assert cert.roof_flags == flags
                 assert cert.covered == (certify(sc, sol.guards).covered and all(flags))
         assert certify_city(low, walls_only).roof_flags == (False,)
@@ -202,7 +204,7 @@ class TestCertifyMetamorphic:
         for gs in (guards, guards[:drop % len(guards)] + guards[drop % len(guards) + 1:]):
             base = certify(sc, gs)
             area = base.residual.area()
-            images = [(rotate_scene_ccw(sc, t), [rotate_guard_ccw(g, sc, t) for g in gs], 1)
+            images = [(rotate_scene_ccw(sc, t), rotate_guards(gs, sc, t), 1)
                       for t in (1, 2, 3)]
             images.append((scaled_and_shifted(sc, 1, dx, dy), gs, 1))
             images.append((scaled_and_shifted(sc, s, 0, 0), gs, s))
@@ -516,10 +518,10 @@ def _filter_edge_city(b_top, b_height):
     building B = [10, 1, 12, b_top] and the roof C = [20, 5, 22, 7] at
     height 3.  With b_top = 5 the sight lines to C's samples on y = 5 run
     along B's top side and the others pass above it."""
-    sc = validate_scene({"bounds": [0, 0, 30, 10], "buildings": [
+    sc = parse_city({"bounds": [0, 0, 30, 10], "buildings": [
         {"base": [2, 5, 4, 8], "height": 5},
         {"base": [10, 1, 12, b_top], "height": b_height},
-        {"base": [20, 5, 22, 7], "height": 3}]})
+        {"base": [20, 5, 22, 7], "height": 3}]}).scene
     return City(scene=sc, heights=(5, b_height, 3)), hole_guard(0, 1, E)
 
 
@@ -551,7 +553,7 @@ class TestRoofCoverSets:
         for b_top, covered in ((5, True), (6, False)):
             city, g = _filter_edge_city(b_top, 100)
             sc = rotate_scene_ccw(city.scene, turns)
-            g = rotate_guard_ccw(g, city.scene, turns)
+            [g] = rotate_guards([g], city.scene, turns)
             got = roof_cover_sets(City(scene=sc, heights=city.heights), [g])[0]
             assert (2 in got) is covered, (b_top, turns)
 

@@ -6,15 +6,16 @@ from cityguard.geom import (
     Point, PolygonSet, _h_normalized, h_point, h_to_point, make_axis_rect, orient,
 )
 from cityguard.instances import GeneratorParams, gen_3k1_necessity, gen_random
-from cityguard.model import E, N, S, Scene, W, hole_guard, p_corner_guard, validate_scene
+from cityguard.io import parse_city
+from cityguard.model import E, N, S, Scene, W, hole_guard, p_corner_guard
 from cityguard.oracle import candidate_set
 from cityguard.visibility import sees, visibility_region
 from counterexample_3k1 import rot3k1_counterexample
 
 
 def city_a():
-    return validate_scene({"bounds": [0, 0, 10, 10],
-                           "buildings": [{"base": [4, 4, 6, 6], "height": 3}]})
+    return parse_city({"bounds": [0, 0, 10, 10],
+                       "buildings": [{"base": [4, 4, 6, 6], "height": 3}]}).scene
 
 
 def on_whisker(scene, g, p):
