@@ -5,6 +5,15 @@ visibility regions, computed exactly.  covered <=> the residual has zero
 area.  For cities the certificate additionally records a per-building
 roof flag (roof covered by a guard on that same building).
 
+The pass takes free space a piece at a time.  A piece that one guard's
+region is proven to hold (`h_fan_covers`, one exact walk over the
+region's triangles) is dropped; any other piece is cut by every region
+in turn, as a pass over the whole list would cut it.  The output is
+identical to that pass, cell for cell and in order: a piece's
+descendants depend only on that piece and the regions, and a piece that
+any one region holds has none with area.  Float bboxes only choose which
+regions are tried first.
+
 Each (scene, guard tuple) runs one residual pass: certificates are
 memoised for the last scene asked about, so a placement, its caller and
 `certify_city` share one certificate.  An equal copy of that scene shares
@@ -18,7 +27,8 @@ from dataclasses import dataclass
 from typing import Optional
 
 from cityguard.geom import (
-    AxisRect, HCell, Point, PolygonSet, h_area2, h_centroid, h_point, h_subtract,
+    AxisRect, HCell, Point, PolygonSet, h_area2, h_centroid, h_fan_covers, h_point,
+    h_subtract,
 )
 from cityguard.model import City, Scene, Solution, roof_covered_by
 from cityguard.visibility import visibility_region
@@ -90,17 +100,40 @@ def _certificate(scene: Scene, guards) -> Certificate:
 
 
 def _compute(scene: Scene, guards: tuple) -> Certificate:
-    """One residual pass: free space minus every guard's region."""
+    """One residual pass: free space minus every guard's region, a piece
+    at a time.  A piece that one region is proven to hold (h_fan_covers)
+    leaves nothing; any other piece is cut by every region in turn."""
     regions = tuple(visibility_region(scene, g) for g in guards)
-    residual = free_space(scene).pieces
-    for vr in regions:
-        if not residual:
-            break
-        residual = h_subtract(residual, vr.cells)
+    cutters = [c for vr in regions for c in vr.cells]
+    fans = [(_fan_bbox(vr.cells), tuple(map(float, vr.guard.position(scene))), vr.cells)
+            for vr in regions if vr.cells]
+    residual = []
+    for piece in free_space(scene).pieces:
+        if not any(h_fan_covers(piece, fan) for fan in _holders(piece, fans)):
+            residual.extend(h_subtract([piece], cutters))
     # the witness is the vertex centroid of the largest cell, first on ties
     witness = h_centroid(max(residual, key=h_area2)) if residual else None
     return Certificate(covered=not residual, residual=PolygonSet.of_hcells(residual),
                        witness=witness, per_guard_regions=regions)
+
+
+def _fan_bbox(cells):
+    return (min(c.bbox[0] for c in cells), min(c.bbox[1] for c in cells),
+            max(c.bbox[2] for c in cells), max(c.bbox[3] for c in cells))
+
+
+def _holders(piece: HCell, fans):
+    """The fans whose bbox holds the piece's, nearest apex first.  The
+    slack absorbs the cells' different bbox paddings; floats only order
+    the exact proofs here and never decide one."""
+    x0, y0, x1, y1 = piece.bbox
+    slack = 1e-9 * (1.0 + max(abs(x0), abs(y0), abs(x1), abs(y1)))
+    cx, cy = (x0 + x1) / 2, (y0 + y1) / 2
+    near = [((ax - cx) ** 2 + (ay - cy) ** 2, i)
+            for i, (b, (ax, ay), _) in enumerate(fans)
+            if b[0] <= x0 + slack and b[1] <= y0 + slack
+            and x1 - slack <= b[2] and y1 - slack <= b[3]]
+    return [fans[i][2] for _, i in sorted(near)]
 
 
 def certify_city(city: City, solution: Solution) -> Certificate:

@@ -1,9 +1,14 @@
 """Test-only references: regions the placements and generators never
 build, computed here with exact polygon cuts so that the tests can check
-the library's placements, staircases and 3k+1 pockets against them."""
+the library's placements, staircases and 3k+1 pockets against them; the
+residual pass as a plain cut by every region in turn; and the mirror
+image of a scene and its guards."""
 
-from cityguard.geom import PolygonSet
+from cityguard.geom import AxisRect, Point, PolygonSet, h_subtract, make_convex_quad
+from cityguard.model import Guard, Scene
 from cityguard.staircase import _QUADRANT
+from cityguard.verify import free_space
+from cityguard.visibility import visibility_region
 
 
 def boundary(region) -> PolygonSet:
@@ -68,3 +73,40 @@ def _convex_hull(points):
     lower = half(pts)
     upper = half(pts[::-1])
     return lower[:-1] + upper[:-1]
+
+
+def residual_pass(scene, guards):
+    """Free space minus each guard's region in turn, every piece cut by
+    h_subtract: the residual cells `certify` must return, in order."""
+    residual = free_space(scene).pieces
+    for g in guards:
+        if not residual:
+            break
+        residual = h_subtract(residual, visibility_region(scene, g).cells)
+    return residual
+
+
+def mirror_scene(scene) -> Scene:
+    """The scene under (x, y) -> (-x, y); a quad's corners are reversed to
+    stay counter-clockwise."""
+    def image(h):
+        if isinstance(h, AxisRect):
+            return AxisRect(-h.x1, h.y0, -h.x0, h.y1)
+        return make_convex_quad([Point(-c.x, c.y) for c in reversed(h.corners())])
+    return Scene(bounds=image(scene.bounds), holes=tuple(image(h) for h in scene.holes))
+
+
+def mirror_guards(guards, scene) -> list:
+    """The guards of `scene`, re-anchored on `mirror_scene(scene)`."""
+    mirrored = mirror_scene(scene)
+    out = []
+    for g in guards:
+        p = g.position(scene)
+        pos = Point(-p.x, p.y)
+        if g.on_hole():
+            b = g.anchor[1]
+            anchor = ("hole", b, mirrored.holes[b].corners().index(pos))
+        else:
+            anchor = ("p", mirrored.bounds.corners().index(pos))
+        out.append(Guard(anchor=anchor, facing=(-g.facing[0], g.facing[1])))
+    return out

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import subprocess
 import sys
@@ -249,6 +250,21 @@ class TestSvg:
         assert doc == PINNED_CERTIFICATE
         svg = render_svg(sc, Solution(algorithm=sol.algorithm, guards=guards), cert)
         assert svg == PINNED_SVG
+
+    @pytest.mark.parametrize("k,seed,digest", [
+        (16, 3, "f7252fff818f9599da889f4b63434c751bde6884c63820f7dc05b6ccbf61d73b"),
+        (28, 0, "af4b5ca2df1124f481443bac582f2c2cd62219f1f4f1a8c90d2692ad1b7a20a4"),
+    ])
+    def test_larger_certificates_are_pinned(self, k, seed, digest):
+        """The compact certificate JSON of a 2k+1 set missing its middle
+        guard, by SHA-256: residual rings, witness and every region."""
+        sc = gen_random(GeneratorParams(k=k, seed=seed, grid=1000))
+        guards = guards_2k1(sc).guards
+        short = guards[:len(guards) // 2] + guards[len(guards) // 2 + 1:]
+        cert = certify(sc, short)
+        assert not cert.covered
+        doc = json.dumps(certificate_doc(cert), sort_keys=True, separators=(",", ":"))
+        assert hashlib.sha256(doc.encode()).hexdigest() == digest
 
 
 class TestCli:

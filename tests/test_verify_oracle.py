@@ -9,7 +9,8 @@ from hypothesis import strategies as st
 import cityguard.verify as verify
 from cityguard.bench import bench_instance, random_corpus
 from cityguard.geom import (
-    AxisRect, Point, PolygonSet, h_centroid, make_axis_rect,
+    AxisRect, HCell, Point, PolygonSet, h_area2, h_cell, h_centroid, h_fan_covers,
+    h_subtract, make_axis_rect,
 )
 from cityguard.instances import (
     GeneratorParams, gen_3k1_necessity, gen_random, gen_roof_necessity,
@@ -30,7 +31,9 @@ from cityguard.placement import (
 from cityguard.verify import certify, certify_city, covers, free_space
 from cityguard.visibility import visibility_region
 from counterexample_3k1 import rot3k1_counterexample
-from references import space_between
+from references import (
+    _convex_hull, mirror_guards, mirror_scene, residual_pass, space_between,
+)
 from test_geom import ref_interior_run
 
 
@@ -213,6 +216,161 @@ class TestCertifyMetamorphic:
                 assert cert.covered == base.covered
                 assert cert.residual.area() == area * factor ** 2
         assert certify(sc, guards).covered
+
+    @given(st.integers(1, 6), st.integers(0, 10**6), st.integers(0, 12))
+    @settings(max_examples=15, deadline=None)
+    def test_reflections_keep_verdict_and_area(self, k, seed, drop):
+        """The mirror image (x, y) -> (-x, y), followed by each quarter
+        turn, gives the four reflections; each keeps the verdict and the
+        residual area."""
+        sc = gen_random(GeneratorParams(k=k, seed=seed, grid=200))
+        guards = list(guards_2k1(sc).guards)
+        mirrored = mirror_scene(sc)
+        for gs in (guards, guards[:drop % len(guards)] + guards[drop % len(guards) + 1:]):
+            base = certify(sc, gs)
+            image_guards = mirror_guards(gs, sc)
+            for t in range(4):
+                cert = certify(rotate_scene_ccw(mirrored, t),
+                               rotate_guards(image_guards, mirrored, t))
+                assert cert.covered == base.covered
+                assert cert.residual.area() == base.residual.area()
+
+
+def _cells(cells):
+    return [(c.pts, c.lines) for c in cells]
+
+
+def _assert_matches_reference(scene, guards):
+    """certify returns the region-by-region pass's residual cell for cell
+    (vertices, edge lines and order), and its witness."""
+    cert = certify(scene, guards)
+    ref = residual_pass(scene, guards)
+    assert _cells(cert.residual.pieces) == _cells(ref)
+    assert cert.witness == (h_centroid(max(ref, key=h_area2)) if ref else None)
+    assert cert.covered == (not ref)
+    return cert
+
+
+def _fan(scene, guard):
+    return visibility_region(scene, guard).cells
+
+
+class TestResidualByContainment:
+    """`certify` drops each free-space piece that one region is proven to
+    hold (h_fan_covers) and cuts the others by every region: differential
+    checks against the plain region-by-region pass, and soundness checks
+    of the proof itself."""
+
+    @pytest.mark.parametrize("k,seed", [(4, 1), (7, 2), (10, 3), (13, 4), (16, 5),
+                                        (20, 6), (24, 7), (28, 8)])
+    def test_placements_match_the_region_by_region_pass(self, k, seed):
+        sc = gen_random(GeneratorParams(k=k, seed=seed, grid=1000))
+        verdicts = []
+        for algorithm in (guards_2k1, guards_main):
+            guards = list(algorithm(sc).guards)
+            drop = random.Random(seed).randrange(len(guards))
+            for gs in (guards, guards[:drop] + guards[drop + 1:]):
+                verdicts.append(_assert_matches_reference(sc, gs).covered)
+        assert verdicts[0] and verdicts[2]
+
+    @pytest.mark.parametrize("make", [lambda: gen_3k1_necessity(1),
+                                      lambda: gen_3k1_necessity(2)])
+    def test_rotated_family_subsets_match(self, make):
+        sc = make()
+        cands = candidate_set(sc, include_p_corners=True)
+        rng = random.Random(sc.k)
+        residuals = set()
+        for size in (0, 1, 3, 3 * sc.k + 1, 3 * sc.k + 4, len(cands)):
+            cert = _assert_matches_reference(sc, rng.sample(cands, size))
+            residuals.add(cert.covered)
+        assert residuals == {True, False}
+
+    def test_non_wall_aligned_facings_match(self):
+        """Diagonal and skew facings, and facings whose fan crosses the
+        sweep's first direction (1, 0), such as East."""
+        facings = [(1, 1), (-1, 1), (1, -1), (-1, -1), (2, 1), (1, 0), (-1, 0)]
+        rng = random.Random(3)
+        for seed in range(3):
+            sc = gen_random(GeneratorParams(k=6, seed=seed, grid=1000))
+            guards = [hole_guard(i, c, rng.choice(facings))
+                      for i in range(sc.k) for c in range(4)]
+            guards += [p_corner_guard(c, f) for c, f in
+                       ((0, (1, 1)), (1, (-1, 1)), (2, (-1, -1)), (3, (1, -1)))]
+            for gs in (guards, rng.sample(guards, 8)):
+                _assert_matches_reference(sc, gs)
+
+    def test_east_fan_is_proven_from_the_start_of_its_run(self):
+        """An East guard's fan runs from South through East to North, and
+        the sweep lists it from the North-East diagonal, where the first
+        blocker past (1, 0) ends: a piece across that diagonal is proven
+        only by the walk that starts at the South ray."""
+        sc = parse_city({"bounds": [0, 0, 10, 10],
+                         "buildings": [{"base": [4, 4, 6, 6], "height": 3}]}).scene
+        fan = _fan(sc, hole_guard(0, 2, E))
+        piece = h_cell((Point(7, 5), Point(9, 5), Point(9, 8), Point(7, 8)))
+        assert h_fan_covers(piece, fan)
+        assert h_fan_covers(piece, fan[1:] + fan[:1])
+        assert h_subtract([piece], fan) == []
+
+    def test_a_parallel_line_elsewhere_does_not_continue_a_walk(self):
+        """The second triangle's first line runs against the first one's
+        back line but one unit to the West of it: the strip between them is
+        uncovered, and a cell across it is not proven."""
+        first = h_cell((Point(0, 0), Point(4, 0), Point(0, 4)))
+        second = h_cell((Point(-1, 0), Point(-1, 4), Point(-4, 2)))
+        cell = h_cell((Point(-2, 1), Point(1, 1), Point(1, 2), Point(-2, 2)))
+        assert not h_fan_covers(cell, [first, second])
+        assert h_subtract([cell], [first, second]) != []
+
+    def test_most_pieces_are_proven(self):
+        sc = gen_random(GeneratorParams(k=16, seed=3, grid=1000))
+        fans = [_fan(sc, g) for g in guards_2k1(sc).guards]
+        pieces = free_space(sc).pieces
+        proven = sum(any(h_fan_covers(p, f) for f in fans) for p in pieces)
+        assert proven > len(pieces) // 2
+
+    @given(st.integers(1, 4), st.integers(0, 10**6), st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_proof_is_sound_on_sweep_fans(self, k, seed, data):
+        """Whenever h_fan_covers says a region holds a cell, cutting the
+        cell by the region leaves nothing: random rational rectangles and
+        free-space pieces against a random candidate's region."""
+        sc = gen_random(GeneratorParams(k=k, seed=seed, grid=30))
+        fan = _fan(sc, data.draw(st.sampled_from(candidate_set(sc, include_p_corners=True))))
+        b = sc.bounds
+        den = data.draw(st.sampled_from([1, 2, 3, 7]))
+        xs = sorted(data.draw(st.lists(st.integers(b.x0 * den, b.x1 * den),
+                                       min_size=2, max_size=2, unique=True)))
+        ys = sorted(data.draw(st.lists(st.integers(b.y0 * den, b.y1 * den),
+                                       min_size=2, max_size=2, unique=True)))
+        (x0, x1), (y0, y1) = [Fraction(v, den) for v in xs], [Fraction(v, den) for v in ys]
+        rect = h_cell((Point(x0, y0), Point(x1, y0), Point(x1, y1), Point(x0, y1)))
+        for cell in (rect, *free_space(sc).pieces):
+            if h_fan_covers(cell, fan):
+                assert h_subtract([cell], fan) == []
+
+    @given(st.integers(-3, 3), st.integers(-3, 3),
+           st.lists(st.tuples(st.integers(-12, 12), st.integers(-12, 12)),
+                    min_size=3, max_size=14),
+           st.lists(st.tuples(st.integers(-4, 4), st.integers(-4, 4)),
+                    min_size=3, max_size=5),
+           st.integers(0, 9))
+    @settings(max_examples=300, deadline=None)
+    def test_proof_is_sound_on_any_triangles(self, ax, ay, rim, points, turn):
+        """The proof holds for any list of triangles: here the CCW
+        triangles between an apex and consecutive rim points, which may
+        overlap, leave gaps or wind round more than once, listed from a
+        random place."""
+        tris = [HCell(((ax, ay, 1), p + (1,), q + (1,)))
+                for p, q in zip(rim, rim[1:])
+                if (p[0] - ax) * (q[1] - ay) - (p[1] - ay) * (q[0] - ax) > 0]
+        hull = _convex_hull([Point(x, y) for x, y in points])
+        if not tris or len(hull) < 3:
+            return
+        turn %= len(tris)
+        cell = h_cell(hull)
+        if h_fan_covers(cell, tris[turn:] + tris[:turn]):
+            assert h_subtract([cell], tris) == []
 
 
 class TestOracle:
