@@ -17,6 +17,8 @@ the run of a segment inside a hole's open interior, found by one pass
 over the hole's edge lines in the kernel's homogeneous integers.  A
 segment is blocked in 2D iff the run exists (`visibility.clear_sight`),
 and the roof oracle's 3D prism test compares heights on that run.
+`h_sees_all` tests all the segments from a guard to a convex cell at
+once, as the hull they fill, by the kernel's separating-axis test.
 """
 
 from __future__ import annotations
@@ -538,74 +540,34 @@ def h_subtract(pieces, cutters):
     return pieces
 
 
-def h_fan_covers(cell: HCell, fan) -> bool:
-    """True only if the triangles of `fan` together cover `cell`: a proof
-    of containment by one exact walk, made without cutting anything off.
-
-    Each triangle's lines are (ray1, edge, back), as the visibility sweep
-    builds them in CCW order around the guard.  A walk carries the part of
-    the cell not yet shown covered, the rest: anything of it right of a
-    triangle's ray1 fails the walk; what is left of its back line is the
-    slice in the triangle's wedge, whose vertices must all be on the closed
-    left of its edge; the part right of the back line is the next rest.
-    The cell is covered when the rest runs out.  Every slice lies in the
-    closed half-planes of one triangle's three lines, which meet in that
-    triangle, so a True holds for any list of triangles: their order and
-    the bbox prefilter, which skips triangles that cannot meet the cell,
-    only decide how often a proof is found.  A walk starts at the first
-    triangle and at each one whose ray1 does not continue the previous
-    triangle's back line (the start of a run of adjoining wedges, such as
-    the South ray of an East guard, whose fan the sweep lists from a ray
-    past (1, 0)), and goes once around.
-
-    The rest is cut only when a check needs it: it is held as `rest`
-    right of the `pending` back line, and while `rest` itself lies left of
-    each edge, every slice does too, so `pending` just moves on to the next
-    back line (dropping the older one only enlarges the rest)."""
+def h_sees_all(apex, facing, cell: HCell, blockers) -> bool:
+    """True iff a guard at the homogeneous point `apex` with this facing
+    sees all of the cell: the cell is in its closed half-plane, and no
+    blocker's open interior meets the hull of the apex and the cell,
+    which the sight segments fill.  The hull is the union of the CCW
+    triangles (apex, a, b) over the cell's edges a->b with the apex
+    strictly on their left, and `_h_apart` tests each exactly; the
+    blockers' inflated bboxes only skip those clear of the hull's."""
+    AX, AY, AW = apex
+    fx, fy = facing
+    if any((X * AW - AX * W) * fx + (Y * AW - AY * W) * fy < 0 for X, Y, W in cell.pts):
+        return False
+    ax, ay = AX / AW, AY / AW
     x0, y0, x1, y1 = cell.bbox
-    n = len(fan)
-    for s in range(n):
-        if s and _h_continues(fan[s - 1].lines[2], fan[s].lines[0]):
+    x0, y0, x1, y1 = min(x0, ax), min(y0, ay), max(x1, ax), max(y1, ay)
+    fan = None
+    for b in blockers:
+        bb = b.bbox
+        if bb[2] <= x0 or x1 <= bb[0] or bb[3] <= y0 or y1 <= bb[1]:
             continue
-        rest, pending = (cell.pts, cell.lines), None
-        for i in range(s, s + n):
-            t = fan[i % n]
-            b = t.bbox
-            if b[2] <= x0 or x1 <= b[0] or b[3] <= y0 or y1 <= b[1]:
-                continue
-            ray1, edge, back = t.lines
-            # what is right of a back line is on the closed left of a ray1
-            # that continues it; any other ray1 needs the rest cut by it
-            if pending is not None and not _h_continues(pending, ray1):
-                rest, pending = _h_split(rest, pending)[1], None
-            if pending is None:
-                rest, right = _h_split(rest, ray1)
-                if right is not None:
-                    break
-            if not _h_holds(rest[0], edge):
-                if pending is not None:
-                    rest, pending = _h_split(rest, pending)[1], None
-                piece, rest = _h_split(rest, back)
-                if piece is not None and not _h_holds(piece[0], edge):
-                    break
-                if rest is None:
-                    return True
-            elif _h_holds(rest[0], back):
-                return True
-            else:
-                pending = back
-    return False
-
-
-def _h_continues(back, ray1) -> bool:
-    """ray1 is the line `back`, directed the other way."""
-    return ray1[0] == -back[0] and ray1[1] == -back[1] and ray1[2] == -back[2]
-
-
-def _h_holds(pts, line) -> bool:
-    """Every point is on the closed left of the line."""
-    A, B, C = line
-    return all(A * X + B * Y + C * W >= 0 for X, Y, W in pts)
+        if fan is None:
+            pts = cell.pts
+            fan = [HCell((apex, a, c), (_h_line(apex, a), edge, _h_line(c, apex)))
+                   for a, c, edge in zip(pts, pts[1:] + pts[:1], cell.lines)
+                   if edge[0] * AX + edge[1] * AY + edge[2] * AW > 0]
+        if not all(_h_apart(t, b) for t in fan):
+            return False
+    return True
 
 
 def interior_run(a: Point, b: Point, hole: Hole):

@@ -70,12 +70,13 @@ class Guard:
         object.__setattr__(self, "facing", primitive_direction(*self.facing))
 
     def position(self, scene: Scene) -> Point:
+        """The anchor corner; ValueError if the scene has no such corner."""
         kind = self.anchor[0]
-        if kind == "hole":
+        if kind == "hole" and 0 <= self.anchor[1] < scene.k and 0 <= self.anchor[2] < 4:
             return scene.holes[self.anchor[1]].corners()[self.anchor[2]]
-        if kind == "p":
+        if kind == "p" and 0 <= self.anchor[1] < 4:
             return scene.bounds.corners()[self.anchor[1]]
-        raise ValueError(f"bad anchor {self.anchor!r}")
+        raise ValueError(f"anchor {self.anchor!r} names no corner of this scene")
 
     def on_hole(self) -> bool:
         return self.anchor[0] == "hole"

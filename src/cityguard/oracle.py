@@ -1,8 +1,8 @@
 """Exact optimal oracle over the wall-aligned vertex-guard class.
 
-`optimal_guard_count` and `min_cover_of_region` certify and refine with
-lazily generated witnesses (the iterative scheme of Couto, de Rezende
-and de Souza, and of Tozoni, de Rezende and de Souza's "Algorithm 966").
+`optimal_guard_count` certifies and refines with lazily generated
+witnesses (the iterative scheme of Couto, de Rezende and de Souza, and of
+Tozoni, de Rezende and de Souza's "Algorithm 966").
 A witness is a point of the region to cover with an `int` bitmask of the
 candidates whose closed visibility region contains it.  The first
 witnesses are the centroids of the base cells.  Each round finds a
@@ -257,14 +257,6 @@ def exhaustive_min_cover(scene: Scene, candidates, max_count: int):
             if all(m & s for m in masks):
                 return size
     return None
-
-
-def min_cover_of_region(scene: Scene, candidates, region, max_count: int):
-    """Exact minimum number of candidates whose regions cover the region,
-    by the same certify-and-refine loop; None above `max_count` or when
-    the candidates cannot cover it."""
-    status, best, _, _ = _certify_and_refine(scene, candidates, region.pieces, max_count)
-    return len(best) if status == OPTIMAL else None
 
 
 # ---------------------------------------------------------------------------

@@ -25,9 +25,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-from cityguard.errors import DegeneratePositionError, EmptyStaircaseError
+from cityguard.errors import EmptyStaircaseError
 from cityguard.geom import AxisRect, Point
-from cityguard.model import E, N, S, W, Scene, check_general_position, hole_guard
+from cityguard.model import AXIS_ALIGNED, E, N, S, W, Scene, hole_guard, require_general_position
 
 RS, FS, RRS, RFS = "RS", "FS", "RRS", "RFS"
 KINDS = (RS, FS, RRS, RFS)
@@ -170,9 +170,8 @@ def _alpha_beta(scene: Scene, hid: int, pair) -> tuple:
 def staircase_sharing(scene: Scene) -> SharingReport:
     if scene.k < 1:
         raise ValueError("sharing analysis needs k >= 1")
-    if check_general_position(scene):
-        raise DegeneratePositionError("sharing analysis needs general position")
-    if scene.kind != "AXIS_ALIGNED":
+    require_general_position(scene)
+    if scene.kind != AXIS_ALIGNED:
         raise ValueError("staircases are defined for axis-aligned scenes only")
     stairs = {kind: staircase(scene, kind) for kind in KINDS}
     ext = _extremal_ids(scene)

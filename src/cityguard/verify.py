@@ -5,14 +5,17 @@ visibility regions, computed exactly.  covered <=> the residual has zero
 area.  For cities the certificate additionally records a per-building
 roof flag (roof covered by a guard on that same building).
 
-The pass takes free space a piece at a time.  A piece that one guard's
-region is proven to hold (`h_fan_covers`, one exact walk over the
-region's triangles) is dropped; any other piece is cut by every region
+The pass takes free space a piece at a time.  The sight segments from a
+guard to a convex piece fill the hull of the guard and the piece, so the
+guard sees all of the piece iff the piece lies in the guard's closed
+half-plane and no building's open interior meets that hull: one exact
+test (`geom.h_sees_all`), True exactly when the guard's region holds the
+piece.  Such a piece is dropped; any other piece is cut by every region
 in turn, as a pass over the whole list would cut it.  The output is
 identical to that pass, cell for cell and in order: a piece's
 descendants depend only on that piece and the regions, and a piece that
 any one region holds has none with area.  Float bboxes only choose which
-regions are tried first.
+guards are tried, and in which order.
 
 Each (scene, guard tuple) runs one residual pass: certificates are
 memoised for the last scene asked about, so a placement, its caller and
@@ -27,10 +30,10 @@ from dataclasses import dataclass
 from typing import Optional
 
 from cityguard.geom import (
-    AxisRect, HCell, Point, PolygonSet, h_area2, h_centroid, h_fan_covers, h_point,
-    h_subtract,
+    AxisRect, HCell, Point, PolygonSet, h_area2, h_cell, h_centroid, h_point,
+    h_sees_all, h_subtract,
 )
-from cityguard.model import City, Scene, Solution, roof_covered_by
+from cityguard.model import AXIS_ALIGNED, City, Scene, Solution, roof_covered_by
 from cityguard.visibility import visibility_region
 
 
@@ -46,7 +49,7 @@ class Certificate:
 def free_space(scene: Scene) -> PolygonSet:
     """Bounds minus open hole interiors, as disjoint closed cells."""
     b = scene.bounds
-    if scene.kind == "AXIS_ALIGNED":
+    if scene.kind == AXIS_ALIGNED:
         return PolygonSet.of_hcells(_axis_free_cells(b, scene.holes))
     region = PolygonSet.from_rect(b.x0, b.y0, b.x1, b.y1)
     return region.difference(PolygonSet(tuple(h.as_cell() for h in scene.holes)))
@@ -101,15 +104,17 @@ def _certificate(scene: Scene, guards) -> Certificate:
 
 def _compute(scene: Scene, guards: tuple) -> Certificate:
     """One residual pass: free space minus every guard's region, a piece
-    at a time.  A piece that one region is proven to hold (h_fan_covers)
-    leaves nothing; any other piece is cut by every region in turn."""
+    at a time.  A piece that some guard sees all of (h_sees_all) leaves
+    nothing; any other piece is cut by every region in turn."""
     regions = tuple(visibility_region(scene, g) for g in guards)
     cutters = [c for vr in regions for c in vr.cells]
-    fans = [(_fan_bbox(vr.cells), tuple(map(float, vr.guard.position(scene))), vr.cells)
-            for vr in regions if vr.cells]
+    buildings = [h_cell(h.as_cell()) for h in scene.holes]
+    sights = [(_fan_bbox(vr.cells), vr.guard.position(scene), vr.guard.facing)
+              for vr in regions if vr.cells]
     residual = []
     for piece in free_space(scene).pieces:
-        if not any(h_fan_covers(piece, fan) for fan in _holders(piece, fans)):
+        if not any(h_sees_all(apex, facing, piece, buildings)
+                   for apex, facing in _holders(piece, sights)):
             residual.extend(h_subtract([piece], cutters))
     # the witness is the vertex centroid of the largest cell, first on ties
     witness = h_centroid(max(residual, key=h_area2)) if residual else None
@@ -122,18 +127,18 @@ def _fan_bbox(cells):
             max(c.bbox[2] for c in cells), max(c.bbox[3] for c in cells))
 
 
-def _holders(piece: HCell, fans):
-    """The fans whose bbox holds the piece's, nearest apex first.  The
-    slack absorbs the cells' different bbox paddings; floats only order
-    the exact proofs here and never decide one."""
+def _holders(piece: HCell, sights):
+    """(apex, facing) of the guards whose region's bbox holds the piece's,
+    nearest first.  The slack absorbs the cells' different bbox paddings;
+    floats only order the exact proofs here and never decide one."""
     x0, y0, x1, y1 = piece.bbox
     slack = 1e-9 * (1.0 + max(abs(x0), abs(y0), abs(x1), abs(y1)))
     cx, cy = (x0 + x1) / 2, (y0 + y1) / 2
-    near = [((ax - cx) ** 2 + (ay - cy) ** 2, i)
-            for i, (b, (ax, ay), _) in enumerate(fans)
+    near = [((float(p.x) - cx) ** 2 + (float(p.y) - cy) ** 2, i)
+            for i, (b, p, _) in enumerate(sights)
             if b[0] <= x0 + slack and b[1] <= y0 + slack
             and x1 - slack <= b[2] and y1 - slack <= b[3]]
-    return [fans[i][2] for _, i in sorted(near)]
+    return [(h_point(sights[i][1]), sights[i][2]) for _, i in sorted(near)]
 
 
 def certify_city(city: City, solution: Solution) -> Certificate:

@@ -1,11 +1,12 @@
 """Test-only references: regions the placements and generators never
 build, computed here with exact polygon cuts so that the tests can check
 the library's placements, staircases and 3k+1 pockets against them; the
-residual pass as a plain cut by every region in turn; and the mirror
-image of a scene and its guards."""
+oracle's minimum over such a region; the residual pass as a plain cut by
+every region in turn; and the mirror image of a scene and its guards."""
 
 from cityguard.geom import AxisRect, Point, PolygonSet, h_subtract, make_convex_quad
 from cityguard.model import Guard, Scene
+from cityguard.oracle import OPTIMAL, _certify_and_refine
 from cityguard.staircase import _QUADRANT
 from cityguard.verify import free_space
 from cityguard.visibility import visibility_region
@@ -73,6 +74,14 @@ def _convex_hull(points):
     lower = half(pts)
     upper = half(pts[::-1])
     return lower[:-1] + upper[:-1]
+
+
+def min_cover_of_region(scene, candidates, region, max_count: int):
+    """Exact minimum number of candidates whose regions cover the region,
+    by the oracle's certify-and-refine loop; None above `max_count` or when
+    the candidates cannot cover it."""
+    status, best, _, _ = _certify_and_refine(scene, candidates, region.pieces, max_count)
+    return len(best) if status == OPTIMAL else None
 
 
 def residual_pass(scene, guards):

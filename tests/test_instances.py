@@ -10,12 +10,12 @@ from cityguard.instances import (
 from cityguard.io import parse_city
 from cityguard.model import Scene, require_general_position, validate_scene
 from cityguard.oracle import (
-    INFEASIBLE_WITHIN, OPTIMAL, candidate_set, min_cover_of_region, optimal_guard_count,
+    INFEASIBLE_WITHIN, OPTIMAL, candidate_set, optimal_guard_count,
 )
 from cityguard.verify import certify
 from cityguard.visibility import visibility_region
 from counterexample_3k1 import MINIMUM, rot3k1_counterexample
-from references import space_between
+from references import min_cover_of_region, space_between
 
 
 def rot3k1_scene(k):

@@ -15,8 +15,8 @@ import cityguard
 SRC = Path(__file__).resolve().parents[1] / "src" / "cityguard"
 
 SHARED_REFERENCES = {
-    "h_cell", "PolygonSet.is_empty", "PolygonSet.contains", "build_faces",
-    "exhaustive_min_cover", "min_cover_of_region", "min_roof_guards",
+    "PolygonSet.is_empty", "PolygonSet.contains", "build_faces",
+    "exhaustive_min_cover", "min_roof_guards",
 }
 
 

@@ -78,7 +78,7 @@ class TestBuild:
         sc = parse_city({"bounds": [0, 0, 10, 10],
                          "buildings": [{"base": [1, 1, 3, 3], "height": 1},
                                        {"base": [3, 5, 7, 7], "height": 1}]}).scene
-        with pytest.raises(DegeneratePositionError):
+        with pytest.raises(DegeneratePositionError, match=r"\(0, 1\)"):
             staircase_sharing(sc)
 
 

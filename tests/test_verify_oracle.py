@@ -1,4 +1,5 @@
 import random
+import re
 from fractions import Fraction
 from itertools import combinations
 
@@ -9,8 +10,8 @@ from hypothesis import strategies as st
 import cityguard.verify as verify
 from cityguard.bench import bench_instance, random_corpus
 from cityguard.geom import (
-    AxisRect, HCell, Point, PolygonSet, h_area2, h_cell, h_centroid, h_fan_covers,
-    h_subtract, make_axis_rect,
+    AxisRect, Point, PolygonSet, h_area2, h_cell, h_cell_to_cell, h_centroid, h_point,
+    h_sees_all, h_subtract, make_axis_rect,
 )
 from cityguard.instances import (
     GeneratorParams, gen_3k1_necessity, gen_random, gen_roof_necessity,
@@ -22,17 +23,17 @@ from cityguard.model import (
 )
 from cityguard.oracle import (
     INFEASIBLE_WITHIN, OPTIMAL, UNCOVERABLE, build_faces, candidate_set,
-    exhaustive_min_cover, min_cover_of_region, min_hitting_set, min_roof_guards,
+    exhaustive_min_cover, min_hitting_set, min_roof_guards,
     optimal_guard_count, roof_cover_sets, roof_samples,
 )
 from cityguard.placement import (
     ALLOW_P_CORNER, BUILDINGS_ONLY, city_guarding, guards_2k1, guards_main,
 )
 from cityguard.verify import certify, certify_city, covers, free_space
-from cityguard.visibility import visibility_region
+from cityguard.visibility import sees, visibility_region
 from counterexample_3k1 import rot3k1_counterexample
 from references import (
-    _convex_hull, mirror_guards, mirror_scene, residual_pass, space_between,
+    min_cover_of_region, mirror_guards, mirror_scene, residual_pass, space_between,
 )
 from test_geom import ref_interior_run
 
@@ -63,6 +64,16 @@ class TestCertify:
         # everything strictly West of the hole is residual
         assert cert.residual.contains(Point(1, 5))
         assert cert.residual.area() == 96 - 40
+
+    @pytest.mark.parametrize("guard", [
+        hole_guard(-1, 0, E), hole_guard(1, 0, E), hole_guard(0, -1, E),
+        hole_guard(0, 4, E), p_corner_guard(-1, N), p_corner_guard(4, N),
+    ], ids=repr)
+    def test_anchor_out_of_range_is_refused(self, guard):
+        """A negative index does not wrap round to the last building or
+        corner, and an index past the end is not a bare IndexError."""
+        with pytest.raises(ValueError, match=re.escape(repr(guard.anchor))):
+            certify(city_a(), [guard])
 
     def test_monotone_adding_guards(self):
         sc = city_a()
@@ -251,15 +262,59 @@ def _assert_matches_reference(scene, guards):
     return cert
 
 
-def _fan(scene, guard):
-    return visibility_region(scene, guard).cells
+def _sees_all(scene, guard, cell):
+    """h_sees_all for a guard of the scene, with its buildings as blockers."""
+    return h_sees_all(h_point(guard.position(scene)), guard.facing, cell,
+                      [h_cell(h.as_cell()) for h in scene.holes])
+
+
+def _interior_points(cell, rng, count=4):
+    """Rational points strictly inside the cell: positive integer weights
+    over its vertices."""
+    corners = h_cell_to_cell(cell)
+    out = []
+    for _ in range(count):
+        ws = [rng.randint(1, 1000) for _ in corners]
+        t = sum(ws)
+        out.append(Point(sum(Fraction(w) * c.x for w, c in zip(ws, corners)) / t,
+                         sum(Fraction(w) * c.y for w, c in zip(ws, corners)) / t))
+    return out
+
+
+_FACINGS = (N, E, S, W, (1, 1), (-1, 1), (1, -1), (-1, -1), (2, 1), (-1, 3))
+
+
+def _drawn_guard_and_cells(data, k, seed):
+    """A random k-building scene at grid 30 or a scene of rotated buildings;
+    a guard on a building or P corner, facing along a wall or askew; and
+    the cells to test: a random rational rectangle in the bounds and every
+    free-space piece."""
+    if data.draw(st.booleans()):
+        sc = gen_random(GeneratorParams(k=k, seed=seed, grid=30))
+    else:
+        sc = data.draw(st.sampled_from([gen_3k1_necessity(1), gen_3k1_necessity(2),
+                                        rot3k1_counterexample()]))
+    corner = data.draw(st.integers(0, 3))
+    facing = data.draw(st.sampled_from(_FACINGS))
+    building = data.draw(st.integers(-1, sc.k - 1))
+    g = (p_corner_guard(corner, facing) if building < 0
+         else hole_guard(building, corner, facing))
+    b = sc.bounds
+    den = data.draw(st.sampled_from([1, 2, 3, 7]))
+    xs = sorted(data.draw(st.lists(st.integers(b.x0 * den, b.x1 * den),
+                                   min_size=2, max_size=2, unique=True)))
+    ys = sorted(data.draw(st.lists(st.integers(b.y0 * den, b.y1 * den),
+                                   min_size=2, max_size=2, unique=True)))
+    (x0, x1), (y0, y1) = [Fraction(v, den) for v in xs], [Fraction(v, den) for v in ys]
+    rect = h_cell((Point(x0, y0), Point(x1, y0), Point(x1, y1), Point(x0, y1)))
+    return sc, g, (rect, *free_space(sc).pieces)
 
 
 class TestResidualByContainment:
-    """`certify` drops each free-space piece that one region is proven to
-    hold (h_fan_covers) and cuts the others by every region: differential
-    checks against the plain region-by-region pass, and soundness checks
-    of the proof itself."""
+    """`certify` drops each free-space piece that one guard sees all of
+    (h_sees_all) and cuts the others by every region: differential checks
+    against the plain region-by-region pass, and checks of the proof
+    against the reference cut and against `sees`."""
 
     @pytest.mark.parametrize("k,seed", [(4, 1), (7, 2), (10, 3), (13, 4), (16, 5),
                                         (20, 6), (24, 7), (28, 8)])
@@ -299,78 +354,59 @@ class TestResidualByContainment:
             for gs in (guards, rng.sample(guards, 8)):
                 _assert_matches_reference(sc, gs)
 
-    def test_east_fan_is_proven_from_the_start_of_its_run(self):
-        """An East guard's fan runs from South through East to North, and
-        the sweep lists it from the North-East diagonal, where the first
-        blocker past (1, 0) ends: a piece across that diagonal is proven
-        only by the walk that starts at the South ray."""
+    def test_east_run_piece_is_proven(self):
+        """An East guard's region runs from South through East to North,
+        and the sweep lists its triangles from a ray past (1, 0): a piece
+        across the guard's North-East diagonal, held by triangles from
+        both ends of that list, is proven."""
         sc = parse_city({"bounds": [0, 0, 10, 10],
                          "buildings": [{"base": [4, 4, 6, 6], "height": 3}]}).scene
-        fan = _fan(sc, hole_guard(0, 2, E))
+        g = hole_guard(0, 2, E)
         piece = h_cell((Point(7, 5), Point(9, 5), Point(9, 8), Point(7, 8)))
-        assert h_fan_covers(piece, fan)
-        assert h_fan_covers(piece, fan[1:] + fan[:1])
-        assert h_subtract([piece], fan) == []
-
-    def test_a_parallel_line_elsewhere_does_not_continue_a_walk(self):
-        """The second triangle's first line runs against the first one's
-        back line but one unit to the West of it: the strip between them is
-        uncovered, and a cell across it is not proven."""
-        first = h_cell((Point(0, 0), Point(4, 0), Point(0, 4)))
-        second = h_cell((Point(-1, 0), Point(-1, 4), Point(-4, 2)))
-        cell = h_cell((Point(-2, 1), Point(1, 1), Point(1, 2), Point(-2, 2)))
-        assert not h_fan_covers(cell, [first, second])
-        assert h_subtract([cell], [first, second]) != []
+        assert _sees_all(sc, g, piece)
+        assert h_subtract([piece], visibility_region(sc, g).cells) == []
 
     def test_most_pieces_are_proven(self):
         sc = gen_random(GeneratorParams(k=16, seed=3, grid=1000))
-        fans = [_fan(sc, g) for g in guards_2k1(sc).guards]
+        guards = guards_2k1(sc).guards
         pieces = free_space(sc).pieces
-        proven = sum(any(h_fan_covers(p, f) for f in fans) for p in pieces)
+        proven = sum(any(_sees_all(sc, g, p) for g in guards) for p in pieces)
         assert proven > len(pieces) // 2
 
-    @given(st.integers(1, 4), st.integers(0, 10**6), st.data())
-    @settings(max_examples=60, deadline=None)
-    def test_proof_is_sound_on_sweep_fans(self, k, seed, data):
-        """Whenever h_fan_covers says a region holds a cell, cutting the
-        cell by the region leaves nothing: random rational rectangles and
-        free-space pieces against a random candidate's region."""
-        sc = gen_random(GeneratorParams(k=k, seed=seed, grid=30))
-        fan = _fan(sc, data.draw(st.sampled_from(candidate_set(sc, include_p_corners=True))))
-        b = sc.bounds
-        den = data.draw(st.sampled_from([1, 2, 3, 7]))
-        xs = sorted(data.draw(st.lists(st.integers(b.x0 * den, b.x1 * den),
-                                       min_size=2, max_size=2, unique=True)))
-        ys = sorted(data.draw(st.lists(st.integers(b.y0 * den, b.y1 * den),
-                                       min_size=2, max_size=2, unique=True)))
-        (x0, x1), (y0, y1) = [Fraction(v, den) for v in xs], [Fraction(v, den) for v in ys]
-        rect = h_cell((Point(x0, y0), Point(x1, y0), Point(x1, y1), Point(x0, y1)))
-        for cell in (rect, *free_space(sc).pieces):
-            if h_fan_covers(cell, fan):
-                assert h_subtract([cell], fan) == []
+    @given(st.integers(1, 5), st.integers(0, 10**6), st.data())
+    @settings(max_examples=80, deadline=None)
+    def test_proof_is_exact_on_sweep_regions(self, k, seed, data):
+        """h_sees_all says a guard sees all of a cell exactly when cutting
+        the cell by the guard's region leaves nothing."""
+        sc, g, cells = _drawn_guard_and_cells(data, k, seed)
+        region = visibility_region(sc, g).cells
+        for cell in cells:
+            assert _sees_all(sc, g, cell) == (h_subtract([cell], region) == [])
 
-    @given(st.integers(-3, 3), st.integers(-3, 3),
-           st.lists(st.tuples(st.integers(-12, 12), st.integers(-12, 12)),
-                    min_size=3, max_size=14),
-           st.lists(st.tuples(st.integers(-4, 4), st.integers(-4, 4)),
-                    min_size=3, max_size=5),
-           st.integers(0, 9))
-    @settings(max_examples=300, deadline=None)
-    def test_proof_is_sound_on_any_triangles(self, ax, ay, rim, points, turn):
-        """The proof holds for any list of triangles: here the CCW
-        triangles between an apex and consecutive rim points, which may
-        overlap, leave gaps or wind round more than once, listed from a
-        random place."""
-        tris = [HCell(((ax, ay, 1), p + (1,), q + (1,)))
-                for p, q in zip(rim, rim[1:])
-                if (p[0] - ax) * (q[1] - ay) - (p[1] - ay) * (q[0] - ax) > 0]
-        hull = _convex_hull([Point(x, y) for x, y in points])
-        if not tris or len(hull) < 3:
-            return
-        turn %= len(tris)
-        cell = h_cell(hull)
-        if h_fan_covers(cell, tris[turn:] + tris[:turn]):
-            assert h_subtract([cell], tris) == []
+    @given(st.integers(1, 5), st.integers(0, 10**6), st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_proof_agrees_with_sees(self, k, seed, data):
+        """Against `sees`, the point route through `interior_run`: a cell
+        h_sees_all proves is seen at its vertices, its centroid and
+        interior rational points; otherwise the centroid and interior
+        points of the largest cell the region leaves of it are not seen.
+        A point on the guard's half-plane boundary line is exempt there:
+        sight along that line carries no area, and the region leaves it
+        out."""
+        sc, g, cells = _drawn_guard_and_cells(data, k, seed)
+        region = visibility_region(sc, g).cells
+        pos = g.position(sc)
+        rng = random.Random(seed)
+        for cell in cells:
+            if _sees_all(sc, g, cell):
+                for p in (*h_cell_to_cell(cell), h_centroid(cell),
+                          *_interior_points(cell, rng)):
+                    assert sees(sc, g, p)
+            else:
+                largest = max(h_subtract([cell], region), key=h_area2)
+                for p in (h_centroid(largest), *_interior_points(largest, rng)):
+                    if (p.x - pos.x) * g.facing[0] + (p.y - pos.y) * g.facing[1]:
+                        assert not sees(sc, g, p)
 
 
 class TestOracle:
