@@ -13,9 +13,7 @@ from cityguard.errors import (
     CityGuardError, GenerationFailedError, PlacementIncompleteError,
     SceneValidationError,
 )
-from cityguard.io import (
-    FormatError, check_guard_anchors, load_city, load_solution, save_city, save_solution,
-)
+from cityguard.io import FormatError, load_city, load_solution, save_city, save_solution
 from cityguard.model import City
 
 EXIT_OK = 0
@@ -64,11 +62,10 @@ def _cmd_verify(args) -> int:
     from cityguard.verify import certify, certify_city
     city = load_city(args.scene)
     sol = load_solution(args.solution)
-    check_guard_anchors(sol, city.scene)
-    if args.city:
-        cert = certify_city(city, sol)
-    else:
-        cert = certify(city.scene, sol.guards)
+    try:
+        cert = certify_city(city, sol) if args.city else certify(city.scene, sol.guards)
+    except ValueError as e:  # a guard anchored on no corner of the scene
+        return _invalid_arguments(e)
     if args.cert:
         import json
         from cityguard.io import certificate_doc
@@ -138,9 +135,10 @@ def _cmd_gen(args) -> int:
 def _cmd_render(args) -> int:
     city = load_city(args.scene)
     sol = load_solution(args.solution) if args.solution else None
-    if sol is not None:
-        check_guard_anchors(sol, city.scene)
-    _write_svg(args.out, city.scene, sol, city if (sol and args.city) else None)
+    try:
+        _write_svg(args.out, city.scene, sol, city if (sol and args.city) else None)
+    except ValueError as e:  # a guard anchored on no corner of the scene
+        return _invalid_arguments(e)
     print(f"rendered -> {args.out}")
     return EXIT_OK
 

@@ -144,7 +144,7 @@ def _index(anchor, key, path, limit=None):
 
 def parse_solution(doc) -> Solution:
     """Parse a solution document.  Building indices are only checked to be
-    non-negative here; check_guard_anchors checks them against a scene."""
+    non-negative here; `Guard.position` checks them against a scene."""
     _check_keys(doc, {"algorithm", "guards"}, {"algorithm", "guards"}, "$")
     if not isinstance(doc["guards"], list):
         raise FormatError("guards must be a list", "$.guards")
@@ -174,14 +174,6 @@ def parse_solution(doc) -> Solution:
             raise FormatError("facing must be a nonzero direction", fpath)
         guards.append(Guard(anchor=a, facing=(fx, fy)))
     return Solution(algorithm=str(doc["algorithm"]), guards=tuple(guards))
-
-
-def check_guard_anchors(solution: Solution, scene):
-    """Refuse a guard anchored on a building the scene does not have."""
-    for g in solution.guards:
-        if g.anchor[0] == "hole" and g.anchor[1] >= scene.k:
-            raise FormatError(f"guard anchored on building {g.anchor[1]}, "
-                              f"but the scene has {scene.k} buildings")
 
 
 def load_solution(path) -> Solution:

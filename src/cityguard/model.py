@@ -76,7 +76,9 @@ class Guard:
             return scene.holes[self.anchor[1]].corners()[self.anchor[2]]
         if kind == "p" and 0 <= self.anchor[1] < 4:
             return scene.bounds.corners()[self.anchor[1]]
-        raise ValueError(f"anchor {self.anchor!r} names no corner of this scene")
+        on = f" on building {self.anchor[1]}" if kind == "hole" else ""
+        raise ValueError(f"anchor {self.anchor!r}{on} names no corner of a scene "
+                         f"with {scene.k} buildings")
 
     def on_hole(self) -> bool:
         return self.anchor[0] == "hole"

@@ -9,13 +9,15 @@ The pass takes free space a piece at a time.  The sight segments from a
 guard to a convex piece fill the hull of the guard and the piece, so the
 guard sees all of the piece iff the piece lies in the guard's closed
 half-plane and no building's open interior meets that hull: one exact
-test (`geom.h_sees_all`), True exactly when the guard's region holds the
-piece.  Such a piece is dropped; any other piece is cut by every region
-in turn, as a pass over the whole list would cut it.  The output is
-identical to that pass, cell for cell and in order: a piece's
-descendants depend only on that piece and the regions, and a piece that
-any one region holds has none with area.  Float bboxes only choose which
-guards are tried, and in which order.
+test on the buildings alone (`geom.h_sees_all`), True exactly when the
+guard's region holds the piece, which is then dropped.  Any other piece
+is cut by the regions of the guards with a vertex of it strictly in
+front; every other region lies in its guard's closed half-plane, with
+the piece behind it, and would not cut it.  A piece's descendants depend
+only on that piece and the regions, so the residual is that of cutting
+the whole piece list by every region, cell for cell and in order.  A
+region is swept only when a piece needs it, or when an exit (the
+certificate JSON, the SVG) reads `per_guard_regions`.
 
 Each (scene, guard tuple) runs one residual pass: certificates are
 memoised for the last scene asked about, so a placement, its caller and
@@ -26,12 +28,12 @@ one scene's certificates.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Optional
 
 from cityguard.geom import (
     AxisRect, HCell, Point, PolygonSet, h_area2, h_cell, h_centroid, h_point,
-    h_sees_all, h_subtract,
+    h_sees_all, h_subtract, h_to_point,
 )
 from cityguard.model import AXIS_ALIGNED, City, Scene, Solution, roof_covered_by
 from cityguard.visibility import visibility_region
@@ -42,8 +44,14 @@ class Certificate:
     covered: bool
     residual: PolygonSet
     witness: Optional[Point]
-    per_guard_regions: tuple
+    scene: Scene
+    guards: tuple
     roof_flags: Optional[tuple] = None
+
+    @property
+    def per_guard_regions(self) -> tuple:
+        """Every guard's region, in guard order, from the region cache."""
+        return tuple(visibility_region(self.scene, g) for g in self.guards)
 
 
 def free_space(scene: Scene) -> PolygonSet:
@@ -103,42 +111,46 @@ def _certificate(scene: Scene, guards) -> Certificate:
 
 
 def _compute(scene: Scene, guards: tuple) -> Certificate:
-    """One residual pass: free space minus every guard's region, a piece
-    at a time.  A piece that some guard sees all of (h_sees_all) leaves
-    nothing; any other piece is cut by every region in turn."""
-    regions = tuple(visibility_region(scene, g) for g in guards)
-    cutters = [c for vr in regions for c in vr.cells]
+    """One residual pass, a piece at a time (see above).  A guard on no
+    corner of the scene raises before any region is swept."""
+    # (apex, facing, fx * AX + fy * AY) per guard
+    sights = [(a, g.facing, g.facing[0] * a[0] + g.facing[1] * a[1])
+              for g in guards for a in [h_point(g.position(scene))]]
     buildings = [h_cell(h.as_cell()) for h in scene.holes]
-    sights = [(_fan_bbox(vr.cells), vr.guard.position(scene), vr.guard.facing)
-              for vr in regions if vr.cells]
     residual = []
     for piece in free_space(scene).pieces:
-        if not any(h_sees_all(apex, facing, piece, buildings)
-                   for apex, facing in _holders(piece, sights)):
+        # each vertex's side of each guard's boundary line, scaled by
+        # W * AW > 0: the sign expression of h_sees_all
+        sides = [[a[2] * (fx * X + fy * Y) - k * W for X, Y, W in piece.pts]
+                 for a, (fx, fy), k in sights]
+        # nearest first: the float distance only orders the exact proofs
+        cx, cy = (piece.bbox[0] + piece.bbox[2]) / 2, (piece.bbox[1] + piece.bbox[3]) / 2
+        holders = sorted(((a[0] / a[2] - cx) ** 2 + (a[1] / a[2] - cy) ** 2, a, f)
+                         for (a, f, _), s in zip(sights, sides) if min(s) >= 0)
+        if not any(h_sees_all(a, f, piece, buildings) for _, a, f in holders):
+            cutters = (c for g, s in zip(guards, sides) if max(s) > 0
+                       for c in visibility_region(scene, g).cells)
             residual.extend(h_subtract([piece], cutters))
-    # the witness is the vertex centroid of the largest cell, first on ties
-    witness = h_centroid(max(residual, key=h_area2)) if residual else None
+    # the witness lies in the largest cell, the first on ties
+    witness = _witness(max(residual, key=h_area2), sights) if residual else None
     return Certificate(covered=not residual, residual=PolygonSet.of_hcells(residual),
-                       witness=witness, per_guard_regions=regions)
+                       witness=witness, scene=scene, guards=guards)
 
 
-def _fan_bbox(cells):
-    return (min(c.bbox[0] for c in cells), min(c.bbox[1] for c in cells),
-            max(c.bbox[2] for c in cells), max(c.bbox[3] for c in cells))
-
-
-def _holders(piece: HCell, sights):
-    """(apex, facing) of the guards whose region's bbox holds the piece's,
-    nearest first.  The slack absorbs the cells' different bbox paddings;
-    floats only order the exact proofs here and never decide one."""
-    x0, y0, x1, y1 = piece.bbox
-    slack = 1e-9 * (1.0 + max(abs(x0), abs(y0), abs(x1), abs(y1)))
-    cx, cy = (x0 + x1) / 2, (y0 + y1) / 2
-    near = [((float(p.x) - cx) ** 2 + (float(p.y) - cy) ** 2, i)
-            for i, (b, p, _) in enumerate(sights)
-            if b[0] <= x0 + slack and b[1] <= y0 + slack
-            and x1 - slack <= b[2] and y1 - slack <= b[3]]
-    return [(h_point(sights[i][1]), sights[i][2]) for _, i in sorted(near)]
+def _witness(cell: HCell, sights) -> Point:
+    """A point strictly inside the cell and off every guard's boundary
+    line, where `sees` accepts a point though sight there has no area: the
+    vertex centroid c, else the first (m*m*c + m*v0 + v1) / (m*m + m + 1),
+    m = 2, 3, ..., off them all.  Each is strictly inside the triangle of c
+    and the first two vertices, and a line holds at most two of them."""
+    c = p = h_centroid(cell)
+    v0, v1 = map(h_to_point, cell.pts[:2])
+    m = 1
+    while any(a[2] * (fx * p.x + fy * p.y) == k for a, (fx, fy), k in sights):
+        m += 1
+        d = m * m + m + 1
+        p = Point((m * m * c.x + m * v0.x + v1.x) / d, (m * m * c.y + m * v0.y + v1.y) / d)
+    return p
 
 
 def certify_city(city: City, solution: Solution) -> Certificate:
@@ -152,10 +164,6 @@ def certify_city(city: City, solution: Solution) -> Certificate:
     for g in solution.guards:
         if g.on_hole():
             own.setdefault(g.anchor[1], []).append(g)
-    flags = tuple(
-        any(roof_covered_by(scene, i, g) for g in own.get(i, ()))
-        for i in range(scene.k)
-    )
-    return Certificate(covered=base.covered and all(flags),
-                       residual=base.residual, witness=base.witness,
-                       per_guard_regions=base.per_guard_regions, roof_flags=flags)
+    flags = tuple(any(roof_covered_by(scene, i, g) for g in own.get(i, ()))
+                  for i in range(scene.k))
+    return replace(base, covered=base.covered and all(flags), roof_flags=flags)

@@ -380,6 +380,7 @@ class TestCli:
                                 capture_output=True, text=True)
         assert result.returncode == 2
         assert len(result.stderr.splitlines()) == 1
+        assert result.stderr.startswith("validation error: ")
         assert "building 9" in result.stderr
         assert not out.exists()
 

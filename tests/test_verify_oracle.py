@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import cityguard.verify as verify
+import cityguard.visibility as visibility
 from cityguard.bench import bench_instance, random_corpus
 from cityguard.geom import (
     AxisRect, Point, PolygonSet, h_area2, h_cell, h_cell_to_cell, h_centroid, h_point,
@@ -16,7 +17,7 @@ from cityguard.geom import (
 from cityguard.instances import (
     GeneratorParams, gen_3k1_necessity, gen_random, gen_roof_necessity,
 )
-from cityguard.io import parse_city
+from cityguard.io import certificate_doc, parse_city
 from cityguard.model import (
     City, E, N, S, Scene, Solution, W, hole_guard, p_corner_guard, roof_covered_by,
     rotate_guards, rotate_scene_ccw,
@@ -41,6 +42,14 @@ from test_geom import ref_interior_run
 def city_a():
     return parse_city({"bounds": [0, 0, 10, 10],
                        "buildings": [{"base": [4, 4, 6, 6], "height": 3}]}).scene
+
+
+def two_buildings():
+    """A scene where the vertex centroid of an uncovered certificate's
+    largest residual cell can lie on a guard's half-plane boundary line."""
+    return parse_city({"bounds": [0, 0, 30, 30], "buildings": [
+        {"base": [3, 22, 5, 25], "height": 1},
+        {"base": [19, 19, 26, 20], "height": 1}]}).scene
 
 
 class TestCertify:
@@ -95,6 +104,33 @@ class TestCertify:
         cert = certify_city(city, walls_only)
         assert cert.roof_flags == (False,)
         assert not cert.covered
+
+    def test_witness_is_seen_by_no_guard(self):
+        """The largest residual cell's vertex centroid, (12, 25), lies on
+        the first guard's half-plane boundary line y = 25, where `sees`
+        accepts it; the witness is another point strictly inside that cell,
+        and no guard sees it."""
+        sc = two_buildings()
+        guards = [hole_guard(0, 3, S), hole_guard(1, 3, S)]
+        cert = certify(sc, guards)
+        largest = max(cert.residual.pieces, key=h_area2)
+        assert h_centroid(largest) == Point(12, 25)
+        hx, hy, hw = h_point(cert.witness)
+        assert all(A * hx + B * hy + C * hw > 0 for A, B, C in largest.lines)
+        assert not any(sees(sc, g, cert.witness) for g in guards)
+
+    def test_witnesses_of_small_guard_sets_are_unseen(self):
+        """Every set of at most two candidates on `two_buildings`: the
+        witness of an uncovered certificate lies in the residual and no
+        guard of the set sees it."""
+        sc = two_buildings()
+        cands = candidate_set(sc, include_p_corners=True)
+        for size in (1, 2):
+            for guards in combinations(cands, size):
+                cert = certify(sc, guards)
+                if not cert.covered:
+                    assert cert.residual.contains(cert.witness)
+                    assert not any(sees(sc, g, cert.witness) for g in guards)
 
 
 @pytest.fixture
@@ -194,6 +230,35 @@ class TestCertificateMemo:
         assert certify_city(low, walls_only).roof_flags == (False,)
         assert certify_city(high, roofed).roof_flags == (True,)
         assert len({guards for _, guards in computed}) == len(computed)
+
+
+class TestRegionsSweptOnDemand:
+    """`certify` sweeps a guard's region only when a free-space piece that
+    no guard proves has a vertex strictly in front of that guard; the
+    certificate JSON still lists every guard's region, in guard order."""
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_only_cutting_regions_are_swept(self, monkeypatch, seed):
+        sc = gen_random(GeneratorParams(k=16, seed=seed, grid=1000))
+        guards = guards_2k1(sc).guards
+        short = guards[:len(guards) // 2] + guards[len(guards) // 2 + 1:]
+        vertices = [p for cell in free_space(sc).cells for p in cell]
+        for gs in (guards, short):
+            monkeypatch.setattr(visibility, "_cache", (None, {}))
+            monkeypatch.setattr(verify, "_memo", (None, {}))
+            cert = certify(sc, gs)
+            swept = set(visibility._cache[1])
+            assert cert.covered == (gs is guards)
+            if cert.covered:
+                assert swept == set()
+            for g in swept:
+                pos = g.position(sc)
+                assert any((p.x - pos.x) * g.facing[0] + (p.y - pos.y) * g.facing[1] > 0
+                           for p in vertices)
+            regions = certificate_doc(cert)["regions"]
+            assert [(tuple(r["anchor"]), tuple(r["facing"])) for r in regions] == \
+                [(g.anchor, g.facing) for g in gs]
+            assert set(visibility._cache[1]) == set(gs)
 
 
 def scaled_and_shifted(scene, s, dx, dy):
