@@ -60,12 +60,20 @@ def _write_svg(path, scene, sol=None, city=None):
 
 def _cmd_verify(args) -> int:
     from cityguard.verify import certify, certify_city
+    from cityguard.visibility import sees
     city = load_city(args.scene)
     sol = load_solution(args.solution)
     try:
         cert = certify_city(city, sol) if args.city else certify(city.scene, sol.guards)
     except ValueError as e:  # a guard anchored on no corner of the scene
         return _invalid_arguments(e)
+    witness = cert.witness
+    # the witness is checked by the point route before it is reported
+    seers = [g for g in sol.guards if sees(city.scene, g, witness)] if witness else []
+    if seers:
+        print(f"certification failure: witness ({witness.x}, {witness.y}) is seen by "
+              f"the guard at {seers[0].anchor} facing {seers[0].facing}", file=sys.stderr)
+        return EXIT_CERTIFICATION
     if args.cert:
         import json
         from cityguard.io import certificate_doc
@@ -74,7 +82,6 @@ def _cmd_verify(args) -> int:
     if cert.covered:
         print(f"covered: {sol.count} guards, residual area 0")
         return EXIT_OK
-    witness = cert.witness
     print(f"NOT covered: residual area {cert.residual.area()}"
           + (f", witness ({witness.x}, {witness.y})" if witness else "")
           + ("" if cert.roof_flags is None or all(cert.roof_flags)

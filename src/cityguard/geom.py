@@ -18,7 +18,8 @@ over the hole's edge lines in the kernel's homogeneous integers.  A
 segment is blocked in 2D iff the run exists (`visibility.clear_sight`),
 and the roof oracle's 3D prism test compares heights on that run.
 `h_sees_all` tests all the segments from a guard to a convex cell at
-once, as the hull they fill, by the kernel's separating-axis test.
+once, as the one hull cell they fill, by the kernel's separating-axis
+test.
 """
 
 from __future__ import annotations
@@ -544,10 +545,9 @@ def h_sees_all(apex, facing, cell: HCell, blockers) -> bool:
     """True iff a guard at the homogeneous point `apex` with this facing
     sees all of the cell: the cell is in its closed half-plane, and no
     blocker's open interior meets the hull of the apex and the cell,
-    which the sight segments fill.  The hull is the union of the CCW
-    triangles (apex, a, b) over the cell's edges a->b with the apex
-    strictly on their left, and `_h_apart` tests each exactly; the
-    blockers' inflated bboxes only skip those clear of the hull's."""
+    which the sight segments fill.  The hull is one cell (`_h_hull`), and
+    `_h_apart` tests it against each blocker exactly; the blockers'
+    inflated bboxes only skip those clear of the hull's."""
     AX, AY, AW = apex
     fx, fy = facing
     if any((X * AW - AX * W) * fx + (Y * AW - AY * W) * fy < 0 for X, Y, W in cell.pts):
@@ -555,19 +555,39 @@ def h_sees_all(apex, facing, cell: HCell, blockers) -> bool:
     ax, ay = AX / AW, AY / AW
     x0, y0, x1, y1 = cell.bbox
     x0, y0, x1, y1 = min(x0, ax), min(y0, ay), max(x1, ax), max(y1, ay)
-    fan = None
+    hull = None
     for b in blockers:
         bb = b.bbox
         if bb[2] <= x0 or x1 <= bb[0] or bb[3] <= y0 or y1 <= bb[1]:
             continue
-        if fan is None:
-            pts = cell.pts
-            fan = [HCell((apex, a, c), (_h_line(apex, a), edge, _h_line(c, apex)))
-                   for a, c, edge in zip(pts, pts[1:] + pts[:1], cell.lines)
-                   if edge[0] * AX + edge[1] * AY + edge[2] * AW > 0]
-        if not all(_h_apart(t, b) for t in fan):
+        if hull is None:
+            hull = _h_hull(apex, cell)
+        if not _h_apart(hull, b):
             return False
     return True
+
+
+def _h_hull(apex, cell: HCell) -> HCell:
+    """The hull of a convex cell and a point not strictly inside it: the
+    apex, then the chain of the cell's far edges (those with the apex
+    strictly on their left), which keep their own lines.  An open set
+    meets its interior iff it meets the interior of some triangle (apex,
+    a, b) over a far edge a->b.  With the apex on the cell's boundary the
+    hull is the cell, and an apex inside an edge leaves that edge's line
+    twice: the hull is only tested by `_h_apart`, never cut, and the
+    separating-axis test allows a repeated line."""
+    AX, AY, AW = apex
+    pts, lines = cell.pts, cell.lines
+    n = len(pts)
+    far = [A * AX + B * AY + C * AW > 0 for A, B, C in lines]
+    i = next(i for i in range(n) if far[i] and not far[i - 1])
+    chain, chain_lines = [pts[i]], []
+    while far[i]:
+        chain_lines.append(lines[i])
+        i = i + 1 if i + 1 < n else 0
+        chain.append(pts[i])
+    return HCell((apex, *chain),
+                 (_h_line(apex, chain[0]), *chain_lines, _h_line(chain[-1], apex)))
 
 
 def interior_run(a: Point, b: Point, hole: Hole):

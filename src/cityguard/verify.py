@@ -8,13 +8,17 @@ roof flag (roof covered by a guard on that same building).
 The pass takes free space a piece at a time.  The sight segments from a
 guard to a convex piece fill the hull of the guard and the piece, so the
 guard sees all of the piece iff the piece lies in the guard's closed
-half-plane and no building's open interior meets that hull: one exact
-test on the buildings alone (`geom.h_sees_all`), True exactly when the
-guard's region holds the piece, which is then dropped.  Any other piece
-is cut by the regions of the guards with a vertex of it strictly in
-front; every other region lies in its guard's closed half-plane, with
-the piece behind it, and would not cut it.  A piece's descendants depend
-only on that piece and the regions, so the residual is that of cutting
+half-plane and no building's open interior meets that hull.  The hull
+is one cell, tested exactly against the buildings alone
+(`geom.h_sees_all`): True exactly when the guard's region holds the
+piece, which is then dropped.  A piece that no one guard proves is split
+along building levels y = c and its parts are proven the same way; if
+every part is proven, the parts tile the piece and it is dropped too.
+Any other piece is cut, whole, by the regions of the guards with a
+vertex of it strictly in front; every other region lies in its guard's
+closed half-plane, with the piece behind it, and would not cut it.  A
+piece's descendants depend only on that piece and the regions, and a
+piece the regions cover leaves none, so the residual is that of cutting
 the whole piece list by every region, cell for cell and in order.  A
 region is swept only when a piece needs it, or when an exit (the
 certificate JSON, the SVG) reads `per_guard_regions`.
@@ -28,12 +32,14 @@ one scene's certificates.
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, replace
+from fractions import Fraction
 from typing import Optional
 
 from cityguard.geom import (
-    AxisRect, HCell, Point, PolygonSet, h_area2, h_cell, h_centroid, h_point,
-    h_sees_all, h_subtract, h_to_point,
+    AxisRect, HCell, Point, PolygonSet, _h_split, h_area2, h_cell, h_centroid,
+    h_point, h_sees_all, h_subtract, h_to_point,
 )
 from cityguard.model import AXIS_ALIGNED, City, Scene, Solution, roof_covered_by
 from cityguard.visibility import visibility_region
@@ -117,24 +123,63 @@ def _compute(scene: Scene, guards: tuple) -> Certificate:
     sights = [(a, g.facing, g.facing[0] * a[0] + g.facing[1] * a[1])
               for g in guards for a in [h_point(g.position(scene))]]
     buildings = [h_cell(h.as_cell()) for h in scene.holes]
+    levels = _levels(buildings)
     residual = []
     for piece in free_space(scene).pieces:
         # each vertex's side of each guard's boundary line, scaled by
         # W * AW > 0: the sign expression of h_sees_all
         sides = [[a[2] * (fx * X + fy * Y) - k * W for X, Y, W in piece.pts]
                  for a, (fx, fy), k in sights]
-        # nearest first: the float distance only orders the exact proofs
-        cx, cy = (piece.bbox[0] + piece.bbox[2]) / 2, (piece.bbox[1] + piece.bbox[3]) / 2
-        holders = sorted(((a[0] / a[2] - cx) ** 2 + (a[1] / a[2] - cy) ** 2, a, f)
-                         for (a, f, _), s in zip(sights, sides) if min(s) >= 0)
-        if not any(h_sees_all(a, f, piece, buildings) for _, a, f in holders):
-            cutters = (c for g, s in zip(guards, sides) if max(s) > 0
+        holders = [s for s, side in zip(sights, sides) if min(side) >= 0]
+        if any(h_sees_all(a, f, piece, buildings) for a, f, _ in _nearest(holders, piece)):
+            continue
+        front = [s for s, side in zip(sights, sides) if max(side) > 0]
+        if not _proven_in_parts(piece, front, buildings, levels):
+            cutters = (c for g, side in zip(guards, sides) if max(side) > 0
                        for c in visibility_region(scene, g).cells)
             residual.extend(h_subtract([piece], cutters))
     # the witness lies in the largest cell, the first on ties
     witness = _witness(max(residual, key=h_area2), sights) if residual else None
     return Certificate(covered=not residual, residual=PolygonSet.of_hcells(residual),
                        witness=witness, scene=scene, guards=guards)
+
+
+def _levels(buildings):
+    """The distinct y of the buildings' vertices, in increasing order."""
+    return sorted({h_to_point(p).y for b in buildings for p in b.pts})
+
+
+def _nearest(sights, cell: HCell):
+    """The sights, nearest the centre of the cell's bbox first: the float
+    distance only orders the exact proofs."""
+    cx, cy = (cell.bbox[0] + cell.bbox[2]) / 2, (cell.bbox[1] + cell.bbox[3]) / 2
+    return sorted(sights, key=lambda s: (s[0][0] / s[0][2] - cx) ** 2
+                  + (s[0][1] / s[0][2] - cy) ** 2)
+
+
+def _proven_in_parts(piece: HCell, front, buildings, levels) -> bool:
+    """Is the piece, which no guard proves whole, covered by parts that
+    each one front guard proves?  A part is cut along the middle of the
+    building levels y = c strictly between its lowest and highest vertex
+    (the sorted `levels` between indices lo and hi), and its halves are
+    tried in turn; the proven leaves tile the piece.  A guard whose closed
+    half-plane holds a part has a vertex of the piece strictly in front,
+    so the front guards are the only candidates.  False at the first leaf
+    that no guard proves and no level crosses."""
+    ys = [h_to_point(p).y for p in piece.pts]
+    stack = [(piece, bisect_right(levels, min(ys)), bisect_left(levels, max(ys)))]
+    while stack:
+        part, lo, hi = stack.pop()
+        if part is not piece and any(h_sees_all(a, f, part, buildings)
+                                     for a, f, _ in _nearest(front, part)):
+            continue
+        if lo == hi:
+            return False
+        m = (lo + hi) // 2
+        c = Fraction(levels[m])
+        above, below = _h_split((part.pts, part.lines), (0, c.denominator, -c.numerator))
+        stack += [(HCell(*below), lo, m), (HCell(*above), m + 1, hi)]
+    return True
 
 
 def _witness(cell: HCell, sights) -> Point:

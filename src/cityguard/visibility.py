@@ -39,6 +39,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cmp_to_key
 from itertools import groupby
+from math import atan2, tau
 
 from cityguard.geom import (
     HCell, Point, PolygonSet, _h_line, _h_meet, _h_orient, h_point,
@@ -91,6 +92,16 @@ def _angular_cmp(d1, d2):
     return 0
 
 
+def _sorted_directions(dirs):
+    """Distinct directions in `_angular_cmp` order.  The float angle only
+    proposes the order: every adjacent pair is checked exactly, and on a
+    tie or a misorder the directions are sorted by `_angular_cmp` itself."""
+    out = sorted(dirs, key=lambda d: atan2(d[1], d[0]) % tau)
+    if all(_angular_cmp(d1, d2) < 0 for d1, d2 in zip(out, out[1:])):
+        return out
+    return sorted(dirs, key=cmp_to_key(_angular_cmp))
+
+
 def _corner_cone(corners, idx):
     """Incident edge vectors (next, prev) at corner idx of a CCW cell."""
     n = len(corners)
@@ -139,9 +150,8 @@ def _sweep(scene: Scene, g: Guard) -> VisibilityRegion:
     cone = _corner_cone(polygons[g.anchor[1] if on_hole else -1], g.anchor[-1])
     ray = {c: primitive_direction(c.x - pos.x, c.y - pos.y)
            for corners in polygons for c in corners if c != pos}
-    dirs = sorted(set(ray.values()) | {primitive_direction(fy, -fx),
-                                       primitive_direction(-fy, fx)},
-                  key=cmp_to_key(_angular_cmp))
+    dirs = _sorted_directions(set(ray.values()) | {primitive_direction(fy, -fx),
+                                                   primitive_direction(-fy, fx)})
     nd = len(dirs)
     dir_index = {d: i for i, d in enumerate(dirs)}
 

@@ -7,6 +7,7 @@ import pytest
 
 from cityguard.cli import main
 from cityguard.errors import SceneValidationError
+from cityguard.geom import h_to_point
 from cityguard.instances import GeneratorParams, gen_random, gen_random_city
 from cityguard.io import (
     FormatError, certificate_doc, load_city, load_solution, parse_city, parse_solution,
@@ -290,6 +291,27 @@ class TestCli:
         save_city(parse_city(city_a_doc()), scene)
         save_solution(Solution(algorithm="x", guards=(hole_guard(0, 1, (1, 0)),)), sol)
         assert self.run("verify", "--scene", str(scene), "--solution", str(sol)) == 3
+
+    def test_seen_witness_is_not_printed(self, tmp_path, monkeypatch, capsys):
+        """verify checks an uncovered certificate's witness with `sees` for
+        every guard: a witness some guard sees (here, made the first
+        guard's own corner) is refused with one stderr line and exit 3,
+        and neither NOT covered nor the certificate file is written."""
+        import cityguard.verify as verify
+        scene = tmp_path / "s.json"
+        sol = tmp_path / "g.json"
+        cert = tmp_path / "c.json"
+        save_city(parse_city(city_a_doc()), scene)
+        save_solution(Solution(algorithm="x", guards=(hole_guard(0, 1, (1, 0)),)), sol)
+        monkeypatch.setattr(verify, "_memo", (None, {}))
+        monkeypatch.setattr(verify, "_witness", lambda cell, sights: h_to_point(sights[0][0]))
+        assert self.run("verify", "--scene", str(scene), "--solution", str(sol),
+                        "--cert", str(cert)) == 3
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.splitlines() == ["certification failure: witness (6, 4) is seen by "
+                                    "the guard at ('hole', 0, 1) facing (1, 0)"]
+        assert not cert.exists()
 
     def test_validation_exit_code(self, tmp_path):
         bad = tmp_path / "bad.json"

@@ -132,6 +132,20 @@ class TestCertify:
                     assert cert.residual.contains(cert.witness)
                     assert not any(sees(sc, g, cert.witness) for g in guards)
 
+    @given(st.integers(1, 5), st.integers(0, 10**6), st.data())
+    @settings(max_examples=40, deadline=None)
+    def test_witnesses_of_random_guard_sets_are_unseen(self, k, seed, data):
+        """Random scenes at grid 30 and random sets of candidates, P corners
+        included: the witness of an uncovered certificate lies in the
+        residual and no guard of the set sees it."""
+        sc = gen_random(GeneratorParams(k=k, seed=seed, grid=30))
+        cands = candidate_set(sc, include_p_corners=True)
+        guards = data.draw(st.lists(st.sampled_from(cands), max_size=2 * k + 2, unique=True))
+        cert = certify(sc, guards)
+        if not cert.covered:
+            assert cert.residual.contains(cert.witness)
+            assert not any(sees(sc, g, cert.witness) for g in guards)
+
 
 @pytest.fixture
 def computed(monkeypatch):
@@ -472,6 +486,101 @@ class TestResidualByContainment:
                 for p in (h_centroid(largest), *_interior_points(largest, rng)):
                     if (p.x - pos.x) * g.facing[0] + (p.y - pos.y) * g.facing[1]:
                         assert not sees(sc, g, p)
+
+
+class TestSplitProof:
+    """A piece that no one guard proves is split at building levels and
+    its parts are proven by hull (`verify._proven_in_parts`); a piece so
+    proven needs no region.  `h_sees_all` tests the hull as one cell."""
+
+    @pytest.mark.parametrize("k", [16, 22, 28])
+    @pytest.mark.parametrize("seed", range(3))
+    def test_covered_placements_sweep_no_region(self, monkeypatch, k, seed):
+        sc = gen_random(GeneratorParams(k=k, seed=seed, grid=1000))
+        split = verify._proven_in_parts
+        proofs = []
+        monkeypatch.setattr(verify, "_proven_in_parts",
+                            lambda *args: proofs.append(split(*args)) or proofs[-1])
+        for algorithm in (guards_2k1, guards_main):
+            guards = algorithm(sc).guards
+            monkeypatch.setattr(visibility, "_cache", (None, {}))
+            monkeypatch.setattr(verify, "_memo", (None, {}))
+            assert certify(sc, guards).covered
+            assert visibility._cache[1] == {}
+        assert all(proofs)
+        if k == 16:
+            assert proofs  # guards_main leaves pieces to the split proof here
+
+    @given(st.integers(1, 5), st.integers(0, 10**6), st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_split_proof_leaves_nothing_to_cut(self, k, seed, data):
+        """Whenever the split proof holds, cutting the piece by every
+        guard's region leaves nothing; the guards stand at any corner,
+        facing along a wall or askew."""
+        if data.draw(st.booleans()):
+            sc = gen_random(GeneratorParams(k=k, seed=seed, grid=30))
+        else:
+            sc = data.draw(st.sampled_from([gen_3k1_necessity(1), gen_3k1_necessity(2),
+                                            rot3k1_counterexample()]))
+        anchors = ([hole_guard(i, c, f) for i in range(sc.k) for c in range(4)
+                    for f in _FACINGS] + [p_corner_guard(c, f) for c in range(4)
+                                          for f in _FACINGS])
+        guards = data.draw(st.lists(st.sampled_from(anchors), min_size=1, max_size=6,
+                                    unique=True))
+        buildings = [h_cell(h.as_cell()) for h in sc.holes]
+        levels = verify._levels(buildings)
+        sights = [(a, g.facing, g.facing[0] * a[0] + g.facing[1] * a[1])
+                  for g in guards for a in [h_point(g.position(sc))]]
+        regions = [c for g in guards for c in visibility_region(sc, g).cells]
+        for piece in free_space(sc).pieces:
+            front = [s for s in sights
+                     if any(s[0][2] * (s[1][0] * X + s[1][1] * Y) > s[2] * W
+                            for X, Y, W in piece.pts)]
+            if verify._proven_in_parts(piece, front, buildings, levels):
+                assert h_subtract([piece], regions) == []
+
+    @pytest.mark.parametrize("piece", [
+        ((6, 6), (9, 6), (9, 9), (6, 9)),      # the apex is a vertex
+        ((6, 3), (9, 3), (9, 9), (6, 9)),      # inside the edge x = 6
+        ((3, 6), (6, 6), (6, 9), (3, 9)),      # a vertex, West of the apex
+        ((2, 6), (10, 6), (10, 8), (2, 8)),    # inside the edge y = 6
+        ((7, 6), (9, 6), (9, 9), (7, 9)),      # on the line y = 6, past an edge's end
+        ((1, 6), (3, 6), (3, 9), (1, 9)),      # on the line y = 6, before an edge's start
+        ((6, 7), (8, 7), (8, 9), (6, 9)),      # on the line x = 6, below the piece
+        ((6, 0), (9, 0), (9, 3), (6, 3)),      # on the line x = 6, above the piece
+        ((6, 6), (9, 7), (7, 9)),              # a triangle's vertex
+        ((8, 6), (9, 8), (7, 8)),              # on its edge's line y = 6 by one vertex
+    ], ids=str)
+    def test_hull_cell_at_degenerate_apexes(self, piece):
+        """The hull cell of an apex on the piece's boundary or on an edge's
+        line gives the reference answer, for every facing: nothing left
+        after cutting the piece by the guard's region.  The apex is the NE
+        corner (6, 6) of the building [4, 6]^2 in [0, 10]^2."""
+        sc = city_a()
+        cell = h_cell(tuple(Point(*p) for p in piece))
+        verdicts = set()
+        for facing in _FACINGS:
+            g = hole_guard(0, 2, facing)
+            verdict = _sees_all(sc, g, cell)
+            assert verdict == (h_subtract([cell], visibility_region(sc, g).cells) == [])
+            verdicts.add(verdict)
+        assert verdicts == {True, False}
+
+    @pytest.mark.parametrize("building,piece", [
+        ((50, 75, 64, 85), ((70, 60), (90, 60), (90, 90), (70, 90))),
+        ((75, 50, 85, 64), ((60, 70), (90, 70), (90, 90), (60, 90))),
+    ])
+    def test_hull_edges_from_the_apex_separate(self, building, piece):
+        """A building just outside the hull's edge from the apex (60, 60)
+        to the piece, or back, is apart from the hull by that edge's line
+        alone: none of its own edge lines separates them."""
+        sc = parse_city({"bounds": [0, 0, 100, 100], "buildings": [
+            {"base": [40, 40, 60, 60], "height": 1},
+            {"base": list(building), "height": 1}]}).scene
+        g = hole_guard(0, 2, N)
+        cell = h_cell(tuple(Point(*p) for p in piece))
+        assert _sees_all(sc, g, cell)
+        assert h_subtract([cell], visibility_region(sc, g).cells) == []
 
 
 class TestOracle:

@@ -1,6 +1,10 @@
 import random
 import weakref
 from fractions import Fraction
+from itertools import permutations
+from math import atan2
+
+import cityguard.visibility as visibility
 
 from cityguard.geom import (
     Point, PolygonSet, _h_normalized, h_point, h_to_point, make_axis_rect, orient,
@@ -9,7 +13,7 @@ from cityguard.instances import GeneratorParams, gen_3k1_necessity, gen_random
 from cityguard.io import parse_city
 from cityguard.model import E, N, S, Scene, W, hole_guard, p_corner_guard
 from cityguard.oracle import candidate_set
-from cityguard.visibility import sees, visibility_region
+from cityguard.visibility import _angular_cmp, sees, visibility_region
 from counterexample_3k1 import rot3k1_counterexample
 
 
@@ -216,6 +220,49 @@ class TestSweepCells:
                         assert sees(sc, g, v)
                 got += vr.region.area()
             assert got == total
+
+
+class TestDirectionOrder:
+    """`_sweep` orders its directions by float angle and checks each
+    adjacent pair exactly; where the floats tie or misorder, it falls back
+    to the exact sort."""
+
+    # (10^9, 10^9 - 1), (10^9 + 1, 10^9), (10^9 + 2, 10^9 + 1): each pair's
+    # cross product is 1, so their angles differ by about 10^-18, below the
+    # float spacing near pi/4
+    NEAR = ((10**9, 10**9 - 1), (10**9 + 1, 10**9), (10**9 + 2, 10**9 + 1))
+
+    def test_float_ties_are_sorted_exactly(self):
+        u, v, w = self.NEAR
+        assert _angular_cmp(u, v) < 0 and _angular_cmp(v, w) < 0
+        assert len({atan2(d[1], d[0]) for d in self.NEAR}) < 3
+        for order in permutations(self.NEAR):
+            assert visibility._sorted_directions(order + ((1, 0), (0, -1))) == \
+                [(1, 0), u, v, w, (0, -1)]
+
+    def test_regions_match_the_exact_sort(self, monkeypatch):
+        """A guard at the origin sees building corners in the three near
+        directions (at 2u, v and 3w); the fallback runs, and every region
+        of the scene equals the one swept with the exact sort alone."""
+        u, v, w = self.NEAR
+        big = 10**9
+        sc = Scene(bounds=make_axis_rect(0, 0, 4 * big, 4 * big), holes=(
+            make_axis_rect(2 * u[0], 2 * u[1], 2 * u[0] + 10, 2 * u[1] + 10),
+            make_axis_rect(v[0], v[1], v[0] + 10, v[1] + 10),
+            make_axis_rect(3 * w[0], 3 * w[1], 3 * w[0] + 10, 3 * w[1] + 10)))
+        guards = candidate_set(sc, include_p_corners=True)
+        fallbacks = []
+        exact = visibility.cmp_to_key
+        monkeypatch.setattr(visibility, "cmp_to_key",
+                            lambda cmp: fallbacks.append(cmp) or exact(cmp))
+        fast = [visibility._sweep(sc, g).cells for g in guards]
+        assert fallbacks and fallbacks.count(_angular_cmp) == len(fallbacks)
+        monkeypatch.setattr(visibility, "_sorted_directions",
+                            lambda dirs: sorted(dirs, key=exact(_angular_cmp)))
+        for g, cells in zip(guards, fast):
+            assert [(c.pts, c.lines) for c in cells] == \
+                [(c.pts, c.lines) for c in visibility._sweep(sc, g).cells]
+        assert any(cells for cells in fast)
 
 
 class TestRegionCache:
