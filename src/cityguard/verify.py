@@ -23,6 +23,16 @@ the whole piece list by every region, cell for cell and in order.  A
 region is swept only when a piece needs it, or when an exit (the
 certificate JSON, the SVG) reads `per_guard_regions`.
 
+The guards a cell is tried on, and those whose regions cut it, come from
+a facing index built once per pass: the guards are grouped by facing f
+and sorted within a group by the threshold t = f.apex, exact as an int
+or a Fraction.  A guard's closed half-plane holds the cell iff
+t <= min f.v over the cell's vertices v, and it has a vertex strictly in
+front iff t < max f.v, so each group gives the cell's holders and its
+front guards as two sorted prefixes, found by bisection after one pass
+over the vertices per facing.  Both lists are put back in guard order,
+so the proofs and the cuts see the guards as a plain scan would.
+
 Each (scene, guard tuple) runs one residual pass: certificates are
 memoised for the last scene asked about, so a placement, its caller and
 `certify_city` share one certificate.  An equal copy of that scene shares
@@ -119,24 +129,17 @@ def _certificate(scene: Scene, guards) -> Certificate:
 def _compute(scene: Scene, guards: tuple) -> Certificate:
     """One residual pass, a piece at a time (see above).  A guard on no
     corner of the scene raises before any region is swept."""
-    # (apex, facing, fx * AX + fy * AY) per guard
-    sights = [(a, g.facing, g.facing[0] * a[0] + g.facing[1] * a[1])
-              for g in guards for a in [h_point(g.position(scene))]]
+    sights = _sights(scene, guards)
+    index = _by_facing(sights)
     buildings = [h_cell(h.as_cell()) for h in scene.holes]
     levels = _levels(buildings)
     residual = []
     for piece in free_space(scene).pieces:
-        # each vertex's side of each guard's boundary line, scaled by
-        # W * AW > 0: the sign expression of h_sees_all
-        sides = [[a[2] * (fx * X + fy * Y) - k * W for X, Y, W in piece.pts]
-                 for a, (fx, fy), k in sights]
-        holders = [s for s, side in zip(sights, sides) if min(side) >= 0]
-        if any(h_sees_all(a, f, piece, buildings) for a, f, _ in _nearest(holders, piece)):
+        held, front = _held_and_front(index, piece)
+        if _proven(piece, held, sights, buildings):
             continue
-        front = [s for s, side in zip(sights, sides) if max(side) > 0]
-        if not _proven_in_parts(piece, front, buildings, levels):
-            cutters = (c for g, side in zip(guards, sides) if max(side) > 0
-                       for c in visibility_region(scene, g).cells)
+        if not _proven_in_parts(piece, index, sights, buildings, levels):
+            cutters = (c for i in front for c in visibility_region(scene, guards[i]).cells)
             residual.extend(h_subtract([piece], cutters))
     # the witness lies in the largest cell, the first on ties
     witness = _witness(max(residual, key=h_area2), sights) if residual else None
@@ -144,34 +147,75 @@ def _compute(scene: Scene, guards: tuple) -> Certificate:
                        witness=witness, scene=scene, guards=guards)
 
 
+def _sights(scene: Scene, guards):
+    """(apex, facing, fx * AX + fy * AY) per guard, the apex homogeneous."""
+    return [(a, g.facing, g.facing[0] * a[0] + g.facing[1] * a[1])
+            for g in guards for a in [h_point(g.position(scene))]]
+
+
+def _ratio(n: int, d: int):
+    """n / d, exactly, as an int when d is 1."""
+    return n if d == 1 else Fraction(n, d)
+
+
+def _by_facing(sights):
+    """The facing index: per facing f, the thresholds t = f.apex of its
+    sights in increasing order, and the sights' indices in that order."""
+    groups = {}
+    for i, (a, f, k) in enumerate(sights):
+        groups.setdefault(f, []).append((_ratio(k, a[2]), i))
+    index = []
+    for f, group in groups.items():
+        group.sort()
+        index.append((f, [t for t, _ in group], [i for _, i in group]))
+    return index
+
+
+def _held_and_front(index, cell: HCell):
+    """The indices of the sights whose closed half-plane holds the cell,
+    and of those with a vertex of it strictly in front, each in guard
+    order: per facing, the thresholds t <= min f.v and t < max f.v over
+    the cell's vertices v."""
+    held, front = [], []
+    for (fx, fy), ts, members in index:
+        dots = [_ratio(fx * X + fy * Y, W) for X, Y, W in cell.pts]
+        held += members[:bisect_right(ts, min(dots))]
+        front += members[:bisect_left(ts, max(dots))]
+    held.sort()
+    front.sort()
+    return held, front
+
+
 def _levels(buildings):
     """The distinct y of the buildings' vertices, in increasing order."""
     return sorted({h_to_point(p).y for b in buildings for p in b.pts})
 
 
-def _nearest(sights, cell: HCell):
-    """The sights, nearest the centre of the cell's bbox first: the float
-    distance only orders the exact proofs."""
+def _proven(cell: HCell, held, sights, buildings) -> bool:
+    """Does one of the sights with the indices `held` see all of the
+    cell?  Tried nearest the centre of the cell's bbox first, ties in
+    guard order: the float distance only orders the exact proofs."""
     cx, cy = (cell.bbox[0] + cell.bbox[2]) / 2, (cell.bbox[1] + cell.bbox[3]) / 2
-    return sorted(sights, key=lambda s: (s[0][0] / s[0][2] - cx) ** 2
-                  + (s[0][1] / s[0][2] - cy) ** 2)
+    nearest = sorted((sights[i] for i in held), key=lambda s: (s[0][0] / s[0][2] - cx) ** 2
+                     + (s[0][1] / s[0][2] - cy) ** 2)
+    return any(h_sees_all(a, f, cell, buildings) for a, f, _ in nearest)
 
 
-def _proven_in_parts(piece: HCell, front, buildings, levels) -> bool:
+def _proven_in_parts(piece: HCell, index, sights, buildings, levels) -> bool:
     """Is the piece, which no guard proves whole, covered by parts that
-    each one front guard proves?  A part is cut along the middle of the
+    each one guard proves?  A part is cut along the middle of the
     building levels y = c strictly between its lowest and highest vertex
     (the sorted `levels` between indices lo and hi), and its halves are
-    tried in turn; the proven leaves tile the piece.  A guard whose closed
-    half-plane holds a part has a vertex of the piece strictly in front,
-    so the front guards are the only candidates.  False at the first leaf
-    that no guard proves and no level crosses."""
+    tried in turn; the proven leaves tile the piece.  Each part is tried
+    on its holders from the facing `index` of the `sights`, nearest
+    first; a part's holders have a vertex of the piece strictly in front.
+    False at the first leaf that no guard proves and no level crosses."""
     ys = [h_to_point(p).y for p in piece.pts]
     stack = [(piece, bisect_right(levels, min(ys)), bisect_left(levels, max(ys)))]
     while stack:
         part, lo, hi = stack.pop()
-        if part is not piece and any(h_sees_all(a, f, part, buildings)
-                                     for a, f, _ in _nearest(front, part)):
+        if part is not piece and _proven(part, _held_and_front(index, part)[0],
+                                         sights, buildings):
             continue
         if lo == hi:
             return False

@@ -2,7 +2,9 @@
 build, computed here with exact polygon cuts so that the tests can check
 the library's placements, staircases and 3k+1 pockets against them; the
 oracle's minimum over such a region; the residual pass as a plain cut by
-every region in turn; and the mirror image of a scene and its guards."""
+every region in turn; a cell's holders and front guards by a side table
+of every guard against every vertex; and the mirror image of a scene and
+its guards."""
 
 from cityguard.geom import AxisRect, Point, PolygonSet, h_subtract, make_convex_quad
 from cityguard.model import Guard, Scene
@@ -93,6 +95,17 @@ def residual_pass(scene, guards):
             break
         residual = h_subtract(residual, visibility_region(scene, g).cells)
     return residual
+
+
+def side_table(sights, cell):
+    """The indices of the sights whose closed half-plane holds every
+    vertex of the cell, and of those with a vertex strictly in front, in
+    guard order.  Each vertex's side of each guard's boundary line is
+    scaled by W * AW > 0, the sign expression of h_sees_all."""
+    sides = [[a[2] * (fx * X + fy * Y) - k * W for X, Y, W in cell.pts]
+             for a, (fx, fy), k in sights]
+    return ([i for i, side in enumerate(sides) if min(side) >= 0],
+            [i for i, side in enumerate(sides) if max(side) > 0])
 
 
 def mirror_scene(scene) -> Scene:

@@ -11,8 +11,8 @@ import cityguard.verify as verify
 import cityguard.visibility as visibility
 from cityguard.bench import bench_instance, random_corpus
 from cityguard.geom import (
-    AxisRect, Point, PolygonSet, h_area2, h_cell, h_cell_to_cell, h_centroid, h_point,
-    h_sees_all, h_subtract, make_axis_rect,
+    AxisRect, HCell, Point, PolygonSet, _h_split, h_area2, h_cell, h_cell_to_cell,
+    h_centroid, h_point, h_sees_all, h_subtract, h_to_point, make_axis_rect,
 )
 from cityguard.instances import (
     GeneratorParams, gen_3k1_necessity, gen_random, gen_roof_necessity,
@@ -34,7 +34,8 @@ from cityguard.verify import certify, certify_city, covers, free_space
 from cityguard.visibility import sees, visibility_region
 from counterexample_3k1 import rot3k1_counterexample
 from references import (
-    min_cover_of_region, mirror_guards, mirror_scene, residual_pass, space_between,
+    min_cover_of_region, mirror_guards, mirror_scene, residual_pass, side_table,
+    space_between,
 )
 from test_geom import ref_interior_run
 
@@ -296,6 +297,7 @@ class TestCertifyMetamorphic:
         guards = list(guards_2k1(sc).guards)
         for gs in (guards, guards[:drop % len(guards)] + guards[drop % len(guards) + 1:]):
             base = certify(sc, gs)
+            _assert_witness_unseen(sc, gs, base)
             area = base.residual.area()
             images = [(rotate_scene_ccw(sc, t), rotate_guards(gs, sc, t), 1)
                       for t in (1, 2, 3)]
@@ -305,6 +307,7 @@ class TestCertifyMetamorphic:
                 cert = certify(scene, image_guards)
                 assert cert.covered == base.covered
                 assert cert.residual.area() == area * factor ** 2
+                _assert_witness_unseen(scene, image_guards, cert)
         assert certify(sc, guards).covered
 
     @given(st.integers(1, 6), st.integers(0, 10**6), st.integers(0, 12))
@@ -318,12 +321,40 @@ class TestCertifyMetamorphic:
         mirrored = mirror_scene(sc)
         for gs in (guards, guards[:drop % len(guards)] + guards[drop % len(guards) + 1:]):
             base = certify(sc, gs)
+            _assert_witness_unseen(sc, gs, base)
             image_guards = mirror_guards(gs, sc)
             for t in range(4):
-                cert = certify(rotate_scene_ccw(mirrored, t),
-                               rotate_guards(image_guards, mirrored, t))
+                scene = rotate_scene_ccw(mirrored, t)
+                turned = rotate_guards(image_guards, mirrored, t)
+                cert = certify(scene, turned)
                 assert cert.covered == base.covered
                 assert cert.residual.area() == base.residual.area()
+                _assert_witness_unseen(scene, turned, cert)
+
+    @pytest.mark.parametrize("k,seed", [(2, 11), (5, 12), (8, 13)])
+    def test_placements_on_all_eight_symmetries(self, k, seed):
+        """On each of the four rotations and four reflections of a city,
+        `guards_2k1` and `guards_main` place certified covered sets within
+        2k + 1 and 2k + floor(k/4) + 4 guards, and the image of the
+        city's `guards_main` set without its middle guard keeps that set's
+        verdict and residual area."""
+        sc = gen_random(GeneratorParams(k=k, seed=seed, grid=200))
+        main = list(guards_main(sc).guards)
+        short = main[:len(main) // 2] + main[len(main) // 2 + 1:]
+        base = certify(sc, short)
+        mirrored = mirror_scene(sc)
+        images = [(rotate_scene_ccw(sc, t), rotate_guards(short, sc, t)) for t in range(4)]
+        images += [(rotate_scene_ccw(mirrored, t),
+                    rotate_guards(mirror_guards(short, sc), mirrored, t)) for t in range(4)]
+        for scene, image_short in images:
+            for algorithm, bound in ((guards_2k1, 2 * k + 1), (guards_main, 2 * k + k // 4 + 4)):
+                placed = algorithm(scene).guards
+                assert len(placed) <= bound
+                assert certify(scene, placed).covered
+            cert = certify(scene, image_short)
+            assert (cert.covered, cert.residual.area()) == \
+                (base.covered, base.residual.area())
+            _assert_witness_unseen(scene, image_short, cert)
 
 
 def _cells(cells):
@@ -338,7 +369,15 @@ def _assert_matches_reference(scene, guards):
     assert _cells(cert.residual.pieces) == _cells(ref)
     assert cert.witness == (h_centroid(max(ref, key=h_area2)) if ref else None)
     assert cert.covered == (not ref)
+    _assert_witness_unseen(scene, guards, cert)
     return cert
+
+
+def _assert_witness_unseen(scene, guards, cert):
+    """An uncovered certificate's witness, checked by the point route:
+    `sees` accepts it for no guard."""
+    if not cert.covered:
+        assert not any(sees(scene, g, cert.witness) for g in guards)
 
 
 def _sees_all(scene, guard, cell):
@@ -488,6 +527,65 @@ class TestResidualByContainment:
                         assert not sees(sc, g, p)
 
 
+def _anchors(scene):
+    """A guard at every building and P corner, with every facing of
+    `_FACINGS`."""
+    return ([hole_guard(i, c, f) for i in range(scene.k) for c in range(4)
+             for f in _FACINGS] + [p_corner_guard(c, f) for c in range(4) for f in _FACINGS])
+
+
+def _pieces_and_level_parts(scene):
+    """The free-space pieces, and both halves of each piece at every
+    building level that crosses it strictly."""
+    levels = verify._levels([h_cell(h.as_cell()) for h in scene.holes])
+    cells = []
+    for piece in free_space(scene).pieces:
+        cells.append(piece)
+        ys = [h_to_point(p).y for p in piece.pts]
+        for c in (Fraction(c) for c in levels if min(ys) < c < max(ys)):
+            halves = _h_split((piece.pts, piece.lines), (0, c.denominator, -c.numerator))
+            cells += [HCell(*half) for half in halves]
+    return cells
+
+
+class TestFacingIndex:
+    """The facing index (`verify._held_and_front`) against the side table
+    of every guard at every vertex (`references.side_table`): the same
+    holders and the same front guards, in guard order."""
+
+    @staticmethod
+    def check(scene, guards):
+        """Assert the index agrees on every piece and level part; the
+        number of cells with a vertex whose W is not 1."""
+        sights = verify._sights(scene, guards)
+        index = verify._by_facing(sights)
+        cells = _pieces_and_level_parts(scene)
+        for cell in cells:
+            assert verify._held_and_front(index, cell) == side_table(sights, cell)
+        return sum(any(p[2] != 1 for p in cell.pts) for cell in cells)
+
+    @given(st.integers(1, 5), st.integers(0, 10**6), st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_index_matches_the_side_table(self, k, seed, data):
+        """Random scenes at grid 30 and the rotated 3k+1 family; guards at
+        any corner, facing along a wall or askew, so that some facings
+        hold one guard and some several."""
+        if data.draw(st.booleans()):
+            sc = gen_random(GeneratorParams(k=k, seed=seed, grid=30))
+        else:
+            sc = data.draw(st.sampled_from([gen_3k1_necessity(1), gen_3k1_necessity(2),
+                                            rot3k1_counterexample()]))
+        guards = data.draw(st.lists(st.sampled_from(_anchors(sc)), min_size=1,
+                                    max_size=12, unique=True))
+        self.check(sc, guards)
+
+    def test_every_anchor_on_rotated_buildings(self):
+        """Every corner and facing at once on the 3k+1 counterexample,
+        whose pieces and level parts have vertices with W > 1."""
+        sc = rot3k1_counterexample()
+        assert self.check(sc, _anchors(sc)) > 0
+
+
 class TestSplitProof:
     """A piece that no one guard proves is split at building levels and
     its parts are proven by hull (`verify._proven_in_parts`); a piece so
@@ -522,21 +620,15 @@ class TestSplitProof:
         else:
             sc = data.draw(st.sampled_from([gen_3k1_necessity(1), gen_3k1_necessity(2),
                                             rot3k1_counterexample()]))
-        anchors = ([hole_guard(i, c, f) for i in range(sc.k) for c in range(4)
-                    for f in _FACINGS] + [p_corner_guard(c, f) for c in range(4)
-                                          for f in _FACINGS])
-        guards = data.draw(st.lists(st.sampled_from(anchors), min_size=1, max_size=6,
+        guards = data.draw(st.lists(st.sampled_from(_anchors(sc)), min_size=1, max_size=6,
                                     unique=True))
         buildings = [h_cell(h.as_cell()) for h in sc.holes]
         levels = verify._levels(buildings)
-        sights = [(a, g.facing, g.facing[0] * a[0] + g.facing[1] * a[1])
-                  for g in guards for a in [h_point(g.position(sc))]]
+        sights = verify._sights(sc, guards)
+        index = verify._by_facing(sights)
         regions = [c for g in guards for c in visibility_region(sc, g).cells]
         for piece in free_space(sc).pieces:
-            front = [s for s in sights
-                     if any(s[0][2] * (s[1][0] * X + s[1][1] * Y) > s[2] * W
-                            for X, Y, W in piece.pts)]
-            if verify._proven_in_parts(piece, front, buildings, levels):
+            if verify._proven_in_parts(piece, index, sights, buildings, levels):
                 assert h_subtract([piece], regions) == []
 
     @pytest.mark.parametrize("piece", [

@@ -1,6 +1,7 @@
 import random
 import weakref
 from fractions import Fraction
+from functools import lru_cache
 from itertools import permutations
 from math import atan2
 
@@ -39,22 +40,49 @@ def on_whisker(scene, g, p):
 
 def adversarial_points(scene, pos):
     """Every hole and P vertex, every edge midpoint, the four points 1/64
-    off each hole corner diagonally, and a point just past each vertex on
-    the line from pos through it."""
+    off each hole corner diagonally, a point just past each vertex on the
+    line from pos through it, and the grazing points of the scene whose
+    two corners are not pos."""
     polygons = [h.corners() for h in scene.holes] + [scene.bounds.corners()]
-    eps = Fraction(1, 64)
     pts = []
     for corners in polygons:
         for a, b in zip(corners, corners[1:] + corners[:1]):
             pts += [a, Point(Fraction(a.x + b.x, 2), Fraction(a.y + b.y, 2))]
             if a != pos:
-                dx, dy = a.x - pos.x, a.y - pos.y
-                step = eps / max(abs(dx), abs(dy))
-                pts.append(Point(a.x + step * dx, a.y + step * dy))
+                pts.append(_past(pos, a))
     for h in scene.holes:
         for c in h.corners():
-            pts += [Point(c.x + sx * eps, c.y + sy * eps) for sx in (-1, 1) for sy in (-1, 1)]
-    return pts
+            pts += [Point(c.x + sx * _EPS, c.y + sy * _EPS) for sx in (-1, 1) for sy in (-1, 1)]
+    return pts + [p for a, b, p in grazing_points(scene) if pos not in (a, b)]
+
+
+_EPS = Fraction(1, 64)
+
+
+def _past(a, b):
+    """The point just past b on the line from a, 1/64 further along the
+    larger coordinate."""
+    dx, dy = b.x - a.x, b.y - a.y
+    step = _EPS / max(abs(dx), abs(dy))
+    return Point(b.x + step * dx, b.y + step * dy)
+
+
+@lru_cache(maxsize=1)
+def grazing_points(scene):
+    """(a, b, p) for each ordered pair of hole corners a != b, p just past
+    b on the line from a through it, kept when p lies in free space: a
+    point in a hole or outside the bounds is seen by no guard and lies in
+    no region."""
+    corners = [c for h in scene.holes for c in h.corners()]
+    out = []
+    for a in corners:
+        for b in corners:
+            if a != b:
+                p = _past(a, b)
+                if scene.bounds.contains_closed(p) and \
+                        not any(h.contains_open(p) for h in scene.holes):
+                    out.append((a, b, p))
+    return out
 
 
 class TestSees:
