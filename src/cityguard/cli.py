@@ -60,7 +60,6 @@ def _write_svg(path, scene, sol=None, city=None):
 
 def _cmd_verify(args) -> int:
     from cityguard.verify import certify, certify_city
-    from cityguard.visibility import sees
     city = load_city(args.scene)
     sol = load_solution(args.solution)
     try:
@@ -68,11 +67,7 @@ def _cmd_verify(args) -> int:
     except ValueError as e:  # a guard anchored on no corner of the scene
         return _invalid_arguments(e)
     witness = cert.witness
-    # the witness is checked by the point route before it is reported
-    seers = [g for g in sol.guards if sees(city.scene, g, witness)] if witness else []
-    if seers:
-        print(f"certification failure: witness ({witness.x}, {witness.y}) is seen by "
-              f"the guard at {seers[0].anchor} facing {seers[0].facing}", file=sys.stderr)
+    if witness and _seen(city.scene, sol.guards, witness, "guard"):
         return EXIT_CERTIFICATION
     if args.cert:
         import json
@@ -109,8 +104,22 @@ def _cmd_oracle(args) -> int:
     if res.status == INFEASIBLE_WITHIN:
         print(f"INFEASIBLE_WITHIN({args.max})")
         return EXIT_BOUND
-    print(f"UNCOVERABLE: witness point {res.witness_point}")
+    witness = res.witness_point
+    if _seen(city.scene, cands, witness, "candidate"):
+        return EXIT_CERTIFICATION
+    print(f"UNCOVERABLE: witness ({witness.x}, {witness.y})")
     return EXIT_BOUND
+
+
+def _seen(scene, guards, witness, role) -> bool:
+    """Check a witness by the point route before it is reported: does a
+    guard see it?  If so, say which on one stderr line."""
+    from cityguard.visibility import sees
+    seer = next((g for g in guards if sees(scene, g, witness)), None)
+    if seer is not None:
+        print(f"certification failure: witness ({witness.x}, {witness.y}) is seen by "
+              f"the {role} at {seer.anchor} facing {seer.facing}", file=sys.stderr)
+    return seer is not None
 
 
 def _invalid_arguments(e) -> int:

@@ -15,7 +15,7 @@ are dropped, so a PolygonSet always equals the closure of its interior.
 Sight segments against buildings have one exact test, `interior_run`:
 the run of a segment inside a hole's open interior, found by one pass
 over the hole's edge lines in the kernel's homogeneous integers.  A
-segment is blocked in 2D iff the run exists (`visibility.clear_sight`),
+segment is blocked in 2D iff the run exists (`visibility.sees`),
 and the roof oracle's 3D prism test compares heights on that run.
 `h_sees_all` tests all the segments from a guard to a convex cell at
 once, as the one hull cell they fill, by the kernel's separating-axis

@@ -13,23 +13,26 @@ gen_3k1_necessity builds the rotated family for the 3k+1 lower bound:
 each hole presents a corner to the previous hole's flat wall, inside a
 snug bounding rectangle.  It has members for k = 1 and 2 only;
 check_3k1_properties verifies the construction's defining properties
-exactly, and the oracle proves each member's minimum.
+exactly, and the oracle proves each member's minimum.  Whether a corner
+sees part of an edge is read from the visibility regions of the guards
+at that corner, the same exact sweep the certificates use.
 """
 
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from fractions import Fraction
 
 from cityguard.errors import GenerationFailedError
-from cityguard.geom import AxisRect, Point, make_axis_rect, make_convex_quad
+from cityguard.geom import (
+    AxisRect, Point, h_to_point, make_axis_rect, make_convex_quad, orient,
+)
 from cityguard.model import (
-    City, Scene, _holes_disjoint, require_general_position, validate_scene,
+    City, Guard, Scene, _holes_disjoint, require_general_position, validate_scene,
     wall_aligned_facings,
 )
 from cityguard.oracle import _sample_visible, roof_samples
-from cityguard.visibility import clear_sight
+from cityguard.visibility import visibility_region
 
 @dataclass(frozen=True)
 class GeneratorParams:
@@ -230,48 +233,25 @@ def hole_within_span(inner, outer) -> bool:
     return any(_within_strip(inner, strip) for strip in _edge_strips(outer))
 
 
-def _edge_visible(scene: Scene, v: Point, edge, facing=None) -> bool:
-    """Positive-length, positive-angle visibility of an edge from v (2D,
-    open half-plane if a facing is given).
+def _edge_visible(scene: Scene, anchor, edge, facings) -> bool:
+    """Does a guard at the anchor, facing one of `facings`, see a part of
+    the edge of positive length (at a positive angle)?
 
-    A v on the edge's line sees the edge edge-on, at zero angle.
-    Otherwise the lines from v through the hole corners and the facing's
-    boundary cut the edge into pieces that are each wholly visible or
-    not, and the first piece whose midpoint p has (p - v) . facing > 0
-    and a clear segment v-p (`clear_sight`) decides.
+    Its region is a fan of triangles at the guard, each closed by a
+    segment of the one edge nearest across its wedge, so it does iff some
+    triangle has both ray hits on the closed edge.  A guard on the edge's
+    line sees it edge-on, and no triangle ends on it.
     """
     a, b = edge
-    ex, ey = b.x - a.x, b.y - a.y
-    if (v.x - a.x) * ey - (v.y - a.y) * ex == 0:
-        return False
-    cuts = {Fraction(0), Fraction(1)}
-    for h in scene.holes:
-        for w in h.corners():
-            # intersection of edge with the line v->w
-            dx, dy = w.x - v.x, w.y - v.y
-            den = ex * dy - ey * dx
-            if den == 0:
-                continue
-            t = Fraction((v.x - a.x) * dy - (v.y - a.y) * dx, den)
-            if 0 < t < 1:
-                cuts.add(t)
-    if facing is not None:
-        fx, fy = facing
-        den = ex * fx + ey * fy
-        if den != 0:
-            t = Fraction((v.x - a.x) * fx + (v.y - a.y) * fy, den)
-            if 0 < t < 1:
-                cuts.add(t)
-    ts = sorted(cuts)
-    for t0, t1 in zip(ts, ts[1:]):
-        tm = (t0 + t1) / 2
-        p = Point(a.x + tm * ex, a.y + tm * ey)
-        if facing is not None:
-            if (p.x - v.x) * facing[0] + (p.y - v.y) * facing[1] <= 0:
-                continue
-        if clear_sight(scene, v, p):
-            return True
+    for f in facings:
+        for cell in visibility_region(scene, Guard(anchor, f)).cells:
+            if all(_on_segment(a, b, h_to_point(r)) for r in cell.pts[1:]):
+                return True
     return False
+
+
+def _on_segment(a: Point, b: Point, p: Point) -> bool:
+    return orient(a, b, p) == 0 and (p.x - a.x) * (p.x - b.x) + (p.y - a.y) * (p.y - b.y) <= 0
 
 
 def _edges(hole):
@@ -280,10 +260,11 @@ def _edges(hole):
 
 
 def _positions(scene: Scene, i: int):
+    """The wall-aligned guard positions on B_i: (anchor, corner, facing)."""
     hole = scene.holes[i]
-    for v in hole.corners():
+    for c, v in enumerate(hole.corners()):
         for f in wall_aligned_facings(hole):
-            yield v, f
+            yield ("hole", i, c), v, f
 
 
 def check_3k1_properties(scene: Scene):
@@ -310,27 +291,30 @@ def check_3k1_properties(scene: Scene):
         for j in range(k):
             if abs(i - j) < 2:
                 continue
-            for v in scene.holes[j].corners():
-                if any(_edge_visible(scene, v, e) for e in _edges(scene.holes[i])):
+            # all round a corner: a facing f and -f
+            fx, fy = wall_aligned_facings(scene.holes[j])[0]
+            for c in range(4):
+                if any(_edge_visible(scene, ("hole", j, c), e, ((fx, fy), (-fx, -fy)))
+                       for e in _edges(scene.holes[i])):
                     p2_fail.append((j, i))
                     break
     report.append(("property2", not p2_fail, p2_fail))
 
     p3_fail = []
     for i in range(k - 1):
-        for v, f in _positions(scene, i):
+        for anchor, v, f in _positions(scene, i):
             visible = sum(1 for e in _edges(scene.holes[i + 1])
-                          if _edge_visible(scene, v, e, facing=f))
+                          if _edge_visible(scene, anchor, e, (f,)))
             if visible > 1:
                 p3_fail.append((i, v, f, visible))
     report.append(("property3", not p3_fail, p3_fail))
 
     p4_fail = []
     for i in range(1, k - 1):
-        for v, f in _positions(scene, i):
-            prev_vis = any(_edge_visible(scene, v, e, facing=f)
+        for anchor, v, f in _positions(scene, i):
+            prev_vis = any(_edge_visible(scene, anchor, e, (f,))
                            for e in _edges(scene.holes[i - 1]))
-            next_vis = any(_edge_visible(scene, v, e, facing=f)
+            next_vis = any(_edge_visible(scene, anchor, e, (f,))
                            for e in _edges(scene.holes[i + 1]))
             if prev_vis and next_vis:
                 p4_fail.append((i, v, f))

@@ -20,9 +20,12 @@ Why the answer is exact:
 * a new witness is the centroid of a residual cell, so it lies in that
   cell's interior and in no chosen closed region: each round rules out
   the previous choice, and the loop ends;
-* a witness that no candidate sees proves the base uncoverable; when the
-  search finds no set within the bound, one subtraction of every
-  candidate's region tells UNCOVERABLE from INFEASIBLE_WITHIN.
+* when the search finds no set within the bound, or a witness has no
+  candidate, one subtraction of every candidate's region tells
+  UNCOVERABLE from INFEASIBLE_WITHIN.  The UNCOVERABLE witness is the
+  first of the largest left cell's `interior_points` that no candidate
+  `sees`: a centroid can lie on a half-plane boundary line or a grazing
+  line, where `sees` accepts a point that no region holds.
 
 `build_faces` refines the base by every candidate region into an exact
 face arrangement; with `exhaustive_min_cover` it is the independent
@@ -48,8 +51,8 @@ from cityguard.model import (
     City, E, N, S, Scene, Solution, W, hole_guard, p_corner_guard, roof_in_front,
     wall_aligned_facings,
 )
-from cityguard.verify import free_space
-from cityguard.visibility import visibility_region
+from cityguard.verify import free_space, interior_points
+from cityguard.visibility import sees, visibility_region
 
 OPTIMAL = "OPTIMAL"
 INFEASIBLE_WITHIN = "INFEASIBLE_WITHIN"
@@ -158,14 +161,15 @@ def _certify_and_refine(scene: Scene, candidates, base, max_count: int):
                     mask |= 1 << i
             witnesses.append((p, mask))
             if not mask:
-                return UNCOVERABLE, None, p, tuple(witnesses)
+                break  # nothing hits it, so the search fails at once
         best = min_hitting_set([m for _, m in witnesses], max_count)
         if best is None:
             rest = h_subtract(base, [c for cells in regions for c in cells])
-            if rest:
-                return (UNCOVERABLE, None, h_centroid(max(rest, key=h_area2)),
-                        tuple(witnesses))
-            return INFEASIBLE_WITHIN, None, None, tuple(witnesses)
+            if not rest:
+                return INFEASIBLE_WITHIN, None, None, tuple(witnesses)
+            witness = next(p for p in interior_points(max(rest, key=h_area2))
+                           if not any(sees(scene, g, p) for g in candidates))
+            return UNCOVERABLE, None, witness, tuple(witnesses)
         fresh = h_subtract(base, [c for i in sorted(best) for c in regions[i]])
         if not fresh:
             return OPTIMAL, best, None, tuple(witnesses)

@@ -11,17 +11,17 @@ guard sees all of the piece iff the piece lies in the guard's closed
 half-plane and no building's open interior meets that hull.  The hull
 is one cell, tested exactly against the buildings alone
 (`geom.h_sees_all`): True exactly when the guard's region holds the
-piece, which is then dropped.  A piece that no one guard proves is split
-along building levels y = c and its parts are proven the same way; if
-every part is proven, the parts tile the piece and it is dropped too.
-Any other piece is cut, whole, by the regions of the guards with a
-vertex of it strictly in front; every other region lies in its guard's
-closed half-plane, with the piece behind it, and would not cut it.  A
-piece's descendants depend only on that piece and the regions, and a
-piece the regions cover leaves none, so the residual is that of cutting
-the whole piece list by every region, cell for cell and in order.  A
-region is swept only when a piece needs it, or when an exit (the
-certificate JSON, the SVG) reads `per_guard_regions`.
+piece.  One proof (`_proven`) tries the piece whole, then splits what no
+guard proves along building levels y = c and tries the parts the same
+way; if every part is proven, the parts tile the piece and it is
+dropped.  Any other piece is cut, whole, by the regions of the guards
+with a vertex of it strictly in front; every other region lies in its
+guard's closed half-plane, with the piece behind it, and would not cut
+it.  A piece's descendants depend only on that piece and the regions,
+and a piece the regions cover leaves none, so the residual is that of
+cutting the whole piece list by every region, cell for cell and in
+order.  A region is swept only when a piece needs it, or when an exit
+(the certificate JSON, the SVG) reads `per_guard_regions`.
 
 The guards a cell is tried on, and those whose regions cut it, come from
 a facing index built once per pass: the guards are grouped by facing f
@@ -33,11 +33,15 @@ front guards as two sorted prefixes, found by bisection after one pass
 over the vertices per facing.  Both lists are put back in guard order,
 so the proofs and the cuts see the guards as a plain scan would.
 
-Each (scene, guard tuple) runs one residual pass: certificates are
-memoised for the last scene asked about, so a placement, its caller and
-`certify_city` share one certificate.  An equal copy of that scene shares
-its certificates; any other scene drops them, which bounds the memo by
-one scene's certificates.
+The witness of an uncovered certificate is the first of the largest
+residual cell's `interior_points` off every guard's half-plane boundary
+line; the oracle takes its UNCOVERABLE witness from the same sequence.
+
+Each (scene, guard tuple) runs one residual pass: certificates are kept
+with the scene's regions in `visibility.scene_cache`, so a placement,
+its caller and `certify_city` share one certificate.  An equal copy of
+that scene shares them; any other scene drops regions and certificates
+at once, which bounds the cache by one scene's results.
 """
 
 from __future__ import annotations
@@ -45,6 +49,7 @@ from __future__ import annotations
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, replace
 from fractions import Fraction
+from itertools import count
 from typing import Optional
 
 from cityguard.geom import (
@@ -52,7 +57,7 @@ from cityguard.geom import (
     h_point, h_sees_all, h_subtract, h_to_point,
 )
 from cityguard.model import AXIS_ALIGNED, City, Scene, Solution, roof_covered_by
-from cityguard.visibility import visibility_region
+from cityguard.visibility import scene_cache, visibility_region
 
 
 @dataclass(frozen=True)
@@ -105,20 +110,12 @@ def certify(scene: Scene, guards) -> Certificate:
     return _certificate(scene, guards)
 
 
-# (scene, {guard tuple: certificate}) for the last scene asked about,
-# kept like visibility._cache: the pair is replaced as one value, an equal
-# copy of the scene shares its certificates and any other scene drops them.
-# `covers` and `certify` both read it directly, so a call through one
-# public function is one call at the module boundary.
-_memo = (None, {})
-
-
 def _certificate(scene: Scene, guards) -> Certificate:
-    global _memo
-    memo_scene, certificates = _memo
-    if scene is not memo_scene and scene != memo_scene:
-        certificates = {}
-        _memo = (scene, certificates)
+    """The guard set's certificate, kept with the scene's regions
+    (`visibility.scene_cache`).  `covers` and `certify` both read it
+    directly, so a call through one public function is one call at the
+    module boundary."""
+    certificates = scene_cache(scene)[1]
     key = tuple(guards)
     cert = certificates.get(key)
     if cert is None:
@@ -132,13 +129,11 @@ def _compute(scene: Scene, guards: tuple) -> Certificate:
     sights = _sights(scene, guards)
     index = _by_facing(sights)
     buildings = [h_cell(h.as_cell()) for h in scene.holes]
-    levels = _levels(buildings)
+    levels = _levels(scene)
     residual = []
     for piece in free_space(scene).pieces:
         held, front = _held_and_front(index, piece)
-        if _proven(piece, held, sights, buildings):
-            continue
-        if not _proven_in_parts(piece, index, sights, buildings, levels):
+        if not _proven(piece, held, index, sights, buildings, levels):
             cutters = (c for i in front for c in visibility_region(scene, guards[i]).cells)
             residual.extend(h_subtract([piece], cutters))
     # the witness lies in the largest cell, the first on ties
@@ -186,66 +181,65 @@ def _held_and_front(index, cell: HCell):
     return held, front
 
 
-def _levels(buildings):
-    """The distinct y of the buildings' vertices, in increasing order."""
-    return sorted({h_to_point(p).y for b in buildings for p in b.pts})
+def _levels(scene: Scene):
+    """The distinct y of the buildings' corners, in increasing order."""
+    return sorted({p.y for h in scene.holes for p in h.corners()})
 
 
-def _proven(cell: HCell, held, sights, buildings) -> bool:
-    """Does one of the sights with the indices `held` see all of the
-    cell?  Tried nearest the centre of the cell's bbox first, ties in
-    guard order: the float distance only orders the exact proofs."""
-    cx, cy = (cell.bbox[0] + cell.bbox[2]) / 2, (cell.bbox[1] + cell.bbox[3]) / 2
-    nearest = sorted((sights[i] for i in held), key=lambda s: (s[0][0] / s[0][2] - cx) ** 2
-                     + (s[0][1] / s[0][2] - cy) ** 2)
-    return any(h_sees_all(a, f, cell, buildings) for a, f, _ in nearest)
-
-
-def _proven_in_parts(piece: HCell, index, sights, buildings, levels) -> bool:
-    """Is the piece, which no guard proves whole, covered by parts that
-    each one guard proves?  A part is cut along the middle of the
-    building levels y = c strictly between its lowest and highest vertex
-    (the sorted `levels` between indices lo and hi), and its halves are
-    tried in turn; the proven leaves tile the piece.  Each part is tried
-    on its holders from the facing `index` of the `sights`, nearest
-    first; a part's holders have a vertex of the piece strictly in front.
-    False at the first leaf that no guard proves and no level crosses."""
-    ys = [h_to_point(p).y for p in piece.pts]
-    stack = [(piece, bisect_right(levels, min(ys)), bisect_left(levels, max(ys)))]
+def _proven(piece: HCell, held, index, sights, buildings, levels) -> bool:
+    """Is the piece covered by parts that each one guard proves?  A part is
+    tried on its holders, nearest the centre of its bbox first, ties in
+    guard order: the float distance only orders the exact proofs.  The
+    piece's holders `held` are given; a part's come from the facing
+    `index` of the `sights`.  A part that none proves is cut along the
+    middle of the building `levels` y = c strictly between its lowest and
+    highest vertex, and its halves are tried in turn; the proven parts
+    tile the piece.  False at the first part that no guard proves and no
+    level crosses."""
+    stack = [(piece, held)]
     while stack:
-        part, lo, hi = stack.pop()
-        if part is not piece and _proven(part, _held_and_front(index, part)[0],
-                                         sights, buildings):
+        part, held = stack.pop()
+        if held is None:
+            held = _held_and_front(index, part)[0]
+        cx, cy = (part.bbox[0] + part.bbox[2]) / 2, (part.bbox[1] + part.bbox[3]) / 2
+        nearest = sorted((sights[i] for i in held), key=lambda s: (s[0][0] / s[0][2] - cx) ** 2
+                         + (s[0][1] / s[0][2] - cy) ** 2)
+        if any(h_sees_all(a, f, part, buildings) for a, f, _ in nearest):
             continue
+        ys = [h_to_point(p).y for p in part.pts]
+        lo, hi = bisect_right(levels, min(ys)), bisect_left(levels, max(ys))
         if lo == hi:
             return False
-        m = (lo + hi) // 2
-        c = Fraction(levels[m])
+        c = Fraction(levels[(lo + hi) // 2])
         above, below = _h_split((part.pts, part.lines), (0, c.denominator, -c.numerator))
-        stack += [(HCell(*below), lo, m), (HCell(*above), m + 1, hi)]
+        stack += [(HCell(*below), None), (HCell(*above), None)]
     return True
 
 
-def _witness(cell: HCell, sights) -> Point:
-    """A point strictly inside the cell and off every guard's boundary
-    line, where `sees` accepts a point though sight there has no area: the
-    vertex centroid c, else the first (m*m*c + m*v0 + v1) / (m*m + m + 1),
-    m = 2, 3, ..., off them all.  Each is strictly inside the triangle of c
-    and the first two vertices, and a line holds at most two of them."""
-    c = p = h_centroid(cell)
+def interior_points(cell: HCell):
+    """Points strictly inside the cell: the vertex centroid c, then
+    (m*m*c + m*v0 + v1) / (m*m + m + 1), m = 2, 3, ...  Each is strictly
+    inside the triangle of c and the first two vertices, and a line holds
+    at most two of them, so one of the first 2L + 1 is off any L lines."""
+    c = h_centroid(cell)
     v0, v1 = map(h_to_point, cell.pts[:2])
-    m = 1
-    while any(a[2] * (fx * p.x + fy * p.y) == k for a, (fx, fy), k in sights):
-        m += 1
+    yield c
+    for m in count(2):
         d = m * m + m + 1
-        p = Point((m * m * c.x + m * v0.x + v1.x) / d, (m * m * c.y + m * v0.y + v1.y) / d)
-    return p
+        yield Point((m * m * c.x + m * v0.x + v1.x) / d, (m * m * c.y + m * v0.y + v1.y) / d)
+
+
+def _witness(cell: HCell, sights) -> Point:
+    """The first of the cell's `interior_points` off every guard's boundary
+    line, where `sees` accepts a point though sight there has no area."""
+    return next(p for p in interior_points(cell)
+                if not any(a[2] * (fx * p.x + fy * p.y) == k for a, (fx, fy), k in sights))
 
 
 def certify_city(city: City, solution: Solution) -> Certificate:
     scene = city.scene
-    # The base certificate comes from the memo.  The roof flags are read
-    # from the city's buildings, which the memo's scene key does not hold,
+    # The base certificate comes from the scene cache.  The roof flags are
+    # read from the city's buildings, which the cache's scene key does not hold,
     # so they are computed on every call.  Only a guard on a building can
     # cover its roof, so each roof is tested against its own guards.
     base = certify(scene, solution.guards)

@@ -2,10 +2,10 @@
 
 Two independent routes to the same predicate:
 
-* sees(scene, g, p): direct point test (half-plane + `clear_sight`, the
-  per-hole segment blocking test also used by the 3k+1 property checks,
-  one exact integer pass against each hole's open interior).
-  This is the oracle the region computation is checked against.
+* sees(scene, g, p): direct point test (half-plane, then one exact
+  integer pass of the sight segment against each hole's open interior).
+  This is the oracle the region computation is checked against, and the
+  check of every reported witness.
 * visibility_region(scene, g): angular sweep, one pass over P's boundary
   and the holes alike.  Critical directions are the directions from the
   guard to every corner of every polygon, P's included, and the two edge
@@ -50,19 +50,16 @@ from cityguard.model import Guard, Scene
 
 def sees(scene: Scene, g: Guard, p: Point) -> bool:
     """True iff p is in the bounds and the guard's closed half-plane, and
-    the sight segment is clear (`clear_sight`, one integer pass per hole).
-    A point strictly inside a hole needs no test of its own: the guard
-    stands outside every hole's open interior, so the segment to such a
-    point has a run inside that hole."""
+    no hole's open interior meets the sight segment (`interior_run`, one
+    integer pass per hole; the guard sees its own corner).  A point
+    strictly inside a hole needs no test of its own: the guard stands
+    outside every hole's open interior, so the segment to such a point has
+    a run inside that hole."""
     if not scene.bounds.contains_closed(p):
         return False
     pos = g.position(scene)
-    return half_plane_contains(pos, g.facing, p) and clear_sight(scene, pos, p)
-
-
-def clear_sight(scene: Scene, a: Point, b: Point) -> bool:
-    """No hole's open interior meets the segment a-b (true when a == b)."""
-    return a == b or all(interior_run(a, b, h) is None for h in scene.holes)
+    return half_plane_contains(pos, g.facing, p) and (
+        p == pos or all(interior_run(pos, p, h) is None for h in scene.holes))
 
 
 @dataclass(frozen=True)
@@ -116,24 +113,28 @@ def _strictly_in_cone(e_next, e_prev, m):
             and m[0] * e_prev[1] - m[1] * e_prev[0] > 0)
 
 
-# (scene, {guard: region}) for the last scene asked about.  Scenes and
-# guards are immutable values, so regions are shared freely (placement
-# certifies, then the caller re-certifies); a different scene drops them,
-# which bounds the cache by one scene's regions.  The pair is replaced as
-# one value, so a region is never filed under another scene.
-_cache = (None, {})
+# (scene, {guard: region}, {guard tuple: certificate}) for the last scene
+# asked about, the one cache of results in the package.  Scenes and guards
+# are immutable values, so results are shared freely (a placement
+# certifies, then its caller re-certifies); the triple is replaced as one
+# value, so nothing is filed under another scene.
+_cache = (None, {}, {})
+
+
+def scene_cache(scene: Scene):
+    """The regions and the certificates kept for the scene, as two dicts:
+    an equal copy of the last scene asked about (a re-parsed or validated
+    one) shares them, and any other scene replaces both, which bounds the
+    cache by one scene's results."""
+    global _cache
+    if scene is not _cache[0] and scene != _cache[0]:
+        _cache = (scene, {}, {})
+    return _cache[1], _cache[2]
 
 
 def visibility_region(scene: Scene, g: Guard) -> VisibilityRegion:
-    """The region seen by g, cached for the last scene asked about.
-
-    An equal copy of that scene (a re-parsed or validated one) shares its
-    regions; any other scene replaces them."""
-    global _cache
-    cached_scene, regions = _cache
-    if scene is not cached_scene and scene != cached_scene:
-        regions = {}
-        _cache = (scene, regions)
+    """The region seen by g, kept in the scene's cache."""
+    regions = scene_cache(scene)[0]
     vr = regions.get(g)
     if vr is None:
         vr = regions[g] = _sweep(scene, g)

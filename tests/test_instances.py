@@ -1,7 +1,7 @@
 import pytest
 
 from cityguard.errors import GenerationFailedError
-from cityguard.geom import make_axis_rect, make_convex_quad
+from cityguard.geom import Point, make_axis_rect, make_convex_quad
 from cityguard.instances import (
     GeneratorParams, check_3k1_properties, check_roof_necessity,
     gen_3k1_necessity, gen_random, gen_random_city, gen_roof_necessity,
@@ -128,6 +128,22 @@ class Test3k1:
                           make_convex_quad([(70, 3), (74, 3), (74, 7), (70, 7)])))
         report = {name: ok for name, ok, _ in check_3k1_properties(sc)}
         assert not report["property2"]
+
+    def test_property3_fails_where_a_position_sees_two_edges(self):
+        """A guard at the SW corner (13, 10) of B_0, facing N or W, sees two
+        edges of B_1."""
+        sc = gen_random(GeneratorParams(k=2, seed=6, grid=16))
+        report = {name: fails for name, _, fails in check_3k1_properties(sc)}
+        assert report["property3"] == [(0, Point(13, 10), (0, 1), 2),
+                                       (0, Point(13, 10), (-1, 0), 2)]
+
+    def test_property4_fails_where_a_position_serves_both_gaps(self):
+        """A guard on the S wall of B_1 facing S sees an edge of B_0 and
+        one of B_2."""
+        sc = gen_random(GeneratorParams(k=3, seed=0, grid=16))
+        report = {name: fails for name, _, fails in check_3k1_properties(sc)}
+        assert report["property4"] == [(1, Point(9, 12), (0, -1)),
+                                       (1, Point(10, 12), (0, -1))]
 
     def test_span_nesting(self):
         sc = rot3k1_counterexample()

@@ -7,7 +7,7 @@ import pytest
 
 from cityguard.cli import main
 from cityguard.errors import SceneValidationError
-from cityguard.geom import h_to_point
+from cityguard.geom import Point, h_to_point
 from cityguard.instances import GeneratorParams, gen_random, gen_random_city
 from cityguard.io import (
     FormatError, certificate_doc, load_city, load_solution, parse_city, parse_solution,
@@ -298,12 +298,13 @@ class TestCli:
         guard's own corner) is refused with one stderr line and exit 3,
         and neither NOT covered nor the certificate file is written."""
         import cityguard.verify as verify
+        import cityguard.visibility as visibility
         scene = tmp_path / "s.json"
         sol = tmp_path / "g.json"
         cert = tmp_path / "c.json"
         save_city(parse_city(city_a_doc()), scene)
         save_solution(Solution(algorithm="x", guards=(hole_guard(0, 1, (1, 0)),)), sol)
-        monkeypatch.setattr(verify, "_memo", (None, {}))
+        monkeypatch.setattr(visibility, "_cache", (None, {}, {}))
         monkeypatch.setattr(verify, "_witness", lambda cell, sights: h_to_point(sights[0][0]))
         assert self.run("verify", "--scene", str(scene), "--solution", str(sol),
                         "--cert", str(cert)) == 3
@@ -326,6 +327,31 @@ class TestCli:
         save_city(parse_city(city_a_doc()), scene)
         assert self.run("oracle", "--scene", str(scene), "--max", "6") == 0
         assert self.run("oracle", "--scene", str(scene), "--max", "1") == 4
+
+    def test_oracle_prints_an_unseen_witness(self, tmp_path, capsys):
+        """A city with no building has no candidate: oracle exits 4 and
+        prints the witness as verify does."""
+        scene = tmp_path / "s.json"
+        save_city(gen_random_city(GeneratorParams(k=0, seed=0, grid=10)), scene)
+        assert self.run("oracle", "--scene", str(scene), "--max", "2") == 4
+        out, err = capsys.readouterr()
+        assert out.splitlines()[-1] == "UNCOVERABLE: witness (5, 5)"
+        assert err == ""
+
+    def test_oracle_refuses_a_seen_witness(self, tmp_path, monkeypatch, capsys):
+        """oracle checks an UNCOVERABLE witness with `sees` for every
+        candidate: a witness some candidate sees (here, a building corner)
+        is refused with one stderr line and exit 3."""
+        import cityguard.oracle as oracle
+        scene = tmp_path / "s.json"
+        save_city(parse_city(city_a_doc()), scene)
+        monkeypatch.setattr(oracle, "optimal_guard_count", lambda *args: oracle.OracleResult(
+            status=oracle.UNCOVERABLE, witness_point=Point(6, 4)))
+        assert self.run("oracle", "--scene", str(scene), "--max", "2") == 3
+        out, err = capsys.readouterr()
+        assert "UNCOVERABLE" not in out
+        assert err.splitlines() == ["certification failure: witness (6, 4) is seen by "
+                                    "the candidate at ('hole', 0, 0) facing (0, 1)"]
 
     def test_render_and_determinism(self, tmp_path):
         scene = tmp_path / "s.json"

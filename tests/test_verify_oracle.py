@@ -150,8 +150,8 @@ class TestCertify:
 
 @pytest.fixture
 def computed(monkeypatch):
-    """Empty the certificate memo and record every residual pass it runs."""
-    monkeypatch.setattr(verify, "_memo", (None, {}))
+    """Empty the scene cache and record every residual pass it runs."""
+    monkeypatch.setattr(visibility, "_cache", (None, {}, {}))
     passes = []
     compute = verify._compute
 
@@ -202,6 +202,25 @@ class TestCertificateMemo:
         assert (again.covered, again.residual.area(), again.witness) == \
             (first.covered, first.residual.area(), first.witness)
 
+    def test_regions_and_certificates_are_kept_together(self, computed):
+        """An equal copy of a scene shares its regions as well as its
+        certificates; a region of another scene drops both at once."""
+        sc = gen_random(GeneratorParams(k=4, seed=9, grid=200))
+        short = guards_2k1(sc).guards[1:]
+        cert = certify(sc, short)
+        region = visibility_region(sc, short[0])
+        assert visibility_region(copy_of(sc), short[0]) is region
+        assert certify(copy_of(sc), short) is cert
+        regions, certificates = visibility.scene_cache(copy_of(sc))
+        assert regions[short[0]] is region and certificates[short] is cert
+        other = gen_random(GeneratorParams(k=3, seed=10, grid=200))
+        visibility_region(other, hole_guard(0, 0, N))
+        assert list(visibility._cache[1]) == [hole_guard(0, 0, N)]
+        assert visibility._cache[2] == {}
+        assert visibility_region(sc, short[0]) is not region
+        assert certify(sc, short) is not cert
+        assert computed.count((sc, short)) == 2
+
     def test_covers_agrees_with_certify(self, monkeypatch):
         rng = random.Random(5)
         verdicts = set()
@@ -210,9 +229,9 @@ class TestCertificateMemo:
             full = list(guards_2k1(sc).guards)
             drop = rng.randrange(len(full))
             for guards in (full, full[:drop] + full[drop + 1:]):
-                monkeypatch.setattr(verify, "_memo", (None, {}))
+                monkeypatch.setattr(visibility, "_cache", (None, {}, {}))
                 verdict = covers(sc, guards)
-                monkeypatch.setattr(verify, "_memo", (None, {}))
+                monkeypatch.setattr(visibility, "_cache", (None, {}, {}))
                 assert verdict == certify(sc, guards).covered
                 verdicts.add(verdict)
         assert verdicts == {True, False}
@@ -259,8 +278,7 @@ class TestRegionsSweptOnDemand:
         short = guards[:len(guards) // 2] + guards[len(guards) // 2 + 1:]
         vertices = [p for cell in free_space(sc).cells for p in cell]
         for gs in (guards, short):
-            monkeypatch.setattr(visibility, "_cache", (None, {}))
-            monkeypatch.setattr(verify, "_memo", (None, {}))
+            monkeypatch.setattr(visibility, "_cache", (None, {}, {}))
             cert = certify(sc, gs)
             swept = set(visibility._cache[1])
             assert cert.covered == (gs is guards)
@@ -537,7 +555,7 @@ def _anchors(scene):
 def _pieces_and_level_parts(scene):
     """The free-space pieces, and both halves of each piece at every
     building level that crosses it strictly."""
-    levels = verify._levels([h_cell(h.as_cell()) for h in scene.holes])
+    levels = verify._levels(scene)
     cells = []
     for piece in free_space(scene).pieces:
         cells.append(piece)
@@ -588,26 +606,27 @@ class TestFacingIndex:
 
 class TestSplitProof:
     """A piece that no one guard proves is split at building levels and
-    its parts are proven by hull (`verify._proven_in_parts`); a piece so
-    proven needs no region.  `h_sees_all` tests the hull as one cell."""
+    its parts are proven by hull (`verify._proven`); a piece so proven
+    needs no region.  `h_sees_all` tests the hull as one cell."""
 
     @pytest.mark.parametrize("k", [16, 22, 28])
     @pytest.mark.parametrize("seed", range(3))
     def test_covered_placements_sweep_no_region(self, monkeypatch, k, seed):
         sc = gen_random(GeneratorParams(k=k, seed=seed, grid=1000))
-        split = verify._proven_in_parts
-        proofs = []
-        monkeypatch.setattr(verify, "_proven_in_parts",
-                            lambda *args: proofs.append(split(*args)) or proofs[-1])
+        prove, split = verify._proven, verify._h_split
+        proofs, splits = [], []
+        monkeypatch.setattr(verify, "_proven",
+                            lambda *args: proofs.append(prove(*args)) or proofs[-1])
+        monkeypatch.setattr(verify, "_h_split",
+                            lambda *args: splits.append(args) or split(*args))
         for algorithm in (guards_2k1, guards_main):
             guards = algorithm(sc).guards
-            monkeypatch.setattr(visibility, "_cache", (None, {}))
-            monkeypatch.setattr(verify, "_memo", (None, {}))
+            monkeypatch.setattr(visibility, "_cache", (None, {}, {}))
             assert certify(sc, guards).covered
             assert visibility._cache[1] == {}
         assert all(proofs)
         if k == 16:
-            assert proofs  # guards_main leaves pieces to the split proof here
+            assert splits  # guards_main leaves pieces to the split proof here
 
     @given(st.integers(1, 5), st.integers(0, 10**6), st.data())
     @settings(max_examples=60, deadline=None)
@@ -623,12 +642,13 @@ class TestSplitProof:
         guards = data.draw(st.lists(st.sampled_from(_anchors(sc)), min_size=1, max_size=6,
                                     unique=True))
         buildings = [h_cell(h.as_cell()) for h in sc.holes]
-        levels = verify._levels(buildings)
+        levels = verify._levels(sc)
         sights = verify._sights(sc, guards)
         index = verify._by_facing(sights)
         regions = [c for g in guards for c in visibility_region(sc, g).cells]
         for piece in free_space(sc).pieces:
-            if verify._proven_in_parts(piece, index, sights, buildings, levels):
+            held = verify._held_and_front(index, piece)[0]
+            if verify._proven(piece, held, index, sights, buildings, levels):
                 assert h_subtract([piece], regions) == []
 
     @pytest.mark.parametrize("piece", [
@@ -839,7 +859,31 @@ class TestLazyOracleAgreesWithFaces:
         p = res.witness_point
         assert free_space(sc).contains(p)
         assert not any(visibility_region(sc, g).region.contains(p) for g in guards)
+        assert not any(sees(sc, g, p) for g in guards)
         assert _face_answer(_face_masks(sc, guards), max_count)[0] == UNCOVERABLE
+
+    @pytest.mark.parametrize("bounds,buildings,guards,max_count", [
+        # a base cell's centroid (3/2, 10) lies on the guard's boundary line
+        (20, [(3, 7, 5, 10)], [hole_guard(0, 2, S)], 1),
+        # the largest residual cell's centroid (21/2, 1/2) lies on the
+        # grazing line of the guard at (2, 9) through the corners (7, 4)
+        # and (10, 1)
+        (12, [(6, 3, 7, 4), (2, 9, 3, 10), (10, 1, 11, 2)],
+         [p_corner_guard(3, S), hole_guard(1, 0, S), hole_guard(0, 1, W),
+          hole_guard(2, 3, W), hole_guard(1, 1, E), hole_guard(2, 3, S)], 6),
+    ])
+    def test_uncoverable_witness_is_seen_by_no_candidate(self, bounds, buildings, guards,
+                                                         max_count):
+        """The witness is a point of the largest cell left by every
+        candidate's region, and no candidate `sees` it."""
+        sc = Scene(bounds=make_axis_rect(0, 0, bounds, bounds),
+                   holes=tuple(make_axis_rect(*b) for b in buildings))
+        res = optimal_guard_count(sc, guards, max_count)
+        assert res.status == UNCOVERABLE
+        rest = h_subtract(free_space(sc).pieces,
+                          [c for g in guards for c in visibility_region(sc, g).cells])
+        assert PolygonSet.of_hcells([max(rest, key=h_area2)]).contains(res.witness_point)
+        assert not any(sees(sc, g, res.witness_point) for g in guards)
 
 
 def _brute_min_hitting_set(masks, n):
