@@ -6,22 +6,27 @@ Two independent routes to the same predicate:
   integer pass of the sight segment against each hole's open interior).
   This is the oracle the region computation is checked against, and the
   check of every reported witness.
-* visibility_region(scene, g): angular sweep, one pass over P's boundary
-  and the holes alike.  Critical directions are the directions from the
-  guard to every corner of every polygon, P's included, and the two edge
-  directions of the guard's half-plane.  Within one open wedge between
-  consecutive critical directions no edge endpoint occurs and edges
-  never cross (holes are disjoint and inside P), so a single nearest
-  edge blocks the whole wedge and the visible piece is the triangle
-  guard/ray1-hit/ray2-hit.  Every wedge lies wholly in front of the guard
-  or wholly behind it, and wholly inside or outside the cone of the
-  guard's anchor corner; one cone test serves both anchor kinds, keeping
-  the wedges outside a hole corner's cone and inside a P corner's.
-  P's corners keep every wedge of a guard inside P below 180 degrees; at
-  a P corner the half-plane's edge directions leave at most one
-  180-degree wedge, whose middle direction, the zero vector, no edge
-  blocks and no cone holds.  The union of the kept triangles is the
-  region.
+* visibility_region(scene, g): an angular sweep around g's anchor
+  corner (a fan), one pass over P's boundary and the holes alike, read
+  for g's facing.  The fan's critical directions are the corner
+  directions, from the anchor to every corner of every polygon, P's
+  included.  Within one open wedge between consecutive critical
+  directions no edge endpoint occurs and edges never cross (holes are
+  disjoint and inside P), so a single nearest edge blocks the whole
+  wedge, and the wedge lies wholly inside or outside the cone of the
+  anchor corner; neither depends on the facing.  One cone test serves
+  both anchor kinds, keeping the wedges outside a hole corner's cone and
+  inside a P corner's.  P's corners keep every wedge around a hole
+  corner below 180 degrees; around a P corner the one wedge of 180
+  degrees or more lies outside its cone.
+  A facing adds the two edge directions of its half-plane by bisection.
+  An edge direction inside a wedge splits it into two parts with the
+  wedge's nearest edge, every part then lies wholly in front of the
+  guard or wholly behind it, and only the parts in front are walked.
+  Each run of parts stopped by one edge gives the triangle
+  guard/ray1-hit/ray2-hit; the union of the kept triangles is the
+  region.  The scene cache keeps the last anchor's fan, so the facings
+  of one corner, asked for in turn, share one sweep.
 
 The triangles are built as homogeneous integer cells (HCell, see
 geom.py): each ray hit is the reduced integer meet of the ray's line and
@@ -38,7 +43,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cmp_to_key
-from itertools import groupby
 from math import atan2, tau
 
 from cityguard.geom import (
@@ -113,22 +117,24 @@ def _strictly_in_cone(e_next, e_prev, m):
             and m[0] * e_prev[1] - m[1] * e_prev[0] > 0)
 
 
-# (scene, {guard: region}, {guard tuple: certificate}) for the last scene
-# asked about, the one cache of results in the package.  Scenes and guards
-# are immutable values, so results are shared freely (a placement
-# certifies, then its caller re-certifies); the triple is replaced as one
-# value, so nothing is filed under another scene.
-_cache = (None, {}, {})
+# (scene, {guard: region}, {guard tuple: certificate}, [fan]) for the last
+# scene asked about, the one cache of results in the package.  Scenes and
+# guards are immutable values, so results are shared freely (a placement
+# certifies, then its caller re-certifies); the tuple is replaced as one
+# value, so nothing is filed under another scene.  The one-element list
+# holds the fan of the last anchor swept (`_Fan`): candidates come anchor
+# by anchor, and a fan per anchor would outlive its use.
+_cache = (None, {}, {}, [None])
 
 
 def scene_cache(scene: Scene):
     """The regions and the certificates kept for the scene, as two dicts:
     an equal copy of the last scene asked about (a re-parsed or validated
     one) shares them, and any other scene replaces both, which bounds the
-    cache by one scene's results."""
+    cache by one scene's results and one fan."""
     global _cache
     if scene is not _cache[0] and scene != _cache[0]:
-        _cache = (scene, {}, {})
+        _cache = (scene, {}, {}, [None])
     return _cache[1], _cache[2]
 
 
@@ -137,82 +143,157 @@ def visibility_region(scene: Scene, g: Guard) -> VisibilityRegion:
     regions = scene_cache(scene)[0]
     vr = regions.get(g)
     if vr is None:
-        vr = regions[g] = _sweep(scene, g)
+        slot = _cache[3]
+        fan = slot[0]
+        if fan is None or fan.anchor != g.anchor:
+            fan = slot[0] = _Fan(scene, g)
+        vr = regions[g] = fan.region(g)
     return vr
 
 
-def _sweep(scene: Scene, g: Guard) -> VisibilityRegion:
-    pos = g.position(scene)
-    fx, fy = g.facing
-    on_hole = g.on_hole()
+def _bisect(dirs, d):
+    """The first index of `dirs` whose direction is not before d in
+    `_angular_cmp` order (len(dirs) if none)."""
+    lo, hi = 0, len(dirs)
+    while lo < hi:
+        mid = (lo + hi) // 2
+        if _angular_cmp(dirs[mid], d) < 0:
+            lo = mid + 1
+        else:
+            hi = mid
+    return lo
 
-    # P's boundary is the last polygon: its edges block like hole edges
-    polygons = [h.corners() for h in scene.holes] + [scene.bounds.corners()]
-    cone = _corner_cone(polygons[g.anchor[1] if on_hole else -1], g.anchor[-1])
-    ray = {c: primitive_direction(c.x - pos.x, c.y - pos.y)
-           for corners in polygons for c in corners if c != pos}
-    dirs = _sorted_directions(set(ray.values()) | {primitive_direction(fy, -fx),
-                                                   primitive_direction(-fy, fx)})
-    nd = len(dirs)
-    dir_index = {d: i for i, d in enumerate(dirs)}
 
-    # Each edge not incident to the guard (sight leaves the anchor corner
-    # unobstructed) goes to every wedge of the cyclic range it spans.
-    wedge_edges = [[] for _ in range(nd)]
-    for corners in polygons:
-        for p, q in zip(corners, corners[1:] + corners[:1]):
-            if p == pos or q == pos:
-                continue
-            ra, rb = ray[p], ray[q]
-            c = ra[0] * rb[1] - ra[1] * rb[0]
-            if c == 0:
-                continue  # collinear with the guard: grazing, never blocks
-            if c < 0:
-                ra, rb, p, q = rb, ra, q, p
-            ex, ey = q.x - p.x, q.y - p.y
-            # the hit on a wedge's middle ray m is pos + m * t_num / cross(m, q - p)
-            entry = (p, q, ex, ey, (p.x - pos.x) * ey - (p.y - pos.y) * ex)
-            i, ib = dir_index[ra], dir_index[rb]
-            while i != ib:
-                wedge_edges[i].append(entry)
-                i = (i + 1) % nd
+_UNREAD = object()  # a wedge's blocker or a run's triangle not built yet
 
-    # The nearest blocker of each wedge in front of the guard and outside
-    # its anchor hole (inside P's corner cone, for a P-corner guard).
-    blockers = []
-    for i, d1 in enumerate(dirs):
-        d2 = dirs[(i + 1) % nd]
-        m = (d1[0] + d2[0], d1[1] + d2[1])
-        best = None  # (t_num, t_den, p, q)
-        if m[0] * fx + m[1] * fy >= 0 and _strictly_in_cone(*cone, m) != on_hole:
-            for (p, q, ex, ey, t_num) in wedge_edges[i]:
-                den = m[0] * ey - m[1] * ex
-                if den == 0:
+
+class _Fan:
+    """The sweep around one anchor corner, shared by every facing there.
+
+    Wedge i runs from dirs[i] to dirs[i + 1] (cyclically) between
+    consecutive corner directions; its nearest edge and the side of the
+    anchor's cone it lies on do not depend on the facing, so its blocker
+    is found once, on first read."""
+
+    def __init__(self, scene: Scene, g: Guard):
+        pos = g.position(scene)
+        self.anchor = g.anchor
+        self.hpos = h_point(pos)
+        self.on_hole = on_hole = g.on_hole()
+
+        # P's boundary is the last polygon: its edges block like hole edges
+        polygons = [h.corners() for h in scene.holes] + [scene.bounds.corners()]
+        self.cone = _corner_cone(polygons[g.anchor[1] if on_hole else -1], g.anchor[-1])
+        ray = {c: primitive_direction(c.x - pos.x, c.y - pos.y)
+               for corners in polygons for c in corners if c != pos}
+        self.dirs = dirs = _sorted_directions(set(ray.values()))
+        nd = len(dirs)
+        dir_index = {d: i for i, d in enumerate(dirs)}
+
+        # Each edge not incident to the guard (sight leaves the anchor
+        # corner unobstructed) goes to every wedge of the cyclic range it
+        # spans.
+        self.wedge_edges = wedge_edges = [[] for _ in range(nd)]
+        for corners in polygons:
+            for p, q in zip(corners, corners[1:] + corners[:1]):
+                if p == pos or q == pos:
                     continue
-                tn, td = (t_num, den) if den > 0 else (-t_num, -den)
-                if tn > 0 and (best is None or tn * best[1] < best[0] * td):
-                    best = (tn, td, p, q)
-        blockers.append(best and best[2:])
+                ra, rb = ray[p], ray[q]
+                c = ra[0] * rb[1] - ra[1] * rb[0]
+                if c == 0:
+                    continue  # collinear with the guard: grazing, never blocks
+                if c < 0:
+                    ra, rb, p, q = rb, ra, q, p
+                ex, ey = q.x - p.x, q.y - p.y
+                # the hit on a wedge's middle ray m is pos + m * t_num / cross(m, q - p)
+                entry = (p, q, ex, ey, (p.x - pos.x) * ey - (p.y - pos.y) * ex)
+                i, ib = dir_index[ra], dir_index[rb]
+                while i != ib:
+                    wedge_edges[i].append(entry)
+                    i = (i + 1) % nd
+        self.blockers = [_UNREAD] * nd
+        self.triangles = {}  # (d1, d2, id(blocker)): HCell or None
 
-    # Each maximal run of wedges stopped by one edge is one triangle (the
-    # intermediate ray hits are collinear on it); the runs are taken from
-    # the first change of blocker so that none wraps past the end.
-    start = next((i for i in range(nd) if blockers[i] != blockers[i - 1]), 0)
-    hpos = h_point(pos)
-    cells = []
-    for blk, run in groupby(range(start, start + nd), key=lambda i: blockers[i % nd]):
-        run = list(run)
-        if blk is None:
-            continue
+    def _blocker(self, i):
+        """The nearest edge entry of wedge i, or None when the wedge lies in
+        the anchor hole (outside P's corner cone, for a P-corner guard).  A
+        wedge of 180 degrees or more, whose m is no middle ray, occurs only
+        outside a P corner, and no edge spans it."""
+        best = self.blockers[i]
+        if best is _UNREAD:
+            d1, d2 = self.dirs[i], self.dirs[(i + 1) % len(self.dirs)]
+            m = (d1[0] + d2[0], d1[1] + d2[1])
+            best = None  # (t_num, t_den, entry)
+            if _strictly_in_cone(*self.cone, m) != self.on_hole:
+                for entry in self.wedge_edges[i]:
+                    den = m[0] * entry[3] - m[1] * entry[2]
+                    if den == 0:
+                        continue
+                    tn, td = (entry[4], den) if den > 0 else (-entry[4], -den)
+                    if tn > 0 and (best is None or tn * best[1] < best[0] * td):
+                        best = (tn, td, entry)
+            best = self.blockers[i] = best and best[2]
+        return best
+
+    def region(self, g: Guard) -> VisibilityRegion:
+        """The region of g, a guard at this anchor.  Its front arc runs CCW
+        from e1 = facing turned clockwise to e2 = -e1; an edge direction
+        inside a wedge splits it into parts with the wedge's blocker, and
+        the wedges behind block nothing."""
+        fx, fy = g.facing
+        e1, e2 = (fy, -fx), (-fy, fx)
+        dirs = self.dirs
+        nd = len(dirs)
+        a, b = _bisect(dirs, e1), _bisect(dirs, e2)
+        at_corner = a < nd and dirs[a] == e1
+        if _angular_cmp(e1, e2) > 0:
+            b += nd  # the arc passes (1, 0): index k >= nd is dirs[k - nd]
+
+        # Each maximal run of wedge parts stopped by one edge is one
+        # triangle (the intermediate ray hits are collinear on it), kept
+        # as [start, blocker, end]; runs that start past (1, 0) come
+        # first, so that the triangles follow the CCW order from (1, 0).
+        blockers = self.blockers
+        runs = []
+        first = 1  # the number of runs that start before (1, 0)
+        run = [e1, self._blocker((a if at_corner else a - 1) % nd), None]
+        for k in range(a + at_corner, b):
+            i = k % nd
+            blk = blockers[i]
+            if blk is _UNREAD:
+                blk = self._blocker(i)
+            if blk is not run[1]:
+                run[2] = dirs[i]
+                runs.append(run)
+                run = [run[2], blk, None]
+                first += k < nd
+        run[2] = e2
+        runs.append(run)
+
+        cells = []
+        for d1, blk, d2 in runs[first:] + runs[:first]:
+            if blk is not None:
+                key = (d1, d2, id(blk))
+                cell = self.triangles.get(key, _UNREAD)
+                if cell is _UNREAD:
+                    cell = self.triangles[key] = self._triangle(d1, blk, d2)
+                if cell is not None:
+                    cells.append(cell)
+        return VisibilityRegion(guard=g, cells=tuple(cells))
+
+    def _triangle(self, d1, blk, d2):
+        """The cell seen between directions d1 and d2 up to the blocking
+        edge, or None if it has no area; facings that share the run share
+        the cell."""
         # the lines of the rays and the edge (the triangle on their
         # positive sides) are small; the hits are their meets
+        hpos = self.hpos
         edge = _h_line(h_point(blk[0]), h_point(blk[1]))
-        ray1 = _h_line(hpos, dirs[run[0] % nd] + (0,))
-        ray2 = _h_line(hpos, dirs[(run[-1] + 1) % nd] + (0,))
+        ray1 = _h_line(hpos, d1 + (0,))
+        ray2 = _h_line(hpos, d2 + (0,))
         r1 = _h_meet(ray1, edge)
         r2 = _h_meet(ray2, edge)
-        if _h_orient(hpos, r1, r2) > 0:
-            back = (-ray2[0], -ray2[1], -ray2[2])
-            cells.append(HCell((hpos, r1, r2), (ray1, edge, back)))
-
-    return VisibilityRegion(guard=g, cells=tuple(cells))
+        if _h_orient(hpos, r1, r2) <= 0:
+            return None
+        back = (-ray2[0], -ray2[1], -ray2[2])
+        return HCell((hpos, r1, r2), (ray1, edge, back))

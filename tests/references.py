@@ -3,15 +3,24 @@ build, computed here with exact polygon cuts so that the tests can check
 the library's placements, staircases and 3k+1 pockets against them; the
 oracle's minimum over such a region; the residual pass as a plain cut by
 every region in turn; a cell's holders and front guards by a side table
-of every guard against every vertex; and the mirror image of a scene and
-its guards."""
+of every guard against every vertex; the mirror image of a scene and its
+guards; and a guard's region swept from scratch, with the facing's edge
+directions among the critical directions and every wedge tested."""
 
-from cityguard.geom import AxisRect, Point, PolygonSet, h_subtract, make_convex_quad
+from itertools import groupby
+
+from cityguard.geom import (
+    AxisRect, HCell, Point, PolygonSet, _h_line, _h_meet, _h_orient, h_point,
+    h_subtract, make_convex_quad, primitive_direction,
+)
 from cityguard.model import Guard, Scene
 from cityguard.oracle import OPTIMAL, _certify_and_refine
 from cityguard.staircase import _QUADRANT
 from cityguard.verify import free_space
-from cityguard.visibility import visibility_region
+from cityguard.visibility import (
+    VisibilityRegion, _corner_cone, _sorted_directions, _strictly_in_cone,
+    visibility_region,
+)
 
 
 def boundary(region) -> PolygonSet:
@@ -132,3 +141,73 @@ def mirror_guards(guards, scene) -> list:
             anchor = ("p", mirrored.bounds.corners().index(pos))
         out.append(Guard(anchor=anchor, facing=(-g.facing[0], g.facing[1])))
     return out
+
+
+def sweep(scene: Scene, g: Guard) -> VisibilityRegion:
+    """The region of g by one sweep of its own: the critical directions
+    are the corner directions and the two edge directions of g's
+    half-plane, each wedge's nearest edge is found along its middle ray,
+    and the runs are taken from the first change of blocker."""
+    pos = g.position(scene)
+    fx, fy = g.facing
+    on_hole = g.on_hole()
+
+    polygons = [h.corners() for h in scene.holes] + [scene.bounds.corners()]
+    cone = _corner_cone(polygons[g.anchor[1] if on_hole else -1], g.anchor[-1])
+    ray = {c: primitive_direction(c.x - pos.x, c.y - pos.y)
+           for corners in polygons for c in corners if c != pos}
+    dirs = _sorted_directions(set(ray.values()) | {primitive_direction(fy, -fx),
+                                                   primitive_direction(-fy, fx)})
+    nd = len(dirs)
+    dir_index = {d: i for i, d in enumerate(dirs)}
+
+    wedge_edges = [[] for _ in range(nd)]
+    for corners in polygons:
+        for p, q in zip(corners, corners[1:] + corners[:1]):
+            if p == pos or q == pos:
+                continue
+            ra, rb = ray[p], ray[q]
+            c = ra[0] * rb[1] - ra[1] * rb[0]
+            if c == 0:
+                continue
+            if c < 0:
+                ra, rb, p, q = rb, ra, q, p
+            ex, ey = q.x - p.x, q.y - p.y
+            entry = (p, q, ex, ey, (p.x - pos.x) * ey - (p.y - pos.y) * ex)
+            i, ib = dir_index[ra], dir_index[rb]
+            while i != ib:
+                wedge_edges[i].append(entry)
+                i = (i + 1) % nd
+
+    blockers = []
+    for i, d1 in enumerate(dirs):
+        d2 = dirs[(i + 1) % nd]
+        m = (d1[0] + d2[0], d1[1] + d2[1])
+        best = None
+        if m[0] * fx + m[1] * fy >= 0 and _strictly_in_cone(*cone, m) != on_hole:
+            for (p, q, ex, ey, t_num) in wedge_edges[i]:
+                den = m[0] * ey - m[1] * ex
+                if den == 0:
+                    continue
+                tn, td = (t_num, den) if den > 0 else (-t_num, -den)
+                if tn > 0 and (best is None or tn * best[1] < best[0] * td):
+                    best = (tn, td, p, q)
+        blockers.append(best and best[2:])
+
+    start = next((i for i in range(nd) if blockers[i] != blockers[i - 1]), 0)
+    hpos = h_point(pos)
+    cells = []
+    for blk, run in groupby(range(start, start + nd), key=lambda i: blockers[i % nd]):
+        run = list(run)
+        if blk is None:
+            continue
+        edge = _h_line(h_point(blk[0]), h_point(blk[1]))
+        ray1 = _h_line(hpos, dirs[run[0] % nd] + (0,))
+        ray2 = _h_line(hpos, dirs[(run[-1] + 1) % nd] + (0,))
+        r1 = _h_meet(ray1, edge)
+        r2 = _h_meet(ray2, edge)
+        if _h_orient(hpos, r1, r2) > 0:
+            back = (-ray2[0], -ray2[1], -ray2[2])
+            cells.append(HCell((hpos, r1, r2), (ray1, edge, back)))
+
+    return VisibilityRegion(guard=g, cells=tuple(cells))

@@ -790,6 +790,39 @@ class TestOracle:
             min_hitting_set([], -1)
 
 
+def _symmetric_images(scene):
+    """The scene under its four quarter turns, then its mirror image under
+    each: the eight symmetries of the square."""
+    mirrored = mirror_scene(scene)
+    return [rotate_scene_ccw(scene, t) for t in range(4)] + \
+        [rotate_scene_ccw(mirrored, t) for t in range(4)]
+
+
+class TestOracleMetamorphic:
+    """The exact minimum is a property of the scene's shape: each of the
+    eight symmetries, with candidates built on the image, gives the same
+    status and count, at the minimum and one below it."""
+
+    @pytest.mark.parametrize("make,p_corners,minimum", [
+        *[pytest.param(lambda k=k, seed=seed: gen_random(
+              GeneratorParams(k=k, seed=seed, grid=200)), True, None,
+              id=f"random-k{k}-seed{seed}") for k in (1, 2, 3) for seed in (0, 1)],
+        pytest.param(lambda: gen_3k1_necessity(1), False, 4, id="rot3k1-k1"),
+    ])
+    def test_minimum_on_all_eight_symmetries(self, make, p_corners, minimum):
+        sc = make()
+        bound = 2 * sc.k + 1 if minimum is None else minimum
+        base = optimal_guard_count(sc, candidate_set(sc, include_p_corners=p_corners), bound)
+        assert base.status == OPTIMAL and base.count == (minimum or base.count)
+        for image in _symmetric_images(sc):
+            cands = candidate_set(image, include_p_corners=p_corners)
+            res = optimal_guard_count(image, cands, bound)
+            assert (res.status, res.count) == (OPTIMAL, base.count)
+            assert certify(image, res.solution.guards).covered
+            below = optimal_guard_count(image, cands, base.count - 1)
+            assert (below.status, below.count) == (INFEASIBLE_WITHIN, None)
+
+
 def _face_masks(scene, candidates, region=None):
     return [sum(1 << c for c in mask) for _, mask in build_faces(scene, candidates, region)]
 

@@ -1,3 +1,4 @@
+import json
 import random
 import weakref
 from fractions import Fraction
@@ -5,17 +6,21 @@ from functools import lru_cache
 from itertools import permutations
 from math import atan2
 
+import pytest
+
 import cityguard.visibility as visibility
 
+from cityguard.cli import main
 from cityguard.geom import (
     Point, PolygonSet, _h_normalized, h_point, h_to_point, make_axis_rect, orient,
 )
 from cityguard.instances import GeneratorParams, gen_3k1_necessity, gen_random
 from cityguard.io import parse_city
-from cityguard.model import E, N, S, Scene, W, hole_guard, p_corner_guard
+from cityguard.model import E, N, S, Guard, Scene, W, hole_guard, p_corner_guard
 from cityguard.oracle import candidate_set
 from cityguard.visibility import _angular_cmp, sees, visibility_region
 from counterexample_3k1 import rot3k1_counterexample
+from references import sweep
 
 
 def city_a():
@@ -250,10 +255,51 @@ class TestSweepCells:
             assert got == total
 
 
+_FAN_FACINGS = (N, E, S, W, (1, 1), (2, -1), (-1, 3))
+
+
+def _fan_scenes():
+    """Random scenes at k = 0..8 on grids 100 and 1000, and at k = 0..4 on
+    grid 12 (the generator places no more there at seed k); k = 16 and 28
+    on grid 1000; the rotated 3k+1 family at k = 1, 2 and its
+    counterexample."""
+    cases = [pytest.param(lambda k=k, grid=grid: gen_random(
+                              GeneratorParams(k=k, seed=k, grid=grid)),
+                          id=f"random-k{k}-grid{grid}")
+             for grid in (12, 100, 1000) for k in range(5 if grid == 12 else 9)]
+    cases += [pytest.param(lambda k=k: gen_random(GeneratorParams(k=k, seed=0, grid=1000)),
+                           id=f"random-k{k}-grid1000") for k in (16, 28)]
+    cases += [pytest.param(lambda k=k: gen_3k1_necessity(k), id=f"rot3k1-k{k}")
+              for k in (1, 2)]
+    return cases + [pytest.param(rot3k1_counterexample, id="rot3k1-k3")]
+
+
+class TestFanAgainstSweep:
+    """Differential: every region read from an anchor's fan equals the
+    reference sweep (which puts the facing's edge directions among its
+    critical directions and tests every wedge) cell for cell, vertices,
+    edge lines and order, at every anchor, P corners included, for the
+    wall-aligned facings and three askew ones."""
+
+    @pytest.mark.parametrize("make", _fan_scenes())
+    def test_every_anchor_and_facing(self, monkeypatch, make):
+        sc = make()
+        anchors = sorted({g.anchor for g in candidate_set(sc, include_p_corners=True)})
+        guards = [Guard(anchor, f) for anchor in anchors for f in _FAN_FACINGS]
+        expected = {g: [(c.pts, c.lines) for c in sweep(sc, g).cells] for g in guards}
+        # anchor by anchor the fan slot is hit; shuffled it is mostly missed
+        for order in (guards, random.Random(sc.k).sample(guards, len(guards))):
+            monkeypatch.setattr(visibility, "_cache", (None, {}, {}, [None]))
+            for g in order:
+                got = [(c.pts, c.lines) for c in visibility_region(sc, g).cells]
+                assert got == expected[g], g
+        assert any(expected.values())
+
+
 class TestDirectionOrder:
-    """`_sweep` orders its directions by float angle and checks each
-    adjacent pair exactly; where the floats tie or misorder, it falls back
-    to the exact sort."""
+    """A fan orders its directions by float angle and checks each adjacent
+    pair exactly; where the floats tie or misorder, it falls back to the
+    exact sort."""
 
     # (10^9, 10^9 - 1), (10^9 + 1, 10^9), (10^9 + 2, 10^9 + 1): each pair's
     # cross product is 1, so their angles differ by about 10^-18, below the
@@ -283,13 +329,13 @@ class TestDirectionOrder:
         exact = visibility.cmp_to_key
         monkeypatch.setattr(visibility, "cmp_to_key",
                             lambda cmp: fallbacks.append(cmp) or exact(cmp))
-        fast = [visibility._sweep(sc, g).cells for g in guards]
+        fast = [visibility._Fan(sc, g).region(g).cells for g in guards]
         assert fallbacks and fallbacks.count(_angular_cmp) == len(fallbacks)
         monkeypatch.setattr(visibility, "_sorted_directions",
                             lambda dirs: sorted(dirs, key=exact(_angular_cmp)))
         for g, cells in zip(guards, fast):
             assert [(c.pts, c.lines) for c in cells] == \
-                [(c.pts, c.lines) for c in visibility._sweep(sc, g).cells]
+                [(c.pts, c.lines) for c in visibility._Fan(sc, g).region(g).cells]
         assert any(cells for cells in fast)
 
 
@@ -311,3 +357,41 @@ class TestRegionCache:
         del vr
         assert ref() is None
         assert visibility_region(scene_a, guards_a[1]) is not others[0]
+
+    def test_one_fan_is_kept(self, monkeypatch):
+        """The cache holds one fan, the last anchor's: a region at another
+        anchor replaces it, and another scene's region drops it with the
+        scene's regions."""
+        monkeypatch.setattr(visibility, "_cache", (None, {}, {}, [None]))
+        sc = gen_random(GeneratorParams(k=3, seed=21, grid=40))
+        visibility_region(sc, hole_guard(0, 1, N))
+        fan = visibility._cache[3][0]
+        assert fan.anchor == ("hole", 0, 1)
+        visibility_region(sc, hole_guard(0, 1, E))
+        assert visibility._cache[3][0] is fan
+        ref = weakref.ref(fan)
+        del fan
+        visibility_region(sc, hole_guard(2, 3, S))
+        assert ref() is None and visibility._cache[3][0].anchor == ("hole", 2, 3)
+        ref = weakref.ref(visibility._cache[3][0])
+        visibility_region(gen_random(GeneratorParams(k=3, seed=22, grid=40)),
+                          hole_guard(2, 3, S))
+        assert ref() is None
+
+    def test_invalid_anchor_builds_no_fan(self, monkeypatch, tmp_path):
+        """A guard on no corner of the scene raises ValueError before a
+        fan is built, keeping the last one; the CLI exits 2 on it."""
+        monkeypatch.setattr(visibility, "_cache", (None, {}, {}, [None]))
+        sc = city_a()
+        visibility_region(sc, hole_guard(0, 1, E))
+        fan = visibility._cache[3][0]
+        for g in (hole_guard(1, 0, E), hole_guard(0, 4, E), p_corner_guard(4, N)):
+            with pytest.raises(ValueError, match="names no corner"):
+                visibility_region(sc, g)
+            assert visibility._cache[3][0] is fan and g not in visibility._cache[1]
+        scene, sol = tmp_path / "s.json", tmp_path / "g.json"
+        scene.write_text(json.dumps({"bounds": [0, 0, 10, 10],
+                                     "buildings": [{"base": [4, 4, 6, 6], "height": 3}]}))
+        sol.write_text(json.dumps({"algorithm": "x", "guards": [
+            {"anchor": {"building": 1, "corner": 0}, "facing": [1, 0]}]}))
+        assert main(["verify", "--scene", str(scene), "--solution", str(sol)]) == 2
