@@ -50,6 +50,8 @@ class BoundViolation(Exception):
 
 
 def bench_instance(name: str, city: City, with_oracle: bool = False) -> BenchRow:
+    """One row: each placement is built once, the city placements on the
+    row's own 2k+1 and Cases 0-4 placements."""
     scene = city.scene
     k = scene.k
     t0 = time.monotonic()
@@ -67,10 +69,10 @@ def bench_instance(name: str, city: City, with_oracle: bool = False) -> BenchRow
         wm = guards_main(scene)
         counts["walls_main"] = wm.count
         certified &= certify(scene, wm.guards).covered
-        cb = city_guarding(city, BUILDINGS_ONLY)
+        cb = city_guarding(city, BUILDINGS_ONLY, base=wm)
         counts["city_bonly"] = cb.count
         certified &= certify_city(city, cb).covered
-    cp = city_guarding(city, ALLOW_P_CORNER)
+    cp = city_guarding(city, ALLOW_P_CORNER, base=w1)
     counts["city_pcorner"] = cp.count
     certified &= certify_city(city, cp).covered
 

@@ -410,17 +410,31 @@ def _repair_roofs(city: City, guards: list, trace) -> list:
     return guards
 
 
-def city_guarding(city: City, mode: str = BUILDINGS_ONLY) -> Solution:
+# The walls-and-ground placement that city guarding builds on, per mode.
+_BASE_ALGORITHM = {BUILDINGS_ONLY: "walls-main", ALLOW_P_CORNER: "walls-2k1"}
+
+
+def city_guarding(city: City, mode: str = BUILDINGS_ONLY,
+                  base: Solution | None = None) -> Solution:
+    """The mode's walls-and-ground placement (`guards_main` on building
+    corners, or `guards_2k1` with at most one corner of P), with roofs
+    repaired by single-guard re-orientation.  A caller that has built
+    that placement passes it as `base`, and it is not built again; it is
+    checked, not trusted: a base of another algorithm raises ValueError,
+    and so does one that does not cover free space."""
     scene = validate_scene(city.scene)
     require_general_position(scene)
-    if mode == BUILDINGS_ONLY:
-        if scene.k == 0:
-            raise ValueError("no building vertices exist to place guards on")
-        base = guards_main(scene)
-    elif mode == ALLOW_P_CORNER:
-        base = guards_2k1(scene)
-    else:
+    if mode not in _BASE_ALGORITHM:
         raise ValueError(f"unknown mode {mode!r}")
+    if mode == BUILDINGS_ONLY and scene.k == 0:
+        raise ValueError("no building vertices exist to place guards on")
+    if base is None:
+        base = guards_main(scene) if mode == BUILDINGS_ONLY else guards_2k1(scene)
+    elif base.algorithm != _BASE_ALGORITHM[mode]:
+        raise ValueError(f"{mode} city guarding builds on {_BASE_ALGORITHM[mode]}, "
+                         f"not on {base.algorithm!r}")
+    elif not covers(scene, base.guards):
+        raise ValueError(f"the {base.algorithm} base does not cover free space")
     trace = list(base.trace) + [("mode", mode)]
     guards = _repair_roofs(city, list(base.guards), trace)
     sol = Solution(algorithm="city", guards=tuple(guards), trace=tuple(trace))

@@ -188,22 +188,30 @@ def _levels(scene: Scene):
 
 def _proven(piece: HCell, held, index, sights, buildings, levels) -> bool:
     """Is the piece covered by parts that each one guard proves?  A part is
-    tried on its holders, nearest the centre of its bbox first, ties in
-    guard order: the float distance only orders the exact proofs.  The
-    piece's holders `held` are given; a part's come from the facing
-    `index` of the `sights`.  A part that none proves is cut along the
-    middle of the building `levels` y = c strictly between its lowest and
-    highest vertex, and its halves are tried in turn; the proven parts
-    tile the piece.  False at the first part that no guard proves and no
-    level crosses."""
+    tried on its holders, nearest its bbox first (0 on or in it), ties in
+    guard order: the float distance only orders the exact proofs over the
+    same holders.  The piece's holders `held` are given; a part's come
+    from the facing `index` of the `sights`.  A part that none proves is
+    cut along the middle of the building `levels` y = c strictly between
+    its lowest and highest vertex, and its halves are tried in turn; the
+    proven parts tile the piece.  False at the first part that no guard
+    proves and no level crosses."""
     stack = [(piece, held)]
     while stack:
         part, held = stack.pop()
         if held is None:
             held = _held_and_front(index, part)[0]
-        cx, cy = (part.bbox[0] + part.bbox[2]) / 2, (part.bbox[1] + part.bbox[3]) / 2
-        nearest = sorted((sights[i] for i in held), key=lambda s: (s[0][0] / s[0][2] - cx) ** 2
-                         + (s[0][1] / s[0][2] - cy) ** 2)
+        x0, y0, x1, y1 = part.bbox
+
+        def gap2(sight):
+            """The squared float distance from the sight's apex to the bbox."""
+            X, Y, W = sight[0]
+            x, y = X / W, Y / W
+            dx = x0 - x if x < x0 else (x - x1 if x > x1 else 0.0)
+            dy = y0 - y if y < y0 else (y - y1 if y > y1 else 0.0)
+            return dx * dx + dy * dy
+
+        nearest = sorted((sights[i] for i in held), key=gap2)
         if any(h_sees_all(a, f, part, buildings) for a, f, _ in nearest):
             continue
         ys = [h_to_point(p).y for p in part.pts]

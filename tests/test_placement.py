@@ -6,7 +6,7 @@ from cityguard.geom import Point, make_axis_rect
 from cityguard.instances import GeneratorParams, gen_random, gen_random_city
 from cityguard.io import parse_city
 from cityguard.model import (
-    City, Scene, W, hole_guard, p_corner_guard, roof_covered_by, rotate_scene_ccw,
+    City, Scene, Solution, W, hole_guard, p_corner_guard, roof_covered_by, rotate_scene_ccw,
 )
 from cityguard.placement import (
     ALLOW_P_CORNER, BUILDINGS_ONLY, _partition_walls, city_guarding, guards_2k1,
@@ -260,6 +260,12 @@ class TestRoofGuarding:
             assert any(roof_covered_by(sc, i, g) for g in sol.guards)
 
 
+def _case3ii_city(t):
+    sc = rotate_scene_ccw(
+        _bases_scene([0, 0, 1000, 1000], CASE3_BASES + [[925, 505, 945, 515]]), t)
+    return City(scene=sc, heights=tuple(range(1, sc.k + 1)))
+
+
 class TestCityGuarding:
     def test_city_a_buildings_only(self):
         city = City(scene=city_a(), heights=(3,))
@@ -287,9 +293,8 @@ class TestCityGuarding:
     def test_case3ii_roof_repair(self, t):
         # guards_main leaves building 0's roof (the long slab) uncovered in
         # every quarter turn; city_guarding turns one of its guards
-        sc = rotate_scene_ccw(
-            _bases_scene([0, 0, 1000, 1000], CASE3_BASES + [[925, 505, 945, 515]]), t)
-        city = City(scene=sc, heights=tuple(range(1, sc.k + 1)))
+        city = _case3ii_city(t)
+        sc = city.scene
         base = guards_main(sc)
         assert not any(roof_covered_by(sc, 0, g) for g in base.guards)
         sol = city_guarding(city, BUILDINGS_ONLY)
@@ -308,3 +313,39 @@ class TestCityGuarding:
                 cp = city_guarding(city, ALLOW_P_CORNER)
                 assert cp.count <= 2 * k + 1
                 assert certify_city(city, cp).covered
+
+
+class TestCityGuardingBase:
+    """city_guarding on a base placement the caller has built."""
+
+    @pytest.mark.parametrize("mode,build", [(BUILDINGS_ONLY, guards_main),
+                                            (ALLOW_P_CORNER, guards_2k1)])
+    def test_base_gives_the_same_solution(self, mode, build):
+        for k in range(1, 13):
+            city = gen_random_city(GeneratorParams(k=k, seed=100 + k, grid=200))
+            assert city_guarding(city, mode, base=build(city.scene)) == \
+                city_guarding(city, mode)
+
+    @pytest.mark.parametrize("t", range(4))
+    def test_case3ii_roof_repair_on_a_base(self, t):
+        city = _case3ii_city(t)
+        sol = city_guarding(city, BUILDINGS_ONLY, base=guards_main(city.scene))
+        assert sol == city_guarding(city, BUILDINGS_ONLY)
+        assert [e[1] for e in sol.trace if e[0] == "roof-fix"] == [0]
+
+    def test_base_of_the_other_mode_is_refused(self):
+        city = gen_random_city(GeneratorParams(k=5, seed=4, grid=200))
+        with pytest.raises(ValueError, match="walls-main"):
+            city_guarding(city, BUILDINGS_ONLY, base=guards_2k1(city.scene))
+        with pytest.raises(ValueError, match="walls-2k1"):
+            city_guarding(city, ALLOW_P_CORNER, base=guards_main(city.scene))
+
+    def test_base_that_leaves_a_residual_is_refused(self):
+        city = gen_random_city(GeneratorParams(k=6, seed=0, grid=200))
+        full = guards_main(city.scene)
+        mid = full.count // 2
+        short = Solution(algorithm=full.algorithm, trace=full.trace,
+                         guards=full.guards[:mid] + full.guards[mid + 1:])
+        assert not certify(city.scene, short.guards).covered
+        with pytest.raises(ValueError, match="does not cover"):
+            city_guarding(city, BUILDINGS_ONLY, base=short)

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import cityguard.placement as placement
 import cityguard.verify as verify
 import cityguard.visibility as visibility
 from cityguard.bench import bench_instance, random_corpus
@@ -29,6 +30,7 @@ from cityguard.oracle import (
 )
 from cityguard.placement import (
     ALLOW_P_CORNER, BUILDINGS_ONLY, city_guarding, guards_2k1, guards_main,
+    roof_guarding,
 )
 from cityguard.verify import certify, certify_city, covers, free_space
 from cityguard.visibility import sees, visibility_region
@@ -180,6 +182,31 @@ class TestCertificateMemo:
                     for entry in city_guarding(city, mode).trace)
         assert fixes == 0
         assert len(computed) == 2
+
+    def test_bench_row_builds_each_placement_once(self, monkeypatch):
+        """The city placements of a bench row build on the row's own 2k+1
+        and Cases 0-4 placements: `city_guarding` looks up neither
+        builder, and the row equals one whose city placements build them."""
+        (name, city), = random_corpus(1, 6, 6, seed=43, grid=1000)
+        built = []
+        for attr in ("guards_main", "guards_2k1"):
+            build = getattr(placement, attr)
+            monkeypatch.setattr(placement, attr, lambda scene, attr=attr, build=build:
+                                built.append(attr) or build(scene))
+        row = bench_instance(name, city)
+        assert built == []
+        cb = city_guarding(city, BUILDINGS_ONLY)
+        cp = city_guarding(city, ALLOW_P_CORNER)
+        assert built == ["guards_main", "guards_2k1"]
+        scene = city.scene
+        w1, wm = guards_2k1(scene), guards_main(scene)
+        assert row.counts == {"roof": roof_guarding(city).count, "walls_2k1": w1.count,
+                              "walls_main": wm.count, "city_bonly": cb.count,
+                              "city_pcorner": cp.count}
+        assert row.certified == all([certify(scene, w1.guards).covered,
+                                     certify(scene, wm.guards).covered,
+                                     certify_city(city, cb).covered,
+                                     certify_city(city, cp).covered])
 
     def test_equal_copy_shares_the_certificate(self, computed):
         sc = gen_random(GeneratorParams(k=4, seed=8, grid=200))
