@@ -19,7 +19,8 @@ segment is blocked in 2D iff the run exists (`visibility.sees`),
 and the roof oracle's 3D prism test compares heights on that run.
 `h_sees_all` tests all the segments from a guard to a convex cell at
 once, as the one hull cell they fill, by the kernel's separating-axis
-test.
+test; `h_shadowed` tests whether one building hides a whole cell from a
+point, as the cell inside that building's closed shadow.
 """
 
 from __future__ import annotations
@@ -588,6 +589,46 @@ def _h_hull(apex, cell: HCell) -> HCell:
         chain.append(pts[i])
     return HCell((apex, *chain),
                  (_h_line(apex, chain[0]), *chain_lines, _h_line(chain[-1], apex)))
+
+
+def h_shadowed(apex, cell: HCell, blockers) -> bool:
+    """True iff the closed shadow of one blocker, seen from the
+    homogeneous point `apex`, holds the cell; then no interior point of
+    the cell is seen from the apex.  The inflated bboxes only skip
+    blockers clear of the bbox of the apex and the cell, as in
+    `h_sees_all`; the decision is exact (`_h_shadow`)."""
+    ax, ay = apex[0] / apex[2], apex[1] / apex[2]
+    x0, y0, x1, y1 = cell.bbox
+    x0, y0, x1, y1 = min(x0, ax), min(y0, ay), max(x1, ax), max(y1, ay)
+    for b in blockers:
+        bb = b.bbox
+        if bb[2] <= x0 or x1 <= bb[0] or bb[3] <= y0 or y1 <= bb[1]:
+            continue
+        if all(A * X + B * Y + C * W >= 0
+               for A, B, C in _h_shadow(apex, b) for X, Y, W in cell.pts):
+            return True
+    return False
+
+
+def _h_shadow(apex, b: HCell):
+    """The lines, each with the closed shadow on its closed left side, of
+    the closed shadow of a convex blocker seen from an apex not inside it.
+    The edges whose line has the apex on its closed outer side form one
+    chain t1 -> ... -> t2, and the shadow is the closed cone between the
+    rays apex->t1 and apex->t2 on the chain's inner sides.  Its interior
+    points are those whose sight segment from the apex crosses the
+    blocker's open interior.  With the apex at a corner of the blocker the
+    chain is the two edges there, and the shadow is the corner's cone."""
+    AX, AY, AW = apex
+    pts, lines = b.pts, b.lines
+    n = len(pts)
+    near = [A * AX + B * AY + C * AW <= 0 for A, B, C in lines]
+    i = next(i for i in range(n) if near[i] and not near[i - 1])
+    t1, chain = pts[i], []
+    while near[i]:
+        chain.append(lines[i])
+        i = i + 1 if i + 1 < n else 0
+    return (_h_line(t1, apex), _h_line(apex, pts[i]), *chain)
 
 
 def interior_run(a: Point, b: Point, hole: Hole):

@@ -15,13 +15,19 @@ piece.  One proof (`_proven`) tries the piece whole, then splits what no
 guard proves along building levels y = c and tries the parts the same
 way; if every part is proven, the parts tile the piece and it is
 dropped.  Any other piece is cut, whole, by the regions of the guards
-with a vertex of it strictly in front; every other region lies in its
-guard's closed half-plane, with the piece behind it, and would not cut
-it.  A piece's descendants depend only on that piece and the regions,
-and a piece the regions cover leaves none, so the residual is that of
-cutting the whole piece list by every region, cell for cell and in
-order.  A region is swept only when a piece needs it, or when an exit
-(the certificate JSON, the SVG) reads `per_guard_regions`.
+with a vertex of it strictly in front, in guard order; every other
+region lies in its guard's closed half-plane, with the piece behind it,
+and would not cut it.  A front guard is skipped when the closed shadow
+of one building, seen from its corner, holds every cell still left of
+the piece (`geom.h_shadowed`): every interior point of a region
+triangle is seen and no interior point of a shadow is, so the region
+and those cells have disjoint interiors, which `h_subtract` decides
+exactly and leaves the cells as they are.  The cutting stops once no
+cell is left.  A piece's descendants depend only on that piece and the
+regions, and a piece the regions cover leaves none, so the residual is
+that of cutting the whole piece list by every region, cell for cell and
+in order.  A region is swept only when a piece needs it, or when an
+exit (the certificate JSON, the SVG) reads `per_guard_regions`.
 
 The guards a cell is tried on, and those whose regions cut it, come from
 a facing index built once per pass: the guards are grouped by facing f
@@ -54,7 +60,7 @@ from typing import Optional
 
 from cityguard.geom import (
     AxisRect, HCell, Point, PolygonSet, _h_split, h_area2, h_cell, h_centroid,
-    h_point, h_sees_all, h_subtract, h_to_point,
+    h_point, h_sees_all, h_shadowed, h_subtract, h_to_point,
 )
 from cityguard.model import AXIS_ALIGNED, City, Scene, Solution, roof_covered_by
 from cityguard.visibility import scene_cache, visibility_region
@@ -134,8 +140,14 @@ def _compute(scene: Scene, guards: tuple) -> Certificate:
     for piece in free_space(scene).pieces:
         held, front = _held_and_front(index, piece)
         if not _proven(piece, held, index, sights, buildings, levels):
-            cutters = (c for i in front for c in visibility_region(scene, guards[i]).cells)
-            residual.extend(h_subtract([piece], cutters))
+            rest = [piece]
+            for i in front:
+                if all(h_shadowed(sights[i][0], c, buildings) for c in rest):
+                    continue  # its region would leave every cell as it is
+                rest = h_subtract(rest, visibility_region(scene, guards[i]).cells)
+                if not rest:
+                    break
+            residual += rest
     # the witness lies in the largest cell, the first on ties
     witness = _witness(max(residual, key=h_area2), sights) if residual else None
     return Certificate(covered=not residual, residual=PolygonSet.of_hcells(residual),

@@ -3,15 +3,16 @@ build, computed here with exact polygon cuts so that the tests can check
 the library's placements, staircases and 3k+1 pockets against them; the
 oracle's minimum over such a region; the residual pass as a plain cut by
 every region in turn; a cell's holders and front guards by a side table
-of every guard against every vertex; the mirror image of a scene and its
-guards; and a guard's region swept from scratch, with the facing's edge
-directions among the critical directions and every wedge tested."""
+of every guard against every vertex; a polygon's closed shadow by
+segment tests; the mirror image of a scene and its guards; and a guard's
+region swept from scratch, with the facing's edge directions among the
+critical directions and every wedge tested."""
 
 from itertools import groupby
 
 from cityguard.geom import (
     AxisRect, HCell, Point, PolygonSet, _h_line, _h_meet, _h_orient, h_point,
-    h_subtract, make_convex_quad, primitive_direction,
+    h_subtract, make_convex_quad, orient, primitive_direction,
 )
 from cityguard.model import Guard, Scene
 from cityguard.oracle import OPTIMAL, _certify_and_refine
@@ -115,6 +116,34 @@ def side_table(sights, cell):
              for a, (fx, fy), k in sights]
     return ([i for i, side in enumerate(sides) if min(side) >= 0],
             [i for i, side in enumerate(sides) if max(side) > 0])
+
+
+def in_closed_shadow(apex: Point, corners, p: Point) -> bool:
+    """Is p in the closed shadow of the convex CCW polygon `corners`, seen
+    from `apex`?  At a corner of the polygon the shadow is that corner's
+    closed cone.  From outside it, p is in the shadow iff the closed
+    segment apex-p meets the closed polygon, by orientation tests alone."""
+    n = len(corners)
+    if apex in corners:
+        i = corners.index(apex)
+        return (orient(corners[i - 1], apex, p) >= 0
+                and orient(apex, corners[(i + 1) % n], p) >= 0)
+    if all(orient(corners[i - 1], corners[i], p) >= 0 for i in range(n)):
+        return True
+    return any(_segments_meet(apex, p, corners[i - 1], corners[i]) for i in range(n))
+
+
+def _segments_meet(a, b, c, d) -> bool:
+    """Do the closed segments ab and cd share a point?"""
+    o1, o2, o3, o4 = orient(a, b, c), orient(a, b, d), orient(c, d, a), orient(c, d, b)
+    if o1 * o2 < 0 and o3 * o4 < 0:
+        return True
+
+    def within(p, q, r):  # r, collinear with pq, lies on the closed segment pq
+        return min(p.x, q.x) <= r.x <= max(p.x, q.x) and min(p.y, q.y) <= r.y <= max(p.y, q.y)
+
+    return ((o1 == 0 and within(a, b, c)) or (o2 == 0 and within(a, b, d))
+            or (o3 == 0 and within(c, d, a)) or (o4 == 0 and within(c, d, b)))
 
 
 def mirror_scene(scene) -> Scene:

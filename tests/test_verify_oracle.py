@@ -1,7 +1,7 @@
 import random
 import re
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, islice
 
 import pytest
 from hypothesis import given, settings
@@ -13,7 +13,8 @@ import cityguard.visibility as visibility
 from cityguard.bench import bench_instance, random_corpus
 from cityguard.geom import (
     AxisRect, HCell, Point, PolygonSet, _h_split, h_area2, h_cell, h_cell_to_cell,
-    h_centroid, h_point, h_sees_all, h_subtract, h_to_point, make_axis_rect,
+    h_centroid, h_point, h_sees_all, h_shadowed, h_subtract, h_to_point, interior_run,
+    make_axis_rect,
 )
 from cityguard.instances import (
     GeneratorParams, gen_3k1_necessity, gen_random, gen_roof_necessity,
@@ -36,8 +37,8 @@ from cityguard.verify import certify, certify_city, covers, free_space
 from cityguard.visibility import sees, visibility_region
 from counterexample_3k1 import rot3k1_counterexample
 from references import (
-    min_cover_of_region, mirror_guards, mirror_scene, residual_pass, side_table,
-    space_between,
+    in_closed_shadow, min_cover_of_region, mirror_guards, mirror_scene, residual_pass,
+    side_table, space_between,
 )
 from test_geom import ref_interior_run
 
@@ -295,7 +296,8 @@ class TestCertificateMemo:
 
 class TestRegionsSweptOnDemand:
     """`certify` sweeps a guard's region only when a free-space piece that
-    no guard proves has a vertex strictly in front of that guard; the
+    no guard proves has a vertex strictly in front of that guard, and one
+    building's shadow does not hold every cell still left of it; the
     certificate JSON still lists every guard's region, in guard order."""
 
     @pytest.mark.parametrize("seed", range(4))
@@ -319,6 +321,50 @@ class TestRegionsSweptOnDemand:
             assert [(tuple(r["anchor"]), tuple(r["facing"])) for r in regions] == \
                 [(g.anchor, g.facing) for g in gs]
             assert set(visibility._cache[1]) == set(gs)
+
+    @pytest.mark.parametrize("k,seed", [(16, 0), (16, 1), (16, 2), (16, 3), (28, 4)])
+    def test_skipped_regions_would_cut_nothing(self, monkeypatch, k, seed):
+        """Replayed piece by piece with every front guard's region: each
+        guard the pass skips leaves the cells left at that point as they
+        are, the replay ends with the certificate's residual, the pass
+        swept exactly the guards not skipped, and those are fewer than
+        the front guards of the unproven pieces."""
+        sc = gen_random(GeneratorParams(k=k, seed=seed, grid=1000))
+        guards = guards_2k1(sc).guards
+        short = guards[:len(guards) // 2] + guards[len(guards) // 2 + 1:]
+        monkeypatch.setattr(visibility, "_cache", (None, {}, {}, [None]))
+        cert = certify(sc, short)
+        swept = set(visibility._cache[1])
+        sights = verify._sights(sc, short)
+        index = verify._by_facing(sights)
+        buildings = [h_cell(h.as_cell()) for h in sc.holes]
+        levels = verify._levels(sc)
+        residual, cut, fronts, skips = [], set(), set(), 0
+        for piece in free_space(sc).pieces:
+            held, front = verify._held_and_front(index, piece)
+            if verify._proven(piece, held, index, sights, buildings, levels):
+                continue
+            fronts.update(short[i] for i in front)
+            rest = [piece]
+            for i in front:
+                if not rest:
+                    break
+                after = h_subtract(rest, visibility_region(sc, short[i]).cells)
+                if all(h_shadowed(sights[i][0], c, buildings) for c in rest):
+                    assert after == rest  # the same cells, in order
+                    skips += 1
+                else:
+                    cut.add(short[i])
+                rest = after
+            residual += rest
+        assert not cert.covered and skips
+        assert [(c.pts, c.lines) for c in residual] == \
+            [(c.pts, c.lines) for c in cert.residual.pieces]
+        assert swept == cut
+        assert len(swept) < len(fronts)
+        regions = certificate_doc(cert)["regions"]
+        assert [(tuple(r["anchor"]), tuple(r["facing"])) for r in regions] == \
+            [(g.anchor, g.facing) for g in short]
 
 
 def scaled_and_shifted(scene, s, dx, dy):
@@ -720,6 +766,83 @@ class TestSplitProof:
         cell = h_cell(tuple(Point(*p) for p in piece))
         assert _sees_all(sc, g, cell)
         assert h_subtract([cell], visibility_region(sc, g).cells) == []
+
+
+def _assert_shadow_verdicts(sc, pos, cells):
+    """For each building and cell: `h_shadowed` against that building alone
+    equals the reference at every vertex of the cell; a True means the
+    sight segment to each of the cell's first 9 interior points runs
+    through the building's interior; against all buildings it is the
+    disjunction.  Returns the set of verdicts seen."""
+    apex = h_point(pos)
+    buildings = [h_cell(h.as_cell()) for h in sc.holes]
+    verdicts = set()
+    for cell in cells:
+        each = []
+        for hole, b in zip(sc.holes, buildings):
+            shadowed = h_shadowed(apex, cell, [b])
+            assert shadowed == all(in_closed_shadow(pos, tuple(hole.corners()), v)
+                                   for v in h_cell_to_cell(cell))
+            if shadowed:
+                for p in islice(verify.interior_points(cell), 9):
+                    assert interior_run(pos, p, hole) is not None
+            each.append(shadowed)
+        assert h_shadowed(apex, cell, buildings) == any(each)
+        verdicts.update(each)
+    return verdicts
+
+
+class TestShadowed:
+    """`geom.h_shadowed(apex, cell, blockers)`: the closed shadow of one
+    building, seen from the apex, holds the cell.  No interior point of a
+    closed shadow is seen, so the residual pass skips a guard's region
+    when every cell left to cut is shadowed from the guard's corner."""
+
+    @given(st.integers(1, 5), st.integers(0, 10**6), st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_shadowed_cells_are_hidden(self, k, seed, data):
+        """A random rectangle, the free-space pieces and the triangles of
+        another guard's region, seen from any corner of the scene."""
+        sc, g, cells = _drawn_guard_and_cells(data, k, seed)
+        other = data.draw(st.sampled_from(_anchors(sc)))
+        _assert_shadow_verdicts(sc, g.position(sc), cells + visibility_region(sc, other).cells)
+
+    @pytest.mark.parametrize("make", [lambda: gen_3k1_necessity(2), rot3k1_counterexample,
+                                      lambda: gen_random(GeneratorParams(k=6, seed=1, grid=40))],
+                             ids=["3k1-2", "counterexample", "random-6"])
+    def test_every_corner_of_fixed_scenes(self, make):
+        """Every building and P corner, against the pieces and their level
+        parts: rotated quads included, both verdicts occur."""
+        sc = make()
+        cells = _pieces_and_level_parts(sc)
+        corners = {g.position(sc) for g in _anchors(sc)}
+        verdicts = set()
+        for pos in corners:
+            verdicts |= _assert_shadow_verdicts(sc, pos, cells)
+        assert verdicts == {True, False}
+
+    @pytest.mark.parametrize("apex,piece,expected", [
+        ((6, 6), ((1, 1), (3, 1), (3, 3), (1, 3)), True),     # behind its own corner
+        ((6, 6), ((1, 4), (3, 4), (3, 6), (1, 6)), True),     # touching its own edge's line
+        ((6, 6), ((1, 5), (3, 5), (3, 7), (1, 7)), False),    # across that line
+        ((8, 4), ((0, 4), (2, 4), (2, 5), (0, 5)), True),     # collinear with the edge y = 4
+        ((8, 4), ((0, 3), (2, 3), (2, 5), (0, 5)), False),    # across that edge's line
+        ((8, 4), ((5, 6), (6, 6), (5, 7)), True),             # at t2, on the tangent ray
+        ((5, 0), ((3, 8), (5, 8), (4, 9)), True),             # a vertex on the tangent ray
+        ((5, 0), ((2, 8), (4, 8), (4, 9), (2, 9)), False),    # across the tangent ray
+        ((5, 0), ((4, 6), (6, 6), (5, 9)), True),             # on the far edge's line
+        ((5, 0), ((1, 6), (9, 6), (9, 8), (1, 8)), False),    # wider than the shadow
+        ((5, 0), ((4, 1), (6, 1), (6, 2), (4, 2)), False),    # between apex and building
+        ((5, 0), ((4, 4), (6, 4), (5, 5)), True),             # on the near edge, inside
+    ], ids=str)
+    def test_fixed_cases(self, apex, piece, expected):
+        """Against the building [4, 6]^2: from its own corner (6, 6), from
+        (8, 4) on the line of its edge y = 4, and from (5, 0) below it."""
+        sc = city_a()
+        cell = h_cell(tuple(Point(*p) for p in piece))
+        building = h_cell(sc.holes[0].as_cell())
+        assert h_shadowed(h_point(Point(*apex)), cell, [building]) == expected
+        _assert_shadow_verdicts(sc, Point(*apex), [cell])
 
 
 class TestOracle:
