@@ -17,10 +17,12 @@ the run of a segment inside a hole's open interior, found by one pass
 over the hole's edge lines in the kernel's homogeneous integers.  A
 segment is blocked in 2D iff the run exists (`visibility.sees`),
 and the roof oracle's 3D prism test compares heights on that run.
-`h_sees_all` tests all the segments from a guard to a convex cell at
-once, as the one hull cell they fill, by the kernel's separating-axis
-test; `h_shadowed` tests whether one building hides a whole cell from a
-point, as the cell inside that building's closed shadow.
+`h_sees_all` and `h_shadowed` share one split of a convex polygon's
+edges, seen from a point, into a far and a near chain, and one scan for
+nearby buildings.  `h_sees_all` tests every segment from a guard to a
+cell at once: their hull, the guard and the cell's far chain, meets no
+building by the separating-axis loop on its lines.  `h_shadowed` tests
+whether a cell lies in the cone over one building's near chain.
 """
 
 from __future__ import annotations
@@ -257,7 +259,8 @@ Hole = Union[AxisRect, ConvexQuad]
 # Homogeneous integer cells: the one clipping kernel.  Every cut of a cell
 # (PolygonSet.difference, the residual passes of the verifier and the
 # oracle's face arrangement) runs through h_split below.  h_split first
-# asks _h_apart, an exact separating-axis test, whether the two cells'
+# asks _h_apart, a bbox prefilter and then _h_disjoint, the exact
+# separating-axis loop on two cells' vertices and lines, whether their
 # interiors meet at all; pairs that do not are never cut.  Pairs that do
 # are cut by each edge line of the cutter once, with _h_split returning
 # both closed halves from one evaluation of the sides, so the intersection
@@ -267,7 +270,8 @@ Hole = Union[AxisRect, ConvexQuad]
 # (X/W, Y/W).  Sides, orientations and clipping are pure integer
 # arithmetic.  An HCell carries its vertices, the directed edge lines
 # (left side is the interior) and a conservatively inflated float bounding
-# box used purely as a prefilter.  A cut never makes a new line, and each
+# box used purely as a prefilter; a hull that is only tested, never cut,
+# stays bare (pts, lines).  A cut never makes a new line, and each
 # crossing point is the meet of the cut edge's line and the cut line, so
 # every vertex is the meet of two of the kernel's input lines: with M the
 # largest input line coefficient, |X|, |Y| and W stay within 2*M*M
@@ -440,15 +444,21 @@ def _h_apart(c1: HCell, c2: HCell) -> bool:
     """True iff the interiors of c1 and c2 are disjoint.
 
     The float bboxes are only a prefilter (they are inflated, so a gap
-    between them is a real gap).  The decision is the separating-axis
-    test in integers: two convex cells have disjoint interiors iff some
-    edge line of one has the whole other cell on its closed right side."""
+    between them is a real gap); `_h_disjoint` decides."""
     b1, b2 = c1.bbox, c2.bbox
     if b1[2] <= b2[0] or b2[2] <= b1[0] or b1[3] <= b2[1] or b2[3] <= b1[1]:
         return True
-    for cell, other in ((c2, c1.pts), (c1, c2.pts)):
-        for (A, B, C) in cell.lines:
-            for p in other:
+    return _h_disjoint(c1.pts, c1.lines, c2.pts, c2.lines)
+
+
+def _h_disjoint(pts1, lines1, pts2, lines2) -> bool:
+    """True iff two convex cells, each given by its vertices and its edge
+    lines, have disjoint interiors: the separating-axis test in integers.
+    Two convex cells have disjoint interiors iff some edge line of one has
+    the whole other cell on its closed right side; a line may repeat."""
+    for lines, pts in ((lines2, pts1), (lines1, pts2)):
+        for (A, B, C) in lines:
+            for p in pts:
                 if A * p[0] + B * p[1] + C * p[2] > 0:
                     break
             else:
@@ -534,7 +544,7 @@ def h_subtract(pieces, cutters):
         for c1 in pieces:
             b = c1.bbox
             if (b[2] <= x0 or x1 <= b[0] or b[3] <= y0 or y1 <= b[1]
-                    or _h_apart(c1, c2)):  # its bbox prefilter, inline first
+                    or _h_disjoint(c1.pts, c1.lines, c2.pts, c2.lines)):
                 nxt.append(c1)
             else:
                 nxt.extend(_h_cut(c1, c2)[1])
@@ -546,89 +556,77 @@ def h_sees_all(apex, facing, cell: HCell, blockers) -> bool:
     """True iff a guard at the homogeneous point `apex` with this facing
     sees all of the cell: the cell is in its closed half-plane, and no
     blocker's open interior meets the hull of the apex and the cell,
-    which the sight segments fill.  The hull is one cell (`_h_hull`), and
-    `_h_apart` tests it against each blocker exactly; the blockers'
-    inflated bboxes only skip those clear of the hull's."""
+    which the sight segments fill (`_h_hull`).  `_h_disjoint` tests the
+    hull's lines against each blocker `_h_near` finds, exactly."""
     AX, AY, AW = apex
     fx, fy = facing
     if any((X * AW - AX * W) * fx + (Y * AW - AY * W) * fy < 0 for X, Y, W in cell.pts):
         return False
-    ax, ay = AX / AW, AY / AW
-    x0, y0, x1, y1 = cell.bbox
-    x0, y0, x1, y1 = min(x0, ax), min(y0, ay), max(x1, ax), max(y1, ay)
     hull = None
-    for b in blockers:
-        bb = b.bbox
-        if bb[2] <= x0 or x1 <= bb[0] or bb[3] <= y0 or y1 <= bb[1]:
-            continue
+    for b in _h_near(apex, cell, blockers):
         if hull is None:
             hull = _h_hull(apex, cell)
-        if not _h_apart(hull, b):
+        if not _h_disjoint(*hull, b.pts, b.lines):
             return False
     return True
-
-
-def _h_hull(apex, cell: HCell) -> HCell:
-    """The hull of a convex cell and a point not strictly inside it: the
-    apex, then the chain of the cell's far edges (those with the apex
-    strictly on their left), which keep their own lines.  An open set
-    meets its interior iff it meets the interior of some triangle (apex,
-    a, b) over a far edge a->b.  With the apex on the cell's boundary the
-    hull is the cell, and an apex inside an edge leaves that edge's line
-    twice: the hull is only tested by `_h_apart`, never cut, and the
-    separating-axis test allows a repeated line."""
-    AX, AY, AW = apex
-    pts, lines = cell.pts, cell.lines
-    n = len(pts)
-    far = [A * AX + B * AY + C * AW > 0 for A, B, C in lines]
-    i = next(i for i in range(n) if far[i] and not far[i - 1])
-    chain, chain_lines = [pts[i]], []
-    while far[i]:
-        chain_lines.append(lines[i])
-        i = i + 1 if i + 1 < n else 0
-        chain.append(pts[i])
-    return HCell((apex, *chain),
-                 (_h_line(apex, chain[0]), *chain_lines, _h_line(chain[-1], apex)))
 
 
 def h_shadowed(apex, cell: HCell, blockers) -> bool:
     """True iff the closed shadow of one blocker, seen from the
     homogeneous point `apex`, holds the cell; then no interior point of
-    the cell is seen from the apex.  The inflated bboxes only skip
-    blockers clear of the bbox of the apex and the cell, as in
-    `h_sees_all`; the decision is exact (`_h_shadow`)."""
+    the cell is seen from the apex.  Only the blockers `_h_near` finds
+    are tried; the decision is exact (`_h_shadow`)."""
+    return any(all(A * X + B * Y + C * W >= 0
+                   for A, B, C in _h_shadow(apex, b) for X, Y, W in cell.pts)
+               for b in _h_near(apex, cell, blockers))
+
+
+def _h_near(apex, cell: HCell, blockers):
+    """The blockers whose inflated bbox meets the bbox of the apex and the
+    cell: only those can meet their hull or hide a point of the cell."""
     ax, ay = apex[0] / apex[2], apex[1] / apex[2]
     x0, y0, x1, y1 = cell.bbox
     x0, y0, x1, y1 = min(x0, ax), min(y0, ay), max(x1, ax), max(y1, ay)
     for b in blockers:
         bb = b.bbox
-        if bb[2] <= x0 or x1 <= bb[0] or bb[3] <= y0 or y1 <= bb[1]:
-            continue
-        if all(A * X + B * Y + C * W >= 0
-               for A, B, C in _h_shadow(apex, b) for X, Y, W in cell.pts):
-            return True
-    return False
+        if not (bb[2] <= x0 or x1 <= bb[0] or bb[3] <= y0 or y1 <= bb[1]):
+            yield b
+
+
+def _h_chains(apex, cell: HCell):
+    """A convex cell's edges seen from an apex not strictly inside it, by
+    one side test each: the far edges have the apex strictly on their
+    left, the near ones on their closed right, and each kind is one run.
+    Returns the far chain's vertices and lines and the near chain's lines;
+    the far chain runs from chain[0] to chain[-1] and the near one back."""
+    AX, AY, AW = apex
+    far = [A * AX + B * AY + C * AW > 0 for A, B, C in cell.lines]
+    i = next(i for i in range(len(far)) if far[i] and not far[i - 1])
+    m = (far[i:] + far[:i]).index(False)  # the far run is edges i .. i + m - 1
+    pts, lines = cell.pts[i:] + cell.pts[:i], cell.lines[i:] + cell.lines[:i]
+    return pts[:m + 1], lines[:m], lines[m:]
+
+
+def _h_hull(apex, cell: HCell):
+    """The hull of a convex cell and an apex not strictly inside it, as
+    (pts, lines): the apex, then the far chain with its own lines.  An
+    open set meets its interior iff it meets the interior of some triangle
+    (apex, a, b) over a far edge a->b.  With the apex on the cell's
+    boundary the hull is the cell, and an apex inside an edge leaves that
+    edge's line twice, which the separating-axis test allows."""
+    chain, far, _ = _h_chains(apex, cell)
+    return (apex, *chain), (_h_line(apex, chain[0]), *far, _h_line(chain[-1], apex))
 
 
 def _h_shadow(apex, b: HCell):
     """The lines, each with the closed shadow on its closed left side, of
-    the closed shadow of a convex blocker seen from an apex not inside it.
-    The edges whose line has the apex on its closed outer side form one
-    chain t1 -> ... -> t2, and the shadow is the closed cone between the
-    rays apex->t1 and apex->t2 on the chain's inner sides.  Its interior
-    points are those whose sight segment from the apex crosses the
-    blocker's open interior.  With the apex at a corner of the blocker the
-    chain is the two edges there, and the shadow is the corner's cone."""
-    AX, AY, AW = apex
-    pts, lines = b.pts, b.lines
-    n = len(pts)
-    near = [A * AX + B * AY + C * AW <= 0 for A, B, C in lines]
-    i = next(i for i in range(n) if near[i] and not near[i - 1])
-    t1, chain = pts[i], []
-    while near[i]:
-        chain.append(lines[i])
-        i = i + 1 if i + 1 < n else 0
-    return (_h_line(t1, apex), _h_line(apex, pts[i]), *chain)
+    the closed shadow of a convex blocker seen from an apex not inside it:
+    the cone between the rays from the apex through the ends of the near
+    chain, on the chain's inner sides.  Its interior points are those
+    whose sight segment from the apex crosses the blocker's open interior.
+    At a corner of the blocker it is the corner's cone."""
+    chain, _, near = _h_chains(apex, b)
+    return (_h_line(chain[-1], apex), _h_line(apex, chain[0]), *near)
 
 
 def interior_run(a: Point, b: Point, hole: Hole):

@@ -217,6 +217,16 @@ def roof_covered_by(scene: Scene, i: int, g: Guard) -> bool:
     return roof_in_front(scene.holes[i].corners(), g.position(scene), g.facing)
 
 
+def roof_flags(scene: Scene, guards) -> tuple:
+    """Per building i, whether some guard covers roof i (`roof_covered_by`),
+    from one pass over the guards: only a guard on building i can."""
+    flags = [False] * scene.k
+    for g in guards:
+        if g.on_hole() and roof_covered_by(scene, g.anchor[1], g):
+            flags[g.anchor[1]] = True
+    return tuple(flags)
+
+
 def wall_aligned_facings(hole: Hole):
     """The four facings whose boundary plane is parallel to a wall."""
     if isinstance(hole, AxisRect):

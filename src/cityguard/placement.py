@@ -15,7 +15,7 @@ from cityguard.geom import AxisRect, Point
 from cityguard.model import (
     AXIS_ALIGNED, City, E, Guard, N, S, Scene, Solution, W,
     hole_guard, require_general_position,
-    roof_covered_by, roof_in_front, rotate_guards, rotate_scene_ccw,
+    roof_flags, roof_in_front, rotate_guards, rotate_scene_ccw,
     validate_scene, wall_aligned_facings,
 )
 from cityguard.staircase import (
@@ -47,8 +47,8 @@ def roof_guarding(city: City) -> Solution:
         facing = (cs[1].x - cs[0].x, cs[1].y - cs[0].y)  # along the first edge
         guards.append(hole_guard(i, 0, facing))
     sol = Solution(algorithm="roof", guards=tuple(guards))
-    for i in range(scene.k):
-        if not roof_covered_by(scene, i, sol.guards[i]):
+    for i, covered in enumerate(roof_flags(scene, sol.guards)):
+        if not covered:
             raise PlacementIncompleteError(f"roof {i} not covered by its own guard")
     return sol
 
@@ -386,10 +386,11 @@ def _roof_front_facings(scene: Scene, g: Guard):
 
 def _repair_roofs(city: City, guards: list, trace) -> list:
     """Re-orient single guards so every roof sees a same-building guard,
-    keeping the free-space certificate intact and the count unchanged."""
+    keeping the free-space certificate intact and the count unchanged.
+    A repair changes only its own building's guards: one read of the flags."""
     scene = city.scene
-    for i in range(scene.k):
-        if any(roof_covered_by(scene, i, g) for g in guards):
+    for i, covered in enumerate(roof_flags(scene, guards)):
+        if covered:
             continue
         own = [(idx, g) for idx, g in enumerate(guards)
                if g.on_hole() and g.anchor[1] == i]

@@ -62,20 +62,15 @@ def _apex(hole: AxisRect, kind: str) -> Point:
 
 
 def _pareto(scene: Scene, kind: str):
-    """Hole ids whose quadrant apex is not dominated; sorted along the chain."""
+    """Hole ids whose quadrant apex is not dominated; sorted along the chain.
+    In the order of (sx*x, sy*y) only an earlier apex can dominate, so an
+    apex stays iff its sy*y is strictly below that of every earlier one."""
     _, sx, sy = _QUADRANT[kind]
-    apexes = [(i, _apex(h, kind)) for i, h in enumerate(scene.holes)]
+    apexes = sorted(((i, _apex(h, kind)) for i, h in enumerate(scene.holes)),
+                    key=lambda t: (sx * t[1].x, sy * t[1].y))
     keep = []
     for i, a in apexes:
-        dominated = False
-        for j, b in apexes:
-            if i == j:
-                continue
-            # quadrant of b contains quadrant of a
-            if sx * (b.x - a.x) <= 0 and sy * (b.y - a.y) <= 0 and (a != b):
-                dominated = True
-                break
-        if not dominated:
+        if not keep or sy * a.y < sy * keep[-1][1].y:
             keep.append((i, a))
     # chain runs in +x direction for all kinds
     keep.sort(key=lambda t: t[1].x)

@@ -8,8 +8,9 @@ roof flag (roof covered by a guard on that same building).
 The pass takes free space a piece at a time.  The sight segments from a
 guard to a convex piece fill the hull of the guard and the piece, so the
 guard sees all of the piece iff the piece lies in the guard's closed
-half-plane and no building's open interior meets that hull.  The hull
-is one cell, tested exactly against the buildings alone
+half-plane and no building's open interior meets that hull.  The hull,
+the guard and the piece's far chain as bare vertices and lines, is
+tested exactly against the buildings alone by the separating-axis loop
 (`geom.h_sees_all`): True exactly when the guard's region holds the
 piece.  One proof (`_proven`) tries the piece whole, then splits what no
 guard proves along building levels y = c and tries the parts the same
@@ -62,7 +63,7 @@ from cityguard.geom import (
     AxisRect, HCell, Point, PolygonSet, _h_split, h_area2, h_cell, h_centroid,
     h_point, h_sees_all, h_shadowed, h_subtract, h_to_point,
 )
-from cityguard.model import AXIS_ALIGNED, City, Scene, Solution, roof_covered_by
+from cityguard.model import AXIS_ALIGNED, City, Scene, Solution, roof_flags
 from cityguard.visibility import scene_cache, visibility_region
 
 
@@ -257,16 +258,8 @@ def _witness(cell: HCell, sights) -> Point:
 
 
 def certify_city(city: City, solution: Solution) -> Certificate:
-    scene = city.scene
-    # The base certificate comes from the scene cache.  The roof flags are
-    # read from the city's buildings, which the cache's scene key does not hold,
-    # so they are computed on every call.  Only a guard on a building can
-    # cover its roof, so each roof is tested against its own guards.
-    base = certify(scene, solution.guards)
-    own = {}
-    for g in solution.guards:
-        if g.on_hole():
-            own.setdefault(g.anchor[1], []).append(g)
-    flags = tuple(any(roof_covered_by(scene, i, g) for g in own.get(i, ()))
-                  for i in range(scene.k))
+    """The scene's certificate (from the scene cache) with the roof flags,
+    read from the scene's buildings and the guards in one pass."""
+    base = certify(city.scene, solution.guards)
+    flags = roof_flags(city.scene, solution.guards)
     return replace(base, covered=base.covered and all(flags), roof_flags=flags)

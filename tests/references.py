@@ -1,7 +1,8 @@
 """Test-only references: regions the placements and generators never
 build, computed here with exact polygon cuts so that the tests can check
 the library's placements, staircases and 3k+1 pockets against them; the
-oracle's minimum over such a region; the residual pass as a plain cut by
+stairs of a staircase by comparing every pair of apexes; the oracle's
+minimum over such a region; the residual pass as a plain cut by
 every region in turn; a cell's holders and front guards by a side table
 of every guard against every vertex; a polygon's closed shadow by
 segment tests; the mirror image of a scene and its guards; and a guard's
@@ -58,6 +59,19 @@ def staircase_region(scene, st) -> PolygonSet:
         if qx0 < qx1 and qy0 < qy1:
             region = region.difference(PolygonSet.from_rect(qx0, qy0, qx1, qy1))
     return region
+
+
+def pareto(scene, kind: str):
+    """The stairs of a staircase kind by comparing every pair of apexes:
+    (hole id, apex) of each apex that no other apex at a different point
+    dominates, that is, whose quadrant no other quadrant holds; in
+    increasing x, ties in hole order."""
+    corner, sx, sy = _QUADRANT[kind]
+    apexes = [(i, h.corners()[corner]) for i, h in enumerate(scene.holes)]
+    keep = [(i, a) for i, a in apexes
+            if not any(j != i and b != a and sx * (b.x - a.x) <= 0 and sy * (b.y - a.y) <= 0
+                       for j, b in apexes)]
+    return sorted(keep, key=lambda t: t[1].x)
 
 
 def space_between(scene, i: int) -> PolygonSet:

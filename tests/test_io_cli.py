@@ -255,6 +255,8 @@ class TestSvg:
     @pytest.mark.parametrize("k,seed,digest", [
         (16, 3, "f7252fff818f9599da889f4b63434c751bde6884c63820f7dc05b6ccbf61d73b"),
         (28, 0, "af4b5ca2df1124f481443bac582f2c2cd62219f1f4f1a8c90d2692ad1b7a20a4"),
+        (48, 1, "e4f3d934343d2a145489f29b6f5c42b8d9e75d099471e870b93d73fdb526b0e3"),
+        (64, 0, "e1aaf3c93a4e3cd0ce7679a381c3237ec50ba1c9b53cbc02547506a13fa7babb"),
     ])
     def test_larger_certificates_are_pinned(self, k, seed, digest):
         """The compact certificate JSON of a 2k+1 set missing its middle

@@ -1,15 +1,17 @@
+import random
+
 import pytest
 
 from cityguard.errors import DegeneratePositionError, EmptyStaircaseError
-from cityguard.geom import PolygonSet, make_axis_rect
+from cityguard.geom import AxisRect, PolygonSet, make_axis_rect
 from cityguard.instances import GeneratorParams, gen_random
 from cityguard.io import parse_city
 from cityguard.model import Scene, rotate_scene_ccw
 from cityguard.staircase import (
-    FS, KINDS, RFS, RRS, RS, staircase, staircase_guards, staircase_sharing,
+    FS, KINDS, RFS, RRS, RS, _pareto, staircase, staircase_guards, staircase_sharing,
 )
 from cityguard.visibility import visibility_region
-from references import staircase_region
+from references import pareto, staircase_region
 
 
 def city_a():
@@ -73,6 +75,26 @@ class TestBuild:
             st = staircase(sc, kind)
             region = staircase_region(sc, st)
             assert region.difference(holes).area() == region.area()
+
+    def test_pareto_matches_pairwise_reference(self):
+        """The sorted scan keeps the stairs that comparing every pair of
+        apexes keeps, in the same order: on random scenes, and on scenes of
+        small grid rectangles whose edges share lines."""
+        scenes = [gen_random(GeneratorParams(k=k, seed=seed, grid=40 * k + 40))
+                  for k in range(30) for seed in range(4)]
+        rng = random.Random(6)
+        for _ in range(300):
+            holes = []
+            for _ in range(rng.randint(1, 12)):
+                x, y = rng.randint(1, 8), rng.randint(1, 8)
+                r = AxisRect(x, y, x + rng.randint(1, 3), y + rng.randint(1, 3))
+                if all(r.x1 <= o.x0 or o.x1 <= r.x0 or r.y1 <= o.y0 or o.y1 <= r.y0
+                       for o in holes):
+                    holes.append(r)
+            scenes.append(Scene(bounds=make_axis_rect(0, 0, 12, 12), holes=tuple(holes)))
+        for sc in scenes:
+            for kind in KINDS:
+                assert _pareto(sc, kind) == pareto(sc, kind)
 
     def test_degenerate_rejected(self):
         sc = parse_city({"bounds": [0, 0, 10, 10],

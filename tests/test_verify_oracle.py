@@ -680,7 +680,7 @@ class TestFacingIndex:
 class TestSplitProof:
     """A piece that no one guard proves is split at building levels and
     its parts are proven by hull (`verify._proven`); a piece so proven
-    needs no region.  `h_sees_all` tests the hull as one cell."""
+    needs no region.  `h_sees_all` tests the hull as bare lines."""
 
     @pytest.mark.parametrize("k", [16, 22, 28])
     @pytest.mark.parametrize("seed", range(3))
@@ -735,9 +735,12 @@ class TestSplitProof:
         ((6, 0), (9, 0), (9, 3), (6, 3)),      # on the line x = 6, above the piece
         ((6, 6), (9, 7), (7, 9)),              # a triangle's vertex
         ((8, 6), (9, 8), (7, 8)),              # on its edge's line y = 6 by one vertex
+        ((6, 6), (8, 5), (9, 9), (6, 9)),      # a vertex, the piece across y = 6
+        ((4, 8), (8, 4), (9, 9)),              # inside the slanted edge x + y = 12
+        ((2, 6), (6, 6), (4, 9)),              # a vertex, its edge on the building's y = 6
     ], ids=str)
     def test_hull_cell_at_degenerate_apexes(self, piece):
-        """The hull cell of an apex on the piece's boundary or on an edge's
+        """The hull of an apex on the piece's boundary or on an edge's
         line gives the reference answer, for every facing: nothing left
         after cutting the piece by the guard's region.  The apex is the NE
         corner (6, 6) of the building [4, 6]^2 in [0, 10]^2."""
@@ -834,10 +837,14 @@ class TestShadowed:
         ((5, 0), ((1, 6), (9, 6), (9, 8), (1, 8)), False),    # wider than the shadow
         ((5, 0), ((4, 1), (6, 1), (6, 2), (4, 2)), False),    # between apex and building
         ((5, 0), ((4, 4), (6, 4), (5, 5)), True),             # on the near edge, inside
+        ((6, 6), ((6, 6), (6, 2), (8, 2)), False),            # at the cell's vertex
+        ((5, 2), ((3, 2), (7, 2), (7, 3), (3, 3)), False),    # inside the cell's edge
+        ((4, 8), ((4, 0), (5, 0), (5, 1), (4, 1)), True),     # on the line x = 4, touching it
     ], ids=str)
     def test_fixed_cases(self, apex, piece, expected):
         """Against the building [4, 6]^2: from its own corner (6, 6), from
-        (8, 4) on the line of its edge y = 4, and from (5, 0) below it."""
+        (8, 4) and (4, 8) on the lines of its edges y = 4 and x = 4, from
+        (5, 0) below it, and from a vertex and an edge of the cell."""
         sc = city_a()
         cell = h_cell(tuple(Point(*p) for p in piece))
         building = h_cell(sc.holes[0].as_cell())
