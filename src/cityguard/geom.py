@@ -257,14 +257,16 @@ Hole = Union[AxisRect, ConvexQuad]
 
 # ---------------------------------------------------------------------------
 # Homogeneous integer cells: the one clipping kernel.  Every cut of a cell
-# (PolygonSet.difference, the residual passes of the verifier and the
-# oracle's face arrangement) runs through h_split below.  h_split first
-# asks _h_apart, a bbox prefilter and then _h_disjoint, the exact
+# by cells (PolygonSet.difference, the residual passes of the verifier and
+# the oracle's rounds through h_subtract, and the oracle's face
+# arrangement) runs through one loop, h_divide below.  Per cutter and
+# piece it first asks a bbox prefilter and then _h_disjoint, the exact
 # separating-axis loop on two cells' vertices and lines, whether their
 # interiors meet at all; pairs that do not are never cut.  Pairs that do
-# are cut by each edge line of the cutter once, with _h_split returning
-# both closed halves from one evaluation of the sides, so the intersection
-# and the pieces outside come out of the same pass.
+# are cut by _h_cut, by each edge line of the cutter once, with _h_split
+# returning both closed halves from one evaluation of the sides, so the
+# part inside the cutter and the pieces outside come out of the same
+# pass.  h_divide returns both halves; h_subtract keeps the outside one.
 #
 # A point is (X, Y, W) with integer components and W > 0, representing
 # (X/W, Y/W).  Sides, orientations and clipping are pure integer
@@ -440,17 +442,6 @@ def _h_normalized(pts):
     return tuple(keep)
 
 
-def _h_apart(c1: HCell, c2: HCell) -> bool:
-    """True iff the interiors of c1 and c2 are disjoint.
-
-    The float bboxes are only a prefilter (they are inflated, so a gap
-    between them is a real gap); `_h_disjoint` decides."""
-    b1, b2 = c1.bbox, c2.bbox
-    if b1[2] <= b2[0] or b2[2] <= b1[0] or b1[3] <= b2[1] or b2[3] <= b1[1]:
-        return True
-    return _h_disjoint(c1.pts, c1.lines, c2.pts, c2.lines)
-
-
 def _h_disjoint(pts1, lines1, pts2, lines2) -> bool:
     """True iff two convex cells, each given by its vertices and its edge
     lines, have disjoint interiors: the separating-axis test in integers.
@@ -508,20 +499,6 @@ def _h_split(cell, line):
     return (tuple(left), tuple(left_lines)), (tuple(right), tuple(right_lines))
 
 
-def h_split(c1: HCell, c2: HCell):
-    """Cut c1 by c2: (c1 and c2 in common as an HCell, or None when that
-    has no area; c1 minus c2 as a list of disjoint HCells).
-
-    Cells whose interiors do not meet are never cut.  Otherwise the
-    intersection has area, so the part of c1 left of each edge line of c2
-    is never empty: what falls right of a line is one outside piece, and
-    what is left after the last line is the intersection."""
-    if _h_apart(c1, c2):
-        return None, [c1]
-    rest, outside = _h_cut(c1, c2)
-    return (c1 if rest[0] is c1.pts else HCell(*rest)), outside
-
-
 def _h_cut(c1: HCell, c2: HCell):
     """Cut c1, which meets c2, by each edge line of c2: the (pts, lines) of
     c1 and c2 in common, and c1 minus c2 as a list of HCells."""
@@ -534,8 +511,16 @@ def _h_cut(c1: HCell, c2: HCell):
     return rest, outside
 
 
-def h_subtract(pieces, cutters):
-    """Subtract every cutter from a list of disjoint HCells, exactly."""
+def h_divide(pieces, cutters):
+    """Cut a list of disjoint HCells by every cutter in turn, exactly:
+    (the parts inside the cutters as (pts, lines), in cut order; the
+    HCells outside them all).
+
+    A piece whose interior does not meet the cutter's (a gap between the
+    inflated float bboxes, then `_h_disjoint`) is kept as it is; any other
+    piece is cut by `_h_cut`, and its part in common with the cutter has
+    area.  A piece inside the cutter is its own inside part."""
+    inside = []
     for c2 in cutters:
         if not pieces:
             break
@@ -547,9 +532,17 @@ def h_subtract(pieces, cutters):
                     or _h_disjoint(c1.pts, c1.lines, c2.pts, c2.lines)):
                 nxt.append(c1)
             else:
-                nxt.extend(_h_cut(c1, c2)[1])
+                rest, outside = _h_cut(c1, c2)
+                inside.append(rest)
+                nxt.extend(outside)
         pieces = nxt
-    return pieces
+    return inside, pieces
+
+
+def h_subtract(pieces, cutters):
+    """Subtract every cutter from a list of disjoint HCells, exactly: the
+    outside half of `h_divide`."""
+    return h_divide(pieces, cutters)[1]
 
 
 def h_sees_all(apex, facing, cell: HCell, blockers) -> bool:

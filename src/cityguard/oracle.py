@@ -28,12 +28,15 @@ Why the answer is exact:
   line, where `sees` accepts a point that no region holds.
 
 `build_faces` refines the base by every candidate region into an exact
-face arrangement; with `exhaustive_min_cover` it is the independent
-cross-check of the lazy oracle, used by the tests and the benchmark's
-checks.  The roof minimum runs the same search on one candidate subset
-per roof.  Lower bounds produced this way are lower bounds within the
-paper's own guard class (wall-aligned vertex guards), which is what the
-necessity theorems quantify over.
+face arrangement, by the same loop that subtracts in each round
+(`h_divide`, of which `h_subtract` is the outside half): the parts of a
+face inside a region join its mask, the parts outside keep the face's.
+With `exhaustive_min_cover` it is the independent cross-check of the
+lazy oracle, used by the tests and the benchmark's checks.  The roof
+minimum runs the same search on one candidate subset per roof.  Lower
+bounds produced this way are lower bounds within the paper's own guard
+class (wall-aligned vertex guards), which is what the necessity theorems
+quantify over.
 """
 
 from __future__ import annotations
@@ -44,8 +47,8 @@ from itertools import combinations
 from typing import Optional
 
 from cityguard.geom import (
-    Point, h_area2, h_cells_contain, h_centroid, h_point, h_split, h_subtract,
-    interior_run,
+    HCell, Point, h_area2, h_cells_contain, h_centroid, h_divide, h_point,
+    h_subtract, interior_run,
 )
 from cityguard.model import (
     City, E, N, S, Scene, Solution, W, hole_guard, p_corner_guard, roof_in_front,
@@ -62,24 +65,18 @@ _P_INWARD = {0: (E, N), 1: (W, N), 2: (W, S), 3: (E, S)}
 
 
 def candidate_set(scene: Scene, include_p_corners: bool = False):
-    """All hole vertices x wall-aligned facings (plus optional P corners)."""
+    """All hole vertices x wall-aligned facings (plus optional P corners).
+
+    Every (anchor, facing) pair comes once: each corner has its own
+    anchor, a hole's four wall-aligned facings are distinct, and so are a
+    P corner's two inward ones."""
     guards = []
     for i, h in enumerate(scene.holes):
         facings = wall_aligned_facings(h)
-        for c in range(4):
-            for f in facings:
-                guards.append(hole_guard(i, c, f))
+        guards += [hole_guard(i, c, f) for c in range(4) for f in facings]
     if include_p_corners:
-        for c in range(4):
-            for f in _P_INWARD[c]:
-                guards.append(p_corner_guard(c, f))
-    seen, out = set(), []
-    for g in guards:
-        key = (g.anchor, g.facing)
-        if key not in seen:
-            seen.add(key)
-            out.append(g)
-    return out
+        guards += [p_corner_guard(c, f) for c in range(4) for f in _P_INWARD[c]]
+    return guards
 
 
 @dataclass(frozen=True)
@@ -96,32 +93,22 @@ class OracleResult:
 
 def build_faces(scene: Scene, candidates, region=None):
     """Refine free space (or a given sub-region) by every candidate region;
-    returns (HCell, mask) faces."""
+    returns (HCell, mask) faces.
+
+    Each face is divided by each candidate's region cells (`h_divide`):
+    the parts inside them join the candidate's mask, in cut order, and the
+    parts outside keep the face's mask."""
     base = free_space(scene) if region is None else region
     faces = [(cell, frozenset()) for cell in base.pieces]
     for ci, cand in enumerate(candidates):
         rcells = visibility_region(scene, cand).cells
         nxt = []
         for (cell, mask) in faces:
-            bb = cell.bbox
-            rest = [cell]
-            covered_pieces = []
-            for rc in rcells:
-                rbb = rc.bbox
-                if bb[2] <= rbb[0] or rbb[2] <= bb[0] or bb[3] <= rbb[1] or rbb[3] <= bb[1]:
-                    continue
-                new_rest = []
-                for piece in rest:
-                    inter, outside = h_split(piece, rc)
-                    if inter is not None:
-                        covered_pieces.append(inter)
-                    new_rest.extend(outside)
-                rest = new_rest
-                if not rest:
-                    break
+            inside, outside = h_divide([cell], rcells)
             bigger = mask | {ci}
-            nxt.extend((p, bigger) for p in covered_pieces)
-            nxt.extend((p, mask) for p in rest)
+            nxt.extend((cell if pts is cell.pts else HCell(pts, lines), bigger)
+                       for pts, lines in inside)
+            nxt.extend((p, mask) for p in outside)
         faces = nxt
     return faces
 

@@ -41,6 +41,7 @@ coverage certificates compare areas, so this loses nothing.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 from functools import cmp_to_key
 from math import atan2, tau
@@ -151,19 +152,7 @@ def visibility_region(scene: Scene, g: Guard) -> VisibilityRegion:
     return vr
 
 
-def _bisect(dirs, d):
-    """The first index of `dirs` whose direction is not before d in
-    `_angular_cmp` order (len(dirs) if none)."""
-    lo, hi = 0, len(dirs)
-    while lo < hi:
-        mid = (lo + hi) // 2
-        if _angular_cmp(dirs[mid], d) < 0:
-            lo = mid + 1
-        else:
-            hi = mid
-    return lo
-
-
+_ANGULAR = cmp_to_key(_angular_cmp)  # the fan's bisection key
 _UNREAD = object()  # a wedge's blocker or a run's triangle not built yet
 
 
@@ -244,7 +233,9 @@ class _Fan:
         e1, e2 = (fy, -fx), (-fy, fx)
         dirs = self.dirs
         nd = len(dirs)
-        a, b = _bisect(dirs, e1), _bisect(dirs, e2)
+        # the first index of a direction not before e1, and not before e2
+        a = bisect_left(dirs, _ANGULAR(e1), key=_ANGULAR)
+        b = bisect_left(dirs, _ANGULAR(e2), key=_ANGULAR)
         at_corner = a < nd and dirs[a] == e1
         if _angular_cmp(e1, e2) > 0:
             b += nd  # the arc passes (1, 0): index k >= nd is dirs[k - nd]

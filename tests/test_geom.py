@@ -8,8 +8,9 @@ from hypothesis import strategies as st
 from cityguard import geom
 from cityguard.errors import MalformedPolygonError
 from cityguard.geom import (
-    CCW, COLLINEAR, CW, AxisRect, Point, PolygonSet, _h_apart, _h_normalized,
-    _h_split, h_cell, h_split, h_subtract, half_plane_contains, interior_run,
+    CCW, COLLINEAR, CW, AxisRect, HCell, Point, PolygonSet, _h_disjoint,
+    _h_normalized, _h_split, h_cell, h_divide, h_subtract, half_plane_contains,
+    interior_run,
     make_axis_rect, make_convex_quad, is_rectangle, orient, primitive_direction,
     rational, rational_str,
 )
@@ -370,22 +371,29 @@ def assert_edge_lines_fit(hc):
                 assert side > 0
 
 
+def divide(piece, cutter):
+    """h_divide with one piece and one cutter: (the inside parts as
+    HCells, the outside HCells)."""
+    inside, outside = h_divide([piece], [cutter])
+    return [HCell(*part) for part in inside], outside
+
+
 class TestSplit:
     @given(split_operands, split_operands)
     @settings(max_examples=400, deadline=None)
     def test_split_matches_fraction_clipper(self, a, b):
         c1, c2 = h_cell(a), h_cell(b)
-        inter, outside = h_split(c1, c2)
+        inside, outside = divide(c1, c2)
         expected = clip_area(a, b)
-        assert _h_apart(c1, c2) == (expected == 0)
-        assert (inter is None) == (expected == 0)
-        if inter is None:
+        assert _h_disjoint(c1.pts, c1.lines, c2.pts, c2.lines) == (expected == 0)
+        assert (not inside) == (expected == 0)
+        assert len(inside) <= 1
+        if not inside:
             assert outside == [c1]  # a cell its cutter does not meet is never cut
         pieces = points(*outside)
-        if inter is not None:
-            inside = points(inter)[0]
-            assert area(inside) == expected == clip_area(inside, b)
-            pieces.append(inside)
+        for part in points(*inside):
+            assert area(part) == expected == clip_area(part, b)
+            pieces.append(part)
         assert sum(area(p) for p in pieces) == area(a)
         for p in pieces:
             assert clip_area(p, a) == area(p)
@@ -400,12 +408,12 @@ class TestSplit:
     def test_pieces_keep_the_cell_invariant(self, a, b, c):
         # pieces are not renormalized, so check them and the pieces of a
         # second cut: strictly convex, no duplicate or collinear vertex
-        inter, outside = h_split(h_cell(a), h_cell(b))
-        pieces = outside + ([inter] if inter is not None else [])
+        inside, outside = divide(h_cell(a), h_cell(b))
+        pieces = outside + inside
         cutter = h_cell(c)
         for piece in list(pieces):
-            inter2, outside2 = h_split(piece, cutter)
-            pieces += outside2 + ([inter2] if inter2 is not None else [])
+            inside2, outside2 = divide(piece, cutter)
+            pieces += outside2 + inside2
         for piece in pieces:
             assert _h_normalized(piece.pts) == piece.pts
             assert area(points(piece)[0]) > 0
@@ -425,14 +433,14 @@ class TestSplit:
         # hypotenuse separates them: no line of the cutter does
         tri = h_cell((Point(0, 0), Point(4, 0), Point(0, 4)))
         square = h_cell((Point(2, 2), Point(5, 2), Point(5, 5), Point(2, 5)))
-        assert _h_apart(tri, square)
-        inter, outside = h_split(tri, square)
-        assert inter is None and outside[0] is tri and len(outside) == 1
+        assert _h_disjoint(tri.pts, tri.lines, square.pts, square.lines)
+        inside, outside = h_divide([tri], [square])
+        assert inside == [] and outside[0] is tri and len(outside) == 1
 
     def test_cell_inside_cutter_is_one_piece(self):
         small = h_cell((Point(1, 1), Point(2, 1), Point(2, 2), Point(1, 2)))
         big = h_cell((Point(0, 0), Point(3, 0), Point(3, 3), Point(0, 3)))
-        assert h_split(small, big) == (small, [])
+        assert h_divide([small], [big]) == ([(small.pts, small.lines)], [])
 
 
 def ref_h_split(cell, line):
@@ -557,8 +565,8 @@ class TestCrossingPoints:
         for cutter in cells[1:]:
             nxt = []
             for piece in pieces:
-                inter, outside = h_split(piece, cutter)
-                nxt += outside + ([inter] if inter is not None else [])
+                inside, outside = divide(piece, cutter)
+                nxt += outside + inside
             pieces = nxt
             assert_within((p.pts for p in pieces), bound)
 

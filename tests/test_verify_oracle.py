@@ -1,3 +1,4 @@
+import hashlib
 import random
 import re
 from fractions import Fraction
@@ -864,8 +865,15 @@ class TestOracle:
         assert certify(sc, res.solution.guards).covered
 
     def test_candidate_count_bound(self):
-        sc = gen_random(GeneratorParams(k=3, seed=1, grid=50))
-        assert len(candidate_set(sc, include_p_corners=True)) <= 16 * 3 + 8
+        # 4 corners x 4 wall-aligned facings per building, 4 x 2 inward
+        # facings at P's corners, every (anchor, facing) pair once
+        scenes = _symmetric_images(gen_random(GeneratorParams(k=3, seed=1, grid=50)))
+        scenes += [gen_3k1_necessity(1), gen_3k1_necessity(2), rot3k1_counterexample()]
+        for sc in scenes:
+            for p_corners in (False, True):
+                cands = candidate_set(sc, include_p_corners=p_corners)
+                assert len(cands) == 16 * sc.k + 8 * p_corners
+                assert len({(g.anchor, g.facing) for g in cands}) == len(cands)
 
     def test_uncoverable_without_candidates(self):
         sc = Scene(bounds=make_axis_rect(0, 0, 10, 10), holes=())
@@ -912,6 +920,24 @@ class TestOracle:
             for p in samples:
                 got = frozenset(i for i, r in enumerate(regions) if r.contains(p))
                 assert got == mask
+
+    @pytest.mark.parametrize("make, digest", [
+        pytest.param(lambda: gen_random(GeneratorParams(k=2, seed=2, grid=40)),
+                     "1f62563d987cfa80bb5db82416c29fd4deda16917fe52bf14fb1cf7b81f082f6",
+                     id="random-k2-seed2"),
+        pytest.param(lambda: gen_random(GeneratorParams(k=3, seed=5, grid=100)),
+                     "e5ca2813a9365ba5f8c29da23c75b20cdc0f63d634ed49b4ab5008359f00a9bb",
+                     id="random-k3-seed5"),
+        pytest.param(lambda: gen_3k1_necessity(1),
+                     "3b0ce527168ac1275661ca2eed7cce4768252d1f286573cd104e2d53bd99a22d",
+                     id="rot3k1-k1"),
+    ])
+    def test_faces_are_pinned(self, make, digest):
+        # every face's vertices, lines and mask, in the arrangement's order
+        sc = make()
+        faces = build_faces(sc, candidate_set(sc, include_p_corners=True))
+        doc = repr([(cell.pts, cell.lines, sorted(mask)) for cell, mask in faces])
+        assert hashlib.sha256(doc.encode()).hexdigest() == digest
 
     def test_faces_tile_free_space(self):
         scenes = [gen_random(GeneratorParams(k=k, seed=seed, grid=30))
