@@ -521,6 +521,20 @@ def h_divide(pieces, cutters):
     piece is cut by `_h_cut`, and its part in common with the cutter has
     area.  A piece inside the cutter is its own inside part."""
     inside = []
+    outside = _h_divide(pieces, cutters, inside)
+    return inside, outside
+
+
+def h_subtract(pieces, cutters):
+    """Subtract every cutter from a list of disjoint HCells, exactly: the
+    outside half of `h_divide`, whose inside parts are dropped as they are
+    made."""
+    return _h_divide(pieces, cutters, None)
+
+
+def _h_divide(pieces, cutters, inside):
+    """The loop of `h_divide`: returns the outside HCells and appends each
+    inside part to `inside`, unless it is None."""
     for c2 in cutters:
         if not pieces:
             break
@@ -533,16 +547,11 @@ def h_divide(pieces, cutters):
                 nxt.append(c1)
             else:
                 rest, outside = _h_cut(c1, c2)
-                inside.append(rest)
+                if inside is not None:
+                    inside.append(rest)
                 nxt.extend(outside)
         pieces = nxt
-    return inside, pieces
-
-
-def h_subtract(pieces, cutters):
-    """Subtract every cutter from a list of disjoint HCells, exactly: the
-    outside half of `h_divide`."""
-    return h_divide(pieces, cutters)[1]
+    return pieces
 
 
 def h_sees_all(apex, facing, cell: HCell, blockers) -> bool:

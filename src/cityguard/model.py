@@ -214,7 +214,10 @@ def roof_covered_by(scene: Scene, i: int, g: Guard) -> bool:
     a guard anywhere else does not."""
     if g.anchor[0] != "hole" or g.anchor[1] != i:
         return False
-    return roof_in_front(scene.holes[i].corners(), g.position(scene), g.facing)
+    if not (0 <= i < scene.k and 0 <= g.anchor[2] < 4):
+        g.position(scene)  # raises ValueError: no such corner
+    corners = scene.holes[i].corners()
+    return roof_in_front(corners, corners[g.anchor[2]], g.facing)
 
 
 def roof_flags(scene: Scene, guards) -> tuple:

@@ -147,43 +147,66 @@ def _region_se_corner(rects) -> Point:
     return Point(x_right, y_min)
 
 
-def _partition_regions(scene: Scene):
-    anchors = {}  # corner -> anchor; hole corners first, then P's corners
+def _anchor_guards(scene: Scene) -> dict:
+    """The partition's anchors, read off the buildings: each region's SE
+    corner mapped to the guard there facing West, in guard order.  They
+    are the SW corner of every building off P's West side, the NE corner
+    of every building below P's top, and P's SE corner unless a
+    building's SE corner lies on it: a building on a side of P, as in
+    the sub-scenes of Cases 0-4, leaves no region at its corner there.
+    A point that is two corners is named by its building."""
+    b = scene.bounds
+    anchors = {}
     for i, h in enumerate(scene.holes):
-        for c, p in enumerate(h.corners()):
-            anchors.setdefault(p, ("hole", i, c))
-    for c, p in enumerate(scene.bounds.corners()):
-        anchors.setdefault(p, ("p", c))
-    regions = []
-    for rects in _orthogonal_partition(scene):
-        se = _region_se_corner(rects)
-        if se not in anchors:
-            raise PlacementIncompleteError(f"partition corner {se} is not a vertex")
-        regions.append(PartitionRegion(anchor_guard=Guard(anchor=anchors[se], facing=W),
-                                       rects=tuple(sorted(rects))))
-    regions.sort(key=lambda r: (r.anchor_guard.anchor, r.anchor_guard.facing))
-    return regions
+        if h.x0 > b.x0:
+            anchors.setdefault(Point(h.x0, h.y0), ("hole", i, 0))
+        if h.y1 < b.y1:
+            anchors.setdefault(Point(h.x1, h.y1), ("hole", i, 2))
+    if not any(h.x1 == b.x1 and h.y0 == b.y0 for h in scene.holes):
+        anchors.setdefault(Point(b.x1, b.y0), ("p", 1))
+    return {p: Guard(anchor=a, facing=W)
+            for p, a in sorted(anchors.items(), key=lambda item: item[1])}
 
 
-def partition_2k1(scene: Scene):
-    """The 2k+1 monotone-staircase partition of free space."""
+def _checked_anchors(scene: Scene):
+    """The validated scene and its 2k+1 anchors (`_anchor_guards`)."""
     scene = validate_scene(scene)
     require_general_position(scene)
     if scene.kind != AXIS_ALIGNED:
         raise ValueError("partition is defined for axis-aligned scenes")
-    regions = _partition_regions(scene)
-    if len(regions) != 2 * scene.k + 1:
+    anchors = _anchor_guards(scene)
+    if len(anchors) != 2 * scene.k + 1:
         raise PlacementIncompleteError(
-            f"partition produced {len(regions)} regions, expected {2 * scene.k + 1}")
+            f"partition has {len(anchors)} anchors, expected {2 * scene.k + 1}")
+    return scene, anchors
+
+
+def partition_2k1(scene: Scene):
+    """The 2k+1 monotone-staircase partition of free space.  Each face of
+    the grid partition is named by its SE corner, which must be one of
+    the anchors read off the buildings, each taken once."""
+    scene, anchors = _checked_anchors(scene)
+    regions = []
+    for rects in _orthogonal_partition(scene):
+        se = _region_se_corner(rects)
+        if se not in anchors:
+            raise PlacementIncompleteError(f"partition corner {se} is not an anchor")
+        regions.append(PartitionRegion(anchor_guard=anchors[se],
+                                       rects=tuple(sorted(rects))))
+    regions.sort(key=lambda r: (r.anchor_guard.anchor, r.anchor_guard.facing))
+    if [r.anchor_guard for r in regions] != list(anchors.values()):
+        raise PlacementIncompleteError(
+            f"partition produced {len(regions)} regions, expected one at each "
+            f"of its {len(anchors)} anchors")
     return regions
 
 
 def guards_2k1(scene: Scene) -> Solution:
     """<= 2k+1 guards, each at a region's SE corner facing West; at most one
-    guard sits on a corner of the bounding rectangle."""
-    regions = partition_2k1(scene)
-    guards = tuple(r.anchor_guard for r in regions)
-    sol = Solution(algorithm="walls-2k1", guards=guards)
+    guard sits on a corner of the bounding rectangle.  The corners are read
+    off the buildings (`_anchor_guards`); no partition is built."""
+    scene, anchors = _checked_anchors(scene)
+    sol = Solution(algorithm="walls-2k1", guards=tuple(anchors.values()))
     if sol.p_corner_count() > 1:
         raise PlacementIncompleteError("more than one bounding-rectangle guard")
     if not covers(scene, sol.guards):
@@ -225,8 +248,7 @@ def _hole_vertex_partition_guards(scene: Scene, replace_with) -> list:
     """Partition guards with the (single) P-corner guard replaced."""
     guards = []
     replaced = False
-    for region in _partition_regions(scene):
-        g = region.anchor_guard
+    for g in _anchor_guards(scene).values():
         if g.on_hole():
             guards.append(g)
         else:
@@ -235,7 +257,7 @@ def _hole_vertex_partition_guards(scene: Scene, replace_with) -> list:
             guards.extend(replace_with())
             replaced = True
     if not replaced:
-        # boundary-degenerate frames can merge the corner region away
+        # a building on P's SE corner leaves no region, so no anchor, there
         guards.extend(replace_with())
     return guards
 

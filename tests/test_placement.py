@@ -2,19 +2,23 @@ from fractions import Fraction
 
 import pytest
 
-from cityguard.geom import Point, make_axis_rect
+from cityguard.errors import PlacementIncompleteError
+from cityguard.geom import AxisRect, Point, make_axis_rect
 from cityguard.instances import GeneratorParams, gen_random, gen_random_city
 from cityguard.io import parse_city
 from cityguard.model import (
-    City, Scene, Solution, W, hole_guard, p_corner_guard, roof_covered_by, rotate_scene_ccw,
+    City, Guard, Scene, Solution, W, hole_guard, p_corner_guard, roof_covered_by,
+    rotate_scene_ccw,
 )
+import cityguard.placement as placement
 from cityguard.placement import (
-    ALLOW_P_CORNER, BUILDINGS_ONLY, _partition_walls, city_guarding, guards_2k1,
-    guards_main, partition_2k1, roof_guarding,
+    ALLOW_P_CORNER, BUILDINGS_ONLY, _anchor_guards, _orthogonal_partition,
+    _partition_walls, city_guarding, guards_2k1, guards_main, partition_2k1,
+    roof_guarding,
 )
 from cityguard.staircase import staircase_sharing
 from cityguard.verify import certify, certify_city, free_space
-from references import boundary, is_xy_monotone
+from references import boundary, is_xy_monotone, mirror_scene
 
 
 def city_a():
@@ -139,6 +143,108 @@ class TestPartitionDefinition:
             for seed in (3, 8):
                 sc = gen_random(GeneratorParams(k=k, seed=100 * k + seed, grid=1000))
                 _check_partition_definition(rotate_scene_ccw(sc, t))
+
+
+def _grid_anchors(frame):
+    """The guards at the SE corners of the grid partition's faces, facing
+    W, sorted; a corner is named by the first building corner on it, else
+    by P's corner."""
+    names = {}
+    for i, h in enumerate(frame.holes):
+        for c, p in enumerate(h.corners()):
+            names.setdefault(p, ("hole", i, c))
+    for c, p in enumerate(frame.bounds.corners()):
+        names.setdefault(p, ("p", c))
+    guards = []
+    for rects in _orthogonal_partition(frame):
+        x_right = max(r.x1 for r in rects)
+        se = Point(x_right, min(r.y0 for r in rects if r.x1 == x_right))
+        guards.append(Guard(anchor=names[se], facing=W))
+    return sorted(guards)
+
+
+def _check_anchor_rule(frame):
+    anchors = _anchor_guards(frame)
+    assert list(anchors.values()) == _grid_anchors(frame)
+    assert all(g.position(frame) == p for p, g in anchors.items())
+
+
+def _snapped_frames(sc):
+    """Frames of `sc` with one building moved onto one or two sides of P,
+    kept where it stays apart from every other building."""
+    b = sc.bounds
+    for i, h in enumerate(sc.holes):
+        for sides in ("W", "N", "E", "S", "ES", "EN", "WS", "WN", "WE", "NS"):
+            snapped = AxisRect(b.x0 if "W" in sides else h.x0, b.y0 if "S" in sides else h.y0,
+                               b.x1 if "E" in sides else h.x1, b.y1 if "N" in sides else h.y1)
+            others = sc.holes[:i] + sc.holes[i + 1:]
+            if all(o.x1 < snapped.x0 or snapped.x1 < o.x0 or o.y1 < snapped.y0
+                   or snapped.y1 < o.y0 for o in others):
+                yield Scene(bounds=b, holes=sc.holes[:i] + (snapped,) + sc.holes[i + 1:])
+
+
+class TestAnchorRule:
+    """The anchors read off the buildings are those of the grid partition."""
+
+    def test_random_scenes(self):
+        for k in range(24):
+            for seed in (1, 6):
+                _check_anchor_rule(gen_random(GeneratorParams(k=k, seed=100 * k + seed,
+                                                              grid=1000)))
+
+    def test_frames_of_cases_0_to_4(self, monkeypatch):
+        frames = []
+        inner = placement._hole_vertex_partition_guards
+
+        def recording(scene, replace_with):
+            frames.append(scene)
+            return inner(scene, replace_with)
+
+        monkeypatch.setattr(placement, "_hole_vertex_partition_guards", recording)
+        scenes = _case_scenes() + [_case3ii_city(t).scene for t in range(4)]
+        for sc in scenes:
+            guards_main(sc)
+        on_a_side = [f for f in frames if any(
+            h.x0 == f.bounds.x0 or h.y0 == f.bounds.y0 or h.x1 == f.bounds.x1
+            or h.y1 == f.bounds.y1 for h in f.holes)]
+        assert len(frames) >= len(scenes) and on_a_side
+        for frame in scenes + frames:
+            _check_anchor_rule(frame)
+
+    def test_buildings_on_sides_of_p(self):
+        frames = [Scene(bounds=make_axis_rect(0, 0, 100, 100),
+                        holes=(make_axis_rect(10, 50, 30, 70), make_axis_rect(60, 0, 100, 30)))]
+        for k in range(1, 7):
+            for seed in range(4):
+                frames.extend(_snapped_frames(
+                    gen_random(GeneratorParams(k=k, seed=10 * k + seed, grid=1000))))
+        on_se = [f for f in frames if any(
+            (h.x1, h.y0) == (f.bounds.x1, f.bounds.y0) for h in f.holes)]
+        assert len(on_se) >= 10
+        for frame in frames:
+            _check_anchor_rule(frame)
+
+    def test_partition_checks_the_rule(self, monkeypatch):
+        sc = city_b()
+
+        def moved(scene):
+            # building 0's NE anchor moved to its NW corner
+            anchors = _anchor_guards(scene)
+            del anchors[scene.holes[0].corners()[2]]
+            anchors[scene.holes[0].corners()[3]] = hole_guard(0, 3, W)
+            return anchors
+
+        monkeypatch.setattr(placement, "_anchor_guards", moved)
+        with pytest.raises(PlacementIncompleteError, match="not an anchor"):
+            partition_2k1(sc)
+
+    def test_guards_2k1_are_the_partition_anchors_on_eight_symmetries(self):
+        for sc in (city_b(), gen_random(GeneratorParams(k=9, seed=21, grid=1000))):
+            for image in (sc, mirror_scene(sc)):
+                for t in range(4):
+                    s = rotate_scene_ccw(image, t)
+                    assert guards_2k1(s).guards == \
+                        tuple(r.anchor_guard for r in partition_2k1(s))
 
 
 class TestGuards2k1:
