@@ -166,9 +166,15 @@ def check_general_position(scene: Scene):
     return bad
 
 
+# The kernel is exact, but its prefilters read coordinates, and differences
+# of two, as floats; within this bound every such value fits a float.
+MAX_COORDINATE = 10 ** 300
+
+
 def validate_scene(scene: Scene) -> Scene:
-    """Check a Scene: its holes are rectangles strictly inside the bounds
-    and pairwise disjoint.  A scene document is parsed by io.parse_city.
+    """Check a Scene: its bounds lie within +-MAX_COORDINATE, and its holes
+    are rectangles strictly inside the bounds and pairwise disjoint.  A
+    scene document is parsed by io.parse_city.
 
     Raises SceneValidationError carrying every violation found.
     """
@@ -176,6 +182,8 @@ def validate_scene(scene: Scene) -> Scene:
         raise TypeError(f"validate_scene takes a Scene, got {type(scene).__name__}")
     bounds, holes = scene.bounds, scene.holes
     violations = []
+    if any(abs(c) > MAX_COORDINATE for c in bounds):
+        violations.append(("COORDINATE_OUT_OF_RANGE", ("bounds",)))
     for i, h in enumerate(holes):
         if isinstance(h, ConvexQuad) and not is_rectangle(h):
             violations.append(("NOT_A_RECTANGLE", (i,)))

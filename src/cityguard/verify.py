@@ -5,7 +5,16 @@ visibility regions, computed exactly.  covered <=> the residual has zero
 area.  For cities the certificate additionally records a per-building
 roof flag (roof covered by a guard on that same building).
 
-The pass takes free space a piece at a time.  The sight segments from a
+The pass takes free space a piece at a time.  The pieces are the free
+intervals of column strips between consecutive x-lines, which a guard
+facing E or W can prove whole.  When most guards of an axis-aligned
+scene face N or S, a first pass tries to prove the set on row strips
+between consecutive y-lines instead, splitting at x = c where the column
+pass splits at y = c below; if every row piece is proven, the set is
+covered and the residual empty.  At the first row piece no guard proves,
+the column pass runs as if the rows had not been tried, so an uncovered
+set's residual and witness are the column pass's, cell for cell.  The
+guards alone choose the axis.  The sight segments from a
 guard to a convex piece fill the hull of the guard and the piece, so the
 guard sees all of the piece iff the piece lies in the guard's closed
 half-plane and no building's open interior meets that hull.  The hull,
@@ -91,19 +100,26 @@ def free_space(scene: Scene) -> PolygonSet:
     return region.difference(PolygonSet(tuple(h.as_cell() for h in scene.holes)))
 
 
-def _axis_free_cells(b: AxisRect, holes):
-    """One CCW rectangle HCell per free interval of each column between
-    consecutive x-lines."""
-    xs = sorted({b.x0, b.x1} | {h.x0 for h in holes} | {h.x1 for h in holes})
+def _axis_free_cells(b: AxisRect, holes, rows=False):
+    """One CCW rectangle HCell per free interval of each strip: columns
+    between consecutive x-lines, or with `rows` rows between consecutive
+    y-lines.  `uv` reads a rectangle as (u0, v0, u1, v1), u across the
+    strips and v along them."""
+    def uv(r):
+        return (r.y0, r.x0, r.y1, r.x1) if rows else r
+    u0, v0, u1, v1 = uv(b)
+    spans = [uv(h) for h in holes]
+    us = sorted({u0, u1} | {s[0] for s in spans} | {s[2] for s in spans})
     cells = []
-    for xl, xr in zip(xs, xs[1:]):
-        blocked = sorted((h.y0, h.y1) for h in holes if h.x0 <= xl and xr <= h.x1)
-        y = b.y0
-        for (lo, hi) in blocked + [(b.y1, b.y1)]:
-            if y < lo:
-                ring = ((xl, y), (xr, y), (xr, lo), (xl, lo))
+    for ul, ur in zip(us, us[1:]):
+        blocked = sorted((s[1], s[3]) for s in spans if s[0] <= ul and ur <= s[2])
+        v = v0
+        for (lo, hi) in blocked + [(v1, v1)]:
+            if v < lo:
+                ring = (((v, ul), (lo, ul), (lo, ur), (v, ur)) if rows else
+                        ((ul, v), (ur, v), (ur, lo), (ul, lo)))
                 cells.append(HCell(tuple(map(h_point, ring))))
-            y = max(y, hi)
+            v = max(v, hi)
     return cells
 
 
@@ -136,9 +152,12 @@ def _compute(scene: Scene, guards: tuple) -> Certificate:
     sights = _sights(scene, guards)
     index = _by_facing(sights)
     buildings = [h_cell(h.as_cell()) for h in scene.holes]
+    # a set proven on rows has no residual; any other takes the column pass
+    pieces = () if _rows_proven(scene, guards, index, sights, buildings) else \
+        free_space(scene).pieces
     levels = _levels(scene)
     residual = []
-    for piece in free_space(scene).pieces:
+    for piece in pieces:
         held, front = _held_and_front(index, piece)
         if not _proven(piece, held, index, sights, buildings, levels):
             rest = [piece]
@@ -153,6 +172,17 @@ def _compute(scene: Scene, guards: tuple) -> Certificate:
     witness = _witness(max(residual, key=h_area2), sights) if residual else None
     return Certificate(covered=not residual, residual=PolygonSet.of_hcells(residual),
                        witness=witness, scene=scene, guards=guards)
+
+
+def _rows_proven(scene: Scene, guards, index, sights, buildings) -> bool:
+    """Do most guards face N or S, in an axis-aligned scene, and does every
+    row piece have a proof?  Such guards prove rows whole where columns
+    must be split; False at the first row piece that no guard proves."""
+    if scene.kind != AXIS_ALIGNED or 2 * sum(g.facing[0] == 0 for g in guards) <= len(guards):
+        return False
+    levels = _levels(scene, rows=True)
+    return all(_proven(piece, None, index, sights, buildings, levels, rows=True)
+               for piece in _axis_free_cells(scene.bounds, scene.holes, rows=True))
 
 
 def _sights(scene: Scene, guards):
@@ -194,21 +224,24 @@ def _held_and_front(index, cell: HCell):
     return held, front
 
 
-def _levels(scene: Scene):
-    """The distinct y of the buildings' corners, in increasing order."""
-    return sorted({p.y for h in scene.holes for p in h.corners()})
+def _levels(scene: Scene, rows=False):
+    """The distinct y of the buildings' corners, or with `rows` their
+    distinct x, in increasing order: the lines that cut a strip's parts."""
+    axis = 0 if rows else 1
+    return sorted({p[axis] for h in scene.holes for p in h.corners()})
 
 
-def _proven(piece: HCell, held, index, sights, buildings, levels) -> bool:
+def _proven(piece: HCell, held, index, sights, buildings, levels, rows=False) -> bool:
     """Is the piece covered by parts that each one guard proves?  A part is
     tried on its holders, nearest its bbox first (0 on or in it), ties in
     guard order: the float distance only orders the exact proofs over the
-    same holders.  The piece's holders `held` are given; a part's come
-    from the facing `index` of the `sights`.  A part that none proves is
-    cut along the middle of the building `levels` y = c strictly between
-    its lowest and highest vertex, and its halves are tried in turn; the
-    proven parts tile the piece.  False at the first part that no guard
-    proves and no level crosses."""
+    same holders.  The piece's holders `held` are given, or None; a
+    part's come from the facing `index` of the `sights`.  A part that none
+    proves is cut along the middle of the building `levels` that cross it
+    strictly, the lines y = c on columns or, with `rows`, x = c, and its
+    halves are tried in turn; the proven parts tile the piece.  False at
+    the first part that no guard proves and no level crosses."""
+    axis = 0 if rows else 1
     stack = [(piece, held)]
     while stack:
         part, held = stack.pop()
@@ -227,13 +260,14 @@ def _proven(piece: HCell, held, index, sights, buildings, levels) -> bool:
         nearest = sorted((sights[i] for i in held), key=gap2)
         if any(h_sees_all(a, f, part, buildings) for a, f, _ in nearest):
             continue
-        ys = [h_to_point(p).y for p in part.pts]
-        lo, hi = bisect_right(levels, min(ys)), bisect_left(levels, max(ys))
+        cs = [h_to_point(p)[axis] for p in part.pts]
+        lo, hi = bisect_right(levels, min(cs)), bisect_left(levels, max(cs))
         if lo == hi:
             return False
         c = Fraction(levels[(lo + hi) // 2])
-        above, below = _h_split((part.pts, part.lines), (0, c.denominator, -c.numerator))
-        stack += [(HCell(*below), None), (HCell(*above), None)]
+        line = (c.denominator, 0, -c.numerator) if rows else (0, c.denominator, -c.numerator)
+        beyond, before = _h_split((part.pts, part.lines), line)
+        stack += [(HCell(*before), None), (HCell(*beyond), None)]
     return True
 
 

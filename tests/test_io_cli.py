@@ -324,6 +324,31 @@ class TestCli:
         assert self.run("solve", "--algo", "roof", "--in", str(bad),
                         "--out", str(out)) == 2
 
+    @pytest.mark.parametrize("command", ["solve", "verify", "oracle"])
+    def test_coordinates_past_the_float_range_exit_2(self, tmp_path, capsys, command):
+        """A k = 3 city shifted by 10^309, past what a float holds, is
+        refused at validation with one line and exit 2."""
+        scene, shifted, sol = tmp_path / "s.json", tmp_path / "far.json", tmp_path / "g.json"
+        assert self.run("gen", "--family", "random", "--k", "3", "--seed", "5",
+                        "--grid", "40", "--out", str(scene)) == 0
+        assert self.run("solve", "--algo", "walls-2k1", "--in", str(scene),
+                        "--out", str(sol)) == 0
+        doc = json.loads(scene.read_text())
+        far = 10 ** 309
+        doc["bounds"] = [int(v) + far for v in doc["bounds"]]
+        for b in doc["buildings"]:
+            b["base"] = [int(v) + far for v in b["base"]]
+        shifted.write_text(json.dumps(doc))
+        capsys.readouterr()
+        argv = {"solve": ["solve", "--algo", "walls-2k1", "--in", str(shifted),
+                          "--out", str(tmp_path / "o.json")],
+                "verify": ["verify", "--scene", str(shifted), "--solution", str(sol)],
+                "oracle": ["oracle", "--scene", str(shifted), "--max", "7"]}[command]
+        assert self.run(*argv) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.splitlines() == ["validation error: COORDINATE_OUT_OF_RANGE('bounds',)"]
+
     def test_oracle_cli(self, tmp_path):
         scene = tmp_path / "s.json"
         save_city(parse_city(city_a_doc()), scene)

@@ -45,6 +45,18 @@ class TestValidation:
                         "buildings": [{"base": [0, 4, 2, 6], "height": 1}]})
         assert ("HOLE_TOUCHES_BOUNDARY", (0,)) in e.value.violations
 
+    def test_coordinates_past_the_float_range(self):
+        """Bounds within +-10^300 pass; a bound past it is refused, since
+        the kernel's float prefilters could not hold it."""
+        top = 10 ** 300
+        validate_scene(Scene(bounds=AxisRect(-top, -top, top, top),
+                             holes=(AxisRect(-1, -1, 1, 1),)))
+        for bounds in (AxisRect(0, 0, top + 1, 10), AxisRect(-10 ** 309, 0, 10, 10),
+                       AxisRect(0, Fraction(-2 * top - 1, 2), 10, 10)):
+            with pytest.raises(SceneValidationError) as e:
+                validate_scene(Scene(bounds=bounds, holes=()))
+            assert e.value.violations == [("COORDINATE_OUT_OF_RANGE", ("bounds",))]
+
     def test_not_a_rectangle(self):
         with pytest.raises(SceneValidationError) as e:
             parse_city({"bounds": [0, 0, 10, 10],

@@ -22,8 +22,8 @@ from cityguard.instances import (
 )
 from cityguard.io import certificate_doc, parse_city
 from cityguard.model import (
-    City, E, N, S, Scene, Solution, W, hole_guard, p_corner_guard, roof_covered_by,
-    rotate_guards, rotate_scene_ccw,
+    AXIS_ALIGNED, City, E, N, S, Scene, Solution, W, hole_guard, p_corner_guard,
+    roof_covered_by, rotate_guards, rotate_scene_ccw,
 )
 from cityguard.oracle import (
     INFEASIBLE_WITHIN, OPTIMAL, UNCOVERABLE, build_faces, candidate_set,
@@ -384,10 +384,15 @@ class TestCertifyMetamorphic:
         """Quarter turns and integer translations keep the verdict and the
         residual area; scaling by s keeps the verdict and multiplies the
         area by s^2.  Residual cell counts are not compared: the cells may
-        be cut differently."""
+        be cut differently.  The `guards_2k1` set faces W and the
+        `guards_main` set mostly N or S, or E or W in a rotated frame, each
+        full and one short, so a quarter turn moves each set's proof from
+        one strip axis to the other."""
         sc = gen_random(GeneratorParams(k=k, seed=seed, grid=200))
         guards = list(guards_2k1(sc).guards)
-        for gs in (guards, guards[:drop % len(guards)] + guards[drop % len(guards) + 1:]):
+        main = list(guards_main(sc).guards)
+        for gs in (guards, guards[:drop % len(guards)] + guards[drop % len(guards) + 1:],
+                   main, main[:drop % len(main)] + main[drop % len(main) + 1:]):
             base = certify(sc, gs)
             _assert_witness_unseen(sc, gs, base)
             area = base.residual.area()
@@ -400,7 +405,26 @@ class TestCertifyMetamorphic:
                 assert cert.covered == base.covered
                 assert cert.residual.area() == area * factor ** 2
                 _assert_witness_unseen(scene, image_guards, cert)
-        assert certify(sc, guards).covered
+        assert certify(sc, guards).covered and certify(sc, main).covered
+
+    @pytest.mark.parametrize("s,dx,dy", [(1, 10**17, 10**17), (1, 2**53 + 1, -2**60),
+                                         (Fraction(1, 10**400), 0, 0)],
+                             ids=["1e17", "2^53+1", "1e-400"])
+    def test_float_hostile_images_keep_verdict_and_area(self, s, dx, dy):
+        """A shift that floats cannot add exactly, or a scale below the
+        smallest float, keeps the verdict, the residual area (times s^2)
+        and an unseen witness: the floats only prefilter.  Both
+        placements, full and one short, on two k = 6 cities."""
+        for seed in (0, 1):
+            sc = gen_random(GeneratorParams(k=6, seed=seed, grid=200))
+            image = scaled_and_shifted(sc, s, dx, dy)
+            for algorithm in (guards_2k1, guards_main):
+                gs = list(algorithm(sc).guards)
+                for guards in (gs, gs[:len(gs) // 2] + gs[len(gs) // 2 + 1:]):
+                    base, cert = certify(sc, guards), certify(image, guards)
+                    assert (cert.covered, cert.residual.area()) == \
+                        (base.covered, base.residual.area() * s * s)
+                    _assert_witness_unseen(image, guards, cert)
 
     @given(st.integers(1, 6), st.integers(0, 10**6), st.integers(0, 12))
     @settings(max_examples=15, deadline=None)
@@ -626,17 +650,27 @@ def _anchors(scene):
              for f in _FACINGS] + [p_corner_guard(c, f) for c in range(4) for f in _FACINGS])
 
 
-def _pieces_and_level_parts(scene):
-    """The free-space pieces, and both halves of each piece at every
-    building level that crosses it strictly."""
-    levels = verify._levels(scene)
+def _strip_pieces(scene, rows):
+    """The free-space pieces on columns, or with `rows` on rows in an
+    axis-aligned scene."""
+    if rows and scene.kind == AXIS_ALIGNED:
+        return verify._axis_free_cells(scene.bounds, scene.holes, rows=True)
+    return free_space(scene).pieces
+
+
+def _pieces_and_level_parts(scene, rows):
+    """The free-space pieces on the strip axis, and both halves of each
+    piece at every building level across it (y = c on columns, x = c on
+    rows) that crosses it strictly."""
+    levels = verify._levels(scene, rows=rows)
+    axis = 0 if rows else 1
     cells = []
-    for piece in free_space(scene).pieces:
+    for piece in _strip_pieces(scene, rows):
         cells.append(piece)
-        ys = [h_to_point(p).y for p in piece.pts]
-        for c in (Fraction(c) for c in levels if min(ys) < c < max(ys)):
-            halves = _h_split((piece.pts, piece.lines), (0, c.denominator, -c.numerator))
-            cells += [HCell(*half) for half in halves]
+        cs = [h_to_point(p)[axis] for p in piece.pts]
+        for c in (Fraction(c) for c in levels if min(cs) < c < max(cs)):
+            line = (c.denominator, 0, -c.numerator) if rows else (0, c.denominator, -c.numerator)
+            cells += [HCell(*half) for half in _h_split((piece.pts, piece.lines), line)]
     return cells
 
 
@@ -647,11 +681,11 @@ class TestFacingIndex:
 
     @staticmethod
     def check(scene, guards):
-        """Assert the index agrees on every piece and level part; the
-        number of cells with a vertex whose W is not 1."""
+        """Assert the index agrees on every piece and level part, on both
+        strip axes; the number of cells with a vertex whose W is not 1."""
         sights = verify._sights(scene, guards)
         index = verify._by_facing(sights)
-        cells = _pieces_and_level_parts(scene)
+        cells = _pieces_and_level_parts(scene, False) + _pieces_and_level_parts(scene, True)
         for cell in cells:
             assert verify._held_and_front(index, cell) == side_table(sights, cell)
         return sum(any(p[2] != 1 for p in cell.pts) for cell in cells)
@@ -683,31 +717,80 @@ class TestSplitProof:
     its parts are proven by hull (`verify._proven`); a piece so proven
     needs no region.  `h_sees_all` tests the hull as bare lines."""
 
-    @pytest.mark.parametrize("k", [16, 22, 28])
-    @pytest.mark.parametrize("seed", range(3))
-    def test_covered_placements_sweep_no_region(self, monkeypatch, k, seed):
-        sc = gen_random(GeneratorParams(k=k, seed=seed, grid=1000))
+    @staticmethod
+    def spy(monkeypatch):
+        """Record every verdict of `verify._proven` and every split it makes."""
         prove, split = verify._proven, verify._h_split
         proofs, splits = [], []
         monkeypatch.setattr(verify, "_proven",
-                            lambda *args: proofs.append(prove(*args)) or proofs[-1])
+                            lambda *args, **kw: proofs.append(prove(*args, **kw)) or proofs[-1])
         monkeypatch.setattr(verify, "_h_split",
                             lambda *args: splits.append(args) or split(*args))
+        return proofs, splits
+
+    @pytest.mark.parametrize("k", [16, 22, 28])
+    @pytest.mark.parametrize("seed", range(3))
+    def test_covered_placements_sweep_no_region(self, monkeypatch, k, seed):
+        """`guards_2k1` faces W and is proven on columns; most of
+        `guards_main` faces N or S, or E or W in a rotated frame, and is
+        proven on the strips it faces along.  Every strip piece is proven
+        whole, with no split."""
+        sc = gen_random(GeneratorParams(k=k, seed=seed, grid=1000))
+        proofs, splits = self.spy(monkeypatch)
         for algorithm in (guards_2k1, guards_main):
             guards = algorithm(sc).guards
             monkeypatch.setattr(visibility, "_cache", (None, {}, {}))
             assert certify(sc, guards).covered
             assert visibility._cache[1] == {}
         assert all(proofs)
-        if k == 16:
-            assert splits  # guards_main leaves pieces to the split proof here
+        assert not splits
 
+    def test_oracle_set_is_proven_by_splits(self, monkeypatch):
+        """The oracle's OPTIMAL set on a k = 8 city, four guards facing E
+        and W, is proven on columns, but not each column whole: pieces
+        are split at building levels, and the parts' proofs cover free
+        space with no region swept."""
+        sc = gen_random(GeneratorParams(k=8, seed=1, grid=1000))
+        res = optimal_guard_count(sc, candidate_set(sc, include_p_corners=True), 17)
+        assert res.status == OPTIMAL
+        proofs, splits = self.spy(monkeypatch)
+        monkeypatch.setattr(visibility, "_cache", (None, {}, {}))
+        assert certify(sc, res.solution.guards).covered
+        assert visibility._cache[1] == {}
+        assert all(proofs) and splits
+
+    @pytest.mark.parametrize("k,seed", [(16, 0), (12, 1)])
+    def test_uncovered_rows_fall_back_to_columns(self, monkeypatch, k, seed):
+        """A `guards_main` set without its middle guard, mostly facing N or
+        S, is tried on rows first; at the first row piece no guard proves,
+        the column pass runs, and the residual and witness are those of a
+        column pass alone, cell for cell."""
+        sc = gen_random(GeneratorParams(k=k, seed=seed, grid=1000))
+        main = list(guards_main(sc).guards)
+        short = main[:len(main) // 2] + main[len(main) // 2 + 1:]
+        assert 2 * sum(g.facing[0] == 0 for g in short) > len(short)
+        prove, axes = verify._proven, []
+        monkeypatch.setattr(verify, "_proven",
+                            lambda *args, rows=False: axes.append(rows) or prove(*args, rows=rows))
+        monkeypatch.setattr(visibility, "_cache", (None, {}, {}, [None]))
+        cert = certify(sc, short)
+        assert not cert.covered and set(axes) == {True, False}
+        monkeypatch.setattr(verify, "_rows_proven", lambda *args: False)
+        monkeypatch.setattr(visibility, "_cache", (None, {}, {}, [None]))
+        columns = certify(sc, short)
+        assert _cells(cert.residual.pieces) == _cells(columns.residual.pieces)
+        assert cert.witness == columns.witness
+        _assert_witness_unseen(sc, short, cert)
+
+    @pytest.mark.parametrize("rows", [False, True], ids=["columns", "rows"])
     @given(st.integers(1, 5), st.integers(0, 10**6), st.data())
     @settings(max_examples=60, deadline=None)
-    def test_split_proof_leaves_nothing_to_cut(self, k, seed, data):
-        """Whenever the split proof holds, cutting the piece by every
-        guard's region leaves nothing; the guards stand at any corner,
-        facing along a wall or askew."""
+    def test_split_proof_leaves_nothing_to_cut(self, rows, k, seed, data):
+        """Whenever the split proof holds, on column or row pieces split at
+        the levels across them, cutting the piece by every guard's region
+        leaves nothing; the guards stand at any corner, facing along a wall
+        or askew.  A rotated scene's pieces are its column pieces, split at
+        x-levels on the row axis."""
         if data.draw(st.booleans()):
             sc = gen_random(GeneratorParams(k=k, seed=seed, grid=30))
         else:
@@ -716,13 +799,13 @@ class TestSplitProof:
         guards = data.draw(st.lists(st.sampled_from(_anchors(sc)), min_size=1, max_size=6,
                                     unique=True))
         buildings = [h_cell(h.as_cell()) for h in sc.holes]
-        levels = verify._levels(sc)
+        levels = verify._levels(sc, rows=rows)
         sights = verify._sights(sc, guards)
         index = verify._by_facing(sights)
         regions = [c for g in guards for c in visibility_region(sc, g).cells]
-        for piece in free_space(sc).pieces:
+        for piece in _strip_pieces(sc, rows):
             held = verify._held_and_front(index, piece)[0]
-            if verify._proven(piece, held, index, sights, buildings, levels):
+            if verify._proven(piece, held, index, sights, buildings, levels, rows=rows):
                 assert h_subtract([piece], regions) == []
 
     @pytest.mark.parametrize("piece", [
@@ -818,7 +901,7 @@ class TestShadowed:
         """Every building and P corner, against the pieces and their level
         parts: rotated quads included, both verdicts occur."""
         sc = make()
-        cells = _pieces_and_level_parts(sc)
+        cells = _pieces_and_level_parts(sc, False)  # only column pieces are cut
         corners = {g.position(sc) for g in _anchors(sc)}
         verdicts = set()
         for pos in corners:
