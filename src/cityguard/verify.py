@@ -6,20 +6,20 @@ area.  For cities the certificate additionally records a per-building
 roof flag (roof covered by a guard on that same building).
 
 The pass takes free space a piece at a time.  The pieces are the free
-intervals of column strips between consecutive x-lines, which a guard
-facing E or W can prove whole.  When most guards of an axis-aligned
-scene face N or S, a first pass tries to prove the set on row strips
-between consecutive y-lines instead, splitting at x = c where the column
-pass splits at y = c below; if every row piece is proven, the set is
-covered and the residual empty.  At the first row piece no guard proves,
-the column pass runs as if the rows had not been tried, so an uncovered
-set's residual and witness are the column pass's, cell for cell.  The
-guards alone choose the axis.  The sight segments from a
-guard to a convex piece fill the hull of the guard and the piece, so the
-guard sees all of the piece iff the piece lies in the guard's closed
-half-plane and no building's open interior meets that hull.  The hull,
-the guard and the piece's far chain as bare vertices and lines, is
-tested exactly against the buildings alone by the separating-axis loop
+intervals of strips: columns between consecutive x-lines, which a guard
+facing E or W can prove whole, or, when most guards of an axis-aligned
+scene face N or S, rows between consecutive y-lines, which such a guard
+can.  The guards alone choose the axis, once per pass, and the proofs
+and the cuts both run on its strips; a scene with rotated buildings
+takes columns.  On rows every step below runs with x and y swapped: a
+part is split at x = c where a column part is split at y = c.  Either
+strip set tiles free space, so either residual covers the same points,
+though not in the same cells.  The sight segments from a guard to a
+convex piece fill the hull of the guard and the piece, so the guard sees
+all of the piece iff the piece lies in the guard's closed half-plane and
+no building's open interior meets that hull.  The hull, the guard and
+the piece's far chain as bare vertices and lines, is tested exactly
+against the buildings alone by the separating-axis loop
 (`geom.h_sees_all`): True exactly when the guard's region holds the
 piece.  One proof (`_proven`) tries the piece whole, then splits what no
 guard proves along building levels y = c and tries the parts the same
@@ -35,9 +35,9 @@ and those cells have disjoint interiors, which `h_subtract` decides
 exactly and leaves the cells as they are.  The cutting stops once no
 cell is left.  A piece's descendants depend only on that piece and the
 regions, and a piece the regions cover leaves none, so the residual is
-that of cutting the whole piece list by every region, cell for cell and
-in order.  A region is swept only when a piece needs it, or when an
-exit (the certificate JSON, the SVG) reads `per_guard_regions`.
+that of cutting the axis's whole piece list by every region, cell for
+cell and in order.  A region is swept only when a piece needs it, or
+when an exit (the certificate JSON, the SVG) reads `per_guard_regions`.
 
 The guards a cell is tried on, and those whose regions cut it, come from
 a facing index built once per pass: the guards are grouped by facing f
@@ -147,19 +147,20 @@ def _certificate(scene: Scene, guards) -> Certificate:
 
 
 def _compute(scene: Scene, guards: tuple) -> Certificate:
-    """One residual pass, a piece at a time (see above).  A guard on no
-    corner of the scene raises before any region is swept."""
+    """One residual pass, a piece at a time (see above), on rows when most
+    guards of an axis-aligned scene face N or S and on columns otherwise.
+    A guard on no corner of the scene raises before any region is swept."""
     sights = _sights(scene, guards)
     index = _by_facing(sights)
     buildings = [h_cell(h.as_cell()) for h in scene.holes]
-    # a set proven on rows has no residual; any other takes the column pass
-    pieces = () if _rows_proven(scene, guards, index, sights, buildings) else \
-        free_space(scene).pieces
-    levels = _levels(scene)
+    rows = scene.kind == AXIS_ALIGNED and 2 * sum(g.facing[0] == 0 for g in guards) > len(guards)
+    pieces = (_axis_free_cells(scene.bounds, scene.holes, rows=True) if rows
+              else free_space(scene).pieces)
+    levels = _levels(scene, rows)
     residual = []
     for piece in pieces:
         held, front = _held_and_front(index, piece)
-        if not _proven(piece, held, index, sights, buildings, levels):
+        if not _proven(piece, held, index, sights, buildings, levels, rows):
             rest = [piece]
             for i in front:
                 if all(h_shadowed(sights[i][0], c, buildings) for c in rest):
@@ -172,17 +173,6 @@ def _compute(scene: Scene, guards: tuple) -> Certificate:
     witness = _witness(max(residual, key=h_area2), sights) if residual else None
     return Certificate(covered=not residual, residual=PolygonSet.of_hcells(residual),
                        witness=witness, scene=scene, guards=guards)
-
-
-def _rows_proven(scene: Scene, guards, index, sights, buildings) -> bool:
-    """Do most guards face N or S, in an axis-aligned scene, and does every
-    row piece have a proof?  Such guards prove rows whole where columns
-    must be split; False at the first row piece that no guard proves."""
-    if scene.kind != AXIS_ALIGNED or 2 * sum(g.facing[0] == 0 for g in guards) <= len(guards):
-        return False
-    levels = _levels(scene, rows=True)
-    return all(_proven(piece, None, index, sights, buildings, levels, rows=True)
-               for piece in _axis_free_cells(scene.bounds, scene.holes, rows=True))
 
 
 def _sights(scene: Scene, guards):
@@ -235,12 +225,13 @@ def _proven(piece: HCell, held, index, sights, buildings, levels, rows=False) ->
     """Is the piece covered by parts that each one guard proves?  A part is
     tried on its holders, nearest its bbox first (0 on or in it), ties in
     guard order: the float distance only orders the exact proofs over the
-    same holders.  The piece's holders `held` are given, or None; a
-    part's come from the facing `index` of the `sights`.  A part that none
-    proves is cut along the middle of the building `levels` that cross it
-    strictly, the lines y = c on columns or, with `rows`, x = c, and its
-    halves are tried in turn; the proven parts tile the piece.  False at
-    the first part that no guard proves and no level crosses."""
+    same holders.  The piece's holders `held` are given; a part's come
+    from the facing `index` of the `sights`.  A part that none proves is
+    cut along the middle of the building `levels` that cross it strictly,
+    the lines y = c on column strips or, with `rows` on row strips,
+    x = c, and its halves are tried in turn; the proven parts tile the
+    piece.  False at the first part that no guard proves and no level
+    crosses."""
     axis = 0 if rows else 1
     stack = [(piece, held)]
     while stack:

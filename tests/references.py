@@ -110,10 +110,11 @@ def min_cover_of_region(scene, candidates, region, max_count: int):
     return len(best) if status == OPTIMAL else None
 
 
-def residual_pass(scene, guards):
-    """Free space minus each guard's region in turn, every piece cut by
-    h_subtract: the residual cells `certify` must return, in order."""
-    residual = free_space(scene).pieces
+def residual_pass(scene, guards, strips=None):
+    """The strips, free space's pieces by default, minus each guard's
+    region in turn, every piece cut by h_subtract: the residual cells
+    `certify` must return, in order, when it runs on those strips."""
+    residual = free_space(scene).pieces if strips is None else strips
     for g in guards:
         if not residual:
             break

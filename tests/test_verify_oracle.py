@@ -1,4 +1,5 @@
 import hashlib
+import inspect
 import random
 import re
 from fractions import Fraction
@@ -116,7 +117,9 @@ class TestCertify:
         accepts it; the witness is another point strictly inside that cell,
         and no guard sees it."""
         sc = two_buildings()
-        guards = [hole_guard(0, 3, S), hole_guard(1, 3, S)]
+        # two guards facing E keep the set on column strips
+        guards = [hole_guard(0, 3, S), hole_guard(1, 3, S),
+                  hole_guard(1, 1, E), hole_guard(1, 2, E)]
         cert = certify(sc, guards)
         largest = max(cert.residual.pieces, key=h_area2)
         assert h_centroid(largest) == Point(12, 25)
@@ -477,12 +480,30 @@ def _cells(cells):
     return [(c.pts, c.lines) for c in cells]
 
 
+def _on_rows(scene, guards):
+    """The strip axis `certify` runs on: rows when most guards of an
+    axis-aligned scene face N or S, columns otherwise."""
+    return scene.kind == AXIS_ALIGNED and 2 * sum(g.facing[0] == 0 for g in guards) > len(guards)
+
+
+def _assert_same_points(cells, others):
+    """The two cell lists cover the same closed point set: each minus the
+    other leaves nothing."""
+    assert h_subtract(list(cells), list(others)) == []
+    assert h_subtract(list(others), list(cells)) == []
+
+
 def _assert_matches_reference(scene, guards):
     """certify returns the region-by-region pass's residual cell for cell
-    (vertices, edge lines and order), and its witness."""
+    (vertices, edge lines and order), and its witness, on the strips the
+    guards pick; on rows the residual is also the column pass's as a
+    point set."""
     cert = certify(scene, guards)
-    ref = residual_pass(scene, guards)
+    rows = _on_rows(scene, guards)
+    ref = residual_pass(scene, guards, _strip_pieces(scene, rows))
     assert _cells(cert.residual.pieces) == _cells(ref)
+    if rows:
+        _assert_same_points(ref, residual_pass(scene, guards))
     assert cert.witness == (h_centroid(max(ref, key=h_area2)) if ref else None)
     assert cert.covered == (not ref)
     _assert_witness_unseen(scene, guards, cert)
@@ -500,6 +521,14 @@ def _sees_all(scene, guard, cell):
     """h_sees_all for a guard of the scene, with its buildings as blockers."""
     return h_sees_all(h_point(guard.position(scene)), guard.facing, cell,
                       [h_cell(h.as_cell()) for h in scene.holes])
+
+
+def _through_a_corner(scene, pos, p):
+    """Does the open segment from pos to p run through a building corner?"""
+    dx, dy = p.x - pos.x, p.y - pos.y
+    return any((c.x - pos.x) * dy == (c.y - pos.y) * dx
+               and 0 < (c.x - pos.x) * dx + (c.y - pos.y) * dy < dx * dx + dy * dy
+               for h in scene.holes for c in h.corners())
 
 
 def _interior_points(cell, rng, count=4):
@@ -642,6 +671,20 @@ class TestResidualByContainment:
                     if (p.x - pos.x) * g.facing[0] + (p.y - pos.y) * g.facing[1]:
                         assert not sees(sc, g, p)
 
+    def test_sight_through_two_corners_has_no_area(self):
+        """The guard at (4, 18) facing N sees (27, 59/2) along a segment
+        that touches the buildings only at their corners (20, 26) and
+        (26, 29); every other point of the free cell [26, 28] x [29, 30]
+        is hidden, so the region leaves the whole cell.  The point route
+        and the region are both right: that sight has no area."""
+        sc = gen_random(GeneratorParams(k=4, seed=19270, grid=30))
+        g = hole_guard(2, 2, N)
+        assert g.position(sc) == Point(4, 18)
+        p = Point(27, Fraction(59, 2))
+        assert sees(sc, g, p) and _through_a_corner(sc, g.position(sc), p)
+        cell = h_cell((Point(26, 29), Point(28, 29), Point(28, 30), Point(26, 30)))
+        assert h_subtract([cell], visibility_region(sc, g).cells) == [cell]
+
 
 def _anchors(scene):
     """A guard at every building and P corner, with every facing of
@@ -759,27 +802,32 @@ class TestSplitProof:
         assert visibility._cache[1] == {}
         assert all(proofs) and splits
 
-    @pytest.mark.parametrize("k,seed", [(16, 0), (12, 1)])
-    def test_uncovered_rows_fall_back_to_columns(self, monkeypatch, k, seed):
+    @pytest.mark.parametrize("k,seed,covered", [(16, 0, False), (12, 1, False),
+                                                (16, 1, True)])
+    def test_north_south_sets_take_one_row_pass(self, monkeypatch, k, seed, covered):
         """A `guards_main` set without its middle guard, mostly facing N or
-        S, is tried on rows first; at the first row piece no guard proves,
-        the column pass runs, and the residual and witness are those of a
-        column pass alone, cell for cell."""
+        S, is certified in one pass on rows: every proof runs on row
+        strips, some row piece has no proof and is cut, and the residual
+        is the column pass's as a point set, with an unseen witness."""
         sc = gen_random(GeneratorParams(k=k, seed=seed, grid=1000))
         main = list(guards_main(sc).guards)
         short = main[:len(main) // 2] + main[len(main) // 2 + 1:]
-        assert 2 * sum(g.facing[0] == 0 for g in short) > len(short)
-        prove, axes = verify._proven, []
-        monkeypatch.setattr(verify, "_proven",
-                            lambda *args, rows=False: axes.append(rows) or prove(*args, rows=rows))
+        assert _on_rows(sc, short)
+        prove, axes, proofs = verify._proven, [], []
+
+        def spy(*args, **kw):
+            bound = inspect.signature(prove).bind(*args, **kw)
+            bound.apply_defaults()
+            axes.append(bound.arguments["rows"])
+            proofs.append(prove(*args, **kw))
+            return proofs[-1]
+
+        monkeypatch.setattr(verify, "_proven", spy)
         monkeypatch.setattr(visibility, "_cache", (None, {}, {}, [None]))
         cert = certify(sc, short)
-        assert not cert.covered and set(axes) == {True, False}
-        monkeypatch.setattr(verify, "_rows_proven", lambda *args: False)
-        monkeypatch.setattr(visibility, "_cache", (None, {}, {}, [None]))
-        columns = certify(sc, short)
-        assert _cells(cert.residual.pieces) == _cells(columns.residual.pieces)
-        assert cert.witness == columns.witness
+        assert cert.covered == covered
+        assert set(axes) == {True} and not all(proofs)
+        _assert_same_points(cert.residual.pieces, residual_pass(sc, short))
         _assert_witness_unseen(sc, short, cert)
 
     @pytest.mark.parametrize("rows", [False, True], ids=["columns", "rows"])
