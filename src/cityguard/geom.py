@@ -142,11 +142,7 @@ class PolygonSet:
 
     @staticmethod
     def from_rect(x0, y0, x1, y1) -> "PolygonSet":
-        if not (x0 < x1 and y0 < y1):
-            raise MalformedPolygonError(f"rectangle [{x0},{y0};{x1},{y1}] has no area")
-        return PolygonSet((
-            (Point(x0, y0), Point(x1, y0), Point(x1, y1), Point(x0, y1)),
-        ))
+        return PolygonSet.of_hcells((h_rect(x0, y0, x1, y1),))
 
     @property
     def cells(self):
@@ -282,8 +278,9 @@ Hole = Union[AxisRect, ConvexQuad]
 # Every HCell is strictly convex and CCW: at least 3 vertices, no
 # duplicate, no three consecutive collinear (_h_normalized(pts) == pts),
 # positive area.  Cells entering the kernel are normalized once (h_cell
-# and the PolygonSet constructor; the visibility sweep keeps only strictly
-# CCW triangles).  A cut keeps
+# and the PolygonSet constructor), or are made in that form: h_rect writes
+# an axis rectangle's vertices and lines down, and the visibility sweep
+# keeps only strictly CCW triangles.  A cut keeps
 # the invariant without renormalizing: when a line has vertices strictly
 # on both sides, its crossing points lie strictly inside their edges, it
 # meets the boundary in exactly two points, and each half is a strictly
@@ -379,6 +376,29 @@ def _h_ring(cell: Cell):
             if A * X + B * Y + C * W <= 0:
                 raise MalformedPolygonError(
                     f"ring {tuple(cell)} is not strictly convex and counter-clockwise")
+    return hc
+
+
+def h_rect(x0, y0, x1, y1) -> HCell:
+    """The HCell of the axis rectangle [x0, x1] x [y0, y1], vertices CCW
+    from (x0, y0): the cell `h_cell` makes of that ring.  A rectangle with
+    area already meets the kernel's invariant, so with int corners its
+    vertices, the lines `_h_line` gives and the bbox padded as in `HCell`
+    are written down; other corners go through `h_point`.  Raises
+    MalformedPolygonError unless x0 < x1 and y0 < y1."""
+    if not (x0 < x1 and y0 < y1):
+        raise MalformedPolygonError(f"rectangle [{x0},{y0};{x1},{y1}] has no area")
+    if not (isinstance(x0, int) and isinstance(y0, int)
+            and isinstance(x1, int) and isinstance(y1, int)):
+        return HCell(tuple(map(h_point, ((x0, y0), (x1, y0), (x1, y1), (x0, y1)))))
+    dx, dy = x1 - x0, y1 - y0
+    hc = HCell.__new__(HCell)
+    hc.pts = ((x0, y0, 1), (x1, y0, 1), (x1, y1, 1), (x0, y1, 1))
+    hc.lines = ((0, dx, -y0 * dx), (-dy, 0, x1 * dy), (0, -dx, y1 * dx), (dy, 0, -x0 * dy))
+    fx0, fy0, fx1, fy1 = x0 / 1, y0 / 1, x1 / 1, y1 / 1
+    pad_x = (max(abs(fx0), abs(fx1)) + 1.0) * 1e-12
+    pad_y = (max(abs(fy0), abs(fy1)) + 1.0) * 1e-12
+    hc.bbox = (fx0 - pad_x, fy0 - pad_y, fx1 + pad_x, fy1 + pad_y)
     return hc
 
 

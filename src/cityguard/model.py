@@ -171,13 +171,27 @@ def check_general_position(scene: Scene):
 MAX_COORDINATE = 10 ** 300
 
 
+# The last scene object each check accepted.  A Scene is frozen and holds
+# tuples of NamedTuples, so an accepted object cannot change, and a second
+# check of it returns at once; a scene that fails is never kept.
+_validated = None
+_general = None
+
+
 def validate_scene(scene: Scene) -> Scene:
     """Check a Scene: its bounds lie within +-MAX_COORDINATE, and its holes
     are rectangles strictly inside the bounds and pairwise disjoint.  A
     scene document is parsed by io.parse_city.
 
+    Returns the scene itself when its holes are a tuple, and a copy with
+    tuple holes otherwise.  The last scene object returned as itself is
+    kept, and checking it again returns at once.
+
     Raises SceneValidationError carrying every violation found.
     """
+    global _validated
+    if scene is _validated:
+        return scene
     if not isinstance(scene, Scene):
         raise TypeError(f"validate_scene takes a Scene, got {type(scene).__name__}")
     bounds, holes = scene.bounds, scene.holes
@@ -196,13 +210,23 @@ def validate_scene(scene: Scene) -> Scene:
                 violations.append(("OVERLAPPING_HOLES", (i, j)))
     if violations:
         raise SceneValidationError(violations)
-    return Scene(bounds=bounds, holes=tuple(holes))
+    if not isinstance(holes, tuple):
+        return Scene(bounds=bounds, holes=tuple(holes))
+    _validated = scene
+    return scene
 
 
 def require_general_position(scene: Scene):
+    """Raise DegeneratePositionError unless `check_general_position` finds
+    nothing.  The last scene object accepted is kept, and requiring it
+    again returns at once."""
+    global _general
+    if scene is _general:
+        return
     bad = check_general_position(scene)
     if bad:
         raise DegeneratePositionError(str(bad))
+    _general = scene
 
 
 # ---------------------------------------------------------------------------

@@ -70,7 +70,7 @@ from typing import Optional
 
 from cityguard.geom import (
     AxisRect, HCell, Point, PolygonSet, _h_split, h_area2, h_cell, h_centroid,
-    h_point, h_sees_all, h_shadowed, h_subtract, h_to_point,
+    h_point, h_rect, h_sees_all, h_shadowed, h_subtract, h_to_point,
 )
 from cityguard.model import AXIS_ALIGNED, City, Scene, Solution, roof_flags
 from cityguard.visibility import scene_cache, visibility_region
@@ -103,8 +103,9 @@ def free_space(scene: Scene) -> PolygonSet:
 def _axis_free_cells(b: AxisRect, holes, rows=False):
     """One CCW rectangle HCell per free interval of each strip: columns
     between consecutive x-lines, or with `rows` rows between consecutive
-    y-lines.  `uv` reads a rectangle as (u0, v0, u1, v1), u across the
-    strips and v along them."""
+    y-lines, each written down by `h_rect` from its corners.  `uv` reads
+    a rectangle as (u0, v0, u1, v1), u across the strips and v along
+    them."""
     def uv(r):
         return (r.y0, r.x0, r.y1, r.x1) if rows else r
     u0, v0, u1, v1 = uv(b)
@@ -116,9 +117,7 @@ def _axis_free_cells(b: AxisRect, holes, rows=False):
         v = v0
         for (lo, hi) in blocked + [(v1, v1)]:
             if v < lo:
-                ring = (((v, ul), (lo, ul), (lo, ur), (v, ur)) if rows else
-                        ((ul, v), (ur, v), (ur, lo), (ul, lo)))
-                cells.append(HCell(tuple(map(h_point, ring))))
+                cells.append(h_rect(v, ul, lo, ur) if rows else h_rect(ul, v, ur, lo))
             v = max(v, hi)
     return cells
 
@@ -152,7 +151,8 @@ def _compute(scene: Scene, guards: tuple) -> Certificate:
     A guard on no corner of the scene raises before any region is swept."""
     sights = _sights(scene, guards)
     index = _by_facing(sights)
-    buildings = [h_cell(h.as_cell()) for h in scene.holes]
+    buildings = [h_rect(*h) if isinstance(h, AxisRect) else h_cell(h.as_cell())
+                 for h in scene.holes]
     rows = scene.kind == AXIS_ALIGNED and 2 * sum(g.facing[0] == 0 for g in guards) > len(guards)
     pieces = (_axis_free_cells(scene.bounds, scene.holes, rows=True) if rows
               else free_space(scene).pieces)

@@ -3,16 +3,18 @@ build, computed here with exact polygon cuts so that the tests can check
 the library's placements, staircases and 3k+1 pockets against them; the
 stairs of a staircase by comparing every pair of apexes; the oracle's
 minimum over such a region; the residual pass as a plain cut by
-every region in turn; a cell's holders and front guards by a side table
+every region in turn; free space's strip pieces cut from Point rings; a
+cell's holders and front guards by a side table
 of every guard against every vertex; a polygon's closed shadow by
 segment tests; the mirror image of a scene and its guards; and a guard's
 region swept from scratch, with the facing's edge directions among the
 critical directions and every wedge tested."""
 
+from fractions import Fraction
 from itertools import groupby
 
 from cityguard.geom import (
-    AxisRect, HCell, Point, PolygonSet, _h_line, _h_meet, _h_orient, h_point,
+    AxisRect, HCell, Point, PolygonSet, _h_line, _h_meet, _h_orient, h_cell, h_point,
     h_subtract, make_convex_quad, orient, primitive_direction,
 )
 from cityguard.model import Guard, Scene
@@ -120,6 +122,33 @@ def residual_pass(scene, guards, strips=None):
             break
         residual = h_subtract(residual, visibility_region(scene, g).cells)
     return residual
+
+
+def axis_free_cells(bounds, holes, rows=False):
+    """Free space of an axis-aligned scene as one cell per free interval
+    of each strip, each made by h_cell from its CCW Point ring: the cells
+    `verify._axis_free_cells` must give, in order.  The strips are the
+    columns between consecutive x-lines, or with `rows` the rows between
+    consecutive y-lines; a strip is cut at the ends of the holes that span
+    it, and a part is free iff its midpoint lies in none of them."""
+    def across(r):
+        return (r.y0, r.y1) if rows else (r.x0, r.x1)
+
+    def along(r):
+        return (r.x0, r.x1) if rows else (r.y0, r.y1)
+
+    lines = sorted({c for r in (bounds, *holes) for c in across(r)})
+    cells = []
+    for a, b in zip(lines, lines[1:]):
+        spanning = [along(h) for h in holes if across(h)[0] <= a and b <= across(h)[1]]
+        cuts = sorted({*along(bounds), *(c for span in spanning for c in span)})
+        for p, q in zip(cuts, cuts[1:]):
+            if any(lo < Fraction(p + q) / 2 < hi for lo, hi in spanning):
+                continue
+            ring = (((p, a), (q, a), (q, b), (p, b)) if rows else
+                    ((a, p), (b, p), (b, q), (a, q)))
+            cells.append(h_cell(tuple(Point(x, y) for x, y in ring)))
+    return cells
 
 
 def side_table(sights, cell):

@@ -443,6 +443,51 @@ class TestSplit:
         assert h_divide([small], [big]) == ([(small.pts, small.lines)], [])
 
 
+_BIG = 10 ** 300
+_int_coordinates = st.one_of(st.integers(-1000, 1000), st.integers(-_BIG, _BIG),
+                             st.sampled_from([-_BIG, _BIG, 0]))
+_fraction_coordinates = st.builds(Fraction, st.integers(-10 ** 6, 10 ** 6),
+                                  st.integers(1, 10 ** 6))
+
+
+def _corners(draw, coordinates):
+    """Corners x0 < x1 and y0 < y1 drawn from the coordinates."""
+    xs = draw(st.lists(coordinates, min_size=2, max_size=2, unique=True))
+    ys = draw(st.lists(coordinates, min_size=2, max_size=2, unique=True))
+    return min(xs), min(ys), max(xs), max(ys)
+
+
+@st.composite
+def rect_corners(draw):
+    """Int corners, Fraction corners, or a mix of the two."""
+    coordinates = draw(st.sampled_from([_int_coordinates, _fraction_coordinates,
+                                        st.one_of(_int_coordinates, _fraction_coordinates)]))
+    return _corners(draw, coordinates)
+
+
+class TestRect:
+    """h_rect writes an axis rectangle down; it must be the cell that h_cell
+    makes of the rectangle's counter-clockwise ring."""
+
+    @given(rect_corners())
+    @settings(max_examples=300)
+    def test_matches_the_ring_path(self, corners):
+        x0, y0, x1, y1 = corners
+        ring = (Point(x0, y0), Point(x1, y0), Point(x1, y1), Point(x0, y1))
+        cell, ref = geom.h_rect(x0, y0, x1, y1), h_cell(ring)
+        assert (cell.pts, cell.lines, cell.bbox) == (ref.pts, ref.lines, ref.bbox)
+
+    def test_lines_are_written_down(self):
+        cell = geom.h_rect(1, 2, 4, 7)
+        assert cell.pts == ((1, 2, 1), (4, 2, 1), (4, 7, 1), (1, 7, 1))
+        assert cell.lines == ((0, 3, -6), (-5, 0, 20), (0, -3, 21), (5, 0, -5))
+
+    def test_rectangle_without_area_is_refused(self):
+        for corners in ((0, 0, 0, 1), (0, 0, 1, 0), (2, 0, 1, 1), (0, Fraction(1, 2), 1, 0)):
+            with pytest.raises(MalformedPolygonError):
+                geom.h_rect(*corners)
+
+
 def ref_h_split(cell, line):
     """_h_split with the crossing formula it replaced: each crossing point
     made from the vertices as sp*q - sq*p, whose integers compound with

@@ -4,6 +4,7 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
+from cityguard import model
 from cityguard.errors import DegeneratePositionError, SceneValidationError
 from cityguard.geom import AxisRect, Point, make_axis_rect, make_convex_quad
 from cityguard.io import parse_city
@@ -79,6 +80,66 @@ class TestValidation:
     def test_idempotent(self):
         sc = city_a()
         assert validate_scene(sc) == sc
+
+
+def _spy(monkeypatch, name):
+    """Count the calls of a model function that the checks look up."""
+    calls = []
+    original = getattr(model, name)
+
+    def spy(*args):
+        calls.append(args)
+        return original(*args)
+    monkeypatch.setattr(model, name, spy)
+    return calls
+
+
+def _two_rect_scene(second):
+    return Scene(bounds=AxisRect(0, 0, 10, 10), holes=(AxisRect(1, 1, 3, 3), second))
+
+
+class TestValidationOnce:
+    """Each check keeps the last scene object it accepted: checking that
+    object again makes no pair test, and a scene that fails is never kept."""
+
+    def test_accepted_scene_is_not_checked_again(self, monkeypatch):
+        sc = _two_rect_scene(AxisRect(5, 5, 7, 7))
+        assert validate_scene(sc) is sc
+        require_general_position(sc)
+        pairs = _spy(monkeypatch, "_holes_disjoint")
+        lines = _spy(monkeypatch, "check_general_position")
+        for _ in range(3):
+            assert validate_scene(sc) is sc
+            require_general_position(sc)
+        assert pairs == [] and lines == []
+        copy = _two_rect_scene(AxisRect(5, 5, 7, 7))  # equal, not the same object
+        assert validate_scene(copy) is copy
+        require_general_position(copy)
+        assert len(pairs) == 1 and len(lines) == 1
+
+    def test_failing_scenes_raise_on_every_call(self):
+        good = _two_rect_scene(AxisRect(5, 5, 7, 7))
+        overlapping = _two_rect_scene(AxisRect(2, 2, 4, 4))
+        degenerate = _two_rect_scene(AxisRect(3, 5, 7, 7))
+        assert validate_scene(degenerate) is degenerate
+        for _ in range(2):
+            for _ in range(2):
+                with pytest.raises(SceneValidationError):
+                    validate_scene(overlapping)
+                with pytest.raises(DegeneratePositionError):
+                    require_general_position(degenerate)
+            validate_scene(good)
+            require_general_position(good)
+
+    def test_list_holes_come_back_as_a_copy_and_are_not_kept(self, monkeypatch):
+        pairs = _spy(monkeypatch, "_holes_disjoint")
+        sc = Scene(bounds=AxisRect(0, 0, 10, 10),
+                   holes=[AxisRect(1, 1, 3, 3), AxisRect(5, 5, 7, 7)])
+        for _ in range(2):
+            out = validate_scene(sc)
+            assert out is not sc and out == Scene(sc.bounds, tuple(sc.holes))
+            assert isinstance(out.holes, tuple)
+        assert len(pairs) == 2
 
 
 @st.composite

@@ -39,8 +39,8 @@ from cityguard.verify import certify, certify_city, covers, free_space
 from cityguard.visibility import sees, visibility_region
 from counterexample_3k1 import rot3k1_counterexample
 from references import (
-    in_closed_shadow, min_cover_of_region, mirror_guards, mirror_scene, residual_pass,
-    side_table, space_between,
+    axis_free_cells, in_closed_shadow, min_cover_of_region, mirror_guards, mirror_scene,
+    residual_pass, side_table, space_between,
 )
 from test_geom import ref_interior_run
 
@@ -377,6 +377,26 @@ def scaled_and_shifted(scene, s, dx, dy):
     def image(r):
         return AxisRect(s * r.x0 + dx, s * r.y0 + dy, s * r.x1 + dx, s * r.y1 + dy)
     return Scene(bounds=image(scene.bounds), holes=tuple(image(h) for h in scene.holes))
+
+
+class TestAxisFreeCells:
+    @pytest.mark.parametrize("s,dx,dy", [(1, 0, 0), (1, 10**17, 10**17),
+                                         (Fraction(1, 10**400), 0, 0)],
+                             ids=["plain", "1e17", "1e-400"])
+    def test_strip_pieces_match_ring_built_cells(self, s, dx, dy):
+        """On columns and on rows, every strip piece equals, cell for cell
+        and in order, the cell h_cell makes of its Point ring: the same
+        vertices, lines and bbox.  Random scenes k = 0..28, and their
+        images under a shift floats cannot add exactly and a scale below
+        the smallest float, whose corners are Fractions."""
+        for k in range(29):
+            scene = scaled_and_shifted(gen_random(GeneratorParams(k=k, seed=k, grid=1000)),
+                                       s, dx, dy)
+            for rows in (False, True):
+                cells = verify._axis_free_cells(scene.bounds, scene.holes, rows=rows)
+                ref = axis_free_cells(scene.bounds, scene.holes, rows=rows)
+                assert [(c.pts, c.lines, c.bbox) for c in cells] == \
+                    [(c.pts, c.lines, c.bbox) for c in ref]
 
 
 class TestCertifyMetamorphic:
