@@ -15,7 +15,8 @@ class SceneValidationError(CityGuardError):
     Each violation is a tuple (code, detail) where code is one of
     OVERLAPPING_HOLES, HOLE_TOUCHES_BOUNDARY, NOT_A_RECTANGLE,
     DEGENERATE_POSITION and detail identifies the offending holes, or
-    COORDINATE_OUT_OF_RANGE and detail ("bounds",).
+    COORDINATE_OUT_OF_RANGE or EMPTY_BOUNDS (bounds without area) and
+    detail ("bounds",).
     """
 
     def __init__(self, violations):

@@ -179,9 +179,9 @@ _general = None
 
 
 def validate_scene(scene: Scene) -> Scene:
-    """Check a Scene: its bounds lie within +-MAX_COORDINATE, and its holes
-    are rectangles strictly inside the bounds and pairwise disjoint.  A
-    scene document is parsed by io.parse_city.
+    """Check a Scene: its bounds lie within +-MAX_COORDINATE and have area,
+    and its holes are rectangles strictly inside the bounds and pairwise
+    disjoint.  A scene document is parsed by io.parse_city.
 
     Returns the scene itself when its holes are a tuple, and a copy with
     tuple holes otherwise.  The last scene object returned as itself is
@@ -198,6 +198,8 @@ def validate_scene(scene: Scene) -> Scene:
     violations = []
     if any(abs(c) > MAX_COORDINATE for c in bounds):
         violations.append(("COORDINATE_OUT_OF_RANGE", ("bounds",)))
+    if not (bounds.x0 < bounds.x1 and bounds.y0 < bounds.y1):
+        violations.append(("EMPTY_BOUNDS", ("bounds",)))
     for i, h in enumerate(holes):
         if isinstance(h, ConvexQuad) and not is_rectangle(h):
             violations.append(("NOT_A_RECTANGLE", (i,)))

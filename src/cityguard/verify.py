@@ -11,20 +11,18 @@ facing E or W can prove whole, or, when most guards of an axis-aligned
 scene face N or S, rows between consecutive y-lines, which such a guard
 can.  The guards alone choose the axis, once per pass, and the proofs
 and the cuts both run on its strips; a scene with rotated buildings
-takes columns.  On rows every step below runs with x and y swapped: a
-part is split at x = c where a column part is split at y = c.  Either
-strip set tiles free space, so either residual covers the same points,
-though not in the same cells.  The sight segments from a guard to a
-convex piece fill the hull of the guard and the piece, so the guard sees
-all of the piece iff the piece lies in the guard's closed half-plane and
-no building's open interior meets that hull.  The hull, the guard and
-the piece's far chain as bare vertices and lines, is tested exactly
-against the buildings alone by the separating-axis loop
+takes columns.  On rows every step below runs with x and y swapped.
+Either strip set tiles free space, so either residual covers the same
+points, though not in the same cells.  The sight segments from a guard
+to a convex piece fill the hull of the guard and the piece, so the
+guard sees all of the piece iff the piece lies in the guard's closed
+half-plane and no building's open interior meets that hull.  The hull,
+the guard and the piece's far chain as bare vertices and lines, is
+tested exactly against the buildings alone by the separating-axis loop
 (`geom.h_sees_all`): True exactly when the guard's region holds the
-piece.  One proof (`_proven`) tries the piece whole, then splits what no
-guard proves along building levels y = c and tries the parts the same
-way; if every part is proven, the parts tile the piece and it is
-dropped.  Any other piece is cut, whole, by the regions of the guards
+piece.  A piece that one of its guards so proves (`_proven`) is
+dropped; there is one such test per guard whose closed half-plane holds
+the piece.  Any other piece is cut, whole, by the regions of the guards
 with a vertex of it strictly in front, in guard order; every other
 region lies in its guard's closed half-plane, with the piece behind it,
 and would not cut it.  A front guard is skipped when the closed shadow
@@ -69,8 +67,8 @@ from itertools import count
 from typing import Optional
 
 from cityguard.geom import (
-    AxisRect, HCell, Point, PolygonSet, _h_split, h_area2, h_cell, h_centroid,
-    h_point, h_rect, h_sees_all, h_shadowed, h_subtract, h_to_point,
+    AxisRect, HCell, Point, PolygonSet, h_area2, h_cell, h_centroid, h_point,
+    h_rect, h_sees_all, h_shadowed, h_subtract, h_to_point,
 )
 from cityguard.model import AXIS_ALIGNED, City, Scene, Solution, roof_flags
 from cityguard.visibility import scene_cache, visibility_region
@@ -156,11 +154,10 @@ def _compute(scene: Scene, guards: tuple) -> Certificate:
     rows = scene.kind == AXIS_ALIGNED and 2 * sum(g.facing[0] == 0 for g in guards) > len(guards)
     pieces = (_axis_free_cells(scene.bounds, scene.holes, rows=True) if rows
               else free_space(scene).pieces)
-    levels = _levels(scene, rows)
     residual = []
     for piece in pieces:
         held, front = _held_and_front(index, piece)
-        if not _proven(piece, held, index, sights, buildings, levels, rows):
+        if not _proven(piece, held, sights, buildings):
             rest = [piece]
             for i in front:
                 if all(h_shadowed(sights[i][0], c, buildings) for c in rest):
@@ -214,52 +211,23 @@ def _held_and_front(index, cell: HCell):
     return held, front
 
 
-def _levels(scene: Scene, rows=False):
-    """The distinct y of the buildings' corners, or with `rows` their
-    distinct x, in increasing order: the lines that cut a strip's parts."""
-    axis = 0 if rows else 1
-    return sorted({p[axis] for h in scene.holes for p in h.corners()})
+def _proven(piece: HCell, held, sights, buildings) -> bool:
+    """Does one of the piece's holders `held` see all of it
+    (`h_sees_all`)?  They are tried nearest its bbox first (0 on or in
+    it), ties in guard order: the float distance only orders the exact
+    hull tests."""
+    x0, y0, x1, y1 = piece.bbox
 
+    def gap2(sight):
+        """The squared float distance from the sight's apex to the bbox."""
+        X, Y, W = sight[0]
+        x, y = X / W, Y / W
+        dx = x0 - x if x < x0 else (x - x1 if x > x1 else 0.0)
+        dy = y0 - y if y < y0 else (y - y1 if y > y1 else 0.0)
+        return dx * dx + dy * dy
 
-def _proven(piece: HCell, held, index, sights, buildings, levels, rows=False) -> bool:
-    """Is the piece covered by parts that each one guard proves?  A part is
-    tried on its holders, nearest its bbox first (0 on or in it), ties in
-    guard order: the float distance only orders the exact proofs over the
-    same holders.  The piece's holders `held` are given; a part's come
-    from the facing `index` of the `sights`.  A part that none proves is
-    cut along the middle of the building `levels` that cross it strictly,
-    the lines y = c on column strips or, with `rows` on row strips,
-    x = c, and its halves are tried in turn; the proven parts tile the
-    piece.  False at the first part that no guard proves and no level
-    crosses."""
-    axis = 0 if rows else 1
-    stack = [(piece, held)]
-    while stack:
-        part, held = stack.pop()
-        if held is None:
-            held = _held_and_front(index, part)[0]
-        x0, y0, x1, y1 = part.bbox
-
-        def gap2(sight):
-            """The squared float distance from the sight's apex to the bbox."""
-            X, Y, W = sight[0]
-            x, y = X / W, Y / W
-            dx = x0 - x if x < x0 else (x - x1 if x > x1 else 0.0)
-            dy = y0 - y if y < y0 else (y - y1 if y > y1 else 0.0)
-            return dx * dx + dy * dy
-
-        nearest = sorted((sights[i] for i in held), key=gap2)
-        if any(h_sees_all(a, f, part, buildings) for a, f, _ in nearest):
-            continue
-        cs = [h_to_point(p)[axis] for p in part.pts]
-        lo, hi = bisect_right(levels, min(cs)), bisect_left(levels, max(cs))
-        if lo == hi:
-            return False
-        c = Fraction(levels[(lo + hi) // 2])
-        line = (c.denominator, 0, -c.numerator) if rows else (0, c.denominator, -c.numerator)
-        beyond, before = _h_split((part.pts, part.lines), line)
-        stack += [(HCell(*before), None), (HCell(*beyond), None)]
-    return True
+    nearest = sorted((sights[i] for i in held), key=gap2)
+    return any(h_sees_all(a, f, piece, buildings) for a, f, _ in nearest)
 
 
 def interior_points(cell: HCell):

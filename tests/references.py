@@ -3,7 +3,8 @@ build, computed here with exact polygon cuts so that the tests can check
 the library's placements, staircases and 3k+1 pockets against them; the
 stairs of a staircase by comparing every pair of apexes; the oracle's
 minimum over such a region; the residual pass as a plain cut by
-every region in turn; free space's strip pieces cut from Point rings; a
+every region in turn; free space's strip pieces cut from Point rings;
+the building levels across those pieces; a
 cell's holders and front guards by a side table
 of every guard against every vertex; a polygon's closed shadow by
 segment tests; the mirror image of a scene and its guards; and a guard's
@@ -149,6 +150,13 @@ def axis_free_cells(bounds, holes, rows=False):
                     ((a, p), (b, p), (b, q), (a, q)))
             cells.append(h_cell(tuple(Point(x, y) for x, y in ring)))
     return cells
+
+
+def building_levels(scene, rows=False):
+    """The distinct y of the buildings' corners, or with `rows` their
+    distinct x, in increasing order: the lines across a strip's pieces."""
+    axis = 0 if rows else 1
+    return sorted({p[axis] for h in scene.holes for p in h.corners()})
 
 
 def side_table(sights, cell):

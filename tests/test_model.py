@@ -14,6 +14,7 @@ from cityguard.model import (
     rotate_scene_ccw, validate_scene, check_general_position,
     require_general_position, wall_aligned_facings,
 )
+from cityguard.placement import guards_2k1
 
 
 def city_a():
@@ -57,6 +58,18 @@ class TestValidation:
             with pytest.raises(SceneValidationError) as e:
                 validate_scene(Scene(bounds=bounds, holes=()))
             assert e.value.violations == [("COORDINATE_OUT_OF_RANGE", ("bounds",))]
+
+    @pytest.mark.parametrize("bounds", [AxisRect(5, 0, 0, 5), AxisRect(0, 0, 0, 0),
+                                        AxisRect(0, 0, 10, 0)], ids=str)
+    def test_bounds_without_area(self, bounds):
+        """Bounds turned inside out, a point or a segment, with no
+        buildings, are refused by validation and so by placement, not
+        placed and certified."""
+        sc = Scene(bounds=bounds, holes=())
+        for check in (validate_scene, guards_2k1):
+            with pytest.raises(SceneValidationError) as e:
+                check(sc)
+            assert e.value.violations == [("EMPTY_BOUNDS", ("bounds",))]
 
     def test_not_a_rectangle(self):
         with pytest.raises(SceneValidationError) as e:

@@ -39,8 +39,8 @@ from cityguard.verify import certify, certify_city, covers, free_space
 from cityguard.visibility import sees, visibility_region
 from counterexample_3k1 import rot3k1_counterexample
 from references import (
-    axis_free_cells, in_closed_shadow, min_cover_of_region, mirror_guards, mirror_scene,
-    residual_pass, side_table, space_between,
+    axis_free_cells, building_levels, in_closed_shadow, min_cover_of_region, mirror_guards,
+    mirror_scene, residual_pass, side_table, space_between,
 )
 from test_geom import ref_interior_run
 
@@ -342,11 +342,10 @@ class TestRegionsSweptOnDemand:
         sights = verify._sights(sc, short)
         index = verify._by_facing(sights)
         buildings = [h_cell(h.as_cell()) for h in sc.holes]
-        levels = verify._levels(sc)
         residual, cut, fronts, skips = [], set(), set(), 0
         for piece in free_space(sc).pieces:
             held, front = verify._held_and_front(index, piece)
-            if verify._proven(piece, held, index, sights, buildings, levels):
+            if verify._proven(piece, held, sights, buildings):
                 continue
             fronts.update(short[i] for i in front)
             rest = [piece]
@@ -725,7 +724,7 @@ def _pieces_and_level_parts(scene, rows):
     """The free-space pieces on the strip axis, and both halves of each
     piece at every building level across it (y = c on columns, x = c on
     rows) that crosses it strictly."""
-    levels = verify._levels(scene, rows=rows)
+    levels = building_levels(scene, rows=rows)
     axis = 0 if rows else 1
     cells = []
     for piece in _strip_pieces(scene, rows):
@@ -776,20 +775,18 @@ class TestFacingIndex:
 
 
 class TestSplitProof:
-    """A piece that no one guard proves is split at building levels and
-    its parts are proven by hull (`verify._proven`); a piece so proven
-    needs no region.  `h_sees_all` tests the hull as bare lines."""
+    """A piece that one of its holders sees all of is proven by hull
+    (`verify._proven`) and needs no region; any other piece is cut.
+    `h_sees_all` tests the hull as bare lines.  The class keeps the name
+    of the level-split proof it once tested, so that its test ids stay."""
 
     @staticmethod
     def spy(monkeypatch):
-        """Record every verdict of `verify._proven` and every split it makes."""
-        prove, split = verify._proven, verify._h_split
-        proofs, splits = [], []
+        """Record every verdict of `verify._proven`."""
+        prove, proofs = verify._proven, []
         monkeypatch.setattr(verify, "_proven",
                             lambda *args, **kw: proofs.append(prove(*args, **kw)) or proofs[-1])
-        monkeypatch.setattr(verify, "_h_split",
-                            lambda *args: splits.append(args) or split(*args))
-        return proofs, splits
+        return proofs
 
     @pytest.mark.parametrize("k", [16, 22, 28])
     @pytest.mark.parametrize("seed", range(3))
@@ -797,68 +794,72 @@ class TestSplitProof:
         """`guards_2k1` faces W and is proven on columns; most of
         `guards_main` faces N or S, or E or W in a rotated frame, and is
         proven on the strips it faces along.  Every strip piece is proven
-        whole, with no split."""
+        by one guard, and no region is swept."""
         sc = gen_random(GeneratorParams(k=k, seed=seed, grid=1000))
-        proofs, splits = self.spy(monkeypatch)
+        proofs = self.spy(monkeypatch)
         for algorithm in (guards_2k1, guards_main):
             guards = algorithm(sc).guards
             monkeypatch.setattr(visibility, "_cache", (None, {}, {}))
             assert certify(sc, guards).covered
             assert visibility._cache[1] == {}
         assert all(proofs)
-        assert not splits
 
-    def test_oracle_set_is_proven_by_splits(self, monkeypatch):
+    def test_oracle_set_is_covered_by_cuts(self, monkeypatch):
         """The oracle's OPTIMAL set on a k = 8 city, four guards facing E
-        and W, is proven on columns, but not each column whole: pieces
-        are split at building levels, and the parts' proofs cover free
-        space with no region swept."""
+        and W, runs on columns, and no one guard proves every column
+        piece: the pieces left are cut by the front guards' regions, which
+        leaves the residual of the plain region-by-region pass, nothing,
+        and sweeps no region but the four guards'."""
         sc = gen_random(GeneratorParams(k=8, seed=1, grid=1000))
         res = optimal_guard_count(sc, candidate_set(sc, include_p_corners=True), 17)
         assert res.status == OPTIMAL
-        proofs, splits = self.spy(monkeypatch)
-        monkeypatch.setattr(visibility, "_cache", (None, {}, {}))
-        assert certify(sc, res.solution.guards).covered
-        assert visibility._cache[1] == {}
-        assert all(proofs) and splits
+        guards = res.solution.guards
+        assert len(guards) == 4 and not _on_rows(sc, guards)
+        proofs = self.spy(monkeypatch)
+        monkeypatch.setattr(visibility, "_cache", (None, {}, {}, [None]))
+        cert = certify(sc, guards)
+        assert cert.covered and not all(proofs)
+        swept = set(visibility._cache[1])
+        assert swept and swept <= set(guards)
+        assert list(cert.residual.pieces) == residual_pass(sc, guards) == []
 
     @pytest.mark.parametrize("k,seed,covered", [(16, 0, False), (12, 1, False),
                                                 (16, 1, True)])
     def test_north_south_sets_take_one_row_pass(self, monkeypatch, k, seed, covered):
         """A `guards_main` set without its middle guard, mostly facing N or
-        S, is certified in one pass on rows: every proof runs on row
-        strips, some row piece has no proof and is cut, and the residual
-        is the column pass's as a point set, with an unseen witness."""
+        S, is certified in one pass on rows: free space is built on row
+        strips only, some row piece has no proof and is cut, and the
+        residual is the column pass's as a point set, with an unseen
+        witness."""
         sc = gen_random(GeneratorParams(k=k, seed=seed, grid=1000))
         main = list(guards_main(sc).guards)
         short = main[:len(main) // 2] + main[len(main) // 2 + 1:]
         assert _on_rows(sc, short)
-        prove, axes, proofs = verify._proven, [], []
+        strips, axes = verify._axis_free_cells, []
 
         def spy(*args, **kw):
-            bound = inspect.signature(prove).bind(*args, **kw)
+            bound = inspect.signature(strips).bind(*args, **kw)
             bound.apply_defaults()
             axes.append(bound.arguments["rows"])
-            proofs.append(prove(*args, **kw))
-            return proofs[-1]
+            return strips(*args, **kw)
 
-        monkeypatch.setattr(verify, "_proven", spy)
+        proofs = self.spy(monkeypatch)
+        monkeypatch.setattr(verify, "_axis_free_cells", spy)
         monkeypatch.setattr(visibility, "_cache", (None, {}, {}, [None]))
         cert = certify(sc, short)
         assert cert.covered == covered
-        assert set(axes) == {True} and not all(proofs)
+        assert axes == [True] and proofs and not all(proofs)
         _assert_same_points(cert.residual.pieces, residual_pass(sc, short))
         _assert_witness_unseen(sc, short, cert)
 
     @pytest.mark.parametrize("rows", [False, True], ids=["columns", "rows"])
     @given(st.integers(1, 5), st.integers(0, 10**6), st.data())
     @settings(max_examples=60, deadline=None)
-    def test_split_proof_leaves_nothing_to_cut(self, rows, k, seed, data):
-        """Whenever the split proof holds, on column or row pieces split at
-        the levels across them, cutting the piece by every guard's region
-        leaves nothing; the guards stand at any corner, facing along a wall
-        or askew.  A rotated scene's pieces are its column pieces, split at
-        x-levels on the row axis."""
+    def test_proof_leaves_nothing_to_cut(self, rows, k, seed, data):
+        """Whenever the proof holds, on column or row pieces, cutting the
+        piece by every guard's region leaves nothing; the guards stand at
+        any corner, facing along a wall or askew.  A rotated scene's
+        pieces are its column pieces on either axis."""
         if data.draw(st.booleans()):
             sc = gen_random(GeneratorParams(k=k, seed=seed, grid=30))
         else:
@@ -867,13 +868,12 @@ class TestSplitProof:
         guards = data.draw(st.lists(st.sampled_from(_anchors(sc)), min_size=1, max_size=6,
                                     unique=True))
         buildings = [h_cell(h.as_cell()) for h in sc.holes]
-        levels = verify._levels(sc, rows=rows)
         sights = verify._sights(sc, guards)
         index = verify._by_facing(sights)
         regions = [c for g in guards for c in visibility_region(sc, g).cells]
         for piece in _strip_pieces(sc, rows):
             held = verify._held_and_front(index, piece)[0]
-            if verify._proven(piece, held, index, sights, buildings, levels, rows=rows):
+            if verify._proven(piece, held, sights, buildings):
                 assert h_subtract([piece], regions) == []
 
     @pytest.mark.parametrize("piece", [
