@@ -28,7 +28,7 @@ whether a cell lies in the cone over one building's near chain.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 from typing import Iterable, NamedTuple, Union
 
 from cityguard.errors import MalformedPolygonError
@@ -433,11 +433,26 @@ def h_cells_contain(cells, hp) -> bool:
     return False
 
 
+def h_mean(hc: HCell):
+    """The mean of an HCell's vertices as a reduced homogeneous point, in
+    integers: over the lcm L of the vertices' W, (sum X*L/W, sum Y*L/W,
+    n*L) divided by the gcd of its three components."""
+    pts = hc.pts
+    L = lcm(*(p[2] for p in pts))
+    X = Y = 0
+    for x, y, w in pts:
+        s = L // w
+        X += x * s
+        Y += y * s
+    W = len(pts) * L
+    g = gcd(X, Y, W)
+    return (X // g, Y // g, W // g)
+
+
 def h_centroid(hc: HCell) -> Point:
-    """The mean of an HCell's vertices, as a Point of Fractions."""
-    n = len(hc.pts)
-    return Point(sum(Fraction(X, W) for X, _, W in hc.pts) / n,
-                 sum(Fraction(Y, W) for _, Y, W in hc.pts) / n)
+    """The mean of an HCell's vertices (`h_mean`) as a Point: an int
+    coordinate when it is integral, a Fraction otherwise."""
+    return h_to_point(h_mean(hc))
 
 
 def _h_normalized(pts):

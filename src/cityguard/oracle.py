@@ -5,11 +5,24 @@ witnesses (the iterative scheme of Couto, de Rezende and de Souza, and of
 Tozoni, de Rezende and de Souza's "Algorithm 966").
 A witness is a point of the region to cover with an `int` bitmask of the
 candidates whose closed visibility region contains it.  The first
-witnesses are the centroids of the base cells.  Each round finds a
-minimum hitting set of the witness masks (`min_hitting_set`, a branch and
-bound), subtracts the chosen candidates' regions from the base exactly
-and stops when nothing is left; otherwise the centroid of every residual
-cell becomes a new witness.
+witnesses are the vertex centroids of the base cells (`geom.h_mean`, in
+integers).  Each round finds a minimum hitting set of the witness masks
+(`min_hitting_set`, a branch and bound), subtracts the chosen candidates'
+regions from the base exactly and stops when nothing is left; otherwise
+the centroid of every residual cell becomes a new witness.
+
+Each round keeps its work for the next, within one call:
+
+* the minimum's size: witnesses are only added, so the minimum never
+  falls, and the last size is the next search's `lower` bound, where it
+  stops at the first set of that size (the set the full search finds);
+* the residuals: the base minus the regions of each sorted prefix of a
+  chosen set, so a round cuts only by the regions past its longest
+  cached prefix (`_residual`; `h_subtract` cuts one cutter after
+  another, so the cells are those of one subtraction of all of them);
+* the union bbox of each candidate's region cells: a witness outside it
+  is outside the closed region, so only witnesses inside it take the
+  exact closed test (`h_cells_contain`); the float bbox only prefilters.
 
 Why the answer is exact:
 
@@ -44,11 +57,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
+from math import inf
 from typing import Optional
 
 from cityguard.geom import (
-    HCell, Point, h_area2, h_cells_contain, h_centroid, h_divide, h_point,
-    h_subtract, interior_run,
+    HCell, Point, h_area2, h_cells_contain, h_divide, h_mean, h_subtract, h_to_point,
+    interior_run,
 )
 from cityguard.model import (
     City, E, N, S, Scene, Solution, W, hole_guard, p_corner_guard, roof_in_front,
@@ -133,23 +147,30 @@ def optimal_guard_count(scene: Scene, candidates, max_count: int) -> OracleResul
 
 def _certify_and_refine(scene: Scene, candidates, base, max_count: int):
     """The lazy-witness loop over the base cells: (status, chosen candidate
-    indices or None, witness Point or None, witnesses as (Point, mask))."""
+    indices or None, witness Point or None, witnesses as (Point, mask)).
+    What each round carries to the next is listed in the module
+    docstring."""
     _check_max_count(max_count)
     regions = [visibility_region(scene, c).cells for c in candidates]
+    boxes = [_union_bbox(cells) for cells in regions]
+    residuals = {(): base}
     witnesses = []
+    masks = []
+    lower = 0
     fresh = base
     while True:
         for cell in fresh:
-            p = h_centroid(cell)
-            hp = h_point(p)
+            hp = h_mean(cell)
+            x, y = hp[0] / hp[2], hp[1] / hp[2]
             mask = 0
-            for i, cells in enumerate(regions):
-                if h_cells_contain(cells, hp):
+            for i, (x0, y0, x1, y1) in enumerate(boxes):
+                if x0 <= x <= x1 and y0 <= y <= y1 and h_cells_contain(regions[i], hp):
                     mask |= 1 << i
-            witnesses.append((p, mask))
+            witnesses.append((h_to_point(hp), mask))
+            masks.append(mask)
             if not mask:
                 break  # nothing hits it, so the search fails at once
-        best = min_hitting_set([m for _, m in witnesses], max_count)
+        best = min_hitting_set(masks, max_count, lower)
         if best is None:
             rest = h_subtract(base, [c for cells in regions for c in cells])
             if not rest:
@@ -157,9 +178,35 @@ def _certify_and_refine(scene: Scene, candidates, base, max_count: int):
             witness = next(p for p in interior_points(max(rest, key=h_area2))
                            if not any(sees(scene, g, p) for g in candidates))
             return UNCOVERABLE, None, witness, tuple(witnesses)
-        fresh = h_subtract(base, [c for i in sorted(best) for c in regions[i]])
+        lower = len(best)
+        fresh = _residual(residuals, sorted(best), regions)
         if not fresh:
             return OPTIMAL, best, None, tuple(witnesses)
+
+
+def _union_bbox(cells):
+    """The union of the cells' padded float bboxes; one that holds no point
+    when there is no cell."""
+    if not cells:
+        return (inf, inf, -inf, -inf)
+    return (min(c.bbox[0] for c in cells), min(c.bbox[1] for c in cells),
+            max(c.bbox[2] for c in cells), max(c.bbox[3] for c in cells))
+
+
+def _residual(residuals, chosen, regions):
+    """The base minus the regions of the sorted indices `chosen`.
+    `residuals` maps each sorted prefix already subtracted to its
+    residual; the longest one cached is cut by the remaining regions one
+    at a time, and every new prefix is cached.  `h_subtract` cuts by one
+    cutter after another, so this is `h_subtract(base, every chosen
+    cell)`, cell for cell."""
+    n = len(chosen)
+    while tuple(chosen[:n]) not in residuals:
+        n -= 1
+    rest = residuals[tuple(chosen[:n])]
+    for i in range(n, len(chosen)):
+        rest = residuals[tuple(chosen[:i + 1])] = h_subtract(rest, regions[chosen[i]])
+    return rest
 
 
 def _members(bits: int):
@@ -169,7 +216,7 @@ def _members(bits: int):
         bits ^= low
 
 
-def min_hitting_set(masks, max_count: int):
+def min_hitting_set(masks, max_count: int, lower: int = 0):
     """Exact minimum hitting set of `masks`, each an int bitmask of the
     candidate indices that hit one face (or roof).
 
@@ -182,6 +229,11 @@ def min_hitting_set(masks, max_count: int):
     how many uncovered faces they hit; its lower bound is a greedy packing
     of uncovered faces whose remaining candidate sets are pairwise
     disjoint, since no candidate can hit two of them.
+
+    The search keeps the first set it finds of each smaller size, so the
+    answer is the first minimum set in search order.  A caller that knows
+    the minimum is at least `lower` lets the search stop at the first set
+    of that size: the same set the full search returns.
     """
     _check_max_count(max_count)
     faces = []
@@ -194,16 +246,22 @@ def min_hitting_set(masks, max_count: int):
     for j, m in enumerate(faces):
         for c in _members(m):
             cover[c] = cover.get(c, 0) | (1 << j)
-    kept = 0
-    for c, fc in cover.items():
-        if not any(d != c and fc & fd == fc and (fd != fc or d < c)
-                   for d, fd in cover.items()):
+    # a candidate is dropped when an earlier one, by (more faces, lower
+    # index), hits all its faces; domination is transitive and follows
+    # that order, so testing against the kept ones alone suffices
+    kept, kept_faces = 0, []
+    for c, fc in sorted(cover.items(), key=lambda item: (-item[1].bit_count(), item[0])):
+        if not any(fc & fd == fc for fd in kept_faces):
             kept |= 1 << c
+            kept_faces.append(fc)
     hitters = [m & kept for m in faces]
     best = None
 
     def limit():
-        return max_count if best is None else len(best) - 1
+        # -1 once a set of size `lower` is found: every open branch returns
+        if best is None:
+            return max_count
+        return len(best) - 1 if len(best) > lower else -1
 
     def search(chosen, uncovered, allowed):
         nonlocal best

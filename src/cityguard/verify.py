@@ -70,7 +70,7 @@ from cityguard.geom import (
     AxisRect, HCell, Point, PolygonSet, h_area2, h_cell, h_centroid, h_point,
     h_rect, h_sees_all, h_shadowed, h_subtract, h_to_point,
 )
-from cityguard.model import AXIS_ALIGNED, City, Scene, Solution, roof_flags
+from cityguard.model import AXIS_ALIGNED, City, Scene, Solution, roof_flags, validate_scene
 from cityguard.visibility import scene_cache, visibility_region
 
 
@@ -134,7 +134,10 @@ def _certificate(scene: Scene, guards) -> Certificate:
     """The guard set's certificate, kept with the scene's regions
     (`visibility.scene_cache`).  `covers` and `certify` both read it
     directly, so a call through one public function is one call at the
-    module boundary."""
+    module boundary.  The scene is validated first (`validate_scene`
+    raises SceneValidationError); the parser and the placements validate
+    the same scene object, so here that is one identity check."""
+    scene = validate_scene(scene)
     certificates = scene_cache(scene)[1]
     key = tuple(guards)
     cert = certificates.get(key)
@@ -234,13 +237,16 @@ def interior_points(cell: HCell):
     """Points strictly inside the cell: the vertex centroid c, then
     (m*m*c + m*v0 + v1) / (m*m + m + 1), m = 2, 3, ...  Each is strictly
     inside the triangle of c and the first two vertices, and a line holds
-    at most two of them, so one of the first 2L + 1 is off any L lines."""
+    at most two of them, so one of the first 2L + 1 is off any L lines.
+    Coordinates are ints or Fractions: c and the vertices may be all ints,
+    so each later point is divided as a Fraction."""
     c = h_centroid(cell)
     v0, v1 = map(h_to_point, cell.pts[:2])
     yield c
     for m in count(2):
         d = m * m + m + 1
-        yield Point((m * m * c.x + m * v0.x + v1.x) / d, (m * m * c.y + m * v0.y + v1.y) / d)
+        yield Point(Fraction(m * m * c.x + m * v0.x + v1.x, d),
+                    Fraction(m * m * c.y + m * v0.y + v1.y, d))
 
 
 def _witness(cell: HCell, sights) -> Point:

@@ -2,7 +2,8 @@
 build, computed here with exact polygon cuts so that the tests can check
 the library's placements, staircases and 3k+1 pockets against them; the
 stairs of a staircase by comparing every pair of apexes; the oracle's
-minimum over such a region; the residual pass as a plain cut by
+certify-and-refine loop with every round from scratch, and its minimum
+over such a region; the residual pass as a plain cut by
 every region in turn; free space's strip pieces cut from Point rings;
 the building levels across those pieces; a
 cell's holders and front guards by a side table
@@ -15,15 +16,18 @@ from fractions import Fraction
 from itertools import groupby
 
 from cityguard.geom import (
-    AxisRect, HCell, Point, PolygonSet, _h_line, _h_meet, _h_orient, h_cell, h_point,
-    h_subtract, make_convex_quad, orient, primitive_direction,
+    AxisRect, HCell, Point, PolygonSet, _h_line, _h_meet, _h_orient, h_area2, h_cell,
+    h_cells_contain, h_centroid, h_point, h_subtract, make_convex_quad, orient,
+    primitive_direction,
 )
 from cityguard.model import Guard, Scene
-from cityguard.oracle import OPTIMAL, _certify_and_refine
+from cityguard.oracle import (
+    INFEASIBLE_WITHIN, OPTIMAL, UNCOVERABLE, _certify_and_refine, min_hitting_set,
+)
 from cityguard.staircase import _QUADRANT
-from cityguard.verify import free_space
+from cityguard.verify import free_space, interior_points
 from cityguard.visibility import (
-    VisibilityRegion, _corner_cone, _sorted_directions, _strictly_in_cone,
+    VisibilityRegion, _corner_cone, _sorted_directions, _strictly_in_cone, sees,
     visibility_region,
 )
 
@@ -103,6 +107,41 @@ def _convex_hull(points):
     lower = half(pts)
     upper = half(pts[::-1])
     return lower[:-1] + upper[:-1]
+
+
+def certify_and_refine_from_scratch(scene, candidates, base, max_count: int):
+    """The oracle's certify-and-refine loop as it was before rounds kept
+    their work: each round tests every witness against every candidate
+    region, searches from no bound and subtracts every chosen region
+    from the base.  (status, chosen indices or None, witness Point or
+    None, witnesses as (Point, mask)), as `oracle._certify_and_refine`."""
+    if max_count < 0:
+        raise ValueError(f"max_count must be >= 0, got {max_count}")
+    regions = [visibility_region(scene, c).cells for c in candidates]
+    witnesses = []
+    fresh = base
+    while True:
+        for cell in fresh:
+            p = h_centroid(cell)
+            hp = h_point(p)
+            mask = 0
+            for i, cells in enumerate(regions):
+                if h_cells_contain(cells, hp):
+                    mask |= 1 << i
+            witnesses.append((p, mask))
+            if not mask:
+                break
+        best = min_hitting_set([m for _, m in witnesses], max_count)
+        if best is None:
+            rest = h_subtract(base, [c for cells in regions for c in cells])
+            if not rest:
+                return INFEASIBLE_WITHIN, None, None, tuple(witnesses)
+            witness = next(p for p in interior_points(max(rest, key=h_area2))
+                           if not any(sees(scene, g, p) for g in candidates))
+            return UNCOVERABLE, None, witness, tuple(witnesses)
+        fresh = h_subtract(base, [c for i in sorted(best) for c in regions[i]])
+        if not fresh:
+            return OPTIMAL, best, None, tuple(witnesses)
 
 
 def min_cover_of_region(scene, candidates, region, max_count: int):

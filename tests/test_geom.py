@@ -1,8 +1,8 @@
 from fractions import Fraction
-from math import atan2
+from math import atan2, gcd
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from cityguard import geom
@@ -441,6 +441,64 @@ class TestSplit:
         small = h_cell((Point(1, 1), Point(2, 1), Point(2, 2), Point(1, 2)))
         big = h_cell((Point(0, 0), Point(3, 0), Point(3, 3), Point(0, 3)))
         assert h_divide([small], [big]) == ([(small.pts, small.lines)], [])
+
+
+def fraction_mean(cell):
+    """The vertex mean of an HCell, summed in Fractions."""
+    n = len(cell.pts)
+    return (sum(Fraction(X, W) for X, _, W in cell.pts) / n,
+            sum(Fraction(Y, W) for _, Y, W in cell.pts) / n)
+
+
+@st.composite
+def triangles(draw):
+    """A CCW triangle with area, vertices ints or Fractions."""
+    coordinate = st.one_of(st.integers(-50, 50),
+                           st.builds(Fraction, st.integers(-500, 500), st.integers(1, 12)))
+    a, b, c = (Point(draw(coordinate), draw(coordinate)) for _ in range(3))
+    side = orient(a, b, c)
+    assume(side != COLLINEAR)
+    return (a, b, c) if side == CCW else (a, c, b)
+
+
+class TestIntegerCentroid:
+    """h_mean sums the vertices over the lcm of their W in integers; it
+    must be the Fraction mean, reduced, and h_centroid gives it as ints
+    when it is integral."""
+
+    def _check(self, cell):
+        X, Y, W = geom.h_mean(cell)
+        fx, fy = fraction_mean(cell)
+        assert W > 0 and gcd(X, Y, W) == 1
+        assert (Fraction(X, W), Fraction(Y, W)) == (fx, fy)
+        c = geom.h_centroid(cell)
+        assert c == Point(fx, fy)
+        for got, want in zip(c, (fx, fy)):
+            assert type(got) is (int if want.denominator == 1 else Fraction)
+
+    @given(triangles())
+    @settings(max_examples=300)
+    def test_triangles(self, tri):
+        self._check(h_cell(tri))
+
+    def test_integer_and_fraction_means(self):
+        integral = h_cell((P(0, 0), P(3, 0), P(0, 3)))
+        assert geom.h_mean(integral) == (1, 1, 1)
+        halves = geom.h_rect(0, 0, 1, 1)
+        assert geom.h_mean(halves) == (1, 1, 2)
+        mixed = h_cell((P(Fraction(1, 3), 0), P(2, Fraction(1, 2)), P(0, 2)))
+        assert geom.h_mean(mixed) == (14, 15, 18)
+        for cell in (integral, halves, mixed):
+            self._check(cell)
+
+    def test_cut_cells(self):
+        # faces of an arrangement: vertices that are meets of region lines,
+        # with different W on one cell
+        sc = gen_random(GeneratorParams(k=2, seed=2, grid=40))
+        faces = build_faces(sc, candidate_set(sc, include_p_corners=True))
+        assert any(len({p[2] for p in cell.pts}) > 1 for cell, _ in faces)
+        for cell, _ in faces:
+            self._check(cell)
 
 
 _BIG = 10 ** 300

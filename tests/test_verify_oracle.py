@@ -6,28 +6,30 @@ from fractions import Fraction
 from itertools import combinations, islice
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import cityguard.model as model
 import cityguard.placement as placement
 import cityguard.verify as verify
 import cityguard.visibility as visibility
 from cityguard.bench import bench_instance, random_corpus
+from cityguard.errors import SceneValidationError
 from cityguard.geom import (
     AxisRect, HCell, Point, PolygonSet, _h_split, h_area2, h_cell, h_cell_to_cell,
     h_centroid, h_point, h_sees_all, h_shadowed, h_subtract, h_to_point, interior_run,
-    make_axis_rect,
+    make_axis_rect, make_convex_quad,
 )
 from cityguard.instances import (
     GeneratorParams, gen_3k1_necessity, gen_random, gen_roof_necessity,
 )
-from cityguard.io import certificate_doc, parse_city
+from cityguard.io import certificate_doc, city_doc, parse_city
 from cityguard.model import (
     AXIS_ALIGNED, City, E, N, S, Scene, Solution, W, hole_guard, p_corner_guard,
     roof_covered_by, rotate_guards, rotate_scene_ccw,
 )
 from cityguard.oracle import (
-    INFEASIBLE_WITHIN, OPTIMAL, UNCOVERABLE, build_faces, candidate_set,
+    INFEASIBLE_WITHIN, OPTIMAL, UNCOVERABLE, _certify_and_refine, build_faces, candidate_set,
     exhaustive_min_cover, min_hitting_set, min_roof_guards,
     optimal_guard_count, roof_cover_sets, roof_samples,
 )
@@ -39,8 +41,9 @@ from cityguard.verify import certify, certify_city, covers, free_space
 from cityguard.visibility import sees, visibility_region
 from counterexample_3k1 import rot3k1_counterexample
 from references import (
-    axis_free_cells, building_levels, in_closed_shadow, min_cover_of_region, mirror_guards,
-    mirror_scene, residual_pass, side_table, space_between,
+    axis_free_cells, building_levels, certify_and_refine_from_scratch, in_closed_shadow,
+    min_cover_of_region, mirror_guards, mirror_scene, residual_pass, side_table,
+    space_between,
 )
 from test_geom import ref_interior_run
 
@@ -71,6 +74,35 @@ class TestCertify:
         assert cert.residual.area() == 96
         assert cert.witness is not None
         assert free_space(sc).contains(cert.witness)
+
+    @pytest.mark.parametrize("bounds", [AxisRect(5, 0, 0, 5), AxisRect(0, 0, 0, 0),
+                                        AxisRect(0, 0, 10, 0)])
+    def test_scene_without_area_is_refused(self, bounds):
+        sc = Scene(bounds=bounds, holes=())
+        for check in (certify, covers):
+            with pytest.raises(SceneValidationError) as e:
+                check(sc, [])
+            assert e.value.violations == [("EMPTY_BOUNDS", ("bounds",))]
+
+    def test_parsed_and_placed_scenes_are_validated_once(self, monkeypatch):
+        """The parser and the placements validate the scene object that
+        `certify` then gets, so its own check makes no pair test."""
+        (name, city), = random_corpus(1, 6, 6, seed=43, grid=1000)
+        once = 6 * 5 // 2
+        pairs = []
+        disjoint = model._holes_disjoint
+        monkeypatch.setattr(model, "_holes_disjoint",
+                            lambda a, b: pairs.append((a, b)) or disjoint(a, b))
+        monkeypatch.setattr(model, "_validated", None)
+        parsed = parse_city(city_doc(city))
+        assert len(pairs) == once
+        certify(parsed.scene, guards_2k1(parsed.scene).guards[1:])
+        certify_city(parsed, Solution(algorithm="x", guards=guards_2k1(parsed.scene).guards))
+        assert len(pairs) == once
+        monkeypatch.setattr(model, "_validated", None)
+        pairs.clear()
+        assert bench_instance(name, city).certified
+        assert len(pairs) == once
 
     def test_single_guard_halfplane_clipped(self):
         sc = city_a()
@@ -371,10 +403,13 @@ class TestRegionsSweptOnDemand:
 
 
 def scaled_and_shifted(scene, s, dx, dy):
-    """The scene under p -> s*p + (dx, dy); corner indices, and so the
-    guards' anchors and facings, are unchanged."""
+    """The scene under p -> s*p + (dx, dy), rotated buildings included;
+    corner indices, and so the guards' anchors and facings, are
+    unchanged."""
     def image(r):
-        return AxisRect(s * r.x0 + dx, s * r.y0 + dy, s * r.x1 + dx, s * r.y1 + dy)
+        if isinstance(r, AxisRect):
+            return AxisRect(s * r.x0 + dx, s * r.y0 + dy, s * r.x1 + dx, s * r.y1 + dy)
+        return make_convex_quad([(s * p.x + dx, s * p.y + dy) for p in r.corners()])
     return Scene(bounds=image(scene.bounds), holes=tuple(image(h) for h in scene.holes))
 
 
@@ -947,6 +982,24 @@ def _assert_shadow_verdicts(sc, pos, cells):
     return verdicts
 
 
+class TestInteriorPoints:
+    def test_points_are_exact_and_inside(self):
+        """Every point is int or Fraction, never a float, even when the
+        centroid and the first two vertices are all ints, and lies in the
+        open cell."""
+        cells = [h_cell((Point(0, 0), Point(3, 0), Point(0, 3))),
+                 h_cell((Point(0, 0), Point(4, 0), Point(4, 2), Point(0, 2))),
+                 h_cell((Point(Fraction(1, 3), 0), Point(2, Fraction(1, 2)), Point(0, 2)))]
+        sc = gen_random(GeneratorParams(k=3, seed=4, grid=60))
+        cells += certify(sc, guards_2k1(sc).guards[1:]).residual.pieces
+        for cell in cells:
+            for p in islice(verify.interior_points(cell), 9):
+                assert all(type(v) in (int, Fraction) for v in p)
+                hp = h_point(p)
+                assert all(A * hp[0] + B * hp[1] + C * hp[2] > 0 for A, B, C in cell.lines)
+        assert type(next(verify.interior_points(cells[0])).x) is int
+
+
 class TestShadowed:
     """`geom.h_shadowed(apex, cell, blockers)`: the closed shadow of one
     building, seen from the apex, holds the cell.  No interior point of a
@@ -1253,6 +1306,40 @@ class TestLazyOracleAgreesWithFaces:
         assert not any(sees(sc, g, res.witness_point) for g in guards)
 
 
+def _loop_scenes():
+    cases = [pytest.param(lambda k=k: gen_random(GeneratorParams(k=k, seed=k, grid=200)),
+                          2 * k + 1, id=f"random-k{k}") for k in range(1, 9)]
+    cases += [pytest.param(lambda k=k: gen_3k1_necessity(k), 3 * k + 1, id=f"rot3k1-k{k}")
+              for k in (1, 2)]
+    return cases
+
+
+class TestLazyOracleKeepsItsWork:
+    """Differential: the loop that keeps its work between rounds (a lower
+    bound, residuals per chosen prefix, a bbox per candidate region)
+    against the same loop with every round from scratch: the same status,
+    chosen set, witness and witness list, points and masks, at every
+    `max_count` from 0 to the minimum (or to the first UNCOVERABLE
+    answer, which every larger `max_count` repeats), on random scenes at
+    grid 200 and the rotated family, and on their shift by 10^17, where
+    the float bboxes' padding spans the whole scene."""
+
+    @pytest.mark.parametrize("make,bound", _loop_scenes())
+    @pytest.mark.parametrize("shift", [0, 10 ** 17], ids=["plain", "1e17"])
+    def test_same_rounds_as_from_scratch(self, make, bound, shift):
+        sc = scaled_and_shifted(make(), 1, shift, shift)
+        base = free_space(sc).pieces
+        for p_corners in (False, True):
+            cands = candidate_set(sc, include_p_corners=p_corners)
+            for max_count in range(bound + 1):
+                got = _certify_and_refine(sc, cands, base, max_count)
+                assert got == certify_and_refine_from_scratch(sc, cands, base, max_count), \
+                    (p_corners, max_count)
+                if got[0] != INFEASIBLE_WITHIN:
+                    break
+            assert got[0] == OPTIMAL or not p_corners
+
+
 def _brute_min_hitting_set(masks, n):
     for size in range(n + 1):
         for subset in combinations(range(n), size):
@@ -1282,6 +1369,21 @@ class TestMinHittingSet:
         bits = sum(1 << c for c in got)
         assert all(m & bits for m in masks)
         assert min_hitting_set(masks, max_count) == got
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.integers(1, 12).flatmap(lambda n: st.tuples(
+        st.just(n), st.lists(st.integers(0, (1 << n) - 1), max_size=20),
+        st.integers(0, n))))
+    # the search finds {0, 1, 3, 4} before the minimum {0, 5, 9}
+    @example((10, [5, 592, 38, 1, 648, 518, 290, 56], 10))
+    def test_lower_bound_keeps_the_set(self, case):
+        """Any `lower` up to the true minimum stops the search at the set
+        the full search returns, or finds none when there is none."""
+        n, masks, max_count = case
+        least = _brute_min_hitting_set(masks, n)
+        full = min_hitting_set(masks, max_count)
+        for lower in range(0, (n if least is None else least) + 1):
+            assert min_hitting_set(masks, max_count, lower) == full
 
     def test_fixed_cases(self):
         assert min_hitting_set([], 0) == frozenset()
