@@ -156,14 +156,16 @@ def _axis_lines(hole: Hole):
 
 
 def check_general_position(scene: Scene):
-    """No two holes share an edge-supporting axis line; violations as list."""
-    bad = []
-    lines = [_axis_lines(h) for h in scene.holes]
-    for i in range(scene.k):
-        for j in range(i + 1, scene.k):
-            if (lines[i][0] & lines[j][0]) or (lines[i][1] & lines[j][1]):
-                bad.append(("DEGENERATE_POSITION", (i, j)))
-    return bad
+    """No two holes share an edge-supporting axis line; violations as list,
+    one per pair (i, j), i < j, in that order.  Holes are grouped by line,
+    so only the pairs that share one are visited."""
+    on_line = {}
+    for i, h in enumerate(scene.holes):
+        xs, ys = _axis_lines(h)
+        for line in [("x", x) for x in xs] + [("y", y) for y in ys]:
+            on_line.setdefault(line, []).append(i)
+    pairs = {(i, j) for ids in on_line.values() for n, i in enumerate(ids) for j in ids[n + 1:]}
+    return [("DEGENERATE_POSITION", pair) for pair in sorted(pairs)]
 
 
 # The kernel is exact, but its prefilters read coordinates, and differences

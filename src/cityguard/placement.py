@@ -58,95 +58,6 @@ def roof_guarding(city: City) -> Solution:
 # ---------------------------------------------------------------------------
 
 
-def _partition_walls(scene: Scene):
-    """North extensions of right edges, then West extensions of the
-    horizontal edges; returns (vertical walls, horizontal walls)."""
-    b = scene.bounds
-    holes = scene.holes
-    v_walls = [(b.x0, b.y0, b.y1), (b.x1, b.y0, b.y1)]
-    right_walls = []
-    for h in holes:
-        stops = [o.y0 for o in holes if o.x0 < h.x1 < o.x1 and o.y0 > h.y1]
-        nstop = min(stops) if stops else b.y1
-        right_walls.append((h.x1, h.y0, nstop))
-    v_walls.extend(right_walls)
-    v_walls.extend((h.x0, h.y0, h.y1) for h in holes)  # left edges block too
-
-    def wstop(y, x_right):
-        stops = [w[0] for w in right_walls if w[0] < x_right and w[1] < y < w[2]]
-        return max(stops) if stops else b.x0
-
-    h_walls = [(b.y0, b.x0, b.x1), (b.y1, b.x0, b.x1)]
-    for h in holes:
-        h_walls.append((h.y1, wstop(h.y1, h.x0), h.x1))  # top edge, extended West
-        h_walls.append((h.y0, wstop(h.y0, h.x0), h.x1))  # bottom edge, extended West
-    return v_walls, h_walls
-
-
-def _orthogonal_partition(scene: Scene):
-    """Faces of the extension subdivision as lists of grid rectangles.
-
-    Works on grid indices: hole cells are marked from each hole's index
-    range and every wall becomes the set of cell sides it blocks, so the
-    union-find over adjacent free cells costs O(k^2)."""
-    b = scene.bounds
-    holes = scene.holes
-    v_walls, h_walls = _partition_walls(scene)
-    xs = sorted({b.x0, b.x1} | {h.x0 for h in holes} | {h.x1 for h in holes})
-    ys = sorted({b.y0, b.y1} | {h.y0 for h in holes} | {h.y1 for h in holes})
-    xi = {x: i for i, x in enumerate(xs)}
-    yi = {y: j for j, y in enumerate(ys)}
-    nx, ny = len(xs) - 1, len(ys) - 1
-
-    # cell (i, j) is [xs[i], xs[i+1]] x [ys[j], ys[j+1]], flat index i * ny + j
-    free = [True] * (nx * ny)
-    for h in holes:
-        j0, j1 = yi[h.y0], yi[h.y1]
-        for i in range(xi[h.x0], xi[h.x1]):
-            free[i * ny + j0:i * ny + j1] = [False] * (j1 - j0)
-    # the vertical line xs[i] blocks the sides (i, j) for j in its y range;
-    # the horizontal line ys[j] blocks the sides (j, i) for i in its x range
-    v_blocked = {(xi[x], j) for (x, lo, hi) in v_walls for j in range(yi[lo], yi[hi])}
-    h_blocked = {(yi[y], i) for (y, lo, hi) in h_walls for i in range(xi[lo], xi[hi])}
-
-    parent = list(range(nx * ny))
-
-    def find(a):
-        while parent[a] != a:
-            parent[a] = parent[parent[a]]
-            a = parent[a]
-        return a
-
-    def union(a, b):
-        ra, rb = find(a), find(b)
-        if ra != rb:
-            parent[ra] = rb
-
-    for i in range(nx):
-        for j in range(ny):
-            c = i * ny + j
-            if not free[c]:
-                continue
-            if i + 1 < nx and free[c + ny] and (i + 1, j) not in v_blocked:
-                union(c, c + ny)
-            if j + 1 < ny and free[c + 1] and (j + 1, i) not in h_blocked:
-                union(c, c + 1)
-
-    groups = {}
-    for c in range(nx * ny):
-        if free[c]:
-            i, j = divmod(c, ny)
-            groups.setdefault(find(c), []).append(
-                AxisRect(xs[i], ys[j], xs[i + 1], ys[j + 1]))
-    return list(groups.values())
-
-
-def _region_se_corner(rects) -> Point:
-    x_right = max(r.x1 for r in rects)
-    y_min = min(r.y0 for r in rects if r.x1 == x_right)
-    return Point(x_right, y_min)
-
-
 def _anchor_guards(scene: Scene) -> dict:
     """The partition's anchors, read off the buildings: each region's SE
     corner mapped to the guard there facing West, in guard order.  They
@@ -182,23 +93,56 @@ def _checked_anchors(scene: Scene):
 
 
 def partition_2k1(scene: Scene):
-    """The 2k+1 monotone-staircase partition of free space.  Each face of
-    the grid partition is named by its SE corner, which must be one of
-    the anchors read off the buildings, each taken once."""
+    """The 2k+1 monotone-staircase partition of free space, as the cells of
+    the grid of hole lines, each region named by its anchor.
+
+    Every free cell belongs to the region of the first vertical wall East
+    of it.  There are 2k+1 such walls, each named by its lower end: P's
+    East side (P's SE corner), each building's West side (its SW corner),
+    and each building's East side extended North from its top corner to
+    the first building above that spans that x-line, else to P's top (its
+    NE corner).  The horizontal walls of the edge-extension partition are
+    each building's S and N sides, extended West to the first vertical
+    wall.  Proof that the faces are these regions:
+    - A walk East crosses no horizontal wall, so it stays in its face
+      until the first vertical wall.
+    - Just West of each end of every vertical wall a horizontal wall runs
+      West: the building's own S or N side, the S side of the building
+      above, or a side of P.  So a vertical step inside a face never
+      changes which wall the walk meets.
+    - Each face therefore reaches down its wall to the wall's lower end,
+      which is the face's SE corner.
+    The lower ends must be the anchors read off the buildings
+    (`_anchor_guards`).  One pass runs West over the columns and keeps, per
+    row, the name of the last wall crossed (None inside a building)."""
     scene, anchors = _checked_anchors(scene)
-    regions = []
-    for rects in _orthogonal_partition(scene):
-        se = _region_se_corner(rects)
-        if se not in anchors:
-            raise PlacementIncompleteError(f"partition corner {se} is not an anchor")
-        regions.append(PartitionRegion(anchor_guard=anchors[se],
-                                       rects=tuple(sorted(rects))))
-    regions.sort(key=lambda r: (r.anchor_guard.anchor, r.anchor_guard.facing))
-    if [r.anchor_guard for r in regions] != list(anchors.values()):
-        raise PlacementIncompleteError(
-            f"partition produced {len(regions)} regions, expected one at each "
-            f"of its {len(anchors)} anchors")
-    return regions
+    b, holes = scene.bounds, scene.holes
+    xs = sorted({b.x0, b.x1} | {h.x0 for h in holes} | {h.x1 for h in holes})
+    ys = sorted({b.y0, b.y1} | {h.y0 for h in holes} | {h.y1 for h in holes})
+    yi = {y: j for j, y in enumerate(ys)}
+    ny = len(ys) - 1
+    # per x-line, the rows [lo, hi) a wall there starts naming, and the name
+    walls = {b.x1: [(0, ny, Point(b.x1, b.y0))]}
+    for h in holes:
+        j0, j1 = yi[h.y0], yi[h.y1]
+        stops = [o.y0 for o in holes if o.x0 < h.x1 < o.x1 and o.y0 > h.y1]
+        walls[h.x0] = [(j0, j1, Point(h.x0, h.y0))]
+        walls[h.x1] = [(j0, j1, None), (j1, yi[min(stops, default=b.y1)], Point(h.x1, h.y1))]
+    cells = {p: [] for lines in walls.values() for _, _, p in lines if p is not None}
+    for p in cells:
+        if p not in anchors:
+            raise PlacementIncompleteError(f"partition corner {p} is not an anchor")
+    rows = list(zip(ys, ys[1:]))[::-1]
+    names = [None] * ny
+    for x0, x1 in reversed(list(zip(xs, xs[1:]))):
+        for lo, hi, p in walls[x1]:
+            names[lo:hi] = [p] * (hi - lo)
+        for p, (y0, y1) in zip(reversed(names), rows):
+            if p is not None:
+                cells[p].append(AxisRect(x0, y0, x1, y1))
+    # each region's cells came East to West and North to South
+    return [PartitionRegion(anchor_guard=g, rects=tuple(reversed(cells[p])))
+            for p, g in anchors.items()]
 
 
 def guards_2k1(scene: Scene) -> Solution:

@@ -44,8 +44,10 @@ or a Fraction.  A guard's closed half-plane holds the cell iff
 t <= min f.v over the cell's vertices v, and it has a vertex strictly in
 front iff t < max f.v, so each group gives the cell's holders and its
 front guards as two sorted prefixes, found by bisection after one pass
-over the vertices per facing.  Both lists are put back in guard order,
-so the proofs and the cuts see the guards as a plain scan would.
+over the vertices per facing.  The holders are tried by distance, ties
+in guard order, and the front guards, read only for a piece no holder
+proves, are put back in guard order, so the proofs and the cuts see the
+guards as a plain scan would.
 
 The witness of an uncovered certificate is the first of the largest
 residual cell's `interior_points` off every guard's half-plane boundary
@@ -159,10 +161,9 @@ def _compute(scene: Scene, guards: tuple) -> Certificate:
               else free_space(scene).pieces)
     residual = []
     for piece in pieces:
-        held, front = _held_and_front(index, piece)
-        if not _proven(piece, held, sights, buildings):
+        if not _proven(piece, _holders(index, piece), sights, buildings):
             rest = [piece]
-            for i in front:
+            for i in _front(index, piece):
                 if all(h_shadowed(sights[i][0], c, buildings) for c in rest):
                     continue  # its region would leave every cell as it is
                 rest = h_subtract(rest, visibility_region(scene, guards[i]).cells)
@@ -199,19 +200,27 @@ def _by_facing(sights):
     return index
 
 
-def _held_and_front(index, cell: HCell):
+def _holders(index, cell: HCell):
     """The indices of the sights whose closed half-plane holds the cell,
-    and of those with a vertex of it strictly in front, each in guard
-    order: per facing, the thresholds t <= min f.v and t < max f.v over
-    the cell's vertices v."""
-    held, front = [], []
+    in no order: per facing f, the thresholds t <= min f.v over the
+    cell's vertices v."""
+    held = []
     for (fx, fy), ts, members in index:
-        dots = [_ratio(fx * X + fy * Y, W) for X, Y, W in cell.pts]
-        held += members[:bisect_right(ts, min(dots))]
-        front += members[:bisect_left(ts, max(dots))]
-    held.sort()
+        low = min([_ratio(fx * X + fy * Y, W) for X, Y, W in cell.pts])
+        held += members[:bisect_right(ts, low)]
+    return held
+
+
+def _front(index, cell: HCell):
+    """The indices of the sights with a vertex of the cell strictly in
+    front, in guard order: per facing f, the thresholds t < max f.v over
+    the cell's vertices v."""
+    front = []
+    for (fx, fy), ts, members in index:
+        high = max([_ratio(fx * X + fy * Y, W) for X, Y, W in cell.pts])
+        front += members[:bisect_left(ts, high)]
     front.sort()
-    return held, front
+    return front
 
 
 def _proven(piece: HCell, held, sights, buildings) -> bool:
@@ -221,16 +230,16 @@ def _proven(piece: HCell, held, sights, buildings) -> bool:
     hull tests."""
     x0, y0, x1, y1 = piece.bbox
 
-    def gap2(sight):
-        """The squared float distance from the sight's apex to the bbox."""
-        X, Y, W = sight[0]
+    def gap2(i):
+        """The squared float distance from sight i's apex to the bbox,
+        then i."""
+        X, Y, W = sights[i][0]
         x, y = X / W, Y / W
         dx = x0 - x if x < x0 else (x - x1 if x > x1 else 0.0)
         dy = y0 - y if y < y0 else (y - y1 if y > y1 else 0.0)
-        return dx * dx + dy * dy
+        return dx * dx + dy * dy, i
 
-    nearest = sorted((sights[i] for i in held), key=gap2)
-    return any(h_sees_all(a, f, piece, buildings) for a, f, _ in nearest)
+    return any(h_sees_all(*sights[i][:2], piece, buildings) for i in sorted(held, key=gap2))
 
 
 def interior_points(cell: HCell):

@@ -8,9 +8,11 @@ every region in turn; free space's strip pieces cut from Point rings;
 the building levels across those pieces; a
 cell's holders and front guards by a side table
 of every guard against every vertex; a polygon's closed shadow by
-segment tests; the mirror image of a scene and its guards; and a guard's
+segment tests; the mirror image of a scene and its guards; a guard's
 region swept from scratch, with the facing's edge directions among the
-critical directions and every wedge tested."""
+critical directions and every wedge tested; and the 2k+1 partition's
+faces read off its extension walls by a union-find over the grid
+cells, which also takes frames with buildings on P's sides."""
 
 from fractions import Fraction
 from itertools import groupby
@@ -331,3 +333,86 @@ def sweep(scene: Scene, g: Guard) -> VisibilityRegion:
             cells.append(HCell((hpos, r1, r2), (ray1, edge, back)))
 
     return VisibilityRegion(guard=g, cells=tuple(cells))
+
+
+def _partition_walls(scene: Scene):
+    """North extensions of right edges, then West extensions of the
+    horizontal edges; returns (vertical walls, horizontal walls)."""
+    b = scene.bounds
+    holes = scene.holes
+    v_walls = [(b.x0, b.y0, b.y1), (b.x1, b.y0, b.y1)]
+    right_walls = []
+    for h in holes:
+        stops = [o.y0 for o in holes if o.x0 < h.x1 < o.x1 and o.y0 > h.y1]
+        nstop = min(stops) if stops else b.y1
+        right_walls.append((h.x1, h.y0, nstop))
+    v_walls.extend(right_walls)
+    v_walls.extend((h.x0, h.y0, h.y1) for h in holes)  # left edges block too
+
+    def wstop(y, x_right):
+        stops = [w[0] for w in right_walls if w[0] < x_right and w[1] < y < w[2]]
+        return max(stops) if stops else b.x0
+
+    h_walls = [(b.y0, b.x0, b.x1), (b.y1, b.x0, b.x1)]
+    for h in holes:
+        h_walls.append((h.y1, wstop(h.y1, h.x0), h.x1))  # top edge, extended West
+        h_walls.append((h.y0, wstop(h.y0, h.x0), h.x1))  # bottom edge, extended West
+    return v_walls, h_walls
+
+
+def _orthogonal_partition(scene: Scene):
+    """Faces of the extension subdivision as lists of grid rectangles.
+
+    Works on grid indices: hole cells are marked from each hole's index
+    range and every wall becomes the set of cell sides it blocks, so the
+    union-find over adjacent free cells costs O(k^2)."""
+    b = scene.bounds
+    holes = scene.holes
+    v_walls, h_walls = _partition_walls(scene)
+    xs = sorted({b.x0, b.x1} | {h.x0 for h in holes} | {h.x1 for h in holes})
+    ys = sorted({b.y0, b.y1} | {h.y0 for h in holes} | {h.y1 for h in holes})
+    xi = {x: i for i, x in enumerate(xs)}
+    yi = {y: j for j, y in enumerate(ys)}
+    nx, ny = len(xs) - 1, len(ys) - 1
+
+    # cell (i, j) is [xs[i], xs[i+1]] x [ys[j], ys[j+1]], flat index i * ny + j
+    free = [True] * (nx * ny)
+    for h in holes:
+        j0, j1 = yi[h.y0], yi[h.y1]
+        for i in range(xi[h.x0], xi[h.x1]):
+            free[i * ny + j0:i * ny + j1] = [False] * (j1 - j0)
+    # the vertical line xs[i] blocks the sides (i, j) for j in its y range;
+    # the horizontal line ys[j] blocks the sides (j, i) for i in its x range
+    v_blocked = {(xi[x], j) for (x, lo, hi) in v_walls for j in range(yi[lo], yi[hi])}
+    h_blocked = {(yi[y], i) for (y, lo, hi) in h_walls for i in range(xi[lo], xi[hi])}
+
+    parent = list(range(nx * ny))
+
+    def find(a):
+        while parent[a] != a:
+            parent[a] = parent[parent[a]]
+            a = parent[a]
+        return a
+
+    def union(a, b):
+        ra, rb = find(a), find(b)
+        if ra != rb:
+            parent[ra] = rb
+
+    for i in range(nx):
+        for j in range(ny):
+            c = i * ny + j
+            if not free[c]:
+                continue
+            if i + 1 < nx and free[c + ny] and (i + 1, j) not in v_blocked:
+                union(c, c + ny)
+            if j + 1 < ny and free[c + 1] and (j + 1, i) not in h_blocked:
+                union(c, c + 1)
+
+    groups = {}
+    for c in range(nx * ny):
+        if free[c]:
+            i, j = divmod(c, ny)
+            groups.setdefault(find(c), []).append(
+                AxisRect(xs[i], ys[j], xs[i + 1], ys[j + 1]))
+    return list(groups.values())

@@ -306,7 +306,7 @@ class TestCli:
         cert = tmp_path / "c.json"
         save_city(parse_city(city_a_doc()), scene)
         save_solution(Solution(algorithm="x", guards=(hole_guard(0, 1, (1, 0)),)), sol)
-        monkeypatch.setattr(visibility, "_cache", (None, {}, {}))
+        monkeypatch.setattr(visibility, "_cache", (None, {}, {}, [None]))
         monkeypatch.setattr(verify, "_witness", lambda cell, sights: h_to_point(sights[0][0]))
         assert self.run("verify", "--scene", str(scene), "--solution", str(sol),
                         "--cert", str(cert)) == 3

@@ -90,6 +90,18 @@ class TestValidation:
         with pytest.raises(DegeneratePositionError):
             require_general_position(sc2)
 
+    @given(st.lists(st.tuples(*[st.integers(0, 6)] * 4), max_size=12))
+    def test_degenerate_pairs_in_pair_order(self, spans):
+        """Every pair of holes that share an axis line, once, in the order
+        of a loop over all pairs (i, j), i < j."""
+        holes = tuple(AxisRect(min(a, c), min(b, d), max(a, c) + 1, max(b, d) + 1)
+                      for a, b, c, d in spans)
+        sc = Scene(bounds=make_axis_rect(-1, -1, 8, 8), holes=holes)
+        lines = [({h.x0, h.x1}, {h.y0, h.y1}) for h in holes]
+        assert check_general_position(sc) == [
+            ("DEGENERATE_POSITION", (i, j)) for i in range(sc.k) for j in range(i + 1, sc.k)
+            if lines[i][0] & lines[j][0] or lines[i][1] & lines[j][1]]
+
     def test_idempotent(self):
         sc = city_a()
         assert validate_scene(sc) == sc

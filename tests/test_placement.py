@@ -12,13 +12,14 @@ from cityguard.model import (
 )
 import cityguard.placement as placement
 from cityguard.placement import (
-    ALLOW_P_CORNER, BUILDINGS_ONLY, _anchor_guards, _orthogonal_partition,
-    _partition_walls, city_guarding, guards_2k1, guards_main, partition_2k1,
-    roof_guarding,
+    ALLOW_P_CORNER, BUILDINGS_ONLY, _anchor_guards, city_guarding, guards_2k1,
+    guards_main, partition_2k1, roof_guarding,
 )
 from cityguard.staircase import staircase_sharing
 from cityguard.verify import certify, certify_city, free_space
-from references import boundary, is_xy_monotone, mirror_scene
+from references import (
+    _orthogonal_partition, _partition_walls, boundary, is_xy_monotone, mirror_scene,
+)
 
 
 def city_a():
@@ -145,28 +146,48 @@ class TestPartitionDefinition:
                 _check_partition_definition(rotate_scene_ccw(sc, t))
 
 
-def _grid_anchors(frame):
-    """The guards at the SE corners of the grid partition's faces, facing
-    W, sorted; a corner is named by the first building corner on it, else
-    by P's corner."""
+def _grid_regions(frame):
+    """The grid partition's faces as (the guard at the face's SE corner
+    facing W, the face's sorted rects), sorted; a corner is named by the
+    first building corner on it, else by P's corner."""
     names = {}
     for i, h in enumerate(frame.holes):
         for c, p in enumerate(h.corners()):
             names.setdefault(p, ("hole", i, c))
     for c, p in enumerate(frame.bounds.corners()):
         names.setdefault(p, ("p", c))
-    guards = []
+    regions = []
     for rects in _orthogonal_partition(frame):
         x_right = max(r.x1 for r in rects)
         se = Point(x_right, min(r.y0 for r in rects if r.x1 == x_right))
-        guards.append(Guard(anchor=names[se], facing=W))
-    return sorted(guards)
+        regions.append((Guard(anchor=names[se], facing=W), tuple(sorted(rects))))
+    return sorted(regions)
 
 
 def _check_anchor_rule(frame):
     anchors = _anchor_guards(frame)
-    assert list(anchors.values()) == _grid_anchors(frame)
+    assert list(anchors.values()) == [g for g, _ in _grid_regions(frame)]
     assert all(g.position(frame) == p for p, g in anchors.items())
+
+
+class TestPartitionAgainstGrid:
+    """`partition_2k1`'s walk East gives the faces of the reference grid
+    partition (`references._orthogonal_partition`), rect for rect."""
+
+    @staticmethod
+    def _check(sc):
+        assert [(r.anchor_guard, r.rects) for r in partition_2k1(sc)] == _grid_regions(sc)
+
+    def test_random_scenes(self):
+        for k in range(25):
+            for seed in (2, 7):
+                self._check(gen_random(GeneratorParams(k=k, seed=100 * k + seed, grid=1000)))
+
+    def test_case_scenes_on_eight_symmetries(self):
+        for sc in _case_scenes():
+            for image in (sc, mirror_scene(sc)):
+                for t in range(4):
+                    self._check(rotate_scene_ccw(image, t))
 
 
 def _snapped_frames(sc):

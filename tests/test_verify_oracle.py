@@ -190,7 +190,7 @@ class TestCertify:
 @pytest.fixture
 def computed(monkeypatch):
     """Empty the scene cache and record every residual pass it runs."""
-    monkeypatch.setattr(visibility, "_cache", (None, {}, {}))
+    monkeypatch.setattr(visibility, "_cache", (None, {}, {}, [None]))
     passes = []
     compute = verify._compute
 
@@ -293,9 +293,9 @@ class TestCertificateMemo:
             full = list(guards_2k1(sc).guards)
             drop = rng.randrange(len(full))
             for guards in (full, full[:drop] + full[drop + 1:]):
-                monkeypatch.setattr(visibility, "_cache", (None, {}, {}))
+                monkeypatch.setattr(visibility, "_cache", (None, {}, {}, [None]))
                 verdict = covers(sc, guards)
-                monkeypatch.setattr(visibility, "_cache", (None, {}, {}))
+                monkeypatch.setattr(visibility, "_cache", (None, {}, {}, [None]))
                 assert verdict == certify(sc, guards).covered
                 verdicts.add(verdict)
         assert verdicts == {True, False}
@@ -343,7 +343,7 @@ class TestRegionsSweptOnDemand:
         short = guards[:len(guards) // 2] + guards[len(guards) // 2 + 1:]
         vertices = [p for cell in free_space(sc).cells for p in cell]
         for gs in (guards, short):
-            monkeypatch.setattr(visibility, "_cache", (None, {}, {}))
+            monkeypatch.setattr(visibility, "_cache", (None, {}, {}, [None]))
             cert = certify(sc, gs)
             swept = set(visibility._cache[1])
             assert cert.covered == (gs is guards)
@@ -376,9 +376,9 @@ class TestRegionsSweptOnDemand:
         buildings = [h_cell(h.as_cell()) for h in sc.holes]
         residual, cut, fronts, skips = [], set(), set(), 0
         for piece in free_space(sc).pieces:
-            held, front = verify._held_and_front(index, piece)
-            if verify._proven(piece, held, sights, buildings):
+            if verify._proven(piece, verify._holders(index, piece), sights, buildings):
                 continue
+            front = verify._front(index, piece)
             fronts.update(short[i] for i in front)
             rest = [piece]
             for i in front:
@@ -772,9 +772,10 @@ def _pieces_and_level_parts(scene, rows):
 
 
 class TestFacingIndex:
-    """The facing index (`verify._held_and_front`) against the side table
-    of every guard at every vertex (`references.side_table`): the same
-    holders and the same front guards, in guard order."""
+    """The facing index (`verify._holders`, `verify._front`) against the
+    side table of every guard at every vertex (`references.side_table`):
+    the same holders and the same front guards, the front guards in guard
+    order."""
 
     @staticmethod
     def check(scene, guards):
@@ -784,7 +785,9 @@ class TestFacingIndex:
         index = verify._by_facing(sights)
         cells = _pieces_and_level_parts(scene, False) + _pieces_and_level_parts(scene, True)
         for cell in cells:
-            assert verify._held_and_front(index, cell) == side_table(sights, cell)
+            held, front = side_table(sights, cell)
+            assert sorted(verify._holders(index, cell)) == held
+            assert verify._front(index, cell) == front
         return sum(any(p[2] != 1 for p in cell.pts) for cell in cells)
 
     @given(st.integers(1, 5), st.integers(0, 10**6), st.data())
@@ -834,7 +837,7 @@ class TestSplitProof:
         proofs = self.spy(monkeypatch)
         for algorithm in (guards_2k1, guards_main):
             guards = algorithm(sc).guards
-            monkeypatch.setattr(visibility, "_cache", (None, {}, {}))
+            monkeypatch.setattr(visibility, "_cache", (None, {}, {}, [None]))
             assert certify(sc, guards).covered
             assert visibility._cache[1] == {}
         assert all(proofs)
@@ -907,8 +910,7 @@ class TestSplitProof:
         index = verify._by_facing(sights)
         regions = [c for g in guards for c in visibility_region(sc, g).cells]
         for piece in _strip_pieces(sc, rows):
-            held = verify._held_and_front(index, piece)[0]
-            if verify._proven(piece, held, sights, buildings):
+            if verify._proven(piece, verify._holders(index, piece), sights, buildings):
                 assert h_subtract([piece], regions) == []
 
     @pytest.mark.parametrize("piece", [
