@@ -1,7 +1,8 @@
 """Unified command line: solve, verify, oracle, gen, render, bench.
 
 Exit codes: 0 success, 2 validation error, 3 certification failure,
-4 bound violation.
+4 bound violation.  Every refused argument (a ValueError, FormatError
+included, or a SceneValidationError) reaches one handler in `main`.
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ from cityguard.errors import (
     CityGuardError, GenerationFailedError, PlacementIncompleteError,
     SceneValidationError,
 )
-from cityguard.io import FormatError, load_city, load_solution, save_city, save_solution
+from cityguard.io import load_city, load_solution, save_city, save_solution
 from cityguard.model import City
 
 EXIT_OK = 0
@@ -29,18 +30,15 @@ def _cmd_solve(args) -> int:
     )
     city = load_city(args.infile)
     scene = city.scene
-    try:
-        if args.algo == "roof":
-            sol = roof_guarding(city)
-        elif args.algo == "walls-2k1":
-            sol = guards_2k1(scene)
-        elif args.algo == "walls-main":
-            sol = guards_main(scene)
-        else:
-            mode = BUILDINGS_ONLY if args.mode == "buildings-only" else ALLOW_P_CORNER
-            sol = city_guarding(city, mode)
-    except ValueError as e:  # a scene outside the algorithm's domain
-        return _invalid_arguments(e)
+    if args.algo == "roof":
+        sol = roof_guarding(city)
+    elif args.algo == "walls-2k1":
+        sol = guards_2k1(scene)
+    elif args.algo == "walls-main":
+        sol = guards_main(scene)
+    else:
+        mode = BUILDINGS_ONLY if args.mode == "buildings-only" else ALLOW_P_CORNER
+        sol = city_guarding(city, mode)
     save_solution(sol, args.out)
     if args.svg:
         _write_svg(args.svg, scene, sol, city if args.algo == "city" else None)
@@ -62,10 +60,7 @@ def _cmd_verify(args) -> int:
     from cityguard.verify import certify, certify_city
     city = load_city(args.scene)
     sol = load_solution(args.solution)
-    try:
-        cert = certify_city(city, sol) if args.city else certify(city.scene, sol.guards)
-    except ValueError as e:  # a guard anchored on no corner of the scene
-        return _invalid_arguments(e)
+    cert = certify_city(city, sol) if args.city else certify(city.scene, sol.guards)
     witness = cert.witness
     if witness and _seen(city.scene, sol.guards, witness, "guard"):
         return EXIT_CERTIFICATION
@@ -89,7 +84,7 @@ def _cmd_oracle(args) -> int:
         INFEASIBLE_WITHIN, OPTIMAL, candidate_set, optimal_guard_count,
     )
     if args.max < 0:
-        return _invalid_arguments(f"--max must be >= 0, got {args.max}")
+        raise ValueError(f"--max must be >= 0, got {args.max}")
     city = load_city(args.scene)
     cands = candidate_set(city.scene, include_p_corners=args.include_p_corners)
     res = optimal_guard_count(city.scene, cands, args.max)
@@ -122,27 +117,17 @@ def _seen(scene, guards, witness, role) -> bool:
     return seer is not None
 
 
-def _invalid_arguments(e) -> int:
-    """Report a refused argument (a ValueError or a message) on one stderr line."""
-    print(f"validation error: {e}", file=sys.stderr)
-    return EXIT_VALIDATION
-
-
 def _cmd_gen(args) -> int:
     from cityguard.instances import (
         GeneratorParams, gen_3k1_necessity, gen_random_city, gen_roof_necessity,
     )
-    try:
-        if args.family == "random":
-            city = gen_random_city(GeneratorParams(k=args.k, seed=args.seed,
-                                                   grid=args.grid))
-        elif args.family == "roof-necessity":
-            city = gen_roof_necessity(args.k)
-        else:
-            scene = gen_3k1_necessity(args.k)
-            city = City(scene=scene, heights=tuple(1 for _ in range(scene.k)))
-    except ValueError as e:  # a k or grid out of range
-        return _invalid_arguments(e)
+    if args.family == "random":
+        city = gen_random_city(GeneratorParams(k=args.k, seed=args.seed, grid=args.grid))
+    elif args.family == "roof-necessity":
+        city = gen_roof_necessity(args.k)
+    else:
+        scene = gen_3k1_necessity(args.k)
+        city = City(scene=scene, heights=tuple(1 for _ in range(scene.k)))
     save_city(city, args.out)
     print(f"{args.family} k={args.k} -> {args.out}")
     return EXIT_OK
@@ -151,10 +136,7 @@ def _cmd_gen(args) -> int:
 def _cmd_render(args) -> int:
     city = load_city(args.scene)
     sol = load_solution(args.solution) if args.solution else None
-    try:
-        _write_svg(args.out, city.scene, sol, city if (sol and args.city) else None)
-    except ValueError as e:  # a guard anchored on no corner of the scene
-        return _invalid_arguments(e)
+    _write_svg(args.out, city.scene, sol, city if (sol and args.city) else None)
     print(f"rendered -> {args.out}")
     return EXIT_OK
 
@@ -168,17 +150,12 @@ def _cmd_bench(args) -> int:
             if name.endswith(".json"):
                 corpus.append((name[:-5], load_city(os.path.join(args.dir, name))))
     else:
-        try:
-            corpus = random_corpus(args.count, args.k_min, args.k_max, args.seed, args.grid)
-        except ValueError as e:
-            return _invalid_arguments(e)
+        corpus = random_corpus(args.count, args.k_min, args.k_max, args.seed, args.grid)
     try:
         rows = run_bench(corpus, with_oracle=args.oracle)
     except BoundViolation as e:
         print(f"bound violation: {e}", file=sys.stderr)
         return EXIT_BOUND
-    except ValueError as e:  # a scene outside the placements' domain
-        return _invalid_arguments(e)
     out = sys.stdout if args.out == "-" else open(args.out, "w")
     try:
         for line in csv_lines(rows):
@@ -252,8 +229,10 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (SceneValidationError, FormatError, GenerationFailedError,
-            OSError) as e:  # OSError: a missing or unreadable file or directory
+    except (ValueError, SceneValidationError, GenerationFailedError, OSError) as e:
+        # every refused argument: a malformed file or scene, a scene outside an
+        # algorithm's domain, a guard on no corner of the scene, a k, grid or
+        # --max out of range, or (OSError) a missing or unreadable file
         print(f"validation error: {e}", file=sys.stderr)
         return EXIT_VALIDATION
     except PlacementIncompleteError as e:

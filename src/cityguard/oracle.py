@@ -66,7 +66,7 @@ from cityguard.geom import (
 )
 from cityguard.model import (
     City, E, N, S, Scene, Solution, W, hole_guard, p_corner_guard, roof_in_front,
-    wall_aligned_facings,
+    validate_scene, wall_aligned_facings,
 )
 from cityguard.verify import free_space, interior_points
 from cityguard.visibility import sees, visibility_region
@@ -134,7 +134,9 @@ def _check_max_count(max_count: int) -> None:
 
 def optimal_guard_count(scene: Scene, candidates, max_count: int) -> OracleResult:
     """Exact minimum number of candidates covering free space, found by
-    certify and refine (see the module docstring)."""
+    certify and refine (see the module docstring).  The scene is validated
+    first, as `certify` validates it (SceneValidationError)."""
+    scene = validate_scene(scene)
     status, best, witness, witnesses = _certify_and_refine(
         scene, candidates, free_space(scene).pieces, max_count)
     if status != OPTIMAL:
@@ -382,8 +384,10 @@ def min_roof_guards(city: City, max_count: int):
     midpoints, centroid) of `roof_cover_sets`, whose prefilters are exact,
     so the returned minimum is a valid lower bound on the true minimum.
     The candidates are the building-corner guards.  Returns None if
-    optimum > max_count.
+    optimum > max_count.  The scene is validated first
+    (SceneValidationError).
     """
+    validate_scene(city.scene)
     candidates = candidate_set(city.scene, include_p_corners=False)
     roof_masks = [0] * city.scene.k
     for c, roofs in enumerate(roof_cover_sets(city, candidates)):

@@ -2,8 +2,10 @@
 placement, the Cases 0-4 divide-and-conquer, and full city guarding.
 
 Every placement is certified (exact zero-area residual) before it is
-returned; PLACEMENT_INCOMPLETE is a defect signal, never an accepted
-outcome.
+returned, by one certificate that decides the outcome and supplies the
+witness; PLACEMENT_INCOMPLETE is a defect signal, never an accepted
+outcome.  A Cases 0-4 frame keeps its partition anchors on buildings
+and appends its stand-ins for P's SE corner.
 """
 
 from __future__ import annotations
@@ -153,8 +155,8 @@ def guards_2k1(scene: Scene) -> Solution:
     sol = Solution(algorithm="walls-2k1", guards=tuple(anchors.values()))
     if sol.p_corner_count() > 1:
         raise PlacementIncompleteError("more than one bounding-rectangle guard")
-    if not covers(scene, sol.guards):
-        cert = certify(scene, sol.guards)
+    cert = certify(scene, sol.guards)
+    if not cert.covered:
         raise PlacementIncompleteError("2k+1 placement left a residual",
                                        witness=cert.witness)
     return sol
@@ -188,22 +190,13 @@ def _se_replacement_guards(scene: Scene, hid: int) -> list:
     return out
 
 
-def _hole_vertex_partition_guards(scene: Scene, replace_with) -> list:
-    """Partition guards with the (single) P-corner guard replaced."""
-    guards = []
-    replaced = False
-    for g in _anchor_guards(scene).values():
-        if g.on_hole():
-            guards.append(g)
-        else:
-            if replaced:
-                raise PlacementIncompleteError("two bounding-rectangle anchors")
-            guards.extend(replace_with())
-            replaced = True
-    if not replaced:
-        # a building on P's SE corner leaves no region, so no anchor, there
-        guards.extend(replace_with())
-    return guards
+def _hole_vertex_partition_guards(scene: Scene, extra: list) -> list:
+    """The frame's anchor guards on building corners, then `extra`, the
+    stand-ins for P's SE corner.  `_anchor_guards` names at most one
+    corner of P, ("p", 1), which sorts after every ("hole", ...) anchor,
+    so appending puts the stand-ins where that guard stood (or last, when
+    a building on that corner leaves no anchor there)."""
+    return [g for g in _anchor_guards(scene).values() if g.on_hole()] + extra
 
 
 def _case0_guards(scene: Scene, rep: SharingReport, trace) -> list:
@@ -211,8 +204,7 @@ def _case0_guards(scene: Scene, rep: SharingReport, trace) -> list:
     rscene = rotate_scene_ccw(scene, rot)
     star = rep.extremal[rep.case0_pair[0]]  # the R and B building of rscene
     trace.append(("case0", rep.case0_pair, star))
-    guards = _hole_vertex_partition_guards(
-        rscene, lambda: _se_replacement_guards(rscene, star))
+    guards = _hole_vertex_partition_guards(rscene, _se_replacement_guards(rscene, star))
     return rotate_guards(guards, rscene, -rot)
 
 
@@ -222,8 +214,7 @@ def _case1_guards(scene: Scene, rep: SharingReport, trace, label="case1") -> lis
     rscene = rotate_scene_ccw(scene, rot)
     st = staircase(rscene, RRS)  # rep's analysis checked the scene
     trace.append((label, min_kind, st.stairs))
-    guards = _hole_vertex_partition_guards(
-        rscene, lambda: staircase_guards(rscene, st))
+    guards = _hole_vertex_partition_guards(rscene, staircase_guards(rscene, st))
     return rotate_guards(guards, rscene, -rot)
 
 
@@ -282,7 +273,7 @@ def _case3_guards(scene: Scene, rep: SharingReport, trace, depth) -> list:
         trace.append(("case3i", bj, alpha, beta))
         sub1, ids1 = _subscene(AxisRect(b.x0, h.y0, b.x1, b.y1), rscene, above + [bj])
         sub_guards = _hole_vertex_partition_guards(
-            sub1, lambda: _se_replacement_guards(sub1, len(ids1) - 1))
+            sub1, _se_replacement_guards(sub1, len(ids1) - 1))
         guards.extend(_remap(sub_guards, ids1))
         below = [i for i in range(rscene.k) if i != bj and i not in above]
         sub2, ids2 = _subscene(AxisRect(b.x0, b.y0, b.x1, h.y0), rscene, below)
@@ -291,8 +282,7 @@ def _case3_guards(scene: Scene, rep: SharingReport, trace, depth) -> list:
         # city_1 = slab above the top edge; B_j goes with city_2
         trace.append(("case3ii", bj, alpha, beta))
         sub1, ids1 = _subscene(AxisRect(b.x0, h.y1, b.x1, b.y1), rscene, above)
-        sub_guards = _hole_vertex_partition_guards(
-            sub1, lambda: [])
+        sub_guards = _hole_vertex_partition_guards(sub1, [])
         guards.extend(_remap(sub_guards, ids1))
         guards.append(hole_guard(bj, 2, N))  # NE corner, facing city_1
         below = [i for i in range(rscene.k) if i not in above]
@@ -332,8 +322,8 @@ def guards_main(scene: Scene) -> Solution:
     if sol.count > bound:
         raise PlacementIncompleteError(
             f"guards_main used {sol.count} guards, bound is {bound}")
-    if not covers(scene, sol.guards):
-        cert = certify(scene, sol.guards)
+    cert = certify(scene, sol.guards)
+    if not cert.covered:
         raise PlacementIncompleteError("main placement left a residual",
                                        witness=cert.witness)
     return sol
@@ -358,21 +348,16 @@ def _repair_roofs(city: City, guards: list, trace) -> list:
     for i, covered in enumerate(roof_flags(scene, guards)):
         if covered:
             continue
-        own = [(idx, g) for idx, g in enumerate(guards)
-               if g.on_hole() and g.anchor[1] == i]
-        repaired = False
-        for idx, g in own:
-            for f in _roof_front_facings(scene, g):
-                candidate = list(guards)
-                candidate[idx] = Guard(anchor=g.anchor, facing=f)
-                if covers(scene, candidate):
-                    guards = candidate
-                    trace.append(("roof-fix", i, g.anchor, f))
-                    repaired = True
-                    break
-            if repaired:
+        tries = [(idx, g, f) for idx, g in enumerate(guards) if g.on_hole() and g.anchor[1] == i
+                 for f in _roof_front_facings(scene, g)]
+        for idx, g, f in tries:
+            candidate = list(guards)
+            candidate[idx] = Guard(anchor=g.anchor, facing=f)
+            if covers(scene, candidate):
+                guards = candidate
+                trace.append(("roof-fix", i, g.anchor, f))
                 break
-        if not repaired:
+        else:
             raise PlacementIncompleteError(f"roof of building {i} cannot be repaired")
     return guards
 

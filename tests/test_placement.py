@@ -168,6 +168,12 @@ def _check_anchor_rule(frame):
     anchors = _anchor_guards(frame)
     assert list(anchors.values()) == [g for g, _ in _grid_regions(frame)]
     assert all(g.position(frame) == p for p, g in anchors.items())
+    # `_hole_vertex_partition_guards` appends a frame's stand-ins for P's
+    # corner: at most one anchor is off a building, P's SE corner, and it is last
+    guards = list(anchors.values())
+    off = [g for g in guards if not g.on_hole()]
+    assert off in ([], [Guard(anchor=("p", 1), facing=W)])
+    assert guards[len(guards) - len(off):] == off
 
 
 class TestPartitionAgainstGrid:

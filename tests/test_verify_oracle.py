@@ -1070,6 +1070,26 @@ class TestOracle:
         assert res.count == exhaustive_min_cover(sc, cands, 6)
         assert certify(sc, res.solution.guards).covered
 
+    @pytest.mark.parametrize("bounds,holes,code,detail", [
+        (AxisRect(5, 0, 0, 5), (), "EMPTY_BOUNDS", ("bounds",)),
+        (AxisRect(0, 0, 0, 0), (), "EMPTY_BOUNDS", ("bounds",)),
+        (AxisRect(0, 0, 10, 0), (), "EMPTY_BOUNDS", ("bounds",)),
+        (AxisRect(0, 0, 10, 10), (AxisRect(2, 2, 4, 4), AxisRect(3, 3, 6, 6)),
+         "OVERLAPPING_HOLES", (0, 1)),
+        (AxisRect(0, 0, 10, 10), (AxisRect(0, 2, 4, 4),), "HOLE_TOUCHES_BOUNDARY", (0,)),
+    ])
+    def test_refuses_the_scenes_certify_refuses(self, bounds, holes, code, detail):
+        """The oracle answers only for scenes that `certify` accepts: a
+        scene without area, with overlapping buildings or with a building
+        on a side of P raises before any region is built."""
+        sc = Scene(bounds=bounds, holes=holes)
+        with pytest.raises(SceneValidationError) as e:
+            optimal_guard_count(sc, candidate_set(sc), 8)
+        assert e.value.violations == [(code, detail)]
+        with pytest.raises(SceneValidationError) as e:
+            min_roof_guards(City(scene=sc, heights=tuple(1 for _ in holes)), 8)
+        assert e.value.violations == [(code, detail)]
+
     def test_candidate_count_bound(self):
         # 4 corners x 4 wall-aligned facings per building, 4 x 2 inward
         # facings at P's corners, every (anchor, facing) pair once
