@@ -17,12 +17,15 @@ the run of a segment inside a hole's open interior, found by one pass
 over the hole's edge lines in the kernel's homogeneous integers.  A
 segment is blocked in 2D iff the run exists (`visibility.sees`),
 and the roof oracle's 3D prism test compares heights on that run.
-`h_sees_all` and `h_shadowed` share one split of a convex polygon's
-edges, seen from a point, into a far and a near chain, and one scan for
-nearby buildings.  `h_sees_all` tests every segment from a guard to a
-cell at once: their hull, the guard and the cell's far chain, meets no
-building by the separating-axis loop on its lines.  `h_shadowed` tests
-whether a cell lies in the cone over one building's near chain.
+`h_clear` and `h_shadowed` share one split of a convex polygon's
+edges, seen from a point, into a far and a near run (`_h_chains`, one
+pass that finds the far run's start and length), and both skip the
+buildings whose bbox misses the bbox of the point and the cell.
+`h_clear` tests every segment from a guard to a cell at once: their
+hull, the guard and the cell's far chain, meets no building by the
+separating-axis loop on its lines; with the cell in the guard's closed
+half-plane, the guard then sees all of it.  `h_shadowed` tests whether
+a cell lies in the cone over one building's near chain.
 """
 
 from __future__ import annotations
@@ -589,18 +592,21 @@ def _h_divide(pieces, cutters, inside):
     return pieces
 
 
-def h_sees_all(apex, facing, cell: HCell, blockers) -> bool:
-    """True iff a guard at the homogeneous point `apex` with this facing
-    sees all of the cell: the cell is in its closed half-plane, and no
-    blocker's open interior meets the hull of the apex and the cell,
-    which the sight segments fill (`_h_hull`).  `_h_disjoint` tests the
-    hull's lines against each blocker `_h_near` finds, exactly."""
-    AX, AY, AW = apex
-    fx, fy = facing
-    if any((X * AW - AX * W) * fx + (Y * AW - AY * W) * fy < 0 for X, Y, W in cell.pts):
-        return False
+def h_clear(apex, cell: HCell, blockers) -> bool:
+    """True iff no blocker's open interior meets the hull of the
+    homogeneous point `apex` and the cell, which the sight segments from
+    the apex fill (`_h_hull`).  The apex must not lie strictly inside the
+    cell, as it does not when the cell lies in the closed half-plane of a
+    guard at the apex: then True means that guard sees all of the cell.
+    Only the blockers whose inflated bbox meets the bbox of the apex and
+    the cell (`_h_reach`) can meet the hull, and `_h_disjoint` tests the
+    hull's lines against each of them, exactly."""
+    x0, y0, x1, y1 = _h_reach(apex, cell)
     hull = None
-    for b in _h_near(apex, cell, blockers):
+    for b in blockers:
+        bb = b.bbox
+        if bb[2] <= x0 or x1 <= bb[0] or bb[3] <= y0 or y1 <= bb[1]:
+            continue
         if hull is None:
             hull = _h_hull(apex, cell)
         if not _h_disjoint(*hull, b.pts, b.lines):
@@ -611,37 +617,53 @@ def h_sees_all(apex, facing, cell: HCell, blockers) -> bool:
 def h_shadowed(apex, cell: HCell, blockers) -> bool:
     """True iff the closed shadow of one blocker, seen from the
     homogeneous point `apex`, holds the cell; then no interior point of
-    the cell is seen from the apex.  Only the blockers `_h_near` finds
-    are tried; the decision is exact (`_h_shadow`)."""
-    return any(all(A * X + B * Y + C * W >= 0
-                   for A, B, C in _h_shadow(apex, b) for X, Y, W in cell.pts)
-               for b in _h_near(apex, cell, blockers))
-
-
-def _h_near(apex, cell: HCell, blockers):
-    """The blockers whose inflated bbox meets the bbox of the apex and the
-    cell: only those can meet their hull or hide a point of the cell."""
-    ax, ay = apex[0] / apex[2], apex[1] / apex[2]
-    x0, y0, x1, y1 = cell.bbox
-    x0, y0, x1, y1 = min(x0, ax), min(y0, ay), max(x1, ax), max(y1, ay)
+    the cell is seen from the apex.  Only the blockers whose inflated bbox
+    meets the bbox of the apex and the cell (`_h_reach`) can hide a point
+    of the cell; the decision is exact (`_h_shadow`)."""
+    x0, y0, x1, y1 = _h_reach(apex, cell)
+    pts = cell.pts
     for b in blockers:
         bb = b.bbox
-        if not (bb[2] <= x0 or x1 <= bb[0] or bb[3] <= y0 or y1 <= bb[1]):
-            yield b
+        if bb[2] <= x0 or x1 <= bb[0] or bb[3] <= y0 or y1 <= bb[1]:
+            continue
+        if all(A * X + B * Y + C * W >= 0 for A, B, C in _h_shadow(apex, b) for X, Y, W in pts):
+            return True
+    return False
+
+
+def _h_reach(apex, cell: HCell):
+    """The bbox of the apex, as floats, and the cell's inflated bbox."""
+    ax, ay = apex[0] / apex[2], apex[1] / apex[2]
+    x0, y0, x1, y1 = cell.bbox
+    return min(x0, ax), min(y0, ay), max(x1, ax), max(y1, ay)
 
 
 def _h_chains(apex, cell: HCell):
     """A convex cell's edges seen from an apex not strictly inside it, by
     one side test each: the far edges have the apex strictly on their
     left, the near ones on their closed right, and each kind is one run.
-    Returns the far chain's vertices and lines and the near chain's lines;
-    the far chain runs from chain[0] to chain[-1] and the near one back."""
+    Returns (i, m): the far chain is edges i .. i + m - 1, indices taken
+    modulo the cell's n edges, and runs from vertex i to vertex i + m;
+    the near chain is the other n - m edges, back to vertex i.  The far
+    run starts where a near edge is followed by a far one, or at edge 0
+    when no edge after it is such a start."""
     AX, AY, AW = apex
-    far = [A * AX + B * AY + C * AW > 0 for A, B, C in cell.lines]
-    i = next(i for i in range(len(far)) if far[i] and not far[i - 1])
-    m = (far[i:] + far[:i]).index(False)  # the far run is edges i .. i + m - 1
-    pts, lines = cell.pts[i:] + cell.pts[:i], cell.lines[i:] + cell.lines[:i]
-    return pts[:m + 1], lines[:m], lines[m:]
+    i = m = 0
+    was_far = True
+    for j, (A, B, C) in enumerate(cell.lines):
+        far = A * AX + B * AY + C * AW > 0
+        if far:
+            m += 1
+            if not was_far:
+                i = j
+        was_far = far
+    return i, m
+
+
+def _h_run(seq, i, m):
+    """seq[i], ..., seq[i + m - 1], indices modulo len(seq), as a tuple."""
+    j = i + m - len(seq)
+    return seq[i:i + m] if j <= 0 else seq[i:] + seq[:j]
 
 
 def _h_hull(apex, cell: HCell):
@@ -651,8 +673,10 @@ def _h_hull(apex, cell: HCell):
     (apex, a, b) over a far edge a->b.  With the apex on the cell's
     boundary the hull is the cell, and an apex inside an edge leaves that
     edge's line twice, which the separating-axis test allows."""
-    chain, far, _ = _h_chains(apex, cell)
-    return (apex, *chain), (_h_line(apex, chain[0]), *far, _h_line(chain[-1], apex))
+    i, m = _h_chains(apex, cell)
+    chain = _h_run(cell.pts, i, m + 1)
+    return ((apex, *chain),
+            (_h_line(apex, chain[0]), *_h_run(cell.lines, i, m), _h_line(chain[-1], apex)))
 
 
 def _h_shadow(apex, b: HCell):
@@ -662,8 +686,11 @@ def _h_shadow(apex, b: HCell):
     chain, on the chain's inner sides.  Its interior points are those
     whose sight segment from the apex crosses the blocker's open interior.
     At a corner of the blocker it is the corner's cone."""
-    chain, _, near = _h_chains(apex, b)
-    return (_h_line(chain[-1], apex), _h_line(apex, chain[0]), *near)
+    i, m = _h_chains(apex, b)
+    pts = b.pts
+    n = len(pts)
+    j = (i + m) % n
+    return (_h_line(pts[j], apex), _h_line(apex, pts[i]), *_h_run(b.lines, j, n - m))
 
 
 def interior_run(a: Point, b: Point, hole: Hole):

@@ -136,6 +136,29 @@ def _holes_disjoint(a: Hole, b: Hole) -> bool:
     return False
 
 
+def _overlapping_pairs(holes):
+    """The pairs (i, j), i < j, of holes that are not disjoint, in that
+    order.  A sweep over the holes by the left ends of their x-ranges
+    tests only the pairs whose closed x-ranges meet (`_holes_disjoint`);
+    two holes whose x-ranges are apart are disjoint."""
+    spans = []
+    for i, h in enumerate(holes):
+        x0, _, x1, _ = h if isinstance(h, AxisRect) else cell_bbox(h.v)
+        spans.append((x0, x1, i))
+    spans.sort()
+    pairs = []
+    active = []  # (x1, i) of the holes swept so far
+    for x0, x1, i in spans:
+        active = [(end, j) for end, j in active if x0 <= end]
+        for _, j in active:
+            a, b = (i, j) if i < j else (j, i)
+            if not _holes_disjoint(holes[a], holes[b]):
+                pairs.append((a, b))
+        active.append((x1, i))
+    pairs.sort()
+    return pairs
+
+
 def _strictly_inside(hole: Hole, bounds: AxisRect) -> bool:
     return all(bounds.contains_open(c) for c in hole.corners())
 
@@ -208,10 +231,7 @@ def validate_scene(scene: Scene) -> Scene:
     for i, h in enumerate(holes):
         if not _strictly_inside(h, bounds):
             violations.append(("HOLE_TOUCHES_BOUNDARY", (i,)))
-    for i in range(len(holes)):
-        for j in range(i + 1, len(holes)):
-            if not _holes_disjoint(holes[i], holes[j]):
-                violations.append(("OVERLAPPING_HOLES", (i, j)))
+    violations += [("OVERLAPPING_HOLES", pair) for pair in _overlapping_pairs(holes)]
     if violations:
         raise SceneValidationError(violations)
     if not isinstance(holes, tuple):
@@ -245,24 +265,30 @@ def roof_in_front(corners, v: Point, facing) -> bool:
     return all((c.x - v.x) * fx + (c.y - v.y) * fy >= 0 for c in corners)
 
 
-def roof_covered_by(scene: Scene, i: int, g: Guard) -> bool:
-    """A guard on roof i covers it iff the roof is in its closed half-plane;
-    a guard anywhere else does not."""
-    if g.anchor[0] != "hole" or g.anchor[1] != i:
-        return False
-    if not (0 <= i < scene.k and 0 <= g.anchor[2] < 4):
-        g.position(scene)  # raises ValueError: no such corner
-    corners = scene.holes[i].corners()
-    return roof_in_front(corners, corners[g.anchor[2]], g.facing)
-
-
 def roof_flags(scene: Scene, guards) -> tuple:
-    """Per building i, whether some guard covers roof i (`roof_covered_by`),
-    from one pass over the guards: only a guard on building i can."""
-    flags = [False] * scene.k
+    """Per building i, whether some guard covers roof i, from one pass
+    over the guards: only a guard on building i can, and it does iff the
+    roof is in its closed half-plane (`roof_in_front`).  Each building's
+    corners are read once, when a guard on it is first tested, and a
+    guard on a building already flagged is not tested; every guard's
+    anchor is checked first, so one naming no corner of the scene raises
+    ValueError."""
+    holes = scene.holes
+    k = len(holes)
+    flags = [False] * k
+    corners = [None] * k
     for g in guards:
-        if g.on_hole() and roof_covered_by(scene, g.anchor[1], g):
-            flags[g.anchor[1]] = True
+        if not g.on_hole():
+            continue
+        i, c = g.anchor[1], g.anchor[2]
+        if not (0 <= i < k and 0 <= c < 4):
+            g.position(scene)  # raises ValueError: no such corner
+        if flags[i]:
+            continue
+        cs = corners[i]
+        if cs is None:
+            cs = corners[i] = holes[i].corners()
+        flags[i] = roof_in_front(cs, cs[c], g.facing)
     return tuple(flags)
 
 

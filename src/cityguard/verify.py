@@ -19,19 +19,21 @@ guard sees all of the piece iff the piece lies in the guard's closed
 half-plane and no building's open interior meets that hull.  The hull,
 the guard and the piece's far chain as bare vertices and lines, is
 tested exactly against the buildings alone by the separating-axis loop
-(`geom.h_sees_all`): True exactly when the guard's region holds the
-piece.  A piece that one of its guards so proves (`_proven`) is
-dropped; there is one such test per guard whose closed half-plane holds
-the piece.  Any other piece is cut, whole, by the regions of the guards
-with a vertex of it strictly in front, in guard order; every other
-region lies in its guard's closed half-plane, with the piece behind it,
-and would not cut it.  A front guard is skipped when the closed shadow
-of one building, seen from its corner, holds every cell still left of
-the piece (`geom.h_shadowed`): every interior point of a region
-triangle is seen and no interior point of a shadow is, so the region
-and those cells have disjoint interiors, which `h_subtract` decides
-exactly and leaves the cells as they are.  The cutting stops once no
-cell is left.  A piece's descendants depend only on that piece and the
+(`geom.h_clear`).  The guards whose closed half-plane holds the piece,
+its holders, come from the facing index below, which decides that
+exactly, so for a holder the hull test alone is True exactly when the
+guard's region holds the piece.  A piece that one of its holders so
+proves (`_proven`) is dropped; there is at most one hull test per
+holder, and none repeats the half-plane test.  Any other piece is cut,
+whole, by the regions of the guards with a vertex of it strictly in
+front, in guard order; every other region lies in its guard's closed
+half-plane, with the piece behind it, and would not cut it.  A front
+guard is skipped when the closed shadow of one building, seen from its
+corner, holds every cell still left of the piece (`geom.h_shadowed`):
+every interior point of a region triangle is seen and no interior
+point of a shadow is, so the region and those cells have disjoint
+interiors, which `h_subtract` decides exactly and leaves the cells as
+they are.  The cutting stops once no cell is left.  A piece's descendants depend only on that piece and the
 regions, and a piece the regions cover leaves none, so the residual is
 that of cutting the axis's whole piece list by every region, cell for
 cell and in order.  A region is swept only when a piece needs it, or
@@ -70,7 +72,7 @@ from typing import Optional
 
 from cityguard.geom import (
     AxisRect, HCell, Point, PolygonSet, h_area2, h_cell, h_centroid, h_point,
-    h_rect, h_sees_all, h_shadowed, h_subtract, h_to_point,
+    h_clear, h_rect, h_shadowed, h_subtract, h_to_point,
 )
 from cityguard.model import AXIS_ALIGNED, City, Scene, Solution, roof_flags, validate_scene
 from cityguard.visibility import scene_cache, visibility_region
@@ -224,10 +226,12 @@ def _front(index, cell: HCell):
 
 
 def _proven(piece: HCell, held, sights, buildings) -> bool:
-    """Does one of the piece's holders `held` see all of it
-    (`h_sees_all`)?  They are tried nearest its bbox first (0 on or in
-    it), ties in guard order: the float distance only orders the exact
-    hull tests."""
+    """Does one of the piece's holders `held` see all of it?  A holder's
+    closed half-plane holds the piece, which `_holders` has decided
+    exactly, so no building meeting the hull of its apex and the piece
+    (`h_clear`) is all that is left to test.  The holders are tried
+    nearest its bbox first (0 on or in it), ties in guard order: the
+    float distance only orders the exact hull tests."""
     x0, y0, x1, y1 = piece.bbox
 
     def gap2(i):
@@ -239,7 +243,7 @@ def _proven(piece: HCell, held, sights, buildings) -> bool:
         dy = y0 - y if y < y0 else (y - y1 if y > y1 else 0.0)
         return dx * dx + dy * dy, i
 
-    return any(h_sees_all(*sights[i][:2], piece, buildings) for i in sorted(held, key=gap2))
+    return any(h_clear(sights[i][0], piece, buildings) for i in sorted(held, key=gap2))
 
 
 def interior_points(cell: HCell):

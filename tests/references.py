@@ -7,8 +7,12 @@ over such a region; the residual pass as a plain cut by
 every region in turn; free space's strip pieces cut from Point rings;
 the building levels across those pieces; a
 cell's holders and front guards by a side table
-of every guard against every vertex; a polygon's closed shadow by
-segment tests; the mirror image of a scene and its guards; a guard's
+of every guard against every vertex; a roof covered by one guard;
+the guard-sees-all-of-a-cell
+predicate as a half-plane test and then the hull test, and the hull
+and shadow tests' first form, a scan of every building and a split of
+rotated copies of a cell's vertices and lines; a polygon's closed
+shadow by segment tests; the mirror image of a scene and its guards; a guard's
 region swept from scratch, with the facing's edge directions among the
 critical directions and every wedge tested; and the 2k+1 partition's
 faces read off its extension walls by a union-find over the grid
@@ -18,11 +22,11 @@ from fractions import Fraction
 from itertools import groupby
 
 from cityguard.geom import (
-    AxisRect, HCell, Point, PolygonSet, _h_line, _h_meet, _h_orient, h_area2, h_cell,
-    h_cells_contain, h_centroid, h_point, h_subtract, make_convex_quad, orient,
-    primitive_direction,
+    AxisRect, HCell, Point, PolygonSet, _h_disjoint, _h_line, _h_meet, _h_orient, h_area2,
+    h_cell, h_cells_contain, h_centroid, h_clear, h_point, h_subtract, make_convex_quad,
+    orient, primitive_direction,
 )
-from cityguard.model import Guard, Scene
+from cityguard.model import Guard, Scene, roof_in_front
 from cityguard.oracle import (
     INFEASIBLE_WITHIN, OPTIMAL, UNCOVERABLE, _certify_and_refine, min_hitting_set,
 )
@@ -200,15 +204,100 @@ def building_levels(scene, rows=False):
     return sorted({p[axis] for h in scene.holes for p in h.corners()})
 
 
+def roof_covered_by(scene: Scene, i: int, g: Guard) -> bool:
+    """A guard on roof i covers it iff the roof is in its closed
+    half-plane; a guard anywhere else does not.  A guard naming no corner
+    of the scene raises ValueError.  `model.roof_flags` decides every
+    building at once."""
+    if g.anchor[0] != "hole" or g.anchor[1] != i:
+        return False
+    if not (0 <= i < scene.k and 0 <= g.anchor[2] < 4):
+        g.position(scene)  # raises ValueError: no such corner
+    corners = scene.holes[i].corners()
+    return roof_in_front(corners, corners[g.anchor[2]], g.facing)
+
+
 def side_table(sights, cell):
     """The indices of the sights whose closed half-plane holds every
     vertex of the cell, and of those with a vertex strictly in front, in
     guard order.  Each vertex's side of each guard's boundary line is
-    scaled by W * AW > 0, the sign expression of h_sees_all."""
+    scaled by W * AW > 0, the sign expression of `h_sees_all`."""
     sides = [[a[2] * (fx * X + fy * Y) - k * W for X, Y, W in cell.pts]
              for a, (fx, fy), k in sights]
     return ([i for i, side in enumerate(sides) if min(side) >= 0],
             [i for i, side in enumerate(sides) if max(side) > 0])
+
+
+def h_sees_all(apex, facing, cell: HCell, blockers) -> bool:
+    """True iff a guard at the homogeneous point `apex` with this facing
+    sees all of the cell: the cell is in its closed half-plane, and no
+    blocker's open interior meets the hull of the apex and the cell
+    (`geom.h_clear`).  The certificate's holders have passed the
+    half-plane test already, so the library runs the hull test alone."""
+    AX, AY, AW = apex
+    fx, fy = facing
+    if any((X * AW - AX * W) * fx + (Y * AW - AY * W) * fy < 0 for X, Y, W in cell.pts):
+        return False
+    return h_clear(apex, cell, blockers)
+
+
+def near_by_scan(apex, cell: HCell, blockers):
+    """The blockers whose inflated bbox meets the bbox of the apex and the
+    cell, generated by one scan: the hull and shadow tests' first
+    prefilter."""
+    ax, ay = apex[0] / apex[2], apex[1] / apex[2]
+    x0, y0, x1, y1 = cell.bbox
+    x0, y0, x1, y1 = min(x0, ax), min(y0, ay), max(x1, ax), max(y1, ay)
+    for b in blockers:
+        bb = b.bbox
+        if not (bb[2] <= x0 or x1 <= bb[0] or bb[3] <= y0 or y1 <= bb[1]):
+            yield b
+
+
+def chains_by_rotation(apex, cell: HCell):
+    """A convex cell's far and near chains seen from an apex not strictly
+    inside it, from copies of its vertices and lines rotated to the first
+    far edge after a near one: the far chain's vertices and lines and the
+    near chain's lines."""
+    AX, AY, AW = apex
+    far = [A * AX + B * AY + C * AW > 0 for A, B, C in cell.lines]
+    i = next(i for i in range(len(far)) if far[i] and not far[i - 1])
+    m = (far[i:] + far[:i]).index(False)  # the far run is edges i .. i + m - 1
+    pts, lines = cell.pts[i:] + cell.pts[:i], cell.lines[i:] + cell.lines[:i]
+    return pts[:m + 1], lines[:m], lines[m:]
+
+
+def hull_by_rotation(apex, cell: HCell):
+    """The hull of the apex and the cell, (pts, lines), from
+    `chains_by_rotation`: the apex, then the far chain."""
+    chain, far, _ = chains_by_rotation(apex, cell)
+    return (apex, *chain), (_h_line(apex, chain[0]), *far, _h_line(chain[-1], apex))
+
+
+def shadow_by_rotation(apex, b: HCell):
+    """The closed shadow's lines of a convex blocker seen from the apex,
+    from `chains_by_rotation`: the two rays, then the near chain."""
+    chain, _, near = chains_by_rotation(apex, b)
+    return (_h_line(chain[-1], apex), _h_line(apex, chain[0]), *near)
+
+
+def sees_all_by_scan(apex, facing, cell: HCell, blockers) -> bool:
+    """`h_sees_all` as it first ran: the half-plane test, then the hull of
+    `hull_by_rotation` against each blocker `near_by_scan` finds."""
+    AX, AY, AW = apex
+    fx, fy = facing
+    if any((X * AW - AX * W) * fx + (Y * AW - AY * W) * fy < 0 for X, Y, W in cell.pts):
+        return False
+    return all(_h_disjoint(*hull_by_rotation(apex, cell), b.pts, b.lines)
+               for b in near_by_scan(apex, cell, blockers))
+
+
+def shadowed_by_scan(apex, cell: HCell, blockers) -> bool:
+    """`h_shadowed` as it first ran: the shadow of `shadow_by_rotation` of
+    each blocker `near_by_scan` finds, against every vertex of the cell."""
+    return any(all(A * X + B * Y + C * W >= 0
+                   for A, B, C in shadow_by_rotation(apex, b) for X, Y, W in cell.pts)
+               for b in near_by_scan(apex, cell, blockers))
 
 
 def in_closed_shadow(apex: Point, corners, p: Point) -> bool:

@@ -1,3 +1,5 @@
+import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -7,14 +9,19 @@ from hypothesis import strategies as st
 from cityguard import model
 from cityguard.errors import DegeneratePositionError, SceneValidationError
 from cityguard.geom import AxisRect, Point, make_axis_rect, make_convex_quad
+from cityguard.instances import (
+    GeneratorParams, gen_3k1_necessity, gen_random_city, gen_roof_necessity,
+)
 from cityguard.io import parse_city
 from cityguard.model import (
     City, E, N, S, Scene, Solution, W, _holes_disjoint, hole_guard,
-    p_corner_guard, roof_covered_by, rotate_guards, rotate_point_ccw,
+    p_corner_guard, rotate_guards, rotate_point_ccw,
     rotate_scene_ccw, validate_scene, check_general_position,
-    require_general_position, wall_aligned_facings,
+    require_general_position, roof_flags, wall_aligned_facings,
 )
 from cityguard.placement import guards_2k1
+from counterexample_3k1 import rot3k1_counterexample
+from references import roof_covered_by
 
 
 def city_a():
@@ -102,6 +109,34 @@ class TestValidation:
             ("DEGENERATE_POSITION", (i, j)) for i in range(sc.k) for j in range(i + 1, sc.k)
             if lines[i][0] & lines[j][0] or lines[i][1] & lines[j][1]]
 
+    @given(st.lists(st.tuples(*[st.integers(0, 6)] * 4, st.booleans()), max_size=12))
+    def test_overlapping_pairs_in_pair_order(self, spans):
+        """The sweep finds every pair of holes that are not disjoint,
+        once, in the order of a loop over all pairs (i, j), i < j; some
+        holes are rectangles given as quads."""
+        holes = tuple(_as_quad(r) if quad else r for r, quad in (
+            (AxisRect(min(a, c), min(b, d), max(a, c) + 1, max(b, d) + 1), quad)
+            for a, b, c, d, quad in spans))
+        expected = [("OVERLAPPING_HOLES", (i, j)) for i in range(len(holes))
+                    for j in range(i + 1, len(holes)) if not _holes_disjoint(holes[i], holes[j])]
+        sc = Scene(bounds=make_axis_rect(-1, -1, 8, 8), holes=holes)
+        if expected:
+            with pytest.raises(SceneValidationError) as e:
+                validate_scene(sc)
+            assert e.value.violations == expected
+        else:
+            assert validate_scene(sc) is sc
+
+    def test_sweep_tests_only_pairs_whose_x_ranges_meet(self, monkeypatch):
+        """Three holes in a row along x, the middle one touching neither
+        neighbour's x-range, and one above the first two: only the pairs
+        whose closed x-ranges meet are tested."""
+        pairs = _spy(monkeypatch, "_holes_disjoint")
+        holes = (AxisRect(1, 1, 3, 3), AxisRect(4, 1, 6, 3), AxisRect(7, 1, 9, 3),
+                 AxisRect(2, 5, 5, 7))
+        validate_scene(Scene(bounds=AxisRect(0, 0, 10, 10), holes=holes))
+        assert sorted((holes.index(a), holes.index(b)) for a, b in pairs) == [(0, 3), (1, 3)]
+
     def test_idempotent(self):
         sc = city_a()
         assert validate_scene(sc) == sc
@@ -128,7 +163,8 @@ class TestValidationOnce:
     object again makes no pair test, and a scene that fails is never kept."""
 
     def test_accepted_scene_is_not_checked_again(self, monkeypatch):
-        sc = _two_rect_scene(AxisRect(5, 5, 7, 7))
+        # x-ranges [1, 3] and [2, 4] meet, so the pair is tested
+        sc = _two_rect_scene(AxisRect(2, 5, 4, 7))
         assert validate_scene(sc) is sc
         require_general_position(sc)
         pairs = _spy(monkeypatch, "_holes_disjoint")
@@ -137,7 +173,7 @@ class TestValidationOnce:
             assert validate_scene(sc) is sc
             require_general_position(sc)
         assert pairs == [] and lines == []
-        copy = _two_rect_scene(AxisRect(5, 5, 7, 7))  # equal, not the same object
+        copy = _two_rect_scene(AxisRect(2, 5, 4, 7))  # equal, not the same object
         assert validate_scene(copy) is copy
         require_general_position(copy)
         assert len(pairs) == 1 and len(lines) == 1
@@ -159,7 +195,7 @@ class TestValidationOnce:
     def test_list_holes_come_back_as_a_copy_and_are_not_kept(self, monkeypatch):
         pairs = _spy(monkeypatch, "_holes_disjoint")
         sc = Scene(bounds=AxisRect(0, 0, 10, 10),
-                   holes=[AxisRect(1, 1, 3, 3), AxisRect(5, 5, 7, 7)])
+                   holes=[AxisRect(1, 1, 3, 3), AxisRect(2, 5, 4, 7)])
         for _ in range(2):
             out = validate_scene(sc)
             assert out is not sc and out == Scene(sc.bounds, tuple(sc.holes))
@@ -219,6 +255,51 @@ class TestCity:
         with pytest.raises(ValueError, match="one height per building"):
             City(scene=city_a(), heights=(1, 2))
         assert City(scene=city_a(), heights=(Fraction(1, 3),)).heights == (Fraction(1, 3),)
+
+
+def _rotated_city(scene):
+    return City(scene=scene, heights=tuple(range(1, scene.k + 1)))
+
+
+class TestRoofFlags:
+    """`roof_flags` reads each building's corners once and skips the
+    guards of a building already flagged: its flags are those of the
+    per-guard reference `roof_covered_by`."""
+
+    @pytest.mark.parametrize("make", [
+        lambda: gen_random_city(GeneratorParams(k=6, seed=3, grid=60)),
+        lambda: gen_random_city(GeneratorParams(k=12, seed=8, grid=1000)),
+        lambda: gen_roof_necessity(5),
+        lambda: _rotated_city(gen_3k1_necessity(2)),
+        lambda: _rotated_city(rot3k1_counterexample()),
+    ], ids=["random-6", "random-12", "roof-necessity-5", "3k1-2", "counterexample"])
+    def test_flags_match_each_guard(self, make):
+        """Random sets of guards at any corner, building or P, facing along
+        a wall or along an axis: both verdicts occur."""
+        sc = make().scene
+        guards = [hole_guard(i, c, f) for i, h in enumerate(sc.holes) for c in range(4)
+                  for f in {*wall_aligned_facings(h), N, E, S, W}]
+        guards += [p_corner_guard(c, f) for c in range(4) for f in (N, E, S, W)]
+        rng = random.Random(sc.k)
+        seen = set()
+        for size in (0, 1, 3, sc.k, 2 * sc.k + 1, 4 * sc.k, len(guards)):
+            for _ in range(4):
+                gs = rng.sample(guards, size)
+                flags = roof_flags(sc, gs)
+                assert flags == tuple(any(roof_covered_by(sc, i, g) for g in gs)
+                                      for i in range(sc.k))
+                seen.update(flags)
+        assert seen == {True, False}
+
+    @pytest.mark.parametrize("bad", [hole_guard(0, 4, E), hole_guard(0, -1, E),
+                                     hole_guard(1, 0, E), hole_guard(-1, 0, E)], ids=repr)
+    def test_bad_anchor_raises_after_its_building_is_flagged(self, bad):
+        """A guard naming no corner raises ValueError, also when a guard
+        before it has flagged the building it names."""
+        sc = city_a()
+        assert roof_flags(sc, [hole_guard(0, 3, E)]) == (True,)
+        with pytest.raises(ValueError, match=re.escape(repr(bad.anchor))):
+            roof_flags(sc, [hole_guard(0, 3, E), bad])
 
 
 class TestRoofCoveredBy:

@@ -7,8 +7,7 @@ from cityguard.geom import AxisRect, Point, make_axis_rect
 from cityguard.instances import GeneratorParams, gen_random, gen_random_city
 from cityguard.io import parse_city
 from cityguard.model import (
-    City, Guard, Scene, Solution, W, hole_guard, p_corner_guard, roof_covered_by,
-    rotate_scene_ccw,
+    City, Guard, Scene, Solution, W, hole_guard, p_corner_guard, rotate_scene_ccw,
 )
 import cityguard.placement as placement
 from cityguard.placement import (
@@ -19,6 +18,7 @@ from cityguard.staircase import staircase_sharing
 from cityguard.verify import certify, certify_city, free_space
 from references import (
     _orthogonal_partition, _partition_walls, boundary, is_xy_monotone, mirror_scene,
+    roof_covered_by,
 )
 
 

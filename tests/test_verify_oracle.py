@@ -17,8 +17,8 @@ from cityguard.bench import bench_instance, random_corpus
 from cityguard.errors import SceneValidationError
 from cityguard.geom import (
     AxisRect, HCell, Point, PolygonSet, _h_split, h_area2, h_cell, h_cell_to_cell,
-    h_centroid, h_point, h_sees_all, h_shadowed, h_subtract, h_to_point, interior_run,
-    make_axis_rect, make_convex_quad,
+    _h_hull, _h_shadow, h_centroid, h_point, h_shadowed, h_subtract, h_to_point,
+    interior_run, make_axis_rect, make_convex_quad,
 )
 from cityguard.instances import (
     GeneratorParams, gen_3k1_necessity, gen_random, gen_roof_necessity,
@@ -26,7 +26,7 @@ from cityguard.instances import (
 from cityguard.io import certificate_doc, city_doc, parse_city
 from cityguard.model import (
     AXIS_ALIGNED, City, E, N, S, Scene, Solution, W, hole_guard, p_corner_guard,
-    roof_covered_by, rotate_guards, rotate_scene_ccw,
+    rotate_guards, rotate_scene_ccw,
 )
 from cityguard.oracle import (
     INFEASIBLE_WITHIN, OPTIMAL, UNCOVERABLE, _certify_and_refine, build_faces, candidate_set,
@@ -41,9 +41,10 @@ from cityguard.verify import certify, certify_city, covers, free_space
 from cityguard.visibility import sees, visibility_region
 from counterexample_3k1 import rot3k1_counterexample
 from references import (
-    axis_free_cells, building_levels, certify_and_refine_from_scratch, in_closed_shadow,
-    min_cover_of_region, mirror_guards, mirror_scene, residual_pass, side_table,
-    space_between,
+    axis_free_cells, building_levels, certify_and_refine_from_scratch, h_sees_all,
+    hull_by_rotation, in_closed_shadow, min_cover_of_region, mirror_guards, mirror_scene,
+    residual_pass, roof_covered_by, sees_all_by_scan, shadow_by_rotation, shadowed_by_scan,
+    side_table, space_between,
 )
 from test_geom import ref_interior_run
 
@@ -86,16 +87,18 @@ class TestCertify:
 
     def test_parsed_and_placed_scenes_are_validated_once(self, monkeypatch):
         """The parser and the placements validate the scene object that
-        `certify` then gets, so its own check makes no pair test."""
+        `certify` then gets, so its own check makes no pair test; the
+        benchmark's row validates its city once, with the parser's pair
+        tests."""
         (name, city), = random_corpus(1, 6, 6, seed=43, grid=1000)
-        once = 6 * 5 // 2
         pairs = []
         disjoint = model._holes_disjoint
         monkeypatch.setattr(model, "_holes_disjoint",
                             lambda a, b: pairs.append((a, b)) or disjoint(a, b))
         monkeypatch.setattr(model, "_validated", None)
         parsed = parse_city(city_doc(city))
-        assert len(pairs) == once
+        once = len(pairs)
+        assert 0 < once <= 6 * 5 // 2
         certify(parsed.scene, guards_2k1(parsed.scene).guards[1:])
         certify_city(parsed, Solution(algorithm="x", guards=guards_2k1(parsed.scene).guards))
         assert len(pairs) == once
@@ -707,9 +710,10 @@ class TestResidualByContainment:
         h_sees_all proves is seen at its vertices, its centroid and
         interior rational points; otherwise the centroid and interior
         points of the largest cell the region leaves of it are not seen.
-        A point on the guard's half-plane boundary line is exempt there:
-        sight along that line carries no area, and the region leaves it
-        out."""
+        A point on the guard's half-plane boundary line, or whose sight
+        segment runs through a building corner, is exempt there: sight
+        along such a line can carry no area, and then the region leaves
+        the point out (`test_sight_through_two_corners_has_no_area`)."""
         sc, g, cells = _drawn_guard_and_cells(data, k, seed)
         region = visibility_region(sc, g).cells
         pos = g.position(sc)
@@ -722,7 +726,8 @@ class TestResidualByContainment:
             else:
                 largest = max(h_subtract([cell], region), key=h_area2)
                 for p in (h_centroid(largest), *_interior_points(largest, rng)):
-                    if (p.x - pos.x) * g.facing[0] + (p.y - pos.y) * g.facing[1]:
+                    if ((p.x - pos.x) * g.facing[0] + (p.y - pos.y) * g.facing[1]
+                            and not _through_a_corner(sc, pos, p)):
                         assert not sees(sc, g, p)
 
     def test_sight_through_two_corners_has_no_area(self):
@@ -1057,6 +1062,88 @@ class TestShadowed:
         building = h_cell(sc.holes[0].as_cell())
         assert h_shadowed(h_point(Point(*apex)), cell, [building]) == expected
         _assert_shadow_verdicts(sc, Point(*apex), [cell])
+
+
+def _thirds(scene):
+    """The scene scaled by 1/3: every corner a Fraction, every cell's W 3."""
+    def third(r):
+        return AxisRect(*(Fraction(v, 3) for v in r))
+    return Scene(bounds=third(scene.bounds), holes=tuple(map(third, scene.holes)))
+
+
+def _apexes_on(cell):
+    """The cell's vertices and the midpoint of each of its edges."""
+    corners = h_cell_to_cell(cell)
+    mids = [Point(Fraction(a.x + b.x) / 2, Fraction(a.y + b.y) / 2)
+            for a, b in zip(corners, corners[1:] + corners[:1])]
+    return [*cell.pts, *map(h_point, mids)]
+
+
+def _strictly_inside(apex, cell):
+    return all(A * apex[0] + B * apex[1] + C * apex[2] > 0 for A, B, C in cell.lines)
+
+
+def _assert_split_matches_rotation(apex, cells, buildings):
+    """For each cell the apex is not strictly inside: the hull's (pts,
+    lines) equal the rotated split's, and so do the verdicts of
+    `h_sees_all` for every facing and of `h_shadowed`; for each building
+    it is not strictly inside, the shadow's lines.  Returns the set of
+    (test, verdict) pairs seen."""
+    for b in buildings:
+        if not _strictly_inside(apex, b):
+            assert _h_shadow(apex, b) == shadow_by_rotation(apex, b)
+    verdicts = set()
+    for cell in cells:
+        if _strictly_inside(apex, cell):
+            continue
+        assert _h_hull(apex, cell) == hull_by_rotation(apex, cell)
+        for facing in _FACINGS:
+            verdict = h_sees_all(apex, facing, cell, buildings)
+            assert verdict == sees_all_by_scan(apex, facing, cell, buildings)
+            verdicts.add(("sees all", verdict))
+        verdict = h_shadowed(apex, cell, buildings)
+        assert verdict == shadowed_by_scan(apex, cell, buildings)
+        verdicts.add(("shadowed", verdict))
+    return verdicts
+
+
+class TestHullSplitAgainstRotation:
+    """The hull and shadow tests split a cell's edges into a far and a
+    near run in one pass (`geom._h_chains`) and read the runs by index;
+    they agree with the split of rotated copies and the scan of every
+    building (`references.chains_by_rotation`, `references.near_by_scan`)
+    on the hull, the shadow and the verdicts."""
+
+    @pytest.mark.parametrize("make,w_above_one", [
+        (lambda: gen_random(GeneratorParams(k=4, seed=1, grid=40)), False),
+        (lambda: _thirds(gen_random(GeneratorParams(k=4, seed=2, grid=40))), True),
+        (lambda: gen_3k1_necessity(2), False), (rot3k1_counterexample, True),
+    ], ids=["random-4", "thirds-4", "3k1-2", "counterexample"])
+    def test_fixed_scenes(self, make, w_above_one):
+        """Axis rectangles, and on the thirds-scaled and rotated scenes
+        cells with W > 1; every corner of the scene as an apex, outside
+        the cells or on them, and each seventh cell's own vertices and
+        edge midpoints as apexes on its boundary."""
+        sc = make()
+        buildings = [h_cell(h.as_cell()) for h in sc.holes]
+        cells = _pieces_and_level_parts(sc, False) + _pieces_and_level_parts(sc, True)
+        verdicts = set()
+        for pos in {g.position(sc) for g in _anchors(sc)}:
+            verdicts |= _assert_split_matches_rotation(h_point(pos), cells, buildings)
+        for cell in cells[::7]:
+            for apex in _apexes_on(cell):
+                verdicts |= _assert_split_matches_rotation(apex, [cell], buildings)
+        assert verdicts == {(test, v) for test in ("sees all", "shadowed") for v in (True, False)}
+        assert any(p[2] != 1 for c in cells for p in c.pts) == w_above_one
+
+    @given(st.integers(1, 5), st.integers(0, 10**6), st.data())
+    @settings(max_examples=40, deadline=None)
+    def test_drawn_cells(self, k, seed, data):
+        """A random rational rectangle and the free-space pieces, seen
+        from a drawn corner of the scene."""
+        sc, g, cells = _drawn_guard_and_cells(data, k, seed)
+        buildings = [h_cell(h.as_cell()) for h in sc.holes]
+        _assert_split_matches_rotation(h_point(g.position(sc)), cells, buildings)
 
 
 class TestOracle:
