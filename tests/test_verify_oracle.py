@@ -588,6 +588,53 @@ def _through_a_corner(scene, pos, p):
                for h in scene.holes for c in h.corners())
 
 
+def _meets_buildings_at_corners_only(scene, a, b):
+    """Does the closed segment from a to b meet each building in nothing
+    or in one of its corners?  The segment is clipped to each building's
+    closed edge half-planes."""
+    dx, dy = b.x - a.x, b.y - a.y
+    for h in scene.holes:
+        cs = h.corners()
+        edges = list(zip(cs, cs[1:] + cs[:1]))
+        turn = 1 if sum(u.x * v.y - v.x * u.y for u, v in edges) > 0 else -1
+        lo, hi = Fraction(0), Fraction(1)
+        for u, v in edges:
+            # the side of a + t·(dx, dy) is s0 + t·s1, >= 0 inside
+            s0 = turn * ((v.x - u.x) * (a.y - u.y) - (v.y - u.y) * (a.x - u.x))
+            s1 = turn * ((v.x - u.x) * dy - (v.y - u.y) * dx)
+            if s1 > 0:
+                lo = max(lo, Fraction(-s0) / s1)
+            elif s1 < 0:
+                hi = min(hi, Fraction(-s0) / s1)
+            elif s0 < 0:
+                lo, hi = Fraction(1), Fraction(0)
+        if lo < hi or lo == hi and Point(a.x + lo * dx, a.y + lo * dy) not in cs:
+            return False
+    return True
+
+
+def _sight_without_area(scene, guard, cell, p):
+    """May `sees` accept p, a point inside a cell the guard's region
+    leaves?  Only along a sight that carries no area: p lies on the
+    guard's half-plane boundary line; or the segment from the guard to p
+    meets the buildings at their corners alone, and the points of the
+    cell next to p, off every such line, are hidden
+    (`test_sight_through_two_corners_has_no_area`)."""
+    pos = guard.position(scene)
+
+    def on_boundary(q):
+        return (q.x - pos.x) * guard.facing[0] + (q.y - pos.y) * guard.facing[1] == 0
+
+    if on_boundary(p):
+        return True
+    if not _meets_buildings_at_corners_only(scene, pos, p):
+        return False
+    near = [Point(p.x + (v.x - p.x) / 10**6, p.y + (v.y - p.y) / 10**6)
+            for v in h_cell_to_cell(cell)]
+    near = [q for q in near if not on_boundary(q) and not _through_a_corner(scene, pos, q)]
+    return bool(near) and not any(sees(scene, guard, q) for q in near)
+
+
 def _interior_points(cell, rng, count=4):
     """Rational points strictly inside the cell: positive integer weights
     over its vertices."""
@@ -709,14 +756,11 @@ class TestResidualByContainment:
         """Against `sees`, the point route through `interior_run`: a cell
         h_sees_all proves is seen at its vertices, its centroid and
         interior rational points; otherwise the centroid and interior
-        points of the largest cell the region leaves of it are not seen.
-        A point on the guard's half-plane boundary line, or whose sight
-        segment runs through a building corner, is exempt there: sight
-        along such a line can carry no area, and then the region leaves
-        the point out (`test_sight_through_two_corners_has_no_area`)."""
+        points of the largest cell the region leaves of it are not seen,
+        unless their sight carries no area (`_sight_without_area`): then
+        the region leaves them out."""
         sc, g, cells = _drawn_guard_and_cells(data, k, seed)
         region = visibility_region(sc, g).cells
-        pos = g.position(sc)
         rng = random.Random(seed)
         for cell in cells:
             if _sees_all(sc, g, cell):
@@ -726,9 +770,7 @@ class TestResidualByContainment:
             else:
                 largest = max(h_subtract([cell], region), key=h_area2)
                 for p in (h_centroid(largest), *_interior_points(largest, rng)):
-                    if ((p.x - pos.x) * g.facing[0] + (p.y - pos.y) * g.facing[1]
-                            and not _through_a_corner(sc, pos, p)):
-                        assert not sees(sc, g, p)
+                    assert not sees(sc, g, p) or _sight_without_area(sc, g, largest, p)
 
     def test_sight_through_two_corners_has_no_area(self):
         """The guard at (4, 18) facing N sees (27, 59/2) along a segment
@@ -743,6 +785,26 @@ class TestResidualByContainment:
         assert sees(sc, g, p) and _through_a_corner(sc, g.position(sc), p)
         cell = h_cell((Point(26, 29), Point(28, 29), Point(28, 30), Point(26, 30)))
         assert h_subtract([cell], visibility_region(sc, g).cells) == [cell]
+        assert _sight_without_area(sc, g, cell, p)
+
+    def test_sight_between_corners_on_both_sides_has_no_area(self):
+        """The guard at P's corner (0, 0) facing N sees (41/2, 41/2) along
+        y = x, which touches building 2 at its corner (6, 6) from above and
+        building 4 at its corner (11, 11) from below; every other point of
+        the cell [20, 21]^2 around it is hidden, so the region leaves the
+        whole cell.  A diagonal through a building and a sight along its
+        edge meet it in more than a corner."""
+        sc = gen_random(GeneratorParams(k=5, seed=5, grid=30))
+        assert (sc.holes[2], sc.holes[4]) == (AxisRect(6, 4, 8, 6), AxisRect(10, 11, 11, 12))
+        g = p_corner_guard(0, N)
+        p = Point(Fraction(41, 2), Fraction(41, 2))
+        assert sees(sc, g, p) and _through_a_corner(sc, Point(0, 0), p)
+        assert _meets_buildings_at_corners_only(sc, Point(0, 0), p)
+        cell = h_cell((Point(20, 20), Point(21, 20), Point(21, 21), Point(20, 21)))
+        assert h_subtract([cell], visibility_region(sc, g).cells) == [cell]
+        assert _sight_without_area(sc, g, cell, p)
+        assert not _meets_buildings_at_corners_only(sc, Point(6, 4), Point(8, 6))
+        assert not _meets_buildings_at_corners_only(sc, Point(5, 6), Point(9, 6))
 
 
 def _anchors(scene):
