@@ -21,7 +21,9 @@ at that corner, the same exact sweep the certificates use.
 from __future__ import annotations
 
 import random
+from bisect import bisect_left, bisect_right, insort
 from dataclasses import dataclass
+from operator import attrgetter
 
 from cityguard.errors import GenerationFailedError
 from cityguard.geom import (
@@ -33,6 +35,9 @@ from cityguard.model import (
 )
 from cityguard.oracle import _sample_visible, roof_samples
 from cityguard.visibility import visibility_region
+
+_X0 = attrgetter("x0")
+
 
 @dataclass(frozen=True)
 class GeneratorParams:
@@ -54,7 +59,9 @@ def gen_random(params: GeneratorParams) -> Scene:
     """k disjoint integer holes strictly inside P, in general position."""
     rng = random.Random(params.seed)
     g = params.grid
+    wmax = max(1, (g - 2) // max(2 * params.k, 4))
     holes = []
+    by_x = []  # the holes placed, sorted by x0
     used_x, used_y = set(), set()
     attempts = 0
     while len(holes) < params.k:
@@ -64,16 +71,20 @@ def gen_random(params: GeneratorParams) -> Scene:
                 f"could not place {params.k} holes on a {g} grid (seed {params.seed})")
         x0 = rng.randint(1, g - 2)
         y0 = rng.randint(1, g - 2)
-        w = rng.randint(1, max(1, (g - 2) // max(2 * params.k, 4)))
-        h = rng.randint(1, max(1, (g - 2) // max(2 * params.k, 4)))
+        w = rng.randint(1, wmax)
+        h = rng.randint(1, wmax)
         x1, y1 = x0 + w, y0 + h
         if x1 > g - 1 or y1 > g - 1:
             continue
         if {x0, x1} & used_x or {y0, y1} & used_y:
             continue
         cand = AxisRect(x0, y0, x1, y1)
-        if any(not _holes_disjoint(cand, other) for other in holes):
+        # only a placed hole that starts in [x0 - wmax, x1] can meet the
+        # candidate's closed x-range, as no hole is wider than wmax
+        near = by_x[bisect_left(by_x, x0 - wmax, key=_X0):bisect_right(by_x, x1, key=_X0)]
+        if any(not _holes_disjoint(cand, other) for other in near):
             continue
+        insort(by_x, cand, key=_X0)
         holes.append(cand)
         used_x.update((x0, x1))
         used_y.update((y0, y1))

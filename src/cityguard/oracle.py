@@ -20,9 +20,11 @@ Each round keeps its work for the next, within one call:
   chosen set, so a round cuts only by the regions past its longest
   cached prefix (`_residual`; `h_subtract` cuts one cutter after
   another, so the cells are those of one subtraction of all of them);
-* the union bbox of each candidate's region cells: a witness outside it
-  is outside the closed region, so only witnesses inside it take the
-  exact closed test (`h_cells_contain`); the float bbox only prefilters.
+* the regions' runs: a mask reads `VisibilityRegion.contains`, which
+  locates the witness among a region's runs by integer orientation tests
+  and gives `h_cells_contain` over its cells bit for bit, so only the
+  regions that a round subtracts (or, when the search fails, all of
+  them) build their cells.
 
 Why the answer is exact:
 
@@ -57,12 +59,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
-from math import inf
 from typing import Optional
 
 from cityguard.geom import (
-    HCell, Point, h_area2, h_cells_contain, h_divide, h_mean, h_subtract, h_to_point,
-    interior_run,
+    HCell, Point, h_area2, h_divide, h_mean, h_subtract, h_to_point, interior_run,
 )
 from cityguard.model import (
     City, E, N, S, Scene, Solution, W, hole_guard, p_corner_guard, roof_in_front,
@@ -153,8 +153,7 @@ def _certify_and_refine(scene: Scene, candidates, base, max_count: int):
     What each round carries to the next is listed in the module
     docstring."""
     _check_max_count(max_count)
-    regions = [visibility_region(scene, c).cells for c in candidates]
-    boxes = [_union_bbox(cells) for cells in regions]
+    regions = [visibility_region(scene, c) for c in candidates]
     residuals = {(): base}
     witnesses = []
     masks = []
@@ -163,18 +162,14 @@ def _certify_and_refine(scene: Scene, candidates, base, max_count: int):
     while True:
         for cell in fresh:
             hp = h_mean(cell)
-            x, y = hp[0] / hp[2], hp[1] / hp[2]
-            mask = 0
-            for i, (x0, y0, x1, y1) in enumerate(boxes):
-                if x0 <= x <= x1 and y0 <= y <= y1 and h_cells_contain(regions[i], hp):
-                    mask |= 1 << i
+            mask = sum(1 << i for i, region in enumerate(regions) if region.contains(hp))
             witnesses.append((h_to_point(hp), mask))
             masks.append(mask)
             if not mask:
                 break  # nothing hits it, so the search fails at once
         best = min_hitting_set(masks, max_count, lower)
         if best is None:
-            rest = h_subtract(base, [c for cells in regions for c in cells])
+            rest = h_subtract(base, [c for region in regions for c in region.cells])
             if not rest:
                 return INFEASIBLE_WITHIN, None, None, tuple(witnesses)
             witness = next(p for p in interior_points(max(rest, key=h_area2))
@@ -184,15 +179,6 @@ def _certify_and_refine(scene: Scene, candidates, base, max_count: int):
         fresh = _residual(residuals, sorted(best), regions)
         if not fresh:
             return OPTIMAL, best, None, tuple(witnesses)
-
-
-def _union_bbox(cells):
-    """The union of the cells' padded float bboxes; one that holds no point
-    when there is no cell."""
-    if not cells:
-        return (inf, inf, -inf, -inf)
-    return (min(c.bbox[0] for c in cells), min(c.bbox[1] for c in cells),
-            max(c.bbox[2] for c in cells), max(c.bbox[3] for c in cells))
 
 
 def _residual(residuals, chosen, regions):
@@ -207,7 +193,7 @@ def _residual(residuals, chosen, regions):
         n -= 1
     rest = residuals[tuple(chosen[:n])]
     for i in range(n, len(chosen)):
-        rest = residuals[tuple(chosen[:i + 1])] = h_subtract(rest, regions[chosen[i]])
+        rest = residuals[tuple(chosen[:i + 1])] = h_subtract(rest, regions[chosen[i]].cells)
     return rest
 
 

@@ -23,15 +23,19 @@ Two independent routes to the same predicate:
   An edge direction inside a wedge splits it into two parts with the
   wedge's nearest edge, every part then lies wholly in front of the
   guard or wholly behind it, and only the parts in front are walked.
-  Each run of parts stopped by one edge gives the triangle
-  guard/ray1-hit/ray2-hit; the union of the kept triangles is the
-  region.  The scene cache keeps the last anchor's fan, so the facings
-  of one corner, asked for in turn, share one sweep.
+  Each run of parts stopped by one edge, (d1, blocker, d2), gives the
+  triangle guard/ray1-hit/ray2-hit; the union of the kept triangles is
+  the region.  The scene cache keeps the last anchor's fan, so the
+  facings of one corner, asked for in turn, share one sweep, and the
+  triangles' vertices and lines.
 
-The triangles are built as homogeneous integer cells (HCell, see
-geom.py): each ray hit is the reduced integer meet of the ray's line and
-the blocking edge's line, and a triangle is kept iff it turns strictly
-CCW, so the cells enter the clipping kernel as they are.
+A region keeps its runs and builds its cells from them on first read:
+`contains` locates a point among the runs by exact integer orientation
+tests, so the oracle's masks need no cell.  The triangles are built as
+homogeneous integer cells (HCell, see geom.py): each ray hit is the
+reduced integer meet of the ray's line and the blocking edge's line, and
+a triangle is kept iff it turns strictly CCW, so the cells enter the
+clipping kernel as they are.
 
 The region is regularized (a union of closed 2D cells).  Sight lines
 that are visible only along a 1D segment collinear with the guard's
@@ -42,8 +46,7 @@ coverage certificates compare areas, so this loses nothing.
 from __future__ import annotations
 
 from bisect import bisect_left
-from dataclasses import dataclass
-from functools import cmp_to_key
+from functools import cached_property, cmp_to_key
 from math import atan2, tau
 
 from cityguard.geom import (
@@ -67,17 +70,96 @@ def sees(scene: Scene, g: Guard, p: Point) -> bool:
         p == pos or all(interior_run(pos, p, h) is None for h in scene.holes))
 
 
-@dataclass(frozen=True)
 class VisibilityRegion:
-    """A guard's region as disjoint HCells (triangles fanned at the guard)."""
+    """A guard's region, read two ways.
 
-    guard: Guard
-    cells: tuple
+    `runs` are the fan walk's (d1, blocker, d2) triples in arc order from
+    the facing's e1 (`_Fan.region`); `contains` is the exact closed
+    membership test on them.  `cells` are the disjoint HCells, one
+    triangle per run that has area, in CCW order from direction (1, 0),
+    built from the runs on first read."""
+
+    def __init__(self, guard: Guard, runs, first: int, hpos, parts):
+        self.guard, self.runs = guard, runs
+        self._first = first  # runs[first:] start at or past (1, 0)
+        self._hpos = hpos
+        self._parts = parts  # (d1, d2, id(blocker)): triangle parts, shared at the anchor
+
+    @cached_property
+    def cells(self) -> tuple:
+        return self._triangles()
 
     @property
     def region(self) -> PolygonSet:
         """The region as a PolygonSet over the same HCells, not converted."""
         return PolygonSet.of_hcells(self.cells)
+
+    def _triangles(self):
+        runs, first = self.runs, self._first
+        parts = map(self._part, runs[first:] + runs[:first])
+        return tuple(HCell(*p) for p in parts if p is not None)
+
+    def _part(self, run):
+        """The run's triangle as (pts, lines), or None (`_triangle`)."""
+        d1, blk, d2 = run
+        if blk is None:
+            return None
+        key = (d1, d2, id(blk))
+        part = self._parts.get(key, _UNREAD)
+        if part is _UNREAD:
+            part = self._parts[key] = _triangle(self._hpos, d1, blk, d2)
+        return part
+
+    def _holds(self, run, X, Y, W) -> bool:
+        """(X, Y, W), in the run's closed cone, is in its triangle."""
+        part = self._part(run)
+        if part is None:
+            return False
+        A, B, C = part[1][1]  # the edge line
+        return A * X + B * Y + C * W >= 0
+
+    def contains(self, hp) -> bool:
+        """Closed membership of the homogeneous point hp, equal to
+        `h_cells_contain(self.cells, hp)` without building a cell.
+
+        A cell's ray lines take the value cross(d, v) at hp, v = hp - apex,
+        so a point is in a cell iff v lies in the run's closed cone and hp
+        on or inside the edge line.  The closed half-plane is the cone from
+        e1 (cross(e1, v) >= 0); within it cross(s, v) >= 0 holds for a
+        prefix of the other run starts, so a galloping search (exponential,
+        then binary) finds the last run j whose start is not after v.  The
+        closed cones meet only on their shared rays, so only run j can hold
+        hp, and run j - 1 when v lies on j's start.  The apex is a vertex
+        of every cell."""
+        X, Y, W = hp
+        px, py, pw = self._hpos
+        vx, vy = pw * X - px * W, pw * Y - py * W
+        runs = self.runs
+        sx, sy = runs[0][0]
+        if sx * vy < sy * vx:
+            return False
+        if not (vx or vy):
+            return any(self._holds(run, X, Y, W) for run in runs)
+        n = len(runs)
+        lo, hi = 0, 1
+        while hi < n:
+            sx, sy = runs[hi][0]
+            if sx * vy < sy * vx:
+                break
+            lo, hi = hi, 2 * hi
+        else:
+            hi = n
+        while hi - lo > 1:
+            mid = (lo + hi) // 2
+            sx, sy = runs[mid][0]
+            if sx * vy < sy * vx:
+                hi = mid
+            else:
+                lo = mid
+        if self._holds(runs[lo], X, Y, W):
+            return True
+        sx, sy = runs[lo][0]
+        return lo > 0 and sx * vy == sy * vx and self._holds(runs[lo - 1], X, Y, W)
 
 
 def _angular_cmp(d1, d2):
@@ -201,7 +283,7 @@ class _Fan:
                     wedge_edges[i].append(entry)
                     i = (i + 1) % nd
         self.blockers = [_UNREAD] * nd
-        self.triangles = {}  # (d1, d2, id(blocker)): HCell or None
+        self.triangles = {}  # (d1, d2, id(blocker)): triangle parts or None
 
     def _blocker(self, i):
         """The nearest edge entry of wedge i, or None when the wedge lies in
@@ -241,50 +323,36 @@ class _Fan:
             b += nd  # the arc passes (1, 0): index k >= nd is dirs[k - nd]
 
         # Each maximal run of wedge parts stopped by one edge is one
-        # triangle (the intermediate ray hits are collinear on it), kept
-        # as [start, blocker, end]; runs that start past (1, 0) come
-        # first, so that the triangles follow the CCW order from (1, 0).
+        # triangle (the intermediate ray hits are collinear on it);
+        # `first` counts the runs that start before (1, 0).
         blockers = self.blockers
         runs = []
-        first = 1  # the number of runs that start before (1, 0)
-        run = [e1, self._blocker((a if at_corner else a - 1) % nd), None]
+        first = 1
+        start, blk = e1, self._blocker((a if at_corner else a - 1) % nd)
         for k in range(a + at_corner, b):
             i = k % nd
-            blk = blockers[i]
-            if blk is _UNREAD:
-                blk = self._blocker(i)
-            if blk is not run[1]:
-                run[2] = dirs[i]
-                runs.append(run)
-                run = [run[2], blk, None]
+            nxt = blockers[i]
+            if nxt is _UNREAD:
+                nxt = self._blocker(i)
+            if nxt is not blk:
+                runs.append((start, blk, dirs[i]))
+                start, blk = dirs[i], nxt
                 first += k < nd
-        run[2] = e2
-        runs.append(run)
+        runs.append((start, blk, e2))
+        return VisibilityRegion(g, tuple(runs), first, self.hpos, self.triangles)
 
-        cells = []
-        for d1, blk, d2 in runs[first:] + runs[:first]:
-            if blk is not None:
-                key = (d1, d2, id(blk))
-                cell = self.triangles.get(key, _UNREAD)
-                if cell is _UNREAD:
-                    cell = self.triangles[key] = self._triangle(d1, blk, d2)
-                if cell is not None:
-                    cells.append(cell)
-        return VisibilityRegion(guard=g, cells=tuple(cells))
 
-    def _triangle(self, d1, blk, d2):
-        """The cell seen between directions d1 and d2 up to the blocking
-        edge, or None if it has no area; facings that share the run share
-        the cell."""
-        # the lines of the rays and the edge (the triangle on their
-        # positive sides) are small; the hits are their meets
-        hpos = self.hpos
-        edge = _h_line(h_point(blk[0]), h_point(blk[1]))
-        ray1 = _h_line(hpos, d1 + (0,))
-        ray2 = _h_line(hpos, d2 + (0,))
-        r1 = _h_meet(ray1, edge)
-        r2 = _h_meet(ray2, edge)
-        if _h_orient(hpos, r1, r2) <= 0:
-            return None
-        back = (-ray2[0], -ray2[1], -ray2[2])
-        return HCell((hpos, r1, r2), (ray1, edge, back))
+def _triangle(hpos, d1, blk, d2):
+    """The (pts, lines) of the cell seen from hpos between directions d1
+    and d2 up to the blocking edge, or None if it has no area."""
+    # the lines of the rays and the edge (the triangle on their positive
+    # sides) are small; the hits are their meets
+    edge = _h_line(h_point(blk[0]), h_point(blk[1]))
+    ray1 = _h_line(hpos, d1 + (0,))
+    ray2 = _h_line(hpos, d2 + (0,))
+    r1 = _h_meet(ray1, edge)
+    r2 = _h_meet(ray2, edge)
+    if _h_orient(hpos, r1, r2) <= 0:
+        return None
+    back = (-ray2[0], -ray2[1], -ray2[2])
+    return (hpos, r1, r2), (ray1, edge, back)

@@ -18,6 +18,7 @@ critical directions and every wedge tested; and the 2k+1 partition's
 faces read off its extension walls by a union-find over the grid
 cells, which also takes frames with buildings on P's sides."""
 
+from collections import namedtuple
 from fractions import Fraction
 from itertools import groupby
 
@@ -33,9 +34,11 @@ from cityguard.oracle import (
 from cityguard.staircase import _QUADRANT
 from cityguard.verify import free_space, interior_points
 from cityguard.visibility import (
-    VisibilityRegion, _corner_cone, _sorted_directions, _strictly_in_cone, sees,
-    visibility_region,
+    _corner_cone, _sorted_directions, _strictly_in_cone, sees, visibility_region,
 )
+
+# a region swept here: the guard and its cells, as `VisibilityRegion` reads them
+SweptRegion = namedtuple("SweptRegion", "guard cells")
 
 
 def boundary(region) -> PolygonSet:
@@ -354,7 +357,7 @@ def mirror_guards(guards, scene) -> list:
     return out
 
 
-def sweep(scene: Scene, g: Guard) -> VisibilityRegion:
+def sweep(scene: Scene, g: Guard) -> SweptRegion:
     """The region of g by one sweep of its own: the critical directions
     are the corner directions and the two edge directions of g's
     half-plane, each wedge's nearest edge is found along its middle ray,
@@ -421,7 +424,7 @@ def sweep(scene: Scene, g: Guard) -> VisibilityRegion:
             back = (-ray2[0], -ray2[1], -ray2[2])
             cells.append(HCell((hpos, r1, r2), (ray1, edge, back)))
 
-    return VisibilityRegion(guard=g, cells=tuple(cells))
+    return SweptRegion(guard=g, cells=tuple(cells))
 
 
 def _partition_walls(scene: Scene):

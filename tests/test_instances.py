@@ -1,3 +1,5 @@
+import hashlib
+
 import pytest
 
 from cityguard.errors import GenerationFailedError
@@ -55,6 +57,26 @@ class TestGenRandom:
     def test_generation_failure(self):
         with pytest.raises(GenerationFailedError):
             gen_random(GeneratorParams(k=40, seed=0, grid=6))
+
+    # SHA-256 of repr(holes) at grid 40 k, made by the generator that tested
+    # each candidate against every hole placed before it
+    PINNED = {
+        (16, 0): "3252ab9e5c1727f96bc5a1d9dfe798a5106bce3c1e0fd41f386bd58f6a951797",
+        (16, 1): "ef860a49e2e34c50b38109c9a772bb12e7d11d73d1d80546bcaf0988ef2514d5",
+        (16, 2): "9306537699a0647df3fb1adc60ce850f03cb36c2bd289f6e0907ba4877c367d3",
+        (16, 3): "e7cd6b0ae3ed659a70501a2f6838ad80cbcf92d9ee1bcbd8eef58a2b28fadf8e",
+        (512, 0): "004392067e6b198686f436bf6fbf0464ebfd859bd7bff847a4cdb98e95926c96",
+        (512, 1): "ebb7161cbe05402eabdaa5bc4cc8670d60b28722146eba260da985b860da7bd7",
+        (512, 2): "6d6dec81f18fb27ada5dc111fb75d7d8fb91aa8f475896b5064664519e6e6eea",
+        (512, 3): "e5f0fa3fc5c1ad0938df3ad602ae6a9bdf43134bbabf231575a58e38d7e229cf",
+    }
+
+    @pytest.mark.parametrize("k,seed", sorted(PINNED))
+    def test_holes_are_pinned(self, k, seed):
+        """The overlap test reads only the holes whose x-ranges can meet
+        the candidate's; the draws and the holes are the same."""
+        holes = gen_random(GeneratorParams(k=k, seed=seed, grid=40 * k)).holes
+        assert hashlib.sha256(repr(holes).encode()).hexdigest() == self.PINNED[k, seed]
 
 
 class TestRoofNecessity:

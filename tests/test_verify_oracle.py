@@ -10,6 +10,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import cityguard.model as model
+import cityguard.oracle as oracle
 import cityguard.placement as placement
 import cityguard.verify as verify
 import cityguard.visibility as visibility
@@ -1487,8 +1488,9 @@ def _loop_scenes():
 
 class TestLazyOracleKeepsItsWork:
     """Differential: the loop that keeps its work between rounds (a lower
-    bound, residuals per chosen prefix, a bbox per candidate region)
-    against the same loop with every round from scratch: the same status,
+    bound, residuals per chosen prefix, masks by point location in each
+    region's runs) against the same loop with every round from scratch
+    and every mask a test of every region's cells: the same status,
     chosen set, witness and witness list, points and masks, at every
     `max_count` from 0 to the minimum (or to the first UNCOVERABLE
     answer, which every larger `max_count` repeats), on random scenes at
@@ -1509,6 +1511,34 @@ class TestLazyOracleKeepsItsWork:
                 if got[0] != INFEASIBLE_WITHIN:
                     break
             assert got[0] == OPTIMAL or not p_corners
+
+    @pytest.mark.parametrize("make,p_corners,max_count,least", [
+        pytest.param(lambda: gen_random(GeneratorParams(k=2, seed=2, grid=200)), True, 5, 2,
+                     id="random-k2"),
+        pytest.param(lambda: gen_3k1_necessity(2), False, 7, 7, id="rot3k1-k2")])
+    def test_cells_only_for_chosen_candidates(self, monkeypatch, make, p_corners, max_count,
+                                              least):
+        """The masks read each region's runs, so a region's cells are built
+        only when some round chooses it and subtracts it."""
+        sc = make()  # the rotated family reads regions of its own
+        monkeypatch.setattr(visibility, "_cache", (None, {}, {}, [None]))
+        built, chosen = [], set()
+        triangles = visibility.VisibilityRegion._triangles
+        monkeypatch.setattr(visibility.VisibilityRegion, "_triangles",
+                            lambda vr: built.append(vr.guard) or triangles(vr))
+        search = oracle.min_hitting_set
+
+        def recorded(*args):
+            best = search(*args)
+            chosen.update(best or ())
+            return best
+
+        monkeypatch.setattr(oracle, "min_hitting_set", recorded)
+        cands = candidate_set(sc, include_p_corners=p_corners)
+        res = optimal_guard_count(sc, cands, max_count)
+        assert res.status == OPTIMAL and res.count == least
+        assert built and len(built) == len(set(built))
+        assert set(built) <= {cands[i] for i in chosen} < set(cands)
 
 
 def _brute_min_hitting_set(masks, n):

@@ -12,12 +12,13 @@ import cityguard.visibility as visibility
 
 from cityguard.cli import main
 from cityguard.geom import (
-    Point, PolygonSet, _h_normalized, h_point, h_to_point, make_axis_rect, orient,
+    Point, PolygonSet, _h_line, _h_meet, _h_normalized, h_cells_contain, h_mean, h_point,
+    h_to_point, make_axis_rect, orient,
 )
 from cityguard.instances import GeneratorParams, gen_3k1_necessity, gen_random
 from cityguard.io import parse_city
 from cityguard.model import E, N, S, Guard, Scene, W, hole_guard, p_corner_guard
-from cityguard.oracle import candidate_set
+from cityguard.oracle import OPTIMAL, candidate_set, optimal_guard_count
 from cityguard.visibility import _angular_cmp, sees, visibility_region
 from counterexample_3k1 import rot3k1_counterexample
 from references import sweep
@@ -294,6 +295,92 @@ class TestFanAgainstSweep:
                 got = [(c.pts, c.lines) for c in visibility_region(sc, g).cells]
                 assert got == expected[g], g
         assert any(expected.values())
+
+
+def _membership_scenes():
+    """Random scenes at k = 1..3 on grids 20, 30 and 40, where grazing and
+    collinear lines are common, and the rotated 3k+1 family at k = 1, 2."""
+    cases = [pytest.param(lambda k=k, grid=grid: gen_random(
+                              GeneratorParams(k=k, seed=grid + k, grid=grid)),
+                          id=f"random-k{k}-grid{grid}")
+             for grid in (20, 30, 40) for k in (1, 2, 3)]
+    return cases + [pytest.param(lambda k=k: gen_3k1_necessity(k), id=f"rot3k1-k{k}")
+                    for k in (1, 2)]
+
+
+def _h_mid(a, b):
+    return (a[0] * b[2] + b[0] * a[2], a[1] * b[2] + b[1] * a[2], 2 * a[2] * b[2])
+
+
+def _probe_points(sc, vr):
+    """Each cell's vertices, edge midpoints and vertex mean; the apex;
+    points on each run's start and end rays before, at and beyond the
+    blocking edge (or at two distances, without a blocker); and points at
+    half steps on the guard's half-plane boundary line, across the
+    bounds."""
+    apex = h_point(vr.guard.position(sc))
+    ax, ay, aw = apex
+    pts = {apex}
+    for cell in vr.cells:
+        pts.add(h_mean(cell))
+        for a, b in zip(cell.pts, cell.pts[1:] + cell.pts[:1]):
+            pts |= {a, _h_mid(a, b)}
+    for d1, blk, d2 in vr.runs:
+        for d in (d1, d2):
+            if blk is None:
+                hit = (ax + d[0] * aw, ay + d[1] * aw, aw)
+            else:
+                hit = _h_meet(_h_line(apex, d + (0,)),
+                              _h_line(h_point(blk[0]), h_point(blk[1])))
+            beyond = (2 * hit[0] * aw - ax * hit[2], 2 * hit[1] * aw - ay * hit[2],
+                      aw * hit[2])
+            pts |= {_h_mid(apex, hit), hit, beyond}
+    fx, fy = vr.guard.facing
+    span = 2 * max(sc.bounds.x1 - sc.bounds.x0, sc.bounds.y1 - sc.bounds.y0)
+    pts |= {(2 * ax + t * fy * aw, 2 * ay - t * fx * aw, 2 * aw) for t in range(-span, span + 1)}
+    return pts
+
+
+class TestMembership:
+    """Differential: `VisibilityRegion.contains`, the point location in a
+    region's runs, equals the closed test over its cells,
+    `h_cells_contain(visibility_region(sc, g).cells, hp)`, for every
+    candidate with P corners, at the points where a closed test can slip
+    (`_probe_points`) and at the witnesses of one oracle call."""
+
+    @pytest.mark.parametrize("make", _membership_scenes())
+    def test_equals_the_cells_test(self, make):
+        sc = make()
+        cands = candidate_set(sc, include_p_corners=True)
+        regions = [visibility_region(sc, g) for g in cands]
+        for vr in regions:
+            assert vr.contains(h_point(vr.guard.position(sc))) == bool(vr.cells)
+            for hp in _probe_points(sc, vr):
+                assert vr.contains(hp) == h_cells_contain(vr.cells, hp), (vr.guard, hp)
+        res = optimal_guard_count(sc, cands, 3 * sc.k + 1)
+        assert res.status == OPTIMAL
+        for p, mask in res.faces:
+            hp = h_point(p)
+            for i, vr in enumerate(regions):
+                assert vr.contains(hp) == bool(mask >> i & 1) == h_cells_contain(vr.cells, hp)
+
+    def test_runs_without_area_are_skipped(self, monkeypatch):
+        """A run whose triangle `_triangle` drops (no area) holds no point
+        for `contains`, by the same memo the cells read.  The scenes here
+        give no such run, so every third triangle is dropped."""
+        calls = iter(range(10 ** 9))
+        real = visibility._triangle
+        monkeypatch.setattr(visibility, "_triangle",
+                            lambda *a: None if next(calls) % 3 == 0 else real(*a))
+        monkeypatch.setattr(visibility, "_cache", (None, {}, {}, [None]))
+        dropped = 0
+        for sc in (gen_random(GeneratorParams(k=2, seed=32, grid=30)), gen_3k1_necessity(1)):
+            for g in candidate_set(sc, include_p_corners=True):
+                vr = visibility_region(sc, g)
+                for hp in _probe_points(sc, vr):
+                    assert vr.contains(hp) == h_cells_contain(vr.cells, hp), (g, hp)
+                dropped += sum(blk is not None for _, blk, _ in vr.runs) - len(vr.cells)
+        assert dropped > 0
 
 
 class TestDirectionOrder:
