@@ -11,6 +11,9 @@ region leaves the library, by its `cells` and `rings()`.
 
 The representation is regularized: cells are closed and zero-area pieces
 are dropped, so a PolygonSet always equals the closure of its interior.
+A PolygonSet carries no point test: closed membership of a point in a
+guard's region is `VisibilityRegion.contains`, read off the region's
+runs.
 
 Sight segments against buildings have one exact test, `interior_run`:
 the run of a segment inside a hole's open interior, found by one pass
@@ -158,10 +161,6 @@ class PolygonSet:
     def area(self) -> Fraction:
         return Fraction(sum(h_area2(c) for c in self.pieces)) / 2
 
-    def contains(self, p: Point) -> bool:
-        """Closed test: p lies in some cell (see h_cells_contain)."""
-        return h_cells_contain(self.pieces, h_point(p))
-
     def difference(self, other: "PolygonSet") -> "PolygonSet":
         return PolygonSet.of_hcells(h_subtract(self.pieces, other.pieces))
 
@@ -222,9 +221,6 @@ class ConvexQuad(NamedTuple):
 
     def corners(self):
         return self.v
-
-    def contains_open(self, p: Point) -> bool:
-        return all(orient(self.v[i - 1], self.v[i], p) == CCW for i in range(4))
 
     def as_cell(self) -> Cell:
         return self.v
@@ -420,20 +416,6 @@ def h_area2(hc: HCell) -> Rational:
         s += t if w == 1 else Fraction(t, w)
         a = b
     return s
-
-
-def h_cells_contain(cells, hp) -> bool:
-    """Closed test: the homogeneous point hp = (X, Y, W) is on or left of
-    every edge line of some cell.  The padded float bbox is only a
-    prefilter: a point outside it is outside the closed cell."""
-    X, Y, W = hp
-    x, y = X / W, Y / W
-    for c in cells:
-        x0, y0, x1, y1 = c.bbox
-        if (x0 <= x <= x1 and y0 <= y <= y1
-                and all(A * X + B * Y + C * W >= 0 for (A, B, C) in c.lines)):
-            return True
-    return False
 
 
 def h_mean(hc: HCell):

@@ -335,19 +335,20 @@ def rotate_scene_ccw(scene: Scene, times: int) -> Scene:
 
 def rotate_guards(guards: Sequence[Guard], scene: Scene, times: int) -> list:
     """The guards of `scene`, re-anchored on `scene` turned `times` quarter
-    turns CCW; a negative `times` maps guards of a turned frame back."""
+    turns CCW; a negative `times` maps guards of a turned frame back.  A
+    quarter turn CCW takes corner c of an axis rectangle, P included, to
+    corner c + 1 and keeps a quad's corner order.  A guard naming no corner
+    of the scene raises ValueError."""
     t = times % 4
-    if t == 0:
-        return list(guards)
-    rotated = rotate_scene_ccw(scene, t)
     out = []
     for g in guards:
-        pos = rotate_point_ccw(g.position(scene), t)
-        facing = rotate_point_ccw(Point(*g.facing), t)
-        if g.anchor[0] == "hole":
-            b = g.anchor[1]
-            anchor = ("hole", b, rotated.holes[b].corners().index(pos))
+        a = g.anchor
+        if a[0] == "hole" and 0 <= a[1] < scene.k and 0 <= a[2] < 4:
+            turn = t if isinstance(scene.holes[a[1]], AxisRect) else 0
+            anchor = ("hole", a[1], (a[2] + turn) % 4)
+        elif a[0] == "p" and 0 <= a[1] < 4:
+            anchor = ("p", (a[1] + t) % 4)
         else:
-            anchor = ("p", rotated.bounds.corners().index(pos))
-        out.append(Guard(anchor=anchor, facing=(facing.x, facing.y)))
+            g.position(scene)  # raises ValueError: no such corner
+        out.append(Guard(anchor=anchor, facing=rotate_point_ccw(g.facing, t)))
     return out

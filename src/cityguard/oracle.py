@@ -22,7 +22,7 @@ Each round keeps its work for the next, within one call:
   another, so the cells are those of one subtraction of all of them);
 * the regions' runs: a mask reads `VisibilityRegion.contains`, which
   locates the witness among a region's runs by integer orientation tests
-  and gives `h_cells_contain` over its cells bit for bit, so only the
+  and gives the closed test over its cells bit for bit, so only the
   regions that a round subtracts (or, when the search fails, all of
   them) build their cells.
 

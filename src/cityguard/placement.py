@@ -214,7 +214,7 @@ def _case1_guards(scene: Scene, rep: SharingReport, trace, label="case1") -> lis
     rscene = rotate_scene_ccw(scene, rot)
     st = staircase(rscene, RRS)  # rep's analysis checked the scene
     trace.append((label, min_kind, st.stairs))
-    guards = _hole_vertex_partition_guards(rscene, staircase_guards(rscene, st))
+    guards = _hole_vertex_partition_guards(rscene, staircase_guards(st))
     return rotate_guards(guards, rscene, -rot)
 
 

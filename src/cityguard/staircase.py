@@ -17,7 +17,9 @@ Kind -> removed quadrant (corner of each hole, open):
 A Staircase keeps only what the placements read: its stairs (the
 Pareto corners) and their buildings, not the region.  `staircase`
 builds one without checks; `staircase_sharing` checks the scene once and
-builds all four.
+builds all four.  Guards are placed on an RRS staircase only
+(`staircase_guards`): a placement turns its frame by quarter turns until
+the staircase it guards is the frame's RRS, and turns the guards back.
 """
 
 from __future__ import annotations
@@ -27,7 +29,7 @@ from typing import Optional
 
 from cityguard.errors import EmptyStaircaseError
 from cityguard.geom import AxisRect, Point
-from cityguard.model import AXIS_ALIGNED, E, N, S, W, Scene, hole_guard, require_general_position
+from cityguard.model import AXIS_ALIGNED, E, S, Scene, hole_guard, require_general_position
 
 RS, FS, RRS, RFS = "RS", "FS", "RRS", "RFS"
 KINDS = (RS, FS, RRS, RFS)
@@ -84,32 +86,16 @@ def staircase(scene: Scene, kind: str) -> Staircase:
                      buildings=frozenset(i for i, _ in pareto))
 
 
-# kind -> (facing along the stairs, facing down the stairs, extreme-stair picker).
-# The along-guard on stair i covers the slab up to the next stair line; the
-# extra guard on the extreme stair covers the remaining boundary slab.
-_GUARD_PATTERN = {
-    RRS: (E, S, lambda rv: rv[0].y),     # extra on the lowest stair
-    RS: (W, N, lambda rv: -rv[0].y),     # extra on the highest stair
-    FS: (N, E, lambda rv: -rv[0].x),     # extra on the rightmost stair
-    RFS: (S, W, lambda rv: rv[0].x),     # extra on the leftmost stair
-}
-
-
-def staircase_guards(scene: Scene, st: Staircase):
-    """Guard pattern for a staircase, canonically RRS; others by symmetry.
-
-    One guard per reflex vertex facing along the stairs plus one extra on
-    the extreme stair facing down the stairs; |guards| = stairs + 1.
-    """
+def staircase_guards(st: Staircase):
+    """The guards of an RRS staircase: one on each stair's SE corner facing
+    E, along the stairs, and one more on the lowest stair's SE corner
+    facing S, down the stairs; |guards| = stairs + 1.  A placement turns
+    its frame until the staircase it guards is the frame's RRS."""
     if st.stairs == 0:
         raise EmptyStaircaseError(f"{st.kind} staircase of a k=0 scene has no stairs")
-    along, down, extreme_key = _GUARD_PATTERN[st.kind]
-    corner_idx = _QUADRANT[st.kind][0]
-    guards = []
-    for (pt, hid) in st.reflex_vertices:
-        guards.append(hole_guard(hid, corner_idx, along))
-    extreme = min(st.reflex_vertices, key=extreme_key)
-    guards.append(hole_guard(extreme[1], corner_idx, down))
+    guards = [hole_guard(hid, 1, E) for _, hid in st.reflex_vertices]
+    lowest = min(st.reflex_vertices, key=lambda rv: rv[0].y)
+    guards.append(hole_guard(lowest[1], 1, S))
     return guards
 
 

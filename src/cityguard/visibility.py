@@ -119,8 +119,9 @@ class VisibilityRegion:
         return A * X + B * Y + C * W >= 0
 
     def contains(self, hp) -> bool:
-        """Closed membership of the homogeneous point hp, equal to
-        `h_cells_contain(self.cells, hp)` without building a cell.
+        """Closed membership of the homogeneous point hp: hp is on or
+        inside every edge line of some one of `self.cells`, decided
+        without building a cell.
 
         A cell's ray lines take the value cross(d, v) at hp, v = hp - apex,
         so a point is in a cell iff v lies in the run's closed cone and hp

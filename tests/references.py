@@ -16,18 +16,23 @@ shadow by segment tests; the mirror image of a scene and its guards; a guard's
 region swept from scratch, with the facing's edge directions among the
 critical directions and every wedge tested; and the 2k+1 partition's
 faces read off its extension walls by a union-find over the grid
-cells, which also takes frames with buildings on P's sides."""
+cells, which also takes frames with buildings on P's sides.  Also the
+closed point test over HCells that `VisibilityRegion.contains` must
+match bit for bit, and through it a region's closed membership; a
+hole's open interior; guards re-anchored on a quarter-turned scene by
+their positions; and a reset of the region cache."""
 
 from collections import namedtuple
 from fractions import Fraction
 from itertools import groupby
 
+from cityguard import visibility
 from cityguard.geom import (
-    AxisRect, HCell, Point, PolygonSet, _h_disjoint, _h_line, _h_meet, _h_orient, h_area2,
-    h_cell, h_cells_contain, h_centroid, h_clear, h_point, h_subtract, make_convex_quad,
+    CCW, AxisRect, HCell, Point, PolygonSet, _h_disjoint, _h_line, _h_meet, _h_orient,
+    h_area2, h_cell, h_centroid, h_clear, h_point, h_subtract, make_convex_quad,
     orient, primitive_direction,
 )
-from cityguard.model import Guard, Scene, roof_in_front
+from cityguard.model import Guard, Scene, roof_in_front, rotate_point_ccw, rotate_scene_ccw
 from cityguard.oracle import (
     INFEASIBLE_WITHIN, OPTIMAL, UNCOVERABLE, _certify_and_refine, min_hitting_set,
 )
@@ -39,6 +44,60 @@ from cityguard.visibility import (
 
 # a region swept here: the guard and its cells, as `VisibilityRegion` reads them
 SweptRegion = namedtuple("SweptRegion", "guard cells")
+
+
+def h_cells_contain(cells, hp) -> bool:
+    """Closed test: the homogeneous point hp = (X, Y, W) is on or left of
+    every edge line of some cell.  The padded float bbox is only a
+    prefilter: a point outside it is outside the closed cell."""
+    X, Y, W = hp
+    x, y = X / W, Y / W
+    for c in cells:
+        x0, y0, x1, y1 = c.bbox
+        if (x0 <= x <= x1 and y0 <= y <= y1
+                and all(A * X + B * Y + C * W >= 0 for (A, B, C) in c.lines)):
+            return True
+    return False
+
+
+def region_contains(region: PolygonSet, p: Point) -> bool:
+    """Closed test: p lies in some cell of the region."""
+    return h_cells_contain(region.pieces, h_point(p))
+
+
+def in_open_hole(hole, p: Point) -> bool:
+    """p lies in the hole's open interior: strictly left of each CCW edge
+    (for an axis rectangle, strictly between its sides)."""
+    if isinstance(hole, AxisRect):
+        return hole.contains_open(p)
+    cs = hole.corners()
+    return all(orient(cs[i - 1], cs[i], p) == CCW for i in range(len(cs)))
+
+
+def reset_region_cache(monkeypatch):
+    """Start the test from an empty region cache, holding no scene."""
+    monkeypatch.setattr(visibility, "_cache", (None, {}, {}, [None]))
+
+
+def rotate_guards_by_position(guards, scene: Scene, times: int) -> list:
+    """The guards of `scene`, re-anchored on `scene` turned `times` quarter
+    turns CCW, by finding each turned anchor point among the turned
+    scene's corners."""
+    t = times % 4
+    if t == 0:
+        return list(guards)
+    rotated = rotate_scene_ccw(scene, t)
+    out = []
+    for g in guards:
+        pos = rotate_point_ccw(g.position(scene), t)
+        facing = rotate_point_ccw(Point(*g.facing), t)
+        if g.anchor[0] == "hole":
+            b = g.anchor[1]
+            anchor = ("hole", b, rotated.holes[b].corners().index(pos))
+        else:
+            anchor = ("p", rotated.bounds.corners().index(pos))
+        out.append(Guard(anchor=anchor, facing=(facing.x, facing.y)))
+    return out
 
 
 def boundary(region) -> PolygonSet:

@@ -17,6 +17,7 @@ from cityguard.model import W, hole_guard, p_corner_guard, Solution
 from cityguard.placement import guards_2k1
 from cityguard.svg import render_svg
 from cityguard.verify import certify
+from references import reset_region_cache
 
 
 def city_a_doc():
@@ -300,13 +301,12 @@ class TestCli:
         guard's own corner) is refused with one stderr line and exit 3,
         and neither NOT covered nor the certificate file is written."""
         import cityguard.verify as verify
-        import cityguard.visibility as visibility
         scene = tmp_path / "s.json"
         sol = tmp_path / "g.json"
         cert = tmp_path / "c.json"
         save_city(parse_city(city_a_doc()), scene)
         save_solution(Solution(algorithm="x", guards=(hole_guard(0, 1, (1, 0)),)), sol)
-        monkeypatch.setattr(visibility, "_cache", (None, {}, {}, [None]))
+        reset_region_cache(monkeypatch)
         monkeypatch.setattr(verify, "_witness", lambda cell, sights: h_to_point(sights[0][0]))
         assert self.run("verify", "--scene", str(scene), "--solution", str(sol),
                         "--cert", str(cert)) == 3

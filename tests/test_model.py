@@ -10,18 +10,18 @@ from cityguard import model
 from cityguard.errors import DegeneratePositionError, SceneValidationError
 from cityguard.geom import AxisRect, Point, make_axis_rect, make_convex_quad
 from cityguard.instances import (
-    GeneratorParams, gen_3k1_necessity, gen_random_city, gen_roof_necessity,
+    GeneratorParams, gen_3k1_necessity, gen_random, gen_random_city, gen_roof_necessity,
 )
 from cityguard.io import parse_city
 from cityguard.model import (
-    City, E, N, S, Scene, Solution, W, _holes_disjoint, hole_guard,
+    City, E, Guard, N, S, Scene, Solution, W, _holes_disjoint, hole_guard,
     p_corner_guard, rotate_guards, rotate_point_ccw,
     rotate_scene_ccw, validate_scene, check_general_position,
     require_general_position, roof_flags, wall_aligned_facings,
 )
 from cityguard.placement import guards_2k1
 from counterexample_3k1 import rot3k1_counterexample
-from references import roof_covered_by
+from references import roof_covered_by, rotate_guards_by_position
 
 
 def city_a():
@@ -375,3 +375,35 @@ class TestRotation:
             rotated = rotate_guards(guards, sc, t)
             assert rotated == [rotate_guards([g], sc, t)[0] for g in guards]
             assert rotate_guards(rotated, rsc, -t) == guards
+
+
+def _rotation_scenes():
+    scenes = [gen_random(GeneratorParams(k=k, seed=seed, grid=40 * k))
+              for k in (1, 4, 9) for seed in range(2)]
+    thirds = parse_city({"bounds": [0, 0, 10, 10], "buildings": [
+        {"base": ["1/3", "2/3", "7/3", "8/3"], "height": 1}]}).scene
+    return scenes + [thirds, gen_3k1_necessity(1), gen_3k1_necessity(2),
+                     rot3k1_counterexample()]
+
+
+class TestRotateGuardsByCornerIndex:
+    """`rotate_guards` maps anchors by corner index; the reference finds
+    each turned anchor point among the turned scene's corners."""
+
+    @pytest.mark.parametrize("t", range(-5, 6))
+    def test_agrees_with_the_position_reference(self, t):
+        for sc in _rotation_scenes():
+            guards = [hole_guard(i, c, f) for i, h in enumerate(sc.holes) for c in range(4)
+                      for f in wall_aligned_facings(h)[:2] + ((1, 2),)]
+            guards += [p_corner_guard(c, f) for c in range(4) for f in (N, W, (-3, 1))]
+            assert rotate_guards(guards, sc, t) == rotate_guards_by_position(guards, sc, t)
+
+    @pytest.mark.parametrize("t", range(-5, 6))
+    def test_no_corner_raises_at_every_turn(self, t):
+        sc = rot3k1_counterexample()
+        good = hole_guard(0, 0, N)
+        for bad in (hole_guard(sc.k, 0, N), hole_guard(-1, 0, N), hole_guard(0, 4, N),
+                    hole_guard(0, -1, N), p_corner_guard(4, N), p_corner_guard(-1, N),
+                    Guard(anchor=("x", 0), facing=N)):
+            with pytest.raises(ValueError, match="names no corner"):
+                rotate_guards([good, bad], sc, t)

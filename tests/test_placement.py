@@ -1,3 +1,4 @@
+import hashlib
 from fractions import Fraction
 
 import pytest
@@ -482,3 +483,42 @@ class TestCityGuardingBase:
         assert not certify(city.scene, short.guards).covered
         with pytest.raises(ValueError, match="does not cover"):
             city_guarding(city, BUILDINGS_ONLY, base=short)
+
+
+def _pinned_cities():
+    """Random cities, k = 1..16, seeds 0 and 1, grid 40k, in four quarter
+    turns; then the Case 2, Case 3i and Case 3ii scenes in their eight
+    symmetries (the random ones dispatch only Cases 0, 1, 2 and the Case 3
+    fallback)."""
+    for k in range(1, 17):
+        for seed in range(2):
+            city = gen_random_city(GeneratorParams(k=k, seed=seed, grid=40 * k))
+            for t in range(4):
+                yield City(scene=rotate_scene_ccw(city.scene, t), heights=city.heights)
+    for bounds, bases in (([0, 0, 100, 100], CASE2_BASES), ([0, 0, 1000, 1000], CASE3_BASES),
+                          ([0, 0, 1000, 1000], CASE3_BASES + [[925, 505, 945, 515]])):
+        sc = _bases_scene(bounds, bases)
+        for image in (sc, mirror_scene(sc)):
+            for t in range(4):
+                yield City(scene=rotate_scene_ccw(image, t), heights=tuple(range(1, sc.k + 1)))
+
+
+class TestPlacementOutputsPinned:
+    """The guards and trace of every placement, or the error it raises, on
+    a fixed corpus hash to one SHA-256 digest; a refactor of the frames,
+    their quarter turns or the staircase pattern must leave it unchanged."""
+
+    DIGEST = "f0f9c4683c734a00a92ef1b64a9fc9d668583f1eb7e7d14045444d22910c6d41"
+
+    def test_outputs_match_the_pin(self):
+        digest = hashlib.sha256()
+        for city in _pinned_cities():
+            for place in (guards_main, guards_2k1, lambda sc: city_guarding(city, BUILDINGS_ONLY),
+                          lambda sc: city_guarding(city, ALLOW_P_CORNER)):
+                try:
+                    sol = place(city.scene)
+                    out = repr((sol.guards, sol.trace))
+                except Exception as e:  # noqa: BLE001 - the error is part of the output
+                    out = repr((type(e).__name__, str(e)))
+                digest.update(out.encode() + b"\n")
+        assert digest.hexdigest() == self.DIGEST

@@ -104,17 +104,26 @@ class TestBuild:
             staircase_sharing(sc)
 
 
+def _as_rrs(sc, kind):
+    """The scene turned by quarter turns CCW until its `kind` staircase is
+    its RRS staircase, and that staircase."""
+    t = next(t for t in range(4) if _turned(_TURN_KIND, kind, t) == RRS)
+    turned = rotate_scene_ccw(sc, t)
+    return turned, staircase(turned, RRS)
+
+
 class TestGuards:
     def test_city_a_rrs_two_guards(self):
         sc = city_a()
         st = staircase(sc, RRS)
-        assert len(staircase_guards(sc, st)) == 2
+        assert len(staircase_guards(st)) == 2
 
     def test_count_is_stairs_plus_one(self):
         sc = city_b()
         for kind in KINDS:
-            st = staircase(sc, kind)
-            assert len(staircase_guards(sc, st)) == st.stairs + 1
+            _, st = _as_rrs(sc, kind)
+            assert st.buildings == staircase(sc, kind).buildings
+            assert len(staircase_guards(st)) == st.stairs + 1
 
     def test_pattern_three_stairs(self):
         sc = parse_city({"bounds": [0, 0, 100, 100], "buildings": [
@@ -123,25 +132,25 @@ class TestGuards:
             {"base": [50, 41, 60, 51], "height": 1}]}).scene
         st = staircase(sc, RRS)
         assert st.stairs == 3
-        guards = staircase_guards(sc, st)
+        guards = staircase_guards(st)
         assert len(guards) == 4
         assert sum(1 for g in guards if g.facing == (1, 0)) == 3
         assert sum(1 for g in guards if g.facing == (0, -1)) == 1
 
     def test_guards_cover_staircase_exactly(self):
-        sc = city_b()
+        # each kind through the quarter turn that makes it the RRS
         for kind in KINDS:
-            st = staircase(sc, kind)
-            rest = staircase_region(sc, st)
-            for g in staircase_guards(sc, st):
-                rest = rest.difference(visibility_region(sc, g).region)
+            turned, st = _as_rrs(city_b(), kind)
+            rest = staircase_region(turned, st)
+            for g in staircase_guards(st):
+                rest = rest.difference(visibility_region(turned, g).region)
             assert rest.is_empty(), kind
 
     def test_empty_staircase_errors(self):
         sc = Scene(bounds=make_axis_rect(0, 0, 10, 10), holes=())
         st = staircase(sc, RRS)
         with pytest.raises(EmptyStaircaseError):
-            staircase_guards(sc, st)
+            staircase_guards(st)
 
 
 class TestSharing:

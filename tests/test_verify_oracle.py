@@ -45,7 +45,7 @@ from references import (
     axis_free_cells, building_levels, certify_and_refine_from_scratch, h_sees_all,
     hull_by_rotation, in_closed_shadow, min_cover_of_region, mirror_guards, mirror_scene,
     residual_pass, roof_covered_by, sees_all_by_scan, shadow_by_rotation, shadowed_by_scan,
-    side_table, space_between,
+    region_contains, reset_region_cache, side_table, space_between,
 )
 from test_geom import ref_interior_run
 
@@ -75,7 +75,7 @@ class TestCertify:
         assert not cert.covered
         assert cert.residual.area() == 96
         assert cert.witness is not None
-        assert free_space(sc).contains(cert.witness)
+        assert region_contains(free_space(sc), cert.witness)
 
     @pytest.mark.parametrize("bounds", [AxisRect(5, 0, 0, 5), AxisRect(0, 0, 0, 0),
                                         AxisRect(0, 0, 10, 0)])
@@ -113,7 +113,7 @@ class TestCertify:
         cert = certify(sc, [hole_guard(0, 1, E)])
         assert not cert.covered
         # everything strictly West of the hole is residual
-        assert cert.residual.contains(Point(1, 5))
+        assert region_contains(cert.residual, Point(1, 5))
         assert cert.residual.area() == 96 - 40
 
     @pytest.mark.parametrize("guard", [
@@ -173,7 +173,7 @@ class TestCertify:
             for guards in combinations(cands, size):
                 cert = certify(sc, guards)
                 if not cert.covered:
-                    assert cert.residual.contains(cert.witness)
+                    assert region_contains(cert.residual, cert.witness)
                     assert not any(sees(sc, g, cert.witness) for g in guards)
 
     @given(st.integers(1, 5), st.integers(0, 10**6), st.data())
@@ -187,14 +187,14 @@ class TestCertify:
         guards = data.draw(st.lists(st.sampled_from(cands), max_size=2 * k + 2, unique=True))
         cert = certify(sc, guards)
         if not cert.covered:
-            assert cert.residual.contains(cert.witness)
+            assert region_contains(cert.residual, cert.witness)
             assert not any(sees(sc, g, cert.witness) for g in guards)
 
 
 @pytest.fixture
 def computed(monkeypatch):
     """Empty the scene cache and record every residual pass it runs."""
-    monkeypatch.setattr(visibility, "_cache", (None, {}, {}, [None]))
+    reset_region_cache(monkeypatch)
     passes = []
     compute = verify._compute
 
@@ -297,9 +297,9 @@ class TestCertificateMemo:
             full = list(guards_2k1(sc).guards)
             drop = rng.randrange(len(full))
             for guards in (full, full[:drop] + full[drop + 1:]):
-                monkeypatch.setattr(visibility, "_cache", (None, {}, {}, [None]))
+                reset_region_cache(monkeypatch)
                 verdict = covers(sc, guards)
-                monkeypatch.setattr(visibility, "_cache", (None, {}, {}, [None]))
+                reset_region_cache(monkeypatch)
                 assert verdict == certify(sc, guards).covered
                 verdicts.add(verdict)
         assert verdicts == {True, False}
@@ -347,7 +347,7 @@ class TestRegionsSweptOnDemand:
         short = guards[:len(guards) // 2] + guards[len(guards) // 2 + 1:]
         vertices = [p for cell in free_space(sc).cells for p in cell]
         for gs in (guards, short):
-            monkeypatch.setattr(visibility, "_cache", (None, {}, {}, [None]))
+            reset_region_cache(monkeypatch)
             cert = certify(sc, gs)
             swept = set(visibility._cache[1])
             assert cert.covered == (gs is guards)
@@ -372,7 +372,7 @@ class TestRegionsSweptOnDemand:
         sc = gen_random(GeneratorParams(k=k, seed=seed, grid=1000))
         guards = guards_2k1(sc).guards
         short = guards[:len(guards) // 2] + guards[len(guards) // 2 + 1:]
-        monkeypatch.setattr(visibility, "_cache", (None, {}, {}, [None]))
+        reset_region_cache(monkeypatch)
         cert = certify(sc, short)
         swept = set(visibility._cache[1])
         sights = verify._sights(sc, short)
@@ -905,7 +905,7 @@ class TestSplitProof:
         proofs = self.spy(monkeypatch)
         for algorithm in (guards_2k1, guards_main):
             guards = algorithm(sc).guards
-            monkeypatch.setattr(visibility, "_cache", (None, {}, {}, [None]))
+            reset_region_cache(monkeypatch)
             assert certify(sc, guards).covered
             assert visibility._cache[1] == {}
         assert all(proofs)
@@ -922,7 +922,7 @@ class TestSplitProof:
         guards = res.solution.guards
         assert len(guards) == 4 and not _on_rows(sc, guards)
         proofs = self.spy(monkeypatch)
-        monkeypatch.setattr(visibility, "_cache", (None, {}, {}, [None]))
+        reset_region_cache(monkeypatch)
         cert = certify(sc, guards)
         assert cert.covered and not all(proofs)
         swept = set(visibility._cache[1])
@@ -951,7 +951,7 @@ class TestSplitProof:
 
         proofs = self.spy(monkeypatch)
         monkeypatch.setattr(verify, "_axis_free_cells", spy)
-        monkeypatch.setattr(visibility, "_cache", (None, {}, {}, [None]))
+        reset_region_cache(monkeypatch)
         cert = certify(sc, short)
         assert cert.covered == covered
         assert axes == [True] and proofs and not all(proofs)
@@ -1294,7 +1294,7 @@ class TestOracle:
             for v in cell[:4]:
                 samples.append(Point((cx + v.x) / 2, (cy + v.y) / 2))
             for p in samples:
-                got = frozenset(i for i, r in enumerate(regions) if r.contains(p))
+                got = frozenset(i for i, r in enumerate(regions) if region_contains(r, p))
                 assert got == mask
 
     @pytest.mark.parametrize("make, digest", [
@@ -1445,12 +1445,12 @@ class TestLazyOracleAgreesWithFaces:
                   hole_guard(0, 1, N), hole_guard(0, 2, N)]
         for cell in free_space(sc).pieces:
             p = h_centroid(cell)
-            assert any(visibility_region(sc, g).region.contains(p) for g in guards)
+            assert any(region_contains(visibility_region(sc, g).region, p) for g in guards)
         res = optimal_guard_count(sc, guards, max_count)
         assert res.status == UNCOVERABLE
         p = res.witness_point
-        assert free_space(sc).contains(p)
-        assert not any(visibility_region(sc, g).region.contains(p) for g in guards)
+        assert region_contains(free_space(sc), p)
+        assert not any(region_contains(visibility_region(sc, g).region, p) for g in guards)
         assert not any(sees(sc, g, p) for g in guards)
         assert _face_answer(_face_masks(sc, guards), max_count)[0] == UNCOVERABLE
 
@@ -1474,7 +1474,7 @@ class TestLazyOracleAgreesWithFaces:
         assert res.status == UNCOVERABLE
         rest = h_subtract(free_space(sc).pieces,
                           [c for g in guards for c in visibility_region(sc, g).cells])
-        assert PolygonSet.of_hcells([max(rest, key=h_area2)]).contains(res.witness_point)
+        assert region_contains(PolygonSet.of_hcells([max(rest, key=h_area2)]), res.witness_point)
         assert not any(sees(sc, g, res.witness_point) for g in guards)
 
 
@@ -1521,7 +1521,7 @@ class TestLazyOracleKeepsItsWork:
         """The masks read each region's runs, so a region's cells are built
         only when some round chooses it and subtracts it."""
         sc = make()  # the rotated family reads regions of its own
-        monkeypatch.setattr(visibility, "_cache", (None, {}, {}, [None]))
+        reset_region_cache(monkeypatch)
         built, chosen = [], set()
         triangles = visibility.VisibilityRegion._triangles
         monkeypatch.setattr(visibility.VisibilityRegion, "_triangles",
