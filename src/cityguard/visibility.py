@@ -23,19 +23,19 @@ Two independent routes to the same predicate:
   An edge direction inside a wedge splits it into two parts with the
   wedge's nearest edge, every part then lies wholly in front of the
   guard or wholly behind it, and only the parts in front are walked.
-  Each run of parts stopped by one edge, (d1, blocker, d2), gives the
-  triangle guard/ray1-hit/ray2-hit; the union of the kept triangles is
-  the region.  The scene cache keeps the last anchor's fan, so the
-  facings of one corner, asked for in turn, share one sweep, and the
-  triangles' vertices and lines.
+  Every edge is held as one integer line, directed CCW about the anchor.
+  Each run of parts stopped by one edge, (d1, line, d2), gives the
+  triangle guard/ray1-hit/ray2-hit; the union of the triangles is the
+  region.  The scene cache keeps the last anchor's fan, so the facings
+  of one corner, asked for in turn, share one sweep and the edges' lines.
 
 A region keeps its runs and builds its cells from them on first read:
 `contains` locates a point among the runs by exact integer orientation
-tests, so the oracle's masks need no cell.  The triangles are built as
-homogeneous integer cells (HCell, see geom.py): each ray hit is the
-reduced integer meet of the ray's line and the blocking edge's line, and
-a triangle is kept iff it turns strictly CCW, so the cells enter the
-clipping kernel as they are.
+tests and one side test on the run's line, so the oracle's masks build
+no cell.  The triangles are built as homogeneous integer cells (HCell,
+see geom.py): each ray hit is the reduced integer meet of the ray's line
+and the edge's line, and every run with a line turns strictly CCW
+(`_triangle`), so the cells enter the clipping kernel as they are.
 
 The region is regularized (a union of closed 2D cells).  Sight lines
 that are visible only along a 1D segment collinear with the guard's
@@ -49,6 +49,7 @@ from bisect import bisect_left
 from functools import cached_property, cmp_to_key
 from math import atan2, tau
 
+from cityguard.errors import MalformedPolygonError
 from cityguard.geom import (
     HCell, Point, PolygonSet, _h_line, _h_meet, _h_orient, h_point,
     half_plane_contains, interior_run, primitive_direction,
@@ -73,17 +74,17 @@ def sees(scene: Scene, g: Guard, p: Point) -> bool:
 class VisibilityRegion:
     """A guard's region, read two ways.
 
-    `runs` are the fan walk's (d1, blocker, d2) triples in arc order from
-    the facing's e1 (`_Fan.region`); `contains` is the exact closed
+    `runs` are the fan walk's (d1, line, d2) triples in arc order from the
+    facing's e1 (`_Fan.region`), line the blocking edge's or None; they
+    share the fan's line tuples.  `contains` is the exact closed
     membership test on them.  `cells` are the disjoint HCells, one
-    triangle per run that has area, in CCW order from direction (1, 0),
+    triangle per run that has a line, in CCW order from direction (1, 0),
     built from the runs on first read."""
 
-    def __init__(self, guard: Guard, runs, first: int, hpos, parts):
+    def __init__(self, guard: Guard, runs, first: int, hpos):
         self.guard, self.runs = guard, runs
         self._first = first  # runs[first:] start at or past (1, 0)
         self._hpos = hpos
-        self._parts = parts  # (d1, d2, id(blocker)): triangle parts, shared at the anchor
 
     @cached_property
     def cells(self) -> tuple:
@@ -95,28 +96,16 @@ class VisibilityRegion:
         return PolygonSet.of_hcells(self.cells)
 
     def _triangles(self):
-        runs, first = self.runs, self._first
-        parts = map(self._part, runs[first:] + runs[:first])
-        return tuple(HCell(*p) for p in parts if p is not None)
+        runs, first, hpos = self.runs, self._first, self._hpos
+        return tuple(HCell(*_triangle(hpos, d1, line, d2))
+                     for d1, line, d2 in runs[first:] + runs[:first] if line is not None)
 
-    def _part(self, run):
-        """The run's triangle as (pts, lines), or None (`_triangle`)."""
-        d1, blk, d2 = run
-        if blk is None:
-            return None
-        key = (d1, d2, id(blk))
-        part = self._parts.get(key, _UNREAD)
-        if part is _UNREAD:
-            part = self._parts[key] = _triangle(self._hpos, d1, blk, d2)
-        return part
-
-    def _holds(self, run, X, Y, W) -> bool:
-        """(X, Y, W), in the run's closed cone, is in its triangle."""
-        part = self._part(run)
-        if part is None:
-            return False
-        A, B, C = part[1][1]  # the edge line
-        return A * X + B * Y + C * W >= 0
+    @staticmethod
+    def _holds(run, X, Y, W) -> bool:
+        """(X, Y, W), in the run's closed cone, is in its triangle: on or
+        inside the edge line."""
+        line = run[1]
+        return line is not None and line[0] * X + line[1] * Y + line[2] * W >= 0
 
     def contains(self, hp) -> bool:
         """Closed membership of the homogeneous point hp: hp is on or
@@ -236,7 +225,7 @@ def visibility_region(scene: Scene, g: Guard) -> VisibilityRegion:
 
 
 _ANGULAR = cmp_to_key(_angular_cmp)  # the fan's bisection key
-_UNREAD = object()  # a wedge's blocker or a run's triangle not built yet
+_UNREAD = object()  # a wedge's blocker not found yet
 
 
 class _Fan:
@@ -250,7 +239,7 @@ class _Fan:
     def __init__(self, scene: Scene, g: Guard):
         pos = g.position(scene)
         self.anchor = g.anchor
-        self.hpos = h_point(pos)
+        self.hpos = px, py, pw = h_point(pos)
         self.on_hole = on_hole = g.on_hole()
 
         # P's boundary is the last polygon: its edges block like hole edges
@@ -276,34 +265,35 @@ class _Fan:
                     continue  # collinear with the guard: grazing, never blocks
                 if c < 0:
                     ra, rb, p, q = rb, ra, q, p
-                ex, ey = q.x - p.x, q.y - p.y
-                # the hit on a wedge's middle ray m is pos + m * t_num / cross(m, q - p)
-                entry = (p, q, ex, ey, (p.x - pos.x) * ey - (p.y - pos.y) * ex)
+                # the line p->q, CCW about the anchor, and its value v > 0 there
+                line = _h_line(h_point(p), h_point(q))
+                entry = (line, line[0] * px + line[1] * py + line[2] * pw)
                 i, ib = dir_index[ra], dir_index[rb]
                 while i != ib:
                     wedge_edges[i].append(entry)
                     i = (i + 1) % nd
         self.blockers = [_UNREAD] * nd
-        self.triangles = {}  # (d1, d2, id(blocker)): triangle parts or None
 
     def _blocker(self, i):
-        """The nearest edge entry of wedge i, or None when the wedge lies in
+        """The line of wedge i's nearest edge, or None when the wedge lies in
         the anchor hole (outside P's corner cone, for a P-corner guard).  A
         wedge of 180 degrees or more, whose m is no middle ray, occurs only
-        outside a P corner, and no edge spans it."""
+        outside a P corner, and no edge spans it.
+
+        On the middle ray pos + t*m an edge's line (A, B, C), of value v at
+        the anchor, takes v - t * W * den, den = -(A*mx + B*my), W the
+        anchor's weight; so the ray meets the line ahead iff den > 0, at t
+        proportional to v / den, and the least ratio is the nearest edge."""
         best = self.blockers[i]
         if best is _UNREAD:
             d1, d2 = self.dirs[i], self.dirs[(i + 1) % len(self.dirs)]
-            m = (d1[0] + d2[0], d1[1] + d2[1])
-            best = None  # (t_num, t_den, entry)
-            if _strictly_in_cone(*self.cone, m) != self.on_hole:
-                for entry in self.wedge_edges[i]:
-                    den = m[0] * entry[3] - m[1] * entry[2]
-                    if den == 0:
-                        continue
-                    tn, td = (entry[4], den) if den > 0 else (-entry[4], -den)
-                    if tn > 0 and (best is None or tn * best[1] < best[0] * td):
-                        best = (tn, td, entry)
+            mx, my = d1[0] + d2[0], d1[1] + d2[1]
+            best = None  # (v, den, line)
+            if _strictly_in_cone(*self.cone, (mx, my)) != self.on_hole:
+                for line, v in self.wedge_edges[i]:
+                    den = -(line[0] * mx + line[1] * my)
+                    if den > 0 and (best is None or v * best[1] < best[0] * den):
+                        best = (v, den, line)
             best = self.blockers[i] = best and best[2]
         return best
 
@@ -329,31 +319,39 @@ class _Fan:
         blockers = self.blockers
         runs = []
         first = 1
-        start, blk = e1, self._blocker((a if at_corner else a - 1) % nd)
+        start, line = e1, self._blocker((a if at_corner else a - 1) % nd)
         for k in range(a + at_corner, b):
             i = k % nd
             nxt = blockers[i]
             if nxt is _UNREAD:
                 nxt = self._blocker(i)
-            if nxt is not blk:
-                runs.append((start, blk, dirs[i]))
-                start, blk = dirs[i], nxt
+            if nxt is not line:
+                runs.append((start, line, dirs[i]))
+                start, line = dirs[i], nxt
                 first += k < nd
-        runs.append((start, blk, e2))
-        return VisibilityRegion(g, tuple(runs), first, self.hpos, self.triangles)
+        runs.append((start, line, e2))
+        return VisibilityRegion(g, tuple(runs), first, self.hpos)
 
 
-def _triangle(hpos, d1, blk, d2):
+def _triangle(hpos, d1, edge, d2):
     """The (pts, lines) of the cell seen from hpos between directions d1
-    and d2 up to the blocking edge, or None if it has no area."""
+    and d2 up to the blocking edge's line.
+
+    Such a run always has area.  The fan skips the edges incident to the
+    anchor and those collinear with it, so the line misses the anchor.  A
+    run lies inside its edge's own angular range, which spans less than
+    180 degrees, so d1 turns strictly CCW to d2 and both rays meet the
+    edge in front of the anchor.  A triangle that does not turn strictly
+    CCW breaks that argument; it raises MalformedPolygonError, since
+    skipping it would make `cells` and `contains` disagree."""
     # the lines of the rays and the edge (the triangle on their positive
     # sides) are small; the hits are their meets
-    edge = _h_line(h_point(blk[0]), h_point(blk[1]))
     ray1 = _h_line(hpos, d1 + (0,))
     ray2 = _h_line(hpos, d2 + (0,))
     r1 = _h_meet(ray1, edge)
     r2 = _h_meet(ray2, edge)
     if _h_orient(hpos, r1, r2) <= 0:
-        return None
+        raise MalformedPolygonError(
+            f"the run from {d1} to {d2} seen from {hpos} has no area")
     back = (-ray2[0], -ray2[1], -ray2[2])
     return (hpos, r1, r2), (ray1, edge, back)

@@ -12,7 +12,8 @@ the guard-sees-all-of-a-cell
 predicate as a half-plane test and then the hull test, and the hull
 and shadow tests' first form, a scan of every building and a split of
 rotated copies of a cell's vertices and lines; a polygon's closed
-shadow by segment tests; the mirror image of a scene and its guards; a guard's
+shadow by segment tests; the mirror image of a scene and its guards, and
+its image under a scale and a shift; a guard's
 region swept from scratch, with the facing's edge directions among the
 critical directions and every wedge tested; and the 2k+1 partition's
 faces read off its extension walls by a union-find over the grid
@@ -414,6 +415,17 @@ def mirror_guards(guards, scene) -> list:
             anchor = ("p", mirrored.bounds.corners().index(pos))
         out.append(Guard(anchor=anchor, facing=(-g.facing[0], g.facing[1])))
     return out
+
+
+def scaled_and_shifted(scene, s, dx, dy):
+    """The scene under p -> s*p + (dx, dy), rotated buildings included;
+    corner indices, and so the guards' anchors and facings, are
+    unchanged."""
+    def image(r):
+        if isinstance(r, AxisRect):
+            return AxisRect(s * r.x0 + dx, s * r.y0 + dy, s * r.x1 + dx, s * r.y1 + dy)
+        return make_convex_quad([(s * p.x + dx, s * p.y + dy) for p in r.corners()])
+    return Scene(bounds=image(scene.bounds), holes=tuple(image(h) for h in scene.holes))
 
 
 def sweep(scene: Scene, g: Guard) -> SweptRegion:

@@ -19,7 +19,7 @@ from cityguard.errors import SceneValidationError
 from cityguard.geom import (
     AxisRect, HCell, Point, PolygonSet, _h_split, h_area2, h_cell, h_cell_to_cell,
     _h_hull, _h_shadow, h_centroid, h_point, h_shadowed, h_subtract, h_to_point,
-    interior_run, make_axis_rect, make_convex_quad,
+    interior_run, make_axis_rect,
 )
 from cityguard.instances import (
     GeneratorParams, gen_3k1_necessity, gen_random, gen_roof_necessity,
@@ -45,7 +45,7 @@ from references import (
     axis_free_cells, building_levels, certify_and_refine_from_scratch, h_sees_all,
     hull_by_rotation, in_closed_shadow, min_cover_of_region, mirror_guards, mirror_scene,
     residual_pass, roof_covered_by, sees_all_by_scan, shadow_by_rotation, shadowed_by_scan,
-    region_contains, reset_region_cache, side_table, space_between,
+    region_contains, reset_region_cache, scaled_and_shifted, side_table, space_between,
 )
 from test_geom import ref_interior_run
 
@@ -404,17 +404,6 @@ class TestRegionsSweptOnDemand:
         regions = certificate_doc(cert)["regions"]
         assert [(tuple(r["anchor"]), tuple(r["facing"])) for r in regions] == \
             [(g.anchor, g.facing) for g in short]
-
-
-def scaled_and_shifted(scene, s, dx, dy):
-    """The scene under p -> s*p + (dx, dy), rotated buildings included;
-    corner indices, and so the guards' anchors and facings, are
-    unchanged."""
-    def image(r):
-        if isinstance(r, AxisRect):
-            return AxisRect(s * r.x0 + dx, s * r.y0 + dy, s * r.x1 + dx, s * r.y1 + dy)
-        return make_convex_quad([(s * p.x + dx, s * p.y + dy) for p in r.corners()])
-    return Scene(bounds=image(scene.bounds), holes=tuple(image(h) for h in scene.holes))
 
 
 class TestAxisFreeCells:

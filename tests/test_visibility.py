@@ -11,6 +11,7 @@ import pytest
 import cityguard.visibility as visibility
 
 from cityguard.cli import main
+from cityguard.errors import MalformedPolygonError
 from cityguard.geom import (
     Point, PolygonSet, _h_line, _h_meet, _h_normalized, h_mean, h_point,
     h_to_point, make_axis_rect, orient,
@@ -22,7 +23,8 @@ from cityguard.oracle import OPTIMAL, candidate_set, optimal_guard_count
 from cityguard.visibility import _angular_cmp, sees, visibility_region
 from counterexample_3k1 import rot3k1_counterexample
 from references import (
-    h_cells_contain, in_open_hole, region_contains, reset_region_cache, sweep,
+    h_cells_contain, in_open_hole, region_contains, reset_region_cache, scaled_and_shifted,
+    sweep,
 )
 
 
@@ -265,7 +267,9 @@ def _fan_scenes():
     """Random scenes at k = 0..8 on grids 100 and 1000, and at k = 0..4 on
     grid 12 (the generator places no more there at seed k); k = 16 and 28
     on grid 1000; the rotated 3k+1 family at k = 1, 2 and its
-    counterexample."""
+    counterexample.  Also the k = 8 scene and the family at k = 2 scaled by
+    1/3 and shifted by 1/7, shifted by 10^17, and scaled by 10^-400, where
+    the fan's integer lines and the sweep's Fraction hits differ most."""
     cases = [pytest.param(lambda k=k, grid=grid: gen_random(
                               GeneratorParams(k=k, seed=k, grid=grid)),
                           id=f"random-k{k}-grid{grid}")
@@ -274,6 +278,13 @@ def _fan_scenes():
                            id=f"random-k{k}-grid1000") for k in (16, 28)]
     cases += [pytest.param(lambda k=k: gen_3k1_necessity(k), id=f"rot3k1-k{k}")
               for k in (1, 2)]
+    cases += [pytest.param(lambda make=make, image=image: scaled_and_shifted(make(), *image),
+                           id=f"{name}-{label}")
+              for name, make in (("random-k8", lambda: gen_random(GeneratorParams(k=8, seed=8))),
+                                 ("rot3k1-k2", lambda: gen_3k1_necessity(2)))
+              for label, image in (("thirds", (Fraction(1, 3), Fraction(1, 7), Fraction(1, 7))),
+                                   ("1e17", (1, 10**17, 10**17)),
+                                   ("1e-400", (Fraction(1, 10**400), 0, 0)))]
     return cases + [pytest.param(rot3k1_counterexample, id="rot3k1-k3")]
 
 
@@ -327,13 +338,12 @@ def _probe_points(sc, vr):
         pts.add(h_mean(cell))
         for a, b in zip(cell.pts, cell.pts[1:] + cell.pts[:1]):
             pts |= {a, _h_mid(a, b)}
-    for d1, blk, d2 in vr.runs:
+    for d1, line, d2 in vr.runs:
         for d in (d1, d2):
-            if blk is None:
+            if line is None:
                 hit = (ax + d[0] * aw, ay + d[1] * aw, aw)
             else:
-                hit = _h_meet(_h_line(apex, d + (0,)),
-                              _h_line(h_point(blk[0]), h_point(blk[1])))
+                hit = _h_meet(_h_line(apex, d + (0,)), line)
             beyond = (2 * hit[0] * aw - ax * hit[2], 2 * hit[1] * aw - ay * hit[2],
                       aw * hit[2])
             pts |= {_h_mid(apex, hit), hit, beyond}
@@ -366,23 +376,37 @@ class TestMembership:
             for i, vr in enumerate(regions):
                 assert vr.contains(hp) == bool(mask >> i & 1) == h_cells_contain(vr.cells, hp)
 
-    def test_runs_without_area_are_skipped(self, monkeypatch):
-        """A run whose triangle `_triangle` drops (no area) holds no point
-        for `contains`, by the same memo the cells read.  The scenes here
-        give no such run, so every third triangle is dropped."""
-        calls = iter(range(10 ** 9))
-        real = visibility._triangle
-        monkeypatch.setattr(visibility, "_triangle",
-                            lambda *a: None if next(calls) % 3 == 0 else real(*a))
+    def test_contains_builds_no_triangle(self, monkeypatch):
+        """`contains` reads each run's line: at the witnesses of one
+        oracle call, every candidate's fresh region answers without a
+        `_triangle` call and without building its cells."""
+        sc = gen_random(GeneratorParams(k=2, seed=32, grid=30))
+        cands = candidate_set(sc, include_p_corners=True)
+        res = optimal_guard_count(sc, cands, 3 * sc.k + 1)
+        assert res.status == OPTIMAL
         reset_region_cache(monkeypatch)
-        dropped = 0
-        for sc in (gen_random(GeneratorParams(k=2, seed=32, grid=30)), gen_3k1_necessity(1)):
-            for g in candidate_set(sc, include_p_corners=True):
-                vr = visibility_region(sc, g)
-                for hp in _probe_points(sc, vr):
-                    assert vr.contains(hp) == h_cells_contain(vr.cells, hp), (g, hp)
-                dropped += sum(blk is not None for _, blk, _ in vr.runs) - len(vr.cells)
-        assert dropped > 0
+        calls = []
+        real = visibility._triangle
+        monkeypatch.setattr(visibility, "_triangle", lambda *a: calls.append(a) or real(*a))
+        regions = [visibility_region(sc, g) for g in cands]
+        for p, mask in res.faces:
+            hp = h_point(p)
+            assert [vr.contains(hp) for vr in regions] == \
+                [bool(mask >> i & 1) for i in range(len(regions))]
+        assert not calls
+        assert not any("cells" in vars(vr) for vr in regions)
+
+    def test_run_without_area_raises(self, monkeypatch):
+        """A run with a line always has area (`_triangle`); a triangle
+        that does not turn strictly CCW raises instead of being skipped,
+        which would leave `contains` holding points that no cell holds."""
+        monkeypatch.setattr(visibility, "_h_orient", lambda *a: 0)
+        reset_region_cache(monkeypatch)
+        sc = gen_random(GeneratorParams(k=2, seed=32, grid=30))
+        vr = visibility_region(sc, candidate_set(sc)[0])
+        assert any(line is not None for _, line, _ in vr.runs)
+        with pytest.raises(MalformedPolygonError, match="has no area"):
+            vr.cells
 
 
 class TestDirectionOrder:
