@@ -13,8 +13,9 @@ class SceneValidationError(CityGuardError):
     """Raised by validate_scene; carries the full list of violations.
 
     Each violation is a tuple (code, detail) where code is one of
-    OVERLAPPING_HOLES, HOLE_TOUCHES_BOUNDARY, NOT_A_RECTANGLE,
-    DEGENERATE_POSITION and detail identifies the offending holes, or
+    OVERLAPPING_HOLES, HOLE_TOUCHES_BOUNDARY, NOT_A_RECTANGLE, MALFORMED_HOLE
+    (no area, or not strictly convex and CCW), DEGENERATE_POSITION and
+    detail identifies the offending holes, or
     COORDINATE_OUT_OF_RANGE or EMPTY_BOUNDS (bounds without area) and
     detail ("bounds",).
     """

@@ -16,10 +16,11 @@ guard's region is `VisibilityRegion.contains`, read off the region's
 runs.
 
 Sight segments against buildings have one exact test, `interior_run`:
-the run of a segment inside a hole's open interior, found by one pass
-over the hole's edge lines in the kernel's homogeneous integers.  A
-segment is blocked in 2D iff the run exists (`visibility.sees`),
-and the roof oracle's 3D prism test compares heights on that run.
+the run of a segment inside a building's open interior, found by one
+pass over the lines of its HCell (`Scene.hole_cells`) after a float
+bbox prefilter.  A segment is blocked in 2D iff the run exists
+(`visibility.sees`), and the roof oracle's 3D prism test compares
+heights on that run.
 `h_clear` and `h_shadowed` share one split of a convex polygon's
 edges, seen from a point, into a far and a near run (`_h_chains`, one
 pass that finds the far run's start and length), and both skip the
@@ -101,14 +102,9 @@ def primitive_direction(dx: Rational, dy: Rational) -> tuple:
     """Reduce a nonzero direction to a canonical primitive integer vector."""
     if dx == 0 and dy == 0:
         raise ValueError("zero direction")
-    if isinstance(dx, int) and isinstance(dy, int):
-        g = gcd(dx, dy)
-        return (dx // g, dy // g)
-    fx, fy = Fraction(dx), Fraction(dy)
-    den = fx.denominator * fy.denominator // gcd(fx.denominator, fy.denominator)
-    ix, iy = int(fx * den), int(fy * den)
-    g = gcd(abs(ix), abs(iy))
-    return (ix // g, iy // g)
+    X, Y, _ = h_point((dx, dy))
+    g = gcd(X, Y)
+    return (X // g, Y // g)
 
 
 # ---------------------------------------------------------------------------
@@ -230,10 +226,15 @@ def make_convex_quad(points) -> ConvexQuad:
     pts = tuple(Point(p[0], p[1]) for p in points)
     if len(pts) != 4:
         raise ValueError("ConvexQuad needs exactly 4 vertices")
-    for i in range(4):
-        if orient(pts[i - 1], pts[i], pts[(i + 1) % 4]) != CCW:
-            raise ValueError("ConvexQuad vertices must be strictly convex in CCW order")
+    if not strictly_convex_ccw(pts):
+        raise ValueError("ConvexQuad vertices must be strictly convex in CCW order")
     return ConvexQuad(pts)
+
+
+def strictly_convex_ccw(pts) -> bool:
+    """Every vertex of the ring turns strictly left."""
+    n = len(pts)
+    return all(orient(pts[i - 1], pts[i], pts[(i + 1) % n]) == CCW for i in range(n))
 
 
 def is_rectangle(quad: ConvexQuad) -> bool:
@@ -675,11 +676,11 @@ def _h_shadow(apex, b: HCell):
     return (_h_line(pts[j], apex), _h_line(apex, pts[i]), *_h_run(b.lines, j, n - m))
 
 
-def interior_run(a: Point, b: Point, hole: Hole):
-    """The parameter range (t0, t1) of the run of segment a->b through the
-    hole's open interior, or None if there is none.
+def interior_run(a, b, cell: HCell):
+    """The parameter range (t0, t1) of the run of segment a->b, from
+    homogeneous ends, through the cell's open interior, or None.
 
-    One Cyrus-Beck pass over the hole's edge lines, in homogeneous
+    One Cyrus-Beck pass over the cell's edge lines, in homogeneous
     integers: a point is in the open interior iff it is strictly left of
     every edge line, so a line with both ends on or right of it leaves no
     run, and the run is the part of the segment strictly left of them all.
@@ -688,21 +689,17 @@ def interior_run(a: Point, b: Point, hole: Hole):
     are kept as integer ratios and made Fractions only on return; grazing
     contact and runs along an edge leave no run.
 
-    A segment with both ends on the closed outer side of one side of the
-    hole's corner bbox meets the hole at most on its boundary, so it is
-    rejected exactly before any integer is made."""
-    x0, y0, x1, y1 = hole if isinstance(hole, AxisRect) else cell_bbox(hole.v)
-    if ((a.x <= x0 and b.x <= x0) or (a.x >= x1 and b.x >= x1)
-            or (a.y <= y0 and b.y <= y0) or (a.y >= y1 and b.y >= y1)):
+    A segment with both ends, as floats, outside one side of the cell's
+    inflated bbox misses the cell: a conservative prefilter only."""
+    ax, ay, aw = a
+    bx, by, bw = b
+    x0, y0, x1, y1 = cell.bbox
+    fax, fay, fbx, fby = ax / aw, ay / aw, bx / bw, by / bw
+    if ((fax <= x0 and fbx <= x0) or (fax >= x1 and fbx >= x1)
+            or (fay <= y0 and fby <= y0) or (fay >= y1 and fby >= y1)):
         return None
-    ax, ay, aw = h_point(a)
-    bx, by, bw = h_point(b)
     n0, d0, n1, d1 = 0, 1, 1, 1  # the run so far: n0/d0 < t < n1/d1
-    corners = [h_point(c) for c in hole.corners()]
-    p = corners[-1]
-    for q in corners:
-        A, B, C = _h_line(p, q)
-        p = q
+    for A, B, C in cell.lines:
         sa = (A * ax + B * ay + C * aw) * bw
         sb = (A * bx + B * by + C * bw) * aw
         if sa > 0:

@@ -27,7 +27,7 @@ from operator import attrgetter
 
 from cityguard.errors import GenerationFailedError
 from cityguard.geom import (
-    AxisRect, Point, h_to_point, make_axis_rect, make_convex_quad, orient,
+    AxisRect, HCell, Point, h_to_point, make_axis_rect, make_convex_quad, orient,
 )
 from cityguard.model import (
     City, Guard, Scene, _holes_disjoint, require_general_position, validate_scene,
@@ -145,7 +145,7 @@ def check_roof_necessity(city: City):
     for i in range(k - 1):
         if not hts[i] > hts[i + 1]:
             failures.append(("property1", i))
-    prisms = list(zip(city.scene.holes, hts))
+    prisms = list(zip(city.scene.hole_cells, hts))
     for i in range(k):
         for j in range(i + 2, k):
             if (_roofs_mutually_visible(city, i, j, prisms)
@@ -217,31 +217,12 @@ def gen_3k1_necessity(k: int) -> Scene:
 # --- property checks -------------------------------------------------------
 
 
-def _edge_strips(hole):
-    """The two strips between opposite edge lines, as (origin, direction)."""
-    cs = hole.corners()
-    strips = []
-    for i in (0, 1):
-        a, b = cs[i], cs[i + 1]
-        c, d = cs[(i + 2) % 4], cs[(i + 3) % 4]
-        strips.append(((a, b), (c, d)))
-    return strips
-
-
-def _within_strip(hole_inner, strip) -> bool:
-    (a, b), (c, d) = strip
-    dx, dy = b.x - a.x, b.y - a.y
-    for p in hole_inner.corners():
-        s1 = (p.x - a.x) * dy - (p.y - a.y) * dx
-        s2 = (p.x - c.x) * (-dy) - (p.y - c.y) * (-dx)
-        if s1 > 0 or s2 > 0:
-            return False
-    return True
-
-
-def hole_within_span(inner, outer) -> bool:
-    """inner lies within a strip bounded by a pair of outer's opposite edges."""
-    return any(_within_strip(inner, strip) for strip in _edge_strips(outer))
+def hole_within_span(inner: HCell, outer: HCell) -> bool:
+    """inner lies within a strip bounded by a pair of outer's opposite
+    edges: on the closed inner side of both of their lines."""
+    return any(all(A * X + B * Y + C * W >= 0
+                   for A, B, C in outer.lines[i::2] for X, Y, W in inner.pts)
+               for i in (0, 1))
 
 
 def _edge_visible(scene: Scene, anchor, edge, facings) -> bool:
@@ -294,7 +275,7 @@ def check_3k1_properties(scene: Scene):
     report = []
 
     p1_fail = [(j, i) for i in range(k) for j in range(i)
-               if not hole_within_span(scene.holes[i], scene.holes[j])]
+               if not hole_within_span(scene.hole_cells[i], scene.hole_cells[j])]
     report.append(("property1", not p1_fail, p1_fail))
 
     p2_fail = []

@@ -1,9 +1,10 @@
 """Scene/City data model, validation, guards and quarter turns.
 
 A Scene is the 2D universe every algorithm works on: an axis-aligned
-bounding rectangle with k pairwise-disjoint rectangular holes.  A City
-adds a positive height per building; its `scene` is the 2.5D city's
-vertical projection, which is all the wall and ground placements read.
+bounding rectangle with k pairwise-disjoint rectangular holes, each also
+held as an HCell (`hole_cells`).  A City adds a positive height per
+building; its `scene` is the 2.5D city's vertical projection, which is
+all the wall and ground placements read.
 Guards record the corner identity of their anchor (not raw coordinates)
 so solutions survive re-serialization of the scene.
 """
@@ -11,12 +12,13 @@ so solutions survive re-serialization of the scene.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Sequence
 
 from cityguard.errors import SceneValidationError, DegeneratePositionError
 from cityguard.geom import (
-    AxisRect, ConvexQuad, Point, Hole, cell_bbox,
-    is_rectangle, make_convex_quad, primitive_direction,
+    AxisRect, ConvexQuad, Point, Hole, cell_bbox, h_cell, h_rect,
+    is_rectangle, make_convex_quad, primitive_direction, strictly_convex_ccw,
 )
 
 AXIS_ALIGNED = "AXIS_ALIGNED"
@@ -36,6 +38,13 @@ class Scene:
     @property
     def k(self) -> int:
         return len(self.holes)
+
+    @cached_property
+    def hole_cells(self) -> tuple:
+        """The holes' HCells, corners in corner order, built on first read:
+        the one exact form of a building that every exact test reads."""
+        return tuple(h_rect(*h) if isinstance(h, AxisRect) else h_cell(h.v)
+                     for h in self.holes)
 
     @property
     def kind(self) -> str:
@@ -159,6 +168,13 @@ def _overlapping_pairs(holes):
     return pairs
 
 
+def _is_cell(hole: Hole) -> bool:
+    """Has area and is strictly convex and CCW, as the parser requires."""
+    if isinstance(hole, AxisRect):
+        return hole.x0 < hole.x1 and hole.y0 < hole.y1
+    return len(hole.v) == 4 and strictly_convex_ccw(hole.v)
+
+
 def _strictly_inside(hole: Hole, bounds: AxisRect) -> bool:
     return all(bounds.contains_open(c) for c in hole.corners())
 
@@ -205,8 +221,8 @@ _general = None
 
 def validate_scene(scene: Scene) -> Scene:
     """Check a Scene: its bounds lie within +-MAX_COORDINATE and have area,
-    and its holes are rectangles strictly inside the bounds and pairwise
-    disjoint.  A scene document is parsed by io.parse_city.
+    and its holes are cells (`_is_cell`), rectangles strictly inside the
+    bounds and pairwise disjoint.  A scene document is parsed by io.parse_city.
 
     Returns the scene itself when its holes are a tuple, and a copy with
     tuple holes otherwise.  The last scene object returned as itself is
@@ -226,7 +242,9 @@ def validate_scene(scene: Scene) -> Scene:
     if not (bounds.x0 < bounds.x1 and bounds.y0 < bounds.y1):
         violations.append(("EMPTY_BOUNDS", ("bounds",)))
     for i, h in enumerate(holes):
-        if isinstance(h, ConvexQuad) and not is_rectangle(h):
+        if not _is_cell(h):
+            violations.append(("MALFORMED_HOLE", (i,)))
+        elif isinstance(h, ConvexQuad) and not is_rectangle(h):
             violations.append(("NOT_A_RECTANGLE", (i,)))
     for i, h in enumerate(holes):
         if not _strictly_inside(h, bounds):

@@ -62,7 +62,7 @@ from itertools import combinations
 from typing import Optional
 
 from cityguard.geom import (
-    HCell, Point, h_area2, h_divide, h_mean, h_subtract, h_to_point, interior_run,
+    HCell, Point, h_area2, h_divide, h_mean, h_point, h_subtract, h_to_point, interior_run,
 )
 from cityguard.model import (
     City, E, N, S, Scene, Solution, W, hole_guard, p_corner_guard, roof_in_front,
@@ -323,7 +323,7 @@ def roof_cover_sets(city: City, candidates):
     a bounding-rectangle corner raises `ValueError`.
     """
     scene, heights = city.scene, city.heights
-    prisms = list(zip(scene.holes, heights))
+    prisms = list(zip(scene.hole_cells, heights))
     roofs = [(i, base.corners(), roof_samples(base), heights[i])
              for i, base in enumerate(scene.holes)]
     out = []
@@ -343,21 +343,22 @@ def roof_cover_sets(city: City, candidates):
 
 
 def _sample_visible(v: Point, vz, p: Point, pz, prisms) -> bool:
-    """No prism of `prisms`, (base, height) pairs, blocks the sight
+    """No prism of `prisms`, (base HCell, height) pairs, blocks the sight
     segment (v, vz)-(p, pz).
 
     A prism no taller than the lower end of the segment cannot block, as
     z is linear along it; this exact prefilter skips it.  Otherwise the
     prism blocks iff the open segment enters its open interior: the
     segment's xy run through the footprint's open interior (`interior_run`,
-    one integer pass after its exact bbox reject) has a point below the
-    roof.  z is linear along the run, so that holds iff z < h at the run's
-    lower end."""
+    one integer pass after its float bbox prefilter, with v and p
+    converted once) has a point below the roof.  z is linear along the
+    run, so that holds iff z < h at the run's lower end."""
     low = min(vz, pz)
+    a, b = h_point(v), h_point(p)
     for base, h in prisms:
         if h <= low:
             continue
-        run = interior_run(v, p, base)
+        run = interior_run(a, b, base)
         if run is not None and vz + run[0 if pz > vz else 1] * (pz - vz) < h:
             return False
     return True

@@ -5,39 +5,41 @@ visibility regions, computed exactly.  covered <=> the residual has zero
 area.  For cities the certificate additionally records a per-building
 roof flag (roof covered by a guard on that same building).
 
-The pass takes free space a piece at a time.  The pieces are the free
-intervals of strips: columns between consecutive x-lines, which a guard
-facing E or W can prove whole, or, when most guards of an axis-aligned
-scene face N or S, rows between consecutive y-lines, which such a guard
-can.  The guards alone choose the axis, once per pass, and the proofs
-and the cuts both run on its strips; a scene with rotated buildings
-takes columns.  On rows every step below runs with x and y swapped.
-Either strip set tiles free space, so either residual covers the same
-points, though not in the same cells.  The sight segments from a guard
-to a convex piece fill the hull of the guard and the piece, so the
-guard sees all of the piece iff the piece lies in the guard's closed
-half-plane and no building's open interior meets that hull.  The hull,
-the guard and the piece's far chain as bare vertices and lines, is
-tested exactly against the buildings alone by the separating-axis loop
-(`geom.h_clear`).  The guards whose closed half-plane holds the piece,
-its holders, come from the facing index below, which decides that
-exactly, so for a holder the hull test alone is True exactly when the
-guard's region holds the piece.  A piece that one of its holders so
-proves (`_proven`) is dropped; there is at most one hull test per
-holder, and none repeats the half-plane test.  Any other piece is cut,
-whole, by the regions of the guards with a vertex of it strictly in
-front, in guard order; every other region lies in its guard's closed
-half-plane, with the piece behind it, and would not cut it.  A front
-guard is skipped when the closed shadow of one building, seen from its
-corner, holds every cell still left of the piece (`geom.h_shadowed`):
-every interior point of a region triangle is seen and no interior
-point of a shadow is, so the region and those cells have disjoint
-interiors, which `h_subtract` decides exactly and leaves the cells as
-they are.  The cutting stops once no cell is left.  A piece's descendants depend only on that piece and the
-regions, and a piece the regions cover leaves none, so the residual is
-that of cutting the axis's whole piece list by every region, cell for
-cell and in order.  A region is swept only when a piece needs it, or
-when an exit (the certificate JSON, the SVG) reads `per_guard_regions`.
+The pass takes free space a piece at a time.  The pieces of an
+axis-aligned scene are the free intervals of strips: columns between
+consecutive x-lines, which a guard facing E or W can prove whole, or,
+when most of its guards face N or S, rows between consecutive y-lines,
+which such a guard can.  The guards alone choose the axis, once per
+pass, and the proofs and the cuts both run on its strips; on rows every
+step below runs with x and y swapped.  Either strip set tiles free
+space, so either residual covers the same points, though not in the same
+cells.  A scene with rotated buildings takes no strips: its pieces are
+the bounds minus the buildings, cut by the kernel (`free_space`).  The
+sight segments from a guard to a convex piece fill the hull of the guard
+and the piece, so the guard sees all of the piece iff the piece lies in
+the guard's closed half-plane and no building's open interior meets that
+hull.  The hull, the guard and the piece's far chain as bare vertices
+and lines, is tested exactly against the buildings alone,
+`scene.hole_cells`, by the separating-axis loop (`geom.h_clear`).  The
+guards whose closed half-plane holds the piece, its holders, come from
+the facing index below, which decides that exactly, so for a holder the
+hull test alone is True exactly when the guard's region holds the piece.
+A piece that one of its holders so proves (`_proven`) is dropped; there
+is at most one hull test per holder, and none repeats the half-plane
+test.  Any other piece is cut, whole, by the regions of the guards with
+a vertex of it strictly in front, in guard order; every other region
+lies in its guard's closed half-plane, with the piece behind it, and
+would not cut it.  A front guard is skipped when the closed shadow of
+one building, seen from its corner, holds every cell still left of the
+piece (`geom.h_shadowed`): every interior point of a region triangle is
+seen and no interior point of a shadow is, so the region and those cells
+have disjoint interiors, which `h_subtract` decides exactly and leaves
+the cells as they are.  The cutting stops once no cell is left.  A
+piece's descendants depend only on that piece and the regions, and a
+piece the regions cover leaves none, so the residual is that of cutting
+the axis's whole piece list by every region, cell for cell and in order.
+A region is swept only when a piece needs it, or when an exit (the
+certificate JSON, the SVG) reads `per_guard_regions`.
 
 The guards a cell is tried on, and those whose regions cut it, come from
 a facing index built once per pass: the guards are grouped by facing f
@@ -71,7 +73,7 @@ from itertools import count
 from typing import Optional
 
 from cityguard.geom import (
-    AxisRect, HCell, Point, PolygonSet, h_area2, h_cell, h_centroid, h_point,
+    AxisRect, HCell, Point, PolygonSet, h_area2, h_centroid, h_point,
     h_clear, h_rect, h_shadowed, h_subtract, h_to_point,
 )
 from cityguard.model import AXIS_ALIGNED, City, Scene, Solution, roof_flags, validate_scene
@@ -94,12 +96,11 @@ class Certificate:
 
 
 def free_space(scene: Scene) -> PolygonSet:
-    """Bounds minus open hole interiors, as disjoint closed cells."""
-    b = scene.bounds
+    """Bounds minus open hole interiors, as disjoint closed cells: strip
+    columns, or with rotated buildings the bounds minus `hole_cells`."""
     if scene.kind == AXIS_ALIGNED:
-        return PolygonSet.of_hcells(_axis_free_cells(b, scene.holes))
-    region = PolygonSet.from_rect(b.x0, b.y0, b.x1, b.y1)
-    return region.difference(PolygonSet(tuple(h.as_cell() for h in scene.holes)))
+        return PolygonSet.of_hcells(_axis_free_cells(scene.bounds, scene.holes))
+    return PolygonSet.from_rect(*scene.bounds).difference(PolygonSet.of_hcells(scene.hole_cells))
 
 
 def _axis_free_cells(b: AxisRect, holes, rows=False):
@@ -152,12 +153,11 @@ def _certificate(scene: Scene, guards) -> Certificate:
 
 def _compute(scene: Scene, guards: tuple) -> Certificate:
     """One residual pass, a piece at a time (see above), on rows when most
-    guards of an axis-aligned scene face N or S and on columns otherwise.
-    A guard on no corner of the scene raises before any region is swept."""
+    guards of an axis-aligned scene face N or S and on `free_space`'s
+    pieces otherwise.  A guard on no corner raises before any sweep."""
     sights = _sights(scene, guards)
     index = _by_facing(sights)
-    buildings = [h_rect(*h) if isinstance(h, AxisRect) else h_cell(h.as_cell())
-                 for h in scene.holes]
+    buildings = scene.hole_cells
     rows = scene.kind == AXIS_ALIGNED and 2 * sum(g.facing[0] == 0 for g in guards) > len(guards)
     pieces = (_axis_free_cells(scene.bounds, scene.holes, rows=True) if rows
               else free_space(scene).pieces)

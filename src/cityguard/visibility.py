@@ -3,14 +3,14 @@
 Two independent routes to the same predicate:
 
 * sees(scene, g, p): direct point test (half-plane, then one exact
-  integer pass of the sight segment against each hole's open interior).
+  integer pass of the sight segment against each of `scene.hole_cells`).
   This is the oracle the region computation is checked against, and the
   check of every reported witness.
 * visibility_region(scene, g): an angular sweep around g's anchor
-  corner (a fan), one pass over P's boundary and the holes alike, read
-  for g's facing.  The fan's critical directions are the corner
-  directions, from the anchor to every corner of every polygon, P's
-  included.  Within one open wedge between consecutive critical
+  corner (a fan), one pass over `scene.hole_cells` and P's rectangle
+  alike, read for g's facing.  The fan's critical directions are the
+  corner directions, in integers, from the anchor to every vertex of
+  every cell.  Within one open wedge between consecutive critical
   directions no edge endpoint occurs and edges never cross (holes are
   disjoint and inside P), so a single nearest edge blocks the whole
   wedge, and the wedge lies wholly inside or outside the cone of the
@@ -23,7 +23,8 @@ Two independent routes to the same predicate:
   An edge direction inside a wedge splits it into two parts with the
   wedge's nearest edge, every part then lies wholly in front of the
   guard or wholly behind it, and only the parts in front are walked.
-  Every edge is held as one integer line, directed CCW about the anchor.
+  Every edge is held as its cell's line, negated where needed to run
+  CCW about the anchor.
   Each run of parts stopped by one edge, (d1, line, d2), gives the
   triangle guard/ray1-hit/ray2-hit; the union of the triangles is the
   region.  The scene cache keeps the last anchor's fan, so the facings
@@ -47,28 +48,30 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from functools import cached_property, cmp_to_key
-from math import atan2, tau
+from math import atan2, gcd, tau
 
 from cityguard.errors import MalformedPolygonError
 from cityguard.geom import (
-    HCell, Point, PolygonSet, _h_line, _h_meet, _h_orient, h_point,
-    half_plane_contains, interior_run, primitive_direction,
+    HCell, Point, PolygonSet, _h_line, _h_meet, _h_orient, h_point, h_rect,
+    half_plane_contains, interior_run,
 )
 from cityguard.model import Guard, Scene
 
 
 def sees(scene: Scene, g: Guard, p: Point) -> bool:
     """True iff p is in the bounds and the guard's closed half-plane, and
-    no hole's open interior meets the sight segment (`interior_run`, one
-    integer pass per hole; the guard sees its own corner).  A point
-    strictly inside a hole needs no test of its own: the guard stands
-    outside every hole's open interior, so the segment to such a point has
-    a run inside that hole."""
+    no hole's open interior meets the sight segment (`interior_run` on
+    each of `scene.hole_cells`, with the position and p converted once;
+    the segment to the guard's own corner is a point, with no run).  A
+    point strictly inside a hole needs no test of its own: the guard
+    stands outside every hole's open interior, so the segment to such a
+    point has a run inside that hole."""
     if not scene.bounds.contains_closed(p):
         return False
     pos = g.position(scene)
-    return half_plane_contains(pos, g.facing, p) and (
-        p == pos or all(interior_run(pos, p, h) is None for h in scene.holes))
+    a, b = h_point(pos), h_point(p)
+    return half_plane_contains(pos, g.facing, p) and all(
+        interior_run(a, b, cell) is None for cell in scene.hole_cells)
 
 
 class VisibilityRegion:
@@ -176,20 +179,6 @@ def _sorted_directions(dirs):
     return sorted(dirs, key=cmp_to_key(_angular_cmp))
 
 
-def _corner_cone(corners, idx):
-    """Incident edge vectors (next, prev) at corner idx of a CCW cell."""
-    n = len(corners)
-    c = corners[idx]
-    e_next = (corners[(idx + 1) % n].x - c.x, corners[(idx + 1) % n].y - c.y)
-    e_prev = (corners[(idx - 1) % n].x - c.x, corners[(idx - 1) % n].y - c.y)
-    return e_next, e_prev
-
-
-def _strictly_in_cone(e_next, e_prev, m):
-    return (e_next[0] * m[1] - e_next[1] * m[0] > 0
-            and m[0] * e_prev[1] - m[1] * e_prev[0] > 0)
-
-
 # (scene, {guard: region}, {guard tuple: certificate}, [fan]) for the last
 # scene asked about, the one cache of results in the package.  Scenes and
 # guards are immutable values, so results are shared freely (a placement
@@ -237,37 +226,47 @@ class _Fan:
     is found once, on first read."""
 
     def __init__(self, scene: Scene, g: Guard):
-        pos = g.position(scene)
+        g.position(scene)  # raises ValueError unless the anchor names a corner
         self.anchor = g.anchor
-        self.hpos = px, py, pw = h_point(pos)
         self.on_hole = on_hole = g.on_hole()
 
-        # P's boundary is the last polygon: its edges block like hole edges
-        polygons = [h.corners() for h in scene.holes] + [scene.bounds.corners()]
-        self.cone = _corner_cone(polygons[g.anchor[1] if on_hole else -1], g.anchor[-1])
-        ray = {c: primitive_direction(c.x - pos.x, c.y - pos.y)
-               for corners in polygons for c in corners if c != pos}
-        self.dirs = dirs = _sorted_directions(set(ray.values()))
+        # P's boundary is the last cell: its edges block like hole edges
+        cells = scene.hole_cells + (h_rect(*scene.bounds),)
+        anchor_cell = cells[g.anchor[1] if on_hole else -1]
+        j = g.anchor[-1]
+        self.hpos = px, py, pw = anchor_cell.pts[j]
+        # the anchor's cone: the normals of its two incident lines
+        self.cone = (anchor_cell.lines[j - 1][:2], anchor_cell.lines[j][:2])
+
+        # per cell, the primitive direction to each vertex; None at the anchor
+        rays = []
+        for cell in cells:
+            row = []
+            for X, Y, W in cell.pts:
+                dx, dy = X * pw - px * W, Y * pw - py * W
+                d = gcd(dx, dy)
+                row.append((dx // d, dy // d) if d else None)
+            rays.append(row)
+        self.dirs = dirs = _sorted_directions({r for row in rays for r in row if r})
         nd = len(dirs)
         dir_index = {d: i for i, d in enumerate(dirs)}
 
-        # Each edge not incident to the guard (sight leaves the anchor
-        # corner unobstructed) goes to every wedge of the cyclic range it
-        # spans.
+        # Each edge goes to every wedge of the cyclic range it spans, its
+        # line directed CCW about the anchor (of value v > 0 there).  A line
+        # through the anchor is an incident or a collinear edge's: neither
+        # blocks.
         self.wedge_edges = wedge_edges = [[] for _ in range(nd)]
-        for corners in polygons:
-            for p, q in zip(corners, corners[1:] + corners[:1]):
-                if p == pos or q == pos:
+        for cell, row in zip(cells, rays):
+            n = len(row)
+            for e, line in enumerate(cell.lines):
+                A, B, C = line
+                v = A * px + B * py + C * pw
+                if v == 0:
                     continue
-                ra, rb = ray[p], ray[q]
-                c = ra[0] * rb[1] - ra[1] * rb[0]
-                if c == 0:
-                    continue  # collinear with the guard: grazing, never blocks
-                if c < 0:
-                    ra, rb, p, q = rb, ra, q, p
-                # the line p->q, CCW about the anchor, and its value v > 0 there
-                line = _h_line(h_point(p), h_point(q))
-                entry = (line, line[0] * px + line[1] * py + line[2] * pw)
+                ra, rb = row[e], row[(e + 1) % n]
+                if v < 0:
+                    line, v, ra, rb = (-A, -B, -C), -v, rb, ra
+                entry = (line, v)
                 i, ib = dir_index[ra], dir_index[rb]
                 while i != ib:
                     wedge_edges[i].append(entry)
@@ -289,7 +288,8 @@ class _Fan:
             d1, d2 = self.dirs[i], self.dirs[(i + 1) % len(self.dirs)]
             mx, my = d1[0] + d2[0], d1[1] + d2[1]
             best = None  # (v, den, line)
-            if _strictly_in_cone(*self.cone, (mx, my)) != self.on_hole:
+            (a1, b1), (a2, b2) = self.cone
+            if (a1 * mx + b1 * my > 0 and a2 * mx + b2 * my > 0) != self.on_hole:
                 for line, v in self.wedge_edges[i]:
                     den = -(line[0] * mx + line[1] * my)
                     if den > 0 and (best is None or v * best[1] < best[0] * den):

@@ -15,7 +15,8 @@ rotated copies of a cell's vertices and lines; a polygon's closed
 shadow by segment tests; the mirror image of a scene and its guards, and
 its image under a scale and a shift; a guard's
 region swept from scratch, with the facing's edge directions among the
-critical directions and every wedge tested; and the 2k+1 partition's
+critical directions, every wedge tested and the anchor's cone taken from
+its corner's Point edge vectors; and the 2k+1 partition's
 faces read off its extension walls by a union-find over the grid
 cells, which also takes frames with buildings on P's sides.  Also the
 closed point test over HCells that `VisibilityRegion.contains` must
@@ -39,9 +40,7 @@ from cityguard.oracle import (
 )
 from cityguard.staircase import _QUADRANT
 from cityguard.verify import free_space, interior_points
-from cityguard.visibility import (
-    _corner_cone, _sorted_directions, _strictly_in_cone, sees, visibility_region,
-)
+from cityguard.visibility import _sorted_directions, sees, visibility_region
 
 # a region swept here: the guard and its cells, as `VisibilityRegion` reads them
 SweptRegion = namedtuple("SweptRegion", "guard cells")
@@ -426,6 +425,20 @@ def scaled_and_shifted(scene, s, dx, dy):
             return AxisRect(s * r.x0 + dx, s * r.y0 + dy, s * r.x1 + dx, s * r.y1 + dy)
         return make_convex_quad([(s * p.x + dx, s * p.y + dy) for p in r.corners()])
     return Scene(bounds=image(scene.bounds), holes=tuple(image(h) for h in scene.holes))
+
+
+def _corner_cone(corners, idx):
+    """Incident edge vectors (next, prev) at corner idx of a CCW cell."""
+    n = len(corners)
+    c = corners[idx]
+    e_next = (corners[(idx + 1) % n].x - c.x, corners[(idx + 1) % n].y - c.y)
+    e_prev = (corners[(idx - 1) % n].x - c.x, corners[(idx - 1) % n].y - c.y)
+    return e_next, e_prev
+
+
+def _strictly_in_cone(e_next, e_prev, m):
+    return (e_next[0] * m[1] - e_next[1] * m[0] > 0
+            and m[0] * e_prev[1] - m[1] * e_prev[0] > 0)
 
 
 def sweep(scene: Scene, g: Guard) -> SweptRegion:

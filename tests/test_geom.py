@@ -9,7 +9,7 @@ from cityguard import geom
 from cityguard.errors import MalformedPolygonError
 from cityguard.geom import (
     CCW, COLLINEAR, CW, AxisRect, HCell, Point, PolygonSet, _h_disjoint,
-    _h_normalized, _h_split, h_cell, h_divide, h_subtract, half_plane_contains,
+    _h_normalized, _h_split, h_cell, h_divide, h_point, h_subtract, half_plane_contains,
     interior_run,
     make_axis_rect, make_convex_quad, is_rectangle, orient, primitive_direction,
     rational, rational_str,
@@ -50,6 +50,12 @@ def closed_clip(a, b, cell):
         if t0 >= t1:
             return None
     return t0, t1
+
+
+def point_run(a, b, hole):
+    """`interior_run` of the segment between Points a and b through the
+    hole, with the ends converted by `h_point` and the hole by `h_cell`."""
+    return interior_run(h_point(a), h_point(b), h_cell(hole.as_cell()))
 
 
 def ref_interior_run(a, b, hole):
@@ -98,24 +104,24 @@ class TestSegmentBlocked:
     QUAD = make_convex_quad([(5, 0), (10, 5), (5, 10), (0, 5)])
 
     def test_diagonal_through_center(self):
-        assert interior_run(P(0, 0), P(10, 10), self.R) is not None
+        assert point_run(P(0, 0), P(10, 10), self.R) is not None
 
     def test_run_along_boundary(self):
-        assert interior_run(P(0, 4), P(10, 4), self.R) is None
+        assert point_run(P(0, 4), P(10, 4), self.R) is None
 
     def test_near_miss(self):
         # exact rational check: the segment passes below-left of the corner
-        assert interior_run(P(0, 0), P(3, 9), self.R) is None
+        assert point_run(P(0, 0), P(3, 9), self.R) is None
 
     def test_corner_graze(self):
-        assert interior_run(P(2, 6), P(6, 2), self.R) is None
+        assert point_run(P(2, 6), P(6, 2), self.R) is None
 
     def test_endpoint_inside(self):
-        assert interior_run(P(5, 5), P(20, 20), self.R) is not None
+        assert point_run(P(5, 5), P(20, 20), self.R) is not None
 
     def test_quad_hole(self):
-        assert interior_run(P(0, 0), P(10, 10), self.QUAD) is not None
-        assert interior_run(P(0, 10), P(10, 10), self.QUAD) is None
+        assert point_run(P(0, 0), P(10, 10), self.QUAD) is not None
+        assert point_run(P(0, 10), P(10, 10), self.QUAD) is None
 
     @given(_coord, _coord, _coord, _coord, st.booleans())
     @settings(max_examples=300)
@@ -125,7 +131,7 @@ class TestSegmentBlocked:
             return
         hole = self.QUAD if quad else self.R
         a, b = P(ax, ay), P(bx, by)
-        run = interior_run(a, b, hole)
+        run = point_run(a, b, hole)
         assert run == ref_interior_run(a, b, hole)
         # any strictly interior sample point implies blocked; the samples
         # t = i/1000 are integer points once everything is scaled by
@@ -138,14 +144,14 @@ class TestSegmentBlocked:
                 break
         # exactness: scaling all operands leaves the answer unchanged
         s = Fraction(7, 3)
-        assert interior_run(P(ax * s, ay * s), P(bx * s, by * s), scaled(hole, s)) == run
+        assert point_run(P(ax * s, ay * s), P(bx * s, by * s), scaled(hole, s)) == run
 
     @given(st.integers(0, 10), st.integers(0, 10), st.integers(0, 10), st.integers(0, 10))
     @settings(max_examples=200)
     def test_clip_is_the_closed_cell_piece(self, ax, ay, bx, by):
         a, b = P(ax, ay), P(bx, by)
         clip = closed_clip(a, b, self.R.as_cell())
-        run = interior_run(a, b, self.R)
+        run = point_run(a, b, self.R)
         r = self.R
         hits = []
         for i in range(101):

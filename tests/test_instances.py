@@ -171,7 +171,7 @@ class Test3k1:
         sc = rot3k1_counterexample()
         for i in range(1, 3):
             for j in range(i):
-                assert hole_within_span(sc.holes[i], sc.holes[j])
+                assert hole_within_span(sc.hole_cells[i], sc.hole_cells[j])
 
     def test_gap_pockets(self):
         sc = rot3k1_counterexample()

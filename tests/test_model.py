@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from cityguard import model
 from cityguard.errors import DegeneratePositionError, SceneValidationError
-from cityguard.geom import AxisRect, Point, make_axis_rect, make_convex_quad
+from cityguard.geom import AxisRect, Point, h_cell, make_axis_rect, make_convex_quad
 from cityguard.instances import (
     GeneratorParams, gen_3k1_necessity, gen_random, gen_random_city, gen_roof_necessity,
 )
@@ -21,7 +21,7 @@ from cityguard.model import (
 )
 from cityguard.placement import guards_2k1
 from counterexample_3k1 import rot3k1_counterexample
-from references import roof_covered_by, rotate_guards_by_position
+from references import roof_covered_by, rotate_guards_by_position, scaled_and_shifted
 
 
 def city_a():
@@ -235,6 +235,25 @@ class TestHolesDisjoint:
         assert not _holes_disjoint(a, AxisRect(2, 0, 4, 2))
         assert not _holes_disjoint(a, AxisRect(2, 2, 4, 4))
         assert _holes_disjoint(a, AxisRect(3, 0, 5, 2))
+
+
+class TestHoleCells:
+    """`Scene.hole_cells` is each hole's ring as `h_cell` normalizes it:
+    the same vertices, edge lines and bbox, in hole order, built once."""
+
+    @pytest.mark.parametrize("make", [
+        lambda: gen_random(GeneratorParams(k=8, seed=3, grid=60)),
+        lambda: scaled_and_shifted(gen_random(GeneratorParams(k=8, seed=3, grid=60)),
+                                   Fraction(1, 3), 0, 0),
+        lambda: gen_3k1_necessity(2),
+        lambda: scaled_and_shifted(rot3k1_counterexample(), Fraction(1, 3), 0, 0),
+    ], ids=["axis", "axis-thirds", "rotated", "rotated-thirds"])
+    def test_equal_to_the_rings_cells(self, make):
+        sc = make()
+        expected = [h_cell(h.as_cell()) for h in sc.holes]
+        assert [(c.pts, c.lines, c.bbox) for c in sc.hole_cells] == \
+            [(c.pts, c.lines, c.bbox) for c in expected]
+        assert sc.hole_cells is sc.hole_cells
 
 
 class TestCity:

@@ -17,9 +17,9 @@ import cityguard.visibility as visibility
 from cityguard.bench import bench_instance, random_corpus
 from cityguard.errors import SceneValidationError
 from cityguard.geom import (
-    AxisRect, HCell, Point, PolygonSet, _h_split, h_area2, h_cell, h_cell_to_cell,
-    _h_hull, _h_shadow, h_centroid, h_point, h_shadowed, h_subtract, h_to_point,
-    interior_run, make_axis_rect,
+    AxisRect, ConvexQuad, HCell, Point, PolygonSet, _h_split, h_area2, h_cell,
+    h_cell_to_cell, _h_hull, _h_shadow, h_centroid, h_point, h_shadowed, h_subtract,
+    h_to_point, make_axis_rect,
 )
 from cityguard.instances import (
     GeneratorParams, gen_3k1_necessity, gen_random, gen_roof_necessity,
@@ -27,7 +27,7 @@ from cityguard.instances import (
 from cityguard.io import certificate_doc, city_doc, parse_city
 from cityguard.model import (
     AXIS_ALIGNED, City, E, N, S, Scene, Solution, W, hole_guard, p_corner_guard,
-    rotate_guards, rotate_scene_ccw,
+    rotate_guards, rotate_scene_ccw, validate_scene,
 )
 from cityguard.oracle import (
     INFEASIBLE_WITHIN, OPTIMAL, UNCOVERABLE, _certify_and_refine, build_faces, candidate_set,
@@ -47,7 +47,7 @@ from references import (
     residual_pass, roof_covered_by, sees_all_by_scan, shadow_by_rotation, shadowed_by_scan,
     region_contains, reset_region_cache, scaled_and_shifted, side_table, space_between,
 )
-from test_geom import ref_interior_run
+from test_geom import point_run, ref_interior_run
 
 
 def city_a():
@@ -1034,7 +1034,7 @@ def _assert_shadow_verdicts(sc, pos, cells):
                                    for v in h_cell_to_cell(cell))
             if shadowed:
                 for p in islice(verify.interior_points(cell), 9):
-                    assert interior_run(pos, p, hole) is not None
+                    assert point_run(pos, p, hole) is not None
             each.append(shadowed)
         assert h_shadowed(apex, cell, buildings) == any(each)
         verdicts.update(each)
@@ -1228,6 +1228,24 @@ class TestOracle:
         with pytest.raises(SceneValidationError) as e:
             min_roof_guards(City(scene=sc, heights=tuple(1 for _ in holes)), 8)
         assert e.value.violations == [(code, detail)]
+
+    @pytest.mark.parametrize("hole", [
+        AxisRect(2, 2, 2, 5),
+        AxisRect(2, 5, 4, 3),
+        ConvexQuad((Point(2, 2), Point(2, 4), Point(4, 4), Point(4, 2))),
+        ConvexQuad((Point(3, 3),) * 4),
+    ], ids=["no-width", "upside-down", "clockwise-quad", "point-quad"])
+    def test_refuses_holes_that_are_not_cells(self, hole):
+        """A hole the parser cannot make, built by a library caller (the
+        two quads are rectangles by `is_rectangle`), is refused by
+        validation, and so by `certify` and the oracle, before any exact
+        form of it is built."""
+        sc = Scene(bounds=AxisRect(0, 0, 10, 10), holes=(hole,))
+        for check in (validate_scene, lambda s: certify(s, (p_corner_guard(0, E),)),
+                      lambda s: optimal_guard_count(s, [p_corner_guard(0, E)], 8)):
+            with pytest.raises(SceneValidationError) as e:
+                check(sc)
+            assert e.value.violations == [("MALFORMED_HOLE", (0,))]
 
     def test_candidate_count_bound(self):
         # 4 corners x 4 wall-aligned facings per building, 4 x 2 inward

@@ -8,12 +8,13 @@ from math import atan2
 
 import pytest
 
+import cityguard.geom as geom
 import cityguard.visibility as visibility
 
 from cityguard.cli import main
 from cityguard.errors import MalformedPolygonError
 from cityguard.geom import (
-    Point, PolygonSet, _h_line, _h_meet, _h_normalized, h_mean, h_point,
+    Point, PolygonSet, _h_line, _h_meet, _h_normalized, h_cell, h_mean, h_point,
     h_to_point, make_axis_rect, orient,
 )
 from cityguard.instances import GeneratorParams, gen_3k1_necessity, gen_random
@@ -407,6 +408,54 @@ class TestMembership:
         assert any(line is not None for _, line, _ in vr.runs)
         with pytest.raises(MalformedPolygonError, match="has no area"):
             vr.cells
+
+
+class TestOneExactForm:
+    """The fan and `sees` read each building's exact form from
+    `scene.hole_cells`: neither builds a line or converts a corner of a
+    building."""
+
+    def test_fan_builds_no_edge_line(self, monkeypatch):
+        """Every candidate's region of a random k = 8 scene, P corners
+        included, is swept with no `_h_line` call; reading the cells then
+        makes the rays' lines."""
+        sc = gen_random(GeneratorParams(k=8, seed=8, grid=320))
+        cands = candidate_set(sc, include_p_corners=True)
+        reset_region_cache(monkeypatch)
+        calls = []
+        real = visibility._h_line
+        monkeypatch.setattr(visibility, "_h_line", lambda *a: calls.append(a) or real(*a))
+        regions = [visibility_region(sc, g) for g in cands]
+        assert not calls
+        assert not any("cells" in vars(vr) for vr in regions)
+        assert any(vr.cells for vr in regions) and calls
+
+    def test_sees_converts_two_points(self, monkeypatch):
+        """On a random k = 16 scene, from every candidate to every corner
+        and vertex mean of a building, `sees` converts at most the guard's
+        position and the point, however many building bboxes the segment
+        crosses."""
+        sc = gen_random(GeneratorParams(k=16, seed=16, grid=640))
+        cands = candidate_set(sc, include_p_corners=True)
+        points = [c for h in sc.holes for c in h.corners()]
+        points += [h_to_point(h_mean(h_cell(h.as_cell()))) for h in sc.holes]
+        calls = []
+        for module in (geom, visibility):
+            monkeypatch.setattr(module, "h_point",
+                                lambda p, real=module.h_point: calls.append(p) or real(p))
+        crossed = []
+        for g in cands:
+            pos = g.position(sc)
+            for p in points:
+                calls.clear()
+                sees(sc, g, p)
+                assert len(calls) <= 2
+                if calls:
+                    x0, x1 = sorted((pos.x, p.x))
+                    y0, y1 = sorted((pos.y, p.y))
+                    crossed.append(sum(x0 < h.x1 and h.x0 < x1 and y0 < h.y1 and h.y0 < y1
+                                       for h in sc.holes))
+        assert len(crossed) > 1000 and max(crossed) >= 4
 
 
 class TestDirectionOrder:
