@@ -20,7 +20,8 @@ the run of a segment inside a building's open interior, found by one
 pass over the lines of its HCell (`Scene.hole_cells`) after a float
 bbox prefilter.  A segment is blocked in 2D iff the run exists
 (`visibility.sees`), and the roof oracle's 3D prism test compares
-heights on that run.
+heights on that run.  A guard's closed half-plane has one exact test,
+`h_in_front`, on homogeneous points.
 `h_clear` and `h_shadowed` share one split of a convex polygon's
 edges, seen from a point, into a far and a near run (`_h_chains`, one
 pass that finds the far run's start and length), and both skip the
@@ -88,14 +89,6 @@ def orient(a: Point, b: Point, c: Point) -> int:
     if v < 0:
         return CW
     return COLLINEAR
-
-
-def half_plane_contains(origin: Point, facing: tuple, p: Point) -> bool:
-    """Closed half-plane test: (p - origin) . facing >= 0."""
-    fx, fy = facing
-    if fx == 0 and fy == 0:
-        raise ValueError("facing must be a nonzero direction")
-    return (p.x - origin.x) * fx + (p.y - origin.y) * fy >= 0
 
 
 def primitive_direction(dx: Rational, dy: Rational) -> tuple:
@@ -674,6 +667,16 @@ def _h_shadow(apex, b: HCell):
     n = len(pts)
     j = (i + m) % n
     return (_h_line(pts[j], apex), _h_line(apex, pts[i]), *_h_run(b.lines, j, n - m))
+
+
+def h_in_front(apex, facing, pts) -> bool:
+    """Every homogeneous point of `pts` lies in the closed half-plane of a
+    guard at the homogeneous `apex` with this facing: (p - apex) . facing
+    >= 0, both sides scaled by the two positive weights."""
+    fx, fy = facing
+    AX, AY, AW = apex
+    k = fx * AX + fy * AY
+    return all((fx * X + fy * Y) * AW >= k * W for X, Y, W in pts)
 
 
 def interior_run(a, b, cell: HCell):

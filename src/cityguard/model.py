@@ -6,7 +6,10 @@ held as an HCell (`hole_cells`).  A City adds a positive height per
 building; its `scene` is the 2.5D city's vertical projection, which is
 all the wall and ground placements read.
 Guards record the corner identity of their anchor (not raw coordinates)
-so solutions survive re-serialization of the scene.
+so solutions survive re-serialization of the scene.  `Scene.corner` is
+the one decoder of an anchor: every layer reads a guard's corner as a
+vertex of `Scene.cells`, in integers, and any anchor naming no corner
+raises the same ValueError.
 """
 
 from __future__ import annotations
@@ -17,8 +20,8 @@ from typing import Sequence
 
 from cityguard.errors import SceneValidationError, DegeneratePositionError
 from cityguard.geom import (
-    AxisRect, ConvexQuad, Point, Hole, cell_bbox, h_cell, h_rect,
-    is_rectangle, make_convex_quad, primitive_direction, strictly_convex_ccw,
+    AxisRect, ConvexQuad, Point, Hole, cell_bbox, h_cell, h_in_front, h_rect,
+    h_to_point, is_rectangle, make_convex_quad, primitive_direction, strictly_convex_ccw,
 )
 
 AXIS_ALIGNED = "AXIS_ALIGNED"
@@ -45,6 +48,29 @@ class Scene:
         the one exact form of a building that every exact test reads."""
         return tuple(h_rect(*h) if isinstance(h, AxisRect) else h_cell(h.v)
                      for h in self.holes)
+
+    @cached_property
+    def cells(self) -> tuple:
+        """`hole_cells`, then P's rectangle: every cell a guard stands on."""
+        return self.hole_cells + (h_rect(*self.bounds),)
+
+    def corner(self, anchor: tuple):
+        """(cell, j), the anchor's cell of `cells` and its corner there,
+        cell.pts[j]: the one decoder of an anchor.  ValueError unless it is
+        ("hole", i, j), 0 <= i < k, or ("p", j), j in 0..3, each index an
+        int and no bool."""
+        n = len(anchor) if isinstance(anchor, tuple) else 0
+        if n == 3 and anchor[0] == "hole":
+            i, j = anchor[1], anchor[2]
+            if type(i) is int and type(j) is int and 0 <= i < len(self.holes) and 0 <= j < 4:
+                return self.cells[i], j
+        elif n == 2 and anchor[0] == "p":
+            j = anchor[1]
+            if type(j) is int and 0 <= j < 4:
+                return self.cells[-1], j
+        on = f" on building {anchor[1]!r}" if n > 1 and anchor[0] == "hole" else ""
+        raise ValueError(f"anchor {anchor!r}{on} names no corner of a scene "
+                         f"with {self.k} buildings")
 
     @property
     def kind(self) -> str:
@@ -79,15 +105,10 @@ class Guard:
         object.__setattr__(self, "facing", primitive_direction(*self.facing))
 
     def position(self, scene: Scene) -> Point:
-        """The anchor corner; ValueError if the scene has no such corner."""
-        kind = self.anchor[0]
-        if kind == "hole" and 0 <= self.anchor[1] < scene.k and 0 <= self.anchor[2] < 4:
-            return scene.holes[self.anchor[1]].corners()[self.anchor[2]]
-        if kind == "p" and 0 <= self.anchor[1] < 4:
-            return scene.bounds.corners()[self.anchor[1]]
-        on = f" on building {self.anchor[1]}" if kind == "hole" else ""
-        raise ValueError(f"anchor {self.anchor!r}{on} names no corner of a scene "
-                         f"with {scene.k} buildings")
+        """The anchor corner (`Scene.corner`) as a Point; ValueError if the
+        scene has no such corner."""
+        cell, j = scene.corner(self.anchor)
+        return h_to_point(cell.pts[j])
 
     def on_hole(self) -> bool:
         return self.anchor[0] == "hole"
@@ -276,37 +297,19 @@ def require_general_position(scene: Scene):
 # ---------------------------------------------------------------------------
 
 
-def roof_in_front(corners, v: Point, facing) -> bool:
-    """The roof with these corners lies in the closed half-plane of a guard
-    at v with this facing; the half-plane is convex, so the corners decide."""
-    fx, fy = facing
-    return all((c.x - v.x) * fx + (c.y - v.y) * fy >= 0 for c in corners)
-
-
 def roof_flags(scene: Scene, guards) -> tuple:
     """Per building i, whether some guard covers roof i, from one pass
     over the guards: only a guard on building i can, and it does iff the
-    roof is in its closed half-plane (`roof_in_front`).  Each building's
-    corners are read once, when a guard on it is first tested, and a
-    guard on a building already flagged is not tested; every guard's
-    anchor is checked first, so one naming no corner of the scene raises
+    roof's corners are in its closed half-plane (`h_in_front`; the
+    half-plane is convex, so the corners decide).  A guard on a building
+    already flagged is not tested, but every guard's anchor is decoded
+    (`Scene.corner`), so one naming no corner of the scene raises
     ValueError."""
-    holes = scene.holes
-    k = len(holes)
-    flags = [False] * k
-    corners = [None] * k
+    flags = [False] * scene.k
     for g in guards:
-        if not g.on_hole():
-            continue
-        i, c = g.anchor[1], g.anchor[2]
-        if not (0 <= i < k and 0 <= c < 4):
-            g.position(scene)  # raises ValueError: no such corner
-        if flags[i]:
-            continue
-        cs = corners[i]
-        if cs is None:
-            cs = corners[i] = holes[i].corners()
-        flags[i] = roof_in_front(cs, cs[c], g.facing)
+        cell, j = scene.corner(g.anchor)
+        if g.on_hole() and not flags[g.anchor[1]]:
+            flags[g.anchor[1]] = h_in_front(cell.pts[j], g.facing, cell.pts)
     return tuple(flags)
 
 
@@ -356,17 +359,16 @@ def rotate_guards(guards: Sequence[Guard], scene: Scene, times: int) -> list:
     turns CCW; a negative `times` maps guards of a turned frame back.  A
     quarter turn CCW takes corner c of an axis rectangle, P included, to
     corner c + 1 and keeps a quad's corner order.  A guard naming no corner
-    of the scene raises ValueError."""
+    of the scene raises ValueError (`Scene.corner`)."""
     t = times % 4
     out = []
     for g in guards:
         a = g.anchor
-        if a[0] == "hole" and 0 <= a[1] < scene.k and 0 <= a[2] < 4:
+        _, j = scene.corner(a)
+        if a[0] == "hole":
             turn = t if isinstance(scene.holes[a[1]], AxisRect) else 0
-            anchor = ("hole", a[1], (a[2] + turn) % 4)
-        elif a[0] == "p" and 0 <= a[1] < 4:
-            anchor = ("p", (a[1] + t) % 4)
+            anchor = ("hole", a[1], (j + turn) % 4)
         else:
-            g.position(scene)  # raises ValueError: no such corner
+            anchor = ("p", (j + t) % 4)
         out.append(Guard(anchor=anchor, facing=rotate_point_ccw(g.facing, t)))
     return out

@@ -62,11 +62,12 @@ from itertools import combinations
 from typing import Optional
 
 from cityguard.geom import (
-    HCell, Point, h_area2, h_divide, h_mean, h_point, h_subtract, h_to_point, interior_run,
+    HCell, Point, h_area2, h_divide, h_in_front, h_mean, h_point, h_subtract, h_to_point,
+    interior_run,
 )
 from cityguard.model import (
-    City, E, N, S, Scene, Solution, W, hole_guard, p_corner_guard, roof_in_front,
-    validate_scene, wall_aligned_facings,
+    City, E, N, S, Scene, Solution, W, hole_guard, p_corner_guard, validate_scene,
+    wall_aligned_facings,
 )
 from cityguard.verify import free_space, interior_points
 from cityguard.visibility import sees, visibility_region
@@ -317,24 +318,26 @@ def roof_cover_sets(city: City, candidates):
     """For each candidate guard, the set of roofs it fully covers (sampled).
 
     A roof counts as covered when every one of its `roof_samples` is
-    visible: the roof is in the guard's closed half-plane (`roof_in_front`)
-    and `_sample_visible` finds no prism's open interior on the open 3D
-    sight segment.  Only building-corner guards have a height; a guard on
-    a bounding-rectangle corner raises `ValueError`.
+    visible: the roof's corners are in the guard's closed half-plane
+    (`h_in_front`) and `_sample_visible` finds no prism's open interior on
+    the open 3D sight segment.  Only building-corner guards have a height;
+    a guard on a bounding-rectangle corner, or on none, raises `ValueError`.
     """
     scene, heights = city.scene, city.heights
     prisms = list(zip(scene.hole_cells, heights))
-    roofs = [(i, base.corners(), roof_samples(base), heights[i])
-             for i, base in enumerate(scene.holes)]
+    roofs = [(i, cell.pts, roof_samples(base), heights[i])
+             for i, (base, cell) in enumerate(zip(scene.holes, scene.hole_cells))]
     out = []
     for g in candidates:
-        if g.anchor[0] != "hole":
+        cell, j = scene.corner(g.anchor)
+        if not g.on_hole():
             raise ValueError(f"roof guards stand on building corners, got anchor {g.anchor!r}")
-        v = g.position(scene)
+        apex = cell.pts[j]
+        v = h_to_point(apex)
         vz = heights[g.anchor[1]]
         covered = set()
         for i, corners, pts, hz in roofs:
-            if not roof_in_front(corners, v, g.facing):
+            if not h_in_front(apex, g.facing, corners):
                 continue
             if all(p == v or _sample_visible(v, vz, p, hz, prisms) for p in pts):
                 covered.add(i)

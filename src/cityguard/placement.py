@@ -13,11 +13,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from cityguard.errors import PlacementIncompleteError
-from cityguard.geom import AxisRect, Point
+from cityguard.geom import AxisRect, Point, h_in_front
 from cityguard.model import (
     AXIS_ALIGNED, City, E, Guard, N, S, Scene, Solution, W,
     hole_guard, require_general_position,
-    roof_flags, roof_in_front, rotate_guards, rotate_scene_ccw,
+    roof_flags, rotate_guards, rotate_scene_ccw,
     validate_scene, wall_aligned_facings,
 )
 from cityguard.staircase import (
@@ -335,9 +335,9 @@ def guards_main(scene: Scene) -> Solution:
 
 
 def _roof_front_facings(scene: Scene, g: Guard):
-    hole = scene.holes[g.anchor[1]]
-    v, corners = g.position(scene), hole.corners()
-    return [f for f in wall_aligned_facings(hole) if roof_in_front(corners, v, f)]
+    cell, j = scene.corner(g.anchor)
+    return [f for f in wall_aligned_facings(scene.holes[g.anchor[1]])
+            if h_in_front(cell.pts[j], f, cell.pts)]
 
 
 def _repair_roofs(city: City, guards: list, trace) -> list:

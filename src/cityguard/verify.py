@@ -73,7 +73,7 @@ from itertools import count
 from typing import Optional
 
 from cityguard.geom import (
-    AxisRect, HCell, Point, PolygonSet, h_area2, h_centroid, h_point,
+    AxisRect, HCell, Point, PolygonSet, h_area2, h_centroid,
     h_clear, h_rect, h_shadowed, h_subtract, h_to_point,
 )
 from cityguard.model import AXIS_ALIGNED, City, Scene, Solution, roof_flags, validate_scene
@@ -179,9 +179,10 @@ def _compute(scene: Scene, guards: tuple) -> Certificate:
 
 
 def _sights(scene: Scene, guards):
-    """(apex, facing, fx * AX + fy * AY) per guard, the apex homogeneous."""
+    """(apex, facing, fx * AX + fy * AY) per guard, the apex the
+    homogeneous corner `Scene.corner` decodes."""
     return [(a, g.facing, g.facing[0] * a[0] + g.facing[1] * a[1])
-            for g in guards for a in [h_point(g.position(scene))]]
+            for g in guards for cell, j in [scene.corner(g.anchor)] for a in [cell.pts[j]]]
 
 
 def _ratio(n: int, d: int):

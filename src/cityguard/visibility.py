@@ -2,13 +2,14 @@
 
 Two independent routes to the same predicate:
 
-* sees(scene, g, p): direct point test (half-plane, then one exact
-  integer pass of the sight segment against each of `scene.hole_cells`).
+* sees(scene, g, p): direct point test (the integer half-plane test
+  `h_in_front`, then one exact integer pass of the sight segment against
+  each of `scene.hole_cells`), from the corner `Scene.corner` decodes.
   This is the oracle the region computation is checked against, and the
   check of every reported witness.
 * visibility_region(scene, g): an angular sweep around g's anchor
-  corner (a fan), one pass over `scene.hole_cells` and P's rectangle
-  alike, read for g's facing.  The fan's critical directions are the
+  corner (a fan), one pass over `scene.cells`, the holes and P's
+  rectangle alike, read for g's facing.  The fan's critical directions are the
   corner directions, in integers, from the anchor to every vertex of
   every cell.  Within one open wedge between consecutive critical
   directions no edge endpoint occurs and edges never cross (holes are
@@ -52,26 +53,26 @@ from math import atan2, gcd, tau
 
 from cityguard.errors import MalformedPolygonError
 from cityguard.geom import (
-    HCell, Point, PolygonSet, _h_line, _h_meet, _h_orient, h_point, h_rect,
-    half_plane_contains, interior_run,
+    HCell, Point, PolygonSet, _h_line, _h_meet, _h_orient, h_in_front, h_point,
+    interior_run,
 )
 from cityguard.model import Guard, Scene
 
 
 def sees(scene: Scene, g: Guard, p: Point) -> bool:
-    """True iff p is in the bounds and the guard's closed half-plane, and
-    no hole's open interior meets the sight segment (`interior_run` on
-    each of `scene.hole_cells`, with the position and p converted once;
-    the segment to the guard's own corner is a point, with no run).  A
-    point strictly inside a hole needs no test of its own: the guard
-    stands outside every hole's open interior, so the segment to such a
-    point has a run inside that hole."""
+    """True iff p is in the bounds and the guard's closed half-plane
+    (`h_in_front`), and no hole's open interior meets the sight segment
+    (`interior_run` on each of `scene.hole_cells`, from the corner's
+    homogeneous point and p converted once; the segment to the guard's
+    own corner is a point, with no run).  A point strictly inside a hole
+    needs no test of its own: the guard stands outside every hole's open
+    interior, so the segment to such a point has a run inside that hole."""
+    cell, j = scene.corner(g.anchor)
     if not scene.bounds.contains_closed(p):
         return False
-    pos = g.position(scene)
-    a, b = h_point(pos), h_point(p)
-    return half_plane_contains(pos, g.facing, p) and all(
-        interior_run(a, b, cell) is None for cell in scene.hole_cells)
+    a, b = cell.pts[j], h_point(p)
+    return h_in_front(a, g.facing, (b,)) and all(
+        interior_run(a, b, c) is None for c in scene.hole_cells)
 
 
 class VisibilityRegion:
@@ -119,11 +120,12 @@ class VisibilityRegion:
         so a point is in a cell iff v lies in the run's closed cone and hp
         on or inside the edge line.  The closed half-plane is the cone from
         e1 (cross(e1, v) >= 0); within it cross(s, v) >= 0 holds for a
-        prefix of the other run starts, so a galloping search (exponential,
-        then binary) finds the last run j whose start is not after v.  The
-        closed cones meet only on their shared rays, so only run j can hold
-        hp, and run j - 1 when v lies on j's start.  The apex is a vertex
-        of every cell."""
+        prefix of the other run starts, so a binary search finds the last
+        run j whose start is not after v.  The closed cones meet only on
+        their shared rays, so only run j can hold hp, and run j - 1 when v
+        lies on j's start.  The apex, v = 0, lies in every cone, where
+        the search would read only the last run: it is a vertex of every
+        cell, so it is held iff some run has a line."""
         X, Y, W = hp
         px, py, pw = self._hpos
         vx, vy = pw * X - px * W, pw * Y - py * W
@@ -133,15 +135,7 @@ class VisibilityRegion:
             return False
         if not (vx or vy):
             return any(self._holds(run, X, Y, W) for run in runs)
-        n = len(runs)
-        lo, hi = 0, 1
-        while hi < n:
-            sx, sy = runs[hi][0]
-            if sx * vy < sy * vx:
-                break
-            lo, hi = hi, 2 * hi
-        else:
-            hi = n
+        lo, hi = 0, len(runs)
         while hi - lo > 1:
             mid = (lo + hi) // 2
             sx, sy = runs[mid][0]
@@ -226,14 +220,10 @@ class _Fan:
     is found once, on first read."""
 
     def __init__(self, scene: Scene, g: Guard):
-        g.position(scene)  # raises ValueError unless the anchor names a corner
+        anchor_cell, j = scene.corner(g.anchor)  # ValueError: no such corner
         self.anchor = g.anchor
-        self.on_hole = on_hole = g.on_hole()
-
-        # P's boundary is the last cell: its edges block like hole edges
-        cells = scene.hole_cells + (h_rect(*scene.bounds),)
-        anchor_cell = cells[g.anchor[1] if on_hole else -1]
-        j = g.anchor[-1]
+        self.on_hole = g.on_hole()
+        cells = scene.cells  # P's boundary is the last cell: its edges block too
         self.hpos = px, py, pw = anchor_cell.pts[j]
         # the anchor's cone: the normals of its two incident lines
         self.cone = (anchor_cell.lines[j - 1][:2], anchor_cell.lines[j][:2])

@@ -34,7 +34,7 @@ from cityguard.geom import (
     h_area2, h_cell, h_centroid, h_clear, h_point, h_subtract, make_convex_quad,
     orient, primitive_direction,
 )
-from cityguard.model import Guard, Scene, roof_in_front, rotate_point_ccw, rotate_scene_ccw
+from cityguard.model import Guard, Scene, rotate_point_ccw, rotate_scene_ccw
 from cityguard.oracle import (
     INFEASIBLE_WITHIN, OPTIMAL, UNCOVERABLE, _certify_and_refine, min_hitting_set,
 )
@@ -77,6 +77,15 @@ def in_open_hole(hole, p: Point) -> bool:
 def reset_region_cache(monkeypatch):
     """Start the test from an empty region cache, holding no scene."""
     monkeypatch.setattr(visibility, "_cache", (None, {}, {}, [None]))
+
+
+def anchor_point(scene: Scene, anchor) -> Point:
+    """The Point corner an anchor names, read off the hole's or the
+    bounds' `corners()`: the route `Guard.position` took before it read
+    `Scene.corner`."""
+    if anchor[0] == "hole":
+        return scene.holes[anchor[1]].corners()[anchor[2]]
+    return scene.bounds.corners()[anchor[1]]
 
 
 def rotate_guards_by_position(guards, scene: Scene, times: int) -> list:
@@ -267,16 +276,15 @@ def building_levels(scene, rows=False):
 
 
 def roof_covered_by(scene: Scene, i: int, g: Guard) -> bool:
-    """A guard on roof i covers it iff the roof is in its closed
-    half-plane; a guard anywhere else does not.  A guard naming no corner
-    of the scene raises ValueError.  `model.roof_flags` decides every
-    building at once."""
+    """A guard on roof i covers it iff the roof's Point corners are in its
+    closed half-plane, (c - v) . facing >= 0 with v its position; a guard
+    anywhere else does not.  A guard naming no corner of the scene raises
+    ValueError.  `model.roof_flags` decides every building at once."""
+    v = g.position(scene)  # raises ValueError: no such corner
     if g.anchor[0] != "hole" or g.anchor[1] != i:
         return False
-    if not (0 <= i < scene.k and 0 <= g.anchor[2] < 4):
-        g.position(scene)  # raises ValueError: no such corner
-    corners = scene.holes[i].corners()
-    return roof_in_front(corners, corners[g.anchor[2]], g.facing)
+    fx, fy = g.facing
+    return all((c.x - v.x) * fx + (c.y - v.y) * fy >= 0 for c in scene.holes[i].corners())
 
 
 def side_table(sights, cell):

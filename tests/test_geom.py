@@ -9,7 +9,7 @@ from cityguard import geom
 from cityguard.errors import MalformedPolygonError
 from cityguard.geom import (
     CCW, COLLINEAR, CW, AxisRect, HCell, Point, PolygonSet, _h_disjoint,
-    _h_normalized, _h_split, h_cell, h_divide, h_point, h_subtract, half_plane_contains,
+    _h_normalized, _h_split, h_cell, h_divide, h_in_front, h_point, h_subtract,
     interior_run,
     make_axis_rect, make_convex_quad, is_rectangle, orient, primitive_direction,
     rational, rational_str,
@@ -170,14 +170,30 @@ class TestSegmentBlocked:
 
 
 class TestHalfPlane:
+    """`h_in_front` on homogeneous points: (p - apex) . facing >= 0."""
+
     def test_boundary_included(self):
-        assert half_plane_contains(P(5, 5), (1, 0), P(5, 9))
+        assert h_in_front(h_point(P(5, 5)), (1, 0), [h_point(P(5, 9))])
 
     def test_strictly_behind(self):
-        assert not half_plane_contains(P(5, 5), (1, 0), P(4, 5))
+        assert not h_in_front(h_point(P(5, 5)), (1, 0), [h_point(P(4, 5))])
 
     def test_in_front(self):
-        assert half_plane_contains(P(5, 5), (-1, 0), P(4, 5))
+        assert h_in_front(h_point(P(5, 5)), (-1, 0), [h_point(P(4, 5))])
+
+    def test_fraction_points(self):
+        third = h_point(P(Fraction(16, 3), Fraction(5, 3)))
+        assert h_in_front(third, (1, 1), [h_point(P(Fraction(16, 3), Fraction(5, 3)))])
+        assert h_in_front(third, (1, 1), [h_point(P(7, 0))])  # 7 = 21/3 = 16/3 + 5/3
+        assert not h_in_front(third, (1, 1), [h_point(P(Fraction(20, 3), 0))])
+        assert h_in_front(h_point(P(5, 5)), (0, -1), [h_point(P(9, Fraction(29, 6)))])
+        assert not h_in_front(h_point(P(5, 5)), (0, -1), [h_point(P(9, Fraction(31, 6)))])
+
+    def test_every_point(self):
+        apex = h_point(P(Fraction(1, 2), 0))
+        pts = [h_point(P(Fraction(1, 2), 4)), h_point(P(3, Fraction(-1, 7)))]
+        assert h_in_front(apex, (1, 0), pts)
+        assert not h_in_front(apex, (1, 0), pts + [h_point(P(Fraction(1, 3), 1))])
 
 
 class TestPolygonSet:

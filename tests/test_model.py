@@ -8,7 +8,9 @@ from hypothesis import strategies as st
 
 from cityguard import model
 from cityguard.errors import DegeneratePositionError, SceneValidationError
-from cityguard.geom import AxisRect, Point, h_cell, make_axis_rect, make_convex_quad
+from cityguard.geom import (
+    AxisRect, Point, h_cell, h_to_point, make_axis_rect, make_convex_quad,
+)
 from cityguard.instances import (
     GeneratorParams, gen_3k1_necessity, gen_random, gen_random_city, gen_roof_necessity,
 )
@@ -20,8 +22,13 @@ from cityguard.model import (
     require_general_position, roof_flags, wall_aligned_facings,
 )
 from cityguard.placement import guards_2k1
+from cityguard.verify import certify
+from cityguard.visibility import sees, visibility_region
 from counterexample_3k1 import rot3k1_counterexample
-from references import roof_covered_by, rotate_guards_by_position, scaled_and_shifted
+from references import (
+    anchor_point, reset_region_cache, roof_covered_by, rotate_guards_by_position,
+    scaled_and_shifted,
+)
 
 
 def city_a():
@@ -362,6 +369,72 @@ class TestGuards:
                                        "height": 1}]}).scene
         assert hole_guard(0, 0, (1, 1)).facing in wall_aligned_facings(q.holes[0])
         assert hole_guard(0, 0, E).facing not in wall_aligned_facings(q.holes[0])
+
+
+def _two_buildings():
+    return parse_city({"bounds": [0, 0, 20, 20],
+                       "buildings": [{"base": [2, 2, 6, 6], "height": 1},
+                                     {"base": [10, 10, 14, 16], "height": 2}]}).scene
+
+
+# Anchors that name no corner of a two-building scene: too few or too many
+# indices, an unknown kind, an index that is no int (True equals 1, and
+# ("hole", 1, 0) is a corner), an index out of range.
+_NO_CORNER = [("hole", 0), ("p",), ("hole", "0", 1), ("hole", True, 0), ("hole", 0, 1, 2),
+              ("q", 1), ("hole", 0, 4), ("hole", 2, 0), ("p", 4)]
+
+_ENTRY_POINTS = {
+    "position": lambda sc, g: g.position(sc),
+    "certify": lambda sc, g: certify(sc, [g]),
+    "roof_flags": lambda sc, g: roof_flags(sc, [g]),
+    "rotate_guards": lambda sc, g: rotate_guards([g], sc, 1),
+    "sees": lambda sc, g: sees(sc, g, Point(8, 8)),
+    "visibility_region": lambda sc, g: visibility_region(sc, g),
+}
+
+
+class TestCornerDecoder:
+    """`Scene.corner` is the one decoder of an anchor: every entry point
+    that reads a guard's corner refuses an anchor naming none with the
+    same ValueError, and `Guard.position` is the corner the hole's or the
+    bounds' `corners()` name."""
+
+    @pytest.mark.parametrize("entry", _ENTRY_POINTS)
+    @pytest.mark.parametrize("anchor", _NO_CORNER, ids=repr)
+    def test_no_corner_raises_value_error(self, anchor, entry, monkeypatch):
+        reset_region_cache(monkeypatch)
+        sc = _two_buildings()
+        with pytest.raises(ValueError, match=re.escape(repr(anchor))):
+            _ENTRY_POINTS[entry](sc, Guard(anchor=anchor, facing=N))
+
+    def test_message(self):
+        sc = _two_buildings()
+        with pytest.raises(ValueError) as e:
+            sc.corner(("hole", 2, 0))
+        assert str(e.value) == ("anchor ('hole', 2, 0) on building 2 names no corner "
+                                "of a scene with 2 buildings")
+        with pytest.raises(ValueError) as e:
+            sc.corner(("p", 4))
+        assert str(e.value) == "anchor ('p', 4) names no corner of a scene with 2 buildings"
+
+    @pytest.mark.parametrize("make", [
+        lambda: gen_random(GeneratorParams(k=6, seed=2, grid=240)),
+        lambda: scaled_and_shifted(gen_random(GeneratorParams(k=5, seed=1, grid=200)),
+                                   Fraction(1, 3), Fraction(2, 3), Fraction(-5, 3)),
+        lambda: gen_3k1_necessity(2),
+        lambda: rot3k1_counterexample(),
+        lambda: scaled_and_shifted(rot3k1_counterexample(), Fraction(1, 3), 1, Fraction(1, 7)),
+    ], ids=["axis", "thirds", "3k1-2", "counterexample", "counterexample-thirds"])
+    def test_position_is_the_named_corner(self, make):
+        sc = make()
+        anchors = [("hole", i, c) for i in range(sc.k) for c in range(4)]
+        anchors += [("p", c) for c in range(4)]
+        for a in anchors:
+            pos = Guard(anchor=a, facing=N).position(sc)
+            assert pos == anchor_point(sc, a)
+            cell, j = sc.corner(a)
+            assert cell is sc.cells[a[1] if a[0] == "hole" else -1]
+            assert h_to_point(cell.pts[j]) == pos
 
 
 class TestRotation:
