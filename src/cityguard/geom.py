@@ -281,12 +281,20 @@ Hole = Union[AxisRect, ConvexQuad]
 # ---------------------------------------------------------------------------
 
 def h_point(p: Point):
+    """(X, Y, W) over W, the lcm of the coordinates' denominators, read
+    off their `numerator` and `denominator` in integers; an int pair is
+    (x, y, 1).  A float, which has no denominator, converts exactly
+    through `Fraction` first."""
     x, y = p
     if isinstance(x, int) and isinstance(y, int):
         return (x, y, 1)
-    fx, fy = Fraction(x), Fraction(y)
-    w = fx.denominator * fy.denominator // gcd(fx.denominator, fy.denominator)
-    return (int(fx * w), int(fy * w), w)
+    try:
+        dx, dy = x.denominator, y.denominator
+    except AttributeError:
+        x, y = Fraction(x), Fraction(y)
+        dx, dy = x.denominator, y.denominator
+    w = dx * dy // gcd(dx, dy)
+    return (x.numerator * (w // dx), y.numerator * (w // dy), w)
 
 
 def h_to_point(h) -> Point:

@@ -102,6 +102,16 @@ class Guard:
     facing: tuple
 
     def __post_init__(self):
+        """Refuse an anchor of no anchor's shape: ("hole", i, j) or
+        ("p", j), each index an int and no bool.  The region and
+        certificate caches are keyed by guard equality and True == 1, so
+        a bool index would get its int's cached answer.  The range
+        against a scene is `Scene.corner`'s."""
+        a = self.anchor
+        if not (isinstance(a, tuple) and len(a) == (3 if a[:1] == ("hole",) else 2)
+                and a[0] in ("hole", "p") and all(type(i) is int for i in a[1:])):
+            raise ValueError(f"anchor {a!r} names no corner: it is not ('hole', i, j) "
+                             f"or ('p', j) with int indices")
         object.__setattr__(self, "facing", primitive_direction(*self.facing))
 
     def position(self, scene: Scene) -> Point:

@@ -18,8 +18,11 @@ Each round keeps its work for the next, within one call:
   stops at the first set of that size (the set the full search finds);
 * the residuals: the base minus the regions of each sorted prefix of a
   chosen set, so a round cuts only by the regions past its longest
-  cached prefix (`_residual`; `h_subtract` cuts one cutter after
-  another, so the cells are those of one subtraction of all of them);
+  cached prefix (`_residual`).  Before a region cuts, the cells its
+  guard sees whole go by the verifier's one hull test (`h_in_front`,
+  then `h_clear`), as the region would leave nothing of them;
+  `h_subtract` cuts each cell on its own and one cutter after another,
+  so the cells are those of one subtraction of all of them;
 * the regions' runs: a mask reads `VisibilityRegion.contains`, which
   locates the witness among a region's runs by integer orientation tests
   and gives the closed test over its cells bit for bit, so only the
@@ -62,8 +65,8 @@ from itertools import combinations
 from typing import Optional
 
 from cityguard.geom import (
-    HCell, Point, h_area2, h_divide, h_in_front, h_mean, h_point, h_subtract, h_to_point,
-    interior_run,
+    HCell, Point, h_area2, h_clear, h_divide, h_in_front, h_mean, h_point, h_subtract,
+    h_to_point, interior_run,
 )
 from cityguard.model import (
     City, E, N, S, Scene, Solution, W, hole_guard, p_corner_guard, validate_scene,
@@ -177,24 +180,37 @@ def _certify_and_refine(scene: Scene, candidates, base, max_count: int):
                            if not any(sees(scene, g, p) for g in candidates))
             return UNCOVERABLE, None, witness, tuple(witnesses)
         lower = len(best)
-        fresh = _residual(residuals, sorted(best), regions)
+        fresh = _residual(scene, residuals, sorted(best), regions)
         if not fresh:
             return OPTIMAL, best, None, tuple(witnesses)
 
 
-def _residual(residuals, chosen, regions):
+def _residual(scene: Scene, residuals, chosen, regions):
     """The base minus the regions of the sorted indices `chosen`.
     `residuals` maps each sorted prefix already subtracted to its
     residual; the longest one cached is cut by the remaining regions one
-    at a time, and every new prefix is cached.  `h_subtract` cuts by one
-    cutter after another, so this is `h_subtract(base, every chosen
-    cell)`, cell for cell."""
+    at a time, and every new prefix is cached.  Before a region cuts,
+    every cell its guard sees whole is dropped: the cell lies in the
+    guard's closed half-plane (`h_in_front`) and no building meets the
+    hull of the apex and the cell (`h_clear`), so it lies in the closed
+    region, which would leave nothing of it.  `h_subtract` cuts each
+    piece on its own, in order, and by one cutter after another, so this
+    is `h_subtract(base, every chosen cell)`, cell for cell."""
     n = len(chosen)
     while tuple(chosen[:n]) not in residuals:
         n -= 1
     rest = residuals[tuple(chosen[:n])]
+    buildings = scene.hole_cells
     for i in range(n, len(chosen)):
-        rest = residuals[tuple(chosen[:i + 1])] = h_subtract(rest, regions[chosen[i]].cells)
+        region = regions[chosen[i]]
+        g = region.guard
+        cell, j = scene.corner(g.anchor)
+        apex = cell.pts[j]
+        rest = [c for c in rest
+                if not (h_in_front(apex, g.facing, c.pts) and h_clear(apex, c, buildings))]
+        if rest:  # else the region builds no cells
+            rest = h_subtract(rest, region.cells)
+        residuals[tuple(chosen[:i + 1])] = rest
     return rest
 
 

@@ -21,12 +21,14 @@ faces read off its extension walls by a union-find over the grid
 cells, which also takes frames with buildings on P's sides.  Also the
 closed point test over HCells that `VisibilityRegion.contains` must
 match bit for bit, and through it a region's closed membership; a
-hole's open interior; guards re-anchored on a quarter-turned scene by
-their positions; and a reset of the region cache."""
+point's homogeneous form by Fractions; a hole's open interior; guards
+re-anchored on a quarter-turned scene by their positions; and a reset of
+the region cache."""
 
 from collections import namedtuple
 from fractions import Fraction
 from itertools import groupby
+from math import gcd
 
 from cityguard import visibility
 from cityguard.geom import (
@@ -58,6 +60,18 @@ def h_cells_contain(cells, hp) -> bool:
                 and all(A * X + B * Y + C * W >= 0 for (A, B, C) in c.lines)):
             return True
     return False
+
+
+def h_point_by_fraction(p: Point):
+    """`geom.h_point`'s first form: each coordinate made a Fraction, W the
+    lcm of their denominators and X, Y the products with W cut to ints;
+    an int pair (bools included) is (x, y, 1) as it is."""
+    x, y = p
+    if isinstance(x, int) and isinstance(y, int):
+        return (x, y, 1)
+    fx, fy = Fraction(x), Fraction(y)
+    w = fx.denominator * fy.denominator // gcd(fx.denominator, fy.denominator)
+    return (int(fx * w), int(fy * w), w)
 
 
 def region_contains(region: PolygonSet, p: Point) -> bool:

@@ -19,7 +19,7 @@ from cityguard.oracle import build_faces, candidate_set
 from cityguard.placement import guards_2k1
 from cityguard.verify import free_space
 from cityguard.visibility import visibility_region
-from references import in_open_hole, region_contains
+from references import h_point_by_fraction, in_open_hole, region_contains
 
 
 def P(x, y):
@@ -267,6 +267,39 @@ class TestPolygonSet:
         else:
             with pytest.raises(MalformedPolygonError):
                 PolygonSet((ring,))
+
+
+_COORDS = st.one_of(
+    st.integers(-10 ** 18, 10 ** 18), st.booleans(),
+    st.fractions(min_value=-10 ** 18, max_value=10 ** 18, max_denominator=10 ** 6),
+    st.builds(Fraction, st.integers(-10 ** 40, 10 ** 40), st.integers(1, 10 ** 20)),
+    st.floats(allow_nan=False, allow_infinity=False, width=64))
+
+
+class TestHPoint:
+    """`h_point` reads numerators and denominators in integers; it gives
+    the Fraction route's components, types included, for ints, bools,
+    Fractions, floats and mixed pairs."""
+
+    @staticmethod
+    def _agree(p):
+        got, expected = h_point(p), h_point_by_fraction(p)
+        assert got == expected and list(map(type, got)) == list(map(type, expected)), p
+
+    @settings(max_examples=500, deadline=None)
+    @given(_COORDS, _COORDS)
+    def test_matches_fraction_route(self, x, y):
+        self._agree((x, y))
+
+    @pytest.mark.parametrize("p", [
+        (0, 0), (True, False), (True, Fraction(1, 3)), (Fraction(-2, 4), 7),
+        (10 ** 17 + 1, Fraction(10 ** 17, 3)), (Fraction(10 ** 17 + 1, 3), Fraction(-1, 10 ** 17)),
+        (0.5, 3), (Fraction(1, 3), 0.1), (1e17, -2.5), (-0.0, Fraction(5, 7)),
+        (Fraction(6, 4), Fraction(9, 6))], ids=repr)
+    def test_fixed_points(self, p):
+        self._agree(p)
+        X, Y, W = h_point(p)
+        assert W > 0 and Fraction(X, W) == Fraction(p[0]) and Fraction(Y, W) == Fraction(p[1])
 
 
 class TestRationals:

@@ -437,6 +437,55 @@ class TestCornerDecoder:
             assert h_to_point(cell.pts[j]) == pos
 
 
+# Anchors of no anchor's shape, refused when the Guard is made: not a
+# tuple, an unknown kind, the wrong number of indices, an index that is no
+# int or is a bool.
+_BAD_SHAPE = [["hole", 0, 0], "p0", None, ("q", 1), ("x", 0), ("hole", 0), ("p",),
+              ("p", 0, 1), ("hole", 0, 1, 2), (), ("hole", "0", 1), ("hole", 0, 1.0),
+              ("hole", True, 0), ("hole", 1, False), ("p", True), ("p", Fraction(1))]
+
+
+class TestAnchorShape:
+    """`Guard` refuses an anchor of no anchor's shape with a ValueError
+    naming it, before any cache is read; the range against a scene stays
+    with `Scene.corner`."""
+
+    @pytest.mark.parametrize("anchor", _BAD_SHAPE, ids=repr)
+    def test_refused_when_made(self, anchor):
+        with pytest.raises(ValueError, match=re.escape(repr(anchor))):
+            Guard(anchor=anchor, facing=N)
+
+    def test_helpers_refuse_bool_indices(self):
+        for make in (lambda: hole_guard(True, 0, N), lambda: hole_guard(0, False, N),
+                     lambda: p_corner_guard(True, N)):
+            with pytest.raises(ValueError, match="names no corner"):
+                make()
+
+    @pytest.mark.parametrize("cached_first", [True, False], ids=["cached-first", "bool-first"])
+    def test_bool_index_raises_in_either_order(self, monkeypatch, cached_first):
+        """("hole", True, 0) == ("hole", 1, 0), so a cache keyed by guards
+        would answer for it once the int anchor's entry is there."""
+        reset_region_cache(monkeypatch)
+        sc = _two_buildings()
+        good = hole_guard(1, 0, N)
+        if cached_first:
+            visibility_region(sc, good)
+            certify(sc, [good])
+        with pytest.raises(ValueError, match=re.escape(repr(("hole", True, 0)))):
+            visibility_region(sc, Guard(anchor=("hole", True, 0), facing=N))
+        with pytest.raises(ValueError, match=re.escape(repr(("hole", True, 0)))):
+            certify(sc, [Guard(anchor=("hole", True, 0), facing=N)])
+        assert visibility_region(sc, good).guard == good
+        assert certify(sc, [good]).guards == (good,)
+
+    def test_range_stays_with_the_scene(self):
+        sc = _two_buildings()
+        for anchor in (("hole", 2, 0), ("hole", -1, 0), ("hole", 0, 4), ("p", 4), ("p", -1)):
+            g = Guard(anchor=anchor, facing=N)
+            with pytest.raises(ValueError, match=re.escape(repr(anchor))):
+                g.position(sc)
+
+
 class TestRotation:
     def test_scene_round_trip(self):
         sc = parse_city({"bounds": [0, 0, 10, 6],
@@ -495,7 +544,8 @@ class TestRotateGuardsByCornerIndex:
         sc = rot3k1_counterexample()
         good = hole_guard(0, 0, N)
         for bad in (hole_guard(sc.k, 0, N), hole_guard(-1, 0, N), hole_guard(0, 4, N),
-                    hole_guard(0, -1, N), p_corner_guard(4, N), p_corner_guard(-1, N),
-                    Guard(anchor=("x", 0), facing=N)):
+                    hole_guard(0, -1, N), p_corner_guard(4, N), p_corner_guard(-1, N)):
             with pytest.raises(ValueError, match="names no corner"):
                 rotate_guards([good, bad], sc, t)
+        with pytest.raises(ValueError, match="names no corner"):
+            rotate_guards([good, Guard(anchor=("x", 0), facing=N)], sc, t)

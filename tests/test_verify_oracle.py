@@ -1548,6 +1548,46 @@ class TestLazyOracleKeepsItsWork:
         assert set(built) <= {cands[i] for i in chosen} < set(cands)
 
 
+def _residual_scenes():
+    scenes = [gen_random(GeneratorParams(k=k, seed=k + grid, grid=grid))
+              for grid in (30, 200) for k in range(1, 5)]
+    return scenes + [gen_3k1_necessity(1), gen_3k1_necessity(2), rot3k1_counterexample()]
+
+
+class TestResidualDropsWhatItsGuardSees:
+    """Differential: `_residual` on an empty memo, which drops each cell
+    that a chosen guard sees whole before that guard's region cuts,
+    against one `h_subtract` of the base by every chosen region's cells:
+    the same cells, vertices, lines and order, and every cached prefix
+    that of its own subtraction.  Random sorted sets of 1 to 5 candidates,
+    P corners included, on random scenes at k = 1..4 (grids 30 and 200)
+    and the rotated families, and on their shift by 10^17.  The hull
+    proof must drop some cell in the corpus."""
+
+    @pytest.mark.parametrize("shift", [0, 10 ** 17], ids=["plain", "1e17"])
+    def test_same_cells_as_one_subtraction(self, monkeypatch, shift):
+        proofs = []
+        clear = oracle.h_clear
+        monkeypatch.setattr(oracle, "h_clear",
+                            lambda *args: proofs.append(clear(*args)) or proofs[-1])
+        rng = random.Random(46)
+        for sc in _residual_scenes():
+            sc = scaled_and_shifted(sc, 1, shift, shift)
+            base = free_space(sc).pieces
+            cands = candidate_set(sc, include_p_corners=True)
+            regions = [visibility_region(sc, c) for c in cands]
+            for _ in range(25):
+                chosen = sorted(rng.sample(range(len(cands)), rng.randint(1, 5)))
+                residuals = {(): base}
+                got = oracle._residual(sc, residuals, chosen, regions)
+                for n in range(len(chosen) + 1):
+                    expected = h_subtract(base, [c for i in chosen[:n] for c in regions[i].cells])
+                    assert [(c.pts, c.lines) for c in residuals[tuple(chosen[:n])]] == \
+                        [(c.pts, c.lines) for c in expected], (chosen, n)
+                assert got is residuals[tuple(chosen)]
+        assert any(proofs)
+
+
 def _brute_min_hitting_set(masks, n):
     for size in range(n + 1):
         for subset in combinations(range(n), size):
