@@ -11,8 +11,8 @@ import argparse
 import sys
 
 from cityguard.errors import (
-    CityGuardError, GenerationFailedError, PlacementIncompleteError,
-    SceneValidationError,
+    CityGuardError, DegeneratePositionError, GenerationFailedError,
+    PlacementIncompleteError, SceneValidationError,
 )
 from cityguard.io import load_city, load_solution, save_city, save_solution
 from cityguard.model import City
@@ -229,10 +229,12 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (ValueError, SceneValidationError, GenerationFailedError, OSError) as e:
+    except (ValueError, SceneValidationError, DegeneratePositionError,
+            GenerationFailedError, OSError) as e:
         # every refused argument: a malformed file or scene, a scene outside an
-        # algorithm's domain, a guard on no corner of the scene, a k, grid or
-        # --max out of range, or (OSError) a missing or unreadable file
+        # algorithm's domain (two buildings on one axis line, for a placement),
+        # a guard on no corner of the scene, a k, grid or --max out of range,
+        # or (OSError) a missing or unreadable file
         print(f"validation error: {e}", file=sys.stderr)
         return EXIT_VALIDATION
     except PlacementIncompleteError as e:

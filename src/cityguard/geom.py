@@ -11,9 +11,8 @@ region leaves the library, by its `cells` and `rings()`.
 
 The representation is regularized: cells are closed and zero-area pieces
 are dropped, so a PolygonSet always equals the closure of its interior.
-A PolygonSet carries no point test: closed membership of a point in a
-guard's region is `VisibilityRegion.contains`, read off the region's
-runs.
+A PolygonSet carries no point test: closed membership of a point in
+guards' regions is `visibility.AnchorFans.mask`, read off their fans.
 
 Sight segments against buildings have one exact test, `interior_run`:
 the run of a segment inside a building's open interior, found by one

@@ -8,7 +8,12 @@ Instance file:
 Solution file:
     { "algorithm": tag,
       "guards": [ { "anchor": {"building": i, "corner": c}
-                    or {"p_corner": c}, "facing": [dx, dy] } ... ] }
+                    or {"p_corner": c}, "facing": [dx, dy] } ... ],
+      "trace": [ [label, ...] ... ] }
+
+A solution's trace, the placement's record of its case dispatch and roof
+repairs, is written only when it is non-empty: each entry a list that
+starts with a string label, then strings, integers and lists of them.
 
 Rationals are integer tokens or strings "p/q" with q > 0.  Serialization
 is canonical: sorted keys, rationals in lowest terms, corners indexed
@@ -142,10 +147,39 @@ def _index(anchor, key, path, limit=None):
     return value
 
 
+def _trace_value(value, path):
+    """A trace item read back: a string, an integer (not a bool), or a list
+    of them, nested, made a tuple."""
+    if isinstance(value, str) or (isinstance(value, int) and not isinstance(value, bool)):
+        return value
+    if isinstance(value, list):
+        return tuple(_trace_value(v, path) for v in value)
+    raise FormatError("trace items are strings, integers and lists of them", path)
+
+
+def _parse_trace(trace) -> tuple:
+    if not isinstance(trace, list):
+        raise FormatError("trace must be a list", "$.trace")
+    entries = []
+    for i, entry in enumerate(trace):
+        path = f"$.trace[{i}]"
+        if not (isinstance(entry, list) and entry and isinstance(entry[0], str)):
+            raise FormatError("a trace entry is a list that starts with a string label", path)
+        try:
+            entries.append(_trace_value(entry, path))
+        except RecursionError:
+            raise FormatError("nested too deeply", path)
+    return tuple(entries)
+
+
+def _trace_doc(value):
+    return [_trace_doc(v) for v in value] if isinstance(value, tuple) else value
+
+
 def parse_solution(doc) -> Solution:
     """Parse a solution document.  Building indices are only checked to be
     non-negative here; `Guard.position` checks them against a scene."""
-    _check_keys(doc, {"algorithm", "guards"}, {"algorithm", "guards"}, "$")
+    _check_keys(doc, {"algorithm", "guards", "trace"}, {"algorithm", "guards"}, "$")
     if not isinstance(doc["guards"], list):
         raise FormatError("guards must be a list", "$.guards")
     guards = []
@@ -173,7 +207,8 @@ def parse_solution(doc) -> Solution:
         if fx == 0 and fy == 0:
             raise FormatError("facing must be a nonzero direction", fpath)
         guards.append(Guard(anchor=a, facing=(fx, fy)))
-    return Solution(algorithm=str(doc["algorithm"]), guards=tuple(guards))
+    return Solution(algorithm=str(doc["algorithm"]), guards=tuple(guards),
+                    trace=_parse_trace(doc.get("trace", [])))
 
 
 def load_solution(path) -> Solution:
@@ -189,7 +224,10 @@ def solution_doc(sol: Solution) -> dict:
             anchor = {"p_corner": g.anchor[1]}
         guards.append({"anchor": anchor,
                        "facing": [rational_str(g.facing[0]), rational_str(g.facing[1])]})
-    return {"algorithm": sol.algorithm, "guards": guards}
+    doc = {"algorithm": sol.algorithm, "guards": guards}
+    if sol.trace:
+        doc["trace"] = _trace_doc(sol.trace)
+    return doc
 
 
 def save_solution(sol: Solution, path):

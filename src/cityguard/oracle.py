@@ -23,11 +23,12 @@ Each round keeps its work for the next, within one call:
   then `h_clear`), as the region would leave nothing of them;
   `h_subtract` cuts each cell on its own and one cutter after another,
   so the cells are those of one subtraction of all of them;
-* the regions' runs: a mask reads `VisibilityRegion.contains`, which
-  locates the witness among a region's runs by integer orientation tests
-  and gives the closed test over its cells bit for bit, so only the
-  regions that a round subtracts (or, when the search fails, all of
-  them) build their cells.
+* the fans: a mask reads one fan per candidate anchor
+  (`visibility.AnchorFans`), one search for the wedge that holds the
+  witness and one sign test per candidate there, which gives the
+  closed test over the regions' cells bit for bit; so only the regions
+  that a round subtracts (or, when the search fails, all of them) are
+  walked and build their cells.
 
 Why the answer is exact:
 
@@ -73,7 +74,7 @@ from cityguard.model import (
     wall_aligned_facings,
 )
 from cityguard.verify import free_space, interior_points
-from cityguard.visibility import sees, visibility_region
+from cityguard.visibility import AnchorFans, sees, visibility_region
 
 OPTIMAL = "OPTIMAL"
 INFEASIBLE_WITHIN = "INFEASIBLE_WITHIN"
@@ -157,7 +158,7 @@ def _certify_and_refine(scene: Scene, candidates, base, max_count: int):
     What each round carries to the next is listed in the module
     docstring."""
     _check_max_count(max_count)
-    regions = [visibility_region(scene, c) for c in candidates]
+    regions = AnchorFans(scene, candidates)
     residuals = {(): base}
     witnesses = []
     masks = []
@@ -166,14 +167,14 @@ def _certify_and_refine(scene: Scene, candidates, base, max_count: int):
     while True:
         for cell in fresh:
             hp = h_mean(cell)
-            mask = sum(1 << i for i, region in enumerate(regions) if region.contains(hp))
+            mask = regions.mask(hp)
             witnesses.append((h_to_point(hp), mask))
             masks.append(mask)
             if not mask:
                 break  # nothing hits it, so the search fails at once
         best = min_hitting_set(masks, max_count, lower)
         if best is None:
-            rest = h_subtract(base, [c for region in regions for c in region.cells])
+            rest = h_subtract(base, [c for i in range(len(candidates)) for c in regions[i].cells])
             if not rest:
                 return INFEASIBLE_WITHIN, None, None, tuple(witnesses)
             witness = next(p for p in interior_points(max(rest, key=h_area2))

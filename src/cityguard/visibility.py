@@ -31,13 +31,16 @@ Two independent routes to the same predicate:
   region.  The scene cache keeps the last anchor's fan, so the facings
   of one corner, asked for in turn, share one sweep and the edges' lines.
 
-A region keeps its runs and builds its cells from them on first read:
-`contains` locates a point among the runs by exact integer orientation
-tests and one side test on the run's line, so the oracle's masks build
-no cell.  The triangles are built as homogeneous integer cells (HCell,
-see geom.py): each ray hit is the reduced integer meet of the ray's line
-and the edge's line, and every run with a line turns strictly CCW
-(`_triangle`), so the cells enter the clipping kernel as they are.
+A region keeps its runs and builds its cells from them on first read.
+The oracle reads the regions of many guards at many points without
+walking them (`AnchorFans`): it keeps one fan per anchor, and one binary
+search of its corner directions, at most two side tests on wedge
+blocker lines and one sign test per facing give the closed membership
+of a point in the regions of every guard at that anchor.  The triangles
+are built as homogeneous integer cells (HCell, see geom.py): each ray
+hit is the reduced integer meet of the ray's line and the edge's line,
+and every run with a line turns strictly CCW (`_triangle`), so the cells
+enter the clipping kernel as they are.
 
 The region is regularized (a union of closed 2D cells).  Sight lines
 that are visible only along a 1D segment collinear with the guard's
@@ -80,8 +83,7 @@ class VisibilityRegion:
 
     `runs` are the fan walk's (d1, line, d2) triples in arc order from the
     facing's e1 (`_Fan.region`), line the blocking edge's or None; they
-    share the fan's line tuples.  `contains` is the exact closed
-    membership test on them.  `cells` are the disjoint HCells, one
+    share the fan's line tuples.  `cells` are the disjoint HCells, one
     triangle per run that has a line, in CCW order from direction (1, 0),
     built from the runs on first read."""
 
@@ -103,50 +105,6 @@ class VisibilityRegion:
         runs, first, hpos = self.runs, self._first, self._hpos
         return tuple(HCell(*_triangle(hpos, d1, line, d2))
                      for d1, line, d2 in runs[first:] + runs[:first] if line is not None)
-
-    @staticmethod
-    def _holds(run, X, Y, W) -> bool:
-        """(X, Y, W), in the run's closed cone, is in its triangle: on or
-        inside the edge line."""
-        line = run[1]
-        return line is not None and line[0] * X + line[1] * Y + line[2] * W >= 0
-
-    def contains(self, hp) -> bool:
-        """Closed membership of the homogeneous point hp: hp is on or
-        inside every edge line of some one of `self.cells`, decided
-        without building a cell.
-
-        A cell's ray lines take the value cross(d, v) at hp, v = hp - apex,
-        so a point is in a cell iff v lies in the run's closed cone and hp
-        on or inside the edge line.  The closed half-plane is the cone from
-        e1 (cross(e1, v) >= 0); within it cross(s, v) >= 0 holds for a
-        prefix of the other run starts, so a binary search finds the last
-        run j whose start is not after v.  The closed cones meet only on
-        their shared rays, so only run j can hold hp, and run j - 1 when v
-        lies on j's start.  The apex, v = 0, lies in every cone, where
-        the search would read only the last run: it is a vertex of every
-        cell, so it is held iff some run has a line."""
-        X, Y, W = hp
-        px, py, pw = self._hpos
-        vx, vy = pw * X - px * W, pw * Y - py * W
-        runs = self.runs
-        sx, sy = runs[0][0]
-        if sx * vy < sy * vx:
-            return False
-        if not (vx or vy):
-            return any(self._holds(run, X, Y, W) for run in runs)
-        lo, hi = 0, len(runs)
-        while hi - lo > 1:
-            mid = (lo + hi) // 2
-            sx, sy = runs[mid][0]
-            if sx * vy < sy * vx:
-                hi = mid
-            else:
-                lo = mid
-        if self._holds(runs[lo], X, Y, W):
-            return True
-        sx, sy = runs[lo][0]
-        return lo > 0 and sx * vy == sy * vx and self._holds(runs[lo - 1], X, Y, W)
 
 
 def _angular_cmp(d1, d2):
@@ -205,6 +163,40 @@ def visibility_region(scene: Scene, g: Guard) -> VisibilityRegion:
             fan = slot[0] = _Fan(scene, g)
         vr = regions[g] = fan.region(g)
     return vr
+
+
+class AnchorFans:
+    """The regions of a list of guards, read through one fan per anchor.
+
+    `mask(hp)` is the int bitmask of the guards whose closed region holds
+    the homogeneous point hp, from one search of each anchor's fan
+    (`_Fan.mask`), with no region walked.  `self[i]` is guard i's region,
+    walked from its anchor's fan on first read and filed in the scene
+    cache, so that `visibility_region` returns the same object.  Every
+    anchor's fan is kept at once, so each reads all its blockers when it
+    is built and keeps no edge list (`_Fan.settle`)."""
+
+    def __init__(self, scene: Scene, guards):
+        self.scene, self.guards = scene, guards
+        members = {}
+        for i, g in enumerate(guards):
+            members.setdefault(g.anchor, []).append((1 << i, g))
+        self._fans, self._groups = {}, []
+        for anchor, group in members.items():
+            fan = self._fans[anchor] = _Fan(scene, group[0][1])
+            fan.settle()
+            self._groups.append((fan, group))
+
+    def mask(self, hp) -> int:
+        return sum(fan.mask(hp, group) for fan, group in self._groups)
+
+    def __getitem__(self, i) -> VisibilityRegion:
+        g = self.guards[i]
+        regions = scene_cache(self.scene)[0]
+        vr = regions.get(g)
+        if vr is None:
+            vr = regions[g] = self._fans[g.anchor].region(g)
+        return vr
 
 
 _ANGULAR = cmp_to_key(_angular_cmp)  # the fan's bisection key
@@ -287,6 +279,70 @@ class _Fan:
             best = self.blockers[i] = best and best[2]
         return best
 
+    def settle(self):
+        """Read every wedge's blocker, then drop the edge lists that only
+        `_blocker` reads, for a fan kept to be searched (`mask`); `half`
+        is the index of the first direction at or past (-1, 0), where the
+        directions' lower half starts."""
+        for i in range(len(self.dirs)):
+            self._blocker(i)
+        del self.wedge_edges
+        self.half = next((i for i, (dx, dy) in enumerate(self.dirs)
+                          if dy < 0 or (dy == 0 and dx < 0)), len(self.dirs))
+
+    def mask(self, hp, group) -> int:
+        """The sum of the bits of the (bit, guard) pairs of `group`, guards
+        at this anchor, whose closed region holds the homogeneous point hp;
+        the fan is settled (`settle`).
+
+        With v = hp - apex, a binary search finds the wedge w whose
+        half-open arc [dirs[w], dirs[w + 1]) holds v's direction, within
+        v's half of the circle, where cross(d, v) >= 0 holds for a prefix
+        of the directions; v is on a ray when it lies on dirs[w].  A wedge
+        holds hp when it has a blocker and hp is on or inside its line.  A
+        region is its wedges' parts in the closed front half-plane, so for
+        a facing f, e1 = (fy, -fx):
+        f.v < 0, hp is behind; f.v > 0, wedge w holds it, or on a ray
+        wedge w - 1; f.v = 0 along e1, only w, the wedge CCW of v; f.v = 0
+        along e2 = -e1, only the wedge CW of v, w - 1 on a ray and w
+        otherwise.  So wedge w - 1 is read only on a ray.  The apex,
+        v = 0, is a vertex of every cell: a region holds it iff it has a
+        run with a line."""
+        X, Y, W = hp
+        px, py, pw = self.hpos
+        vx, vy = pw * X - px * W, pw * Y - py * W
+        if not (vx or vy):
+            return sum(bit for bit, g in group
+                       if any(line is not None for _, line, _ in self.region(g).runs))
+        dirs, blockers = self.dirs, self.blockers
+        if vy > 0 or (vy == 0 and vx > 0):
+            start, hi = 0, self.half
+        else:
+            start, hi = self.half, len(dirs)
+        lo = start
+        while lo < hi:
+            mid = (lo + hi) // 2
+            dx, dy = dirs[mid]
+            if dx * vy >= dy * vx:
+                lo = mid + 1
+            else:
+                hi = mid
+        w = lo - 1  # -1 wraps to the last wedge
+        held = _inside(blockers[w], hp)
+        if lo > start and dirs[w][0] * vy == dirs[w][1] * vx:  # on a ray
+            held_cw = _inside(blockers[w - 1], hp)
+        else:
+            held_cw = held
+        if not (held or held_cw):
+            return 0
+        out = 0
+        for bit, g in group:
+            fx, fy = g.facing
+            s = fx * vx + fy * vy
+            if s > 0 or s == 0 and (held if fy * vx > fx * vy else held_cw):
+                out += bit
+        return out
+
     def region(self, g: Guard) -> VisibilityRegion:
         """The region of g, a guard at this anchor.  Its front arc runs CCW
         from e1 = facing turned clockwise to e2 = -e1; an edge direction
@@ -321,6 +377,12 @@ class _Fan:
                 first += k < nd
         runs.append((start, line, e2))
         return VisibilityRegion(g, tuple(runs), first, self.hpos)
+
+
+def _inside(line, hp) -> bool:
+    """hp is on or inside a wedge's blocker line; a wedge without one
+    holds nothing."""
+    return line is not None and line[0] * hp[0] + line[1] * hp[1] + line[2] * hp[2] >= 0
 
 
 def _triangle(hpos, d1, edge, d2):

@@ -10,14 +10,17 @@ from cityguard.errors import SceneValidationError
 from cityguard.geom import Point, h_to_point
 from cityguard.instances import GeneratorParams, gen_random, gen_random_city
 from cityguard.io import (
-    FormatError, certificate_doc, load_city, load_solution, parse_city, parse_solution,
-    save_city, save_solution,
+    FormatError, canonical_json, certificate_doc, load_city, load_solution, parse_city,
+    parse_solution, save_city, save_solution, solution_doc,
 )
 from cityguard.model import W, hole_guard, p_corner_guard, Solution
-from cityguard.placement import guards_2k1
+from cityguard.placement import (
+    ALLOW_P_CORNER, BUILDINGS_ONLY, city_guarding, guards_2k1, guards_main,
+)
 from cityguard.svg import render_svg
 from cityguard.verify import certify
 from references import reset_region_cache
+from test_placement import CASE3_BASES
 
 
 def city_a_doc():
@@ -79,6 +82,39 @@ class TestFormats:
         save_solution(sol2, tmp_path / "sol2.json")
         assert (tmp_path / "sol2.json").read_bytes() == path.read_bytes()
 
+    def test_trace_round_trip(self):
+        """A placement's trace survives its document, its lists made tuples
+        again, and a solution without one writes no `trace`: `guards_main`,
+        `guards_2k1` and both `city_guarding` modes on random cities at
+        k = 1..8 and on the Case 3ii city."""
+        cities = [gen_random_city(GeneratorParams(k=k, seed=k, grid=40 * k)) for k in range(1, 9)]
+        cities.append(parse_city({"bounds": [0, 0, 1000, 1000], "buildings": [
+            {"base": b, "height": i + 1}
+            for i, b in enumerate(CASE3_BASES + [[925, 505, 945, 515]])]}))
+        labels = set()
+        for city in cities:
+            for place in (guards_main, guards_2k1,
+                          lambda sc: city_guarding(city, BUILDINGS_ONLY),
+                          lambda sc: city_guarding(city, ALLOW_P_CORNER)):
+                sol = place(city.scene)
+                doc = solution_doc(sol)
+                assert ("trace" in doc) == bool(sol.trace)
+                assert parse_solution(doc) == sol
+                assert parse_solution(json.loads(canonical_json(doc))) == sol
+                labels.update(entry[0] for entry in sol.trace)
+        assert {"case0", "case3ii", "mode", "roof-fix"} <= labels
+
+    def test_deep_trace_rejected_with_path(self):
+        """A trace nested past the interpreter's recursion limit is a
+        format error, not a RecursionError; the JSON parser alone accepts
+        nesting this deep."""
+        deep = []
+        for _ in range(600):
+            deep = [deep]
+        with pytest.raises(FormatError) as e:
+            parse_solution({"algorithm": "x", "guards": [], "trace": [["a", deep]]})
+        assert e.value.path == "$.trace[0]"
+
     def test_quad_round_trip(self, tmp_path):
         doc = {"bounds": [0, 0, 20, 20],
                "buildings": [{"quad": [[10, 4], [14, 8], [10, 12], [6, 8]],
@@ -113,6 +149,15 @@ class TestFormats:
         (parse_solution, {"algorithm": "x", "guards": [3]}, "$.guards[0]"),
         (parse_solution, {"algorithm": "x", "guards": [{"anchor": 3, "facing": [1, 0]}]},
          "$.guards[0].anchor"),
+        (parse_solution, {"algorithm": "x", "guards": [], "trace": 5}, "$.trace"),
+        (parse_solution, {"algorithm": "x", "guards": [], "trace": [[]]}, "$.trace[0]"),
+        (parse_solution, {"algorithm": "x", "guards": [], "trace": [["a"], [1, "b"]]},
+         "$.trace[1]"),
+        (parse_solution, {"algorithm": "x", "guards": [], "trace": [["a", [True]]]},
+         "$.trace[0]"),
+        (parse_solution, {"algorithm": "x", "guards": [], "trace": [["a", 1.5]]}, "$.trace[0]"),
+        (parse_solution, {"algorithm": "x", "guards": [], "trace": [["a"], ["b", {"c": 1}]]},
+         "$.trace[1]"),
         (parse_city, {"bounds": [0, 0, 10, 10], "buildings": 5}, "$.buildings"),
         (parse_city, {"bounds": [0, 0, 10, 10], "buildings": [7]}, "$.buildings[0]"),
         # JSON booleans are not rationals, although Python counts them as ints

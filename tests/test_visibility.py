@@ -4,11 +4,12 @@ import weakref
 from fractions import Fraction
 from functools import lru_cache
 from itertools import permutations
-from math import atan2
+from math import atan2, ceil
 
 import pytest
 
 import cityguard.geom as geom
+import cityguard.oracle as oracle
 import cityguard.visibility as visibility
 
 from cityguard.cli import main
@@ -20,8 +21,8 @@ from cityguard.geom import (
 from cityguard.instances import GeneratorParams, gen_3k1_necessity, gen_random
 from cityguard.io import parse_city
 from cityguard.model import E, N, S, Guard, Scene, W, hole_guard, p_corner_guard
-from cityguard.oracle import OPTIMAL, candidate_set, optimal_guard_count
-from cityguard.visibility import _angular_cmp, sees, visibility_region
+from cityguard.oracle import INFEASIBLE_WITHIN, OPTIMAL, candidate_set, optimal_guard_count
+from cityguard.visibility import AnchorFans, _angular_cmp, sees, visibility_region
 from counterexample_3k1 import rot3k1_counterexample
 from references import (
     h_cells_contain, in_open_hole, region_contains, reset_region_cache, scaled_and_shifted,
@@ -313,13 +314,18 @@ class TestFanAgainstSweep:
 
 def _membership_scenes():
     """Random scenes at k = 1..3 on grids 20, 30 and 40, where grazing and
-    collinear lines are common, and the rotated 3k+1 family at k = 1, 2."""
+    collinear lines are common, the rotated 3k+1 family at k = 1, 2, and
+    a random scene scaled by 1/3 and one shifted by 10^17."""
     cases = [pytest.param(lambda k=k, grid=grid: gen_random(
                               GeneratorParams(k=k, seed=grid + k, grid=grid)),
                           id=f"random-k{k}-grid{grid}")
              for grid in (20, 30, 40) for k in (1, 2, 3)]
-    return cases + [pytest.param(lambda k=k: gen_3k1_necessity(k), id=f"rot3k1-k{k}")
-                    for k in (1, 2)]
+    cases += [pytest.param(lambda k=k: gen_3k1_necessity(k), id=f"rot3k1-k{k}")
+              for k in (1, 2)]
+    return cases + [pytest.param(lambda s=s, d=d: scaled_and_shifted(gen_random(
+                                     GeneratorParams(k=3, seed=43, grid=40)), s, d, d),
+                                 id=name)
+                    for name, s, d in (("thirds", Fraction(1, 3), 0), ("1e17", 1, 10 ** 17))]
 
 
 def _h_mid(a, b):
@@ -349,58 +355,107 @@ def _probe_points(sc, vr):
                       aw * hit[2])
             pts |= {_h_mid(apex, hit), hit, beyond}
     fx, fy = vr.guard.facing
-    span = 2 * max(sc.bounds.x1 - sc.bounds.x0, sc.bounds.y1 - sc.bounds.y0)
+    span = ceil(2 * max(sc.bounds.x1 - sc.bounds.x0, sc.bounds.y1 - sc.bounds.y0))
     pts |= {(2 * ax + t * fy * aw, 2 * ay - t * fx * aw, 2 * aw) for t in range(-span, span + 1)}
     return pts
 
 
+def _ray_points(sc, g):
+    """The apex, and the points on the rays from g's anchor through every
+    vertex of the scene and along both edge directions of its half-plane
+    (e1 and e2), at 1/3, 1/2, 3/2 and 2 of the vertex's distance or of
+    the bounds' larger side."""
+    pos = g.position(sc)
+    fx, fy = g.facing
+    span = max(sc.bounds.x1 - sc.bounds.x0, sc.bounds.y1 - sc.bounds.y0)
+    ends = [c for h in sc.holes for c in h.corners()] + list(sc.bounds.corners())
+    ends += [Point(pos.x + fy * span, pos.y - fx * span), Point(pos.x - fy * span, pos.y + fx * span)]
+    pts = {h_point(pos)}
+    for t in (Fraction(1, 3), Fraction(1, 2), Fraction(3, 2), 2):
+        pts |= {h_point(Point(pos.x + t * (q.x - pos.x), pos.y + t * (q.y - pos.y)))
+                for q in ends if q != pos}
+    return pts
+
+
 class TestMembership:
-    """Differential: `VisibilityRegion.contains`, the point location in a
-    region's runs, equals the closed test over its cells,
-    `h_cells_contain(visibility_region(sc, g).cells, hp)`, for every
-    candidate with P corners, at the points where a closed test can slip
-    (`_probe_points`) and at the witnesses of one oracle call."""
+    """Differential: the fans' masks (`AnchorFans.mask`), one search per
+    anchor, equal the closed test over each region's cells,
+    `h_cells_contain(visibility_region(sc, g).cells, hp)`, bit by bit for
+    every candidate with P corners, at the points where a closed test can
+    slip (`_probe_points`, `_ray_points`) and at the witnesses of one
+    oracle call."""
 
     @pytest.mark.parametrize("make", _membership_scenes())
     def test_equals_the_cells_test(self, make):
         sc = make()
         cands = candidate_set(sc, include_p_corners=True)
+        fans = AnchorFans(sc, cands)
         regions = [visibility_region(sc, g) for g in cands]
-        for vr in regions:
-            assert vr.contains(h_point(vr.guard.position(sc))) == bool(vr.cells)
-            for hp in _probe_points(sc, vr):
-                assert vr.contains(hp) == h_cells_contain(vr.cells, hp), (vr.guard, hp)
+        at = {}
+        for i, g in enumerate(cands):
+            at.setdefault(g.anchor, []).append(i)
+        for group in at.values():
+            pts = set()
+            for i in group:
+                pts |= _probe_points(sc, regions[i]) | _ray_points(sc, cands[i])
+            for hp in pts:
+                mask = fans.mask(hp)
+                for i in group:
+                    assert bool(mask >> i & 1) == h_cells_contain(regions[i].cells, hp), \
+                        (cands[i], hp)
+            apex = h_point(cands[group[0]].position(sc))
+            assert [fans.mask(apex) >> i & 1 for i in group] == \
+                [bool(regions[i].cells) for i in group]
         res = optimal_guard_count(sc, cands, 3 * sc.k + 1)
         assert res.status == OPTIMAL
         for p, mask in res.faces:
             hp = h_point(p)
-            for i, vr in enumerate(regions):
-                assert vr.contains(hp) == bool(mask >> i & 1) == h_cells_contain(vr.cells, hp)
+            assert mask == fans.mask(hp) == \
+                sum(1 << i for i, vr in enumerate(regions) if h_cells_contain(vr.cells, hp))
 
-    def test_contains_builds_no_triangle(self, monkeypatch):
-        """`contains` reads each run's line: at the witnesses of one
-        oracle call, every candidate's fresh region answers without a
-        `_triangle` call and without building its cells."""
+    def test_masks_walk_no_region(self, monkeypatch):
+        """The masks read the fans' blockers: at the witnesses of one
+        oracle call, fresh fans answer with no `_triangle` call and no
+        region walk (`_Fan.region`).  A call walks only the regions of
+        candidates that some round chose, each once; a call that ends
+        INFEASIBLE_WITHIN subtracts, and so walks, every region."""
+        reset_region_cache(monkeypatch)
+        triangles, walks, chosen = [], [], set()
+        triangle, walk, search = visibility._triangle, visibility._Fan.region, \
+            oracle.min_hitting_set
+        monkeypatch.setattr(visibility, "_triangle",
+                            lambda *a: triangles.append(a) or triangle(*a))
+        monkeypatch.setattr(visibility._Fan, "region",
+                            lambda fan, g: walks.append(g) or walk(fan, g))
+
+        def recorded(*args):
+            best = search(*args)
+            chosen.update(best or ())
+            return best
+
+        monkeypatch.setattr(oracle, "min_hitting_set", recorded)
         sc = gen_random(GeneratorParams(k=2, seed=32, grid=30))
         cands = candidate_set(sc, include_p_corners=True)
         res = optimal_guard_count(sc, cands, 3 * sc.k + 1)
         assert res.status == OPTIMAL
+        assert walks and len(walks) == len(set(walks))
+        assert set(walks) <= {cands[i] for i in chosen} < set(cands)
         reset_region_cache(monkeypatch)
-        calls = []
-        real = visibility._triangle
-        monkeypatch.setattr(visibility, "_triangle", lambda *a: calls.append(a) or real(*a))
-        regions = [visibility_region(sc, g) for g in cands]
-        for p, mask in res.faces:
-            hp = h_point(p)
-            assert [vr.contains(hp) for vr in regions] == \
-                [bool(mask >> i & 1) for i in range(len(regions))]
-        assert not calls
-        assert not any("cells" in vars(vr) for vr in regions)
+        triangles.clear(), walks.clear()
+        fans = AnchorFans(sc, cands)
+        assert [fans.mask(h_point(p)) for p, _ in res.faces] == [m for _, m in res.faces]
+        assert not triangles and not walks
+        sc = gen_3k1_necessity(2)
+        cands = candidate_set(sc)
+        reset_region_cache(monkeypatch)
+        walks.clear()
+        assert optimal_guard_count(sc, cands, 6).status == INFEASIBLE_WITHIN
+        assert sorted(walks) == sorted(cands)
 
     def test_run_without_area_raises(self, monkeypatch):
         """A run with a line always has area (`_triangle`); a triangle
         that does not turn strictly CCW raises instead of being skipped,
-        which would leave `contains` holding points that no cell holds."""
+        which would leave the masks holding points that no cell holds."""
         monkeypatch.setattr(visibility, "_h_orient", lambda *a: 0)
         reset_region_cache(monkeypatch)
         sc = gen_random(GeneratorParams(k=2, seed=32, grid=30))
