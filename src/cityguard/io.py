@@ -180,6 +180,8 @@ def parse_solution(doc) -> Solution:
     """Parse a solution document.  Building indices are only checked to be
     non-negative here; `Guard.position` checks them against a scene."""
     _check_keys(doc, {"algorithm", "guards", "trace"}, {"algorithm", "guards"}, "$")
+    if not isinstance(doc["algorithm"], str):
+        raise FormatError("algorithm must be a string", "$.algorithm")
     if not isinstance(doc["guards"], list):
         raise FormatError("guards must be a list", "$.guards")
     guards = []
@@ -207,7 +209,7 @@ def parse_solution(doc) -> Solution:
         if fx == 0 and fy == 0:
             raise FormatError("facing must be a nonzero direction", fpath)
         guards.append(Guard(anchor=a, facing=(fx, fy)))
-    return Solution(algorithm=str(doc["algorithm"]), guards=tuple(guards),
+    return Solution(algorithm=doc["algorithm"], guards=tuple(guards),
                     trace=_parse_trace(doc.get("trace", [])))
 
 

@@ -20,12 +20,15 @@ Two independent routes to the same predicate:
   inside a P corner's.  P's corners keep every wedge around a hole
   corner below 180 degrees; around a P corner the one wedge of 180
   degrees or more lies outside its cone.
-  A facing adds the two edge directions of its half-plane by bisection.
-  An edge direction inside a wedge splits it into two parts with the
+  Every edge is held as its cell's line, negated where needed to run
+  CCW about the anchor, and walks the wedges it spans once, when the
+  fan is built, comparing itself in each with the nearest edge so far.
+  A facing places the two edge directions of its half-plane among the
+  corner directions by one integer binary search (`_Fan._locate`, the
+  same search that places a point for the membership test below).  An
+  edge direction inside a wedge splits it into two parts with the
   wedge's nearest edge, every part then lies wholly in front of the
   guard or wholly behind it, and only the parts in front are walked.
-  Every edge is held as its cell's line, negated where needed to run
-  CCW about the anchor.
   Each run of parts stopped by one edge, (d1, line, d2), gives the
   triangle guard/ray1-hit/ray2-hit; the union of the triangles is the
   region.  The scene cache keeps the last anchor's fan, so the facings
@@ -33,8 +36,8 @@ Two independent routes to the same predicate:
 
 A region keeps its runs and builds its cells from them on first read.
 The oracle reads the regions of many guards at many points without
-walking them (`AnchorFans`): it keeps one fan per anchor, and one binary
-search of its corner directions, at most two side tests on wedge
+walking them (`AnchorFans`): it keeps one fan per anchor, and one
+`_locate` search of its corner directions, at most two side tests on wedge
 blocker lines and one sign test per facing give the closed membership
 of a point in the regions of every guard at that anchor.  The triangles
 are built as homogeneous integer cells (HCell, see geom.py): each ray
@@ -50,7 +53,6 @@ coverage certificates compare areas, so this loses nothing.
 
 from __future__ import annotations
 
-from bisect import bisect_left
 from functools import cached_property, cmp_to_key
 from math import atan2, gcd, tau
 
@@ -109,10 +111,9 @@ class VisibilityRegion:
 
 def _angular_cmp(d1, d2):
     """CCW order starting at direction (1, 0)."""
-    h1 = 0 if (d1[1] > 0 or (d1[1] == 0 and d1[0] > 0)) else 1
-    h2 = 0 if (d2[1] > 0 or (d2[1] == 0 and d2[0] > 0)) else 1
-    if h1 != h2:
-        return -1 if h1 < h2 else 1
+    u1, u2 = _upper(*d1), _upper(*d2)
+    if u1 != u2:
+        return -1 if u1 else 1
     c = d1[0] * d2[1] - d1[1] * d2[0]
     if c > 0:
         return -1
@@ -173,8 +174,8 @@ class AnchorFans:
     (`_Fan.mask`), with no region walked.  `self[i]` is guard i's region,
     walked from its anchor's fan on first read and filed in the scene
     cache, so that `visibility_region` returns the same object.  Every
-    anchor's fan is kept at once, so each reads all its blockers when it
-    is built and keeps no edge list (`_Fan.settle`)."""
+    anchor's fan is kept at once: a fan holds its directions and one
+    blocker line per wedge, and no edge list."""
 
     def __init__(self, scene: Scene, guards):
         self.scene, self.guards = scene, guards
@@ -184,7 +185,6 @@ class AnchorFans:
         self._fans, self._groups = {}, []
         for anchor, group in members.items():
             fan = self._fans[anchor] = _Fan(scene, group[0][1])
-            fan.settle()
             self._groups.append((fan, group))
 
     def mask(self, hp) -> int:
@@ -199,26 +199,22 @@ class AnchorFans:
         return vr
 
 
-_ANGULAR = cmp_to_key(_angular_cmp)  # the fan's bisection key
-_UNREAD = object()  # a wedge's blocker not found yet
-
-
 class _Fan:
     """The sweep around one anchor corner, shared by every facing there.
 
     Wedge i runs from dirs[i] to dirs[i + 1] (cyclically) between
     consecutive corner directions; its nearest edge and the side of the
     anchor's cone it lies on do not depend on the facing, so its blocker
-    is found once, on first read."""
+    line (None where no edge blocks) is found once, when the fan is
+    built.  `half` is the index of the first direction at or past
+    (-1, 0), where the directions' lower half starts."""
 
     def __init__(self, scene: Scene, g: Guard):
         anchor_cell, j = scene.corner(g.anchor)  # ValueError: no such corner
         self.anchor = g.anchor
-        self.on_hole = g.on_hole()
+        on_hole = g.on_hole()
         cells = scene.cells  # P's boundary is the last cell: its edges block too
         self.hpos = px, py, pw = anchor_cell.pts[j]
-        # the anchor's cone: the normals of its two incident lines
-        self.cone = (anchor_cell.lines[j - 1][:2], anchor_cell.lines[j][:2])
 
         # per cell, the primitive direction to each vertex; None at the anchor
         rays = []
@@ -232,12 +228,32 @@ class _Fan:
         self.dirs = dirs = _sorted_directions({r for row in rays for r in row if r})
         nd = len(dirs)
         dir_index = {d: i for i, d in enumerate(dirs)}
+        self.half = next((i for i, d in enumerate(dirs) if not _upper(*d)), nd)
 
-        # Each edge goes to every wedge of the cyclic range it spans, its
-        # line directed CCW about the anchor (of value v > 0 there).  A line
-        # through the anchor is an incident or a collinear edge's: neither
-        # blocks.
-        self.wedge_edges = wedge_edges = [[] for _ in range(nd)]
+        # Each wedge's middle ray m = d1 + d2, held as -m; a wedge in the
+        # anchor hole (outside P's corner cone, for a P-corner guard) holds
+        # (0, 0) instead, so that no edge blocks it.  The cone is read on
+        # the normals of the anchor's two incident lines.  A wedge of 180
+        # degrees or more, whose m is no middle ray, occurs only outside a
+        # P corner, and no edge spans it.
+        (a1, b1), (a2, b2) = anchor_cell.lines[j - 1][:2], anchor_cell.lines[j][:2]
+        mids = []
+        for d1, d2 in zip(dirs, dirs[1:] + dirs[:1]):
+            mx, my = d1[0] + d2[0], d1[1] + d2[1]
+            kept = (a1 * mx + b1 * my > 0 and a2 * mx + b2 * my > 0) != on_hole
+            mids.append((-mx, -my) if kept else (0, 0))
+
+        # Each edge walks the cyclic range of wedges it spans, its line
+        # directed CCW about the anchor (of value v > 0 there); a line
+        # through the anchor is an incident or a collinear edge's, and
+        # neither blocks.  On a middle ray pos + t*m the line takes
+        # v - t * W * den, den = -(A*mx + B*my), W the anchor's weight: the
+        # ray meets it ahead iff den > 0, at t proportional to v / den, and
+        # the least ratio is the nearest edge, the first in cell and edge
+        # order on a tie.  Per wedge, bv / bd is the least ratio so far, of
+        # the edge whose line is blockers[i]; 1 / 0 is that of no edge.
+        bv, bd = [1] * nd, [0] * nd
+        self.blockers = blockers = [None] * nd
         for cell, row in zip(cells, rays):
             n = len(row)
             for e, line in enumerate(cell.lines):
@@ -247,61 +263,45 @@ class _Fan:
                     continue
                 ra, rb = row[e], row[(e + 1) % n]
                 if v < 0:
-                    line, v, ra, rb = (-A, -B, -C), -v, rb, ra
-                entry = (line, v)
-                i, ib = dir_index[ra], dir_index[rb]
-                while i != ib:
-                    wedge_edges[i].append(entry)
-                    i = (i + 1) % nd
-        self.blockers = [_UNREAD] * nd
+                    A, B, C, v, ra, rb = -A, -B, -C, -v, rb, ra
+                    line = (A, B, C)
+                ia, ib = dir_index[ra], dir_index[rb]
+                for i in range(ia, ib) if ia < ib else [*range(ia, nd), *range(ib)]:
+                    nmx, nmy = mids[i]
+                    den = A * nmx + B * nmy
+                    if den > 0 and v * bd[i] < bv[i] * den:
+                        bv[i], bd[i], blockers[i] = v, den, line
 
-    def _blocker(self, i):
-        """The line of wedge i's nearest edge, or None when the wedge lies in
-        the anchor hole (outside P's corner cone, for a P-corner guard).  A
-        wedge of 180 degrees or more, whose m is no middle ray, occurs only
-        outside a P corner, and no edge spans it.
-
-        On the middle ray pos + t*m an edge's line (A, B, C), of value v at
-        the anchor, takes v - t * W * den, den = -(A*mx + B*my), W the
-        anchor's weight; so the ray meets the line ahead iff den > 0, at t
-        proportional to v / den, and the least ratio is the nearest edge."""
-        best = self.blockers[i]
-        if best is _UNREAD:
-            d1, d2 = self.dirs[i], self.dirs[(i + 1) % len(self.dirs)]
-            mx, my = d1[0] + d2[0], d1[1] + d2[1]
-            best = None  # (v, den, line)
-            (a1, b1), (a2, b2) = self.cone
-            if (a1 * mx + b1 * my > 0 and a2 * mx + b2 * my > 0) != self.on_hole:
-                for line, v in self.wedge_edges[i]:
-                    den = -(line[0] * mx + line[1] * my)
-                    if den > 0 and (best is None or v * best[1] < best[0] * den):
-                        best = (v, den, line)
-            best = self.blockers[i] = best and best[2]
-        return best
-
-    def settle(self):
-        """Read every wedge's blocker, then drop the edge lists that only
-        `_blocker` reads, for a fan kept to be searched (`mask`); `half`
-        is the index of the first direction at or past (-1, 0), where the
-        directions' lower half starts."""
-        for i in range(len(self.dirs)):
-            self._blocker(i)
-        del self.wedge_edges
-        self.half = next((i for i, (dx, dy) in enumerate(self.dirs)
-                          if dy < 0 or (dy == 0 and dx < 0)), len(self.dirs))
+    def _locate(self, vx, vy):
+        """(lo, on_ray): lo counts the directions at or before v = (vx, vy)
+        in CCW order from (1, 0), found by one binary search within v's
+        half of the circle, where cross(d, v) >= 0 holds for a prefix of
+        the directions; on_ray is whether v lies on dirs[lo - 1].  So v's
+        direction is in the half-open arc [dirs[w], dirs[w + 1]) of wedge
+        w = lo - 1 (-1 wraps to the last wedge)."""
+        dirs = self.dirs
+        if _upper(vx, vy):
+            start, hi = 0, self.half
+        else:
+            start, hi = self.half, len(dirs)
+        lo = start
+        while lo < hi:
+            mid = (lo + hi) // 2
+            dx, dy = dirs[mid]
+            if dx * vy >= dy * vx:
+                lo = mid + 1
+            else:
+                hi = mid
+        return lo, lo > start and dirs[lo - 1][0] * vy == dirs[lo - 1][1] * vx
 
     def mask(self, hp, group) -> int:
         """The sum of the bits of the (bit, guard) pairs of `group`, guards
-        at this anchor, whose closed region holds the homogeneous point hp;
-        the fan is settled (`settle`).
+        at this anchor, whose closed region holds the homogeneous point hp.
 
-        With v = hp - apex, a binary search finds the wedge w whose
-        half-open arc [dirs[w], dirs[w + 1]) holds v's direction, within
-        v's half of the circle, where cross(d, v) >= 0 holds for a prefix
-        of the directions; v is on a ray when it lies on dirs[w].  A wedge
-        holds hp when it has a blocker and hp is on or inside its line.  A
-        region is its wedges' parts in the closed front half-plane, so for
-        a facing f, e1 = (fy, -fx):
+        With v = hp - apex, `_locate` finds the wedge w whose half-open
+        arc holds v's direction.  A wedge holds hp when it has a blocker
+        and hp is on or inside its line.  A region is its wedges' parts in
+        the closed front half-plane, so for a facing f, e1 = (fy, -fx):
         f.v < 0, hp is behind; f.v > 0, wedge w holds it, or on a ray
         wedge w - 1; f.v = 0 along e1, only w, the wedge CCW of v; f.v = 0
         along e2 = -e1, only the wedge CW of v, w - 1 on a ray and w
@@ -314,25 +314,10 @@ class _Fan:
         if not (vx or vy):
             return sum(bit for bit, g in group
                        if any(line is not None for _, line, _ in self.region(g).runs))
-        dirs, blockers = self.dirs, self.blockers
-        if vy > 0 or (vy == 0 and vx > 0):
-            start, hi = 0, self.half
-        else:
-            start, hi = self.half, len(dirs)
-        lo = start
-        while lo < hi:
-            mid = (lo + hi) // 2
-            dx, dy = dirs[mid]
-            if dx * vy >= dy * vx:
-                lo = mid + 1
-            else:
-                hi = mid
-        w = lo - 1  # -1 wraps to the last wedge
-        held = _inside(blockers[w], hp)
-        if lo > start and dirs[w][0] * vy == dirs[w][1] * vx:  # on a ray
-            held_cw = _inside(blockers[w - 1], hp)
-        else:
-            held_cw = held
+        lo, on_ray = self._locate(vx, vy)
+        blockers = self.blockers
+        held = _inside(blockers[lo - 1], hp)
+        held_cw = _inside(blockers[lo - 2], hp) if on_ray else held
         if not (held or held_cw):
             return 0
         out = 0
@@ -345,38 +330,41 @@ class _Fan:
 
     def region(self, g: Guard) -> VisibilityRegion:
         """The region of g, a guard at this anchor.  Its front arc runs CCW
-        from e1 = facing turned clockwise to e2 = -e1; an edge direction
-        inside a wedge splits it into parts with the wedge's blocker, and
-        the wedges behind block nothing."""
+        from e1 = facing turned clockwise to e2 = -e1, both placed among
+        the directions by `_locate`; an edge direction inside a wedge
+        splits it into parts with the wedge's blocker, and the wedges
+        behind block nothing."""
         fx, fy = g.facing
         e1, e2 = (fy, -fx), (-fy, fx)
-        dirs = self.dirs
+        dirs, blockers = self.dirs, self.blockers
         nd = len(dirs)
-        # the first index of a direction not before e1, and not before e2
-        a = bisect_left(dirs, _ANGULAR(e1), key=_ANGULAR)
-        b = bisect_left(dirs, _ANGULAR(e2), key=_ANGULAR)
-        at_corner = a < nd and dirs[a] == e1
-        if _angular_cmp(e1, e2) > 0:
+        a, _ = self._locate(*e1)  # the wedge a - 1 holds e1
+        b, on_e2 = self._locate(*e2)
+        b -= on_e2  # the first index of a direction not before e2
+        if not _upper(*e1):
             b += nd  # the arc passes (1, 0): index k >= nd is dirs[k - nd]
 
         # Each maximal run of wedge parts stopped by one edge is one
         # triangle (the intermediate ray hits are collinear on it);
         # `first` counts the runs that start before (1, 0).
-        blockers = self.blockers
         runs = []
         first = 1
-        start, line = e1, self._blocker((a if at_corner else a - 1) % nd)
-        for k in range(a + at_corner, b):
+        start, line = e1, blockers[a - 1]
+        for k in range(a, b):
             i = k % nd
             nxt = blockers[i]
-            if nxt is _UNREAD:
-                nxt = self._blocker(i)
             if nxt is not line:
                 runs.append((start, line, dirs[i]))
                 start, line = dirs[i], nxt
                 first += k < nd
         runs.append((start, line, e2))
         return VisibilityRegion(g, tuple(runs), first, self.hpos)
+
+
+def _upper(x, y) -> bool:
+    """The direction (x, y) lies in the half-open upper half of the
+    circle, from (1, 0) up to but not including (-1, 0)."""
+    return y > 0 or (y == 0 and x > 0)
 
 
 def _inside(line, hp) -> bool:

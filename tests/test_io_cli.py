@@ -187,6 +187,10 @@ class TestFormats:
         (parse_city, {"bounds": [10, 0, 0, 10]}, "$.bounds"),
         (parse_city, {"bounds": [0, 3, 10, 3],
                       "buildings": [{"base": [1, 1, 2, 2], "height": 1}]}, "$.bounds"),
+        (parse_solution, {"algorithm": [1, {"a": None}], "guards": []}, "$.algorithm"),
+        (parse_solution, {"algorithm": 7, "guards": []}, "$.algorithm"),
+        (parse_solution, {"algorithm": True, "guards": []}, "$.algorithm"),
+        (parse_solution, {"algorithm": None, "guards": []}, "$.algorithm"),
     ])
     def test_non_object_rejected_with_path(self, parse, doc, path):
         with pytest.raises(FormatError) as e:

@@ -10,9 +10,13 @@ whose name src/ itself reads, is stale and fails.
 The scan goes by name: a method that shares its name with one that src/
 reads (as a second class's `contains_open` would with
 `AxisRect.contains_open`) counts as named and escapes it.
+
+The other way round, every attribute that perfbench/tracing.py wraps
+(`Tracer.patch`) must still be defined in the module it wraps it in.
 """
 
 import ast
+import importlib
 from functools import lru_cache
 from pathlib import Path
 
@@ -80,3 +84,48 @@ def test_no_stale_exemption():
     stale = sorted(ref for ref in SHARED_REFERENCES
                    if ref not in defined or ref.rsplit(".", 1)[-1] in named)
     assert stale == []
+
+
+PERFBENCH_TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
+
+
+def traced_attributes():
+    """(module, attribute) of every `self.patch(<alias>, <attr>, ...)` in
+    perfbench/tracing.py, the alias resolved through the `import
+    cityguard.X as <alias>` lines and the attribute a string or the
+    variable of a `for` over a tuple of strings."""
+    tree = ast.parse(PERFBENCH_TRACING.read_text(encoding="utf-8"))
+    aliases = {a.asname or a.name: a.name for node in ast.walk(tree)
+               if isinstance(node, ast.Import) for a in node.names
+               if a.name.startswith("cityguard.")}
+    loops = {node.target.id: [c.value for c in node.iter.elts]
+             for node in ast.walk(tree)
+             if isinstance(node, ast.For) and isinstance(node.target, ast.Name)
+             and isinstance(node.iter, (ast.Tuple, ast.List))}
+    out = []
+    for node in ast.walk(tree):
+        if not (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                and node.func.attr == "patch"
+                and isinstance(node.func.value, ast.Name) and node.func.value.id == "self"):
+            continue
+        module, attr = node.args[0], node.args[1]
+        assert isinstance(module, ast.Name) and module.id in aliases, ast.dump(module)
+        if isinstance(attr, ast.Constant):
+            attrs = [attr.value]
+        else:
+            assert isinstance(attr, ast.Name) and attr.id in loops, ast.dump(attr)
+            attrs = loops[attr.id]
+        out += [(aliases[module.id], a) for a in attrs]
+    return out
+
+
+def test_traced_attributes_exist():
+    """Every name the benchmark's tracer wraps is still defined where it
+    looks for it; a renamed or deleted one would otherwise show only when
+    a traced run starts."""
+    traced = traced_attributes()
+    assert ("cityguard.placement", "covers") in traced
+    assert ("cityguard.instances", "gen_random") in traced
+    missing = [(module, attr) for module, attr in traced
+               if not hasattr(importlib.import_module(module), attr)]
+    assert missing == []

@@ -295,7 +295,8 @@ class TestFanAgainstSweep:
     reference sweep (which puts the facing's edge directions among its
     critical directions and tests every wedge) cell for cell, vertices,
     edge lines and order, at every anchor, P corners included, for the
-    wall-aligned facings and three askew ones."""
+    wall-aligned facings and three askew ones, read one at a time
+    (`visibility_region`) and through the kept fans (`AnchorFans`)."""
 
     @pytest.mark.parametrize("make", _fan_scenes())
     def test_every_anchor_and_facing(self, monkeypatch, make):
@@ -309,6 +310,12 @@ class TestFanAgainstSweep:
             for g in order:
                 got = [(c.pts, c.lines) for c in visibility_region(sc, g).cells]
                 assert got == expected[g], g
+        # the oracle's route: one fan kept per anchor, each region walked
+        # from it on first read
+        reset_region_cache(monkeypatch)
+        fans = AnchorFans(sc, guards)
+        for i, g in enumerate(guards):
+            assert [(c.pts, c.lines) for c in fans[i].cells] == expected[g], g
         assert any(expected.values())
 
 
