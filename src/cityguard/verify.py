@@ -26,18 +26,20 @@ the facing index below, which decides that exactly, so for a holder the
 hull test alone is True exactly when the guard's region holds the piece.
 A piece that one of its holders so proves (`_proven`) is dropped; there
 is at most one hull test per holder, and none repeats the half-plane
-test.  Any other piece is cut, whole, by the regions of the guards with
-a vertex of it strictly in front, in guard order; every other region
-lies in its guard's closed half-plane, with the piece behind it, and
-would not cut it.  A front guard is skipped when the closed shadow of
-one building, seen from its corner, holds every cell still left of the
-piece (`geom.h_shadowed`): every interior point of a region triangle is
-seen and no interior point of a shadow is, so the region and those cells
-have disjoint interiors, which `h_subtract` decides exactly and leaves
-the cells as they are.  The cutting stops once no cell is left.  A
-piece's descendants depend only on that piece and the regions, and a
-piece the regions cover leaves none, so the residual is that of cutting
-the axis's whole piece list by every region, cell for cell and in order.
+test.  A holder whose apex lies on the closed piece needs none: the hull
+is then the piece itself, which is free space.  Any other piece is cut,
+whole, by the regions of the guards with a vertex of it strictly in
+front, in guard order; every other region lies in its guard's closed
+half-plane, with the piece behind it, and would not cut it.  A front
+guard is skipped when the closed shadow of one building, seen from its
+corner, holds every cell still left of the piece (`geom.h_shadowed`):
+every interior point of a region triangle is seen and no interior point
+of a shadow is, so the region and those cells have disjoint interiors,
+which `h_subtract` decides exactly and leaves the cells as they are.
+The cutting stops once no cell is left.  A piece's descendants depend
+only on that piece and the regions, and a piece the regions cover leaves
+none, so the residual is that of cutting the axis's whole piece list by
+every region, cell for cell and in order.
 A region is swept only when a piece needs it, or when an exit (the
 certificate JSON, the SVG) reads `per_guard_regions`.
 
@@ -48,9 +50,14 @@ or a Fraction.  A guard's closed half-plane holds the cell iff
 t <= min f.v over the cell's vertices v, and it has a vertex strictly in
 front iff t < max f.v, so each group gives the cell's holders and its
 front guards as two sorted prefixes, found by bisection after one pass
-over the vertices per facing.  The holders are tried by distance, ties
-in guard order, and the front guards, read only for a piece no holder
-proves, are put back in guard order, so the proofs and the cuts see the
+over the vertices per facing.  A holder on the piece has t = min f.v,
+the greatest a holder can have, so the holders are walked from the end
+of their list.  The hull tests run first on the holders facing the
+piece head on (an E or W facing level with its bbox, an N or S facing
+beside it), then on the rest, sorted only when no holder ahead proves
+the piece; each part by distance, ties in guard order.  The order
+changes the work, never the verdict.  The front guards, read only for a
+piece no holder proves, are put back in guard order, so the cuts see the
 guards as a plain scan would.
 
 The witness of an uncovered certificate is the first of the largest
@@ -204,9 +211,9 @@ def _by_facing(sights):
 
 
 def _holders(index, cell: HCell):
-    """The indices of the sights whose closed half-plane holds the cell,
-    in no order: per facing f, the thresholds t <= min f.v over the
-    cell's vertices v."""
+    """The indices of the sights whose closed half-plane holds the cell:
+    per facing f, the thresholds t <= min f.v over the cell's vertices
+    v, in increasing t."""
     held = []
     for (fx, fy), ts, members in index:
         low = min([_ratio(fx * X + fy * Y, W) for X, Y, W in cell.pts])
@@ -230,21 +237,26 @@ def _proven(piece: HCell, held, sights, buildings) -> bool:
     """Does one of the piece's holders `held` see all of it?  A holder's
     closed half-plane holds the piece, which `_holders` has decided
     exactly, so no building meeting the hull of its apex and the piece
-    (`h_clear`) is all that is left to test.  The holders are tried
-    nearest its bbox first (0 on or in it), ties in guard order: the
-    float distance only orders the exact hull tests."""
+    (`h_clear`) is all that is left to test; for a holder on the closed
+    piece (its lines decide, once the float distance to the padded bbox
+    is 0) not even that, as the hull is the free piece.  Its t is the
+    greatest a holder's can be, so `held` is walked from its end.  Hull
+    tests run on the holders ahead (see above) first, then on the rest,
+    sorted lazily, each part nearest the bbox first, ties in guard
+    order.  Floats only order the exact tests."""
     x0, y0, x1, y1 = piece.bbox
-
-    def gap2(i):
-        """The squared float distance from sight i's apex to the bbox,
-        then i."""
-        X, Y, W = sights[i][0]
+    ahead, rest = [], []
+    for i in reversed(held):
+        (X, Y, W), (fx, fy), _ = sights[i]
         x, y = X / W, Y / W
         dx = x0 - x if x < x0 else (x - x1 if x > x1 else 0.0)
         dy = y0 - y if y < y0 else (y - y1 if y > y1 else 0.0)
-        return dx * dx + dy * dy, i
-
-    return any(h_clear(sights[i][0], piece, buildings) for i in sorted(held, key=gap2))
+        if dx == dy == 0.0 and all(A * X + B * Y + C * W >= 0 for A, B, C in piece.lines):
+            return True
+        level = (fy == 0 and dy == 0.0) or (fx == 0 and dx == 0.0)
+        (ahead if level else rest).append((dx * dx + dy * dy, i))
+    return any(h_clear(sights[i][0], piece, buildings)
+               for part in (ahead, rest) for _, i in sorted(part))
 
 
 def interior_points(cell: HCell):

@@ -883,21 +883,36 @@ class TestSplitProof:
                             lambda *args, **kw: proofs.append(prove(*args, **kw)) or proofs[-1])
         return proofs
 
+    @staticmethod
+    def hull_spy(monkeypatch):
+        """Record every verdict of the hull test `verify.h_clear`."""
+        clear, verdicts = verify.h_clear, []
+        monkeypatch.setattr(verify, "h_clear",
+                            lambda *args: verdicts.append(clear(*args)) or verdicts[-1])
+        return verdicts
+
     @pytest.mark.parametrize("k", [16, 22, 28])
     @pytest.mark.parametrize("seed", range(3))
     def test_covered_placements_sweep_no_region(self, monkeypatch, k, seed):
         """`guards_2k1` faces W and is proven on columns; most of
         `guards_main` faces N or S, or E or W in a rotated frame, and is
         proven on the strips it faces along.  Every strip piece is proven
-        by one guard, and no region is swept."""
+        by one guard, and no region is swept.  A holder on the piece
+        proves it with no hull test, and the holders facing it head on
+        are tried first: no hull test fails, and there are fewer hull
+        tests than pieces."""
         sc = gen_random(GeneratorParams(k=k, seed=seed, grid=1000))
         proofs = self.spy(monkeypatch)
+        hulls = self.hull_spy(monkeypatch)
         for algorithm in (guards_2k1, guards_main):
             guards = algorithm(sc).guards
             reset_region_cache(monkeypatch)
+            proofs.clear()
+            hulls.clear()
             assert certify(sc, guards).covered
             assert visibility._cache[1] == {}
-        assert all(proofs)
+            assert all(proofs)
+            assert all(hulls) and len(hulls) < len(proofs)
 
     def test_oracle_set_is_covered_by_cuts(self, monkeypatch):
         """The oracle's OPTIMAL set on a k = 8 city, four guards facing E
@@ -954,12 +969,18 @@ class TestSplitProof:
         """Whenever the proof holds, on column or row pieces, cutting the
         piece by every guard's region leaves nothing; the guards stand at
         any corner, facing along a wall or askew.  A rotated scene's
-        pieces are its column pieces on either axis."""
+        pieces are its column pieces on either axis.  The proof's verdict
+        is the plain rule's, whatever order it tries the holders in: some
+        guard sees all of the piece.  The scene may be scaled by 1/3, so
+        that vertices have W > 1, or shifted by 10^17, where the padded
+        float bboxes admit every holder to the exact on-piece test."""
         if data.draw(st.booleans()):
             sc = gen_random(GeneratorParams(k=k, seed=seed, grid=30))
         else:
             sc = data.draw(st.sampled_from([gen_3k1_necessity(1), gen_3k1_necessity(2),
                                             rot3k1_counterexample()]))
+        scale, shift = data.draw(st.sampled_from([(1, 0), (Fraction(1, 3), 0), (1, 10**17)]))
+        sc = scaled_and_shifted(sc, scale, shift, shift)
         guards = data.draw(st.lists(st.sampled_from(_anchors(sc)), min_size=1, max_size=6,
                                     unique=True))
         buildings = [h_cell(h.as_cell()) for h in sc.holes]
@@ -967,7 +988,10 @@ class TestSplitProof:
         index = verify._by_facing(sights)
         regions = [c for g in guards for c in visibility_region(sc, g).cells]
         for piece in _strip_pieces(sc, rows):
-            if verify._proven(piece, verify._holders(index, piece), sights, buildings):
+            held = verify._holders(index, piece)
+            proven = verify._proven(piece, held, sights, buildings)
+            assert proven == any(h_sees_all(a, f, piece, buildings) for a, f, _ in sights)
+            if proven:
                 assert h_subtract([piece], regions) == []
 
     @pytest.mark.parametrize("piece", [
@@ -999,6 +1023,30 @@ class TestSplitProof:
             assert verdict == (h_subtract([cell], visibility_region(sc, g).cells) == [])
             verdicts.add(verdict)
         assert verdicts == {True, False}
+
+    @pytest.mark.parametrize("piece,facing,scale", [
+        (((6, 6), (9, 6), (9, 9), (6, 9)), (1, 1), 1),            # the apex is a vertex
+        (((6, 6), (9, 7), (7, 9)), N, 1),                          # a triangle's vertex
+        (((6, 3), (9, 3), (9, 9), (6, 9)), E, 1),                  # inside the edge x = 6
+        (((2, 6), (10, 6), (10, 8), (2, 8)), N, 1),                # inside the edge y = 6
+        (((6, 6), (10, 6), (10, 10), (6, 10)), (1, 1), Fraction(1, 3)),  # a vertex, W = 3
+        (((6, 4), (10, 4), (10, 10), (6, 10)), E, Fraction(1, 3)),       # inside an edge, W = 3
+    ], ids=str)
+    def test_holder_on_the_piece_needs_no_hull_test(self, monkeypatch, piece, facing, scale):
+        """A holder whose apex lies on the closed piece sees all of it: the
+        hull of the apex and the piece is the piece, which is free.  Its
+        proof makes no hull test, and its region leaves nothing of the
+        piece.  The apex is the corner (6, 6) of the building [4, 6]^2 in
+        [0, 10]^2, or its image in the copy scaled by 1/3."""
+        sc = scaled_and_shifted(city_a(), scale, 0, 0)
+        g = hole_guard(0, 2, facing)
+        cell = h_cell(tuple(Point(scale * x, scale * y) for x, y in piece))
+        sights = verify._sights(sc, [g])
+        held = verify._holders(verify._by_facing(sights), cell)
+        hulls = self.hull_spy(monkeypatch)
+        assert held == [0]
+        assert verify._proven(cell, held, sights, sc.hole_cells) and hulls == []
+        assert h_subtract([cell], visibility_region(sc, g).cells) == []
 
     @pytest.mark.parametrize("building,piece", [
         ((50, 75, 64, 85), ((70, 60), (90, 60), (90, 90), (70, 90))),
