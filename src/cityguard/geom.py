@@ -7,7 +7,9 @@ interiors, which makes differences, exact areas and emptiness tests
 straightforward: area(set) is simply the sum of cell areas.  A
 PolygonSet holds its cells as homogeneous integer cells (HCell, below),
 the form the clipping kernel cuts; Point rings are made only where a
-region leaves the library, by its `cells` and `rings()`.
+region leaves the library, by its `cells`.  Every exact predicate, a
+building's own checks included (`strictly_convex_ccw`, `is_rectangle`),
+reads homogeneous integer points: there is no second kernel on Points.
 
 The representation is regularized: cells are closed and zero-area pieces
 are dropped, so a PolygonSet always equals the closure of its interior.
@@ -42,11 +44,6 @@ from cityguard.errors import MalformedPolygonError
 
 Rational = Union[int, Fraction]
 
-CCW = 1
-COLLINEAR = 0
-CW = -1
-
-
 def rational(value) -> Rational:
     """Parse a rational literal: an int, a Fraction, or a string 'p/q' (q > 0).
     A bool is not a rational, though Python counts it as an int."""
@@ -80,16 +77,6 @@ class Point(NamedTuple):
     y: Rational
 
 
-def orient(a: Point, b: Point, c: Point) -> int:
-    """Sign of the exact cross product (b-a) x (c-a)."""
-    v = (b.x - a.x) * (c.y - a.y) - (b.y - a.y) * (c.x - a.x)
-    if v > 0:
-        return CCW
-    if v < 0:
-        return CW
-    return COLLINEAR
-
-
 def primitive_direction(dx: Rational, dy: Rational) -> tuple:
     """Reduce a nonzero direction to a canonical primitive integer vector."""
     if dx == 0 and dy == 0:
@@ -106,16 +93,9 @@ def primitive_direction(dx: Rational, dy: Rational) -> tuple:
 Cell = tuple  # tuple of Points, CCW, convex
 
 
-def cell_bbox(cell: Cell):
-    xs = [p.x for p in cell]
-    ys = [p.y for p in cell]
-    return (min(xs), min(ys), max(xs), max(ys))
-
-
 class PolygonSet:
     """A (possibly empty, possibly multi-face) region: disjoint convex cells,
-    held as HCells.  Point rings are made only on the way out, by `cells`
-    and `rings()`."""
+    held as HCells.  Point rings are made only on the way out, by `cells`."""
 
     __slots__ = ("pieces",)
 
@@ -152,10 +132,6 @@ class PolygonSet:
     def difference(self, other: "PolygonSet") -> "PolygonSet":
         return PolygonSet.of_hcells(h_subtract(self.pieces, other.pieces))
 
-    def rings(self):
-        """Serializable form: one CCW ring per cell."""
-        return [[(p.x, p.y) for p in c] for c in self.cells]
-
     def __repr__(self):
         return f"PolygonSet({len(self.pieces)} cells, area={self.area()})"
 
@@ -173,14 +149,6 @@ class AxisRect(NamedTuple):
     x1: Rational
     y1: Rational
 
-    @property
-    def lo(self) -> Point:
-        return Point(self.x0, self.y0)
-
-    @property
-    def hi(self) -> Point:
-        return Point(self.x1, self.y1)
-
     def corners(self):
         """CCW from the min-corner: 0=SW, 1=SE, 2=NE, 3=NW."""
         return (Point(self.x0, self.y0), Point(self.x1, self.y0),
@@ -191,9 +159,6 @@ class AxisRect(NamedTuple):
 
     def contains_closed(self, p: Point) -> bool:
         return self.x0 <= p.x <= self.x1 and self.y0 <= p.y <= self.y1
-
-    def as_cell(self) -> Cell:
-        return self.corners()
 
 
 def make_axis_rect(x0, y0, x1, y1) -> AxisRect:
@@ -210,9 +175,6 @@ class ConvexQuad(NamedTuple):
     def corners(self):
         return self.v
 
-    def as_cell(self) -> Cell:
-        return self.v
-
 
 def make_convex_quad(points) -> ConvexQuad:
     pts = tuple(Point(p[0], p[1]) for p in points)
@@ -224,20 +186,27 @@ def make_convex_quad(points) -> ConvexQuad:
 
 
 def strictly_convex_ccw(pts) -> bool:
-    """Every vertex of the ring turns strictly left."""
-    n = len(pts)
-    return all(orient(pts[i - 1], pts[i], pts[(i + 1) % n]) == CCW for i in range(n))
+    """Every vertex of the ring turns strictly left (`_h_orient` on the
+    vertices' `h_point`s)."""
+    hp = tuple(map(h_point, pts))
+    n = len(hp)
+    return all(_h_orient(hp[i - 1], hp[i], hp[(i + 1) % n]) == 1 for i in range(n))
+
+
+def h_ring_lines(hp):
+    """The lines of a closed ring of homogeneous points, line i through
+    hp[i - 1] and hp[i] as `_h_line` directs it; any ring, malformed ones
+    included."""
+    return [_h_line(hp[i - 1], hp[i]) for i in range(len(hp))]
 
 
 def is_rectangle(quad: ConvexQuad) -> bool:
-    """Adjacent edges perpendicular and opposite edges of equal length."""
-    v = quad.v
-    e = [(v[(i + 1) % 4].x - v[i].x, v[(i + 1) % 4].y - v[i].y) for i in range(4)]
-    for (ax, ay), (bx, by) in zip(e, e[1:] + e[:1]):
-        if ax * bx + ay * by != 0:
-            return False
-    return (e[0][0] ** 2 + e[0][1] ** 2 == e[2][0] ** 2 + e[2][1] ** 2
-            and e[1][0] ** 2 + e[1][1] ** 2 == e[3][0] ** 2 + e[3][1] ** 2)
+    """Consecutive edge lines have perpendicular normals (A, B).  In a
+    closed ring of four edges with four right angles, opposite edges are
+    parallel and so, as the edges sum to zero, of equal length."""
+    normals = [line[:2] for line in h_ring_lines(tuple(map(h_point, quad.v)))]
+    return all(a * c + b * d == 0
+               for (a, b), (c, d) in zip(normals, normals[1:] + normals[:1]))
 
 
 Hole = Union[AxisRect, ConvexQuad]

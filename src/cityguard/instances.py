@@ -27,7 +27,7 @@ from operator import attrgetter
 
 from cityguard.errors import GenerationFailedError
 from cityguard.geom import (
-    AxisRect, HCell, Point, h_to_point, make_axis_rect, make_convex_quad, orient,
+    AxisRect, HCell, _h_orient, make_axis_rect, make_convex_quad,
 )
 from cityguard.model import (
     City, Guard, Scene, _holes_disjoint, require_general_position, validate_scene,
@@ -237,18 +237,26 @@ def _edge_visible(scene: Scene, anchor, edge, facings) -> bool:
     a, b = edge
     for f in facings:
         for cell in visibility_region(scene, Guard(anchor, f)).cells:
-            if all(_on_segment(a, b, h_to_point(r)) for r in cell.pts[1:]):
+            if all(_on_segment(a, b, r) for r in cell.pts[1:]):
                 return True
     return False
 
 
-def _on_segment(a: Point, b: Point, p: Point) -> bool:
-    return orient(a, b, p) == 0 and (p.x - a.x) * (p.x - b.x) + (p.y - a.y) * (p.y - b.y) <= 0
+def _on_segment(a, b, p) -> bool:
+    """The homogeneous point p lies on the closed segment of homogeneous
+    ends a, b: on its line, and (p - a) . (p - b) <= 0, each difference
+    scaled by the positive product of its two weights."""
+    (ax, ay, aw), (bx, by, bw), (px, py, pw) = a, b, p
+    return (_h_orient(a, b, p) == 0
+            and (px * aw - ax * pw) * (px * bw - bx * pw)
+            + (py * aw - ay * pw) * (py * bw - by * pw) <= 0)
 
 
-def _edges(hole):
-    cs = hole.corners()
-    return [(cs[i], cs[(i + 1) % 4]) for i in range(4)]
+def _edges(cell: HCell):
+    """The four edges of a building's HCell (`Scene.hole_cells`) as pairs
+    of homogeneous ends."""
+    pts = cell.pts
+    return [(pts[i], pts[(i + 1) % 4]) for i in range(4)]
 
 
 def _positions(scene: Scene, i: int):
@@ -287,7 +295,7 @@ def check_3k1_properties(scene: Scene):
             fx, fy = wall_aligned_facings(scene.holes[j])[0]
             for c in range(4):
                 if any(_edge_visible(scene, ("hole", j, c), e, ((fx, fy), (-fx, -fy)))
-                       for e in _edges(scene.holes[i])):
+                       for e in _edges(scene.hole_cells[i])):
                     p2_fail.append((j, i))
                     break
     report.append(("property2", not p2_fail, p2_fail))
@@ -295,7 +303,7 @@ def check_3k1_properties(scene: Scene):
     p3_fail = []
     for i in range(k - 1):
         for anchor, v, f in _positions(scene, i):
-            visible = sum(1 for e in _edges(scene.holes[i + 1])
+            visible = sum(1 for e in _edges(scene.hole_cells[i + 1])
                           if _edge_visible(scene, anchor, e, (f,)))
             if visible > 1:
                 p3_fail.append((i, v, f, visible))
@@ -305,9 +313,9 @@ def check_3k1_properties(scene: Scene):
     for i in range(1, k - 1):
         for anchor, v, f in _positions(scene, i):
             prev_vis = any(_edge_visible(scene, anchor, e, (f,))
-                           for e in _edges(scene.holes[i - 1]))
+                           for e in _edges(scene.hole_cells[i - 1]))
             next_vis = any(_edge_visible(scene, anchor, e, (f,))
-                           for e in _edges(scene.holes[i + 1]))
+                           for e in _edges(scene.hole_cells[i + 1]))
             if prev_vis and next_vis:
                 p4_fail.append((i, v, f))
     report.append(("property4", not p4_fail, p4_fail))

@@ -178,7 +178,8 @@ def _trace_doc(value):
 
 def parse_solution(doc) -> Solution:
     """Parse a solution document.  Building indices are only checked to be
-    non-negative here; `Guard.position` checks them against a scene."""
+    non-negative here; `Scene.corner`, the one decoder of an anchor, checks
+    them against a scene."""
     _check_keys(doc, {"algorithm", "guards", "trace"}, {"algorithm", "guards"}, "$")
     if not isinstance(doc["algorithm"], str):
         raise FormatError("algorithm must be a string", "$.algorithm")
@@ -242,12 +243,12 @@ def certificate_doc(cert) -> dict:
         "covered": cert.covered,
         "residual_area": rational_str(cert.residual.area()),
         "residual": [[[rational_str(x), rational_str(y)] for (x, y) in ring]
-                     for ring in cert.residual.rings()],
+                     for ring in cert.residual.cells],
         "regions": [
             {"anchor": list(vr.guard.anchor),
              "facing": [rational_str(vr.guard.facing[0]), rational_str(vr.guard.facing[1])],
              "rings": [[[rational_str(x), rational_str(y)] for (x, y) in ring]
-                       for ring in vr.region.rings()]}
+                       for ring in vr.region.cells]}
             for vr in cert.per_guard_regions
         ],
     }

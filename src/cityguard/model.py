@@ -9,7 +9,10 @@ Guards record the corner identity of their anchor (not raw coordinates)
 so solutions survive re-serialization of the scene.  `Scene.corner` is
 the one decoder of an anchor: every layer reads a guard's corner as a
 vertex of `Scene.cells`, in integers, and any anchor naming no corner
-raises the same ValueError.
+raises the same ValueError.  Validation reads a rotated building as the
+kernel does, on its corners' homogeneous integer points: its convexity
+(`strictly_convex_ccw`), its right angles (`is_rectangle`) and its
+separating edge lines against another building (`_holes_disjoint`).
 """
 
 from __future__ import annotations
@@ -20,7 +23,7 @@ from typing import Sequence
 
 from cityguard.errors import SceneValidationError, DegeneratePositionError
 from cityguard.geom import (
-    AxisRect, ConvexQuad, Point, Hole, cell_bbox, h_cell, h_in_front, h_rect,
+    AxisRect, ConvexQuad, Point, Hole, h_cell, h_in_front, h_point, h_rect, h_ring_lines,
     h_to_point, is_rectangle, make_convex_quad, primitive_direction, strictly_convex_ccw,
 )
 
@@ -157,34 +160,35 @@ class Solution:
 
 def _holes_disjoint(a: Hole, b: Hole) -> bool:
     """Closed-set disjointness of two convex holes: touching is not
-    disjoint.  Two rectangles compare intervals; otherwise an exact
-    separating edge decides."""
+    disjoint.  Two rectangles compare intervals.  Otherwise their exact
+    bboxes apart decide, and then an edge line of one with the other
+    strictly on its right, on the corners' `h_point`s.  The bbox test
+    comes first because the edge test reads a ring that is not convex
+    and CCW wrongly, and validation checks overlaps on such rings too."""
     if isinstance(a, AxisRect) and isinstance(b, AxisRect):
         return a.x1 < b.x0 or b.x1 < a.x0 or a.y1 < b.y0 or b.y1 < a.y0
-    ca, cb = a.as_cell(), b.as_cell()
-    ba, bb = cell_bbox(ca), cell_bbox(cb)
-    if ba[2] < bb[0] or bb[2] < ba[0] or ba[3] < bb[1] or bb[3] < ba[1]:
+    ca, cb = a.corners(), b.corners()
+    (ax, ay), (bx, by) = zip(*ca), zip(*cb)
+    if (max(ax) < min(bx) or max(bx) < min(ax)
+            or max(ay) < min(by) or max(by) < min(ay)):
         return True
-    for cell, other in ((ca, cb), (cb, ca)):
-        n = len(cell)
-        for i in range(n):
-            p, q = cell[i], cell[(i + 1) % n]
-            dx, dy = q.x - p.x, q.y - p.y
-            # other entirely in the open right half-plane of p->q separates
-            if all((r.x - p.x) * dy - (r.y - p.y) * dx > 0 for r in other):
-                return True
-    return False
+    ha, hb = tuple(map(h_point, ca)), tuple(map(h_point, cb))
+    return any(all(A * X + B * Y + C * W < 0 for X, Y, W in other)
+               for ring, other in ((ha, hb), (hb, ha)) for A, B, C in h_ring_lines(ring))
 
 
-def _overlapping_pairs(holes):
-    """The pairs (i, j), i < j, of holes that are not disjoint, in that
-    order.  A sweep over the holes by the left ends of their x-ranges
-    tests only the pairs whose closed x-ranges meet (`_holes_disjoint`);
-    two holes whose x-ranges are apart are disjoint."""
+def _overlapping_pairs(holes: dict):
+    """The pairs (i, j), i < j, of holes, given by index, that are not
+    disjoint, in that order.  A sweep over the holes by the left ends of
+    their x-ranges tests only the pairs whose closed x-ranges meet
+    (`_holes_disjoint`); two holes whose x-ranges are apart are disjoint."""
     spans = []
-    for i, h in enumerate(holes):
-        x0, _, x1, _ = h if isinstance(h, AxisRect) else cell_bbox(h.v)
-        spans.append((x0, x1, i))
+    for i, h in holes.items():
+        if isinstance(h, AxisRect):
+            spans.append((h.x0, h.x1, i))
+        else:
+            xs = [p.x for p in h.v]
+            spans.append((min(xs), max(xs), i))
     spans.sort()
     pairs = []
     active = []  # (x1, i) of the holes swept so far
@@ -199,11 +203,20 @@ def _overlapping_pairs(holes):
     return pairs
 
 
+def _readable(hole) -> bool:
+    """An AxisRect, or a ConvexQuad of four Points: a hole the checks can
+    read."""
+    return isinstance(hole, AxisRect) or (
+        isinstance(hole, ConvexQuad) and isinstance(hole.v, tuple) and len(hole.v) == 4
+        and all(isinstance(p, Point) for p in hole.v))
+
+
 def _is_cell(hole: Hole) -> bool:
-    """Has area and is strictly convex and CCW, as the parser requires."""
+    """A readable hole with area, strictly convex and CCW, as the parser
+    requires."""
     if isinstance(hole, AxisRect):
         return hole.x0 < hole.x1 and hole.y0 < hole.y1
-    return len(hole.v) == 4 and strictly_convex_ccw(hole.v)
+    return _readable(hole) and strictly_convex_ccw(hole.v)
 
 
 def _strictly_inside(hole: Hole, bounds: AxisRect) -> bool:
@@ -253,7 +266,10 @@ _general = None
 def validate_scene(scene: Scene) -> Scene:
     """Check a Scene: its bounds lie within +-MAX_COORDINATE and have area,
     and its holes are cells (`_is_cell`), rectangles strictly inside the
-    bounds and pairwise disjoint.  A scene document is parsed by io.parse_city.
+    bounds and pairwise disjoint.  A hole that is neither an AxisRect nor
+    a ConvexQuad of four Points is MALFORMED_HOLE, and the inside and
+    overlap checks, which cannot read it, skip it.  A scene document is
+    parsed by io.parse_city.
 
     Returns the scene itself when its holes are a tuple, and a copy with
     tuple holes otherwise.  The last scene object returned as itself is
@@ -277,10 +293,11 @@ def validate_scene(scene: Scene) -> Scene:
             violations.append(("MALFORMED_HOLE", (i,)))
         elif isinstance(h, ConvexQuad) and not is_rectangle(h):
             violations.append(("NOT_A_RECTANGLE", (i,)))
-    for i, h in enumerate(holes):
+    readable = {i: h for i, h in enumerate(holes) if _readable(h)}
+    for i, h in readable.items():
         if not _strictly_inside(h, bounds):
             violations.append(("HOLE_TOUCHES_BOUNDARY", (i,)))
-    violations += [("OVERLAPPING_HOLES", pair) for pair in _overlapping_pairs(holes)]
+    violations += [("OVERLAPPING_HOLES", pair) for pair in _overlapping_pairs(readable)]
     if violations:
         raise SceneValidationError(violations)
     if not isinstance(holes, tuple):
@@ -351,7 +368,7 @@ def rotate_scene_ccw(scene: Scene, times: int) -> Scene:
     if t == 0:
         return scene
     def rot_rect(r: AxisRect) -> AxisRect:
-        cs = [rotate_point_ccw(c, t) for c in (r.lo, r.hi)]
+        cs = [rotate_point_ccw(c, t) for c in ((r.x0, r.y0), (r.x1, r.y1))]
         xs = sorted(c.x for c in cs)
         ys = sorted(c.y for c in cs)
         return AxisRect(xs[0], ys[0], xs[1], ys[1])

@@ -48,13 +48,13 @@ def render_svg(scene, solution=None, certificate=None) -> str:
     if certificate is not None:
         for i, vr in enumerate(certificate.per_guard_regions):
             color = PALETTE[i % len(PALETTE)]
-            for ring in vr.region.rings():
+            for ring in vr.region.cells:
                 parts.append(_poly(m, ring, color, opacity="0.12"))
     for h in scene.holes:
         parts.append(_poly(m, [(c.x, c.y) for c in h.corners()], "#555555",
                            stroke="#000000"))
     if certificate is not None and not certificate.covered:
-        for ring in certificate.residual.rings():
+        for ring in certificate.residual.cells:
             parts.append(_poly(m, ring, "#ff0000", opacity="0.6", stroke="#aa0000"))
         if certificate.witness is not None:
             x, y = m.pt(certificate.witness.x, certificate.witness.y)

@@ -383,7 +383,7 @@ def _triangle(hpos, d1, edge, d2):
     180 degrees, so d1 turns strictly CCW to d2 and both rays meet the
     edge in front of the anchor.  A triangle that does not turn strictly
     CCW breaks that argument; it raises MalformedPolygonError, since
-    skipping it would make `cells` and `contains` disagree."""
+    skipping it would make `cells` and `_Fan.mask` disagree."""
     # the lines of the rays and the edge (the triangle on their positive
     # sides) are small; the hits are their meets
     ray1 = _h_line(hpos, d1 + (0,))

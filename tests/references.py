@@ -23,7 +23,9 @@ closed point test over HCells that `VisibilityRegion.contains` must
 match bit for bit, and through it a region's closed membership; a
 point's homogeneous form by Fractions; a hole's open interior; guards
 re-anchored on a quarter-turned scene by their positions; and a reset of
-the region cache."""
+the region cache.  Last, the Point route of the exact predicates the
+library now decides on homogeneous integer points: `orient` and the
+ring, rectangle, hole-disjointness and on-segment tests built on it."""
 
 from collections import namedtuple
 from fractions import Fraction
@@ -32,9 +34,9 @@ from math import gcd
 
 from cityguard import visibility
 from cityguard.geom import (
-    CCW, AxisRect, HCell, Point, PolygonSet, _h_disjoint, _h_line, _h_meet, _h_orient,
+    AxisRect, HCell, Point, PolygonSet, _h_disjoint, _h_line, _h_meet, _h_orient,
     h_area2, h_cell, h_centroid, h_clear, h_point, h_subtract, make_convex_quad,
-    orient, primitive_direction,
+    primitive_direction,
 )
 from cityguard.model import Guard, Scene, rotate_point_ccw, rotate_scene_ccw
 from cityguard.oracle import (
@@ -46,6 +48,70 @@ from cityguard.visibility import _sorted_directions, sees, visibility_region
 
 # a region swept here: the guard and its cells, as `VisibilityRegion` reads them
 SweptRegion = namedtuple("SweptRegion", "guard cells")
+
+CCW = 1
+COLLINEAR = 0
+CW = -1
+
+
+def orient(a: Point, b: Point, c: Point) -> int:
+    """Sign of the exact cross product (b-a) x (c-a)."""
+    v = (b.x - a.x) * (c.y - a.y) - (b.y - a.y) * (c.x - a.x)
+    if v > 0:
+        return CCW
+    if v < 0:
+        return CW
+    return COLLINEAR
+
+
+def strictly_convex_ccw_by_points(pts) -> bool:
+    """`geom.strictly_convex_ccw` on Points: every vertex turns strictly
+    left by `orient`."""
+    n = len(pts)
+    return all(orient(pts[i - 1], pts[i], pts[(i + 1) % n]) == CCW for i in range(n))
+
+
+def is_rectangle_by_points(quad) -> bool:
+    """`geom.is_rectangle` on Points: adjacent edge vectors perpendicular
+    and opposite edges of equal length."""
+    v = quad.v
+    e = [(v[(i + 1) % 4].x - v[i].x, v[(i + 1) % 4].y - v[i].y) for i in range(4)]
+    for (ax, ay), (bx, by) in zip(e, e[1:] + e[:1]):
+        if ax * bx + ay * by != 0:
+            return False
+    return (e[0][0] ** 2 + e[0][1] ** 2 == e[2][0] ** 2 + e[2][1] ** 2
+            and e[1][0] ** 2 + e[1][1] ** 2 == e[3][0] ** 2 + e[3][1] ** 2)
+
+
+def cell_bbox(cell):
+    """The exact bbox of a ring of Points: (min x, min y, max x, max y)."""
+    xs = [p.x for p in cell]
+    ys = [p.y for p in cell]
+    return (min(xs), min(ys), max(xs), max(ys))
+
+
+def holes_disjoint_by_points(a, b) -> bool:
+    """`model._holes_disjoint` on Points: closed sets, so touching is not
+    disjoint.  Exact bboxes apart, or an edge p->q of one with the other
+    strictly on its right by the Point cross product."""
+    ca, cb = a.corners(), b.corners()
+    ba, bb = cell_bbox(ca), cell_bbox(cb)
+    if ba[2] < bb[0] or bb[2] < ba[0] or ba[3] < bb[1] or bb[3] < ba[1]:
+        return True
+    for cell, other in ((ca, cb), (cb, ca)):
+        n = len(cell)
+        for i in range(n):
+            p, q = cell[i], cell[(i + 1) % n]
+            dx, dy = q.x - p.x, q.y - p.y
+            if all((r.x - p.x) * dy - (r.y - p.y) * dx > 0 for r in other):
+                return True
+    return False
+
+
+def on_segment_by_points(a: Point, b: Point, p: Point) -> bool:
+    """`instances._on_segment` on Points: collinear by `orient` and
+    between the ends."""
+    return orient(a, b, p) == 0 and (p.x - a.x) * (p.x - b.x) + (p.y - a.y) * (p.y - b.y) <= 0
 
 
 def h_cells_contain(cells, hp) -> bool:
@@ -125,7 +191,7 @@ def rotate_guards_by_position(guards, scene: Scene, times: int) -> list:
 
 def boundary(region) -> PolygonSet:
     """A partition region as one cell per grid rectangle."""
-    return PolygonSet(tuple(r.as_cell() for r in region.rects))
+    return PolygonSet(tuple(r.corners() for r in region.rects))
 
 
 def is_xy_monotone(region) -> bool:
@@ -177,7 +243,7 @@ def space_between(scene, i: int) -> PolygonSet:
     the two holes minus the holes themselves."""
     pts = list(scene.holes[i].corners()) + list(scene.holes[i + 1].corners())
     region = PolygonSet((_convex_hull(pts),))
-    both = PolygonSet(tuple(h.as_cell() for h in (scene.holes[i], scene.holes[i + 1])))
+    both = PolygonSet(tuple(h.corners() for h in (scene.holes[i], scene.holes[i + 1])))
     return region.difference(both)
 
 

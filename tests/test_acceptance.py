@@ -10,7 +10,7 @@ from fractions import Fraction
 from functools import lru_cache
 
 from cityguard.errors import PlacementIncompleteError
-from cityguard.geom import Point, orient
+from cityguard.geom import Point
 from cityguard.instances import (
     GeneratorParams, check_3k1_properties, gen_3k1_necessity, gen_random,
     gen_roof_necessity,
@@ -28,7 +28,7 @@ from cityguard.placement import (
 from cityguard.verify import certify, certify_city, free_space
 from cityguard.visibility import sees, visibility_region
 from counterexample_3k1 import rot3k1_counterexample
-from references import boundary, is_xy_monotone, region_contains
+from references import boundary, is_xy_monotone, orient, region_contains
 
 CORPUS_SIZE = 200
 K_RANGE = 21  # k in [0, 20]

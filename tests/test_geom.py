@@ -8,10 +8,10 @@ from hypothesis import strategies as st
 from cityguard import geom
 from cityguard.errors import MalformedPolygonError
 from cityguard.geom import (
-    CCW, COLLINEAR, CW, AxisRect, HCell, Point, PolygonSet, _h_disjoint,
+    AxisRect, HCell, Point, PolygonSet, _h_disjoint,
     _h_normalized, _h_split, h_cell, h_divide, h_in_front, h_point, h_subtract,
     interior_run,
-    make_axis_rect, make_convex_quad, is_rectangle, orient, primitive_direction,
+    make_axis_rect, make_convex_quad, is_rectangle, primitive_direction,
     rational, rational_str,
 )
 from cityguard.instances import GeneratorParams, gen_random
@@ -19,7 +19,9 @@ from cityguard.oracle import build_faces, candidate_set
 from cityguard.placement import guards_2k1
 from cityguard.verify import free_space
 from cityguard.visibility import visibility_region
-from references import h_point_by_fraction, in_open_hole, region_contains
+from references import (
+    CCW, COLLINEAR, CW, h_point_by_fraction, in_open_hole, orient, region_contains,
+)
 
 
 def P(x, y):
@@ -55,13 +57,13 @@ def closed_clip(a, b, cell):
 def point_run(a, b, hole):
     """`interior_run` of the segment between Points a and b through the
     hole, with the ends converted by `h_point` and the hole by `h_cell`."""
-    return interior_run(h_point(a), h_point(b), h_cell(hole.as_cell()))
+    return interior_run(h_point(a), h_point(b), h_cell(hole.corners()))
 
 
 def ref_interior_run(a, b, hole):
     """The closed clip, kept iff its midpoint is in the hole's open
     interior (the hole is convex, so then the whole open clip is)."""
-    clip = closed_clip(a, b, hole.as_cell())
+    clip = closed_clip(a, b, hole.corners())
     if clip is None:
         return None
     tm = (clip[0] + clip[1]) / 2
@@ -150,7 +152,7 @@ class TestSegmentBlocked:
     @settings(max_examples=200)
     def test_clip_is_the_closed_cell_piece(self, ax, ay, bx, by):
         a, b = P(ax, ay), P(bx, by)
-        clip = closed_clip(a, b, self.R.as_cell())
+        clip = closed_clip(a, b, self.R.corners())
         run = point_run(a, b, self.R)
         r = self.R
         hits = []

@@ -257,7 +257,7 @@ class TestHoleCells:
     ], ids=["axis", "axis-thirds", "rotated", "rotated-thirds"])
     def test_equal_to_the_rings_cells(self, make):
         sc = make()
-        expected = [h_cell(h.as_cell()) for h in sc.holes]
+        expected = [h_cell(h.corners()) for h in sc.holes]
         assert [(c.pts, c.lines, c.bbox) for c in sc.hole_cells] == \
             [(c.pts, c.lines, c.bbox) for c in expected]
         assert sc.hole_cells is sc.hole_cells

@@ -70,7 +70,7 @@ class TestBuild:
 
     def test_region_contains_no_hole_interior(self):
         sc = city_b()
-        holes = PolygonSet(tuple(h.as_cell() for h in sc.holes))
+        holes = PolygonSet(tuple(h.corners() for h in sc.holes))
         for kind in KINDS:
             st = staircase(sc, kind)
             region = staircase_region(sc, st)

@@ -377,7 +377,7 @@ class TestRegionsSweptOnDemand:
         swept = set(visibility._cache[1])
         sights = verify._sights(sc, short)
         index = verify._by_facing(sights)
-        buildings = [h_cell(h.as_cell()) for h in sc.holes]
+        buildings = [h_cell(h.corners()) for h in sc.holes]
         residual, cut, fronts, skips = [], set(), set(), 0
         for piece in free_space(sc).pieces:
             if verify._proven(piece, verify._holders(index, piece), sights, buildings):
@@ -567,7 +567,7 @@ def _assert_witness_unseen(scene, guards, cert):
 def _sees_all(scene, guard, cell):
     """h_sees_all for a guard of the scene, with its buildings as blockers."""
     return h_sees_all(h_point(guard.position(scene)), guard.facing, cell,
-                      [h_cell(h.as_cell()) for h in scene.holes])
+                      [h_cell(h.corners()) for h in scene.holes])
 
 
 def _through_a_corner(scene, pos, p):
@@ -983,7 +983,7 @@ class TestSplitProof:
         sc = scaled_and_shifted(sc, scale, shift, shift)
         guards = data.draw(st.lists(st.sampled_from(_anchors(sc)), min_size=1, max_size=6,
                                     unique=True))
-        buildings = [h_cell(h.as_cell()) for h in sc.holes]
+        buildings = [h_cell(h.corners()) for h in sc.holes]
         sights = verify._sights(sc, guards)
         index = verify._by_facing(sights)
         regions = [c for g in guards for c in visibility_region(sc, g).cells]
@@ -1072,7 +1072,7 @@ def _assert_shadow_verdicts(sc, pos, cells):
     through the building's interior; against all buildings it is the
     disjunction.  Returns the set of verdicts seen."""
     apex = h_point(pos)
-    buildings = [h_cell(h.as_cell()) for h in sc.holes]
+    buildings = [h_cell(h.corners()) for h in sc.holes]
     verdicts = set()
     for cell in cells:
         each = []
@@ -1159,7 +1159,7 @@ class TestShadowed:
         (5, 0) below it, and from a vertex and an edge of the cell."""
         sc = city_a()
         cell = h_cell(tuple(Point(*p) for p in piece))
-        building = h_cell(sc.holes[0].as_cell())
+        building = h_cell(sc.holes[0].corners())
         assert h_shadowed(h_point(Point(*apex)), cell, [building]) == expected
         _assert_shadow_verdicts(sc, Point(*apex), [cell])
 
@@ -1225,7 +1225,7 @@ class TestHullSplitAgainstRotation:
         the cells or on them, and each seventh cell's own vertices and
         edge midpoints as apexes on its boundary."""
         sc = make()
-        buildings = [h_cell(h.as_cell()) for h in sc.holes]
+        buildings = [h_cell(h.corners()) for h in sc.holes]
         cells = _pieces_and_level_parts(sc, False) + _pieces_and_level_parts(sc, True)
         verdicts = set()
         for pos in {g.position(sc) for g in _anchors(sc)}:
@@ -1242,7 +1242,7 @@ class TestHullSplitAgainstRotation:
         """A random rational rectangle and the free-space pieces, seen
         from a drawn corner of the scene."""
         sc, g, cells = _drawn_guard_and_cells(data, k, seed)
-        buildings = [h_cell(h.as_cell()) for h in sc.holes]
+        buildings = [h_cell(h.corners()) for h in sc.holes]
         _assert_split_matches_rotation(h_point(g.position(sc)), cells, buildings)
 
 
@@ -1294,6 +1294,25 @@ class TestOracle:
             with pytest.raises(SceneValidationError) as e:
                 check(sc)
             assert e.value.violations == [("MALFORMED_HOLE", (0,))]
+
+    @pytest.mark.parametrize("hole", [
+        (2, 2, 4, 4),
+        [2, 2, 4, 4],
+        ConvexQuad(((2, 2), (4, 2), (4, 4), (2, 4))),
+        ConvexQuad(5),
+    ], ids=["tuple", "list", "pairs-quad", "int-quad"])
+    def test_refuses_holes_it_cannot_read(self, hole):
+        """A hole that is neither an AxisRect nor a ConvexQuad of four
+        Points is MALFORMED_HOLE, and the inside and overlap checks skip
+        it: a second hole that it would overlap and that touches the
+        boundary is reported on its own."""
+        sc = Scene(bounds=AxisRect(0, 0, 10, 10), holes=(AxisRect(0, 3, 3, 5), hole))
+        expected = [("MALFORMED_HOLE", (1,)), ("HOLE_TOUCHES_BOUNDARY", (0,))]
+        for check in (validate_scene, lambda s: certify(s, (p_corner_guard(0, E),)),
+                      lambda s: optimal_guard_count(s, [p_corner_guard(0, E)], 8)):
+            with pytest.raises(SceneValidationError) as e:
+                check(sc)
+            assert e.value.violations == expected
 
     def test_candidate_count_bound(self):
         # 4 corners x 4 wall-aligned facings per building, 4 x 2 inward
