@@ -23,7 +23,7 @@ from typing import Sequence
 
 from cityguard.errors import SceneValidationError, DegeneratePositionError
 from cityguard.geom import (
-    AxisRect, ConvexQuad, Point, Hole, h_cell, h_in_front, h_point, h_rect, h_ring_lines,
+    AxisRect, ConvexQuad, Point, Hole, h_cell, h_point, h_rect, h_ring_lines,
     h_to_point, is_rectangle, make_convex_quad, primitive_direction, strictly_convex_ccw,
 )
 
@@ -91,8 +91,11 @@ class City:
         for i, (base, height) in enumerate(zip(self.scene.holes, self.heights)):
             if height <= 0:
                 raise ValueError(f"building {i}: height must be positive")
-            if isinstance(base, ConvexQuad) and not is_rectangle(base):
-                raise ValueError(f"building {i}: base is not a rectangle")
+            if isinstance(base, ConvexQuad):
+                if not _readable(base):
+                    raise ValueError(f"building {i}: base is not a ConvexQuad of four Points")
+                if not is_rectangle(base):
+                    raise ValueError(f"building {i}: base is not a rectangle")
 
 
 # Anchors: ("hole", building_id, corner_idx) or ("p", corner_idx).
@@ -327,16 +330,18 @@ def require_general_position(scene: Scene):
 def roof_flags(scene: Scene, guards) -> tuple:
     """Per building i, whether some guard covers roof i, from one pass
     over the guards: only a guard on building i can, and it does iff the
-    roof's corners are in its closed half-plane (`h_in_front`; the
-    half-plane is convex, so the corners decide).  A guard on a building
-    already flagged is not tested, but every guard's anchor is decoded
-    (`Scene.corner`), so one naming no corner of the scene raises
-    ValueError."""
+    roof's corners are in its closed half-plane (the `h_in_front` test,
+    written inline; the half-plane is convex, so the corners decide).  A
+    guard on a building already flagged is not tested, but every guard's
+    anchor is decoded (`Scene.corner`), so one naming no corner of the
+    scene raises ValueError."""
     flags = [False] * scene.k
     for g in guards:
         cell, j = scene.corner(g.anchor)
         if g.on_hole() and not flags[g.anchor[1]]:
-            flags[g.anchor[1]] = h_in_front(cell.pts[j], g.facing, cell.pts)
+            (fx, fy), (AX, AY, AW) = g.facing, cell.pts[j]
+            k = fx * AX + fy * AY
+            flags[g.anchor[1]] = all((fx * X + fy * Y) * AW >= k * W for X, Y, W in cell.pts)
     return tuple(flags)
 
 

@@ -340,12 +340,13 @@ def _roof_front_facings(scene: Scene, g: Guard):
             if h_in_front(cell.pts[j], f, cell.pts)]
 
 
-def _repair_roofs(city: City, guards: list, trace) -> list:
+def _repair_roofs(city: City, guards: list, flags, trace) -> list:
     """Re-orient single guards so every roof sees a same-building guard,
     keeping the free-space certificate intact and the count unchanged.
-    A repair changes only its own building's guards: one read of the flags."""
+    A repair changes only its own building's guards, so the roof flags
+    of `guards` (`Certificate.roofs`) are read once."""
     scene = city.scene
-    for i, covered in enumerate(roof_flags(scene, guards)):
+    for i, covered in enumerate(flags):
         if covered:
             continue
         tries = [(idx, g, f) for idx, g in enumerate(guards) if g.on_hole() and g.anchor[1] == i
@@ -385,10 +386,11 @@ def city_guarding(city: City, mode: str = BUILDINGS_ONLY,
     elif base.algorithm != _BASE_ALGORITHM[mode]:
         raise ValueError(f"{mode} city guarding builds on {_BASE_ALGORITHM[mode]}, "
                          f"not on {base.algorithm!r}")
-    elif not covers(scene, base.guards):
+    cert = certify(scene, base.guards)
+    if not cert.covered:
         raise ValueError(f"the {base.algorithm} base does not cover free space")
     trace = list(base.trace) + [("mode", mode)]
-    guards = _repair_roofs(city, list(base.guards), trace)
+    guards = _repair_roofs(city, list(base.guards), cert.roofs, trace)
     sol = Solution(algorithm="city", guards=tuple(guards), trace=tuple(trace))
     from cityguard.verify import certify_city
     cert = certify_city(city, sol)

@@ -35,7 +35,7 @@ from math import gcd
 from cityguard import visibility
 from cityguard.geom import (
     AxisRect, HCell, Point, PolygonSet, _h_disjoint, _h_line, _h_meet, _h_orient,
-    h_area2, h_cell, h_centroid, h_clear, h_point, h_subtract, make_convex_quad,
+    h_area2, h_cell, h_centroid, h_clear, h_point, h_subtract, h_to_point, make_convex_quad,
     primitive_direction,
 )
 from cityguard.model import Guard, Scene, rotate_point_ccw, rotate_scene_ccw
@@ -346,6 +346,22 @@ def axis_free_cells(bounds, holes, rows=False):
                     ((a, p), (b, p), (b, q), (a, q)))
             cells.append(h_cell(tuple(Point(x, y) for x, y in ring)))
     return cells
+
+
+def located_by_scan(scene, guards, pieces):
+    """Per axis-aligned piece, whether a guard stands on it and proves it,
+    by the Point route: the guard's position (`anchor_point`) lies in the
+    piece's closed rectangle, and (c - v) . facing >= 0 at each of its
+    corners c.  The pieces `verify._on_strips` must locate."""
+    spots = [(anchor_point(scene, g.anchor), g.facing) for g in guards]
+    out = []
+    for piece in pieces:
+        corners = [h_to_point(p) for p in piece.pts]
+        xs, ys = [c.x for c in corners], [c.y for c in corners]
+        out.append(any(min(xs) <= v.x <= max(xs) and min(ys) <= v.y <= max(ys)
+                       and all((c.x - v.x) * fx + (c.y - v.y) * fy >= 0 for c in corners)
+                       for v, (fx, fy) in spots))
+    return out
 
 
 def building_levels(scene, rows=False):

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from cityguard import model
 from cityguard.errors import DegeneratePositionError, SceneValidationError
 from cityguard.geom import (
-    AxisRect, Point, h_cell, h_to_point, make_axis_rect, make_convex_quad,
+    AxisRect, ConvexQuad, Point, h_cell, h_to_point, make_axis_rect, make_convex_quad,
 )
 from cityguard.instances import (
     GeneratorParams, gen_3k1_necessity, gen_random, gen_random_city, gen_roof_necessity,
@@ -275,6 +275,15 @@ class TestCity:
         slanted = make_convex_quad([(2, 2), (6, 2), (7, 5), (3, 5)])
         sc = Scene(bounds=make_axis_rect(0, 0, 10, 10), holes=(slanted,))
         with pytest.raises(ValueError, match="building 0: base is not a rectangle"):
+            City(scene=sc, heights=(1,))
+
+    @pytest.mark.parametrize("base", [ConvexQuad(5), ConvexQuad((1, 2, 3, 4))],
+                             ids=["int", "ints"])
+    def test_base_it_cannot_read(self, base):
+        """A quad base that is not four Points is refused by the City,
+        naming the building, before any test reads its corners."""
+        sc = Scene(bounds=AxisRect(0, 0, 10, 10), holes=(base,))
+        with pytest.raises(ValueError, match="building 0: base is not a ConvexQuad of four Points"):
             City(scene=sc, heights=(1,))
 
     def test_one_height_per_building(self):

@@ -2,6 +2,7 @@ import hashlib
 import inspect
 import random
 import re
+import sys
 from fractions import Fraction
 from itertools import combinations, islice
 
@@ -26,7 +27,7 @@ from cityguard.instances import (
 )
 from cityguard.io import certificate_doc, city_doc, parse_city
 from cityguard.model import (
-    AXIS_ALIGNED, City, E, N, S, Scene, Solution, W, hole_guard, p_corner_guard,
+    AXIS_ALIGNED, City, E, Guard, N, S, Scene, Solution, W, hole_guard, p_corner_guard,
     rotate_guards, rotate_scene_ccw, validate_scene,
 )
 from cityguard.oracle import (
@@ -43,9 +44,10 @@ from cityguard.visibility import sees, visibility_region
 from counterexample_3k1 import rot3k1_counterexample
 from references import (
     axis_free_cells, building_levels, certify_and_refine_from_scratch, h_sees_all,
-    hull_by_rotation, in_closed_shadow, min_cover_of_region, mirror_guards, mirror_scene,
-    residual_pass, roof_covered_by, sees_all_by_scan, shadow_by_rotation, shadowed_by_scan,
-    region_contains, reset_region_cache, scaled_and_shifted, side_table, space_between,
+    hull_by_rotation, in_closed_shadow, located_by_scan, min_cover_of_region, mirror_guards,
+    mirror_scene, residual_pass, roof_covered_by, sees_all_by_scan, shadow_by_rotation,
+    shadowed_by_scan, region_contains, reset_region_cache, scaled_and_shifted, side_table,
+    space_between,
 )
 from test_geom import point_run, ref_interior_run
 
@@ -248,6 +250,24 @@ class TestCertificateMemo:
                                      certify(scene, wm.guards).covered,
                                      certify_city(city, cb).covered,
                                      certify_city(city, cp).covered])
+
+    def test_bench_row_computes_three_roof_flag_sets(self, monkeypatch, computed):
+        """A k = 6 bench row reads roof flags for three guard sets: the
+        roof placement's, and one per city placement, kept with its base's
+        certificate (`Certificate.roofs`), which the repair and both
+        `certify_city` calls share.  `model.roof_flags` is wrapped in
+        every module that reads it."""
+        (name, city), = random_corpus(1, 6, 6, seed=43, grid=1000)
+        calls, flags = [], model.roof_flags
+        for module in [m for key, m in sys.modules.items() if key.startswith("cityguard.")
+                       and getattr(m, "roof_flags", None) is flags]:
+            monkeypatch.setattr(module, "roof_flags",
+                                lambda *args: calls.append(args) or flags(*args))
+        row = bench_instance(name, city)
+        assert row.certified and "roof-fix" not in {e[0] for e in city_guarding(city).trace}
+        assert len(calls) == 3
+        cert = certify(city.scene, guards_2k1(city.scene).guards)
+        assert cert.roofs is cert.roofs == flags(city.scene, cert.guards)
 
     def test_equal_copy_shares_the_certificate(self, computed):
         sc = gen_random(GeneratorParams(k=4, seed=8, grid=200))
@@ -891,28 +911,52 @@ class TestSplitProof:
                             lambda *args: verdicts.append(clear(*args)) or verdicts[-1])
         return verdicts
 
+    @staticmethod
+    def location_spy(monkeypatch):
+        """Record the strips built (`verify._strips`: their axis and piece
+        count) and the pieces located (`verify._on_strips`)."""
+        strips, locate, built, located = verify._strips, verify._on_strips, [], []
+
+        def building(*args, **kw):
+            bound = inspect.signature(strips).bind(*args, **kw)
+            bound.apply_defaults()
+            out = strips(*args, **kw)
+            built.append((bound.arguments["rows"], sum(len(los) for los, _ in out[1])))
+            return out
+
+        def locating(*args):
+            located.append(locate(*args))
+            return located[-1]
+
+        monkeypatch.setattr(verify, "_strips", building)
+        monkeypatch.setattr(verify, "_on_strips", locating)
+        return built, located
+
     @pytest.mark.parametrize("k", [16, 22, 28])
     @pytest.mark.parametrize("seed", range(3))
     def test_covered_placements_sweep_no_region(self, monkeypatch, k, seed):
         """`guards_2k1` faces W and is proven on columns; most of
         `guards_main` faces N or S, or E or W in a rotated frame, and is
         proven on the strips it faces along.  Every strip piece is proven
-        by one guard, and no region is swept.  A holder on the piece
-        proves it with no hull test, and the holders facing it head on
-        are tried first: no hull test fails, and there are fewer hull
-        tests than pieces."""
+        by one guard, and no region is swept.  A guard standing on a piece
+        proves it by location, with no hull test, and the holders facing a
+        piece head on are tried first: every piece left takes one hull
+        test, which passes, so there are fewer hull tests than pieces."""
         sc = gen_random(GeneratorParams(k=k, seed=seed, grid=1000))
         proofs = self.spy(monkeypatch)
         hulls = self.hull_spy(monkeypatch)
+        built, located = self.location_spy(monkeypatch)
         for algorithm in (guards_2k1, guards_main):
             guards = algorithm(sc).guards
             reset_region_cache(monkeypatch)
-            proofs.clear()
-            hulls.clear()
+            for record in (proofs, hulls, built, located):
+                record.clear()
             assert certify(sc, guards).covered
             assert visibility._cache[1] == {}
+            (_, pieces), = built
+            assert len(located[0]) + len(proofs) == pieces
             assert all(proofs)
-            assert all(hulls) and len(hulls) < len(proofs)
+            assert all(hulls) and len(hulls) == len(proofs) < pieces
 
     def test_oracle_set_is_covered_by_cuts(self, monkeypatch):
         """The oracle's OPTIMAL set on a k = 8 city, four guards facing E
@@ -937,28 +981,20 @@ class TestSplitProof:
                                                 (16, 1, True)])
     def test_north_south_sets_take_one_row_pass(self, monkeypatch, k, seed, covered):
         """A `guards_main` set without its middle guard, mostly facing N or
-        S, is certified in one pass on rows: free space is built on row
-        strips only, some row piece has no proof and is cut, and the
+        S, is certified in one pass on rows: the strips are built once, on
+        rows, some row piece has no proof and is cut, and the
         residual is the column pass's as a point set, with an unseen
         witness."""
         sc = gen_random(GeneratorParams(k=k, seed=seed, grid=1000))
         main = list(guards_main(sc).guards)
         short = main[:len(main) // 2] + main[len(main) // 2 + 1:]
         assert _on_rows(sc, short)
-        strips, axes = verify._axis_free_cells, []
-
-        def spy(*args, **kw):
-            bound = inspect.signature(strips).bind(*args, **kw)
-            bound.apply_defaults()
-            axes.append(bound.arguments["rows"])
-            return strips(*args, **kw)
-
         proofs = self.spy(monkeypatch)
-        monkeypatch.setattr(verify, "_axis_free_cells", spy)
+        built, _ = self.location_spy(monkeypatch)
         reset_region_cache(monkeypatch)
         cert = certify(sc, short)
         assert cert.covered == covered
-        assert axes == [True] and proofs and not all(proofs)
+        assert [rows for rows, _ in built] == [True] and proofs and not all(proofs)
         _assert_same_points(cert.residual.pieces, residual_pass(sc, short))
         _assert_witness_unseen(sc, short, cert)
 
@@ -971,9 +1007,9 @@ class TestSplitProof:
         any corner, facing along a wall or askew.  A rotated scene's
         pieces are its column pieces on either axis.  The proof's verdict
         is the plain rule's, whatever order it tries the holders in: some
-        guard sees all of the piece.  The scene may be scaled by 1/3, so
-        that vertices have W > 1, or shifted by 10^17, where the padded
-        float bboxes admit every holder to the exact on-piece test."""
+        guard sees all of the piece, a guard standing on it included.  The
+        scene may be scaled by 1/3, so that vertices have W > 1, or shifted
+        by 10^17, where the floats that order the hull tests tie."""
         if data.draw(st.booleans()):
             sc = gen_random(GeneratorParams(k=k, seed=seed, grid=30))
         else:
@@ -1033,19 +1069,21 @@ class TestSplitProof:
         (((6, 4), (10, 4), (10, 10), (6, 10)), E, Fraction(1, 3)),       # inside an edge, W = 3
     ], ids=str)
     def test_holder_on_the_piece_needs_no_hull_test(self, monkeypatch, piece, facing, scale):
-        """A holder whose apex lies on the closed piece sees all of it: the
-        hull of the apex and the piece is the piece, which is free.  Its
-        proof makes no hull test, and its region leaves nothing of the
-        piece.  The apex is the corner (6, 6) of the building [4, 6]^2 in
-        [0, 10]^2, or its image in the copy scaled by 1/3."""
+        """A guard whose apex lies on the closed piece, with the piece in
+        its closed half-plane, sees all of it: the hull of the apex and the
+        piece is the piece, which is free.  The location step's scan
+        (`verify._on_piece`) proves it with no hull test, and its region
+        leaves nothing of the piece.  The apex is the corner (6, 6) of the
+        building [4, 6]^2 in [0, 10]^2, or its image in the copy scaled by
+        1/3."""
         sc = scaled_and_shifted(city_a(), scale, 0, 0)
         g = hole_guard(0, 2, facing)
         cell = h_cell(tuple(Point(scale * x, scale * y) for x, y in piece))
         sights = verify._sights(sc, [g])
-        held = verify._holders(verify._by_facing(sights), cell)
         hulls = self.hull_spy(monkeypatch)
-        assert held == [0]
-        assert verify._proven(cell, held, sights, sc.hole_cells) and hulls == []
+        assert verify._holders(verify._by_facing(sights), cell) == [0]
+        assert verify._on_piece(cell, sights) and hulls == []
+        assert not verify._on_piece(cell, verify._sights(sc, [hole_guard(0, 0, facing)]))
         assert h_subtract([cell], visibility_region(sc, g).cells) == []
 
     @pytest.mark.parametrize("building,piece", [
@@ -1063,6 +1101,70 @@ class TestSplitProof:
         cell = h_cell(tuple(Point(*p) for p in piece))
         assert _sees_all(sc, g, cell)
         assert h_subtract([cell], visibility_region(sc, g).cells) == []
+
+
+class TestLocation:
+    """The location step: a strip piece that a guard stands on, with the
+    piece in its closed half-plane, is proven by locating the guard
+    (`verify._on_strips`), and only the pieces left become HCells and take
+    the holder walk."""
+
+    @given(st.integers(1, 12), st.integers(0, 10**6), st.data())
+    @settings(max_examples=40, deadline=None)
+    def test_located_pieces_match_the_point_route(self, k, seed, data):
+        """On columns and on rows, the pieces located are exactly those a
+        guard stands on and proves by the Point route
+        (`references.located_by_scan`), which is the on-piece rule the
+        hull-tested walk once applied to its holders; and `certify` equals
+        the region-by-region pass over `references.axis_free_cells`, cell
+        for cell.  Guards stand at any corner of a building or of P,
+        facing along the walls or askew; the scene may be scaled by 1/3,
+        so that vertices have W > 1, or shifted by 10^17."""
+        sc = gen_random(GeneratorParams(k=k, seed=seed, grid=100))
+        scale, shift = data.draw(st.sampled_from([(1, 0), (Fraction(1, 3), 0), (1, 10**17)]))
+        sc = scaled_and_shifted(sc, scale, shift, shift)
+        anchors = ([("hole", i, c) for i in range(k) for c in range(4)]
+                   + [("p", c) for c in range(4)])
+        guards = data.draw(st.lists(st.builds(
+            Guard, st.sampled_from(anchors), st.sampled_from(_FACINGS + ((3, -4),))),
+            min_size=1, max_size=12, unique=True))
+        sights = verify._sights(sc, guards)
+        for rows in (False, True):
+            us, strips = verify._strips(sc.bounds, sc.holes, rows)
+            pieces = axis_free_cells(sc.bounds, sc.holes, rows)
+            ids = [(s, j) for s, (los, _) in enumerate(strips) for j in range(len(los))]
+            assert len(ids) == len(pieces)
+            stood = located_by_scan(sc, guards, pieces)
+            assert verify._on_strips(sights, us, strips, rows) == \
+                {ids[n] for n, on in enumerate(stood) if on}
+        ref = residual_pass(sc, guards, axis_free_cells(sc.bounds, sc.holes, _on_rows(sc, guards)))
+        assert _cells(certify(sc, guards).residual.pieces) == _cells(ref)
+
+    # (pieces no guard stands on, pieces) per seed, measured for the
+    # guards_2k1 and the guards_main set
+    MEASURED = {0: [(362, 875), (353, 867)], 1: [(342, 855), (340, 855)]}
+
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_only_pieces_no_guard_stands_on_become_cells(self, monkeypatch, seed):
+        """Count budget at k = 256, grid 40k: on the covered `guards_2k1`
+        and `guards_main` sets, `_holders` and `h_rect` run once for each
+        piece no guard stands on (`located_by_scan`) and for no other, and
+        those are under half of the pieces (`MEASURED`)."""
+        sc = gen_random(GeneratorParams(k=256, seed=seed, grid=40 * 256))
+        sets = [guards_2k1(sc).guards, guards_main(sc).guards]
+        calls = {"_holders": 0, "h_rect": 0}
+        for name in calls:
+            fn = getattr(verify, name)
+            monkeypatch.setattr(verify, name, lambda *args, fn=fn, name=name:
+                                calls.__setitem__(name, calls[name] + 1) or fn(*args))
+        for guards, measured in zip(sets, self.MEASURED[seed]):
+            pieces = axis_free_cells(sc.bounds, sc.holes, _on_rows(sc, guards))
+            left = located_by_scan(sc, guards, pieces).count(False)
+            assert (left, len(pieces)) == measured and left < len(pieces) / 2
+            calls.update(_holders=0, h_rect=0)
+            reset_region_cache(monkeypatch)
+            assert certify(sc, guards).covered
+            assert calls == {"_holders": left, "h_rect": left}
 
 
 def _assert_shadow_verdicts(sc, pos, cells):
