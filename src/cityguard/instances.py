@@ -27,7 +27,7 @@ from operator import attrgetter
 
 from cityguard.errors import GenerationFailedError
 from cityguard.geom import (
-    AxisRect, HCell, _h_orient, make_axis_rect, make_convex_quad,
+    AxisRect, HCell, _h_orient, h_point, make_axis_rect, make_convex_quad,
 )
 from cityguard.model import (
     City, Guard, Scene, _holes_disjoint, require_general_position, validate_scene,
@@ -46,6 +46,8 @@ class GeneratorParams:
     grid: int = 1000
 
     def __post_init__(self):
+        if not all(type(v) is int for v in (self.k, self.seed, self.grid)):
+            raise ValueError(f"k, seed and grid must be ints (no bool), got {self}")
         if self.k < 0:
             raise ValueError(f"k must be non-negative, got {self.k}")
         if self.grid <= 0:
@@ -158,9 +160,9 @@ def _roofs_mutually_visible(city: City, i: int, j: int, prisms) -> bool:
     """Some top vertex of B_i sees some roof sample of B_j, by the roof
     oracle's sample test."""
     hi, hj = city.heights[i], city.heights[j]
+    samples = [h_point(p) for p in roof_samples(city.scene.holes[j])]
     return any(_sample_visible(v, hi, p, hj, prisms)
-               for v in city.scene.holes[i].corners()
-               for p in roof_samples(city.scene.holes[j]))
+               for v in city.scene.hole_cells[i].pts for p in samples)
 
 
 # ---------------------------------------------------------------------------

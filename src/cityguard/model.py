@@ -19,11 +19,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from math import inf
+from numbers import Real
 from typing import Sequence
 
 from cityguard.errors import SceneValidationError, DegeneratePositionError
 from cityguard.geom import (
-    AxisRect, ConvexQuad, Point, Hole, h_cell, h_point, h_rect, h_ring_lines,
+    AxisRect, ConvexQuad, Point, Hole, h_cell, h_in_front, h_point, h_rect, h_ring_lines,
     h_to_point, is_rectangle, make_convex_quad, primitive_direction, strictly_convex_ccw,
 )
 
@@ -108,17 +110,20 @@ class Guard:
     facing: tuple
 
     def __post_init__(self):
-        """Refuse an anchor of no anchor's shape: ("hole", i, j) or
-        ("p", j), each index an int and no bool.  The region and
-        certificate caches are keyed by guard equality and True == 1, so
-        a bool index would get its int's cached answer.  The range
-        against a scene is `Scene.corner`'s."""
-        a = self.anchor
+        """Refuse an anchor of no anchor's shape, ("hole", i, j) or
+        ("p", j), each index an int and no bool, and a facing of no two
+        finite numbers.  The region and certificate caches are keyed by
+        guard equality and True == 1, so a bool index would get its int's
+        cached answer.  The range against a scene is `Scene.corner`'s."""
+        a, f = self.anchor, self.facing
         if not (isinstance(a, tuple) and len(a) == (3 if a[:1] == ("hole",) else 2)
                 and a[0] in ("hole", "p") and all(type(i) is int for i in a[1:])):
             raise ValueError(f"anchor {a!r} names no corner: it is not ('hole', i, j) "
                              f"or ('p', j) with int indices")
-        object.__setattr__(self, "facing", primitive_direction(*self.facing))
+        if not (isinstance(f, (tuple, list)) and len(f) == 2 and (type(f[0]) is type(f[1]) is int
+                or all(isinstance(c, Real) and abs(c) < inf for c in f))):
+            raise ValueError(f"facing {f!r} is not two finite numbers")
+        object.__setattr__(self, "facing", primitive_direction(*f))
 
     def position(self, scene: Scene) -> Point:
         """The anchor corner (`Scene.corner`) as a Point; ValueError if the
@@ -329,19 +334,15 @@ def require_general_position(scene: Scene):
 
 def roof_flags(scene: Scene, guards) -> tuple:
     """Per building i, whether some guard covers roof i, from one pass
-    over the guards: only a guard on building i can, and it does iff the
-    roof's corners are in its closed half-plane (the `h_in_front` test,
-    written inline; the half-plane is convex, so the corners decide).  A
-    guard on a building already flagged is not tested, but every guard's
-    anchor is decoded (`Scene.corner`), so one naming no corner of the
-    scene raises ValueError."""
+    over the guards: only a guard on building i can, and it does iff its
+    closed half-plane holds the roof's corners (`h_in_front`).  A guard on
+    a flagged building is not tested, but every anchor is decoded
+    (`Scene.corner`), so one naming no corner raises ValueError."""
     flags = [False] * scene.k
     for g in guards:
         cell, j = scene.corner(g.anchor)
         if g.on_hole() and not flags[g.anchor[1]]:
-            (fx, fy), (AX, AY, AW) = g.facing, cell.pts[j]
-            k = fx * AX + fy * AY
-            flags[g.anchor[1]] = all((fx * X + fy * Y) * AW >= k * W for X, Y, W in cell.pts)
+            flags[g.anchor[1]] = h_in_front(cell.pts[j], g.facing, cell.pts)
     return tuple(flags)
 
 

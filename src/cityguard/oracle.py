@@ -337,12 +337,13 @@ def roof_cover_sets(city: City, candidates):
     A roof counts as covered when every one of its `roof_samples` is
     visible: the roof's corners are in the guard's closed half-plane
     (`h_in_front`) and `_sample_visible` finds no prism's open interior on
-    the open 3D sight segment.  Only building-corner guards have a height;
-    a guard on a bounding-rectangle corner, or on none, raises `ValueError`.
-    """
+    the open 3D sight segment from the guard's cell vertex to the sample's
+    `h_point`, taken once per roof.  Only building-corner guards have a
+    height; a guard on a bounding-rectangle corner, or on none, raises
+    `ValueError`."""
     scene, heights = city.scene, city.heights
     prisms = list(zip(scene.hole_cells, heights))
-    roofs = [(i, cell.pts, roof_samples(base), heights[i])
+    roofs = [(i, cell.pts, [h_point(p) for p in roof_samples(base)], heights[i])
              for i, (base, cell) in enumerate(zip(scene.holes, scene.hole_cells))]
     out = []
     for g in candidates:
@@ -350,35 +351,33 @@ def roof_cover_sets(city: City, candidates):
         if not g.on_hole():
             raise ValueError(f"roof guards stand on building corners, got anchor {g.anchor!r}")
         apex = cell.pts[j]
-        v = h_to_point(apex)
         vz = heights[g.anchor[1]]
         covered = set()
         for i, corners, pts, hz in roofs:
             if not h_in_front(apex, g.facing, corners):
                 continue
-            if all(p == v or _sample_visible(v, vz, p, hz, prisms) for p in pts):
+            if all(p == apex or _sample_visible(apex, vz, p, hz, prisms) for p in pts):
                 covered.add(i)
         out.append(frozenset(covered))
     return out
 
 
-def _sample_visible(v: Point, vz, p: Point, pz, prisms) -> bool:
+def _sample_visible(v, vz, p, pz, prisms) -> bool:
     """No prism of `prisms`, (base HCell, height) pairs, blocks the sight
-    segment (v, vz)-(p, pz).
+    segment (v, vz)-(p, pz), v and p homogeneous points.
 
     A prism no taller than the lower end of the segment cannot block, as
     z is linear along it; this exact prefilter skips it.  Otherwise the
     prism blocks iff the open segment enters its open interior: the
     segment's xy run through the footprint's open interior (`interior_run`,
-    one integer pass after its float bbox prefilter, with v and p
-    converted once) has a point below the roof.  z is linear along the
-    run, so that holds iff z < h at the run's lower end."""
+    one integer pass after its float bbox prefilter) has a point below
+    the roof.  z is linear along the run, so that holds iff z < h at the
+    run's lower end."""
     low = min(vz, pz)
-    a, b = h_point(v), h_point(p)
     for base, h in prisms:
         if h <= low:
             continue
-        run = interior_run(a, b, base)
+        run = interior_run(v, p, base)
         if run is not None and vz + run[0 if pz > vz else 1] * (pz - vz) < h:
             return False
     return True

@@ -81,12 +81,19 @@ def _anchor_guards(scene: Scene) -> dict:
             for p, a in sorted(anchors.items(), key=lambda item: item[1])}
 
 
-def _checked_anchors(scene: Scene):
-    """The validated scene and its 2k+1 anchors (`_anchor_guards`)."""
+def _axis_scene(scene: Scene) -> Scene:
+    """The wall placements' one gate: the scene validated, refused unless
+    axis-aligned, then required in general position."""
     scene = validate_scene(scene)
-    require_general_position(scene)
     if scene.kind != AXIS_ALIGNED:
-        raise ValueError("partition is defined for axis-aligned scenes")
+        raise ValueError("the wall placements are defined for axis-aligned scenes")
+    require_general_position(scene)
+    return scene
+
+
+def _checked_anchors(scene: Scene):
+    """The gated scene (`_axis_scene`) and its 2k+1 anchors (`_anchor_guards`)."""
+    scene = _axis_scene(scene)
     anchors = _anchor_guards(scene)
     if len(anchors) != 2 * scene.k + 1:
         raise PlacementIncompleteError(
@@ -307,10 +314,7 @@ def _guards_main_scene(scene: Scene, trace, depth=0) -> list:
 
 def guards_main(scene: Scene) -> Solution:
     """<= 2k + floor(k/4) + 4 guards, all anchored on hole vertices."""
-    scene = validate_scene(scene)
-    require_general_position(scene)
-    if scene.kind != AXIS_ALIGNED:
-        raise ValueError("guards_main is defined for axis-aligned scenes")
+    scene = _axis_scene(scene)
     if scene.k < 1:
         raise ValueError("guards_main needs at least one hole")
     trace = []
@@ -375,8 +379,7 @@ def city_guarding(city: City, mode: str = BUILDINGS_ONLY,
     that placement passes it as `base`, and it is not built again; it is
     checked, not trusted: a base of another algorithm raises ValueError,
     and so does one that does not cover free space."""
-    scene = validate_scene(city.scene)
-    require_general_position(scene)
+    scene = _axis_scene(city.scene)
     if mode not in _BASE_ALGORITHM:
         raise ValueError(f"unknown mode {mode!r}")
     if mode == BUILDINGS_ONLY and scene.k == 0:

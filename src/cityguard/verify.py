@@ -27,8 +27,7 @@ built once per pass as exact free intervals (`_strips`, which
 line, so bisection finds the at most two intervals it lies on, and the
 interval's rectangle is tested against the guard's closed half-plane on
 its exact coordinates (`_on_strips`).  The pieces of a scene with
-rotated buildings are located by an exact scan (`_on_piece`).  On the
-covered placements about 60 % of the pieces are proven so.  Only the
+rotated buildings are located by an exact scan (`_on_piece`).  Only the
 pieces left become HCells, in strip order, and take the steps below.
 
 The sight segments from a guard to a convex piece fill the hull of the
@@ -74,7 +73,8 @@ guards as a plain scan would.
 
 The witness of an uncovered certificate is the first of the largest
 residual cell's `interior_points` off every guard's half-plane boundary
-line; the oracle takes its UNCOVERABLE witness from the same sequence.
+line, each tested on its `h_point` in integers; the oracle takes its
+UNCOVERABLE witness from the same sequence.
 
 Each (scene, guard tuple) runs one residual pass: certificates are kept
 with the scene's regions in `visibility.scene_cache`, so a placement,
@@ -94,7 +94,7 @@ from typing import Optional
 
 from cityguard.geom import (
     AxisRect, HCell, Point, PolygonSet, h_area2, h_centroid,
-    h_clear, h_in_front, h_rect, h_shadowed, h_subtract, h_to_point,
+    h_clear, h_in_front, h_point, h_rect, h_shadowed, h_subtract, h_to_point,
 )
 from cityguard.model import AXIS_ALIGNED, City, Scene, Solution, roof_flags, validate_scene
 from cityguard.visibility import scene_cache, visibility_region
@@ -126,7 +126,7 @@ def free_space(scene: Scene) -> PolygonSet:
     """Bounds minus open hole interiors, as disjoint closed cells: strip
     columns, or with rotated buildings the bounds minus `hole_cells`."""
     if scene.kind == AXIS_ALIGNED:
-        return PolygonSet.of_hcells(_axis_free_cells(scene.bounds, scene.holes))
+        return PolygonSet.of_hcells(_strip_cells(*_strips(scene.bounds, scene.holes), False))
     return PolygonSet.from_rect(*scene.bounds).difference(PolygonSet.of_hcells(scene.hole_cells))
 
 
@@ -154,12 +154,6 @@ def _strips(b: AxisRect, holes, rows=False):
             v = max(v, hi)
         strips.append((los, his))
     return us, strips
-
-
-def _axis_free_cells(b: AxisRect, holes, rows=False):
-    """One CCW rectangle HCell per free interval of each strip, in strip
-    order (`_strips`, `_strip_cells`)."""
-    return _strip_cells(*_strips(b, holes, rows), rows)
 
 
 def _strip_cells(us, strips, rows, located=()):
@@ -351,9 +345,9 @@ def interior_points(cell: HCell):
 
 def _witness(cell: HCell, sights) -> Point:
     """The first of the cell's `interior_points` off every guard's boundary
-    line, where `sees` accepts a point though sight there has no area."""
-    return next(p for p in interior_points(cell)
-                if not any(a[2] * (fx * p.x + fy * p.y) == k for a, (fx, fy), k in sights))
+    line, where sight has no area, decided on its `h_point` in integers."""
+    return next(p for p in interior_points(cell) for X, Y, W in [h_point(p)]
+                if not any(a[2] * (fx * X + fy * Y) == k * W for a, (fx, fy), k in sights))
 
 
 def certify_city(city: City, solution: Solution) -> Certificate:

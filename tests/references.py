@@ -324,10 +324,11 @@ def residual_pass(scene, guards, strips=None):
 def axis_free_cells(bounds, holes, rows=False):
     """Free space of an axis-aligned scene as one cell per free interval
     of each strip, each made by h_cell from its CCW Point ring: the cells
-    `verify._axis_free_cells` must give, in order.  The strips are the
-    columns between consecutive x-lines, or with `rows` the rows between
-    consecutive y-lines; a strip is cut at the ends of the holes that span
-    it, and a part is free iff its midpoint lies in none of them."""
+    `verify._strip_cells` must give of `verify._strips`, in order.  The
+    strips are the columns between consecutive x-lines, or with `rows` the
+    rows between consecutive y-lines; a strip is cut at the ends of the
+    holes that span it, and a part is free iff its midpoint lies in none
+    of them."""
     def across(r):
         return (r.y0, r.y1) if rows else (r.x0, r.x1)
 
@@ -346,6 +347,15 @@ def axis_free_cells(bounds, holes, rows=False):
                     ((a, p), (b, p), (b, q), (a, q)))
             cells.append(h_cell(tuple(Point(x, y) for x, y in ring)))
     return cells
+
+
+def witness_by_fractions(cell, sights):
+    """`verify._witness`'s first form: the first of the cell's
+    `interior_points` off every guard's boundary line, each point tested
+    on its Point coordinates, a[2] * (fx * x + fy * y) == k multiplied out
+    in Fractions, for `verify._sights` entries (apex a, facing, k)."""
+    return next(p for p in interior_points(cell)
+                if not any(a[2] * (fx * p.x + fy * p.y) == k for a, (fx, fy), k in sights))
 
 
 def located_by_scan(scene, guards, pieces):

@@ -1,4 +1,5 @@
 import hashlib
+import re
 
 import pytest
 
@@ -43,6 +44,15 @@ class TestGenRandom:
     def test_negative_k_refused(self):
         with pytest.raises(ValueError):
             GeneratorParams(k=-1)
+
+    @pytest.mark.parametrize("kwargs", [{"k": 2.5}, {"k": True}, {"k": 2, "seed": 1.5},
+                                        {"k": 2, "grid": 100.0}], ids=repr)
+    def test_parameter_that_is_not_an_int_refused(self, kwargs):
+        """k = 2.5 built 3 buildings and k = True one, and seed = 1.5 failed
+        later in `gen_random_city` with a TypeError."""
+        with pytest.raises(ValueError, match=r"k, seed and grid must be ints .*"
+                                             + re.escape(repr(list(kwargs.values())[-1]))):
+            GeneratorParams(**kwargs)
 
     @pytest.mark.parametrize("k,grid", [(1, 1), (1, 2), (3, 2)])
     def test_grid_without_room_for_a_building_refused(self, k, grid):

@@ -464,6 +464,12 @@ class TestAnchorShape:
         with pytest.raises(ValueError, match=re.escape(repr(anchor))):
             Guard(anchor=anchor, facing=N)
 
+    @pytest.mark.parametrize("facing", [(1,), (1, 0, 0), None, (float("inf"), 1)], ids=repr)
+    def test_facing_that_is_not_two_finite_numbers_refused(self, facing):
+        """At the parent these raised TypeError, or OverflowError for inf."""
+        with pytest.raises(ValueError, match=re.escape(f"facing {facing!r}")):
+            Guard(anchor=("hole", 0, 0), facing=facing)
+
     def test_helpers_refuse_bool_indices(self):
         for make in (lambda: hole_guard(True, 0, N), lambda: hole_guard(0, False, N),
                      lambda: p_corner_guard(True, N)):

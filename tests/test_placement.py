@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 
 from cityguard.errors import PlacementIncompleteError
-from cityguard.geom import AxisRect, Point, make_axis_rect
+from cityguard.geom import AxisRect, Point, make_axis_rect, make_convex_quad
 from cityguard.instances import GeneratorParams, gen_random, gen_random_city
 from cityguard.io import parse_city
 from cityguard.model import (
@@ -369,6 +369,29 @@ class TestGuardsMain:
         sc = gen_random(GeneratorParams(k=6, seed=77, grid=90))
         assert guards_main(sc) == guards_main(sc)
         assert guards_2k1(sc) == guards_2k1(sc)
+
+
+def _quads_on_one_line():
+    """Two `ConvexQuad` rectangles that share the line x = 5: a rotated
+    scene, by its buildings' type, outside general position."""
+    return Scene(bounds=make_axis_rect(0, 0, 20, 20), holes=(
+        make_convex_quad([(2, 2), (5, 2), (5, 6), (2, 6)]),
+        make_convex_quad([(5, 10), (9, 10), (9, 14), (5, 14)])))
+
+
+class TestAxisGate:
+    @pytest.mark.parametrize("place", [
+        guards_2k1, guards_main, partition_2k1,
+        lambda sc: city_guarding(City(scene=sc, heights=(1, 2))),
+        lambda sc: city_guarding(City(scene=sc, heights=(1, 2)), ALLOW_P_CORNER),
+    ], ids=["guards_2k1", "guards_main", "partition_2k1", "city", "city-p-corner"])
+    def test_rotated_scene_refused_before_general_position(self, place):
+        """Every wall placement refuses a rotated scene with the one
+        ValueError of `_axis_scene`, before the general position test that
+        raised DegeneratePositionError here."""
+        with pytest.raises(ValueError, match="^the wall placements are defined "
+                                             "for axis-aligned scenes$"):
+            place(_quads_on_one_line())
 
 
 class TestRoofGuarding:

@@ -47,7 +47,7 @@ from references import (
     hull_by_rotation, in_closed_shadow, located_by_scan, min_cover_of_region, mirror_guards,
     mirror_scene, residual_pass, roof_covered_by, sees_all_by_scan, shadow_by_rotation,
     shadowed_by_scan, region_contains, reset_region_cache, scaled_and_shifted, side_table,
-    space_between,
+    space_between, witness_by_fractions,
 )
 from test_geom import point_run, ref_interior_run
 
@@ -440,7 +440,7 @@ class TestAxisFreeCells:
             scene = scaled_and_shifted(gen_random(GeneratorParams(k=k, seed=k, grid=1000)),
                                        s, dx, dy)
             for rows in (False, True):
-                cells = verify._axis_free_cells(scene.bounds, scene.holes, rows=rows)
+                cells = verify._strip_cells(*verify._strips(scene.bounds, scene.holes, rows), rows)
                 ref = axis_free_cells(scene.bounds, scene.holes, rows=rows)
                 assert [(c.pts, c.lines, c.bbox) for c in cells] == \
                     [(c.pts, c.lines, c.bbox) for c in ref]
@@ -828,7 +828,7 @@ def _strip_pieces(scene, rows):
     """The free-space pieces on columns, or with `rows` on rows in an
     axis-aligned scene."""
     if rows and scene.kind == AXIS_ALIGNED:
-        return verify._axis_free_cells(scene.bounds, scene.holes, rows=True)
+        return verify._strip_cells(*verify._strips(scene.bounds, scene.holes, True), True)
     return free_space(scene).pieces
 
 
@@ -1207,6 +1207,41 @@ class TestInteriorPoints:
                 hp = h_point(p)
                 assert all(A * hp[0] + B * hp[1] + C * hp[2] > 0 for A, B, C in cell.lines)
         assert type(next(verify.interior_points(cells[0])).x) is int
+
+
+class TestWitness:
+    @pytest.mark.parametrize("s,d", [(1, 0), (Fraction(1, 3), 0), (1, 10**17)],
+                             ids=["as-is", "thirds", "1e17"])
+    def test_integer_rule_equals_the_fraction_rule(self, s, d):
+        """On every residual cell of short sets (one guard of a `guards_2k1`
+        or `guards_main` set dropped, random k = 1-10), `verify._witness`
+        gives the witness of the Fraction rule, `witness_by_fractions`, for
+        the set's sights and for them with two more guards whose boundary
+        lines run through the cell's first two `interior_points`, so the
+        witness is the third."""
+        rng = random.Random(53)
+        tested = 0
+        for k in range(1, 11):
+            sc = scaled_and_shifted(gen_random(GeneratorParams(k=k, seed=k, grid=40 * k)),
+                                    s, d, d)
+            corners = [hole_guard(i, c, N) for i in range(k) for c in range(4)]
+            for place in (guards_2k1, guards_main):
+                guards = place(sc).guards
+                drop = rng.randrange(len(guards))
+                short = guards[:drop] + guards[drop + 1:]
+                sights = verify._sights(sc, short)
+                for cell in certify(sc, short).residual.pieces:
+                    assert verify._witness(cell, sights) == witness_by_fractions(cell, sights)
+                    lines = []
+                    for p in islice(verify.interior_points(cell), 2):
+                        g = rng.choice(corners)
+                        a = g.position(sc)
+                        lines.append(Guard(anchor=g.anchor, facing=(a.y - p.y, p.x - a.x)))
+                    more = sights + verify._sights(sc, lines)
+                    third = list(islice(verify.interior_points(cell), 3))[2]
+                    assert verify._witness(cell, more) == witness_by_fractions(cell, more) == third
+                    tested += 1
+        assert tested >= 20
 
 
 class TestShadowed:
