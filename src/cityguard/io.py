@@ -35,18 +35,37 @@ class FormatError(ValueError):
         super().__init__(f"{path}: {message}" if path else message)
 
 
-def _check_keys(obj, allowed, required, path):
+# (allowed, required) fields of each JSON object a document holds
+_CITY = (frozenset({"bounds", "buildings"}), frozenset({"bounds"}))
+_BUILDING = (frozenset({"base", "quad", "height"}), frozenset({"height"}))
+_SOLUTION = (frozenset({"algorithm", "guards", "trace"}), frozenset({"algorithm", "guards"}))
+_GUARD = (frozenset({"anchor", "facing"}),) * 2
+_HOLE_ANCHOR = (frozenset({"building", "corner"}),) * 2
+_P_ANCHOR = (frozenset({"p_corner"}),) * 2
+
+
+def _check_keys(obj, fields, path):
+    """An object whose keys are among `fields`' allowed and include its
+    required ones; the key view is compared with the frozensets directly,
+    and the sets of unknown and missing keys are built only to name
+    them."""
     if not isinstance(obj, dict):
         raise FormatError("must be an object", path)
-    extra = set(obj) - set(allowed)
+    allowed, required = fields
+    keys = obj.keys()
+    if keys <= allowed and keys >= required:
+        return
+    extra = keys - allowed
     if extra:
         raise FormatError(f"unknown fields {sorted(extra)}", path)
-    missing = set(required) - set(obj)
+    missing = required - keys
     if missing:
         raise FormatError(f"missing fields {sorted(missing)}", path)
 
 
 def _rat(value, path):
+    if type(value) is int:  # what `rational` returns for an int, without its checks
+        return value
     try:
         return rational(value)
     except (ValueError, TypeError) as e:
@@ -62,7 +81,7 @@ def _shape(make, args, path):
 
 
 def parse_city(doc) -> City:
-    _check_keys(doc, {"bounds", "buildings"}, {"bounds"}, "$")
+    _check_keys(doc, _CITY, "$")
     bounds = doc["bounds"]
     if not (isinstance(bounds, list) and len(bounds) == 4):
         raise FormatError("bounds must be [x0, y0, x1, y1]", "$.bounds")
@@ -73,7 +92,7 @@ def parse_city(doc) -> City:
         raise FormatError("buildings must be a list", "$.buildings")
     for i, b in enumerate(buildings):
         path = f"$.buildings[{i}]"
-        _check_keys(b, {"base", "quad", "height"}, {"height"}, path)
+        _check_keys(b, _BUILDING, path)
         if ("base" in b) == ("quad" in b):
             raise FormatError("need exactly one of base/quad", path)
         h = _rat(b["height"], path + ".height")
@@ -180,7 +199,7 @@ def parse_solution(doc) -> Solution:
     """Parse a solution document.  Building indices are only checked to be
     non-negative here; `Scene.corner`, the one decoder of an anchor, checks
     them against a scene."""
-    _check_keys(doc, {"algorithm", "guards", "trace"}, {"algorithm", "guards"}, "$")
+    _check_keys(doc, _SOLUTION, "$")
     if not isinstance(doc["algorithm"], str):
         raise FormatError("algorithm must be a string", "$.algorithm")
     if not isinstance(doc["guards"], list):
@@ -188,17 +207,17 @@ def parse_solution(doc) -> Solution:
     guards = []
     for i, g in enumerate(doc["guards"]):
         path = f"$.guards[{i}]"
-        _check_keys(g, {"anchor", "facing"}, {"anchor", "facing"}, path)
+        _check_keys(g, _GUARD, path)
         anchor = g["anchor"]
         apath = path + ".anchor"
         if not isinstance(anchor, dict):
             raise FormatError("must be an object", apath)
         if "building" in anchor:
-            _check_keys(anchor, {"building", "corner"}, {"building", "corner"}, apath)
+            _check_keys(anchor, _HOLE_ANCHOR, apath)
             a = ("hole", _index(anchor, "building", apath),
                  _index(anchor, "corner", apath, 4))
         elif "p_corner" in anchor:
-            _check_keys(anchor, {"p_corner"}, {"p_corner"}, apath)
+            _check_keys(anchor, _P_ANCHOR, apath)
             a = ("p", _index(anchor, "p_corner", apath, 4))
         else:
             raise FormatError("anchor needs building/corner or p_corner", apath)

@@ -23,7 +23,9 @@ The pass first locates the guards.  A guard standing on a piece, with
 the piece in its closed half-plane, sees all of it: the hull of its
 apex and the piece is the piece, which is free space.  The strips are
 built once per pass as exact free intervals (`_strips`, which
-`free_space` also reads); a guard's apex, a corner, lies on a strip
+`free_space` also reads), by one sweep over the strip lines that keeps
+the spans of the buildings across the strip sorted, O(k log k) plus the
+intervals; a guard's apex, a corner, lies on a strip
 line, so bisection finds the at most two intervals it lies on, and the
 interval's rectangle is tested against the guard's closed half-plane on
 its exact coordinates (`_on_strips`).  The pieces of a scene with
@@ -63,13 +65,23 @@ or a Fraction.  A guard's closed half-plane holds the cell iff
 t <= min f.v over the cell's vertices v, and it has a vertex strictly in
 front iff t < max f.v, so each group gives the cell's holders and its
 front guards as two sorted prefixes, found by bisection after one pass
-over the vertices per facing.  The hull tests run first on the holders
-facing the piece head on (an E or W facing level with its bbox, an N or
-S facing beside it), then on the rest, sorted only when no holder ahead
-proves the piece; each part by distance, ties in guard order.  The order
-changes the work, never the verdict.  The front guards, read only for a
-piece no holder proves, are put back in guard order, so the cuts see the
-guards as a plain scan would.
+over the vertices per facing.  The groups go largest first.
+
+The holders are queried before they are walked.  The guard that sees a
+piece whole is almost always the nearest guard level with it: in the
+2k+1 placement each guard stands at the SE corner of its region, facing
+W.  So per E or W facing, the held prefix is walked from its end,
+greatest t and so nearest first, to the first holder whose apex y lies
+in the piece's closed y-range, decided on the apex's homogeneous
+integers; per N or S facing, the same with x (`_nearest`).  Those
+holders, at most one per facing, are hull-tested first.  Only a piece
+none of them proves takes the walk over every other holder (`_walk`):
+first those facing it head on (an E or W facing level with its bbox, an
+N or S facing beside it), then the rest, sorted only when no holder
+ahead proves the piece; each part by distance, ties in guard order.  The
+order changes the work, never the verdict.  The front guards, read only
+for a piece no holder proves, are put back in guard order, so the cuts
+see the guards as a plain scan would.
 
 The witness of an uncovered certificate is the first of the largest
 residual cell's `interior_points` off every guard's half-plane boundary
@@ -85,7 +97,7 @@ at once, which bounds the cache by one scene's results.
 
 from __future__ import annotations
 
-from bisect import bisect_left, bisect_right
+from bisect import bisect_left, bisect_right, insort
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import cached_property
@@ -136,18 +148,29 @@ def _strips(b: AxisRect, holes, rows=False):
     lists (los, his) of its free intervals' ends along it, in increasing
     order.  Strips are columns between consecutive x-lines, or with
     `rows` rows between consecutive y-lines.  `uv` reads a rectangle as
-    (u0, v0, u1, v1), u across the strips and v along them."""
+    (u0, v0, u1, v1), u across the strips and v along them.  One sweep
+    over the lines keeps the (v0, v1) spans of the holes across the
+    strip in one sorted list: at each line the spans of the holes that
+    end there leave it and those of the holes that begin there enter it,
+    so each strip reads its blocking spans in order, O(k log k) over the
+    scene plus the intervals."""
     def uv(r):
         return (r.y0, r.x0, r.y1, r.x1) if rows else r
     u0, v0, u1, v1 = uv(b)
-    spans = [uv(h) for h in holes]
-    us = sorted({u0, u1} | {s[0] for s in spans} | {s[2] for s in spans})
-    strips = []
-    for ul, ur in zip(us, us[1:]):
-        blocked = sorted((s[1], s[3]) for s in spans if s[0] <= ul and ur <= s[2])
+    near, far = {}, {}
+    for s in map(uv, holes):
+        near.setdefault(s[0], []).append((s[1], s[3]))
+        far.setdefault(s[2], []).append((s[1], s[3]))
+    us = sorted({u0, u1} | near.keys() | far.keys())
+    active, strips = [], []
+    for u in us[:-1]:
+        for span in far.get(u, ()):
+            del active[bisect_left(active, span)]
+        for span in near.get(u, ()):
+            insort(active, span)
         los, his = [], []
         v = v0
-        for (lo, hi) in blocked + [(v1, v1)]:
+        for (lo, hi) in active + [(v1, v1)]:
             if v < lo:
                 los.append(v)
                 his.append(lo)
@@ -272,25 +295,30 @@ def _ratio(n: int, d: int):
 
 def _by_facing(sights):
     """The facing index: per facing f, the thresholds t = f.apex of its
-    sights in increasing order, and the sights' indices in that order."""
+    sights in increasing order, and the sights' indices in that order.
+    The groups go largest first, ties in guard order: the facing most
+    guards share is a placement's staircase facing, whose nearest level
+    guard is the one `_proven` should try first."""
     groups = {}
     for i, (a, f, k) in enumerate(sights):
         groups.setdefault(f, []).append((_ratio(k, a[2]), i))
     index = []
-    for f, group in groups.items():
+    for f, group in sorted(groups.items(), key=lambda item: -len(item[1])):
         group.sort()
         index.append((f, [t for t, _ in group], [i for _, i in group]))
     return index
 
 
 def _holders(index, cell: HCell):
-    """The indices of the sights whose closed half-plane holds the cell:
-    per facing f, the thresholds t <= min f.v over the cell's vertices
-    v, in increasing t."""
+    """The sights whose closed half-plane holds the cell, per facing f of
+    the index as (f, members, n): the holders are the prefix members[:n]
+    of the facing's sights, those with t <= min f.v over the cell's
+    vertices v, in increasing t."""
     held = []
-    for (fx, fy), ts, members in index:
+    for f, ts, members in index:
+        fx, fy = f
         low = min([_ratio(fx * X + fy * Y, W) for X, Y, W in cell.pts])
-        held += members[:bisect_right(ts, low)]
+        held.append((f, members, bisect_right(ts, low)))
     return held
 
 
@@ -310,19 +338,61 @@ def _proven(piece: HCell, held, sights, buildings) -> bool:
     """Does one of the piece's holders `held` see all of it?  A holder's
     closed half-plane holds the piece, which `_holders` has decided
     exactly, so no building meeting the hull of its apex and the piece
-    (`h_clear`) is all that is left to test.  Hull tests run on the
-    holders ahead (see above) first, then on the rest, sorted lazily,
-    each part nearest the bbox first, ties in guard order.  Floats only
-    order the exact tests."""
+    (`h_clear`) is all that is left to test.  Hull tests run first on the
+    nearest level holder of each axis facing (`_nearest`), and only if
+    none proves the piece on every other holder (`_walk`)."""
+    tried = []
+    for i in _nearest(piece, held, sights):
+        if h_clear(sights[i][0], piece, buildings):
+            return True
+        tried.append(i)
+    return _walk(piece, held, sights, buildings, tried)
+
+
+def _nearest(piece: HCell, held, sights):
+    """The query, facing by facing, largest group first: per E or W
+    facing, the holder of greatest t whose apex is level with the piece,
+    its y in the piece's closed y-range, and per N or S facing the one
+    with its x in the x-range.  A facing's holders are walked from the end
+    of their prefix, nearest first, to the first level one, each tested
+    against the range's ends on the homogeneous integers."""
+    for (fx, fy), members, n in held:
+        if fx and fy:
+            continue
+        c = 1 if fy == 0 else 0  # the lateral coordinate: y for E and W, x for N and S
+        lo = hi = piece.pts[0]
+        for p in piece.pts:
+            if p[c] * lo[2] < lo[c] * p[2]:
+                lo = p
+            elif p[c] * hi[2] > hi[c] * p[2]:
+                hi = p
+        L, LW, H, HW = lo[c], lo[2], hi[c], hi[2]
+        for m in range(n - 1, -1, -1):
+            apex = sights[members[m]][0]
+            A, W = apex[c], apex[2]
+            if L * W <= A * LW and A * HW <= H * W:
+                yield members[m]
+                break
+
+
+def _walk(piece: HCell, held, sights, buildings, tried) -> bool:
+    """The fallback: hull tests on every holder not `tried`, first on
+    those facing the piece head on (an E or W facing level with its bbox,
+    an N or S facing beside it), then on the rest, sorted lazily, each
+    part nearest the bbox first, ties in guard order.  Floats only order
+    the exact tests."""
     x0, y0, x1, y1 = piece.bbox
     ahead, rest = [], []
-    for i in held:
-        (X, Y, W), (fx, fy), _ = sights[i]
-        x, y = X / W, Y / W
-        dx = x0 - x if x < x0 else (x - x1 if x > x1 else 0.0)
-        dy = y0 - y if y < y0 else (y - y1 if y > y1 else 0.0)
-        level = (fy == 0 and dy == 0.0) or (fx == 0 and dx == 0.0)
-        (ahead if level else rest).append((dx * dx + dy * dy, i))
+    for _, members, n in held:
+        for i in members[:n]:
+            if i in tried:
+                continue
+            (X, Y, W), (fx, fy), _ = sights[i]
+            x, y = X / W, Y / W
+            dx = x0 - x if x < x0 else (x - x1 if x > x1 else 0.0)
+            dy = y0 - y if y < y0 else (y - y1 if y > y1 else 0.0)
+            level = (fy == 0 and dy == 0.0) or (fx == 0 and dx == 0.0)
+            (ahead if level else rest).append((dx * dx + dy * dy, i))
     return any(h_clear(sights[i][0], piece, buildings)
                for part in (ahead, rest) for _, i in sorted(part))
 

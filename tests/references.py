@@ -4,7 +4,8 @@ the library's placements, staircases and 3k+1 pockets against them; the
 stairs of a staircase by comparing every pair of apexes; the oracle's
 certify-and-refine loop with every round from scratch, and its minimum
 over such a region; the residual pass as a plain cut by
-every region in turn; free space's strip pieces cut from Point rings;
+every region in turn; free space's strip pieces cut from Point rings,
+and its strips' free intervals by a scan of every hole per strip;
 the building levels across those pieces; a
 cell's holders and front guards by a side table
 of every guard against every vertex; a roof covered by one guard;
@@ -347,6 +348,30 @@ def axis_free_cells(bounds, holes, rows=False):
                     ((a, p), (b, p), (b, q), (a, q)))
             cells.append(h_cell(tuple(Point(x, y) for x, y in ring)))
     return cells
+
+
+def strips_by_scan(b, holes, rows=False):
+    """`verify._strips`' first form: per strip, every hole tested for
+    spanning it and the spans of those that do sorted, O(k) per strip.
+    The same `us` and per-strip (los, his) free-interval ends that the
+    sweep must give, in order."""
+    def uv(r):
+        return (r.y0, r.x0, r.y1, r.x1) if rows else r
+    u0, v0, u1, v1 = uv(b)
+    spans = [uv(h) for h in holes]
+    us = sorted({u0, u1} | {s[0] for s in spans} | {s[2] for s in spans})
+    strips = []
+    for ul, ur in zip(us, us[1:]):
+        blocked = sorted((s[1], s[3]) for s in spans if s[0] <= ul and ur <= s[2])
+        los, his = [], []
+        v = v0
+        for (lo, hi) in blocked + [(v1, v1)]:
+            if v < lo:
+                los.append(v)
+                his.append(lo)
+            v = max(v, hi)
+        strips.append((los, his))
+    return us, strips
 
 
 def witness_by_fractions(cell, sights):

@@ -47,7 +47,7 @@ from references import (
     hull_by_rotation, in_closed_shadow, located_by_scan, min_cover_of_region, mirror_guards,
     mirror_scene, residual_pass, roof_covered_by, sees_all_by_scan, shadow_by_rotation,
     shadowed_by_scan, region_contains, reset_region_cache, scaled_and_shifted, side_table,
-    space_between, witness_by_fractions,
+    space_between, strips_by_scan, witness_by_fractions,
 )
 from test_geom import point_run, ref_interior_run
 
@@ -444,6 +444,36 @@ class TestAxisFreeCells:
                 ref = axis_free_cells(scene.bounds, scene.holes, rows=rows)
                 assert [(c.pts, c.lines, c.bbox) for c in cells] == \
                     [(c.pts, c.lines, c.bbox) for c in ref]
+
+
+class TestStripsSweep:
+    """`verify._strips`, one sweep over the strip lines, against the scan
+    of every hole per strip (`references.strips_by_scan`)."""
+
+    @given(st.lists(st.tuples(st.integers(1, 10), st.integers(1, 10),
+                              st.integers(1, 4), st.integers(1, 4)), max_size=10),
+           st.sampled_from([(1, 0), (Fraction(1, 3), 0), (1, 10**17)]))
+    @example([(2, 2, 2, 2), (4, 5, 2, 2), (7, 2, 2, 2), (6, 8, 3, 2)], (1, 0))
+    @settings(max_examples=150, deadline=None)
+    def test_sweep_matches_the_scan(self, rects, transform):
+        """Buildings on a 12 x 12 grid, each kept when it is apart from
+        those kept before, so that many share an x- or y-line: one ends on
+        the line where another begins, or both begin or end on it, which
+        `certify` accepts.  The scene as is, scaled by 1/3 and shifted by
+        10^17, on columns and on rows: the same lines and the same free
+        intervals, in order.  The example's buildings share x = 4, x = 6,
+        x = 9, y = 2 and y = 4."""
+        holes = []
+        for x, y, w, h in rects:
+            r = AxisRect(x, y, min(x + w, 11), min(y + h, 11))
+            if all(r.x1 < o.x0 or o.x1 < r.x0 or r.y1 < o.y0 or o.y1 < r.y0 for o in holes):
+                holes.append(r)
+        scale, shift = transform
+        sc = validate_scene(scaled_and_shifted(Scene(bounds=AxisRect(0, 0, 12, 12),
+                                                     holes=tuple(holes)), scale, shift, shift))
+        for rows in (False, True):
+            assert verify._strips(sc.bounds, sc.holes, rows) == \
+                strips_by_scan(sc.bounds, sc.holes, rows)
 
 
 class TestCertifyMetamorphic:
@@ -848,6 +878,11 @@ def _pieces_and_level_parts(scene, rows):
     return cells
 
 
+def _flat(held):
+    """The holder indices of `verify._holders`' per-facing prefixes."""
+    return [i for _, members, n in held for i in members[:n]]
+
+
 class TestFacingIndex:
     """The facing index (`verify._holders`, `verify._front`) against the
     side table of every guard at every vertex (`references.side_table`):
@@ -863,7 +898,7 @@ class TestFacingIndex:
         cells = _pieces_and_level_parts(scene, False) + _pieces_and_level_parts(scene, True)
         for cell in cells:
             held, front = side_table(sights, cell)
-            assert sorted(verify._holders(index, cell)) == held
+            assert sorted(_flat(verify._holders(index, cell))) == held
             assert verify._front(index, cell) == front
         return sum(any(p[2] != 1 for p in cell.pts) for cell in cells)
 
@@ -1081,7 +1116,7 @@ class TestSplitProof:
         cell = h_cell(tuple(Point(scale * x, scale * y) for x, y in piece))
         sights = verify._sights(sc, [g])
         hulls = self.hull_spy(monkeypatch)
-        assert verify._holders(verify._by_facing(sights), cell) == [0]
+        assert _flat(verify._holders(verify._by_facing(sights), cell)) == [0]
         assert verify._on_piece(cell, sights) and hulls == []
         assert not verify._on_piece(cell, verify._sights(sc, [hole_guard(0, 0, facing)]))
         assert h_subtract([cell], visibility_region(sc, g).cells) == []
@@ -1165,6 +1200,38 @@ class TestLocation:
             reset_region_cache(monkeypatch)
             assert certify(sc, guards).covered
             assert calls == {"_holders": left, "h_rect": left}
+
+
+class TestHolderQuery:
+    """The holder query (`verify._nearest`): per axis facing, the nearest
+    holder level with the piece is hull-tested first, and the walk over
+    every holder (`verify._walk`) runs only when none proves the piece."""
+
+    # pieces the fallback walk ran on, measured for the guards_2k1 and
+    # the guards_main set, per (k, seed)
+    MEASURED = {(256, 0): (0, 1), (256, 1): (0, 0), (1024, 0): (0, 0), (1024, 1): (0, 3)}
+
+    @pytest.mark.parametrize("k,seed", sorted(MEASURED))
+    def test_each_piece_takes_one_hull_test(self, monkeypatch, k, seed):
+        """Count budget at grid 40k: on the covered `guards_2k1` and
+        `guards_main` sets, each piece no guard stands on (one
+        `_proven` call each) takes exactly one hull test, which passes,
+        and the fallback walk runs on at most `MEASURED` of them."""
+        sc = gen_random(GeneratorParams(k=k, seed=seed, grid=40 * k))
+        sets = [guards_2k1(sc).guards, guards_main(sc).guards]
+        tests, walks = [], []
+        prove, clear, walk = verify._proven, verify.h_clear, verify._walk
+        monkeypatch.setattr(verify, "_proven", lambda *args: tests.append([]) or prove(*args))
+        monkeypatch.setattr(verify, "h_clear",
+                            lambda *args: tests[-1].append(clear(*args)) or tests[-1][-1])
+        monkeypatch.setattr(verify, "_walk", lambda *args: walks.append(1) or walk(*args))
+        for guards, measured in zip(sets, self.MEASURED[k, seed]):
+            tests.clear()
+            walks.clear()
+            reset_region_cache(monkeypatch)
+            assert certify(sc, guards).covered
+            assert tests and all(verdicts == [True] for verdicts in tests)
+            assert len(walks) <= measured
 
 
 def _assert_shadow_verdicts(sc, pos, cells):
