@@ -311,12 +311,24 @@ class HCell:
             lines = tuple(_h_line(pts[i], pts[i + 1 if i + 1 < n else 0])
                           for i in range(n))
         self.lines = lines
-        xs = [p[0] / p[2] for p in pts]
-        ys = [p[1] / p[2] for p in pts]
-        pad_x = (max(map(abs, xs)) + 1.0) * 1e-12
-        pad_y = (max(map(abs, ys)) + 1.0) * 1e-12
-        self.bbox = (min(xs) - pad_x, min(ys) - pad_y,
-                     max(xs) + pad_x, max(ys) + pad_y)
+        # the float bbox in one pass, padded by 1e-12 of (the largest
+        # |coordinate| + 1) on each axis
+        X, Y, W = pts[0]
+        x0 = x1 = X / W
+        y0 = y1 = Y / W
+        for X, Y, W in pts[1:]:
+            x, y = X / W, Y / W
+            if x < x0:
+                x0 = x
+            elif x > x1:
+                x1 = x
+            if y < y0:
+                y0 = y
+            elif y > y1:
+                y1 = y
+        pad_x = (max(-x0, x1) + 1.0) * 1e-12
+        pad_y = (max(-y0, y1) + 1.0) * 1e-12
+        self.bbox = (x0 - pad_x, y0 - pad_y, x1 + pad_x, y1 + pad_y)
 
 
 def h_cell(cell: Cell) -> HCell:

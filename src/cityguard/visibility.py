@@ -20,9 +20,12 @@ Two independent routes to the same predicate:
   inside a P corner's.  P's corners keep every wedge around a hole
   corner below 180 degrees; around a P corner the one wedge of 180
   degrees or more lies outside its cone.
-  Every edge is held as its cell's line, negated where needed to run
-  CCW about the anchor, and walks the wedges it spans once, when the
-  fan is built, comparing itself in each with the nearest edge so far.
+  Every front edge, each of P's and each of a hole's that faces the
+  anchor, is held as its cell's line, negated where needed to run CCW
+  about the anchor, and walks the wedges it spans once, when the fan is
+  built, comparing itself in each with the nearest edge so far.  A back
+  edge of a hole is never the nearest (a ray across the convex hole
+  meets a front edge first), and walks nothing.
   A facing places the two edge directions of its half-plane among the
   corner directions by one integer binary search (`_Fan._locate`, the
   same search that places a point for the membership test below).  An
@@ -30,7 +33,8 @@ Two independent routes to the same predicate:
   wedge's nearest edge, every part then lies wholly in front of the
   guard or wholly behind it, and only the parts in front are walked.
   Each run of parts stopped by one edge, (d1, line, d2), gives the
-  triangle guard/ray1-hit/ray2-hit; the union of the triangles is the
+  triangle guard/ray1-hit/ray2-hit, and two runs that meet at a
+  direction share its ray's line; the union of the triangles is the
   region.  The scene cache keeps the last anchor's fan, so the facings
   of one corner, asked for in turn, share one sweep and the edges' lines.
 
@@ -104,9 +108,17 @@ class VisibilityRegion:
         return PolygonSet.of_hcells(self.cells)
 
     def _triangles(self):
-        runs, first, hpos = self.runs, self._first, self._hpos
-        return tuple(HCell(*_triangle(hpos, d1, line, d2))
-                     for d1, line, d2 in runs[first:] + runs[:first] if line is not None)
+        """One `_triangle` per run with a line, from the rays' lines: the
+        ray at a direction where two such runs meet is made once."""
+        hpos, cells, ray = self._hpos, [], None
+        for d1, line, d2 in self.runs:
+            if line is None:
+                ray = None
+                continue
+            ray1, ray = ray or _h_line(hpos, d1 + (0,)), _h_line(hpos, d2 + (0,))
+            cells.append(_triangle(hpos, ray1, line, ray))
+        k = sum(line is not None for _, line, _ in self.runs[:self._first])
+        return tuple(cells[k:] + cells[:k])
 
 
 def _angular_cmp(d1, d2):
@@ -124,12 +136,19 @@ def _angular_cmp(d1, d2):
 
 def _sorted_directions(dirs):
     """Distinct directions in `_angular_cmp` order.  The float angle only
-    proposes the order: every adjacent pair is checked exactly, and on a
-    tie or a misorder the directions are sorted by `_angular_cmp` itself."""
+    proposes the order, which is checked exactly in one pass: the upper
+    half (`_upper`) comes first, and each direction turns strictly CCW
+    from the one before it in its half.  On a tie or a misorder the
+    directions are sorted by `_angular_cmp` itself."""
     out = sorted(dirs, key=lambda d: atan2(d[1], d[0]) % tau)
-    if all(_angular_cmp(d1, d2) < 0 for d1, d2 in zip(out, out[1:])):
-        return out
-    return sorted(dirs, key=cmp_to_key(_angular_cmp))
+    x1, y1 = out[0]  # a fan's directions include P's corners
+    up1 = y1 > 0 or y1 == 0 < x1
+    for x2, y2 in out[1:]:
+        up2 = y2 > 0 or y2 == 0 < x2
+        if up2 > up1 or up2 == up1 and x1 * y2 <= y1 * x2:
+            return sorted(dirs, key=cmp_to_key(_angular_cmp))
+        x1, y1, up1 = x2, y2, up2
+    return out
 
 
 # (scene, {guard: region}, {guard tuple: certificate}, [fan]) for the last
@@ -243,10 +262,14 @@ class _Fan:
             kept = (a1 * mx + b1 * my > 0 and a2 * mx + b2 * my > 0) != on_hole
             mids.append((-mx, -my) if kept else (0, 0))
 
-        # Each edge walks the cyclic range of wedges it spans, its line
-        # directed CCW about the anchor (of value v > 0 there); a line
-        # through the anchor is an incident or a collinear edge's, and
-        # neither blocks.  On a middle ray pos + t*m the line takes
+        # Each front edge walks the cyclic range of wedges it spans, its
+        # line directed CCW about the anchor (of value v > 0 there): P's
+        # lines all have v >= 0, and a hole's with v < 0 is negated.  A
+        # hole's line with v > 0 is a back edge, skipped: a middle ray
+        # across the convex hole meets a front edge first, and at the
+        # anchor's own hole it spans only wedges that hold (0, 0).  A line
+        # through the anchor (v = 0) is an incident or a collinear edge's,
+        # and neither blocks.  On a middle ray pos + t*m the line takes
         # v - t * W * den, den = -(A*mx + B*my), W the anchor's weight: the
         # ray meets it ahead iff den > 0, at t proportional to v / den, and
         # the least ratio is the nearest edge, the first in cell and edge
@@ -255,11 +278,11 @@ class _Fan:
         bv, bd = [1] * nd, [0] * nd
         self.blockers = blockers = [None] * nd
         for cell, row in zip(cells, rays):
-            n = len(row)
+            n, hole = len(row), cell is not cells[-1]
             for e, line in enumerate(cell.lines):
                 A, B, C = line
                 v = A * px + B * py + C * pw
-                if v == 0:
+                if v == 0 or v > 0 and hole:
                     continue
                 ra, rb = row[e], row[(e + 1) % n]
                 if v < 0:
@@ -373,25 +396,22 @@ def _inside(line, hp) -> bool:
     return line is not None and line[0] * hp[0] + line[1] * hp[1] + line[2] * hp[2] >= 0
 
 
-def _triangle(hpos, d1, edge, d2):
-    """The (pts, lines) of the cell seen from hpos between directions d1
-    and d2 up to the blocking edge's line.
+def _triangle(hpos, ray1, edge, ray2) -> HCell:
+    """The cell seen from hpos between the rays along the lines ray1 and
+    ray2 (through hpos, directed outward) up to the blocking edge's line.
 
     Such a run always has area.  The fan skips the edges incident to the
     anchor and those collinear with it, so the line misses the anchor.  A
     run lies inside its edge's own angular range, which spans less than
-    180 degrees, so d1 turns strictly CCW to d2 and both rays meet the
+    180 degrees, so ray1 turns strictly CCW to ray2 and both rays meet the
     edge in front of the anchor.  A triangle that does not turn strictly
     CCW breaks that argument; it raises MalformedPolygonError, since
     skipping it would make `cells` and `_Fan.mask` disagree."""
     # the lines of the rays and the edge (the triangle on their positive
     # sides) are small; the hits are their meets
-    ray1 = _h_line(hpos, d1 + (0,))
-    ray2 = _h_line(hpos, d2 + (0,))
     r1 = _h_meet(ray1, edge)
     r2 = _h_meet(ray2, edge)
     if _h_orient(hpos, r1, r2) <= 0:
         raise MalformedPolygonError(
-            f"the run from {d1} to {d2} seen from {hpos} has no area")
-    back = (-ray2[0], -ray2[1], -ray2[2])
-    return (hpos, r1, r2), (ray1, edge, back)
+            f"the run between the rays {ray1} and {ray2} seen from {hpos} has no area")
+    return HCell((hpos, r1, r2), (ray1, edge, (-ray2[0], -ray2[1], -ray2[2])))

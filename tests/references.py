@@ -17,7 +17,9 @@ shadow by segment tests; the mirror image of a scene and its guards, and
 its image under a scale and a shift; a guard's
 region swept from scratch, with the facing's edge directions among the
 critical directions, every wedge tested and the anchor's cone taken from
-its corner's Point edge vectors; and the 2k+1 partition's
+its corner's Point edge vectors; a fan's blockers walked by every edge,
+back edges included, and an HCell's bbox by its two-pass formula; and
+the 2k+1 partition's
 faces read off its extension walls by a union-find over the grid
 cells, which also takes frames with buildings on P's sides.  Also the
 closed point test over HCells that `VisibilityRegion.contains` must
@@ -30,6 +32,7 @@ ring, rectangle, hole-disjointness and on-segment tests built on it."""
 
 from collections import namedtuple
 from fractions import Fraction
+from functools import cmp_to_key
 from itertools import groupby
 from math import gcd
 
@@ -45,7 +48,7 @@ from cityguard.oracle import (
 )
 from cityguard.staircase import _QUADRANT
 from cityguard.verify import free_space, interior_points
-from cityguard.visibility import _sorted_directions, sees, visibility_region
+from cityguard.visibility import _angular_cmp, _sorted_directions, sees, visibility_region
 
 # a region swept here: the guard and its cells, as `VisibilityRegion` reads them
 SweptRegion = namedtuple("SweptRegion", "guard cells")
@@ -578,6 +581,60 @@ def _corner_cone(corners, idx):
 def _strictly_in_cone(e_next, e_prev, m):
     return (e_next[0] * m[1] - e_next[1] * m[0] > 0
             and m[0] * e_prev[1] - m[1] * e_prev[0] > 0)
+
+
+def fan_blockers_every_edge(scene: Scene, g: Guard):
+    """(dirs, half, blockers) of the fan at g's anchor, as `_Fan` built
+    them when every edge walked the wedges it spans: every line of every
+    cell that misses the anchor, a hole's back edges included, directed
+    CCW about the anchor, is compared in each wedge it spans with the
+    nearest edge so far.  The directions are sorted by `_angular_cmp`
+    alone."""
+    anchor_cell, j = scene.corner(g.anchor)
+    px, py, pw = anchor_cell.pts[j]
+    rays = []
+    for cell in scene.cells:
+        row = []
+        for X, Y, W in cell.pts:
+            dx, dy = X * pw - px * W, Y * pw - py * W
+            row.append(primitive_direction(dx, dy) if dx or dy else None)
+        rays.append(row)
+    dirs = sorted({r for row in rays for r in row if r}, key=cmp_to_key(_angular_cmp))
+    nd = len(dirs)
+    half = next((i for i, (x, y) in enumerate(dirs) if y < 0 or y == 0 and x < 0), nd)
+    index = {d: i for i, d in enumerate(dirs)}
+    (a1, b1), (a2, b2) = anchor_cell.lines[j - 1][:2], anchor_cell.lines[j][:2]
+    mids = []
+    for (x1, y1), (x2, y2) in zip(dirs, dirs[1:] + dirs[:1]):
+        mx, my = x1 + x2, y1 + y2
+        kept = (a1 * mx + b1 * my > 0 and a2 * mx + b2 * my > 0) != g.on_hole()
+        mids.append((mx, my) if kept else None)
+    best, blockers = [None] * nd, [None] * nd
+    for cell, row in zip(scene.cells, rays):
+        for e, line in enumerate(cell.lines):
+            v = line[0] * px + line[1] * py + line[2] * pw
+            if v == 0:
+                continue
+            ends = row[e], row[(e + 1) % len(row)]
+            if v < 0:
+                line, v, ends = tuple(-c for c in line), -v, ends[::-1]
+            ia, ib = index[ends[0]], index[ends[1]]
+            for i in range(ia, ib if ia < ib else ib + nd):
+                i %= nd
+                den = mids[i] and -(line[0] * mids[i][0] + line[1] * mids[i][1])
+                if den and den > 0 and (best[i] is None or Fraction(v, den) < best[i]):
+                    best[i], blockers[i] = Fraction(v, den), line
+    return dirs, half, blockers
+
+
+def hcell_bbox_two_pass(pts):
+    """An HCell's float bbox by the formula it was first written with: the
+    lists of x and y, each padded by 1e-12 of (its largest |value| + 1)."""
+    xs = [X / W for X, _, W in pts]
+    ys = [Y / W for _, Y, W in pts]
+    pad_x = (max(map(abs, xs)) + 1.0) * 1e-12
+    pad_y = (max(map(abs, ys)) + 1.0) * 1e-12
+    return (min(xs) - pad_x, min(ys) - pad_y, max(xs) + pad_x, max(ys) + pad_y)
 
 
 def sweep(scene: Scene, g: Guard) -> SweptRegion:

@@ -20,7 +20,8 @@ from cityguard.placement import guards_2k1
 from cityguard.verify import free_space
 from cityguard.visibility import visibility_region
 from references import (
-    CCW, COLLINEAR, CW, h_point_by_fraction, in_open_hole, orient, region_contains,
+    CCW, COLLINEAR, CW, h_point_by_fraction, hcell_bbox_two_pass, in_open_hole, orient,
+    region_contains,
 )
 
 
@@ -605,6 +606,33 @@ class TestRect:
         for corners in ((0, 0, 0, 1), (0, 0, 1, 0), (2, 0, 1, 1), (0, Fraction(1, 2), 1, 0)):
             with pytest.raises(MalformedPolygonError):
                 geom.h_rect(*corners)
+
+
+@st.composite
+def bbox_points(draw):
+    """3 to 6 homogeneous points, W > 0, as drawn or under one image: a
+    huge weight, a shift by 10^17 or a scale by 10^-400 (where a negative
+    coordinate divides to -0.0)."""
+    pts = draw(st.lists(st.tuples(st.integers(-10**6, 10**6), st.integers(-10**6, 10**6),
+                                  st.integers(1, 10**6)), min_size=3, max_size=6))
+    image = draw(st.sampled_from(["none", "huge W", "1e17", "1e-400"]))
+    if image == "huge W":
+        return tuple((X * 10**40, Y * 10**40, W * 10**40 + 1) for X, Y, W in pts)
+    if image == "1e17":
+        return tuple((X + 10**17 * W, Y - 10**17 * W, W) for X, Y, W in pts)
+    if image == "1e-400":
+        return tuple((X, Y, W * 10**400) for X, Y, W in pts)
+    return tuple(pts)
+
+
+class TestHCellBbox:
+    """An HCell finds its bbox in one pass over its vertices; the floats
+    equal the two-pass formula's (`references.hcell_bbox_two_pass`)."""
+
+    @given(bbox_points())
+    @settings(max_examples=400)
+    def test_equals_the_two_pass_formula(self, pts):
+        assert HCell(pts).bbox == hcell_bbox_two_pass(pts)
 
 
 def ref_h_split(cell, line):

@@ -2,11 +2,13 @@ import json
 import random
 import weakref
 from fractions import Fraction
-from functools import lru_cache
+from functools import cmp_to_key, lru_cache
 from itertools import permutations
-from math import atan2, ceil
+from math import atan2, ceil, tau
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import cityguard.geom as geom
 import cityguard.oracle as oracle
@@ -16,7 +18,7 @@ from cityguard.cli import main
 from cityguard.errors import MalformedPolygonError
 from cityguard.geom import (
     Point, PolygonSet, _h_line, _h_meet, _h_normalized, h_cell, h_mean, h_point,
-    h_to_point, make_axis_rect,
+    h_to_point, make_axis_rect, primitive_direction,
 )
 from cityguard.instances import GeneratorParams, gen_3k1_necessity, gen_random
 from cityguard.io import parse_city
@@ -25,8 +27,8 @@ from cityguard.oracle import INFEASIBLE_WITHIN, OPTIMAL, candidate_set, optimal_
 from cityguard.visibility import AnchorFans, _angular_cmp, sees, visibility_region
 from counterexample_3k1 import rot3k1_counterexample
 from references import (
-    h_cells_contain, in_open_hole, orient, region_contains, reset_region_cache,
-    scaled_and_shifted, sweep,
+    fan_blockers_every_edge, h_cells_contain, in_open_hole, orient, region_contains,
+    reset_region_cache, scaled_and_shifted, sweep,
 )
 
 
@@ -318,6 +320,19 @@ class TestFanAgainstSweep:
             assert [(c.pts, c.lines) for c in fans[i].cells] == expected[g], g
         assert any(expected.values())
 
+    @pytest.mark.parametrize("make", _fan_scenes())
+    def test_blockers_equal_the_every_edge_walk(self, make):
+        """A fan walks only P's edges and the holes' front edges; its
+        directions, lower-half index and per-wedge blocker lines equal
+        those of the walk by every edge, back edges included
+        (`references.fan_blockers_every_edge`), at every anchor."""
+        sc = make()
+        anchors = sorted({g.anchor for g in candidate_set(sc, include_p_corners=True)})
+        for anchor in anchors:
+            g = Guard(anchor, N)
+            fan = visibility._Fan(sc, g)
+            assert (fan.dirs, fan.half, fan.blockers) == fan_blockers_every_edge(sc, g), anchor
+
 
 def _membership_scenes():
     """Random scenes at k = 1..3 on grids 20, 30 and 40, where grazing and
@@ -459,6 +474,36 @@ class TestMembership:
         assert optimal_guard_count(sc, cands, 6).status == INFEASIBLE_WITHIN
         assert sorted(walks) == sorted(cands)
 
+    def test_cells_make_one_triangle_per_run(self, monkeypatch):
+        """Reading `cells` calls `_triangle` once per run with a line, with
+        the lines of the run's two rays, and every cell is one of its
+        results; each direction's ray line is made once, shared by the two
+        runs that meet there.  Checked for every candidate, P corners
+        included, of a random k = 8 scene and the rotated 3k+1 family at
+        k = 2."""
+        calls, rays = [], []
+        triangle, h_line = visibility._triangle, visibility._h_line
+        monkeypatch.setattr(visibility, "_triangle",
+                            lambda *a: calls.append((a, triangle(*a))) or calls[-1][1])
+        monkeypatch.setattr(visibility, "_h_line", lambda *a: rays.append(a) or h_line(*a))
+        shared = 0
+        for sc in (gen_random(GeneratorParams(k=8, seed=8, grid=320)), gen_3k1_necessity(2)):
+            reset_region_cache(monkeypatch)
+            for g in candidate_set(sc, include_p_corners=True):
+                vr = visibility_region(sc, g)
+                calls.clear(), rays.clear()
+                cells = vr.cells
+                apex = h_point(g.position(sc))
+                runs = [(d1, line, d2) for d1, line, d2 in vr.runs if line is not None]
+                assert [a[1:] for a, _ in calls] == [
+                    (_h_line(apex, d1 + (0,)), line, _h_line(apex, d2 + (0,)))
+                    for d1, line, d2 in runs]
+                assert sorted(map(id, cells)) == sorted(id(cell) for _, cell in calls)
+                ends = {d for d1, _, d2 in runs for d in (d1, d2)}
+                assert len(rays) == len(ends)
+                shared += 2 * len(runs) - len(ends)
+        assert shared > 0
+
     def test_run_without_area_raises(self, monkeypatch):
         """A run with a line always has area (`_triangle`); a triangle
         that does not turn strictly CCW raises instead of being skipped,
@@ -561,6 +606,41 @@ class TestDirectionOrder:
             assert [(c.pts, c.lines) for c in cells] == \
                 [(c.pts, c.lines) for c in visibility._Fan(sc, g).region(g).cells]
         assert any(cells for cells in fast)
+
+
+_directions = st.one_of(
+    st.sampled_from([(1, 0), (0, 1), (-1, 0), (0, -1)]),
+    # neighbours of (1, 0) and (-1, 0) in both halves, where the float angle
+    # ties or wraps around
+    st.builds(lambda sx, sy, m: (sx * m, sy), st.sampled_from([1, -1]),
+              st.sampled_from([1, -1]), st.integers(1, 10**18)),
+    st.sampled_from(TestDirectionOrder.NEAR),
+    st.sampled_from([(-x, -y) for x, y in TestDirectionOrder.NEAR]),
+    st.tuples(st.integers(-50, 50), st.integers(-50, 50)).filter(any),
+).map(lambda d: primitive_direction(*d))
+
+
+class TestSortedDirections:
+    """`_sorted_directions` equals the exact sort on every drawn list of
+    distinct directions, whichever order the float angle proposes."""
+
+    @given(st.lists(_directions, min_size=1, max_size=12, unique=True))
+    @settings(max_examples=400)
+    def test_equals_the_exact_sort(self, dirs):
+        assert visibility._sorted_directions(dirs) == sorted(dirs, key=cmp_to_key(_angular_cmp))
+
+    @pytest.mark.parametrize("dirs", [[(-1, 0), (-10**17, 1)], [(-10**17, -1), (-10**17, 1)]])
+    def test_lower_before_upper_falls_back(self, monkeypatch, dirs):
+        """Both directions' float angles round to pi, so the float sort
+        keeps the lower-half one first; the check sees the upper half
+        come after the lower one and sorts exactly."""
+        assert len({atan2(y, x) % tau for x, y in dirs}) == 1
+        fallbacks = []
+        exact = visibility.cmp_to_key
+        monkeypatch.setattr(visibility, "cmp_to_key",
+                            lambda cmp: fallbacks.append(cmp) or exact(cmp))
+        assert visibility._sorted_directions(dirs) == dirs[::-1]
+        assert fallbacks == [_angular_cmp]
 
 
 class TestRegionCache:
